@@ -68,7 +68,7 @@ let spo_positions () =
         (Xoshiro.uniform rng *. 7.))
 
 (* Crowd-batched evaluation (the pipeline's hot path): the batch
-   kernels gather stencil coefficients through kind-specialized unboxed
+   kernels read stencil coefficients through kind-specialized unboxed
    loads, so the f32 table moves half the bytes of the f64 one per
    eval — the scalar [eval_v]/[eval_vgl] entry points instead pay a
    boxed functor-boundary load per coefficient and hide the bandwidth
@@ -255,7 +255,7 @@ let bench_tune ~machine ~name ~sys =
    is small and single-core timing noise routinely exceeds a few
    percent. *)
 type tile_gap = {
-  g_auto_tile : int;  (* 0 = tuner kept the flat layout *)
+  g_auto_tile : int;  (* 0 = tuner kept one tile *)
   g_auto_ns : float;
   g_best_tile : int;
   g_best_ns : float;
@@ -280,7 +280,7 @@ let bench_tile_gap () =
     "  tile gap: autotuned tile %d %.1f ns/eval vs swept best %s %.1f \
      ns/eval  (%.1f%% off best)\n%!"
     auto.Tile_bench.atile auto.Tile_bench.tiled_ns
-    (if best.Tile_bench.tile = 0 then "flat"
+    (if best.Tile_bench.tile = 0 then "one"
      else string_of_int best.Tile_bench.tile)
     best.Tile_bench.ns_per_eval within;
   {

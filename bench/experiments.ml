@@ -550,7 +550,6 @@ let tiling () =
   Report.section
     "Sec. 8.4 B-spline tiling (AoSoA) ablation (measured, OCaml)";
   let module B = Oqmc_spline.Bspline3d.Make (Precision.F32) in
-  let module BT = Oqmc_spline.Bspline3d_tiled.Make (Precision.F32) in
   let nx = 24 and n_orb = 192 in
   let rng = Oqmc_rng.Xoshiro.create 7 in
   let coeff ~orb:_ ~i:_ ~j:_ ~k:_ =
@@ -571,31 +570,27 @@ let tiling () =
     done;
     (Timers.now () -. t0) /. float_of_int evals *. 1e9
   in
-  let plain = B.create ~nx ~ny:nx ~nz:nx ~n_orb in
-  B.fill plain coeff;
-  let buf = B.make_vgh_buf plain in
-  let t_plain = time (fun x y z -> B.eval_vgh plain ~u0:x ~u1:y ~u2:z buf) in
   Printf.printf "%-12s %12s  (grid %d^3, %d orbitals, vgh)
 " "tile" "ns/eval"
     nx n_orb;
-  Printf.printf "%-12s %12.0f
-" "monolithic" t_plain;
   List.iter
     (fun tile ->
-      let tt = BT.create ~nx ~ny:nx ~nz:nx ~n_orb ~tile in
-      BT.fill tt coeff;
-      let tbuf = BT.make_vgh_buf tt in
-      let t = time (fun x y z -> BT.eval_vgh tt ~u0:x ~u1:y ~u2:z tbuf) in
+      let tt = B.create ~tile ~nx ~ny:nx ~nz:nx ~n_orb () in
+      B.fill tt coeff;
+      let tbuf = B.make_vgh_buf tt in
+      let t = time (fun x y z -> B.eval_vgh tt ~u0:x ~u1:y ~u2:z tbuf) in
       Printf.printf "%-12s %12.0f
-" (Printf.sprintf "tile=%d" tile) t)
-    [ 16; 32; 64; 96; 192 ];
+"
+        (if tile = 0 then "one tile" else Printf.sprintf "tile=%d" tile)
+        t)
+    [ 0; 16; 32; 64; 96 ];
   print_newline ();
   print_endline
     "paper (Sec. 8.4 / Mathuriya IPDPS'17): tiling bounds the per-stencil \
      stride and exposes";
   print_endline
-    "a thread-parallel outer loop; small tiles pay blit overhead, very \
-     large tiles stream";
+    "a thread-parallel outer loop; small tiles pay per-block loop \
+     overhead, very large tiles stream";
   print_endline "poorly -- the optimum sits at a cache-sized middle."
 
 let ewald () =

@@ -12,7 +12,7 @@
      dune exec bench/main.exe -- --crowd-smoke   # fast CI check (@bench-smoke)
      dune exec bench/main.exe -- --autotune      # roofline autotune acceptance
      dune exec bench/main.exe -- --autotune-smoke # fast CI check (@autotune-smoke)
-     dune exec bench/main.exe -- --tile          # tiled-layout tile sweep
+     dune exec bench/main.exe -- --tile          # orbital tile sweep
      dune exec bench/main.exe -- --tile-smoke    # fast CI check (@tile-smoke)
      dune exec bench/main.exe -- --serve         # serve-layer microbenchmarks
      dune exec bench/main.exe -- --json BENCH_pool.json   # + JSON record

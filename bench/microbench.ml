@@ -77,10 +77,10 @@ let dt_tests =
 let bspline_tests =
   let n_orb = 64 in
   let rng = Xoshiro.create 2 in
-  let t32 = B3_32.create ~nx:16 ~ny:16 ~nz:16 ~n_orb in
+  let t32 = B3_32.create ~nx:16 ~ny:16 ~nz:16 ~n_orb () in
   B3_32.fill t32 (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
       Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.);
-  let t64 = B3_64.create ~nx:16 ~ny:16 ~nz:16 ~n_orb in
+  let t64 = B3_64.create ~nx:16 ~ny:16 ~nz:16 ~n_orb () in
   B3_64.fill t64 (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
       Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.);
   let out = Array.make n_orb 0. in

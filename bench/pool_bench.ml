@@ -137,7 +137,7 @@ let bench_vgh ~precision ~scalar ~batch crowds =
 
 let bench_vgh_all () =
   let crowds = [ 1; 8; 16 ] in
-  let t64 = B3_64.create ~nx:16 ~ny:16 ~nz:16 ~n_orb:32 in
+  let t64 = B3_64.create ~nx:16 ~ny:16 ~nz:16 ~n_orb:32 () in
   B3_64.fill t64 synthetic;
   let buf64 = B3_64.make_vgh_buf t64 in
   let arena64 = B3_64.make_vgh_batch t64 ~cap:16 in
@@ -148,7 +148,7 @@ let bench_vgh_all () =
         B3_64.eval_vgh_batch t64 arena64 ~n ~u0 ~u1 ~u2)
       crowds
   in
-  let t32 = B3_32.create ~nx:16 ~ny:16 ~nz:16 ~n_orb:32 in
+  let t32 = B3_32.create ~nx:16 ~ny:16 ~nz:16 ~n_orb:32 () in
   B3_32.fill t32 synthetic;
   let buf32 = B3_32.make_vgh_buf t32 in
   let arena32 = B3_32.make_vgh_batch t32 ~cap:16 in
@@ -162,7 +162,7 @@ let bench_vgh_all () =
   f64 @ f32
 
 let bench_alloc () =
-  let table = B3_64.create ~nx:16 ~ny:16 ~nz:16 ~n_orb:32 in
+  let table = B3_64.create ~nx:16 ~ny:16 ~nz:16 ~n_orb:32 () in
   B3_64.fill table synthetic;
   let buf = B3_64.make_vgh_buf table in
   let crowd = 8 in

@@ -42,7 +42,7 @@ let run grids orbitals evals seed =
           let v32, vgh32, b32 =
             bench_one
               ~create:(fun ~grid ~n_orb ->
-                B32.create ~nx:grid ~ny:grid ~nz:grid ~n_orb)
+                B32.create ~nx:grid ~ny:grid ~nz:grid ~n_orb ())
               ~fill:(fun t ->
                 let rng = Xoshiro.create seed in
                 B32.fill t (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
@@ -58,7 +58,7 @@ let run grids orbitals evals seed =
           let v64, vgh64, _ =
             bench_one
               ~create:(fun ~grid ~n_orb ->
-                B64.create ~nx:grid ~ny:grid ~nz:grid ~n_orb)
+                B64.create ~nx:grid ~ny:grid ~nz:grid ~n_orb ())
               ~fill:(fun t ->
                 let rng = Xoshiro.create seed in
                 B64.fill t (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->

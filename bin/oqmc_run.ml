@@ -22,7 +22,7 @@ let with_obs ~trace ~telemetry ~progress f =
       match trace with Some path -> Trace.export ~path | None -> ())
     (fun () -> f sink prog)
 
-let make_system name reduction with_nlpp precision layout tile seed =
+let make_system name reduction with_nlpp precision tile seed =
   match String.lowercase_ascii name with
   | "harmonic" -> Validation.harmonic ~n:6 ~omega:1.0
   | "hydrogen" -> Validation.hydrogen ()
@@ -33,11 +33,8 @@ let make_system name reduction with_nlpp precision layout tile seed =
       let table_prec =
         match precision with Some `F64 -> `F64 | _ -> `F32
       in
-      let layout =
-        match layout with Some `Tiled -> `Tiled | Some `Flat | None -> `Flat
-      in
-      Builder.make ~seed ~with_nlpp ~reduction ~precision:table_prec ~layout
-        ~tile (Spec.find name)
+      Builder.make ~seed ~with_nlpp ~reduction ~precision:table_prec ~tile
+        (Spec.find name)
 
 let parse_precision_for flag = function
   | "" | "default" -> None
@@ -50,18 +47,9 @@ let parse_precision_for flag = function
 
 let parse_precision = parse_precision_for "precision"
 
-let parse_layout = function
-  | "" | "default" -> None
-  | "flat" -> Some `Flat
-  | "tiled" -> Some `Tiled
-  | other ->
-      invalid_arg
-        (Printf.sprintf "oqmc_run: --layout must be flat or tiled, got %S"
-           other)
-
 let run input method_ workload variant reduction walkers blocks steps tau
     domains crowd delay precision precision_dt precision_jastrow
-    precision_inv layout tile autotune with_nlpp seed checkpoint
+    precision_inv tile autotune with_nlpp seed checkpoint
     checkpoint_every checkpoint_keep
     watchdog restore ranks heartbeat_ms max_respawn elastic gen_deadline_ms
     straggler_policy plan trace telemetry telemetry_every progress flightrec
@@ -88,7 +76,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
           precision_jastrow =
             parse_precision_for "precision-jastrow" precision_jastrow;
           precision_inv = parse_precision_for "precision-inv" precision_inv;
-          layout = parse_layout layout;
           tile;
           autotune;
           nlpp = with_nlpp;
@@ -126,7 +113,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let precision_dt = cfg.Input.precision_dt in
   let precision_jastrow = cfg.Input.precision_jastrow in
   let precision_inv = cfg.Input.precision_inv in
-  let layout = cfg.Input.layout in
   let tile = cfg.Input.tile in
   let autotune = cfg.Input.autotune in
   let with_nlpp = cfg.Input.nlpp in
@@ -160,9 +146,9 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let telemetry = cfg.Input.telemetry in
   let telemetry_every = max 1 cfg.Input.telemetry_every in
   let progress = cfg.Input.progress in
-  let sys = make_system workload reduction with_nlpp precision layout tile seed in
   if delay < 1 then invalid_arg "oqmc_run: --delay must be >= 1";
   if tile < 0 then invalid_arg "oqmc_run: --tile must be >= 0";
+  let sys = make_system workload reduction with_nlpp precision tile seed in
   (* Effective working precision: explicit override beats the variant's
      default. *)
   let eff_precision =
@@ -173,19 +159,11 @@ let run input method_ workload variant reduction walkers blocks steps tau
         | Variant.Ref | Variant.Current_f64 -> `F64
         | Variant.Ref_mp | Variant.Current -> `F32)
   in
-  (* The orbital tile in effect (0 = flat); an explicit deck layout wins,
-     and the tuner below may switch an unconstrained run to tiled. *)
-  let eff_tile =
-    match layout with
-    | Some `Tiled ->
-        if tile > 0 then tile else min 32 sys.System.spo.Oqmc_wavefunction.Spo.n_orb
-    | Some `Flat | None -> 0
-  in
   (* autotune = true: pick crowd/delay/grain/tile from the calibrated
      roofline + memory model, refined by short measured delay and tile
      sweeps; explicit non-default flags still win over the tuner. *)
-  let crowd, delay, sys, eff_tile =
-    if not autotune then (crowd, delay, sys, eff_tile)
+  let crowd, delay, sys, tile =
+    if not autotune then (crowd, delay, sys, tile)
     else begin
       let choice =
         Oqmc_autotune.Tuner.choose ~refine:true ~walkers ~domains ~variant
@@ -197,21 +175,20 @@ let run input method_ workload variant reduction walkers blocks steps tau
         Unix.putenv "OQMC_GRAIN"
           (string_of_int choice.Oqmc_autotune.Tuner.knobs.grain);
       let k = choice.Oqmc_autotune.Tuner.knobs in
-      (* An explicit layout = flat|tiled deck key beats the tuner's tile
-         pick; otherwise a nonzero pick rebuilds the orbital table in the
-         tiled layout (identical coefficients, so f64 results are
-         unchanged). *)
-      let sys, eff_tile =
-        if layout = None && k.Oqmc_autotune.Tuner.tile > 0 then
-          ( make_system workload reduction with_nlpp precision (Some `Tiled)
+      (* An explicit tile beats the tuner's pick; otherwise a nonzero
+         pick rebuilds the orbital table in that tile (identical
+         coefficients, so f64 results are unchanged). *)
+      let sys, tile =
+        if tile = 0 && k.Oqmc_autotune.Tuner.tile > 0 then
+          ( make_system workload reduction with_nlpp precision
               k.Oqmc_autotune.Tuner.tile seed,
             k.Oqmc_autotune.Tuner.tile )
-        else (sys, eff_tile)
+        else (sys, tile)
       in
       ( (if crowd <> 1 then crowd else k.Oqmc_autotune.Tuner.crowd),
         (if delay <> 1 then delay else k.Oqmc_autotune.Tuner.delay),
         sys,
-        eff_tile )
+        tile )
     end
   in
   (* Any explicitly single-precision table — orbital, distance, Jastrow
@@ -235,12 +212,12 @@ let run input method_ workload variant reduction walkers blocks steps tau
   in
   Printf.printf
     "oqmc_run: %s  %s  variant=%s  precision=%s  electrons=%d  domains=%d  \
-     crowd=%d  delay=%d  layout=%s\n"
+     crowd=%d  delay=%d  tile=%d\n"
     method_ workload
     (Variant.to_string variant)
     (match eff_precision with `F32 -> "f32" | `F64 -> "f64")
     (System.n_electrons sys) domains crowd delay
-    (if eff_tile > 0 then Printf.sprintf "tiled:%d" eff_tile else "flat");
+    tile;
   (* --audit: calibrate a roofline projection for this run shape up
      front; measured-vs-projected gauges refresh live (per ledger
      window) and the verdict table prints after the run. *)
@@ -249,7 +226,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
     else
       Some
         (Oqmc_autotune.Audit.create ~walkers ~domains ~ranks:(max 1 ranks)
-           ~tile:eff_tile ~variant ~precision:eff_precision ~sys ())
+           ~tile ~variant ~precision:eff_precision ~sys ())
   in
   let print_audit ?measured_gen_s () =
     match audit_ctx with
@@ -530,22 +507,14 @@ let precision_inv =
            delayed-update panels (f64 accumulation either way).  \
            Default: follow --precision.")
 
-let layout =
-  Arg.(
-    value & opt string ""
-    & info [ "layout" ] ~docv:"L"
-        ~doc:
-          "Orbital-table layout: flat (einspline multi-spline) or tiled \
-           (array-of-SoA orbital tiles, identical results).  Default: \
-           flat, unless --autotune picks tiled.")
-
 let tile =
   Arg.(
     value & opt int 0
     & info [ "tile" ] ~docv:"T"
         ~doc:
-          "Orbital tile size for --layout tiled (0 = let the \
-           tuner/builder choose).")
+          "Orbitals per block of the B-spline orbital table (identical \
+           results at any tile).  0 = one block of every orbital, \
+           unless --autotune picks a tile.")
 
 let autotune =
   Arg.(
@@ -555,7 +524,7 @@ let autotune =
           "Calibrate this node (microbench roofline) and pick crowd, \
            delay, grain and orbital tile from the performance model, \
            refined by short measured delay and tile sweeps.  Explicit \
-           --crowd/--delay/--layout values still win.")
+           --crowd/--delay/--tile values still win.")
 
 let nlpp = Arg.(value & flag & info [ "nlpp" ] ~doc:"Enable NLPP.")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.")
@@ -735,7 +704,7 @@ let cmd =
     Term.(
       const run $ input $ method_ $ workload $ variant $ reduction $ walkers
       $ blocks $ steps $ tau $ domains $ crowd $ delay $ precision
-      $ precision_dt $ precision_jastrow $ precision_inv $ layout $ tile
+      $ precision_dt $ precision_jastrow $ precision_inv $ tile
       $ autotune $ nlpp $ seed
       $ checkpoint
       $ checkpoint_every $ checkpoint_keep $ watchdog $ restore $ ranks

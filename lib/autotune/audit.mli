@@ -33,8 +33,8 @@ val create :
     ({!Calibrate.machine}, quick mode — tens of milliseconds);
     [walkers] (default 8) is the GLOBAL walker count, spread over
     [ranks] × [domains] ideal lanes (both default 1).  [tile] (default
-    0 = flat) projects the tiled orbital layout's bandwidth boost so
-    tiled runs are audited against the model they were tuned by. *)
+    0 = one tile) projects the orbital tile's bandwidth boost so tiled
+    runs are audited against the model they were tuned by. *)
 
 (** Measured-vs-projected share of one kernel. *)
 type kernel_verdict = {
@@ -62,9 +62,7 @@ val observe :
 (** Compare the registry's current totals against the projection and set
     the [audit.*] gauges.  [measured_gen_s] overrides the
     [sup.generation_s] mean (for drivers outside the supervisor);
-    [kernel_seconds] overrides the [timer_us.*] counters; either way
-    the tiled engines' [-tiled] timer keys are folded into the base
-    kernel names before comparison.  [None] when
+    [kernel_seconds] overrides the [timer_us.*] counters.  [None] when
     no generation time is available from either source.  Cheap enough to
     call per ledger window ({!Oqmc_dist.Supervisor} [on_window]). *)
 

@@ -10,7 +10,7 @@ open Oqmc_perfmodel
    Given a system and a machine descriptor (published SKU or on-node
    calibration), pick the four throughput knobs of the optimized
    pipeline — crowd size, delayed-update rank, scheduler grain and the
-   orbital-table tile (0 = flat layout) — by minimizing a modeled
+   orbital-table tile (0 = one tile) — by minimizing a modeled
    one-walker step time, optionally refined for the delay rank and the
    tile by short measured sweeps on the node itself.
 
@@ -65,7 +65,7 @@ type choice = {
 let crowd_candidates = [ 1; 2; 4; 8; 16; 32 ]
 let delay_candidates = [ 1; 4; 8; 16 ]
 
-(* Orbital-tile candidates; 0 = flat layout.  Tiles at or above the
+(* Orbital-tile candidates; 0 = one tile.  Tiles at or above the
    orbital count degenerate to a one-tile table and are filtered out in
    {!choose}. *)
 let tile_candidates = [ 0; 8; 16; 32; 64 ]
@@ -211,46 +211,52 @@ let measure_det_ns ~m ~sweeps kd =
   Float.min (once ()) (once ())
 
 (* Measured tile refinement: ns per batched Bspline-vgh evaluation at
-   the system's real orbital count on a small grid.  The grid dimensions
-   only move the stencil origins; per-eval cost is dominated by the
-   64 × n_orb coefficient stream, which is exactly what the tile
-   reshapes, so a small grid at the real orbital count captures the
-   crossover.  Coefficient values are irrelevant to cost.  [tile = 0]
-   measures the flat layout.  Best-of-2 against scheduler noise. *)
-let measure_spline_ns ~n_spo tile =
+   the system's real orbital count, on a cubic grid [grid] sized like
+   the system's table, at random positions streamed over
+   the whole grid — the regime the production kernel runs in, where the
+   coefficient stream, not a cache-resident handful of stencils, is the
+   cost (on a cache-resident table the ranking of tiles can invert).
+   Coefficient values are irrelevant to cost, so the tables stay zero.
+   [tile = 0] measures one tile.  The candidates are measured in
+   interleaved rounds and each keeps its median, so a host burst lands
+   on every candidate of a round instead of deciding the ranking. *)
+let measure_spline_ns ~n_spo ~grid tiles =
   let module B = Oqmc_spline.Bspline3d.Make (Precision.F32) in
-  let module T = Oqmc_spline.Bspline3d_tiled.Make (Precision.F32) in
-  let g = 12 and batch = 8 in
-  let coeff ~orb ~i ~j ~k =
-    float_of_int ((orb + i + j + k) land 7) *. 0.125
-  in
+  let batch = 8 and rounds = 5 and n_pos = 4096 in
   let rng = Xoshiro.create 37 in
-  let u () = Array.init batch (fun _ -> Xoshiro.uniform rng) in
-  let u0 = u () and u1 = u () and u2 = u () in
+  let stream () = Array.init n_pos (fun _ -> Xoshiro.uniform rng) in
+  let p0 = stream () and p1 = stream () and p2 = stream () in
+  let u0 = Array.make batch 0. and u1 = Array.make batch 0. in
+  let u2 = Array.make batch 0. in
   let reps = max 4 (2_000_000 / (64 * n_spo * batch)) in
-  let once () =
-    if tile <= 0 then begin
-      let t = B.create ~nx:g ~ny:g ~nz:g ~n_orb:n_spo in
-      B.fill t coeff;
-      let arena = B.make_vgh_batch t ~cap:batch in
+  let timed tile =
+    let t = B.create ~tile ~nx:grid ~ny:grid ~nz:grid ~n_orb:n_spo () in
+    let arena = B.make_vgh_batch t ~cap:batch in
+    let samples = Array.make rounds 0. in
+    let once r =
       let t0 = Timers.now () in
-      for _ = 1 to reps do
+      for i = 0 to reps - 1 do
+        for s = 0 to batch - 1 do
+          let q = ((i * batch) + s) land (n_pos - 1) in
+          u0.(s) <- p0.(q);
+          u1.(s) <- p1.(q);
+          u2.(s) <- p2.(q)
+        done;
         B.eval_vgh_batch t arena ~n:batch ~u0 ~u1 ~u2
       done;
-      (Timers.now () -. t0) *. 1e9 /. float_of_int (reps * batch)
-    end
-    else begin
-      let t = T.create ~nx:g ~ny:g ~nz:g ~n_orb:n_spo ~tile in
-      T.fill t coeff;
-      let arena = T.make_vgh_batch t ~cap:batch in
-      let t0 = Timers.now () in
-      for _ = 1 to reps do
-        T.eval_vgh_batch t arena ~n:batch ~u0 ~u1 ~u2
-      done;
-      (Timers.now () -. t0) *. 1e9 /. float_of_int (reps * batch)
-    end
+      samples.(r) <- (Timers.now () -. t0) *. 1e9 /. float_of_int (reps * batch)
+    in
+    (tile, samples, once)
   in
-  Float.min (once ()) (once ())
+  let runs = List.map timed tiles in
+  for r = 0 to rounds - 1 do
+    List.iter (fun (_, _, once) -> once r) runs
+  done;
+  List.map
+    (fun (tile, samples, _) ->
+      Array.sort compare samples;
+      (tile, samples.(rounds / 2)))
+    runs
 
 let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
     ~variant ~precision ~(sys : System.t) () =
@@ -341,9 +347,15 @@ let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
   let measured_spline =
     if not (refine && List.length tile_cands > 1) then fun _ -> None
     else begin
-      let tbl =
-        List.map (fun t -> (t, measure_spline_ns ~n_spo t)) tile_cands
+      (* As large as the system's table, but at most 32 MB: past the
+         caches either way, without a production-sized table per
+         candidate on the full-size workloads. *)
+      let grid =
+        let bytes = min sys.System.spo.Spo.bytes (32 lsl 20) in
+        let points = bytes / (elt_bytes * n_spo) in
+        max 4 (int_of_float (Float.cbrt (float_of_int points)) - 3)
       in
+      let tbl = measure_spline_ns ~n_spo ~grid tile_cands in
       fun t -> List.assoc_opt t tbl
     end
   in
@@ -371,7 +383,7 @@ let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
   in
   (* Rank by model time; under refinement the delay and tile dimensions
      are ranked by their measured components instead, each scaled into
-     the model's share and anchored at the delay = 1 / flat point (so a
+     the model's share and anchored at the delay = 1 / one-tile point (so a
      candidate's score stays the plain model time when no measurement
      covers it). *)
   let det_cost = List.find (fun q -> q.Opcount.kernel = "DetUpdate") costs in
@@ -494,6 +506,6 @@ let describe (c : choice) =
     c.machine.Machine.mname
     (if c.refined then ", refined" else "")
     c.knobs.crowd c.knobs.delay c.knobs.grain
-    (if c.knobs.tile = 0 then "flat" else string_of_int c.knobs.tile)
+    (if c.knobs.tile = 0 then "one" else string_of_int c.knobs.tile)
     (c.baseline_step_s *. 1e6)
     (c.tuned_step_s *. 1e6) c.predicted_speedup

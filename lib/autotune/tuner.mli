@@ -13,7 +13,7 @@ type knobs = {
   delay : int;
   grain : int;
   tile : int;
-      (** orbital tile of the tiled B-spline table; 0 = flat layout.
+      (** orbitals per block of the B-spline table; 0 = one block.
           Only candidates below the system's orbital count are scored,
           and only for B-spline orbital tables. *)
 }

@@ -24,9 +24,8 @@ open Oqmc_containers
    scratch — this plus the blocked flush kernels in {!Blas} is what makes
    k > 1 *cheaper* per move than rank-1, instead of paying a boxed
    indirect call per element.  The flush applies through the blocked
-   GEMM-shaped [Blas.mul_vt] / [Blas.rank_update] kernels by default; the
-   unblocked per-rank reference apply is kept behind [~blocked:false] and
-   is bit-identical at f64. *)
+   GEMM-shaped [Blas.mul_vt] / [Blas.rank_update] kernels, bit-identical
+   at f64 to an unblocked per-rank apply (the test suite's reference). *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
@@ -44,7 +43,6 @@ module Make (R : Precision.REAL) = struct
     binv : M.t; (* B₀ = M⁻ᵀ, updated only at flush *)
     n : int;
     delay : int;
-    blocked : bool;
     vs : float array array; (* queued orbital vectors, row i = v_i *)
     brows : float array array; (* row i = B₀[r_i] captured at acceptance *)
     rows : int array; (* queued replaced-row indices *)
@@ -63,7 +61,7 @@ module Make (R : Precision.REAL) = struct
     vscr : float array; (* staged proposal row *)
   }
 
-  let create ?(delay = 16) ?(blocked = true) (binv : M.t) =
+  let create ?(delay = 16) (binv : M.t) =
     let n = M.rows binv in
     if M.cols binv <> n then invalid_arg "Delayed_update.create: not square";
     if delay < 1 then invalid_arg "Delayed_update.create: delay < 1";
@@ -72,7 +70,6 @@ module Make (R : Precision.REAL) = struct
       binv;
       n;
       delay;
-      blocked;
       vs = Array.init delay (fun _ -> Array.make n 0.);
       brows = Array.init delay (fun _ -> Array.make n 0.);
       rows = Array.make delay (-1);
@@ -122,25 +119,6 @@ module Make (R : Precision.REAL) = struct
       base -. !corr
     end
 
-  (* Unblocked reference apply: per-rank read-modify-write stores, the
-     pre-blocking loop structure kept for the bit-identity check. *)
-  let apply_ref t k =
-    let n = t.n in
-    let data = M.data t.binv and ld = M.ld t.binv in
-    for a = 0 to n - 1 do
-      let base = a * ld and yb = a * t.delay in
-      for i = 0 to k - 1 do
-        let y = Array.unsafe_get t.y (yb + i) in
-        if y <> 0. then begin
-          let ti = t.tm.(i) in
-          for b = 0 to n - 1 do
-            A.unsafe_set data (base + b)
-              (A.unsafe_get data (base + b) -. (y *. Array.unsafe_get ti b))
-          done
-        end
-      done
-    done
-
   (* Flush the queue: B₀ ← B₀ − Y S⁻ᵀ W with Y = B₀Vᵀ − E and W = brows. *)
   let flush t =
     if t.k > 0 then begin
@@ -167,10 +145,8 @@ module Make (R : Precision.REAL) = struct
         t.y.(yi) <- t.y.(yi) -. 1.
       done;
       (* B₀ −= Y T *)
-      if t.blocked then
-        B.rank_update t.binv ~y:t.y ~ystride:t.delay ~tm:t.tm ~k
-          ~scratch:t.rscr
-      else apply_ref t k;
+      B.rank_update t.binv ~y:t.y ~ystride:t.delay ~tm:t.tm ~k
+        ~scratch:t.rscr;
       t.k <- 0
     end
 

@@ -12,14 +12,11 @@ module Make (R : Precision.REAL) : sig
 
   type t
 
-  val create : ?delay:int -> ?blocked:bool -> M.t -> t
+  val create : ?delay:int -> M.t -> t
   (** Wrap an inverse-transpose matrix [B = M⁻ᵀ].  The matrix is owned by
       the wrapper: it must only be mutated through {!accept}/{!flush}.
-      [delay] (default 16, clamped to [n]) is the queue capacity.
-      [blocked] (default [true]) applies the flush through the blocked
-      GEMM-shaped {!Blas.rank_update}; [~blocked:false] keeps the
-      unblocked per-rank reference apply, bit-identical at f64 — it
-      exists for validation, not for speed.
+      [delay] (default 16, clamped to [n]) is the queue capacity.  The
+      flush applies through the blocked GEMM-shaped {!Blas.rank_update}.
       @raise Invalid_argument if the matrix is not square or [delay < 1]. *)
 
   val binv : t -> M.t

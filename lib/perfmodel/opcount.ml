@@ -40,19 +40,19 @@ type params = {
   layout : [ `Store | `Otf ];
   acceptance : float; (* fraction of accepted moves *)
   nlpp_evals : float; (* value-only SPO evaluations per sweep *)
-  tile : int; (* orbital tile of the tiled B-spline table; 0 = flat *)
+  tile : int; (* orbitals per B-spline table block; 0 = one block *)
 }
 
 let default_acceptance = 0.5
 
-(* Effective-bandwidth factor of the tiled (array-of-SoA) orbital table
-   relative to the flat one, applied to the [stream] constant of the
-   B-spline kernels.  The tiled layout bounds one stencil pass's staged
-   slab to 64·tile coefficients plus a tile-wide output strip, which
-   stays cache-resident between the stage and accumulate halves — but a
-   small tile repays that with per-tile loop startup and base-pointer
-   chasing.  Reuse therefore saturates in the tile size while a spill
-   term grows once the slab outsizes the first cache level; the peak
+(* Effective-bandwidth factor of a tiled (array-of-SoA) orbital table
+   relative to one tile, applied to the [stream] constant of the
+   B-spline kernels.  A tile bounds one stencil pass over a block to
+   64·tile coefficients plus a tile-wide output strip, which stays
+   cache-resident across the pass — but a small tile repays that with
+   per-block loop startup and base-pointer chasing.  Reuse therefore
+   saturates in the tile size while a spill term grows once the block's
+   pass outsizes the first cache level; the peak
    sits near tile = 32..64.  Like [eff]/[stream] this is a calibration
    constant, machine-independent by design. *)
 let tile_stream_boost tile =

@@ -26,17 +26,16 @@ type params = {
   acceptance : float;
   nlpp_evals : float;
   tile : int;
-      (** orbital tile size of the tiled (array-of-SoA) B-spline table;
-          0 = flat layout *)
+      (** orbitals per block of the B-spline table; 0 = one block *)
 }
 
 val default_acceptance : float
 val dist_flops : float
 
 val tile_stream_boost : int -> float
-(** Effective-bandwidth factor of the tiled orbital table relative to
-    flat, applied to the B-spline kernels' [stream] constant; 1.0 at
-    tile = 0 (flat), peaking near tile = 32..64. *)
+(** Effective-bandwidth factor of a tiled orbital table relative to one
+    tile, applied to the B-spline kernels' [stream] constant; 1.0 at
+    tile = 0 (one tile), peaking near tile = 32..64. *)
 
 val step_costs : params -> kernel_cost list
 (** One entry per kernel of the paper's profiles. *)

@@ -39,9 +39,7 @@ type t = {
       (* Jastrow radial-spline coefficients; None = follow precision *)
   precision_inv : [ `F32 | `F64 ] option;
       (* inverse / delayed-update storage; None = follow precision *)
-  layout : [ `Flat | `Tiled ] option;
-      (* orbital-table layout; None = flat unless the tuner picks tiled *)
-  tile : int; (* tiled-layout orbital tile size; 0 = autotune/default *)
+  tile : int; (* orbitals per orbital-table block; 0 = one block *)
   autotune : bool; (* model-driven crowd/delay/grain/tile selection *)
   nlpp : bool;
   seed : int;
@@ -80,7 +78,6 @@ let default =
     precision_dt = None;
     precision_jastrow = None;
     precision_inv = None;
-    layout = None;
     tile = 0;
     autotune = false;
     nlpp = false;
@@ -162,12 +159,6 @@ let apply cfg ~line key value =
       }
   | "precision_inv" ->
       { cfg with precision_inv = parse_precision line "precision_inv" value }
-  | "layout" -> (
-      match String.lowercase_ascii value with
-      | "flat" -> { cfg with layout = Some `Flat }
-      | "tiled" -> { cfg with layout = Some `Tiled }
-      | "" | "default" -> { cfg with layout = None }
-      | other -> fail line "layout must be flat or tiled, got %S" other)
   | "tile" ->
       let v = parse_int line value in
       if v < 0 then fail line "tile must be >= 0, got %d" v;
@@ -264,11 +255,6 @@ let canonical cfg =
   put "precision_dt" (prec_str cfg.precision_dt);
   put "precision_jastrow" (prec_str cfg.precision_jastrow);
   put "precision_inv" (prec_str cfg.precision_inv);
-  put "layout"
-    (match cfg.layout with
-    | None -> "default"
-    | Some `Flat -> "flat"
-    | Some `Tiled -> "tiled");
   put "tile" (string_of_int cfg.tile);
   put "autotune" (string_of_bool cfg.autotune);
   put "nlpp" (string_of_bool cfg.nlpp);

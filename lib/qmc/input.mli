@@ -33,12 +33,10 @@ type t = {
   precision_inv : [ `F32 | `F64 ] option;
       (** Inverse-matrix / delayed-update panel storage precision;
           [None] follows [precision]. *)
-  layout : [ `Flat | `Tiled ] option;
-      (** [layout = flat|tiled] orbital-table layout.  [None] keeps the
-          flat table unless [autotune = true] picks the tiled one. *)
   tile : int;
-      (** Orbital tile size for [layout = tiled]; 0 (the default) lets
-          the tuner/builder choose.  Values < 0 are rejected. *)
+      (** Orbitals per block of the B-spline orbital table; 0 (the
+          default) is one block of every orbital, unless
+          [autotune = true] picks a tile.  Values < 0 are rejected. *)
   autotune : bool;
       (** [autotune = true] lets {!Oqmc_autotune} pick crowd, delay,
           grain and orbital tile from the roofline/memory model before

@@ -3,12 +3,16 @@ open Oqmc_containers
 (* Periodic tricubic B-spline tables for single-particle orbitals.
 
    This is the Bspline-SPO engine (Bspline-v / Bspline-vgh kernels of the
-   paper).  All orbitals share one coefficient grid with the orbital index
-   innermost, so the hot loops stream [n_orb] consecutive coefficients per
-   (i,j,k) stencil point — einspline's multi-spline layout.  Coefficients
-   are stored at the build's storage precision (single precision for every
+   paper).  The orbitals are split into blocks of [tile] consecutive
+   orbitals (the paper's future-work AoSoA tiling, after Mathuriya et
+   al. IPDPS'17); each block is one grid-major coefficient array with the
+   orbital index innermost, so the hot loops stream the block's
+   consecutive coefficients per (i,j,k) stencil point — einspline's
+   multi-spline layout.  [tile = 0] (the default) is one block holding
+   every orbital: exactly einspline's flat table.  Coefficients are
+   stored at the build's storage precision (single precision for every
    variant since QMCPACK 3.0.0, per the paper); accumulation happens in
-   double-precision scratch buffers.
+   double-precision buffers owned by the caller.
 
    Positions are fractional supercell coordinates s ∈ [0,1)³; derivatives
    are returned with respect to s.  The SPO wrapper applies the lattice
@@ -16,18 +20,26 @@ open Oqmc_containers
 
    The wrap-around of the periodic grid is pre-baked: each dimension stores
    n + 3 coefficient planes where the top three duplicate the first three,
-   so the stencil never needs a modulo. *)
+   so the stencil never needs a modulo.
+
+   Every kernel accumulates orbital m over the 64 stencil points in the
+   same (a,b,c) order with the same weight-product expressions, whatever
+   block holds m, so the block partition never changes a result. *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
 
+  (* Orbitals [off, off + width) of the table, at stride [orb_stride]
+     per grid point. *)
+  type block = { coeffs : A.t; off : int; width : int; orb_stride : int }
+
   type t = {
-    coeffs : A.t;
+    blocks : block array;
+    tile : int; (* orbitals per block; the last block may be narrower *)
     nx : int;
     ny : int;
     nz : int;
     n_orb : int;
-    orb_stride : int;
     cy : int; (* ny + 3 *)
     cz : int; (* nz + 3 *)
   }
@@ -45,65 +57,74 @@ module Make (R : Precision.REAL) = struct
     hzz : float array;
   }
 
-  (* Crowd-sized scratch arena for the batched kernels: stencil origins
-     and 1-D basis weights for up to [cap] walkers (4 weights per axis and
-     derivative order, stored flat at offset 4·slot), plus one result
-     buffer per slot.  Allocated once per domain and reused across every
-     generation, so the batched hot loops never touch the allocator. *)
+  (* Crowd-sized scratch arenas for the batched kernels: one walker's
+     stencil origin, 1-D basis weights (and, for vgh, its 64×10 weight
+     products), plus one result buffer per slot.  Allocated once per
+     domain and reused across every generation, so the batched hot loops
+     never touch the allocator. *)
   type vgh_batch = {
     cap : int;
-    bix : int array;
-    biy : int array;
-    biz : int array;
-    bwx : float array;
-    bwy : float array;
-    bwz : float array;
-    bdx : float array;
-    bdy : float array;
-    bdz : float array;
-    bsx : float array;
-    bsy : float array;
-    bsz : float array;
-    bslab : float array;
-    bprod : float array;
+    org : int array; (* stencil origin (ix, iy, iz) *)
+    wx : float array;
+    wy : float array;
+    wz : float array;
+    dx : float array;
+    dy : float array;
+    dz : float array;
+    sx : float array;
+    sy : float array;
+    sz : float array;
+    prod : float array; (* [point·10 + field], see [stage_products] *)
     outs : vgh_buf array;
   }
 
   type v_batch = {
     vcap : int;
-    vix : int array;
-    viy : int array;
-    viz : int array;
+    vorg : int array;
     vwx : float array;
     vwy : float array;
     vwz : float array;
-    vslab : float array;
     vouts : float array array;
   }
 
-  let create ~nx ~ny ~nz ~n_orb =
+  let create ?(tile = 0) ~nx ~ny ~nz ~n_orb () =
     if nx < 4 || ny < 4 || nz < 4 then
       invalid_arg "Bspline3d.create: grid must be at least 4 per dimension";
     if n_orb < 1 then invalid_arg "Bspline3d.create: n_orb < 1";
-    let orb_stride = A.padded_len n_orb in
-    let coeffs = A.create ((nx + 3) * (ny + 3) * (nz + 3) * orb_stride) in
-    { coeffs; nx; ny; nz; n_orb; orb_stride; cy = ny + 3; cz = nz + 3 }
+    if tile < 0 then invalid_arg "Bspline3d.create: tile < 0";
+    let tile = if tile = 0 || tile > n_orb then n_orb else tile in
+    let points = (nx + 3) * (ny + 3) * (nz + 3) in
+    let blocks =
+      Array.init ((n_orb + tile - 1) / tile) (fun b ->
+          let off = b * tile in
+          let width = min tile (n_orb - off) in
+          let orb_stride = A.padded_len width in
+          { coeffs = A.create (points * orb_stride); off; width; orb_stride })
+    in
+    { blocks; tile; nx; ny; nz; n_orb; cy = ny + 3; cz = nz + 3 }
 
   let n_orb t = t.n_orb
-  let dims t = (t.nx, t.ny, t.nz)
-  let bytes t = A.bytes t.coeffs
+  let n_blocks t = Array.length t.blocks
+  let bytes t = Array.fold_left (fun acc b -> acc + A.bytes b.coeffs) 0 t.blocks
 
   let make_vgh_buf t =
     let z () = Array.make t.n_orb 0. in
     { v = z (); gx = z (); gy = z (); gz = z (); hxx = z (); hxy = z ();
       hxz = z (); hyy = z (); hyz = z (); hzz = z () }
 
-  let index t i j k m = ((((i * t.cy) + j) * t.cz) + k) * t.orb_stride + m
+  let block_of t orb =
+    if orb < 0 || orb >= t.n_orb then
+      invalid_arg "Bspline3d: orbital out of range";
+    t.blocks.(orb / t.tile)
+
+  let index t blk i j k m = ((((i * t.cy) + j) * t.cz) + k) * blk.orb_stride + m
 
   (* Write a base coefficient (i < nx etc.) and its wrap duplicates. *)
   let set_base t ~orb ~i ~j ~k value =
     if i < 0 || i >= t.nx || j < 0 || j >= t.ny || k < 0 || k >= t.nz then
       invalid_arg "Bspline3d.set_base: index out of base grid";
+    let blk = block_of t orb in
+    let m = orb - blk.off in
     let is = if i < 3 then [ i; i + t.nx ] else [ i ] in
     let js = if j < 3 then [ j; j + t.ny ] else [ j ] in
     let ks = if k < 3 then [ k; k + t.nz ] else [ k ] in
@@ -112,23 +133,81 @@ module Make (R : Precision.REAL) = struct
         List.iter
           (fun jj ->
             List.iter
-              (fun kk -> A.set t.coeffs (index t ii jj kk orb) value)
+              (fun kk -> A.set blk.coeffs (index t blk ii jj kk m) value)
               ks)
           js)
       is
 
-  let get_base t ~orb ~i ~j ~k = A.get t.coeffs (index t i j k orb)
+  let get_base t ~orb ~i ~j ~k =
+    let blk = block_of t orb in
+    A.get blk.coeffs (index t blk i j k (orb - blk.off))
 
-  (* Construction goes through the layout-shared driver (one copy of the
-     sweep and of the periodic prefilter for both the flat and the tiled
-     layouts — see Bspline_fit). *)
   let fill t f =
-    Bspline_fit.fill ~nx:t.nx ~ny:t.ny ~nz:t.nz ~n_orb:t.n_orb ~f
-      ~set:(fun ~orb ~i ~j ~k v -> set_base t ~orb ~i ~j ~k v)
+    for i = 0 to t.nx - 1 do
+      for j = 0 to t.ny - 1 do
+        for k = 0 to t.nz - 1 do
+          for orb = 0 to t.n_orb - 1 do
+            set_base t ~orb ~i ~j ~k (f ~orb ~i ~j ~k)
+          done
+        done
+      done
+    done
 
+  (* Separable periodic prefilter: cyclic [1 4 1]/6 interpolation solves
+     along z, then y, then x, per orbital, on plain double work arrays;
+     narrowing to the storage precision happens in [set_base]. *)
   let fit_periodic t ~samples =
-    Bspline_fit.fit_periodic ~nx:t.nx ~ny:t.ny ~nz:t.nz ~n_orb:t.n_orb
-      ~samples ~set:(fun ~orb ~i ~j ~k v -> set_base t ~orb ~i ~j ~k v)
+    let nx = t.nx and ny = t.ny and nz = t.nz in
+    let work = Array.init nx (fun _ -> Array.make_matrix ny nz 0.) in
+    let solve_line line =
+      let n = Array.length line in
+      let rhs = Array.map (fun v -> 6. *. v) line in
+      let e = Tridiag.solve_cyclic ~diag:4. ~off:1. rhs in
+      (* c_j = e_{(j-1) mod n} restores the original index convention. *)
+      Array.init n (fun j -> e.((j - 1 + n) mod n))
+    in
+    for orb = 0 to t.n_orb - 1 do
+      for i = 0 to nx - 1 do
+        for j = 0 to ny - 1 do
+          for k = 0 to nz - 1 do
+            work.(i).(j).(k) <- samples ~orb ~ix:i ~iy:j ~iz:k
+          done;
+          let c = solve_line work.(i).(j) in
+          Array.blit c 0 work.(i).(j) 0 nz
+        done
+      done;
+      let line = Array.make ny 0. in
+      for i = 0 to nx - 1 do
+        for k = 0 to nz - 1 do
+          for j = 0 to ny - 1 do
+            line.(j) <- work.(i).(j).(k)
+          done;
+          let c = solve_line line in
+          for j = 0 to ny - 1 do
+            work.(i).(j).(k) <- c.(j)
+          done
+        done
+      done;
+      let linex = Array.make nx 0. in
+      for j = 0 to ny - 1 do
+        for k = 0 to nz - 1 do
+          for i = 0 to nx - 1 do
+            linex.(i) <- work.(i).(j).(k)
+          done;
+          let c = solve_line linex in
+          for i = 0 to nx - 1 do
+            work.(i).(j).(k) <- c.(i)
+          done
+        done
+      done;
+      for i = 0 to nx - 1 do
+        for j = 0 to ny - 1 do
+          for k = 0 to nz - 1 do
+            set_base t ~orb ~i ~j ~k work.(i).(j).(k)
+          done
+        done
+      done
+    done
 
   let wrap s = s -. Float.of_int (int_of_float (Float.floor s))
 
@@ -143,6 +222,43 @@ module Make (R : Precision.REAL) = struct
     [| w.Bspline_basis.w0; w.Bspline_basis.w1; w.Bspline_basis.w2;
        w.Bspline_basis.w3 |]
 
+  let zero_vgh (buf : vgh_buf) n =
+    Array.fill buf.v 0 n 0.;
+    Array.fill buf.gx 0 n 0.;
+    Array.fill buf.gy 0 n 0.;
+    Array.fill buf.gz 0 n 0.;
+    Array.fill buf.hxx 0 n 0.;
+    Array.fill buf.hxy 0 n 0.;
+    Array.fill buf.hxz 0 n 0.;
+    Array.fill buf.hyy 0 n 0.;
+    Array.fill buf.hyz 0 n 0.;
+    Array.fill buf.hzz 0 n 0.
+
+  (* Convert t-space derivatives to fractional-coordinate derivatives. *)
+  let scale_vgh t (buf : vgh_buf) =
+    let fx = float_of_int t.nx and fy = float_of_int t.ny in
+    let fz = float_of_int t.nz in
+    for m = 0 to t.n_orb - 1 do
+      buf.gx.(m) <- buf.gx.(m) *. fx;
+      buf.gy.(m) <- buf.gy.(m) *. fy;
+      buf.gz.(m) <- buf.gz.(m) *. fz;
+      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
+      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
+      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
+      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
+      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
+      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
+    done
+
+  (* ---------- scalar kernels ----------
+
+     One position per call; each block is accumulated straight into the
+     caller's full-width buffer at the block's orbital offset, so the
+     only mutable state is the caller's and concurrent calls on a shared
+     table are safe.  These are the production path for scalar sweeps and
+     NLPP quadrature, and the oracle the batched kernels are tested
+     against. *)
+
   (* Bspline-v: values of all orbitals at s = (u0,u1,u2). *)
   let eval_v t ~u0 ~u1 ~u2 (out : float array) =
     let ix, tx = locate t.nx u0 in
@@ -151,18 +267,20 @@ module Make (R : Precision.REAL) = struct
     let wx = weights_of Bspline_basis.value tx in
     let wy = weights_of Bspline_basis.value ty in
     let wz = weights_of Bspline_basis.value tz in
-    let n = t.n_orb in
-    Array.fill out 0 n 0.;
-    let coeffs = t.coeffs in
-    for a = 0 to 3 do
-      for b = 0 to 3 do
-        let wab = wx.(a) *. wy.(b) in
-        let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
-        for c = 0 to 3 do
-          let p = wab *. wz.(c) in
-          let base = (row + c) * t.orb_stride in
-          for m = 0 to n - 1 do
-            out.(m) <- out.(m) +. (p *. A.unsafe_get coeffs (base + m))
+    Array.fill out 0 t.n_orb 0.;
+    for bi = 0 to Array.length t.blocks - 1 do
+      let { coeffs; off; width; orb_stride } = t.blocks.(bi) in
+      for a = 0 to 3 do
+        for b = 0 to 3 do
+          let wab = wx.(a) *. wy.(b) in
+          let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
+          for c = 0 to 3 do
+            let p = wab *. wz.(c) in
+            let base = (row + c) * orb_stride in
+            for m = 0 to width - 1 do
+              let o = off + m in
+              out.(o) <- out.(o) +. (p *. A.unsafe_get coeffs (base + m))
+            done
           done
         done
       done
@@ -182,428 +300,145 @@ module Make (R : Precision.REAL) = struct
     let sx = weights_of Bspline_basis.second tx in
     let sy = weights_of Bspline_basis.second ty in
     let sz = weights_of Bspline_basis.second tz in
-    let n = t.n_orb in
-    Array.fill buf.v 0 n 0.;
-    Array.fill buf.gx 0 n 0.;
-    Array.fill buf.gy 0 n 0.;
-    Array.fill buf.gz 0 n 0.;
-    Array.fill buf.hxx 0 n 0.;
-    Array.fill buf.hxy 0 n 0.;
-    Array.fill buf.hxz 0 n 0.;
-    Array.fill buf.hyy 0 n 0.;
-    Array.fill buf.hyz 0 n 0.;
-    Array.fill buf.hzz 0 n 0.;
-    let coeffs = t.coeffs in
-    for a = 0 to 3 do
-      for b = 0 to 3 do
-        let wxa = wx.(a) and dxa = dx.(a) and sxa = sx.(a) in
-        let wyb = wy.(b) and dyb = dy.(b) and syb = sy.(b) in
-        let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
-        for c = 0 to 3 do
-          let wzc = wz.(c) and dzc = dz.(c) and szc = sz.(c) in
-          let p_v = wxa *. wyb *. wzc in
-          let p_gx = dxa *. wyb *. wzc in
-          let p_gy = wxa *. dyb *. wzc in
-          let p_gz = wxa *. wyb *. dzc in
-          let p_hxx = sxa *. wyb *. wzc in
-          let p_hxy = dxa *. dyb *. wzc in
-          let p_hxz = dxa *. wyb *. dzc in
-          let p_hyy = wxa *. syb *. wzc in
-          let p_hyz = wxa *. dyb *. dzc in
-          let p_hzz = wxa *. wyb *. szc in
-          let base = (row + c) * t.orb_stride in
-          for m = 0 to n - 1 do
-            let cf = A.unsafe_get coeffs (base + m) in
-            buf.v.(m) <- buf.v.(m) +. (p_v *. cf);
-            buf.gx.(m) <- buf.gx.(m) +. (p_gx *. cf);
-            buf.gy.(m) <- buf.gy.(m) +. (p_gy *. cf);
-            buf.gz.(m) <- buf.gz.(m) +. (p_gz *. cf);
-            buf.hxx.(m) <- buf.hxx.(m) +. (p_hxx *. cf);
-            buf.hxy.(m) <- buf.hxy.(m) +. (p_hxy *. cf);
-            buf.hxz.(m) <- buf.hxz.(m) +. (p_hxz *. cf);
-            buf.hyy.(m) <- buf.hyy.(m) +. (p_hyy *. cf);
-            buf.hyz.(m) <- buf.hyz.(m) +. (p_hyz *. cf);
-            buf.hzz.(m) <- buf.hzz.(m) +. (p_hzz *. cf)
+    zero_vgh buf t.n_orb;
+    for bi = 0 to Array.length t.blocks - 1 do
+      let { coeffs; off; width; orb_stride } = t.blocks.(bi) in
+      for a = 0 to 3 do
+        for b = 0 to 3 do
+          let wxa = wx.(a) and dxa = dx.(a) and sxa = sx.(a) in
+          let wyb = wy.(b) and dyb = dy.(b) and syb = sy.(b) in
+          let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
+          for c = 0 to 3 do
+            let wzc = wz.(c) and dzc = dz.(c) and szc = sz.(c) in
+            let p_v = wxa *. wyb *. wzc in
+            let p_gx = dxa *. wyb *. wzc in
+            let p_gy = wxa *. dyb *. wzc in
+            let p_gz = wxa *. wyb *. dzc in
+            let p_hxx = sxa *. wyb *. wzc in
+            let p_hxy = dxa *. dyb *. wzc in
+            let p_hxz = dxa *. wyb *. dzc in
+            let p_hyy = wxa *. syb *. wzc in
+            let p_hyz = wxa *. dyb *. dzc in
+            let p_hzz = wxa *. wyb *. szc in
+            let base = (row + c) * orb_stride in
+            for m = 0 to width - 1 do
+              let cf = A.unsafe_get coeffs (base + m) in
+              let o = off + m in
+              buf.v.(o) <- buf.v.(o) +. (p_v *. cf);
+              buf.gx.(o) <- buf.gx.(o) +. (p_gx *. cf);
+              buf.gy.(o) <- buf.gy.(o) +. (p_gy *. cf);
+              buf.gz.(o) <- buf.gz.(o) +. (p_gz *. cf);
+              buf.hxx.(o) <- buf.hxx.(o) +. (p_hxx *. cf);
+              buf.hxy.(o) <- buf.hxy.(o) +. (p_hxy *. cf);
+              buf.hxz.(o) <- buf.hxz.(o) +. (p_hxz *. cf);
+              buf.hyy.(o) <- buf.hyy.(o) +. (p_hyy *. cf);
+              buf.hyz.(o) <- buf.hyz.(o) +. (p_hyz *. cf);
+              buf.hzz.(o) <- buf.hzz.(o) +. (p_hzz *. cf)
+            done
           done
         done
       done
     done;
-    (* Convert t-space derivatives to fractional-coordinate derivatives. *)
-    let fx = float_of_int t.nx and fy = float_of_int t.ny in
-    let fz = float_of_int t.nz in
-    for m = 0 to n - 1 do
-      buf.gx.(m) <- buf.gx.(m) *. fx;
-      buf.gy.(m) <- buf.gy.(m) *. fy;
-      buf.gz.(m) <- buf.gz.(m) *. fz;
-      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
-      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
-      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
-      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
-      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
-      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
-    done
+    scale_vgh t buf
 
   (* ---------- crowd-batched kernels ----------
 
      The batched entry points take [n] fractional positions (one per
-     walker of the crowd) and evaluate them through preallocated scratch:
-     phase 1 locates every walker's stencil and computes its 1-D basis
-     weights once into the flat arena; phase 2 streams the coefficient
-     cache blocks walker by walker with zero allocation.  Per walker the
-     arithmetic (expressions and accumulation order) is exactly that of
-     the scalar kernels, so the double path is bit-identical to [n]
-     scalar calls — the scalar kernel stays the reference oracle. *)
+     walker of the crowd).  Per slot, the stencil origin and 1-D weights
+     are staged once into the arena (and, for vgh, the 64×10 weight
+     products), then every block is accumulated straight from its
+     coefficient bigarray into the slot's full-width result buffer.
+     Per walker the arithmetic (expressions and accumulation order) is
+     exactly that of the scalar kernels, so the double path is
+     bit-identical to [n] scalar calls.  Zero allocation throughout. *)
 
   let make_vgh_batch t ~cap =
     if cap < 1 then invalid_arg "Bspline3d.make_vgh_batch: cap < 1";
-    let fa () = Array.make (4 * cap) 0. in
-    let ia () = Array.make cap 0 in
+    let w () = Array.make 4 0. in
     {
       cap;
-      bix = ia ();
-      biy = ia ();
-      biz = ia ();
-      bwx = fa ();
-      bwy = fa ();
-      bwz = fa ();
-      bdx = fa ();
-      bdy = fa ();
-      bdz = fa ();
-      bsx = fa ();
-      bsy = fa ();
-      bsz = fa ();
-      bslab = Array.make (64 * t.n_orb) 0.;
-      bprod = Array.make (640 * cap) 0.;
+      org = Array.make 3 0;
+      wx = w ();
+      wy = w ();
+      wz = w ();
+      dx = w ();
+      dy = w ();
+      dz = w ();
+      sx = w ();
+      sy = w ();
+      sz = w ();
+      prod = Array.make 640 0.;
       outs = Array.init cap (fun _ -> make_vgh_buf t);
     }
 
   let make_v_batch t ~cap =
     if cap < 1 then invalid_arg "Bspline3d.make_v_batch: cap < 1";
-    let fa () = Array.make (4 * cap) 0. in
-    let ia () = Array.make cap 0 in
     {
       vcap = cap;
-      vix = ia ();
-      viy = ia ();
-      viz = ia ();
-      vwx = fa ();
-      vwy = fa ();
-      vwz = fa ();
-      vslab = Array.make (64 * t.n_orb) 0.;
+      vorg = Array.make 3 0;
+      vwx = Array.make 4 0.;
+      vwy = Array.make 4 0.;
+      vwz = Array.make 4 0.;
       vouts = Array.init cap (fun _ -> Array.make t.n_orb 0.);
     }
 
-  (* Kind-specialized gather of the 4×4×4 stencil's coefficients into a
-     flat double slab (cell layout [((a·4+b)·4+c)·n_orb + m]).  Reading a
-     bigarray whose element kind is only known through the functor
-     argument goes through an indirect call that boxes every float it
-     returns — ~2·n_orb·64 words of garbage per evaluation.  Matching the
-     kind GADT once recovers the static kind, so these loops compile to
-     direct unboxed loads; the generic accumulation loops then run over
-     the plain-float slab, also allocation-free.  The loads produce the
-     same doubles [A.unsafe_get] would, so results stay bit-identical to
-     the scalar kernels. *)
-  let gather_f64
-      (coeffs : (float, Bigarray.float64_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (slab : float array) ~ix ~iy ~iz ~cy ~cz
-      ~orb_stride ~norb =
-    let q = ref 0 in
-    for a = 0 to 3 do
-      for b = 0 to 3 do
-        let row = (((ix + a) * cy) + iy + b) * cz + iz in
-        for c = 0 to 3 do
-          let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
-            Array.unsafe_set slab !q
-              (Bigarray.Array1.unsafe_get coeffs (base + m));
-            incr q
-          done
-        done
-      done
-    done
+  let outs b = b.outs
+  let vouts b = b.vouts
 
-  let gather_f32
-      (coeffs : (float, Bigarray.float32_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (slab : float array) ~ix ~iy ~iz ~cy ~cz
-      ~orb_stride ~norb =
-    let q = ref 0 in
-    for a = 0 to 3 do
-      for b = 0 to 3 do
-        let row = (((ix + a) * cy) + iy + b) * cz + iz in
-        for c = 0 to 3 do
-          let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
-            Array.unsafe_set slab !q
-              (Bigarray.Array1.unsafe_get coeffs (base + m));
-            incr q
-          done
-        done
-      done
-    done
-
-  let gather_coeffs :
-      A.t -> float array -> ix:int -> iy:int -> iz:int -> cy:int -> cz:int ->
-      orb_stride:int -> norb:int -> unit =
-    match R.kind with
-    | Bigarray.Float64 -> gather_f64
-    | Bigarray.Float32 -> gather_f32
+  (* [locate] of axis [d] written out: origin into [org.(d)], parameter
+     into [w.(0)], with no (int, float) tuple and no boxed float
+     argument. *)
+  let locate_into (org : int array) d n (u : float array) s (w : float array)
+      =
+    let x = wrap u.(s) *. float_of_int n in
+    let i = int_of_float x in
+    let i = if i >= n then n - 1 else if i < 0 then 0 else i in
+    org.(d) <- i;
+    w.(0) <- x -. float_of_int i
 
   (* Allocation-free weight fills; same formulas as Bspline_basis.  The
-     interpolation parameter is read from [w.(off)] (stashed there by the
+     interpolation parameter is read from [w.(0)] (stashed there by the
      caller) rather than passed as an argument: a float argument to a
      non-inlined call gets boxed, and these run nine times per walker per
      move. *)
-  let put_value (w : float array) off =
-    let t = Array.unsafe_get w off in
+  let put_value (w : float array) =
+    let t = Array.unsafe_get w 0 in
     let t2 = t *. t in
     let t3 = t2 *. t in
     let mt = 1. -. t in
-    w.(off) <- mt *. mt *. mt /. 6.;
-    w.(off + 1) <- ((3. *. t3) -. (6. *. t2) +. 4.) /. 6.;
-    w.(off + 2) <- ((-3. *. t3) +. (3. *. t2) +. (3. *. t) +. 1.) /. 6.;
-    w.(off + 3) <- t3 /. 6.
+    w.(0) <- mt *. mt *. mt /. 6.;
+    w.(1) <- ((3. *. t3) -. (6. *. t2) +. 4.) /. 6.;
+    w.(2) <- ((-3. *. t3) +. (3. *. t2) +. (3. *. t) +. 1.) /. 6.;
+    w.(3) <- t3 /. 6.
 
-  let put_first (w : float array) off =
-    let t = Array.unsafe_get w off in
+  let put_first (w : float array) =
+    let t = Array.unsafe_get w 0 in
     let t2 = t *. t in
     let mt = 1. -. t in
-    w.(off) <- -.(mt *. mt) /. 2.;
-    w.(off + 1) <- ((9. *. t2) -. (12. *. t)) /. 6.;
-    w.(off + 2) <- ((-9. *. t2) +. (6. *. t) +. 3.) /. 6.;
-    w.(off + 3) <- t2 /. 2.
+    w.(0) <- -.(mt *. mt) /. 2.;
+    w.(1) <- ((9. *. t2) -. (12. *. t)) /. 6.;
+    w.(2) <- ((-9. *. t2) +. (6. *. t) +. 3.) /. 6.;
+    w.(3) <- t2 /. 2.
 
-  let put_second (w : float array) off =
-    let t = Array.unsafe_get w off in
-    w.(off) <- 1. -. t;
-    w.(off + 1) <- (3. *. t) -. 2.;
-    w.(off + 2) <- 1. -. (3. *. t);
-    w.(off + 3) <- t
+  let put_second (w : float array) =
+    let t = Array.unsafe_get w 0 in
+    w.(0) <- 1. -. t;
+    w.(1) <- (3. *. t) -. 2.;
+    w.(2) <- 1. -. (3. *. t);
+    w.(3) <- t
 
-  (* Phase 1 of the batched Bspline-v: per-walker stencil origin + value
-     weights into the arena.  Split out so the tiled layout (which shares
-     the grid dimensions across tiles) can stage once and run phase 2 per
-     tile.  [locate] written out so no (int, float) tuple is allocated. *)
-  let stage_v_batch t (b : v_batch) ~n ~(u0 : float array)
-      ~(u1 : float array) ~(u2 : float array) =
-    if n < 0 || n > b.vcap then invalid_arg "Bspline3d.eval_v_batch: bad n";
-    for s = 0 to n - 1 do
-      let x = wrap u0.(s) *. float_of_int t.nx in
-      let ix = int_of_float x in
-      let ix = if ix >= t.nx then t.nx - 1 else if ix < 0 then 0 else ix in
-      let tx = x -. float_of_int ix in
-      let y = wrap u1.(s) *. float_of_int t.ny in
-      let iy = int_of_float y in
-      let iy = if iy >= t.ny then t.ny - 1 else if iy < 0 then 0 else iy in
-      let ty = y -. float_of_int iy in
-      let z = wrap u2.(s) *. float_of_int t.nz in
-      let iz = int_of_float z in
-      let iz = if iz >= t.nz then t.nz - 1 else if iz < 0 then 0 else iz in
-      let tz = z -. float_of_int iz in
-      b.vix.(s) <- ix;
-      b.viy.(s) <- iy;
-      b.viz.(s) <- iz;
-      let off = 4 * s in
-      b.vwx.(off) <- tx;
-      b.vwy.(off) <- ty;
-      b.vwz.(off) <- tz;
-      put_value b.vwx off;
-      put_value b.vwy off;
-      put_value b.vwz off
-    done
-
-  (* Phase 2 for one walker slot: zero, gather and accumulate the orbital
-     segment [orb_off, orb_off + n_orb t) of [out] from this table's
-     coefficients.  With [orb_off = 0] and a full-width table this is
-     exactly the flat kernel; the tiled layout calls it once per tile at
-     the tile's orbital offset, so per orbital the arithmetic —
-     expressions and accumulation order — is identical in both layouts
-     and the double-path results are bit-identical by construction. *)
-  let accum_v_slot t (b : v_batch) ~s ~(out : float array) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill out orb_off norb 0.;
-    gather_coeffs t.coeffs b.vslab ~ix:b.vix.(s) ~iy:b.viy.(s)
-      ~iz:b.viz.(s) ~cy:t.cy ~cz:t.cz ~orb_stride:t.orb_stride ~norb;
-    let slab = b.vslab in
-    let off = 4 * s in
+  (* The 64×10 vgh weight products of the staged slot, field order
+     v,gx,gy,gz,hxx,hxy,hxz,hyy,hyz,hzz — the exact expressions of
+     [eval_vgh], computed once per slot instead of once per block. *)
+  let stage_products (b : vgh_batch) =
+    let prod = b.prod in
+    let q = ref 0 in
     for a = 0 to 3 do
+      let wxa = b.wx.(a) and dxa = b.dx.(a) and sxa = b.sx.(a) in
       for bb = 0 to 3 do
-        let wab = b.vwx.(off + a) *. b.vwy.(off + bb) in
+        let wyb = b.wy.(bb) and dyb = b.dy.(bb) and syb = b.sy.(bb) in
         for c = 0 to 3 do
-          let p = wab *. b.vwz.(off + c) in
-          let cell = ((((a * 4) + bb) * 4) + c) * norb in
-          for m = 0 to norb - 1 do
-            out.(orb_off + m) <-
-              out.(orb_off + m) +. (p *. Array.unsafe_get slab (cell + m))
-          done
-        done
-      done
-    done
-
-  let eval_v_batch t (b : v_batch) ~n ~(u0 : float array) ~(u1 : float array)
-      ~(u2 : float array) =
-    stage_v_batch t b ~n ~u0 ~u1 ~u2;
-    for s = 0 to n - 1 do
-      accum_v_slot t b ~s ~out:b.vouts.(s) ~orb_off:0
-    done
-
-  (* Phase 1 of the batched Bspline-vgh: per-walker stencil origin + the
-     nine weight vectors.  [locate] written out so no (int, float) tuples
-     are allocated. *)
-  let stage_vgh_batch t (b : vgh_batch) ~n ~(u0 : float array)
-      ~(u1 : float array) ~(u2 : float array) =
-    if n < 0 || n > b.cap then invalid_arg "Bspline3d.eval_vgh_batch: bad n";
-    for s = 0 to n - 1 do
-      let x = wrap u0.(s) *. float_of_int t.nx in
-      let ix = int_of_float x in
-      let ix = if ix >= t.nx then t.nx - 1 else if ix < 0 then 0 else ix in
-      let tx = x -. float_of_int ix in
-      let y = wrap u1.(s) *. float_of_int t.ny in
-      let iy = int_of_float y in
-      let iy = if iy >= t.ny then t.ny - 1 else if iy < 0 then 0 else iy in
-      let ty = y -. float_of_int iy in
-      let z = wrap u2.(s) *. float_of_int t.nz in
-      let iz = int_of_float z in
-      let iz = if iz >= t.nz then t.nz - 1 else if iz < 0 then 0 else iz in
-      let tz = z -. float_of_int iz in
-      b.bix.(s) <- ix;
-      b.biy.(s) <- iy;
-      b.biz.(s) <- iz;
-      let off = 4 * s in
-      b.bwx.(off) <- tx;
-      b.bwy.(off) <- ty;
-      b.bwz.(off) <- tz;
-      b.bdx.(off) <- tx;
-      b.bdy.(off) <- ty;
-      b.bdz.(off) <- tz;
-      b.bsx.(off) <- tx;
-      b.bsy.(off) <- ty;
-      b.bsz.(off) <- tz;
-      put_value b.bwx off;
-      put_value b.bwy off;
-      put_value b.bwz off;
-      put_first b.bdx off;
-      put_first b.bdy off;
-      put_first b.bdz off;
-      put_second b.bsx off;
-      put_second b.bsy off;
-      put_second b.bsz off
-    done
-
-  (* Phase 2 for one walker slot (vgh analogue of [accum_v_slot]): zero,
-     gather, accumulate and metric-scale the orbital segment
-     [orb_off, orb_off + n_orb t) of [buf] from this table. *)
-  let accum_vgh_slot t (b : vgh_batch) ~s ~(buf : vgh_buf) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill buf.v orb_off norb 0.;
-    Array.fill buf.gx orb_off norb 0.;
-    Array.fill buf.gy orb_off norb 0.;
-    Array.fill buf.gz orb_off norb 0.;
-    Array.fill buf.hxx orb_off norb 0.;
-    Array.fill buf.hxy orb_off norb 0.;
-    Array.fill buf.hxz orb_off norb 0.;
-    Array.fill buf.hyy orb_off norb 0.;
-    Array.fill buf.hyz orb_off norb 0.;
-    Array.fill buf.hzz orb_off norb 0.;
-    gather_coeffs t.coeffs b.bslab ~ix:b.bix.(s) ~iy:b.biy.(s)
-      ~iz:b.biz.(s) ~cy:t.cy ~cz:t.cz ~orb_stride:t.orb_stride ~norb;
-    let slab = b.bslab in
-    let off = 4 * s in
-    for a = 0 to 3 do
-      let wxa = b.bwx.(off + a)
-      and dxa = b.bdx.(off + a)
-      and sxa = b.bsx.(off + a) in
-      for bb = 0 to 3 do
-        let wyb = b.bwy.(off + bb)
-        and dyb = b.bdy.(off + bb)
-        and syb = b.bsy.(off + bb) in
-        for c = 0 to 3 do
-          let wzc = b.bwz.(off + c)
-          and dzc = b.bdz.(off + c)
-          and szc = b.bsz.(off + c) in
-          let p_v = wxa *. wyb *. wzc in
-          let p_gx = dxa *. wyb *. wzc in
-          let p_gy = wxa *. dyb *. wzc in
-          let p_gz = wxa *. wyb *. dzc in
-          let p_hxx = sxa *. wyb *. wzc in
-          let p_hxy = dxa *. dyb *. wzc in
-          let p_hxz = dxa *. wyb *. dzc in
-          let p_hyy = wxa *. syb *. wzc in
-          let p_hyz = wxa *. dyb *. dzc in
-          let p_hzz = wxa *. wyb *. szc in
-          let cell = ((((a * 4) + bb) * 4) + c) * norb in
-          for m = 0 to norb - 1 do
-            let cf = Array.unsafe_get slab (cell + m) in
-            let q = orb_off + m in
-            buf.v.(q) <- buf.v.(q) +. (p_v *. cf);
-            buf.gx.(q) <- buf.gx.(q) +. (p_gx *. cf);
-            buf.gy.(q) <- buf.gy.(q) +. (p_gy *. cf);
-            buf.gz.(q) <- buf.gz.(q) +. (p_gz *. cf);
-            buf.hxx.(q) <- buf.hxx.(q) +. (p_hxx *. cf);
-            buf.hxy.(q) <- buf.hxy.(q) +. (p_hxy *. cf);
-            buf.hxz.(q) <- buf.hxz.(q) +. (p_hxz *. cf);
-            buf.hyy.(q) <- buf.hyy.(q) +. (p_hyy *. cf);
-            buf.hyz.(q) <- buf.hyz.(q) +. (p_hyz *. cf);
-            buf.hzz.(q) <- buf.hzz.(q) +. (p_hzz *. cf)
-          done
-        done
-      done
-    done;
-    let fx = float_of_int t.nx and fy = float_of_int t.ny in
-    let fz = float_of_int t.nz in
-    for m = orb_off to orb_off + norb - 1 do
-      buf.gx.(m) <- buf.gx.(m) *. fx;
-      buf.gy.(m) <- buf.gy.(m) *. fy;
-      buf.gz.(m) <- buf.gz.(m) *. fz;
-      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
-      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
-      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
-      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
-      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
-      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
-    done
-
-  let eval_vgh_batch t (b : vgh_batch) ~n ~(u0 : float array)
-      ~(u1 : float array) ~(u2 : float array) =
-    stage_vgh_batch t b ~n ~u0 ~u1 ~u2;
-    for s = 0 to n - 1 do
-      accum_vgh_slot t b ~s ~buf:b.outs.(s) ~orb_off:0
-    done
-
-  (* ---------- fused phase 2 (tiled layout's accumulators) ----------
-
-     The slab kernels above pay a full write+read copy of every stencil
-     coefficient (64·n_orb doubles per eval) to keep the kind-specialized
-     loads separate from the generic accumulation.  The tiled layout's
-     per-tile blocks are small enough to fuse instead: one monomorphic
-     kernel per storage kind reads the bigarray directly inside the
-     accumulation loop, eliminating the slab traffic entirely.  The
-     coefficients are the same doubles in the same (a,b,c,m) order and
-     the weight products are the same expressions, so results stay
-     bit-identical to the slab kernels (and hence to the scalar ones).
-
-     The ten vgh weight products depend only on the slot, so the tiled
-     driver stages them once per slot ({!stage_vgh_products}) instead of
-     recomputing 64×10 of them for every tile. *)
-
-  (* Products for slot [s] into [b.bprod] at [(s·64 + point)·10 + field],
-     field order v,gx,gy,gz,hxx,hxy,hxz,hyy,hyz,hzz — the exact
-     expressions of [accum_vgh_slot]. *)
-  let stage_vgh_products (b : vgh_batch) ~s =
-    let off = 4 * s in
-    let prod = b.bprod in
-    let q = ref (640 * s) in
-    for a = 0 to 3 do
-      let wxa = b.bwx.(off + a)
-      and dxa = b.bdx.(off + a)
-      and sxa = b.bsx.(off + a) in
-      for bb = 0 to 3 do
-        let wyb = b.bwy.(off + bb)
-        and dyb = b.bdy.(off + bb)
-        and syb = b.bsy.(off + bb) in
-        for c = 0 to 3 do
-          let wzc = b.bwz.(off + c)
-          and dzc = b.bdz.(off + c)
-          and szc = b.bsz.(off + c) in
+          let wzc = b.wz.(c) and dzc = b.dz.(c) and szc = b.sz.(c) in
           let p = !q in
           Array.unsafe_set prod p (wxa *. wyb *. wzc);
           Array.unsafe_set prod (p + 1) (dxa *. wyb *. wzc);
@@ -620,13 +455,18 @@ module Make (R : Precision.REAL) = struct
       done
     done
 
-  let accum_vgh_direct_f64
+  (* Kind-specialized accumulation of one block.  Reading a bigarray whose
+     element kind is only known through the functor argument goes
+     through an indirect call that boxes every float it returns; matching
+     the kind GADT once recovers the static kind, so these twins compile
+     to direct unboxed loads inside the accumulation loop.  The loads
+     produce the same doubles [A.unsafe_get] would. *)
+  let accum_vgh_f64
       (coeffs : (float, Bigarray.float64_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (b : vgh_batch) ~s ~(buf : vgh_buf)
-      ~orb_off ~norb ~cy ~cz ~orb_stride =
-    let ix = b.bix.(s) and iy = b.biy.(s) and iz = b.biz.(s) in
-    let prod = b.bprod in
-    let q = ref (640 * s) in
+                  Bigarray.Array1.t) (prod : float array) (org : int array)
+      (buf : vgh_buf) ~off ~width ~cy ~cz ~orb_stride =
+    let ix = org.(0) and iy = org.(1) and iz = org.(2) in
+    let q = ref 0 in
     for a = 0 to 3 do
       for bb = 0 to 3 do
         let row = (((ix + a) * cy) + iy + bb) * cz + iz in
@@ -643,9 +483,9 @@ module Make (R : Precision.REAL) = struct
           let p_hyz = Array.unsafe_get prod (p + 8) in
           let p_hzz = Array.unsafe_get prod (p + 9) in
           let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
+          for m = 0 to width - 1 do
             let cf = Bigarray.Array1.unsafe_get coeffs (base + m) in
-            let o = orb_off + m in
+            let o = off + m in
             buf.v.(o) <- buf.v.(o) +. (p_v *. cf);
             buf.gx.(o) <- buf.gx.(o) +. (p_gx *. cf);
             buf.gy.(o) <- buf.gy.(o) +. (p_gy *. cf);
@@ -662,13 +502,12 @@ module Make (R : Precision.REAL) = struct
       done
     done
 
-  let accum_vgh_direct_f32
+  let accum_vgh_f32
       (coeffs : (float, Bigarray.float32_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (b : vgh_batch) ~s ~(buf : vgh_buf)
-      ~orb_off ~norb ~cy ~cz ~orb_stride =
-    let ix = b.bix.(s) and iy = b.biy.(s) and iz = b.biz.(s) in
-    let prod = b.bprod in
-    let q = ref (640 * s) in
+                  Bigarray.Array1.t) (prod : float array) (org : int array)
+      (buf : vgh_buf) ~off ~width ~cy ~cz ~orb_stride =
+    let ix = org.(0) and iy = org.(1) and iz = org.(2) in
+    let q = ref 0 in
     for a = 0 to 3 do
       for bb = 0 to 3 do
         let row = (((ix + a) * cy) + iy + bb) * cz + iz in
@@ -685,9 +524,9 @@ module Make (R : Precision.REAL) = struct
           let p_hyz = Array.unsafe_get prod (p + 8) in
           let p_hzz = Array.unsafe_get prod (p + 9) in
           let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
+          for m = 0 to width - 1 do
             let cf = Bigarray.Array1.unsafe_get coeffs (base + m) in
-            let o = orb_off + m in
+            let o = off + m in
             buf.v.(o) <- buf.v.(o) +. (p_v *. cf);
             buf.gx.(o) <- buf.gx.(o) +. (p_gx *. cf);
             buf.gy.(o) <- buf.gy.(o) +. (p_gy *. cf);
@@ -704,59 +543,29 @@ module Make (R : Precision.REAL) = struct
       done
     done
 
-  let accum_vgh_direct :
-      A.t -> vgh_batch -> s:int -> buf:vgh_buf -> orb_off:int -> norb:int ->
+  let accum_vgh :
+      A.t -> float array -> int array -> vgh_buf -> off:int -> width:int ->
       cy:int -> cz:int -> orb_stride:int -> unit =
     match R.kind with
-    | Bigarray.Float64 -> accum_vgh_direct_f64
-    | Bigarray.Float32 -> accum_vgh_direct_f32
+    | Bigarray.Float64 -> accum_vgh_f64
+    | Bigarray.Float32 -> accum_vgh_f32
 
-  (* Fused variant of [accum_vgh_slot]: requires the slot's products to
-     be staged ({!stage_vgh_products}) — the tiled driver stages once per
-     slot and calls this per tile. *)
-  let accum_vgh_slot_fused t (b : vgh_batch) ~s ~(buf : vgh_buf) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill buf.v orb_off norb 0.;
-    Array.fill buf.gx orb_off norb 0.;
-    Array.fill buf.gy orb_off norb 0.;
-    Array.fill buf.gz orb_off norb 0.;
-    Array.fill buf.hxx orb_off norb 0.;
-    Array.fill buf.hxy orb_off norb 0.;
-    Array.fill buf.hxz orb_off norb 0.;
-    Array.fill buf.hyy orb_off norb 0.;
-    Array.fill buf.hyz orb_off norb 0.;
-    Array.fill buf.hzz orb_off norb 0.;
-    accum_vgh_direct t.coeffs b ~s ~buf ~orb_off ~norb ~cy:t.cy ~cz:t.cz
-      ~orb_stride:t.orb_stride;
-    let fx = float_of_int t.nx and fy = float_of_int t.ny in
-    let fz = float_of_int t.nz in
-    for m = orb_off to orb_off + norb - 1 do
-      buf.gx.(m) <- buf.gx.(m) *. fx;
-      buf.gy.(m) <- buf.gy.(m) *. fy;
-      buf.gz.(m) <- buf.gz.(m) *. fz;
-      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
-      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
-      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
-      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
-      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
-      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
-    done
-
-  let accum_v_direct_f64
+  (* Value twins; the value products are three mults per stencil point,
+     cheap enough to recompute per block. *)
+  let accum_v_f64
       (coeffs : (float, Bigarray.float64_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (b : v_batch) ~s ~(out : float array)
-      ~orb_off ~norb ~cy ~cz ~orb_stride =
-    let ix = b.vix.(s) and iy = b.viy.(s) and iz = b.viz.(s) in
-    let off = 4 * s in
+                  Bigarray.Array1.t) (b : v_batch) (out : float array) ~off
+      ~width ~cy ~cz ~orb_stride =
+    let ix = b.vorg.(0) and iy = b.vorg.(1) and iz = b.vorg.(2) in
     for a = 0 to 3 do
       for bb = 0 to 3 do
-        let wab = b.vwx.(off + a) *. b.vwy.(off + bb) in
+        let wab = b.vwx.(a) *. b.vwy.(bb) in
         let row = (((ix + a) * cy) + iy + bb) * cz + iz in
         for c = 0 to 3 do
-          let p = wab *. b.vwz.(off + c) in
+          let p = wab *. b.vwz.(c) in
           let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
-            let o = orb_off + m in
+          for m = 0 to width - 1 do
+            let o = off + m in
             out.(o) <-
               out.(o) +. (p *. Bigarray.Array1.unsafe_get coeffs (base + m))
           done
@@ -764,21 +573,20 @@ module Make (R : Precision.REAL) = struct
       done
     done
 
-  let accum_v_direct_f32
+  let accum_v_f32
       (coeffs : (float, Bigarray.float32_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (b : v_batch) ~s ~(out : float array)
-      ~orb_off ~norb ~cy ~cz ~orb_stride =
-    let ix = b.vix.(s) and iy = b.viy.(s) and iz = b.viz.(s) in
-    let off = 4 * s in
+                  Bigarray.Array1.t) (b : v_batch) (out : float array) ~off
+      ~width ~cy ~cz ~orb_stride =
+    let ix = b.vorg.(0) and iy = b.vorg.(1) and iz = b.vorg.(2) in
     for a = 0 to 3 do
       for bb = 0 to 3 do
-        let wab = b.vwx.(off + a) *. b.vwy.(off + bb) in
+        let wab = b.vwx.(a) *. b.vwy.(bb) in
         let row = (((ix + a) * cy) + iy + bb) * cz + iz in
         for c = 0 to 3 do
-          let p = wab *. b.vwz.(off + c) in
+          let p = wab *. b.vwz.(c) in
           let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
-            let o = orb_off + m in
+          for m = 0 to width - 1 do
+            let o = off + m in
             out.(o) <-
               out.(o) +. (p *. Bigarray.Array1.unsafe_get coeffs (base + m))
           done
@@ -786,20 +594,64 @@ module Make (R : Precision.REAL) = struct
       done
     done
 
-  let accum_v_direct :
-      A.t -> v_batch -> s:int -> out:float array -> orb_off:int ->
-      norb:int -> cy:int -> cz:int -> orb_stride:int -> unit =
+  let accum_v :
+      A.t -> v_batch -> float array -> off:int -> width:int -> cy:int ->
+      cz:int -> orb_stride:int -> unit =
     match R.kind with
-    | Bigarray.Float64 -> accum_v_direct_f64
-    | Bigarray.Float32 -> accum_v_direct_f32
+    | Bigarray.Float64 -> accum_v_f64
+    | Bigarray.Float32 -> accum_v_f32
 
-  (* Fused variant of [accum_v_slot]; the value products are three mults
-     per stencil point, cheap enough to recompute per tile. *)
-  let accum_v_slot_fused t (b : v_batch) ~s ~(out : float array) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill out orb_off norb 0.;
-    accum_v_direct t.coeffs b ~s ~out ~orb_off ~norb ~cy:t.cy ~cz:t.cz
-      ~orb_stride:t.orb_stride
+  let eval_vgh_batch t (b : vgh_batch) ~n ~(u0 : float array)
+      ~(u1 : float array) ~(u2 : float array) =
+    if n < 0 || n > b.cap then invalid_arg "Bspline3d.eval_vgh_batch: bad n";
+    for s = 0 to n - 1 do
+      locate_into b.org 0 t.nx u0 s b.wx;
+      locate_into b.org 1 t.ny u1 s b.wy;
+      locate_into b.org 2 t.nz u2 s b.wz;
+      b.dx.(0) <- b.wx.(0);
+      b.sx.(0) <- b.wx.(0);
+      b.dy.(0) <- b.wy.(0);
+      b.sy.(0) <- b.wy.(0);
+      b.dz.(0) <- b.wz.(0);
+      b.sz.(0) <- b.wz.(0);
+      put_value b.wx;
+      put_value b.wy;
+      put_value b.wz;
+      put_first b.dx;
+      put_first b.dy;
+      put_first b.dz;
+      put_second b.sx;
+      put_second b.sy;
+      put_second b.sz;
+      stage_products b;
+      let buf = b.outs.(s) in
+      zero_vgh buf t.n_orb;
+      for bi = 0 to Array.length t.blocks - 1 do
+        let blk = t.blocks.(bi) in
+        accum_vgh blk.coeffs b.prod b.org buf ~off:blk.off ~width:blk.width
+          ~cy:t.cy ~cz:t.cz ~orb_stride:blk.orb_stride
+      done;
+      scale_vgh t buf
+    done
+
+  let eval_v_batch t (b : v_batch) ~n ~(u0 : float array) ~(u1 : float array)
+      ~(u2 : float array) =
+    if n < 0 || n > b.vcap then invalid_arg "Bspline3d.eval_v_batch: bad n";
+    for s = 0 to n - 1 do
+      locate_into b.vorg 0 t.nx u0 s b.vwx;
+      locate_into b.vorg 1 t.ny u1 s b.vwy;
+      locate_into b.vorg 2 t.nz u2 s b.vwz;
+      put_value b.vwx;
+      put_value b.vwy;
+      put_value b.vwz;
+      let out = b.vouts.(s) in
+      Array.fill out 0 t.n_orb 0.;
+      for bi = 0 to Array.length t.blocks - 1 do
+        let blk = t.blocks.(bi) in
+        accum_v blk.coeffs b out ~off:blk.off ~width:blk.width ~cy:t.cy
+          ~cz:t.cz ~orb_stride:blk.orb_stride
+      done
+    done
 
   (* Analytic size of a table in bytes for workloads too big to allocate
      (the B-spline column of Table 1). *)

@@ -1,12 +1,16 @@
 open Oqmc_containers
 
 (** Periodic tricubic B-spline tables holding all single-particle orbitals
-    on one shared grid with the orbital index innermost (einspline's
-    multi-spline layout) — the paper's Bspline-v / Bspline-vgh kernels.
-    Coefficients live at the build's storage precision; accumulation is in
-    double.  Positions are fractional supercell coordinates [s ∈ [0,1)³]
-    and derivatives are with respect to [s]; the SPO layer applies the
-    lattice metric. *)
+    on one shared grid — the paper's Bspline-v / Bspline-vgh kernels.
+    The orbitals are split into blocks of [tile] orbitals (the paper's
+    future-work AoSoA tiling), each block a grid-major array with the
+    orbital index innermost (einspline's multi-spline layout); one block
+    of every orbital is einspline's flat table.  Coefficients live at the
+    build's storage precision; accumulation is in double.  Positions are
+    fractional supercell coordinates [s ∈ [0,1)³] and derivatives are
+    with respect to [s]; the SPO layer applies the lattice metric.  The
+    block partition never changes a result: every kernel accumulates each
+    orbital in the same order whatever block holds it. *)
 
 module Make (R : Precision.REAL) : sig
   module A : module type of Aligned.Make (R)
@@ -26,12 +30,15 @@ module Make (R : Precision.REAL) : sig
     hzz : float array;
   }
 
-  val create : nx:int -> ny:int -> nz:int -> n_orb:int -> t
-  (** Zero table on an [nx × ny × nz] periodic grid.
-      @raise Invalid_argument if any dimension is below 4 or [n_orb < 1]. *)
+  val create : ?tile:int -> nx:int -> ny:int -> nz:int -> n_orb:int -> unit -> t
+  (** Zero table on an [nx × ny × nz] periodic grid, in blocks of [tile]
+      orbitals (the last block may be narrower).  [tile = 0] (the
+      default) or [tile >= n_orb] is one block of [n_orb] orbitals.
+      @raise Invalid_argument if any dimension is below 4, [n_orb < 1]
+      or [tile < 0]. *)
 
   val n_orb : t -> int
-  val dims : t -> int * int * int
+  val n_blocks : t -> int
 
   val bytes : t -> int
   (** Allocated coefficient storage. *)
@@ -41,7 +48,8 @@ module Make (R : Precision.REAL) : sig
 
   val set_base : t -> orb:int -> i:int -> j:int -> k:int -> float -> unit
   (** Write one base coefficient, maintaining the periodic wrap layers.
-      @raise Invalid_argument outside the base grid. *)
+      @raise Invalid_argument outside the base grid or the orbital
+      range. *)
 
   val get_base : t -> orb:int -> i:int -> j:int -> k:int -> float
 
@@ -55,53 +63,30 @@ module Make (R : Precision.REAL) : sig
 
   val eval_v : t -> u0:float -> u1:float -> u2:float -> float array -> unit
   (** Bspline-v: values of all orbitals into a caller array of length
-      [>= n_orb]. *)
+      [>= n_orb].  Writes only the caller's array, so concurrent calls on
+      one table are safe. *)
 
   val eval_vgh : t -> u0:float -> u1:float -> u2:float -> vgh_buf -> unit
   (** Bspline-vgh: values, fractional-coordinate gradients and Hessian
-      components of all orbitals. *)
+      components of all orbitals; same safety as {!eval_v}. *)
 
-  type vgh_batch = {
-    cap : int;
-    bix : int array;
-    biy : int array;
-    biz : int array;
-    bwx : float array;
-    bwy : float array;
-    bwz : float array;
-    bdx : float array;
-    bdy : float array;
-    bdz : float array;
-    bsx : float array;
-    bsy : float array;
-    bsz : float array;
-    bslab : float array;
-    bprod : float array;
-    outs : vgh_buf array;
-  }
-  (** Crowd-sized scratch arena for {!eval_vgh_batch}: per-slot stencil
-      origins, flat 1-D weight vectors (offset [4*slot]), a gather slab
-      holding one walker's 4×4×4 coefficient block as unboxed doubles, a
-      staged weight-product buffer ([bprod], used by the fused phase 2),
-      and one result buffer per slot.  Allocate once per domain, reuse
-      forever. *)
+  type vgh_batch
+  (** Crowd-sized scratch arena for {!eval_vgh_batch}: one slot's stencil
+      origin, 1-D weights and 64×10 weight products, and one result
+      buffer per slot.  Allocate once per domain, reuse forever. *)
 
-  type v_batch = {
-    vcap : int;
-    vix : int array;
-    viy : int array;
-    viz : int array;
-    vwx : float array;
-    vwy : float array;
-    vwz : float array;
-    vslab : float array;
-    vouts : float array array;
-  }
+  type v_batch
 
   val make_vgh_batch : t -> cap:int -> vgh_batch
   (** @raise Invalid_argument if [cap < 1]. *)
 
   val make_v_batch : t -> cap:int -> v_batch
+
+  val outs : vgh_batch -> vgh_buf array
+  (** The per-slot result buffers of {!eval_vgh_batch}. *)
+
+  val vouts : v_batch -> float array array
+  (** The per-slot result rows of {!eval_v_batch}. *)
 
   val eval_vgh_batch :
     t ->
@@ -111,11 +96,11 @@ module Make (R : Precision.REAL) : sig
     u1:float array ->
     u2:float array ->
     unit
-  (** Batched Bspline-vgh over the first [n] fractional positions: each
-      walker's 1-D weights are computed once into the arena, then the
-      coefficient blocks are streamed with zero allocation.  Results land
-      in [outs.(0..n-1)].  Per walker the arithmetic matches {!eval_vgh}
-      exactly (bit-identical on the double path).
+  (** Batched Bspline-vgh over the first [n] fractional positions into
+      [outs.(0..n-1)]: per slot the stencil and weight products are
+      staged once, then every block is accumulated straight from its
+      coefficient array, with zero allocation.  Per walker the arithmetic
+      matches {!eval_vgh} exactly (bit-identical on the double path).
       @raise Invalid_argument if [n > cap]. *)
 
   val eval_v_batch :
@@ -128,72 +113,6 @@ module Make (R : Precision.REAL) : sig
     unit
   (** Batched Bspline-v into [vouts.(0..n-1)]; same contract as
       {!eval_vgh_batch}. *)
-
-  (** {2 Batch phases}
-
-      The batched kernels split into a position-staging phase 1 (stencil
-      origins + 1-D weights, no coefficient traffic) and a per-slot
-      gather/accumulate phase 2.  They are exposed so the tiled layout
-      ({!Bspline3d_tiled}) can stage once per batch and accumulate once
-      per tile into an orbital segment of a full-width buffer — running
-      the very same phase-2 code as the flat layout, which is what makes
-      tiled-vs-flat bit-identity structural rather than coincidental. *)
-
-  val stage_v_batch :
-    t ->
-    v_batch ->
-    n:int ->
-    u0:float array ->
-    u1:float array ->
-    u2:float array ->
-    unit
-  (** Phase 1 of {!eval_v_batch}; only the grid dimensions of [t] are
-      read.  @raise Invalid_argument if [n > cap]. *)
-
-  val stage_vgh_batch :
-    t ->
-    vgh_batch ->
-    n:int ->
-    u0:float array ->
-    u1:float array ->
-    u2:float array ->
-    unit
-  (** Phase 1 of {!eval_vgh_batch}. *)
-
-  val accum_v_slot : t -> v_batch -> s:int -> out:float array -> orb_off:int -> unit
-  (** Phase 2 of {!eval_v_batch} for walker slot [s]: zero, gather and
-      accumulate orbitals [orb_off, orb_off + n_orb t) of [out] from this
-      table.  Requires a staged arena whose slab holds at least
-      [64 * n_orb t] doubles. *)
-
-  val accum_vgh_slot : t -> vgh_batch -> s:int -> buf:vgh_buf -> orb_off:int -> unit
-  (** Phase 2 of {!eval_vgh_batch} for walker slot [s] (vgh analogue of
-      {!accum_v_slot}), including the metric scaling of the segment. *)
-
-  (** {2 Fused phase 2}
-
-      The slab kernels above copy every stencil coefficient through a
-      double slab before accumulating (64·n_orb write+read per eval).
-      The fused variants read the coefficient bigarray directly inside a
-      kind-specialized accumulation loop — same doubles, same (a,b,c,m)
-      order, so the results are bit-identical to the slab kernels.  The
-      tiled layout uses them as its per-tile phase 2: the slab traffic
-      disappears and the ten vgh weight products are staged once per
-      slot instead of recomputed per tile. *)
-
-  val stage_vgh_products : vgh_batch -> s:int -> unit
-  (** Stage the 64×10 vgh weight products for slot [s] into the arena's
-      [bprod] (requires a staged phase 1 for [s]); the exact expressions
-      of {!accum_vgh_slot}. *)
-
-  val accum_vgh_slot_fused :
-    t -> vgh_batch -> s:int -> buf:vgh_buf -> orb_off:int -> unit
-  (** Fused {!accum_vgh_slot}; requires {!stage_vgh_products} for [s]. *)
-
-  val accum_v_slot_fused :
-    t -> v_batch -> s:int -> out:float array -> orb_off:int -> unit
-  (** Fused {!accum_v_slot}; no product staging needed (three mults per
-      stencil point are recomputed in place). *)
 
   val table_bytes :
     nx:int -> ny:int -> nz:int -> n_orb:int -> elt_bytes:int -> int

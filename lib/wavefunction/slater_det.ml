@@ -19,10 +19,8 @@ open Oqmc_linalg
    batched crowd sweeps stay bit-identical to the scalar path by
    construction.
 
-   Kernel timing keys come from the SPO engine ([Spo.v_key] /
-   [Spo.vgh_key], "Bspline-v"/"Bspline-vgh" for the flat table and the
-   "-tiled" variants for the tiled one) for SPO evaluation inside [ratio]
-   and [ratio_grad]; SPO-vgl times the per-electron measurement sweep and
+   Kernel timing keys: Bspline-v / Bspline-vgh for SPO evaluation inside
+   [ratio] and [ratio_grad]; SPO-vgl times the per-electron measurement sweep and
    DetUpdate the inverse update.  The crowd entry points are UNtimed: the
    crowd driver wraps each batched stage in a single timer window per
    crowd instead of one per walker.
@@ -202,7 +200,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
           st.staged := None;
           s
       | None ->
-          Timers.time timers spo.Spo.vgh_key (fun () -> eval st.vgl);
+          Timers.time timers "Bspline-vgh" (fun () -> eval st.vgl);
           st.vgl
     in
     let load_row_pos ps =
@@ -214,7 +212,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       flush st;
       let b = Lazy.force st.v_rows in
       load_row_pos ps;
-      Timers.time timers spo.Spo.v_key (fun () -> b.Spo.vrun st.row_pos n);
+      Timers.time timers "Bspline-v" (fun () -> b.Spo.vrun st.row_pos n);
       for i = 0 to n - 1 do
         A.write_from b.Spo.vslots.(i) (M.data st.phim)
           ~pos:(i * M.ld st.phim) ~n
@@ -229,7 +227,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     let ratio ps k =
       if not (in_group st k) then 1.
       else begin
-        Timers.time timers spo.Spo.v_key (fun () ->
+        Timers.time timers "Bspline-v" (fun () ->
             spo.Spo.eval_v (Ps.active_pos ps) st.vbuf);
         load_psiv st;
         let r =

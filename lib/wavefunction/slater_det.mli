@@ -27,11 +27,9 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
     Ps.t ->
     W.t
   (** Determinant over electrons [first, first + count); moves of
-      electrons outside the group have ratio 1.  Kernel timing keys: the
-      SPO engine's [v_key] (value-only SPO) and [vgh_key] (SPO with
-      derivatives) — "Bspline-v"/"Bspline-vgh" for the flat table,
-      "-tiled" variants for the tiled one — plus SPO-vgl (measurement
-      sweep) and DetUpdate (ratio dots and inverse updates).
+      electrons outside the group have ratio 1.  Kernel timing keys:
+      Bspline-v (value-only SPO) and Bspline-vgh (SPO with derivatives),
+      plus SPO-vgl (measurement sweep) and DetUpdate (ratio dots and inverse updates).
 
       [staged], when supplied, lets a crowd driver hand the determinant
       a pre-computed SPO result for the position the next in-group

@@ -35,13 +35,6 @@ type v_batch = {
 type t = {
   n_orb : int;
   label : string;
-  v_key : string;
-      (** {!Oqmc_containers.Timers} key charged for value evaluations
-          ("Bspline-v"; the tiled engine uses "Bspline-v-tiled").  The
-          consumers' timing call sites read these fields, so an engine
-          with its own keys shows up in [Timers.pp], the trace span shim
-          and the roofline audit without any new call sites. *)
-  vgh_key : string;  (** ditto for value+derivative evaluations *)
   eval_v : Vec3.t -> float array -> unit;
   eval_vgl : Vec3.t -> vgl -> unit;
   make_vgl_batch : int -> vgl_batch;
@@ -56,8 +49,6 @@ val grad_of : vgl -> int -> Vec3.t
 val make :
   ?make_vgl_batch:(int -> vgl_batch) ->
   ?make_v_batch:(int -> v_batch) ->
-  ?v_key:string ->
-  ?vgh_key:string ->
   n_orb:int ->
   label:string ->
   eval_v:(Vec3.t -> float array -> unit) ->

@@ -13,44 +13,16 @@ open Oqmc_particle
    Scratch, by contrast, is never shared: the scalar path keeps one
    [vgh_buf] per domain (domain-local storage), and each batched context
    owns a crowd-sized arena, so parallel engines over the same [Spo.t]
-   cannot trample each other's intermediates.
-
-   Two backing layouts share every line of the metric/batching code
-   below: the flat multi-spline table ({!create}) and the tiled AoSoA
-   table ({!create_tiled}); the tiled arenas are the flat module's record
-   types with full-width result slots, so only the table operations
-   differ.  Each layout carries its own Timers keys so the production
-   timing call sites attribute flat and tiled kernels separately. *)
+   cannot trample each other's intermediates. *)
 
 module Make (R : Precision.REAL) = struct
   module B3 = Oqmc_spline.Bspline3d.Make (R)
-  module T3 = Oqmc_spline.Bspline3d_tiled.Make (R)
 
-  (* Layout-independent construction: everything after "a table that can
-     evaluate batches into B3 arenas" is shared between flat and tiled. *)
-  let build ~n ~table_bytes ~label ~v_key ~vgh_key ~(lattice : Lattice.t)
-      ~(make_scratch : unit -> B3.vgh_buf)
-      ~(tab_eval_v : u0:float -> u1:float -> u2:float -> float array -> unit)
-      ~(tab_eval_vgh : u0:float -> u1:float -> u2:float -> B3.vgh_buf -> unit)
-      ~(make_vgh_arena : cap:int -> B3.vgh_batch)
-      ~(run_vgh :
-         B3.vgh_batch ->
-         n:int ->
-         u0:float array ->
-         u1:float array ->
-         u2:float array ->
-         unit)
-      ~(make_v_arena : cap:int -> B3.v_batch)
-      ~(run_v :
-         B3.v_batch ->
-         n:int ->
-         u0:float array ->
-         u1:float array ->
-         u2:float array ->
-         unit) : Spo.t =
+  let create ~(table : B3.t) ~(lattice : Lattice.t) : Spo.t =
+    let n = B3.n_orb table in
     (* One scalar scratch buffer per domain: the Spo.t closure is shared
        across all domain engines, so a single captured buffer would race. *)
-    let scratch = Domain.DLS.new_key make_scratch in
+    let scratch = Domain.DLS.new_key (fun () -> B3.make_vgh_buf table) in
     (* Rows g_b of the inverse cell: ∂s_b/∂r_a = g_b[a]. *)
     let g = Lattice.frac_rows lattice in
     let g0 = g.(0) and g1 = g.(1) and g2 = g.(2) in
@@ -83,12 +55,12 @@ module Make (R : Precision.REAL) = struct
     in
     let eval_v (r : Vec3.t) out =
       let s = Lattice.to_frac lattice r in
-      tab_eval_v ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z out
+      B3.eval_v table ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z out
     in
     let eval_vgl (r : Vec3.t) (out : Spo.vgl) =
       let buf = Domain.DLS.get scratch in
       let s = Lattice.to_frac lattice r in
-      tab_eval_vgh ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z buf;
+      B3.eval_vgh table ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z buf;
       to_cartesian buf out
     in
     (* Native crowd batches: fractional coordinates for the whole crowd
@@ -97,7 +69,8 @@ module Make (R : Precision.REAL) = struct
        blocks, then each slot is pushed through the metric. *)
     let make_vgl_batch cap =
       if cap < 1 then invalid_arg "Spo_bspline.make_vgl_batch: cap < 1";
-      let arena = make_vgh_arena ~cap in
+      let arena = B3.make_vgh_batch table ~cap in
+      let outs = B3.outs arena in
       let slots = Array.init cap (fun _ -> Spo.make_vgl n) in
       let u0 = Array.make cap 0. in
       let u1 = Array.make cap 0. in
@@ -114,16 +87,16 @@ module Make (R : Precision.REAL) = struct
           u1.(s) <- (g1.Vec3.x *. x) +. (g1.Vec3.y *. y) +. (g1.Vec3.z *. z);
           u2.(s) <- (g2.Vec3.x *. x) +. (g2.Vec3.y *. y) +. (g2.Vec3.z *. z)
         done;
-        run_vgh arena ~n:nw ~u0 ~u1 ~u2;
+        B3.eval_vgh_batch table arena ~n:nw ~u0 ~u1 ~u2;
         for s = 0 to nw - 1 do
-          to_cartesian arena.B3.outs.(s) slots.(s)
+          to_cartesian outs.(s) slots.(s)
         done
       in
       { Spo.cap; slots; run }
     in
     let make_v_batch cap =
       if cap < 1 then invalid_arg "Spo_bspline.make_v_batch: cap < 1";
-      let arena = make_v_arena ~cap in
+      let arena = B3.make_v_batch table ~cap in
       let u0 = Array.make cap 0. in
       let u1 = Array.make cap 0. in
       let u2 = Array.make cap 0. in
@@ -135,41 +108,13 @@ module Make (R : Precision.REAL) = struct
           u1.(s) <- (g1.Vec3.x *. x) +. (g1.Vec3.y *. y) +. (g1.Vec3.z *. z);
           u2.(s) <- (g2.Vec3.x *. x) +. (g2.Vec3.y *. y) +. (g2.Vec3.z *. z)
         done;
-        run_v arena ~n:nw ~u0 ~u1 ~u2
+        B3.eval_v_batch table arena ~n:nw ~u0 ~u1 ~u2
       in
       (* Values need no metric conversion: expose the arena's result rows
          directly as the batch slots. *)
-      { Spo.vcap = cap; vslots = arena.B3.vouts; vrun }
+      { Spo.vcap = cap; vslots = B3.vouts arena; vrun }
     in
-    Spo.make ~make_vgl_batch ~make_v_batch ~v_key ~vgh_key ~n_orb:n ~label
-      ~eval_v ~eval_vgl ~bytes:table_bytes ()
-
-  let create ~(table : B3.t) ~(lattice : Lattice.t) : Spo.t =
-    build ~n:(B3.n_orb table) ~table_bytes:(B3.bytes table)
+    Spo.make ~make_vgl_batch ~make_v_batch ~n_orb:n
       ~label:(Printf.sprintf "bspline-%s" R.name)
-      ~v_key:"Bspline-v" ~vgh_key:"Bspline-vgh" ~lattice
-      ~make_scratch:(fun () -> B3.make_vgh_buf table)
-      ~tab_eval_v:(fun ~u0 ~u1 ~u2 out -> B3.eval_v table ~u0 ~u1 ~u2 out)
-      ~tab_eval_vgh:(fun ~u0 ~u1 ~u2 buf -> B3.eval_vgh table ~u0 ~u1 ~u2 buf)
-      ~make_vgh_arena:(fun ~cap -> B3.make_vgh_batch table ~cap)
-      ~run_vgh:(fun arena ~n ~u0 ~u1 ~u2 ->
-        B3.eval_vgh_batch table arena ~n ~u0 ~u1 ~u2)
-      ~make_v_arena:(fun ~cap -> B3.make_v_batch table ~cap)
-      ~run_v:(fun arena ~n ~u0 ~u1 ~u2 ->
-        B3.eval_v_batch table arena ~n ~u0 ~u1 ~u2)
-
-  let create_tiled ~(table : T3.t) ~(lattice : Lattice.t) : Spo.t =
-    build ~n:(T3.n_orb table) ~table_bytes:(T3.bytes table)
-      ~label:
-        (Printf.sprintf "bspline-tiled%d-%s" (T3.tile_size table) R.name)
-      ~v_key:"Bspline-v-tiled" ~vgh_key:"Bspline-vgh-tiled" ~lattice
-      ~make_scratch:(fun () -> T3.make_vgh_buf table)
-      ~tab_eval_v:(fun ~u0 ~u1 ~u2 out -> T3.eval_v table ~u0 ~u1 ~u2 out)
-      ~tab_eval_vgh:(fun ~u0 ~u1 ~u2 buf -> T3.eval_vgh table ~u0 ~u1 ~u2 buf)
-      ~make_vgh_arena:(fun ~cap -> T3.make_vgh_batch table ~cap)
-      ~run_vgh:(fun arena ~n ~u0 ~u1 ~u2 ->
-        T3.eval_vgh_batch table arena ~n ~u0 ~u1 ~u2)
-      ~make_v_arena:(fun ~cap -> T3.make_v_batch table ~cap)
-      ~run_v:(fun arena ~n ~u0 ~u1 ~u2 ->
-        T3.eval_v_batch table arena ~n ~u0 ~u1 ~u2)
+      ~eval_v ~eval_vgl ~bytes:(B3.bytes table) ()
 end

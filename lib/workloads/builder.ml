@@ -11,7 +11,7 @@ open Oqmc_core
    proprietary inputs; per the substitution rule the builder synthesizes
    a B-spline table of the right shape filled with deterministic smooth
    pseudo-random coefficients (kernel cost depends on table dimensions,
-   layout and precision — not coefficient values) and Gaussian-shell
+   tiling and precision — not coefficient values) and Gaussian-shell
    pseudopotential channels.  [reduction] scales the problem down
    uniformly — electron count, ion count, orbital count and grid — so the
    full PbyP machinery runs in laptop-scale benchmarks while Table 1 and
@@ -76,14 +76,10 @@ let ion_positions (bx, by, bz) n =
    scheme) while the coefficient values themselves are computed in
    double either way.  The functor instantiations are precision-erased by
    [Spo.t]'s runtime closures, so both produce the same System shape.
-
-   [layout]/[tile] pick the table layout: the tiled (array-of-SoA) table
-   is filled through the same global-orbital [fill] callback, so its
-   coefficients — and therefore every f64 evaluation — are bit-identical
-   to the flat table's. *)
+   [tile] only partitions the orbitals into blocks; the coefficients, and
+   therefore every f64 evaluation, do not depend on it. *)
 module Spline_builder (R : Precision.REAL) = struct
   module B = Oqmc_spline.Bspline3d.Make (R)
-  module T = Oqmc_spline.Bspline3d_tiled.Make (R)
   module SpoB = Spo_bspline.Make (R)
 
   let coeff_fn ~seed ~grid ~n_spo =
@@ -119,30 +115,20 @@ module Spline_builder (R : Precision.REAL) = struct
         modes.(orb);
       !acc
 
-  let build ~seed ~grid ~n_spo ~lattice =
+  let build ~seed ~grid ~n_spo ~tile ~lattice =
     let nx, ny, nz = grid in
-    let table = B.create ~nx ~ny ~nz ~n_orb:n_spo in
+    let table = B.create ~tile ~nx ~ny ~nz ~n_orb:n_spo () in
     B.fill table (coeff_fn ~seed ~grid ~n_spo);
     SpoB.create ~table ~lattice
-
-  let build_tiled ~seed ~grid ~n_spo ~tile ~lattice =
-    let nx, ny, nz = grid in
-    let tile = if tile <= 0 then min 32 n_spo else min tile n_spo in
-    let table = T.create ~nx ~ny ~nz ~n_orb:n_spo ~tile in
-    T.fill table (coeff_fn ~seed ~grid ~n_spo);
-    SpoB.create_tiled ~table ~lattice
 end
 
 module Sp32 = Spline_builder (Precision.F32)
 module Sp64 = Spline_builder (Precision.F64)
 
-let synthetic_spo ?(precision = `F32) ?(layout = `Flat) ?(tile = 0) ~seed
-    ~grid ~n_spo ~lattice () =
-  match (precision, layout) with
-  | `F32, `Flat -> Sp32.build ~seed ~grid ~n_spo ~lattice
-  | `F64, `Flat -> Sp64.build ~seed ~grid ~n_spo ~lattice
-  | `F32, `Tiled -> Sp32.build_tiled ~seed ~grid ~n_spo ~tile ~lattice
-  | `F64, `Tiled -> Sp64.build_tiled ~seed ~grid ~n_spo ~tile ~lattice
+let synthetic_spo ~precision ~tile ~seed ~grid ~n_spo ~lattice =
+  match precision with
+  | `F32 -> Sp32.build ~seed ~grid ~n_spo ~tile ~lattice
+  | `F64 -> Sp64.build ~seed ~grid ~n_spo ~tile ~lattice
 
 (* Gaussian-shell pseudopotential channels per species. *)
 let nlpp_channels (species : Spec.species list) =
@@ -170,8 +156,7 @@ let nlpp_channels (species : Spec.species list) =
 
 (* Build the runnable System for a (possibly scaled) workload. *)
 let system ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
-    ?(precision = `F32) ?(layout = `Flat) ?(tile = 0) (s : scaled) : System.t
-    =
+    ?(precision = `F32) ?(tile = 0) (s : scaled) : System.t =
   let bx, by, bz = s.box in
   let lattice = Lattice.orthorhombic bx by bz in
   let positions = ion_positions s.box s.n_ion in
@@ -195,8 +180,7 @@ let system ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
       species
   in
   let spo =
-    synthetic_spo ~precision ~layout ~tile ~seed ~grid:s.grid ~n_spo:s.n_spo
-      ~lattice ()
+    synthetic_spo ~precision ~tile ~seed ~grid:s.grid ~n_spo:s.n_spo ~lattice
   in
   let cutoff = Lattice.wigner_seitz_radius lattice in
   let j2 = if with_jastrow then Some (Jastrow_sets.ee_set ~cutoff) else None in
@@ -222,7 +206,7 @@ let system ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
     }
 
 let make ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
-    ?(reduction = 8) ?(precision = `F32) ?(layout = `Flat) ?(tile = 0)
+    ?(reduction = 8) ?(precision = `F32) ?layout:_ ?(tile = 0)
     (spec : Spec.t) : System.t =
-  system ~seed ~with_nlpp ~with_jastrow ~precision ~layout ~tile
+  system ~seed ~with_nlpp ~with_jastrow ~precision ~tile
     (scale spec ~reduction)

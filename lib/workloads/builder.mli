@@ -7,7 +7,7 @@ open Oqmc_core
     The paper's proprietary DFT orbital tables and pseudopotentials are
     substituted with synthetic equivalents of the right shape
     (deterministic smooth coefficients; Gaussian-shell PP channels) —
-    kernel cost depends on dimensions, layout and precision, not on
+    kernel cost depends on dimensions, tiling and precision, not on
     coefficient values.  [reduction] scales the problem down uniformly so
     the full machinery runs at laptop scale. *)
 
@@ -35,7 +35,6 @@ val system :
   ?with_nlpp:bool ->
   ?with_jastrow:bool ->
   ?precision:[ `F32 | `F64 ] ->
-  ?layout:[ `Flat | `Tiled ] ->
   ?tile:int ->
   scaled ->
   System.t
@@ -44,11 +43,10 @@ val system :
     identical either way ([`F32] rounds them once at store time), so
     f32-vs-f64 comparisons isolate storage/bandwidth effects.
 
-    [layout] (default [`Flat]) selects the orbital-table layout; with
-    [`Tiled], [tile] sets the orbital tile size (0 = a default of
-    [min 32 n_spo]).  Both layouts are filled through the same
-    global-orbital callback, so their coefficients are identical and f64
-    evaluations are bit-identical. *)
+    [tile] (default 0 = one tile of every orbital) sets the orbitals per
+    block of the table ({!Oqmc_spline.Bspline3d.Make.create}).  Every
+    tile holds the same coefficients, so f64 evaluations are
+    bit-identical across tiles. *)
 
 val make :
   ?seed:int ->
@@ -60,4 +58,7 @@ val make :
   ?tile:int ->
   Spec.t ->
   System.t
-(** [scale] + [system]; default reduction 8. *)
+(** [scale] + [system]; default reduction 8.  [layout] has no effect: the
+    orbital table has one layout, and the argument is kept only for the
+    benchmark driver's existing call ([perfbench/src/driver.ml]).  Delete
+    it with the next change to that driver. *)

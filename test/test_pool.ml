@@ -143,7 +143,7 @@ let fill_f ~orb ~i ~j ~k =
   cos (float_of_int ((orb * 13) + (i * 2) + (j * 7) + (k * 3)))
 
 let test_vgh_batch_identity_f64 () =
-  let t = B3_64.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:5 in
+  let t = B3_64.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:5 () in
   B3_64.fill t fill_f;
   let rng = Xoshiro.create 77 in
   let k = 12 in
@@ -155,7 +155,7 @@ let test_vgh_batch_identity_f64 () =
   let buf = B3_64.make_vgh_buf t in
   for s = 0 to k - 1 do
     B3_64.eval_vgh t ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) buf;
-    let out = batch.B3_64.outs.(s) in
+    let out = (B3_64.outs batch).(s) in
     List.iter
       (fun (name, a, b) ->
         Array.iteri
@@ -186,7 +186,7 @@ let ulp_close a b =
      <= epsilon_float *. Float.max (abs_float a) (abs_float b)
 
 let test_vgh_batch_identity_f32 () =
-  let t = B3_32.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:5 in
+  let t = B3_32.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:5 () in
   B3_32.fill t fill_f;
   let rng = Xoshiro.create 78 in
   let k = 12 in
@@ -198,7 +198,7 @@ let test_vgh_batch_identity_f32 () =
   let buf = B3_32.make_vgh_buf t in
   for s = 0 to k - 1 do
     B3_32.eval_vgh t ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) buf;
-    let out = batch.B3_32.outs.(s) in
+    let out = (B3_32.outs batch).(s) in
     List.iter
       (fun (name, a, b) ->
         Array.iteri
@@ -216,7 +216,7 @@ let test_vgh_batch_identity_f32 () =
   done
 
 let test_v_batch_identity () =
-  let t = B3_64.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:5 in
+  let t = B3_64.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:5 () in
   B3_64.fill t fill_f;
   let rng = Xoshiro.create 79 in
   let k = 10 in
@@ -234,12 +234,12 @@ let test_v_batch_identity () =
           (Printf.sprintf "v slot %d orb %d bit-identical" s m)
           true
           (Int64.equal (Int64.bits_of_float x)
-             (Int64.bits_of_float batch.B3_64.vouts.(s).(m))))
+             (Int64.bits_of_float (B3_64.vouts batch).(s).(m))))
       out
   done
 
 let test_batch_bounds () =
-  let t = B3_64.create ~nx:4 ~ny:4 ~nz:4 ~n_orb:2 in
+  let t = B3_64.create ~nx:4 ~ny:4 ~nz:4 ~n_orb:2 () in
   check_bool "cap < 1 rejected" true
     (match B3_64.make_vgh_batch t ~cap:0 with
     | _ -> false
@@ -256,7 +256,7 @@ let test_batch_bounds () =
 let test_spo_batch_identity () =
   let lat = Lattice.orthorhombic 3. 5. 7. in
   let module SpoB = Spo_bspline.Make (Precision.F64) in
-  let table = B3_64.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:3 in
+  let table = B3_64.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:3 () in
   let rng = Xoshiro.create 5 in
   B3_64.fill table (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
       Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.);

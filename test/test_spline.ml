@@ -154,7 +154,7 @@ let test_tridiag_cyclic () =
 
 let test_bspline3d_constant () =
   (* A constant function must be reproduced exactly (partition of unity). *)
-  let t = B3_64.create ~nx:6 ~ny:6 ~nz:6 ~n_orb:2 in
+  let t = B3_64.create ~nx:6 ~ny:6 ~nz:6 ~n_orb:2 () in
   B3_64.fill t (fun ~orb ~i:_ ~j:_ ~k:_ -> if orb = 0 then 2.5 else -1.
   );
   let out = Array.make 2 0. in
@@ -174,7 +174,7 @@ let test_bspline3d_interpolation () =
     cos (2. *. Float.pi *. x) *. sin (2. *. Float.pi *. y)
     +. (0.5 *. cos (2. *. Float.pi *. z))
   in
-  let t = B3_64.create ~nx ~ny ~nz ~n_orb:1 in
+  let t = B3_64.create ~nx ~ny ~nz ~n_orb:1 () in
   B3_64.fit_periodic t ~samples:(fun ~orb:_ ~ix ~iy ~iz ->
       f
         (float_of_int ix /. float_of_int nx)
@@ -198,7 +198,7 @@ let test_bspline3d_vgh_fd () =
   let f x y z =
     exp (cos (2. *. Float.pi *. x)) *. sin (2. *. Float.pi *. (y +. z))
   in
-  let t = B3_64.create ~nx ~ny ~nz ~n_orb:1 in
+  let t = B3_64.create ~nx ~ny ~nz ~n_orb:1 () in
   B3_64.fit_periodic t ~samples:(fun ~orb:_ ~ix ~iy ~iz ->
       f
         (float_of_int ix /. float_of_int nx)
@@ -236,7 +236,7 @@ let test_bspline3d_vgh_fd () =
     [ (0.13, 0.41, 0.77); (0.6, 0.2, 0.9) ]
 
 let test_bspline3d_periodic_wrap () =
-  let t = B3_64.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:1 in
+  let t = B3_64.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:1 () in
   let rng = Oqmc_rng.Xoshiro.create 9 in
   B3_64.fill t (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
       Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.);
@@ -249,8 +249,8 @@ let test_bspline3d_f32_close_to_f64 () =
   let nx = 8 in
   (* n_orb = 16 so both precisions pad to the same orbital stride and the
      byte comparison isolates the element width. *)
-  let t64 = B3_64.create ~nx ~ny:nx ~nz:nx ~n_orb:16 in
-  let t32 = B3_32.create ~nx ~ny:nx ~nz:nx ~n_orb:16 in
+  let t64 = B3_64.create ~nx ~ny:nx ~nz:nx ~n_orb:16 () in
+  let t32 = B3_32.create ~nx ~ny:nx ~nz:nx ~n_orb:16 () in
   let rng = Oqmc_rng.Xoshiro.create 10 in
   let vals = Array.init (nx * nx * nx * 16) (fun _ ->
       Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
@@ -282,93 +282,152 @@ let test_bspline3d_table_bytes () =
   near "Be-64 ~1.4 GB" 1.4 (gb ~nx:84 ~ny:84 ~nz:144 ~n_orb:81);
   near "Graphite ~0.1 GB" 0.1 (gb ~nx:28 ~ny:28 ~nz:80 ~n_orb:80)
 
-module B3T = Bspline3d_tiled.Make (Precision.F64)
+(* ---------- orbital tiles ----------
+
+   Every tile partition holds the same coefficients and accumulates each
+   orbital in the same order, so at f64 every kernel must agree with the
+   one-tile scalar oracle EXACTLY — float equality, not a tolerance. *)
+
+let random_table ~seed ~nx ~n_orb ~tile =
+  let rng = Oqmc_rng.Xoshiro.create seed in
+  let vals = Array.init (nx * nx * nx * n_orb) (fun _ ->
+      Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
+  in
+  let t = B3_64.create ~tile ~nx ~ny:nx ~nz:nx ~n_orb () in
+  B3_64.fill t (fun ~orb ~i ~j ~k ->
+      vals.(((((i * nx) + j) * nx) + k) * n_orb + orb));
+  t
+
+let vgh_fields (b : B3_64.vgh_buf) =
+  [ b.B3_64.v; b.B3_64.gx; b.B3_64.gy; b.B3_64.gz; b.B3_64.hxx;
+    b.B3_64.hxy; b.B3_64.hxz; b.B3_64.hyy; b.B3_64.hyz; b.B3_64.hzz ]
+
+let same_vgh a b = List.for_all2 ( = ) (vgh_fields a) (vgh_fields b)
+
+(* Batched v and vgh of [tiled] at every slot equal the scalar kernels of
+   [oracle]. *)
+let batch_matches_scalar ~oracle ~tiled ~u0 ~u1 ~u2 =
+  let cap = Array.length u0 in
+  let hb = B3_64.make_vgh_batch tiled ~cap in
+  let vb = B3_64.make_v_batch tiled ~cap in
+  B3_64.eval_vgh_batch tiled hb ~n:cap ~u0 ~u1 ~u2;
+  B3_64.eval_v_batch tiled vb ~n:cap ~u0 ~u1 ~u2;
+  let buf = B3_64.make_vgh_buf oracle in
+  let out = Array.make (B3_64.n_orb oracle) 0. in
+  List.for_all
+    (fun s ->
+      B3_64.eval_vgh oracle ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) buf;
+      B3_64.eval_v oracle ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) out;
+      same_vgh buf (B3_64.outs hb).(s) && out = (B3_64.vouts vb).(s))
+    (List.init cap Fun.id)
+
+let tiles = [ 0; 1; 3; 4; 10; 16 ]
 
 let test_tiled_matches_untiled () =
   let nx = 8 and n_orb = 10 in
-  let rng = Oqmc_rng.Xoshiro.create 33 in
-  let vals = Array.init (nx * nx * nx * n_orb) (fun _ ->
-      Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
-  in
-  let idx ~orb ~i ~j ~k = ((((i * nx) + j) * nx) + k) * n_orb + orb in
-  let plain = B3_64.create ~nx ~ny:nx ~nz:nx ~n_orb in
-  B3_64.fill plain (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
+  let oracle = random_table ~seed:33 ~nx ~n_orb ~tile:0 in
   List.iter
     (fun tile ->
-      let tiled = B3T.create ~nx ~ny:nx ~nz:nx ~n_orb ~tile in
-      B3T.fill tiled (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
+      let tiled = random_table ~seed:33 ~nx ~n_orb ~tile in
       let o1 = Array.make n_orb 0. and o2 = Array.make n_orb 0. in
-      let b1 = B3_64.make_vgh_buf plain and b2 = B3T.make_vgh_buf tiled in
+      let b1 = B3_64.make_vgh_buf oracle and b2 = B3_64.make_vgh_buf tiled in
       List.iter
         (fun (x, y, z) ->
-          B3_64.eval_v plain ~u0:x ~u1:y ~u2:z o1;
-          B3T.eval_v tiled ~u0:x ~u1:y ~u2:z o2;
-          for m = 0 to n_orb - 1 do
-            checkf 1e-12 "tiled value" o1.(m) o2.(m)
-          done;
-          B3_64.eval_vgh plain ~u0:x ~u1:y ~u2:z b1;
-          B3T.eval_vgh tiled ~u0:x ~u1:y ~u2:z b2;
-          for m = 0 to n_orb - 1 do
-            checkf 1e-12 "tiled gx" b1.B3_64.gx.(m) b2.B3T.B.gx.(m);
-            checkf 1e-12 "tiled hzz" b1.B3_64.hzz.(m) b2.B3T.B.hzz.(m)
-          done)
+          B3_64.eval_v oracle ~u0:x ~u1:y ~u2:z o1;
+          B3_64.eval_v tiled ~u0:x ~u1:y ~u2:z o2;
+          check_bool (Printf.sprintf "tile %d values" tile) true (o1 = o2);
+          B3_64.eval_vgh oracle ~u0:x ~u1:y ~u2:z b1;
+          B3_64.eval_vgh tiled ~u0:x ~u1:y ~u2:z b2;
+          check_bool (Printf.sprintf "tile %d vgh" tile) true (same_vgh b1 b2))
         [ (0.1, 0.5, 0.9); (0.77, 0.2, 0.41) ])
-    [ 1; 3; 4; 10; 16 ]
+    tiles
 
-(* The batched crowd path: tiled must be BIT-identical to flat at f64 —
-   exact float equality, not a tolerance — because the fused tiled
-   phase 2 consumes the same doubles in the same order as the flat
-   kernels.  This is the production path (oqmc_run's layout=tiled). *)
+(* The batched crowd path — the production kernel — at every tile
+   against the one-tile scalar oracle. *)
 let test_tiled_batch_bit_identical () =
   let nx = 8 and n_orb = 10 and cap = 5 in
-  let rng = Oqmc_rng.Xoshiro.create 77 in
-  let vals = Array.init (nx * nx * nx * n_orb) (fun _ ->
-      Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
-  in
-  let idx ~orb ~i ~j ~k = ((((i * nx) + j) * nx) + k) * n_orb + orb in
-  let plain = B3_64.create ~nx ~ny:nx ~nz:nx ~n_orb in
-  B3_64.fill plain (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
-  let u0 = Array.init cap (fun _ -> Oqmc_rng.Xoshiro.uniform rng) in
-  let u1 = Array.init cap (fun _ -> Oqmc_rng.Xoshiro.uniform rng) in
-  let u2 = Array.init cap (fun _ -> Oqmc_rng.Xoshiro.uniform rng) in
-  let fb = B3_64.make_vgh_batch plain ~cap in
-  let fv = B3_64.make_v_batch plain ~cap in
-  B3_64.eval_vgh_batch plain fb ~n:cap ~u0 ~u1 ~u2;
-  B3_64.eval_v_batch plain fv ~n:cap ~u0 ~u1 ~u2;
+  let oracle = random_table ~seed:77 ~nx ~n_orb ~tile:0 in
+  let rng = Oqmc_rng.Xoshiro.create 78 in
+  let u () = Array.init cap (fun _ -> Oqmc_rng.Xoshiro.uniform rng) in
+  let u0 = u () in
+  let u1 = u () in
+  let u2 = u () in
   List.iter
     (fun tile ->
-      let tiled = B3T.create ~nx ~ny:nx ~nz:nx ~n_orb ~tile in
-      B3T.fill tiled (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
-      let tb = B3T.make_vgh_batch tiled ~cap in
-      let tv = B3T.make_v_batch tiled ~cap in
-      B3T.eval_vgh_batch tiled tb ~n:cap ~u0 ~u1 ~u2;
-      B3T.eval_v_batch tiled tv ~n:cap ~u0 ~u1 ~u2;
-      for s = 0 to cap - 1 do
-        let f = fb.B3_64.outs.(s) and t = tb.B3T.B.outs.(s) in
-        for m = 0 to n_orb - 1 do
-          check_bool "batch v bit-identical" true
-            (fv.B3_64.vouts.(s).(m) = tv.B3T.B.vouts.(s).(m));
-          List.iter2
-            (fun a b -> check_bool "batch vgh bit-identical" true (a = b))
-            [ f.B3_64.v.(m); f.B3_64.gx.(m); f.B3_64.gy.(m);
-              f.B3_64.gz.(m); f.B3_64.hxx.(m); f.B3_64.hxy.(m);
-              f.B3_64.hxz.(m); f.B3_64.hyy.(m); f.B3_64.hyz.(m);
-              f.B3_64.hzz.(m) ]
-            [ t.B3_64.v.(m); t.B3_64.gx.(m); t.B3_64.gy.(m);
-              t.B3_64.gz.(m); t.B3_64.hxx.(m); t.B3_64.hxy.(m);
-              t.B3_64.hxz.(m); t.B3_64.hyy.(m); t.B3_64.hyz.(m);
-              t.B3_64.hzz.(m) ]
-        done
-      done)
-    [ 1; 3; 4; 10; 16 ]
+      let tiled = random_table ~seed:77 ~nx ~n_orb ~tile in
+      check_bool
+        (Printf.sprintf "tile %d batch = scalar oracle" tile)
+        true
+        (batch_matches_scalar ~oracle ~tiled ~u0 ~u1 ~u2))
+    tiles
 
 let test_tiled_shapes () =
-  let t = B3T.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:10 ~tile:4 in
-  Alcotest.(check int) "tiles" 3 (B3T.n_tiles t);
-  Alcotest.(check int) "orbitals" 10 (B3T.n_orb t);
+  let mk tile = B3_64.create ~tile ~nx:8 ~ny:8 ~nz:8 ~n_orb:10 () in
+  let t = mk 4 in
+  Alcotest.(check int) "blocks" 3 (B3_64.n_blocks t);
+  Alcotest.(check int) "orbitals" 10 (B3_64.n_orb t);
+  Alcotest.(check int) "tile 0 is one block" 1 (B3_64.n_blocks (mk 0));
+  Alcotest.(check int) "tile > n_orb is one block" 1 (B3_64.n_blocks (mk 64));
+  (* One tile is einspline's flat table: 11³ points × 10 orbitals padded
+     to the alignment width. *)
+  Alcotest.(check int) "one-tile bytes" (11 * 11 * 11 * 16 * 8)
+    (B3_64.bytes (mk 0));
   Alcotest.check_raises "orb range"
-    (Invalid_argument "Bspline3d_tiled: orbital out of range") (fun () ->
-      ignore (B3T.get_base t ~orb:10 ~i:0 ~j:0 ~k:0))
+    (Invalid_argument "Bspline3d: orbital out of range") (fun () ->
+      ignore (B3_64.get_base t ~orb:10 ~i:0 ~j:0 ~k:0));
+  Alcotest.check_raises "negative tile"
+    (Invalid_argument "Bspline3d.create: tile < 0") (fun () -> ignore (mk (-1)))
+
+(* Two domains sharing one tiled table through the scalar kernels (as
+   NLPP quadrature and multi-domain scalar sweeps do) must each get
+   exactly the sequential results: the kernels write only the caller's
+   buffers. *)
+let test_concurrent_scalar_kernels () =
+  let nx = 8 and n_orb = 24 and n_pos = 2000 and reps = 5 in
+  let t = random_table ~seed:5 ~nx ~n_orb ~tile:8 in
+  let rng = Oqmc_rng.Xoshiro.create 6 in
+  let pos =
+    Array.init n_pos (fun _ ->
+        Array.init 3 (fun _ -> Oqmc_rng.Xoshiro.uniform rng))
+  in
+  let expect_v =
+    Array.map
+      (fun p ->
+        let o = Array.make n_orb 0. in
+        B3_64.eval_v t ~u0:p.(0) ~u1:p.(1) ~u2:p.(2) o;
+        o)
+      pos
+  in
+  let expect_vgh =
+    Array.map
+      (fun p ->
+        let b = B3_64.make_vgh_buf t in
+        B3_64.eval_vgh t ~u0:p.(0) ~u1:p.(1) ~u2:p.(2) b;
+        b)
+      pos
+  in
+  (* The second domain walks the positions backwards, so the two are
+     never evaluating the same position at the same time. *)
+  let worker ~rev () =
+    let o = Array.make n_orb 0. and b = B3_64.make_vgh_buf t in
+    let bad = ref 0 in
+    for _ = 1 to reps do
+      for q = 0 to n_pos - 1 do
+        let i = if rev then n_pos - 1 - q else q in
+        let p = pos.(i) in
+        B3_64.eval_v t ~u0:p.(0) ~u1:p.(1) ~u2:p.(2) o;
+        if o <> expect_v.(i) then incr bad;
+        B3_64.eval_vgh t ~u0:p.(0) ~u1:p.(1) ~u2:p.(2) b;
+        if not (same_vgh b expect_vgh.(i)) then incr bad
+      done
+    done;
+    !bad
+  in
+  let other = Domain.spawn (worker ~rev:true) in
+  let mine = worker ~rev:false () in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "evaluations differing from sequential" 0
+    (mine + theirs)
 
 let prop_partition_of_unity =
   QCheck.Test.make ~name:"basis partition of unity" ~count:500
@@ -376,53 +435,20 @@ let prop_partition_of_unity =
     (fun t -> abs_float (Bspline_basis.sum (Bspline_basis.value t) -. 1.) < 1e-12)
 
 (* Random tile sizes never change the batched results: exact equality
-   against the flat table at every orbital, for both eval_v and
-   eval_vgh.  Complements the fixed-tile bit-identity test with
-   arbitrary (tile, position) draws. *)
+   against the one-tile scalar oracle at every orbital, for both eval_v
+   and eval_vgh.  Complements the fixed-tile test with arbitrary
+   (tile, position) draws. *)
 let prop_tile_invariant =
   let nx = 6 and n_orb = 7 in
-  let rng = Oqmc_rng.Xoshiro.create 91 in
-  let vals = Array.init (nx * nx * nx * n_orb) (fun _ ->
-      Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
-  in
-  let idx ~orb ~i ~j ~k = ((((i * nx) + j) * nx) + k) * n_orb + orb in
-  let plain = B3_64.create ~nx ~ny:nx ~nz:nx ~n_orb in
-  B3_64.fill plain (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
+  let oracle = random_table ~seed:91 ~nx ~n_orb ~tile:0 in
   QCheck.Test.make ~name:"tile size never changes batched results" ~count:30
     QCheck.(
-      pair (int_range 1 12)
+      pair (int_range 0 12)
         (triple (float_range 0. 0.999) (float_range 0. 0.999)
            (float_range 0. 0.999)))
     (fun (tile, (x, y, z)) ->
-      let tiled = B3T.create ~nx ~ny:nx ~nz:nx ~n_orb ~tile in
-      B3T.fill tiled (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
-      let u0 = [| x |] and u1 = [| y |] and u2 = [| z |] in
-      let fb = B3_64.make_vgh_batch plain ~cap:1 in
-      let fv = B3_64.make_v_batch plain ~cap:1 in
-      let tb = B3T.make_vgh_batch tiled ~cap:1 in
-      let tv = B3T.make_v_batch tiled ~cap:1 in
-      B3_64.eval_vgh_batch plain fb ~n:1 ~u0 ~u1 ~u2;
-      B3_64.eval_v_batch plain fv ~n:1 ~u0 ~u1 ~u2;
-      B3T.eval_vgh_batch tiled tb ~n:1 ~u0 ~u1 ~u2;
-      B3T.eval_v_batch tiled tv ~n:1 ~u0 ~u1 ~u2;
-      let ok = ref true in
-      let f = fb.B3_64.outs.(0) and t = tb.B3_64.outs.(0) in
-      for m = 0 to n_orb - 1 do
-        if fv.B3_64.vouts.(0).(m) <> tv.B3_64.vouts.(0).(m) then ok := false;
-        if
-          f.B3_64.v.(m) <> t.B3_64.v.(m)
-          || f.B3_64.gx.(m) <> t.B3_64.gx.(m)
-          || f.B3_64.gy.(m) <> t.B3_64.gy.(m)
-          || f.B3_64.gz.(m) <> t.B3_64.gz.(m)
-          || f.B3_64.hxx.(m) <> t.B3_64.hxx.(m)
-          || f.B3_64.hxy.(m) <> t.B3_64.hxy.(m)
-          || f.B3_64.hxz.(m) <> t.B3_64.hxz.(m)
-          || f.B3_64.hyy.(m) <> t.B3_64.hyy.(m)
-          || f.B3_64.hyz.(m) <> t.B3_64.hyz.(m)
-          || f.B3_64.hzz.(m) <> t.B3_64.hzz.(m)
-        then ok := false
-      done;
-      !ok)
+      let tiled = random_table ~seed:91 ~nx ~n_orb ~tile in
+      batch_matches_scalar ~oracle ~tiled ~u0:[| x |] ~u1:[| y |] ~u2:[| z |])
 
 let prop_spline_zero_outside =
   QCheck.Test.make ~name:"1d spline zero outside cutoff" ~count:200
@@ -473,6 +499,8 @@ let () =
           Alcotest.test_case "tiled batch bit-identical" `Quick
             test_tiled_batch_bit_identical;
           Alcotest.test_case "tiled shapes" `Quick test_tiled_shapes;
+          Alcotest.test_case "concurrent scalar kernels" `Quick
+            test_concurrent_scalar_kernels;
         ] );
       ( "properties",
         qt
