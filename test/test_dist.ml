@@ -723,6 +723,54 @@ let test_restore_resumes_all_ranks () =
     (List.length r2.Supervisor.final_walkers > 0);
   ignore r1
 
+(* ---------- job snapshots: suspend + resume ---------- *)
+
+let snap_params =
+  { base_params with Supervisor.ranks = 2; target_walkers = 8; generations = 10 }
+
+(* A [stop] poll that ends the job after its [n]-th generation. *)
+let stop_after n =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    !calls >= n
+
+let same_job_physics name (a : Supervisor.result) (b : Supervisor.result) =
+  check_bool (name ^ ": energy series bit-identical") true
+    (same_series a.Supervisor.energy_series b.Supervisor.energy_series);
+  Alcotest.(check (array int))
+    (name ^ ": population series identical") a.Supervisor.population_series
+    b.Supervisor.population_series;
+  check_bool (name ^ ": final e_trial bit-identical") true
+    (Int64.bits_of_float a.Supervisor.final_e_trial
+    = Int64.bits_of_float b.Supervisor.final_e_trial)
+
+let test_snapshot_resume_bit_identical () =
+  let whole = (Supervisor.run_job ~factory snap_params).Supervisor.job_result in
+  let interrupted () =
+    let path = Filename.concat (tmpdir ()) "job" in
+    let o =
+      Supervisor.run_job ~factory ~stop:(stop_after 7) ~snapshot:path
+        ~snapshot_every:3 snap_params
+    in
+    check_bool "first call drained" true o.Supervisor.drained;
+    check_int "first call ran 7 generations" 7 o.Supervisor.gens_done;
+    path
+  in
+  let path = interrupted () in
+  let o = Supervisor.run_job ~factory ~snapshot:path ~snapshot_every:3 snap_params in
+  check_int "resumed from the drain snapshot" 7 o.Supervisor.resumed_from;
+  check_bool "second call ran to completion" false o.Supervisor.drained;
+  same_job_physics "resume@7" whole o.Supervisor.job_result;
+  (* A torn newest snapshot: with its metadata gone the job falls back
+     to the previous generation on the cadence and still lands on the
+     uninterrupted trajectory. *)
+  let path = interrupted () in
+  Sys.remove (Checkpoint.generation_path ~path:(path ^ ".job") 7);
+  let o = Supervisor.run_job ~factory ~snapshot:path ~snapshot_every:3 snap_params in
+  check_int "fell back to the previous snapshot" 6 o.Supervisor.resumed_from;
+  same_job_physics "resume@6" whole o.Supervisor.job_result
+
 (* ---------- elastic membership ---------- *)
 
 let conservation_ok (res : Supervisor.result) =
@@ -971,6 +1019,8 @@ let () =
             test_unrecoverable_degrades;
           Alcotest.test_case "restore resumes every rank" `Quick
             test_restore_resumes_all_ranks;
+          Alcotest.test_case "job snapshot resume is bit-identical" `Quick
+            test_snapshot_resume_bit_identical;
         ] );
       ( "elastic",
         [
