@@ -5,10 +5,13 @@ open Oqmc_core
 (* One worker rank of a supervised multi-rank DMC run.
 
    A rank owns a SHARD of the walker population and its own domain pool
-   (engines are created inside the rank process, after the fork), and
-   executes the supervisor's lockstep protocol: sweep + reweight on
-   [Begin_gen], report the shard's estimator terms ([Reduce]), branch on
-   command, and ship/absorb serialized walker batches for load balance.
+   (engines are created where the rank runs — after the fork for a
+   forked rank), and executes the supervisor's lockstep protocol: sweep
+   + reweight on [Begin_gen], report the shard's estimator terms
+   ([Reduce]), branch on command, and ship/absorb walker batches for
+   load balance.  [handle] is the one protocol handler; a forked rank
+   runs it over pipes ([serve]), an in-process mailbox link calls it
+   directly.
 
    The per-generation physics is [Dmc.sweep_generation] — the exact
    function the single-process driver runs — so a shard's trajectory is
@@ -38,7 +41,10 @@ type config = {
 (* Disjoint, deterministic seed blocks per (rank, incarnation). *)
 let rank_seed cfg = cfg.seed + (7919 * (cfg.rank + 1)) + (104729 * cfg.incarnation)
 
-type shard = {
+type resume = { master : string; pool : string; acc : int; prop : int }
+type init = { e_trial : float; walkers : Walker.t list; resume : resume option }
+
+type t = {
   cfg : config;
   pop : Population.t;
   runner : Runner.t;
@@ -46,109 +52,229 @@ type shard = {
   rng_pool : Xoshiro.t; (* split per walker per generation *)
   mutable acc : int;
   mutable prop : int;
+  emit : Wire.msg -> unit;
+  mutable timers_base : (string * float * int) list;
+      (* kernel-timer totals at the last Reduce *)
+  mutable writer : Checkpoint.Async.t option;
+      (* double-buffered background shard writer, created on first use *)
 }
 
 (* Build this rank's engines: the factory sees globally distinct indices
    so every (rank, domain) pair gets an independent engine seed. *)
-let rank_factory ~(factory : int -> Engine_api.t) cfg d =
-  factory ((cfg.rank * cfg.n_domains) + d)
-
-(* Fresh shard: [count] walkers randomized from the rank's master RNG,
-   local energies measured, buffers registered. *)
-let init_shard ~factory ~count ~e_trial cfg =
+let start ~(factory : int -> Engine_api.t) ~init ~emit cfg =
   let runner =
-    Runner.create ~n_domains:cfg.n_domains ~factory:(rank_factory ~factory cfg)
+    Runner.create ~n_domains:cfg.n_domains
+      ~factory:(fun d -> factory ((cfg.rank * cfg.n_domains) + d))
   in
-  let e0 = Runner.engine runner 0 in
-  let n = e0.Engine_api.n_electrons in
-  let master_rng = Xoshiro.create (rank_seed cfg) in
-  let rng_pool = Xoshiro.create (rank_seed cfg + 1) in
-  let walkers =
-    List.init count (fun _ ->
-        let w = Walker.create n in
-        e0.Engine_api.randomize master_rng;
-        let el = e0.Engine_api.measure () in
-        w.Walker.e_local <- el;
-        e0.Engine_api.register_walker w;
-        w)
+  let e_trial, walkers =
+    match init with Some i -> (i.e_trial, i.walkers) | None -> (0., [])
   in
-  let pop = Population.create ~target:cfg.target ~e_trial walkers in
-  { cfg; pop; runner; master_rng; rng_pool; acc = 0; prop = 0 }
-
-(* Restored shard (respawn path): walkers come from a checkpoint shard,
-   RNGs from the new incarnation's seed block. *)
-let restore_shard ~factory ~walkers ~e_trial cfg =
-  let runner =
-    Runner.create ~n_domains:cfg.n_domains ~factory:(rank_factory ~factory cfg)
+  let t =
+    {
+      cfg;
+      pop = Population.create ~target:cfg.target ~e_trial walkers;
+      runner;
+      master_rng = Xoshiro.create (rank_seed cfg);
+      rng_pool = Xoshiro.create (rank_seed cfg + 1);
+      acc = 0;
+      prop = 0;
+      emit;
+      timers_base = [];
+      writer = None;
+    }
   in
-  let pop = Population.create ~target:cfg.target ~e_trial walkers in
-  {
-    cfg;
-    pop;
-    runner;
-    master_rng = Xoshiro.create (rank_seed cfg);
-    rng_pool = Xoshiro.create (rank_seed cfg + 1);
-    acc = 0;
-    prop = 0;
-  }
+  (match init with
+  | Some { resume = Some r; _ } ->
+      Xoshiro.restore t.master_rng (Xoshiro.of_state_string r.master);
+      Xoshiro.restore t.rng_pool (Xoshiro.of_state_string r.pool);
+      t.acc <- r.acc;
+      t.prop <- r.prop
+  | _ -> ());
+  emit (Wire.Hello { rank = cfg.rank; pid = Unix.getpid () });
+  t
 
-let shutdown_shard s = Runner.shutdown s.runner
-let pop s = s.pop
-let config s = s.cfg
-let move_totals s = (s.acc, s.prop)
+let shutdown t = Runner.shutdown t.runner
 
-(* Cumulative merged kernel-timer totals (key, seconds) of the shard's
-   runner pool — the in-process executor's equivalent of the
-   [timer_us.*] counters a forked rank piggybacks on its Reduce. *)
-let timer_totals s =
-  List.map
-    (fun (k, sec, _) -> (k, sec))
-    (Oqmc_containers.Timers.snapshot (Runner.merged_timers s.runner))
-let set_move_totals s ~acc ~prop =
-  s.acc <- acc;
-  s.prop <- prop
+(* This shard's kernel-timer increments since the last Reduce, as
+   [timer_us.<key>] counters (µs, integral).  They are per shard, so
+   both transports ship them. *)
+let timer_kvs t =
+  let module Timers = Oqmc_containers.Timers in
+  let curr = Timers.snapshot (Runner.merged_timers t.runner) in
+  let prev = t.timers_base in
+  t.timers_base <- curr;
+  List.filter_map
+    (fun (k, s, _) ->
+      let before =
+        match List.find_opt (fun (k', _, _) -> k' = k) prev with
+        | Some (_, s, _) -> s
+        | None -> 0.
+      in
+      let d = s -. before in
+      if d > 0. then Some ('c', "timer_us." ^ k, Float.round (d *. 1e6))
+      else None)
+    curr
 
-(* Bit-exact RNG stream capture/restore: the job snapshot layer saves
-   (master, pool) mid-run and a resumed shard continues the exact draw
-   sequence — unlike the respawn path, which reseeds by incarnation. *)
-let rng_states s =
-  (Xoshiro.state_string s.master_rng, Xoshiro.state_string s.rng_pool)
+let reduce t ~gen ~wsum ~esum =
+  t.emit
+    (Wire.Reduce
+       {
+         gen;
+         wsum;
+         esum;
+         acc = t.acc;
+         prop = t.prop;
+         n = Population.size t.pop;
+         telemetry = timer_kvs t;
+       })
 
-let set_rng_states s (master, pool) =
-  Xoshiro.restore s.master_rng (Xoshiro.of_state_string master);
-  Xoshiro.restore s.rng_pool (Xoshiro.of_state_string pool)
-
-(* Initial-ensemble estimator terms: unit weights, measured energies. *)
-let initial_sums s =
-  List.fold_left
-    (fun (ws, es) w -> (ws +. 1., es +. w.Walker.e_local))
-    (0., 0.)
-    (Population.walkers s.pop)
+(* First spawn: build the initial [count]-walker sub-ensemble from the
+   master stream and report its (Σ1, ΣE_L), the gen-0 terms of the
+   global starting trial energy. *)
+let fresh_init t ~count =
+  if count > 0 then begin
+    let e0 = Runner.engine t.runner 0 in
+    let n = e0.Engine_api.n_electrons in
+    Population.absorb t.pop
+      (List.init count (fun _ ->
+           let w = Walker.create n in
+           e0.Engine_api.randomize t.master_rng;
+           w.Walker.e_local <- e0.Engine_api.measure ();
+           e0.Engine_api.register_walker w;
+           w))
+  end;
+  let wsum, esum =
+    List.fold_left
+      (fun (ws, es) w -> (ws +. 1., es +. w.Walker.e_local))
+      (0., 0.) (Population.walkers t.pop)
+  in
+  reduce t ~gen:0 ~wsum ~esum
 
 (* One generation of shard physics: sweep + reweight every walker
-   against [e_trial], accumulate move totals, return the shard's
+   against [e_trial], accumulate move totals, report the shard's
    weighted estimator terms. *)
-let sweep s ~gen ~e_trial =
-  let acc, prop =
-    Dmc.sweep_generation s.runner s.pop
-      ~next_rng:(fun () -> Xoshiro.split s.rng_pool)
-      ~gen ~tau:s.cfg.tau ~e_trial
+let sweep t ~gen ~e_trial =
+  let wsum, esum =
+    Oqmc_obs.Trace.with_span
+      ~args:[ ("gen", string_of_int gen) ]
+      "rank.generation"
+      (fun () ->
+        let acc, prop =
+          Dmc.sweep_generation t.runner t.pop
+            ~next_rng:(fun () -> Xoshiro.split t.rng_pool)
+            ~gen ~tau:t.cfg.tau ~e_trial
+        in
+        t.acc <- t.acc + acc;
+        t.prop <- t.prop + prop;
+        Population.weighted_energy_sums t.pop)
   in
-  s.acc <- s.acc + acc;
-  s.prop <- s.prop + prop;
-  Population.weighted_energy_sums s.pop
+  reduce t ~gen ~wsum ~esum
 
-let branch s = Population.branch s.pop s.master_rng
+let checkpoint t ~gen ~e_trial =
+  match t.cfg.checkpoint with
+  | None -> false
+  | Some path when t.cfg.async_checkpoint -> (
+      (* Render the shard image now, publish it from a background domain
+         overlapped with the next generation's sweep.  The ack covers the
+         render + the PREVIOUS write's landing;
+         [Checkpoint.latest_complete] revalidates shards on restore, so
+         an optimistic ack can delay recovery by one round but never
+         corrupt it. *)
+      let w =
+        match t.writer with
+        | Some w -> w
+        | None ->
+            let w = Checkpoint.Async.create () in
+            t.writer <- Some w;
+            w
+      in
+      try
+        Checkpoint.Async.save_generation w ~keep:t.cfg.checkpoint_keep
+          ~path:(Checkpoint.shard_path ~path ~rank:t.cfg.rank)
+          ~gen ~e_trial (Population.walkers t.pop)
+      with Sys_error _ | Checkpoint.Corrupt _ -> false)
+  | Some path -> (
+      try
+        Checkpoint.save_shard ~keep:t.cfg.checkpoint_keep ~path
+          ~rank:t.cfg.rank ~gen ~e_trial (Population.walkers t.pop);
+        true
+      with Sys_error _ | Checkpoint.Corrupt _ -> false)
+
+let drain_writer t =
+  Option.iter (fun w -> ignore (Checkpoint.Async.drain w)) t.writer
+
+let handle t = function
+  | Wire.Init { count } ->
+      fresh_init t ~count;
+      true
+  | Wire.Begin_gen { gen; e_trial } ->
+      (* Heartbeat first: it marks the start of the generation's work, so
+         the supervisor's RTT EWMA tracks the healthy round-trip and slow
+         work lands between the heartbeat and the Reduce. *)
+      t.emit (Wire.Heartbeat { gen });
+      sweep t ~gen ~e_trial;
+      true
+  | Wire.Branch { gen } ->
+      Population.branch t.pop t.master_rng;
+      t.emit (Wire.Count { gen; n = Population.size t.pop });
+      true
+  | Wire.Give { gen; count } ->
+      t.emit (Wire.Walkers { gen; walkers = Population.give t.pop count });
+      true
+  | Wire.Walkers { walkers; _ } ->
+      Population.absorb t.pop walkers;
+      true
+  | Wire.Checkpoint_cmd { gen; e_trial } ->
+      t.emit (Wire.Ack { gen; ok = checkpoint t ~gen ~e_trial });
+      true
+  | Wire.Join { gen; e_trial = _ } ->
+      (* Mid-run membership: this fresh rank is live as of [gen]; its
+         walkers arrive through the rebalancing relays that follow. *)
+      t.emit (Wire.Ack { gen; ok = true });
+      true
+  | Wire.Drain { gen } ->
+      (* Graceful leave: ship the WHOLE shard (order preserved), then
+         confirm the drain; the supervisor finishes and reaps us. *)
+      drain_writer t;
+      let ws = Population.drain t.pop in
+      t.emit (Wire.Walkers { gen; walkers = ws });
+      t.emit (Wire.Leave { gen; count = List.length ws });
+      true
+  | Wire.State_req { gen } ->
+      t.emit
+        (Wire.State
+           {
+             gen;
+             master = Xoshiro.state_string t.master_rng;
+             pool = Xoshiro.state_string t.rng_pool;
+             acc = t.acc;
+             prop = t.prop;
+             walkers = Population.walkers t.pop;
+           });
+      true
+  | Wire.Finish ->
+      drain_writer t;
+      t.emit
+        (Wire.Final
+           {
+             acc = t.acc;
+             prop = t.prop;
+             walkers = Population.walkers t.pop;
+             trace = "";
+           });
+      false
+  | _ -> true (* ignore unexpected frames; the supervisor drives *)
 
 (* ---------- the worker process ---------- *)
 
-(* Serve the supervisor's protocol until [Finish].  Runs inside the
-   forked child; all faults in [cfg.faults] are armed here (first
-   incarnation only — a respawned rank must not re-kill itself). *)
+(* Serve the supervisor's protocol over pipes until [Finish].  Runs inside
+   the forked child.  Everything that acts on the whole PROCESS is done
+   here, at the pipe boundary, never in [handle]: an in-process rank
+   shares its parent's fault table, span ring and metric registry, and
+   would otherwise fire or report them twice. *)
 let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
   let module Trace = Oqmc_obs.Trace in
   let module Metrics = Oqmc_obs.Metrics in
-  let module Timers = Oqmc_containers.Timers in
   Fault.reset ();
   (* The fork inherits the parent's span ring and metric registry: wipe
      the ring and diff metrics against a serve-entry baseline so this
@@ -157,74 +283,16 @@ let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
   Trace.clear ();
   Trace.set_rank cfg.rank;
   let metrics_base = ref (Metrics.snapshot ()) in
-  let timers_base = ref [] in
-  (* Per-generation metric/timer deltas piggybacked on the Reduce frame:
-     counters since the last Reduce, gauges as-is, plus kernel-timer
-     increments as [timer_us.<key>] counters (µs, integral). *)
-  let telemetry_kvs shard =
+  let registry_kvs () =
     let curr = Metrics.snapshot () in
     let kvs = Metrics.wire_kvs (Metrics.diff ~prev:!metrics_base curr) in
     metrics_base := curr;
-    let tcurr = Timers.snapshot (Runner.merged_timers shard.runner) in
-    let prev = !timers_base in
-    timers_base := tcurr;
-    let prev_of k =
-      match List.find_opt (fun (k', _, _) -> k' = k) prev with
-      | Some (_, s, _) -> s
-      | None -> 0.
-    in
-    let timer_kvs =
-      List.filter_map
-        (fun (k, s, _) ->
-          let d = s -. prev_of k in
-          if d > 0. then
-            Some ('c', "timer_us." ^ k, Float.round (d *. 1e6))
-          else None)
-        tcurr
-    in
     List.map (fun kv -> Metrics.(kv.kind, kv.key, kv.value)) kvs
-    @ timer_kvs
   in
+  (* Faults are armed for this incarnation only (the supervisor already
+     filtered the plan), and fire right after the heartbeat so an
+     injected stall lands where real slowness would. *)
   List.iter (fun (gen, f) -> Fault.arm_rank_fault ~gen f) cfg.faults;
-  let shard =
-    match init with
-    | Some (e_trial, walkers) -> restore_shard ~factory ~walkers ~e_trial cfg
-    | None -> init_shard ~factory ~count:0 ~e_trial:0. cfg
-  in
-  Wire.send fd_out (Wire.Hello { rank = cfg.rank; pid = Unix.getpid () });
-  let fresh_init ~count =
-    (* First spawn: build the initial sub-ensemble and report its sums
-       so the supervisor can form the global starting trial energy. *)
-    let ws, es =
-      if count = 0 then (0., 0.)
-      else begin
-        let e0 = Runner.engine shard.runner 0 in
-        let n = e0.Engine_api.n_electrons in
-        let walkers =
-          List.init count (fun _ ->
-              let w = Walker.create n in
-              e0.Engine_api.randomize shard.master_rng;
-              let el = e0.Engine_api.measure () in
-              w.Walker.e_local <- el;
-              e0.Engine_api.register_walker w;
-              w)
-        in
-        Population.absorb shard.pop walkers;
-        initial_sums shard
-      end
-    in
-    Wire.send fd_out
-      (Wire.Reduce
-         {
-           gen = 0;
-           wsum = ws;
-           esum = es;
-           acc = 0;
-           prop = 0;
-           n = Population.size shard.pop;
-           telemetry = telemetry_kvs shard;
-         })
-  in
   let fire_faults ~gen =
     match Fault.rank_fault_due ~gen with
     | Some Fault.Rank_kill -> Unix.kill (Unix.getpid ()) Sys.sigkill
@@ -237,107 +305,21 @@ let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
         Fault.arm_io_failure Fault.Checkpoint_write ~times
     | None -> ()
   in
-  (* Double-buffered background shard writer, created on first use. *)
-  let async_writer = ref None in
-  let writer () =
-    match !async_writer with
-    | Some w -> w
-    | None ->
-        let w = Checkpoint.Async.create () in
-        async_writer := Some w;
-        w
-  in
-  let drain_writer () =
-    match !async_writer with
-    | Some w -> ignore (Checkpoint.Async.drain w)
-    | None -> ()
-  in
-  let running = ref true in
-  while !running do
-    match Wire.recv fd_in with
-    | Wire.Begin_gen { gen; e_trial } ->
-        (* Heartbeat first: it marks the start of the generation's work,
-           so the supervisor's RTT EWMA tracks the healthy round-trip
-           and injected stalls (slow work) land where real slowness
-           would — between the heartbeat and the Reduce. *)
-        Wire.send fd_out (Wire.Heartbeat { gen });
-        fire_faults ~gen;
-        let wsum, esum =
-          Trace.with_span
-            ~args:[ ("gen", string_of_int gen) ]
-            "rank.generation"
-            (fun () -> sweep shard ~gen ~e_trial)
-        in
+  let emit = function
+    | Wire.Reduce r ->
         Wire.send fd_out
-          (Wire.Reduce
-             {
-               gen;
-               wsum;
-               esum;
-               acc = shard.acc;
-               prop = shard.prop;
-               n = Population.size shard.pop;
-               telemetry = telemetry_kvs shard;
-             })
-    | Wire.Branch { gen } ->
-        branch shard;
-        Wire.send fd_out (Wire.Count { gen; n = Population.size shard.pop })
-    | Wire.Give { gen; count } ->
-        let ws = Population.give shard.pop count in
-        Wire.send fd_out (Wire.Walkers { gen; walkers = ws })
-    | Wire.Walkers { walkers; _ } -> Population.absorb shard.pop walkers
-    | Wire.Checkpoint_cmd { gen; e_trial } ->
-        let ok =
-          match cfg.checkpoint with
-          | None -> false
-          | Some path when cfg.async_checkpoint -> (
-              (* Render the shard image now, publish it from a background
-                 domain overlapped with the next generation's sweep.  The
-                 ack covers the render + the PREVIOUS write's landing;
-                 [Checkpoint.latest_complete] revalidates shards on
-                 restore, so an optimistic ack can delay recovery by one
-                 round but never corrupt it. *)
-              try
-                Checkpoint.Async.save_generation (writer ())
-                  ~keep:cfg.checkpoint_keep
-                  ~path:(Checkpoint.shard_path ~path ~rank:cfg.rank)
-                  ~gen ~e_trial
-                  (Population.walkers shard.pop)
-              with Sys_error _ | Checkpoint.Corrupt _ -> false)
-          | Some path -> (
-              try
-                Checkpoint.save_shard ~keep:cfg.checkpoint_keep ~path
-                  ~rank:cfg.rank ~gen ~e_trial
-                  (Population.walkers shard.pop);
-                true
-              with Sys_error _ | Checkpoint.Corrupt _ -> false)
-        in
-        Wire.send fd_out (Wire.Ack { gen; ok })
-    | Wire.Join { gen; e_trial = _ } ->
-        (* Mid-run membership: this freshly forked rank is live as of
-           [gen]; its walkers arrive through the rebalancing relays that
-           follow the ack. *)
-        Wire.send fd_out (Wire.Ack { gen; ok = true })
-    | Wire.Drain { gen } ->
-        (* Graceful leave: ship the WHOLE shard (order preserved), then
-           confirm the drain; the supervisor finishes and reaps us. *)
-        drain_writer ();
-        let ws = Population.drain shard.pop in
-        Wire.send fd_out (Wire.Walkers { gen; walkers = ws });
-        Wire.send fd_out (Wire.Leave { gen; count = List.length ws })
-    | Wire.Finish ->
-        drain_writer ();
+          (Wire.Reduce { r with telemetry = registry_kvs () @ r.telemetry })
+    | Wire.Final f ->
         Wire.send fd_out
           (Wire.Final
-             {
-               acc = shard.acc;
-               prop = shard.prop;
-               walkers = Population.walkers shard.pop;
-               trace =
-                 (if Trace.enabled () then Trace.serialize () else "");
-             });
-        running := false
-    | Wire.Init { count } -> fresh_init ~count
-    | _ -> () (* ignore unexpected frames; the supervisor drives *)
+             { f with trace = (if Trace.enabled () then Trace.serialize () else "") })
+    | Wire.Heartbeat { gen } as m ->
+        Wire.send fd_out m;
+        fire_faults ~gen
+    | m -> Wire.send fd_out m
+  in
+  let t = start ~factory ~init ~emit cfg in
+  while handle t (Wire.recv fd_in) do
+    ()
   done;
-  shutdown_shard shard
+  shutdown t

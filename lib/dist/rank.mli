@@ -5,8 +5,10 @@ open Oqmc_core
     shard plus its own domain pool, driven by the supervisor's lockstep
     wire protocol.  The per-generation physics is
     [Dmc.sweep_generation] — the same function the single-process
-    driver runs — so fault-free multi-rank trajectories are
-    bit-identical to the in-process reference executor. *)
+    driver runs.  {!handle} is the one protocol handler: a forked rank
+    process ({!serve}) and an in-process mailbox link both run every
+    command through it, which is why the two transports are
+    bit-identical. *)
 
 type config = {
   rank : int;
@@ -30,73 +32,53 @@ type config = {
 val rank_seed : config -> int
 (** Disjoint deterministic seed block for (rank, incarnation). *)
 
-(** {1 Shard executor (shared with the in-process reference)} *)
+(** What a job snapshot restores beyond the walkers. *)
+type resume = {
+  master : string;  (** [Xoshiro.state_string] of the branching stream *)
+  pool : string;  (** ... and of the per-walker split pool *)
+  acc : int;  (** lifetime accepted moves *)
+  prop : int;
+}
 
-type shard
+(** A rank's starting shard.  Without [resume] (the respawn-from-shard
+    path) the RNG streams come from the incarnation's seed block; with
+    it the rank continues the exact draw sequence of a job snapshot. *)
+type init = {
+  e_trial : float;
+  walkers : Walker.t list;
+  resume : resume option;
+}
 
-val init_shard :
+type t
+(** A running rank: its shard, runner pool and protocol state. *)
+
+val start :
   factory:(int -> Engine_api.t) ->
-  count:int ->
-  e_trial:float ->
+  init:init option ->
+  emit:(Wire.msg -> unit) ->
   config ->
-  shard
-(** Fresh shard: [count] randomized walkers with measured local
-    energies and registered buffers, plus this rank's runner pool. *)
+  t
+(** Build the shard — empty when [init = None], waiting for the
+    supervisor's [Init] — and emit [Hello].  Every reply of the rank
+    goes out through [emit]. *)
 
-val restore_shard :
-  factory:(int -> Engine_api.t) ->
-  walkers:Walker.t list ->
-  e_trial:float ->
-  config ->
-  shard
-(** Respawn path: walkers from a checkpoint shard, RNGs from the new
-    incarnation's seed block. *)
+val handle : t -> Wire.msg -> bool
+(** Run one supervisor command, emitting its replies; [false] once
+    [Finish] has been answered.  [Reduce] frames carry this shard's
+    kernel-timer deltas as [timer_us.*] counters; [Final] carries no
+    trace.  Unexpected frames are ignored. *)
 
-val shutdown_shard : shard -> unit
-
-val pop : shard -> Population.t
-val config : shard -> config
-val move_totals : shard -> int * int
-(** Lifetime (accepted, proposed) move totals. *)
-
-val timer_totals : shard -> (string * float) list
-(** Cumulative merged kernel-timer totals (key, seconds) of this shard's
-    runner pool — what a forked rank exports as [timer_us.*] counters.
-    Lets the in-process executor feed the same registry counters the
-    efficiency audit reads. *)
-
-val set_move_totals : shard -> acc:int -> prop:int -> unit
-(** Overwrite the lifetime move totals (job-snapshot resume). *)
-
-val rng_states : shard -> string * string
-(** Bit-exact (master, pool) RNG stream states ({!Xoshiro.state_string})
-    for the job-snapshot layer. *)
-
-val set_rng_states : shard -> string * string -> unit
-(** Restore streams captured by {!rng_states}, so a resumed shard
-    continues the exact draw sequence.
-    @raise Invalid_argument on malformed state strings. *)
-
-val initial_sums : shard -> float * float
-(** (Σ1, ΣE_L) of the initial unit-weight ensemble — the gen-0 terms of
-    the global starting trial energy. *)
-
-val sweep : shard -> gen:int -> e_trial:float -> float * float
-(** One generation of shard physics; returns the shard's weighted
-    estimator terms (Σw, Σw·E_L). *)
-
-val branch : shard -> unit
-
-(** {1 The worker process} *)
+val shutdown : t -> unit
+(** Stop the rank's runner pool. *)
 
 val serve :
   cfg:config ->
   factory:(int -> Engine_api.t) ->
-  init:(float * Walker.t list) option ->
+  init:init option ->
   fd_in:Unix.file_descr ->
   fd_out:Unix.file_descr ->
   unit
-(** Run the rank protocol until [Finish].  Called inside the forked
-    child; [init = Some (e_trial, walkers)] restores a respawned rank
-    from its checkpoint shard, [None] starts empty and waits for the
-    supervisor's [Init]. *)
+(** The forked rank process: {!handle} over pipes until [Finish].  The
+    process-wide effects live here: the fault plan is armed and fired,
+    the span ring is reset and shipped in [Final], and every [Reduce]
+    also carries the metric-registry deltas since the last one. *)

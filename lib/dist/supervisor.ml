@@ -9,14 +9,18 @@ module Flightrec = Oqmc_obs.Flightrec
 
 (* Supervised multi-rank DMC execution.
 
-   [run] forks N worker rank processes (Unix processes — real fault
-   isolation: a segfault, OOM kill or poisoned domain takes down ONE
-   rank, not the run) and drives them through a generation protocol
-   over pipes (Wire):
+   One generation loop ([run_ext]) drives N worker ranks through the
+   Wire protocol:
 
      Begin_gen → (Heartbeat, Reduce) → Branch → Count
        → Give/Walkers relays (real load-balance exchange)
-       → Checkpoint_cmd/Ack rounds → … → Finish/Final
+       → Checkpoint_cmd/Ack rounds → [State_req/State] → … → Finish/Final
+
+   It reaches the ranks only through a [Transport]: [run] forks one Unix
+   process per rank and talks over pipes (real fault isolation: a
+   segfault, OOM kill or poisoned domain takes down ONE rank, not the
+   run); [run_local] and [run_job] keep the ranks in this process behind
+   reply queues.  Both run every rank command through [Rank.handle].
 
    The rank set is ELASTIC: the membership plan can grow the set
    mid-run (fork + [Join] + rebalance through the exchange relays) and
@@ -25,9 +29,9 @@ module Flightrec = Oqmc_obs.Flightrec
    refillable by later joins, so degraded mode is reversible.
 
    Generations are deadline-budgeted rather than hard-lockstep: phase 2
-   collects heartbeat/reduce frames in ARRIVAL order over a select
-   loop (folding the float reduction in ascending rank order, so the
-   trajectory stays bit-identical to the lockstep reference), and a
+   collects heartbeat/reduce frames in ARRIVAL order (folding the float
+   reduction in ascending rank order, so the trajectory does not depend
+   on arrival order), and a
    rank that blows its soft deadline — [gen_deadline_ms] plus three
    heartbeat-RTT EWMAs of slack — is handled per [straggler_policy]:
    warn (count it), steal (shed a quarter of its walkers to the
@@ -53,15 +57,12 @@ module Flightrec = Oqmc_obs.Flightrec
    - SIGTERM/SIGINT raise [Interrupted] so the normal unwind path runs:
      children reaped, telemetry/trace sinks flushed and closed — the
      JSONL tail stays parseable even on abort;
-   - with zero injected faults and no membership events the run is
-     BIT-IDENTICAL to [run_local], the in-process reference executor
-     over the same logical shards (asserted in test/test_dist.ml) —
-     with membership events it is bit-identical to [run_local] driven
-     by the same membership plan.
+   - with zero injected faults the two transports are BIT-IDENTICAL,
+     membership plan included (asserted in test/test_dist.ml).
 
    The supervisor itself never spawns OCaml domains, so forking stays
    safe at any point of the run; callers must not hold live domains of
-   their own across a [run] call.  (Rank processes DO spawn domains —
+   their own across a [run] call.  (Forked ranks DO spawn domains —
    including the [Checkpoint.Async] writer — but only after the fork.) *)
 
 type straggler_policy = Warn | Steal | Quarantine
@@ -275,7 +276,7 @@ let rank_config (p : params) ~rank ~incarnation ~after =
         p.faults;
   }
 
-(* ---------- result statistics (shared by run and run_local) ---------- *)
+(* ---------- result statistics ---------- *)
 
 (* Generation wall-time percentiles via the shared bucketed quantile
    estimator — the same estimator the ledger and Status views use, so
@@ -330,7 +331,7 @@ let finalize ~p ~t0 ~energy_series ~pop_series ~comm_messages ~comm_bytes
     final_e_trial;
   }
 
-(* ---------- observability plumbing (shared by run and run_local) ----------
+(* ---------- observability plumbing ----------
 
    Enables tracing when a trace path is requested (forked ranks inherit
    the enabled flag, so this must happen BEFORE any fork), opens the
@@ -460,466 +461,14 @@ let fire_window (p : params) gen =
     | None -> ()
     | Some f -> ( try f gen with _ -> ())
 
-(* In-process analogue of a forked rank's [timer_us.*] piggyback: fold
-   each shard's kernel-timer deltas into the global registry so the
-   efficiency audit sees per-kernel time regardless of executor. *)
-let absorb_timer_deltas prev_timers shards =
-  List.iter
-    (fun (r, s) ->
-      let now = Rank.timer_totals s in
-      let before =
-        Option.value ~default:[] (Hashtbl.find_opt prev_timers r)
-      in
-      Hashtbl.replace prev_timers r now;
-      List.iter
-        (fun (k, sec) ->
-          let d =
-            sec -. Option.value ~default:0. (List.assoc_opt k before)
-          in
-          if d > 0. then
-            Metrics.add
-              (Metrics.counter ("timer_us." ^ k))
-              (int_of_float (Float.round (d *. 1e6))))
-        now)
-    shards
+(* ---------- the generation protocol ---------- *)
 
-(* ---------- in-process reference executor ---------- *)
-
-(* The same rank-sharded algorithm as [run], executed over logical
-   shards inside this process: no fork, no pipes, no serialization.
-   This is the oracle the forked path is asserted bit-identical
-   against — including elastic membership, which is applied here with
-   the same slot-refill and lowest-survivor rules — and a convenient
-   single-process driver for rank-shaped runs. *)
-let run_local_ext ~(factory : int -> Engine_api.t) ~handle_signals ~stop
-    ~snapshot ~snapshot_every (p : params) : job_outcome =
-  validate p;
-  if snapshot <> None && p.membership <> [] then
-    invalid_arg "Supervisor: job snapshots require an empty membership plan";
-  if snapshot_every < 1 then invalid_arg "Supervisor: snapshot_every < 1";
-  let emit, emit_event, update_progress, obs_close = obs_setup p in
-  let saved_signals = if handle_signals then install_signals () else [] in
-  Fun.protect
-    ~finally:(fun () ->
-      restore_signals saved_signals;
-      obs_close ())
-  @@ fun () ->
-  try
-  (* A valid snapshot of THIS job (parameters echoed and matching)
-     resumes the run bit-identically; anything else starts fresh. *)
-  let resume =
-    match snapshot with
-    | None -> None
-    | Some path -> (
-        match Snapshot.load_latest ~path with
-        | Some (st, shards)
-          when st.Snapshot.seed = p.seed
-               && st.Snapshot.ranks = p.ranks
-               && st.Snapshot.target = p.target_walkers
-               && st.Snapshot.gen <= p.warmup + p.generations ->
-            Some (st, shards)
-        | _ -> None)
-  in
-  let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
-  (* Sorted ascending by rank id; grows and shrinks with membership. *)
-  let members : (int * Rank.shard) list ref =
-    ref
-      (match resume with
-      | None ->
-          List.init p.ranks (fun r ->
-              ( r,
-                Rank.init_shard ~factory ~count:counts.(r) ~e_trial:0.
-                  (rank_config p ~rank:r ~incarnation:0 ~after:(-1)) ))
-      | Some (st, shards) ->
-          List.map
-            (fun (rs : Snapshot.rank_state) ->
-              let ws = List.assoc rs.Snapshot.r_rank shards in
-              let s =
-                Rank.restore_shard ~factory ~walkers:ws
-                  ~e_trial:st.Snapshot.e_trial
-                  (rank_config p ~rank:rs.Snapshot.r_rank ~incarnation:0
-                     ~after:(-1))
-              in
-              Rank.set_rng_states s (rs.Snapshot.r_master, rs.Snapshot.r_pool);
-              Rank.set_move_totals s ~acc:rs.Snapshot.r_acc
-                ~prop:rs.Snapshot.r_prop;
-              (rs.Snapshot.r_rank, s))
-            st.Snapshot.rank_states)
-  in
-  let vacant = ref [] and next_id = ref p.ranks in
-  let incarnations : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, s) -> Rank.shutdown_shard s) !members)
-  @@ fun () ->
-  (* Global starting trial energy from the per-rank initial sums,
-     reduced in ascending rank order — or, on resume, the snapshot's
-     running state (series, counters, trial energy) verbatim. *)
-  let e_trial =
-    ref
-      (match resume with
-      | Some (st, _) -> st.Snapshot.e_trial
-      | None ->
-          let w0 = ref 0. and e0 = ref 0. in
-          List.iter
-            (fun (_, s) ->
-              let w, e = Rank.initial_sums s in
-              w0 := !w0 +. w;
-              e0 := !e0 +. e)
-            !members;
-          if !w0 > 0. then !e0 /. !w0 else 0.)
-  in
-  let energy_series = Stats.make_series () in
-  let pop_series = ref [] in
-  let comm_messages = ref 0 and comm_bytes = ref 0 in
-  let samples = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some (st, _) ->
-      Array.iter (fun e -> Stats.append energy_series e) st.Snapshot.energy;
-      pop_series := List.rev (Array.to_list st.Snapshot.pops);
-      comm_messages := st.Snapshot.comm_messages;
-      comm_bytes := st.Snapshot.comm_bytes;
-      samples := st.Snapshot.samples);
-  let joins = ref 0 and leaves = ref 0 and skipped = ref 0 in
-  let membership_log = ref [] in
-  let gen_times = ref [] in
-  let acc_extra = ref 0 and prop_extra = ref 0 in
-  let t0 = Oqmc_containers.Timers.now () in
-  let total_gens = p.warmup + p.generations in
-  let start_gen = match resume with Some (st, _) -> st.Snapshot.gen | None -> 0 in
-  let total_walkers () =
-    List.fold_left (fun a (_, s) -> a + Population.size (Rank.pop s)) 0 !members
-  in
-  let m_gen_s = Metrics.histogram "sup.generation_s" in
-  let ledger = Ledger.create () in
-  let write_status = status_writer p in
-  (* Per-shard proposed-move watermarks, so the ledger sees deltas even
-     though [Rank.move_totals] is cumulative (and may be nonzero on a
-     snapshot resume). *)
-  let prev_prop : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (r, s) -> Hashtbl.replace prev_prop r (snd (Rank.move_totals s)))
-    !members;
-  (* Kernel-timer watermarks feeding [absorb_timer_deltas]. *)
-  let prev_timers : (int, (string * float) list) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let plan_weights () =
-    match p.plan with
-    | Count_level -> None
-    | Load_level -> Ledger.speed_weights ledger (List.map fst !members)
-  in
-  (* Snapshot the complete dynamical state at a generation boundary:
-     everything [resume] restores above.  IO failures are swallowed — a
-     snapshot that does not land only costs resume granularity. *)
-  let save_snap ~gen =
-    match snapshot with
-    | None -> ()
-    | Some path -> (
-        let rank_states =
-          List.map
-            (fun (r, s) ->
-              let master, pool = Rank.rng_states s in
-              let a, pr = Rank.move_totals s in
-              {
-                Snapshot.r_rank = r;
-                r_master = master;
-                r_pool = pool;
-                r_acc = a;
-                r_prop = pr;
-              })
-            !members
-        in
-        let st =
-          {
-            Snapshot.gen;
-            seed = p.seed;
-            ranks = p.ranks;
-            target = p.target_walkers;
-            e_trial = !e_trial;
-            energy = Stats.to_array energy_series;
-            pops = Array.of_list (List.rev !pop_series);
-            samples = !samples;
-            comm_messages = !comm_messages;
-            comm_bytes = !comm_bytes;
-            rank_states;
-          }
-        in
-        try
-          Snapshot.save ~path st
-            (List.map
-               (fun (r, s) -> (r, Population.walkers (Rank.pop s)))
-               !members)
-        with Sys_error _ | Checkpoint.Corrupt _ -> ())
-  in
-  let gen_ref = ref (start_gen + 1) in
-  let job_drained = ref false in
-  while (not !job_drained) && !gen_ref <= total_gens do
-    let gen = !gen_ref in
-    Trace.with_span ~args:[ ("gen", string_of_int gen) ] "sup.generation"
-    @@ fun () ->
-    let gen_t0 = Oqmc_containers.Timers.now () in
-    let measuring = gen > p.warmup in
-    let wsum_t = ref 0. and esum_t = ref 0. and n_t = ref 0 in
-    List.iter
-      (fun (r, s) ->
-        let sh_t0 = Oqmc_containers.Timers.now () in
-        let w, e = Rank.sweep s ~gen ~e_trial:!e_trial in
-        wsum_t := !wsum_t +. w;
-        esum_t := !esum_t +. e;
-        n_t := !n_t + Population.size (Rank.pop s);
-        (* Feed the throughput ledger: proposed-move delta over the
-           shard's sweep wall — the in-process analogue of the forked
-           path's arrival-time accounting. *)
-        let _, pr = Rank.move_totals s in
-        let before = Option.value ~default:0 (Hashtbl.find_opt prev_prop r) in
-        Hashtbl.replace prev_prop r pr;
-        Ledger.observe_gen ledger ~rank:r ~gen ~moves:(max 0 (pr - before))
-          ~wall_s:(Oqmc_containers.Timers.now () -. sh_t0))
-      !members;
-    let e_gen = if !wsum_t > 0. then !esum_t /. !wsum_t else !e_trial in
-    if measuring then begin
-      Stats.append energy_series e_gen;
-      pop_series := !n_t :: !pop_series;
-      samples := !samples + !n_t
-    end;
-    List.iter (fun (_, s) -> Rank.branch s) !members;
-    let weights = plan_weights () in
-    let shards =
-      Array.of_list (List.map (fun (_, s) -> Rank.pop s) !members)
-    in
-    let ids = Array.of_list (List.map fst !members) in
-    (* Account the exchange volume per rank before applying the (same,
-       deterministic) plan. *)
-    List.iter
-      (fun { Population.src; dst; count } ->
-        Ledger.add_exchange ledger ~rank:ids.(src) ~walkers:count;
-        Ledger.add_exchange ledger ~rank:ids.(dst) ~walkers:count)
-      (Population.plan ?weights (Array.map Population.size shards));
-    let report = Population.exchange ?weights shards in
-    comm_messages := !comm_messages + report.Population.messages;
-    comm_bytes := !comm_bytes + report.Population.bytes;
-    let total = total_walkers () in
-    e_trial :=
-      Population.trial_energy_update ~feedback:p.feedback ~tau:p.tau
-        ~target:p.target_walkers ~population:total ~e_estimate:e_gen;
-    (match p.checkpoint with
-    | Some path when p.checkpoint_every > 0 && gen mod p.checkpoint_every = 0
-      ->
-        let acked = ref [] in
-        List.iter
-          (fun (r, s) ->
-            try
-              Checkpoint.save_shard ~keep:p.checkpoint_keep ~path ~rank:r
-                ~gen ~e_trial:!e_trial
-                (Population.walkers (Rank.pop s));
-              acked := r :: !acked
-            with Sys_error _ | Checkpoint.Corrupt _ -> ())
-          !members;
-        (try
-           Checkpoint.save_manifest ~path ~gen ~ranks:(List.rev !acked) ()
-         with Sys_error _ -> ())
-    | _ -> ());
-    let elapsed = Oqmc_containers.Timers.now () -. t0 in
-    let gen_record =
-      Oqmc_obs.Jsonx.(Obj
-         [
-           ("gen", Num (float_of_int gen));
-           ("e_gen", Num e_gen);
-           ("e_trial", Num !e_trial);
-           ("population", Num (float_of_int total));
-           ("ranks", Num (float_of_int (List.length !members)));
-           ( "walkers_per_s",
-             Num
-               (if elapsed > 0. then float_of_int !samples /. elapsed
-                else 0.) );
-           ("wall_s", Num elapsed);
-         ])
-    in
-    Flightrec.record "gen" gen_record;
-    if measuring then emit ~gen:(gen - p.warmup) gen_record;
-    update_progress
-      (Printf.sprintf "dmc[local %d ranks] gen %d/%d  E %+.6f  E_T %+.6f  pop %d"
-         (List.length !members) gen total_gens e_gen !e_trial total);
-    (* Membership events scheduled for this generation, applied with
-       the SAME slot and delivery rules as the forked supervisor so the
-       two paths stay bit-identical under a shared plan. *)
-    List.iter
-      (fun (g, ev) ->
-        if g = gen then
-          match ev with
-          | Join ->
-              let before = total_walkers () in
-              let id, incarnation =
-                match List.sort compare !vacant with
-                | v :: rest ->
-                    vacant := rest;
-                    (v, Option.value ~default:0 (Hashtbl.find_opt incarnations v))
-                | [] ->
-                    let id = !next_id in
-                    incr next_id;
-                    (id, 0)
-              in
-              let shard =
-                Rank.init_shard ~factory ~count:0 ~e_trial:0.
-                  (rank_config p ~rank:id ~incarnation ~after:gen)
-              in
-              members :=
-                List.sort
-                  (fun (a, _) (b, _) -> compare a b)
-                  ((id, shard) :: !members);
-              let report =
-                Population.exchange ?weights:(plan_weights ())
-                  (Array.of_list (List.map (fun (_, s) -> Rank.pop s) !members))
-              in
-              comm_messages := !comm_messages + report.Population.messages;
-              comm_bytes := !comm_bytes + report.Population.bytes;
-              incr joins;
-              Metrics.inc (Metrics.counter "sup.joins");
-              Trace.instant
-                ~args:[ ("rank", string_of_int id) ]
-                "sup.join";
-              let m =
-                {
-                  m_gen = gen;
-                  m_kind = "join";
-                  m_rank = id;
-                  m_live = List.length !members;
-                  m_walkers_before = before;
-                  m_walkers_after = total_walkers ();
-                }
-              in
-              membership_log := m :: !membership_log;
-              emit_event (membership_json m)
-          | Leave r -> (
-              match List.assoc_opt r !members with
-              | None -> incr skipped
-              | Some _ when List.length !members <= 1 -> incr skipped
-              | Some shard ->
-                  let before = total_walkers () in
-                  let drained = Population.drain (Rank.pop shard) in
-                  let a, pr = Rank.move_totals shard in
-                  acc_extra := !acc_extra + a;
-                  prop_extra := !prop_extra + pr;
-                  let incarnation = (Rank.config shard).Rank.incarnation in
-                  Rank.shutdown_shard shard;
-                  members := List.remove_assoc r !members;
-                  Ledger.drop_rank ledger ~rank:r;
-                  Hashtbl.remove prev_prop r;
-                  vacant := r :: !vacant;
-                  Hashtbl.replace incarnations r (incarnation + 1);
-                  (match !members with
-                  | [] -> ()
-                  | (_, dst) :: _ ->
-                      List.iter
-                        (fun w ->
-                          incr comm_messages;
-                          comm_bytes := !comm_bytes + Walker.message_bytes w)
-                        drained;
-                      Population.absorb (Rank.pop dst) drained);
-                  incr leaves;
-                  Metrics.inc (Metrics.counter "sup.leaves");
-                  Trace.instant
-                    ~args:[ ("rank", string_of_int r) ]
-                    "sup.leave";
-                  let m =
-                    {
-                      m_gen = gen;
-                      m_kind = "leave";
-                      m_rank = r;
-                      m_live = List.length !members;
-                      m_walkers_before = before;
-                      m_walkers_after = total_walkers ();
-                    }
-                  in
-                  membership_log := m :: !membership_log;
-                  emit_event (membership_json m)))
-      p.membership;
-    let dt = Oqmc_containers.Timers.now () -. gen_t0 in
-    Metrics.observe m_gen_s dt;
-    gen_times := dt :: !gen_times;
-    absorb_timer_deltas prev_timers !members;
-    if gen mod ledger_emit_every = 0 then emit_event (ledger_event ~gen ledger);
-    fire_window p gen;
-    (* Drain/snapshot at the generation boundary: the [stop] poll ends
-       the job gracefully with consistent estimators, and the snapshot
-       cadence always covers the drain point and the final generation
-       so a suspended job never replays work. *)
-    if stop () then job_drained := true;
-    write_status ~force:(!job_drained || gen = total_gens) (fun () ->
-        Oqmc_obs.Jsonx.(Obj
-           [
-             ("gen", Num (float_of_int gen));
-             ("total_gens", Num (float_of_int total_gens));
-             ("e_gen", Num e_gen);
-             ("e_trial", Num !e_trial);
-             ("population", Num (float_of_int total));
-             ("live_ranks", Num (float_of_int (List.length !members)));
-             ( "walkers_per_s",
-               Num
-                 (if elapsed > 0. then float_of_int !samples /. elapsed
-                  else 0.) );
-             ("wall_s", Num elapsed);
-             ("ledger", Ledger.json ledger);
-             ("audit", audit_json ());
-           ]));
-    if
-      snapshot <> None
-      && (!job_drained || gen = total_gens || gen mod snapshot_every = 0)
-    then save_snap ~gen;
-    incr gen_ref
-  done;
-  let last_gen = !gen_ref - 1 in
-  let acc = ref !acc_extra and prop = ref !prop_extra in
-  List.iter
-    (fun (_, s) ->
-      let a, pr = Rank.move_totals s in
-      acc := !acc + a;
-      prop := !prop + pr)
-    !members;
-  let final_walkers =
-    List.concat_map (fun (_, s) -> Population.walkers (Rank.pop s)) !members
-  in
-  let job_result =
-    finalize ~p ~t0 ~energy_series ~pop_series:!pop_series
-      ~comm_messages:!comm_messages ~comm_bytes:!comm_bytes ~respawns:0
-      ~heartbeat_timeouts:0 ~garbage_frames:0 ~crashes:0 ~ranks_failed:[]
-      ~live_ranks:(List.length !members) ~degraded_generations:0 ~joins:!joins
-      ~leaves:!leaves ~stragglers:0 ~steals:0 ~membership_skipped:!skipped
-      ~membership_log:!membership_log ~gen_times:!gen_times ~acc:!acc
-      ~prop:!prop ~final_walkers ~final_e_trial:!e_trial
-  in
-  {
-    job_result;
-    gens_done = last_gen - start_gen;
-    drained = !job_drained && last_gen < total_gens;
-    resumed_from = start_gen;
-  }
-  with e ->
-    (* Abort unwind (SIGTERM/SIGINT via [Interrupted], or any fatal
-       error): dump the flight recorder before the sinks close, so the
-       postmortem carries the still-enabled trace spans. *)
-    let bt = Printexc.get_raw_backtrace () in
-    flight_dump p (Printexc.to_string e);
-    Printexc.raise_with_backtrace e bt
-
-let run_local ~(factory : int -> Engine_api.t) (p : params) : result =
-  (run_local_ext ~factory ~handle_signals:true
-     ~stop:(fun () -> false)
-     ~snapshot:None ~snapshot_every:1 p)
-    .job_result
-
-(* ---------- forked execution ---------- *)
-
-type proc = {
+(* A rank as the supervisor sees it, over any transport. *)
+type 'link member = {
   id : int;
-  mutable pid : int;
-  mutable r_fd : Unix.file_descr; (* supervisor reads rank output here *)
-  mutable w_fd : Unix.file_descr; (* supervisor writes commands here *)
+  link : 'link;
   mutable dead : bool; (* permanently abandoned *)
-  mutable fds_closed : bool; (* pipe ends already closed (torn down) *)
-  mutable incarnation : int;
+  incarnation : int;
   mutable count : int; (* last known shard size *)
   mutable begin_t : float; (* when this gen's Begin_gen was sent *)
   mutable rtt_ewma : float; (* smoothed heartbeat RTT, seconds *)
@@ -931,99 +480,65 @@ type failure = Crash | Stall | Corrupt_stream
 
 let startup_timeout (p : params) = Float.max 30. (10. *. p.heartbeat_s)
 
-(* Wait for [pid] without losing the reap to a signal ([EINTR] restarts
-   the wait) or double-reaping ([ECHILD] means some earlier path already
-   collected the child — fine either way). *)
-let rec waitpid_robust pid =
-  match Unix.waitpid [] pid with
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_robust pid
-  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+(* A valid job snapshot of THIS job — parameters echoed and matching —
+   or [None], which starts the job fresh. *)
+let load_snapshot (p : params) = function
+  | None -> None
+  | Some path -> (
+      match Snapshot.load_latest ~path with
+      | Some (st, shards)
+        when st.Snapshot.seed = p.seed
+             && st.Snapshot.ranks = p.ranks
+             && st.Snapshot.target = p.target_walkers
+             && st.Snapshot.gen <= p.warmup + p.generations ->
+          Some (st, shards)
+      | _ -> None)
 
-let reap pid =
-  (try Unix.kill pid Sys.sigkill
-   with Unix.Unix_error ((Unix.ESRCH | Unix.EPERM), _, _) -> ());
-  waitpid_robust pid
-
-let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Fork one rank.  [all_fds] are every other live pipe end: the child
-   must close them, or a crashed sibling's EOF would never surface.
-   The child builds its engines, runs the protocol and _exits without
-   touching the parent's buffered channels. *)
-let fork_rank ~(factory : int -> Engine_api.t) ~cfg ~init ~all_fds =
-  let sup_r, rank_w = Unix.pipe ~cloexec:false () in
-  let rank_r, sup_w = Unix.pipe ~cloexec:false () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      close_fd sup_r;
-      close_fd sup_w;
-      List.iter close_fd all_fds;
-      let code =
-        try
-          Rank.serve ~cfg ~factory ~init ~fd_in:rank_r ~fd_out:rank_w;
-          0
-        with _ -> 3
-      in
-      Unix._exit code
-  | pid ->
-      close_fd rank_r;
-      close_fd rank_w;
+(* The one generation loop, over any transport.  [stop] is polled at
+   every generation boundary; [snapshot] persists the job's full
+   dynamical state every [snapshot_every] generations (and at drain and
+   completion) and resumes from the newest valid snapshot. *)
+let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
+    ~handle_signals ~stop ~snapshot ~snapshot_every (p : params) : job_outcome =
+  validate p;
+  if snapshot <> None && p.membership <> [] then
+    invalid_arg "Supervisor: job snapshots require an empty membership plan";
+  if snapshot_every < 1 then invalid_arg "Supervisor: snapshot_every < 1";
+  (* Observability must attach BEFORE any fork so children inherit the
+     tracing-enabled flag; the supervisor's own spans carry pid -1,
+     rank blobs are ingested under their rank id at Final time. *)
+  let emit, emit_event, update_progress, obs_close = obs_setup p in
+  if Trace.enabled () then Trace.set_rank (-1);
+  let saved_signals = if handle_signals then install_signals () else [] in
+  let tr = T.create ~factory in
+  let cleanup () =
+    T.teardown tr;
+    restore_signals saved_signals;
+    obs_close ()
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  try
+  (* The member table: rank id → rank.  Abandoned members stay in the
+     table (dead = true) until their slot is refilled by a Join, which
+     overwrites the entry with a fresh incarnation. *)
+  let members : (int, T.link member) Hashtbl.t = Hashtbl.create 16 in
+  let vacant = ref [] and next_id = ref p.ranks in
+  let incarnations : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let spawn ~cfg ~init =
+    let s =
       {
         id = cfg.Rank.rank;
-        pid;
-        r_fd = sup_r;
-        w_fd = sup_w;
+        link = T.spawn tr cfg init;
         dead = false;
-        fds_closed = false;
         incarnation = cfg.Rank.incarnation;
         count = 0;
         begin_t = 0.;
         rtt_ewma = 0.;
         straggles = 0;
       }
-
-let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
-  validate p;
-  (* Observability must attach BEFORE any fork so children inherit the
-     tracing-enabled flag; the supervisor's own spans carry pid -1,
-     rank blobs are ingested under their rank id at Final time. *)
-  let emit, emit_event, update_progress, obs_close = obs_setup p in
-  if Trace.enabled () then Trace.set_rank (-1);
-  let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let saved_signals = install_signals () in
-  (* The member table: rank id → process.  Abandoned members stay in
-     the table (dead = true) until their slot is refilled by a Join,
-     which overwrites the entry with a fresh incarnation. *)
-  let members : (int, proc) Hashtbl.t = Hashtbl.create 16 in
-  let vacant = ref [] and next_id = ref p.ranks in
-  let incarnations : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  (* Every pipe end still OPEN in the supervisor: the set a fresh child
-     must close.  Torn-down fds must be excluded — their numbers get
-     reused by the very pipes the new child is being given. *)
-  let all_fds () =
-    Hashtbl.fold
-      (fun _ s acc -> if s.fds_closed then acc else s.r_fd :: s.w_fd :: acc)
-      members []
+    in
+    Hashtbl.replace members s.id s
   in
-  let cleanup () =
-    Hashtbl.iter
-      (fun _ s ->
-        if not s.fds_closed then begin
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          reap s.pid
-        end)
-      members;
-    Sys.set_signal Sys.sigpipe old_sigpipe;
-    restore_signals saved_signals;
-    obs_close ()
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  try
   let hb = p.heartbeat_s in
   let respawns = ref 0 in
   let hb_timeouts = ref 0 and garbage_frames = ref 0 and crashes = ref 0 in
@@ -1038,26 +553,49 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   let acc_left = ref 0 and prop_left = ref 0 in
   let energy_series = Stats.make_series () in
   let pop_series = ref [] in
+  let samples = ref 0 in
   (* -------- spawn + initial ensemble -------- *)
+  (* A job snapshot continues the trajectory bit-identically; a shard
+     restore replays the checkpointed walkers on fresh RNG streams. *)
+  let resume = load_snapshot p snapshot in
   let restore_init =
-    if not p.restore then None
-    else
-      match p.checkpoint with
-      | None -> None
-      | Some path -> (
-          match Checkpoint.latest_complete ~path ~ranks:p.ranks with
-          | None -> None
-          | Some gen ->
+    match (resume, p.checkpoint) with
+    | None, Some path when p.restore -> (
+        match Checkpoint.latest_complete ~path ~ranks:p.ranks with
+        | None -> None
+        | Some gen ->
+            Some
+              (Array.init p.ranks (fun r ->
+                   Checkpoint.load_shard ~path ~rank:r ~gen)))
+    | _ -> None
+  in
+  let init_of r =
+    match (resume, restore_init) with
+    | Some (st, shards), _ ->
+        let rs = List.nth st.Snapshot.rank_states r in
+        Some
+          {
+            Rank.e_trial = st.Snapshot.e_trial;
+            walkers = List.assoc r shards;
+            resume =
               Some
-                (Array.init p.ranks (fun r ->
-                     Checkpoint.load_shard ~path ~rank:r ~gen)))
+                {
+                  Rank.master = rs.Snapshot.r_master;
+                  pool = rs.Snapshot.r_pool;
+                  acc = rs.Snapshot.r_acc;
+                  prop = rs.Snapshot.r_prop;
+                };
+          }
+    | None, Some shards ->
+        let e_trial, walkers = shards.(r) in
+        Some { Rank.e_trial; walkers; resume = None }
+    | None, None -> None
   in
   let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
   for r = 0 to p.ranks - 1 do
-    let cfg = rank_config p ~rank:r ~incarnation:0 ~after:(-1) in
-    let init = Option.map (fun shards -> shards.(r)) restore_init in
-    let s = fork_rank ~factory ~cfg ~init ~all_fds:(all_fds ()) in
-    Hashtbl.replace members r s
+    spawn
+      ~cfg:(rank_config p ~rank:r ~incarnation:0 ~after:(-1))
+      ~init:(init_of r)
   done;
   let find r = Hashtbl.find_opt members r in
   let proc r = Hashtbl.find members r in
@@ -1065,8 +603,8 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     Hashtbl.fold (fun id s acc -> if s.dead then acc else id :: acc) members []
     |> List.sort compare
   in
-  (* Record a failure and tear the process down; respawn happens at the
-     end of the generation so surviving ranks stay in lockstep. *)
+  (* Record a failure and tear the rank down; respawn happens at the end
+     of the generation so surviving ranks stay in lockstep. *)
   let failed_this_gen = ref [] in
   let cur_gen = ref 0 in
   let fail_rank r why =
@@ -1094,10 +632,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
                   ("incarnation", Num (float_of_int s.incarnation));
                 ]);
           flight_dump p ("rank_failed:" ^ reason);
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          reap s.pid;
+          T.kill s.link;
           failed_this_gen := r :: !failed_this_gen
         end
   in
@@ -1119,10 +654,11 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
           fail_rank r Crash; None
   in
+  let send s m = T.send s.link m in
+  let recv ?(timeout = hb) s = fst (T.recv ~timeout s.link) in
   let recv_expect ?(timeout = hb) r match_ =
     guard r (fun s ->
-        let m = Wire.recv ~timeout s.r_fd in
-        match match_ m with
+        match match_ (recv ~timeout s) with
         | Some v -> v
         | None -> raise (Wire.Garbage "unexpected frame"))
   in
@@ -1135,13 +671,16 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
         | Wire.Hello _ -> Some ()
         | _ -> None))
   done;
-  (match restore_init with
-  | Some shards ->
-      Array.iteri (fun r (_, ws) -> (proc r).count <- List.length ws) shards
+  (match init_of 0 with
+  | Some _ ->
+      for r = 0 to p.ranks - 1 do
+        Option.iter
+          (fun i -> (proc r).count <- List.length i.Rank.walkers)
+          (init_of r)
+      done
   | None ->
       for r = 0 to p.ranks - 1 do
-        ignore
-          (guard r (fun s -> Wire.send s.w_fd (Wire.Init { count = counts.(r) })))
+        ignore (guard r (fun s -> send s (Wire.Init { count = counts.(r) })))
       done;
       for r = 0 to p.ranks - 1 do
         match
@@ -1157,9 +696,10 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       done);
   let e_trial =
     ref
-      (match restore_init with
-      | Some shards -> fst shards.(0)
-      | None -> if !w0 > 0. then !e0 /. !w0 else 0.)
+      (match (resume, restore_init) with
+      | Some (st, _), _ -> st.Snapshot.e_trial
+      | None, Some shards -> fst shards.(0)
+      | None, None -> if !w0 > 0. then !e0 /. !w0 else 0.)
   in
   if !failed_this_gen <> [] then
     (* A rank that cannot even start is not worth respawning: fail fast
@@ -1182,15 +722,33 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
      cumulative totals; a respawn resets them, the delta clamps to 0). *)
   let rank_prop : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let prev_acc = ref 0 and prev_prop = ref 0 in
-  let samples = ref 0 in
   let rtt_max = ref 0. in
+  (* A resumed job continues its series, counters and move totals. *)
+  let start_gen =
+    match resume with
+    | None -> 0
+    | Some (st, _) ->
+        Array.iter (fun e -> Stats.append energy_series e) st.Snapshot.energy;
+        pop_series := List.rev (Array.to_list st.Snapshot.pops);
+        comm_messages := st.Snapshot.comm_messages;
+        comm_bytes := st.Snapshot.comm_bytes;
+        samples := st.Snapshot.samples;
+        List.iter
+          (fun (rs : Snapshot.rank_state) ->
+            Hashtbl.replace rank_prop rs.Snapshot.r_rank rs.Snapshot.r_prop;
+            prev_acc := !prev_acc + rs.Snapshot.r_acc;
+            prev_prop := !prev_prop + rs.Snapshot.r_prop)
+          st.Snapshot.rank_states;
+        st.Snapshot.gen
+  in
   (* Phase 2 collector: heartbeat + reduce frames accepted in ARRIVAL
-     order over a select loop, each rank on its own hard deadline
-     (heartbeat_s per frame, as in lockstep).  Fast ranks are never
-     blocked behind a stalled sibling's timeout — the soak's barrier
-     softening — while the caller folds the results in ascending rank
-     order, keeping the float reduction bit-identical to [run_local].
-     Returns rank → (wsum, esum, acc, prop, n, kvs, arrival_time). *)
+     order, each rank on its own hard deadline (heartbeat_s per frame,
+     as in lockstep).  Fast ranks are never blocked behind a stalled
+     sibling's timeout — the soak's barrier softening — while the caller
+     folds the results in ascending rank order, keeping the float
+     reduction identical for any arrival order.  A rank is failed only
+     when nothing is waiting from it past its deadline.  Returns rank →
+     (wsum, esum, acc, prop, n, kvs, arrival_time). *)
   let collect_phase2 ~gen participants =
     let now () = Oqmc_containers.Timers.now () in
     let stage : (int, [ `Hb | `Reduce ]) Hashtbl.t = Hashtbl.create 8 in
@@ -1206,11 +764,11 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
         (fun r -> ok_rank r && not (Hashtbl.mem results r))
         participants
     in
-    let handle r m =
+    let handle r (m, arrival) =
       let s = proc r in
       match (Hashtbl.find stage r, m) with
       | `Hb, Wire.Heartbeat _ ->
-          let rtt = now () -. s.begin_t in
+          let rtt = arrival -. s.begin_t in
           Metrics.observe m_rtt rtt;
           rtt_max := Float.max !rtt_max rtt;
           s.rtt_ewma <-
@@ -1228,46 +786,35 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       | `Reduce, Wire.Reduce { gen = g; wsum; esum; acc; prop; n; telemetry }
         when g = gen ->
           Hashtbl.replace results r
-            (wsum, esum, acc, prop, n, telemetry, now ())
+            (wsum, esum, acc, prop, n, telemetry, arrival)
       | _ -> fail_rank r Corrupt_stream
     in
     let rec loop () =
       match pending () with
       | [] -> ()
-      | ps -> (
+      | ps ->
+          let t = now () in
+          let wait =
+            List.fold_left
+              (fun a r -> Float.min a (Hashtbl.find deadline r -. t))
+              hb ps
+            |> Float.max 0.005
+          in
+          let ready = T.ready ~timeout:wait (List.map (fun r -> (proc r).link) ps) in
+          List.iter
+            (fun r ->
+              if List.memq (proc r).link ready then
+                match guard r (fun s -> T.recv ~timeout:hb s.link) with
+                | Some m -> handle r m
+                | None -> ())
+            ps;
           let t = now () in
           List.iter
-            (fun r -> if t > Hashtbl.find deadline r then fail_rank r Stall)
-            ps;
-          match pending () with
-          | [] -> ()
-          | ps ->
-              let fds = List.map (fun r -> (proc r).r_fd) ps in
-              let wait =
-                List.fold_left
-                  (fun a r -> Float.min a (Hashtbl.find deadline r -. t))
-                  hb ps
-                |> Float.max 0.005
-              in
-              let readable =
-                match Unix.select fds [] [] wait with
-                | rs, _, _ -> rs
-                | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _)
-                  ->
-                    []
-              in
-              List.iter
-                (fun r ->
-                  if
-                    ok_rank r
-                    && (not (Hashtbl.mem results r))
-                    && List.mem (proc r).r_fd readable
-                  then
-                    match guard r (fun s -> Wire.recv ~timeout:hb s.r_fd) with
-                    | Some m -> handle r m
-                    | None -> ())
-                ps;
-              loop ())
+            (fun r ->
+              if (not (List.memq (proc r).link ready)) && t > Hashtbl.find deadline r
+              then fail_rank r Stall)
+            (pending ());
+          loop ()
     in
     loop ();
     results
@@ -1279,8 +826,8 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   let relay_move ~gen rs rd count ~others =
     match
       guard rs (fun s ->
-          Wire.send s.w_fd (Wire.Give { gen; count });
-          match Wire.recv ~timeout:hb s.r_fd with
+          send s (Wire.Give { gen; count });
+          match recv s with
           | Wire.Walkers { walkers; _ } -> walkers
           | _ -> raise (Wire.Garbage "expected walker batch"))
     with
@@ -1294,7 +841,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
           walkers;
         let deliver rank =
           guard rank (fun s ->
-              Wire.send s.w_fd (Wire.Walkers { gen; walkers });
+              send s (Wire.Walkers { gen; walkers });
               s.count <- s.count + List.length walkers)
         in
         (match deliver rd with
@@ -1339,9 +886,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
           incr next_id;
           (id, 0)
     in
-    let cfg = rank_config p ~rank:id ~incarnation ~after:gen in
-    let fresh = fork_rank ~factory ~cfg ~init:None ~all_fds:(all_fds ()) in
-    Hashtbl.replace members id fresh;
+    spawn ~cfg:(rank_config p ~rank:id ~incarnation ~after:gen) ~init:None;
     failed_this_gen := List.filter (fun x -> x <> id) !failed_this_gen;
     let ok =
       match
@@ -1353,7 +898,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       | Some () -> (
           ignore
             (guard id (fun s ->
-                 Wire.send s.w_fd (Wire.Join { gen; e_trial = !e_trial })));
+                 send s (Wire.Join { gen; e_trial = !e_trial })));
           match
             recv_expect ~timeout:(startup_timeout p) id (function
               | Wire.Ack { ok; _ } -> Some ok
@@ -1366,13 +911,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       (* The joiner never came up: restore the vacancy (with a fresh
          incarnation so a retry gets its own RNG block) and move on —
          an elastic run must not die because a grow step failed. *)
-      (match find id with
-      | Some s when not s.fds_closed ->
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          reap s.pid
-      | _ -> ());
+      Option.iter (fun s -> T.kill s.link) (find id);
       Hashtbl.remove members id;
       vacant := id :: !vacant;
       Hashtbl.replace incarnations id (incarnation + 1);
@@ -1410,17 +949,17 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       let incarnation = s.incarnation in
       let drained =
         guard r (fun s ->
-            Wire.send s.w_fd (Wire.Drain { gen });
+            send s (Wire.Drain { gen });
             let ws =
-              match Wire.recv ~timeout:hb s.r_fd with
+              match recv s with
               | Wire.Walkers { walkers; _ } -> walkers
               | _ -> raise (Wire.Garbage "expected drain batch")
             in
-            (match Wire.recv ~timeout:hb s.r_fd with
+            (match recv s with
             | Wire.Leave { count; _ } when count = List.length ws -> ()
             | _ -> raise (Wire.Garbage "drain count mismatch"));
-            Wire.send s.w_fd Wire.Finish;
-            (match Wire.recv ~timeout:(startup_timeout p) s.r_fd with
+            send s Wire.Finish;
+            (match recv ~timeout:(startup_timeout p) s with
             | Wire.Final { acc = a; prop = pr; trace; _ } ->
                 acc_left := !acc_left + a;
                 prop_left := !prop_left + pr;
@@ -1439,10 +978,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
           Hashtbl.replace incarnations r (incarnation + 1);
           incr skipped
       | Some ws ->
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          waitpid_robust s.pid;
+          T.close s.link;
           Hashtbl.remove members r;
           Ledger.drop_rank ledger ~rank:r;
           Hashtbl.remove rank_prop r;
@@ -1459,7 +995,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
               if ws <> [] then
                 ignore
                   (guard dst (fun sd ->
-                       Wire.send sd.w_fd (Wire.Walkers { gen; walkers = ws });
+                       send sd (Wire.Walkers { gen; walkers = ws });
                        sd.count <- sd.count + List.length ws)));
           incr leaves;
           Metrics.inc (Metrics.counter "sup.leaves");
@@ -1479,7 +1015,51 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     end
   in
   (* -------- generation loop -------- *)
-  let gen_ref = ref 1 in
+  (* A job snapshot at a generation boundary: the supervisor's series and
+     counters plus every rank's [State].  IO failures are swallowed — a
+     snapshot that does not land only costs resume granularity — and a
+     round a rank fails to answer is not saved. *)
+  let save_snapshot ~gen path =
+    let ranks = live () in
+    let states =
+      List.filter_map
+        (fun r ->
+          ignore (guard r (fun s -> send s (Wire.State_req { gen })));
+          recv_expect r (function
+            | Wire.State { gen = g; master; pool; acc; prop; walkers }
+              when g = gen ->
+                Some
+                  ( {
+                      Snapshot.r_rank = r;
+                      r_master = master;
+                      r_pool = pool;
+                      r_acc = acc;
+                      r_prop = prop;
+                    },
+                    (r, walkers) )
+            | _ -> None))
+        ranks
+    in
+    if List.length states = List.length ranks then
+      let st =
+        {
+          Snapshot.gen;
+          seed = p.seed;
+          ranks = p.ranks;
+          target = p.target_walkers;
+          e_trial = !e_trial;
+          energy = Stats.to_array energy_series;
+          pops = Array.of_list (List.rev !pop_series);
+          samples = !samples;
+          comm_messages = !comm_messages;
+          comm_bytes = !comm_bytes;
+          rank_states = List.map fst states;
+        }
+      in
+      try Snapshot.save ~path st (List.map snd states)
+      with Sys_error _ | Checkpoint.Corrupt _ -> ()
+  in
+  let gen_ref = ref (start_gen + 1) in
   let job_drained = ref false in
   while (not !job_drained) && !gen_ref <= total_gens do
     let gen = !gen_ref in
@@ -1496,7 +1076,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
         ignore
           (guard r (fun s ->
                s.begin_t <- Oqmc_containers.Timers.now ();
-               Wire.send s.w_fd (Wire.Begin_gen { gen; e_trial = !e_trial }))))
+               send s (Wire.Begin_gen { gen; e_trial = !e_trial }))))
       participants;
     (* Phase 2: arrival-order collection, ascending-order reduction. *)
     let arrivals = collect_phase2 ~gen participants in
@@ -1577,7 +1157,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     prev_prop := !prop_t;
     (* Phase 3: branch, collect post-branch counts. *)
     List.iter
-      (fun r -> ignore (guard r (fun s -> Wire.send s.w_fd (Wire.Branch { gen }))))
+      (fun r -> ignore (guard r (fun s -> send s (Wire.Branch { gen }))))
       reduced;
     List.iter
       (fun r ->
@@ -1646,7 +1226,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
           (fun r ->
             ignore
               (guard r (fun s ->
-                   Wire.send s.w_fd
+                   send s
                      (Wire.Checkpoint_cmd { gen; e_trial = !e_trial }))))
           (List.filter ok_rank reduced);
         List.iter
@@ -1708,7 +1288,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
                     if mine <> [] then
                       ignore
                         (guard dst (fun sd ->
-                             Wire.send sd.w_fd
+                             send sd
                                (Wire.Walkers { gen; walkers = mine });
                              sd.count <- sd.count + List.length mine)))
                 survivors
@@ -1734,12 +1314,11 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
             | None -> None
             | Some path -> (
                 match Checkpoint.load_latest_shard ~path ~rank:r with
-                | _, restored -> Some restored
+                | _, (e_trial, walkers) ->
+                    Some { Rank.e_trial; walkers; resume = None }
                 | exception Checkpoint.Corrupt _ -> None)
           in
-          let cfg = rank_config p ~rank:r ~incarnation ~after:gen in
-          let fresh = fork_rank ~factory ~cfg ~init ~all_fds:(all_fds ()) in
-          Hashtbl.replace members r fresh;
+          spawn ~cfg:(rank_config p ~rank:r ~incarnation ~after:gen) ~init;
           let startup = startup_timeout p in
           failed_this_gen := List.filter (fun x -> x <> r) !failed_this_gen;
           match
@@ -1750,7 +1329,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
           | None -> (proc r).dead <- true; ranks_failed := r :: !ranks_failed
           | Some () -> (
               match init with
-              | Some (_, ws) -> (proc r).count <- List.length ws
+              | Some i -> (proc r).count <- List.length i.Rank.walkers
               | None -> (
                   (* No shard to restore: restart the rank from fresh
                      walkers at its ideal share of the target. *)
@@ -1759,7 +1338,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
                   in
                   ignore
                     (guard r (fun s2 ->
-                         Wire.send s2.w_fd (Wire.Init { count = want })));
+                         send s2 (Wire.Init { count = want })));
                   match
                     recv_expect ~timeout:startup r (function
                       | Wire.Reduce { gen = 0; n; _ } -> Some n
@@ -1823,7 +1402,9 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     (* Graceful early drain: the [stop] poll ends the run at the next
        generation boundary and the normal finals collection below still
        runs, so a deadline-stopped job reports consistent partial
-       estimators instead of dying mid-protocol. *)
+       estimators instead of dying mid-protocol.  The snapshot cadence
+       always covers the drain point and the final generation, so a
+       suspended job never replays work. *)
     if stop () then job_drained := true;
     write_status ~force:(!job_drained || gen = total_gens) (fun () ->
         Oqmc_obs.Jsonx.(Obj
@@ -1839,6 +1420,11 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
              ("ledger", Ledger.json ledger);
              ("audit", audit_json ());
            ]));
+    (match snapshot with
+    | Some path
+      when !job_drained || gen = total_gens || gen mod snapshot_every = 0 ->
+        save_snapshot ~gen path
+    | _ -> ());
     incr gen_ref
   done;
   let last_gen = !gen_ref - 1 in
@@ -1849,7 +1435,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   List.iter
     (fun r ->
       failed_this_gen := [];
-      ignore (guard r (fun s -> Wire.send s.w_fd Wire.Finish));
+      ignore (guard r (fun s -> send s Wire.Finish));
       (match
          recv_expect ~timeout:(startup_timeout p) r (function
            | Wire.Final { acc = a; prop = pr; walkers; trace } ->
@@ -1866,14 +1452,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
              try Trace.ingest ~pid:r trace with Trace.Malformed -> ());
           final_walkers := !final_walkers @ walkers
       | None -> ());
-      let s = proc r in
-      if not s.fds_closed then begin
-        close_fd s.r_fd;
-        close_fd s.w_fd;
-        s.fds_closed <- true;
-        waitpid_robust s.pid;
-        s.dead <- true
-      end)
+      T.close (proc r).link)
     (live ());
   let job_result =
     finalize ~p ~t0 ~energy_series ~pop_series:!pop_series
@@ -1889,9 +1468,9 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   in
   {
     job_result;
-    gens_done = last_gen;
+    gens_done = last_gen - start_gen;
     drained = !job_drained && last_gen < total_gens;
-    resumed_from = 0;
+    resumed_from = start_gen;
   }
   with e ->
     (* Abort unwind — [All_ranks_lost], [Interrupted], startup failure:
@@ -1900,24 +1479,37 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     flight_dump p (Printexc.to_string e);
     Printexc.raise_with_backtrace e bt
 
+
+
+let never () = false
+
 let run ~(factory : int -> Engine_api.t) (p : params) : result =
-  (run_ext ~factory ~stop:(fun () -> false) p).job_result
+  (run_ext (module Transport.Pipes) ~factory ~handle_signals:true ~stop:never
+     ~snapshot:None ~snapshot_every:1 p)
+    .job_result
+
+(* In-process ranks share this process, and fault injection acts on a
+   whole process: a fault plan needs forked ranks. *)
+let run_in_process ~factory ~handle_signals ~stop ~snapshot ~snapshot_every
+    (p : params) =
+  if p.faults <> [] then
+    invalid_arg "Supervisor: fault injection requires forked ranks";
+  run_ext (module Transport.Mailbox) ~factory ~handle_signals ~stop ~snapshot
+    ~snapshot_every p
+
+let run_local ~(factory : int -> Engine_api.t) (p : params) : result =
+  (run_in_process ~factory ~handle_signals:true ~stop:never ~snapshot:None
+     ~snapshot_every:1 p)
+    .job_result
 
 (* ---------- the reentrant per-job entry point ----------
 
-   What the serve daemon calls once per accepted job.  Unlike [run] and
-   [run_local] it NEVER installs signal handlers — the caller (a job
-   runner process) owns its own signal policy and threads it through
-   [stop] — and with [local = true] (the default) it can snapshot the
-   full dynamical state every [snapshot_every] generations and resume
-   bit-identically from the newest valid snapshot, which is how a
-   crashed or suspended job continues without replaying work. *)
-let run_job ~(factory : int -> Engine_api.t) ?(local = true)
-    ?(stop = fun () -> false) ?snapshot ?(snapshot_every = 1) (p : params) :
-    job_outcome =
-  if snapshot <> None && not local then
-    invalid_arg "Supervisor.run_job: snapshots require local execution";
-  if local then
-    run_local_ext ~factory ~handle_signals:false ~stop ~snapshot
-      ~snapshot_every p
-  else run_ext ~factory ~stop p
+   What the serve daemon calls once per accepted job: the in-process
+   transport, with no signal handlers of its own — the caller (a job
+   runner process) owns its signal policy and threads it through
+   [stop] — and job snapshots every [snapshot_every] generations, which
+   is how a crashed or suspended job continues without replaying work. *)
+let run_job ~(factory : int -> Engine_api.t) ?(stop = never) ?snapshot
+    ?(snapshot_every = 1) (p : params) : job_outcome =
+  run_in_process ~factory ~handle_signals:false ~stop ~snapshot
+    ~snapshot_every p

@@ -2,11 +2,16 @@ open Oqmc_particle
 open Oqmc_core
 
 (** Supervised multi-rank DMC execution: a single-threaded supervisor
-    forks N worker rank processes, drives them through a deadline-
-    budgeted generation protocol ({!Wire}) with per-read heartbeat
-    deadlines, performs real walker exchange for load balance, and
-    recovers from rank crashes, stalls and corrupted streams by
-    respawning from per-rank checkpoint shards.
+    drives N worker ranks through one deadline-budgeted generation
+    protocol ({!Wire}) with per-read heartbeat deadlines, performs real
+    walker exchange for load balance, and recovers from rank crashes,
+    stalls and corrupted streams by respawning from per-rank checkpoint
+    shards.
+
+    The protocol is written once, over a {!Transport}: {!run} forks one
+    process per rank and talks to it over pipes; {!run_local} and
+    {!run_job} keep the ranks in this process behind reply queues.
+    Every rank command goes through the same {!Rank.handle} either way.
 
     The rank set is ELASTIC: a membership plan can grow it mid-run
     (fork + [Join] + rebalance) and retire ranks gracefully ([Drain] →
@@ -15,10 +20,8 @@ open Oqmc_core
     joins, so degraded mode is reversible.  Ranks that blow the soft
     generation deadline are handled per {!straggler_policy}.
 
-    With zero injected faults and no membership events [run] is
-    bit-identical to {!run_local}, the in-process reference executor
-    over the same logical shards — and with a shared membership plan
-    the two stay bit-identical through every join and leave. *)
+    With zero injected faults the two transports are bit-identical,
+    including through a shared membership plan's joins and leaves. *)
 
 type straggler_policy =
   | Warn  (** count + trace the straggler, nothing else *)
@@ -173,15 +176,18 @@ val of_chaos :
     it drives. *)
 
 val run : factory:(int -> Engine_api.t) -> params -> result
-(** Forked execution.  The caller must not hold live OCaml domains
-    across this call (the supervisor forks).  @raise All_ranks_lost
-    when no rank survives, [Failure] when a rank fails during startup. *)
+(** The protocol over the pipe transport: one forked process per rank,
+    so a crash, stall or fault plan takes down one rank, not the run.
+    The caller must not hold live OCaml domains across this call (the
+    supervisor forks).  @raise All_ranks_lost when no rank survives,
+    [Failure] when a rank fails during startup. *)
 
 val run_local : factory:(int -> Engine_api.t) -> params -> result
-(** In-process reference executor: the same rank-sharded algorithm over
-    logical shards — no fork, no pipes, including the elastic
-    membership plan.  The bit-identity oracle for [run], and the
-    single-process driver for rank-shaped runs. *)
+(** The same protocol over the in-process mailbox transport: no fork,
+    no pipes, no serialization.  Honours [restore] and the membership
+    plan like {!run}.
+    @raise Invalid_argument on a non-empty [faults] plan — fault
+    injection acts on a whole process and needs {!run}. *)
 
 (** {1 Reentrant per-job execution (the serve layer's entry point)} *)
 
@@ -199,7 +205,6 @@ type job_outcome = {
 
 val run_job :
   factory:(int -> Engine_api.t) ->
-  ?local:bool ->
   ?stop:(unit -> bool) ->
   ?snapshot:string ->
   ?snapshot_every:int ->
@@ -209,11 +214,10 @@ val run_job :
     and signal-neutral: unlike {!run}/{!run_local} it NEVER installs
     SIGTERM/SIGINT handlers — the caller owns its signal policy and
     threads shutdown through [stop], polled at every generation
-    boundary.  With [local = true] (default) the job executes on the
-    in-process reference path and, given [snapshot], persists its full
-    dynamical state every [snapshot_every] generations (plus at drain
-    and completion) via {!Snapshot}, resuming bit-identically from the
+    boundary.  The job runs on the in-process transport, as
+    {!run_local}.  Given [snapshot], it persists its full dynamical
+    state every [snapshot_every] generations (plus at drain and
+    completion) via {!Snapshot}, and resumes bit-identically from the
     newest valid snapshot on the next call with the same parameters.
-    [local = false] uses the forked supervisor (no snapshot support).
-    @raise Invalid_argument for [snapshot] with [local = false], a
-    snapshot with a non-empty membership plan, or [snapshot_every < 1]. *)
+    @raise Invalid_argument for a snapshot with a non-empty membership
+    plan, [snapshot_every < 1] or a non-empty [faults] plan. *)

@@ -71,6 +71,19 @@ type msg =
   | Join of { gen : int; e_trial : float }
   | Drain of { gen : int }
   | Leave of { gen : int; count : int }
+  (* ---- job snapshots ----
+     At a generation boundary [State_req] asks a rank for everything its
+     trajectory depends on beyond the supervisor's own state: the
+     bit-exact RNG stream states, lifetime move totals and the shard. *)
+  | State_req of { gen : int }
+  | State of {
+      gen : int;
+      master : string;
+      pool : string;
+      acc : int;
+      prop : int;
+      walkers : Walker.t list;
+    }
 
 (* ---------- encoding ---------- *)
 
@@ -113,6 +126,8 @@ let tag_of = function
   | Join _ -> 14
   | Drain _ -> 15
   | Leave _ -> 16
+  | State_req _ -> 17
+  | State _ -> 18
 
 let encode_payload buf = function
   | Hello { rank; pid } ->
@@ -160,6 +175,14 @@ let encode_payload buf = function
       put_i64 buf prop;
       put_walkers buf walkers;
       put_str buf trace
+  | State_req { gen } -> put_i32 buf gen
+  | State { gen; master; pool; acc; prop; walkers } ->
+      put_i32 buf gen;
+      put_str buf master;
+      put_str buf pool;
+      put_i64 buf acc;
+      put_i64 buf prop;
+      put_walkers buf walkers
 
 (* ---------- decoding ---------- *)
 
@@ -266,6 +289,15 @@ let decode_body body =
         let gen = get_i32 body pos in
         let count = get_i32 body pos in
         Leave { gen; count }
+    | 17 -> State_req { gen = get_i32 body pos }
+    | 18 ->
+        let gen = get_i32 body pos in
+        let master = get_str body pos in
+        let pool = get_str body pos in
+        let acc = get_i64 body pos in
+        let prop = get_i64 body pos in
+        let walkers = get_walkers body pos in
+        State { gen; master; pool; acc; prop; walkers }
     | t -> garbage "unknown tag %d" t
   in
   if !pos <> String.length body then

@@ -66,6 +66,19 @@ type msg =
           [Walkers] batch) and confirm with [Leave] *)
   | Leave of { gen : int; count : int }
       (** rank → supervisor: drain complete, [count] walkers shipped *)
+  | State_req of { gen : int }
+      (** supervisor → rank at a generation boundary: report your
+          dynamical state for a job snapshot *)
+  | State of {
+      gen : int;
+      master : string;
+      pool : string;
+      acc : int;
+      prop : int;
+      walkers : Walker.t list;
+    }
+      (** rank → supervisor: bit-exact (master, pool) RNG stream states
+          ([Xoshiro.state_string]), lifetime move totals and the shard *)
 
 val send : Unix.file_descr -> msg -> unit
 (** Write one frame, fully.  @raise Closed on a broken pipe. *)

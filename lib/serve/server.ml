@@ -212,7 +212,7 @@ let exec_runner cfg (spec : Job.spec) wfd =
            }
          in
          let out =
-           Supervisor.run_job ~factory ~local:true ~stop ~snapshot
+           Supervisor.run_job ~factory ~stop ~snapshot
              ~snapshot_every:cfg.snapshot_every params
          in
          if !suspend && out.Supervisor.drained then `Suspended

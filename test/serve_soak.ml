@@ -24,7 +24,21 @@ module Jsonx = Oqmc_obs.Jsonx
 module Chaos = Oqmc_core.Chaos
 module Input = Oqmc_core.Input
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) fmt
+(* Every daemon this soak forked.  Each runs in its own session, so its
+   pid is also the process group of the job runners it forks: a failing
+   soak kills the whole group and leaves no daemon or orphaned runner
+   behind. *)
+let forked = ref []
+
+let die fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("FAIL: " ^ s);
+      List.iter
+        (fun pid -> try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ())
+        !forked;
+      exit 1)
+    fmt
 let check name ok = if not ok then die "%s" name
 let info fmt = Printf.printf (fmt ^^ "\n%!")
 
@@ -47,14 +61,35 @@ let fork_daemon config =
   match Unix.fork () with
   | 0 -> (
       try
+        ignore (Unix.setsid ());
         Server.serve config;
         Stdlib.exit 0
       with e ->
         prerr_endline ("daemon: " ^ Printexc.to_string e);
         Stdlib.exit 1)
-  | pid -> pid
+  | pid ->
+      forked := pid :: !forked;
+      pid
 
 let wait_pid pid = snd (Unix.waitpid [] pid)
+
+(* SIGTERM a daemon and wait for its graceful drain, which takes at most
+   the suspend grace: past grace + 10 s the drain is hung, so the soak
+   kills the daemon's group and fails. *)
+let drain_daemon (cfg : Server.config) pid =
+  Unix.kill pid Sys.sigterm;
+  let limit = Unix.gettimeofday () +. cfg.Server.grace_s +. 10. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () > limit then
+          die "daemon %d still running %.0f s after SIGTERM" pid
+            (cfg.Server.grace_s +. 10.);
+        Unix.sleepf 0.05;
+        wait ()
+    | _, st -> st
+  in
+  wait ()
 
 let stats_of socket =
   let fd = Client.connect ~attempts:200 socket in
@@ -166,8 +201,8 @@ let phase1 () =
         | Ok o -> o
         | Error e -> die "reference job %d: %s" i e)
   in
-  Unix.kill refd Sys.sigterm;
-  check "reference daemon drained" (wait_pid refd = Unix.WEXITED 0);
+  check "reference daemon drained"
+    (drain_daemon (p1_config ref_socket ref_dir) refd = Unix.WEXITED 0);
 
   (* The same four decks, two running + two queued, then SIGKILL. *)
   let socket = Filename.concat base "p1.sock" in
@@ -191,15 +226,28 @@ let phase1 () =
       match stats_of socket with
       | s -> if s.Proto.running = 2 && s.Proto.queued = 2 then Some () else None
       | exception e when transient e -> None);
-  (* Let the runners cross at least one snapshot boundary so the
-     restart has something to resume from. *)
+  (* Kill as soon as a running job has a job snapshot, so the restart has
+     something to resume from.  Only a [<id>.job.gen-N] file counts —
+     the runner's status file lands after generation 1 — and there is no
+     further wait: a running job that finishes before the kill leaves
+     nothing to resume. *)
   let snapdir = Filename.concat dir "snap" in
-  poll ~timeout:30. ~what:"a snapshot on disk" (fun () ->
+  let is_job_snapshot f =
+    List.exists
+      (fun id ->
+        let prefix = id ^ ".job.gen-" in
+        String.starts_with ~prefix f
+        && int_of_string_opt
+             (String.sub f (String.length prefix)
+                (String.length f - String.length prefix))
+           <> None)
+      ids
+  in
+  poll ~timeout:30. ~what:"a job snapshot on disk" (fun () ->
       match Sys.readdir snapdir with
-      | [||] -> None
-      | _ -> Some ()
+      | files when Array.exists is_job_snapshot files -> Some ()
+      | _ -> None
       | exception Sys_error _ -> None);
-  Unix.sleepf 0.3;
   Unix.kill daemon Sys.sigkill;
   (match wait_pid daemon with
   | Unix.WSIGNALED s when s = Sys.sigkill -> ()
@@ -253,8 +301,7 @@ let phase1 () =
       check (id ^ ": exactly one Submit across the kill") (submits = 1);
       check (id ^ ": exactly one terminal record") (terminals = 1))
     ids;
-  Unix.kill daemon Sys.sigterm;
-  check "restarted daemon drained" (wait_pid daemon = Unix.WEXITED 0);
+  check "restarted daemon drained" (drain_daemon cfg daemon = Unix.WEXITED 0);
   let after = Journal.recover (Journal.replay (Filename.concat dir "journal")) in
   check "compacted journal has nothing pending"
     (after.Journal.r_pending = []);
@@ -444,8 +491,7 @@ let phase2 () =
       + s.Proto.running + s.Proto.retrying);
   check "storm rejections were recorded"
     (!storms_rejected >= 1 && s.Proto.rejected >= 1);
-  Unix.kill !daemon Sys.sigterm;
-  check "chaos daemon drained" (wait_pid !daemon = Unix.WEXITED 0);
+  check "chaos daemon drained" (drain_daemon cfg !daemon = Unix.WEXITED 0);
   info
     "  accounting conserved (accepted %d = done %d + failed %d + cancelled \
      %d), %d storm rejections"

@@ -141,11 +141,28 @@ let test_wire_roundtrip () =
         (fun a b -> check_bool "batch bit-exact" true (encode_one a = encode_one b))
         walkers ws
   | _ -> Alcotest.fail "wrong message");
-  match
-    roundtrip (Wire.Final { acc = 7; prop = 11; walkers; trace = "blob" })
-  with
+  (match
+     roundtrip (Wire.Final { acc = 7; prop = 11; walkers; trace = "blob" })
+   with
   | Wire.Final { acc = 7; prop = 11; walkers = ws; trace = "blob" } ->
       check_int "final batch size" 3 (List.length ws)
+  | _ -> Alcotest.fail "wrong message");
+  check_bool "state request roundtrip" true
+    (roundtrip (Wire.State_req { gen = 40 }) = Wire.State_req { gen = 40 });
+  let rng = Xoshiro.create 8 in
+  let master = Xoshiro.state_string rng in
+  let pool = Xoshiro.state_string (Xoshiro.split rng) in
+  match
+    roundtrip
+      (Wire.State { gen = 40; master; pool; acc = 123456789012; prop = 5; walkers })
+  with
+  | Wire.State
+      { gen = 40; master = m; pool = pl; acc = 123456789012; prop = 5; walkers = ws }
+    ->
+      check_bool "rng states intact" true (m = master && pl = pool);
+      List.iter2
+        (fun a b -> check_bool "state shard bit-exact" true (encode_one a = encode_one b))
+        walkers ws
   | _ -> Alcotest.fail "wrong message"
 
 let test_wire_crc_garbage () =
@@ -723,6 +740,62 @@ let test_restore_resumes_all_ranks () =
     (List.length r2.Supervisor.final_walkers > 0);
   ignore r1
 
+(* Both transports honour [restore]: resumed from the same checkpoint
+   shards, they continue on the same trajectory. *)
+let test_restore_local_matches_forked () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "run.chk" in
+  let p1 =
+    {
+      base_params with
+      Supervisor.generations = 6;
+      checkpoint = Some path;
+      checkpoint_every = 3;
+    }
+  in
+  ignore (Supervisor.run ~factory p1);
+  (* Restored runs write no further shards, so both read generation 9. *)
+  let p2 =
+    { p1 with Supervisor.restore = true; warmup = 0; generations = 5; checkpoint_every = 0 }
+  in
+  let local = Supervisor.run_local ~factory p2 in
+  let forked = Supervisor.run ~factory p2 in
+  check_bool "restored energy series bit-identical" true
+    (same_series local.Supervisor.energy_series forked.Supervisor.energy_series);
+  Alcotest.(check (array int))
+    "restored population series identical" local.Supervisor.population_series
+    forked.Supervisor.population_series;
+  let fresh = Supervisor.run_local ~factory { p2 with Supervisor.restore = false } in
+  check_bool "restore actually changed the trajectory" false
+    (same_series local.Supervisor.energy_series fresh.Supervisor.energy_series)
+
+let test_local_rejects_faults () =
+  let p = { base_params with Supervisor.faults = [ (1, 2, Fault.Rank_kill) ] } in
+  let rejects f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "run_local rejects a fault plan" true
+    (rejects (fun () -> ignore (Supervisor.run_local ~factory p)));
+  check_bool "run_job rejects a fault plan" true
+    (rejects (fun () -> ignore (Supervisor.run_job ~factory p)))
+
+(* One telemetry schema: every per-generation JSONL record carries the
+   same keys whichever transport produced it. *)
+let test_telemetry_schema_shared () =
+  let keys run =
+    let file = Filename.concat (tmpdir ()) "t.jsonl" in
+    ignore (run ~factory { base_params with Supervisor.telemetry = Some file });
+    In_channel.with_open_text file In_channel.input_lines
+    |> List.map (fun line ->
+           match Oqmc_obs.Jsonx.parse_string_exn line with
+           | Oqmc_obs.Jsonx.Obj kvs -> List.sort compare (List.map fst kvs)
+           | _ -> Alcotest.fail "telemetry record is not an object")
+    |> List.sort_uniq compare
+  in
+  let local = keys Supervisor.run_local and forked = keys Supervisor.run in
+  check_int "one record shape per transport" 1 (List.length local);
+  Alcotest.(check (list (list string))) "same keys" forked local
+
 (* ---------- job snapshots: suspend + resume ---------- *)
 
 let snap_params =
@@ -1021,6 +1094,12 @@ let () =
             test_restore_resumes_all_ranks;
           Alcotest.test_case "job snapshot resume is bit-identical" `Quick
             test_snapshot_resume_bit_identical;
+          Alcotest.test_case "restore: local == forked, bit for bit" `Quick
+            test_restore_local_matches_forked;
+          Alcotest.test_case "in-process ranks reject a fault plan" `Quick
+            test_local_rejects_faults;
+          Alcotest.test_case "one telemetry schema for both transports" `Quick
+            test_telemetry_schema_shared;
         ] );
       ( "elastic",
         [
