@@ -286,51 +286,6 @@ let wall_percentile gen_times q =
   | Some (estimate, _) -> estimate
   | None -> 0.
 
-let finalize ~p ~t0 ~energy_series ~pop_series ~comm_messages ~comm_bytes
-    ~respawns ~heartbeat_timeouts ~garbage_frames ~crashes ~ranks_failed
-    ~live_ranks ~degraded_generations ~joins ~leaves ~stragglers ~steals
-    ~membership_skipped ~membership_log ~gen_times ~acc ~prop ~final_walkers
-    ~final_e_trial =
-  ignore p;
-  let wall_time = Oqmc_containers.Timers.now () -. t0 in
-  let energy = Stats.series_mean energy_series in
-  let variance = Stats.series_variance energy_series in
-  let pops = Array.of_list (List.rev pop_series) in
-  {
-    energy;
-    energy_error = Stats.series_error energy_series;
-    variance;
-    tau_corr = Stats.autocorrelation_time energy_series;
-    acceptance = float_of_int acc /. float_of_int (max 1 prop);
-    wall_time;
-    mean_population =
-      (if Array.length pops = 0 then 0.
-       else
-         float_of_int (Array.fold_left ( + ) 0 pops)
-         /. float_of_int (Array.length pops));
-    energy_series = Stats.to_array energy_series;
-    population_series = pops;
-    comm_messages;
-    comm_bytes;
-    respawns;
-    heartbeat_timeouts;
-    garbage_frames;
-    crashes;
-    ranks_failed = List.sort compare ranks_failed;
-    live_ranks;
-    degraded_generations;
-    joins;
-    leaves;
-    stragglers;
-    steals;
-    membership_skipped;
-    membership_log = List.rev membership_log;
-    gen_p50_s = wall_percentile gen_times 0.50;
-    gen_p99_s = wall_percentile gen_times 0.99;
-    final_walkers;
-    final_e_trial;
-  }
-
 (* ---------- observability plumbing ----------
 
    Enables tracing when a trace path is requested (forked ranks inherit
@@ -558,44 +513,40 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
   (* A job snapshot continues the trajectory bit-identically; a shard
      restore replays the checkpointed walkers on fresh RNG streams. *)
   let resume = load_snapshot p snapshot in
-  let restore_init =
+  let inits =
     match (resume, p.checkpoint) with
-    | None, Some path when p.restore -> (
-        match Checkpoint.latest_complete ~path ~ranks:p.ranks with
-        | None -> None
-        | Some gen ->
-            Some
-              (Array.init p.ranks (fun r ->
-                   Checkpoint.load_shard ~path ~rank:r ~gen)))
-    | _ -> None
-  in
-  let init_of r =
-    match (resume, restore_init) with
     | Some (st, shards), _ ->
-        let rs = List.nth st.Snapshot.rank_states r in
         Some
-          {
-            Rank.e_trial = st.Snapshot.e_trial;
-            walkers = List.assoc r shards;
-            resume =
-              Some
-                {
-                  Rank.master = rs.Snapshot.r_master;
-                  pool = rs.Snapshot.r_pool;
-                  acc = rs.Snapshot.r_acc;
-                  prop = rs.Snapshot.r_prop;
-                };
-          }
-    | None, Some shards ->
-        let e_trial, walkers = shards.(r) in
-        Some { Rank.e_trial; walkers; resume = None }
-    | None, None -> None
+          (Array.of_list
+             (List.map
+                (fun (rs : Snapshot.rank_state) ->
+                  {
+                    Rank.e_trial = st.Snapshot.e_trial;
+                    walkers = List.assoc rs.Snapshot.r_rank shards;
+                    resume =
+                      Some
+                        {
+                          Rank.master = rs.Snapshot.r_master;
+                          pool = rs.Snapshot.r_pool;
+                          acc = rs.Snapshot.r_acc;
+                          prop = rs.Snapshot.r_prop;
+                        };
+                  })
+                st.Snapshot.rank_states))
+    | None, Some path when p.restore ->
+        Option.map
+          (fun gen ->
+            Array.init p.ranks (fun r ->
+                let e_trial, walkers = Checkpoint.load_shard ~path ~rank:r ~gen in
+                { Rank.e_trial; walkers; resume = None }))
+          (Checkpoint.latest_complete ~path ~ranks:p.ranks)
+    | _ -> None
   in
   let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
   for r = 0 to p.ranks - 1 do
     spawn
       ~cfg:(rank_config p ~rank:r ~incarnation:0 ~after:(-1))
-      ~init:(init_of r)
+      ~init:(Option.map (fun a -> a.(r)) inits)
   done;
   let find r = Hashtbl.find_opt members r in
   let proc r = Hashtbl.find members r in
@@ -671,13 +622,9 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
         | Wire.Hello _ -> Some ()
         | _ -> None))
   done;
-  (match init_of 0 with
-  | Some _ ->
-      for r = 0 to p.ranks - 1 do
-        Option.iter
-          (fun i -> (proc r).count <- List.length i.Rank.walkers)
-          (init_of r)
-      done
+  (match inits with
+  | Some a ->
+      Array.iteri (fun r i -> (proc r).count <- List.length i.Rank.walkers) a
   | None ->
       for r = 0 to p.ranks - 1 do
         ignore (guard r (fun s -> send s (Wire.Init { count = counts.(r) })))
@@ -696,10 +643,9 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
       done);
   let e_trial =
     ref
-      (match (resume, restore_init) with
-      | Some (st, _), _ -> st.Snapshot.e_trial
-      | None, Some shards -> fst shards.(0)
-      | None, None -> if !w0 > 0. then !e0 /. !w0 else 0.)
+      (match inits with
+      | Some a -> a.(0).Rank.e_trial
+      | None -> if !w0 > 0. then !e0 /. !w0 else 0.)
   in
   if !failed_this_gen <> [] then
     (* A rank that cannot even start is not worth respawning: fail fast
@@ -1454,17 +1400,42 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
       | None -> ());
       T.close (proc r).link)
     (live ());
+  let pops = Array.of_list (List.rev !pop_series) in
   let job_result =
-    finalize ~p ~t0 ~energy_series ~pop_series:!pop_series
-      ~comm_messages:!comm_messages ~comm_bytes:!comm_bytes
-      ~respawns:!respawns ~heartbeat_timeouts:!hb_timeouts
-      ~garbage_frames:!garbage_frames ~crashes:!crashes
-      ~ranks_failed:!ranks_failed ~live_ranks:live_at_end
-      ~degraded_generations:!degraded_generations ~joins:!joins
-      ~leaves:!leaves ~stragglers:!stragglers ~steals:!steals
-      ~membership_skipped:!skipped ~membership_log:!membership_log
-      ~gen_times:!gen_times ~acc:!acc ~prop:!prop
-      ~final_walkers:!final_walkers ~final_e_trial:!e_trial
+    {
+      energy = Stats.series_mean energy_series;
+      energy_error = Stats.series_error energy_series;
+      variance = Stats.series_variance energy_series;
+      tau_corr = Stats.autocorrelation_time energy_series;
+      acceptance = float_of_int !acc /. float_of_int (max 1 !prop);
+      wall_time = Oqmc_containers.Timers.now () -. t0;
+      mean_population =
+        (if Array.length pops = 0 then 0.
+         else
+           float_of_int (Array.fold_left ( + ) 0 pops)
+           /. float_of_int (Array.length pops));
+      energy_series = Stats.to_array energy_series;
+      population_series = pops;
+      comm_messages = !comm_messages;
+      comm_bytes = !comm_bytes;
+      respawns = !respawns;
+      heartbeat_timeouts = !hb_timeouts;
+      garbage_frames = !garbage_frames;
+      crashes = !crashes;
+      ranks_failed = List.sort compare !ranks_failed;
+      live_ranks = live_at_end;
+      degraded_generations = !degraded_generations;
+      joins = !joins;
+      leaves = !leaves;
+      stragglers = !stragglers;
+      steals = !steals;
+      membership_skipped = !skipped;
+      membership_log = List.rev !membership_log;
+      gen_p50_s = wall_percentile !gen_times 0.50;
+      gen_p99_s = wall_percentile !gen_times 0.99;
+      final_walkers = !final_walkers;
+      final_e_trial = !e_trial;
+    }
   in
   {
     job_result;
