@@ -2,11 +2,11 @@ open Oqmc_core
 open Oqmc_workloads
 open Oqmc_dist
 
-(* Supervision-overhead benchmark: the same rank-sharded DMC run
-   executed (a) in process by the reference executor, (b) as forked
-   supervised ranks, and (c) forked with a mid-run SIGKILL recovered
-   from a checkpoint shard — isolating the cost of process isolation,
-   the wire protocol, and a full crash recovery. *)
+(* Supervision-overhead benchmark: the same supervised DMC run over
+   (a) the in-process mailbox transport, (b) the pipe transport with
+   forked ranks, and (c) forked with a mid-run SIGKILL recovered from a
+   checkpoint shard — isolating the cost of process isolation, the wire
+   encoding, and a full crash recovery. *)
 
 let params ~ranks ~faults ~checkpoint =
   {
@@ -42,9 +42,9 @@ let run () =
     (fun ranks ->
       Printf.printf "ranks = %d\n" ranks;
       let local = Supervisor.run_local ~factory (params ~ranks ~faults:[] ~checkpoint:None) in
-      line "in-process reference" local;
+      line "in-process mailbox" local;
       let forked = Supervisor.run ~factory (params ~ranks ~faults:[] ~checkpoint:None) in
-      line "forked, fault-free" forked;
+      line "forked pipes, fault-free" forked;
       let dir = Filename.temp_file "oqmc_distbench" "" in
       Sys.remove dir;
       Unix.mkdir dir 0o700;
@@ -54,7 +54,7 @@ let run () =
              ~faults:[ (ranks - 1, 30, Oqmc_core.Fault.Rank_kill) ]
              ~checkpoint:(Some (Filename.concat dir "bench.chk")))
       in
-      line "forked, 1 crash recovered" recovered;
+      line "forked pipes, 1 crash recovered" recovered;
       if local.Supervisor.wall_time > 0. then
         Printf.printf "  fork+wire overhead: %+.1f%%   crash-recovery cost: %+.1f%%\n"
           ((forked.Supervisor.wall_time /. local.Supervisor.wall_time -. 1.)

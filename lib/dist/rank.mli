@@ -29,9 +29,6 @@ type config = {
           has not yet reached, so a respawn cannot re-kill itself *)
 }
 
-val rank_seed : config -> int
-(** Disjoint deterministic seed block for (rank, incarnation). *)
-
 (** What a job snapshot restores beyond the walkers. *)
 type resume = {
   master : string;  (** [Xoshiro.state_string] of the branching stream *)

@@ -1,9 +1,10 @@
 open Oqmc_core
 
-(* Mid-run job snapshots: the full dynamical state of an in-process
-   (run_local) supervised run, captured at a generation boundary so the
-   run can be SUSPENDED and later RESUMED bit-identically — the serve
-   layer's crash/deadline recovery primitive.
+(* Mid-run job snapshots: the full dynamical state of a supervised run,
+   captured at a generation boundary (each rank answers a [State_req]
+   with its [State]) so the run can be SUSPENDED and later RESUMED
+   bit-identically — the serve layer's crash/deadline recovery
+   primitive.
 
    A checkpoint shard (Checkpoint.save_shard) holds walkers + e_trial
    only; resuming from one replays the walkers but reseeds the RNG

@@ -1,7 +1,8 @@
 open Oqmc_particle
 
-(** Mid-run job snapshots for the in-process ([run_local]) supervised
-    executor: walkers go through the checkpoint shard files, and a
+(** Mid-run job snapshots of a supervised run ({!Supervisor.run_job}):
+    the supervisor collects every rank's [Wire.State] at a generation
+    boundary; walkers go through the checkpoint shard files, and a
     CRC-trailed [path.job.gen-N] metadata file captures everything else
     the trajectory depends on — per-rank RNG stream states, lifetime
     move totals, the measured energy/population series, sample and comm

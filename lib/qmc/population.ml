@@ -233,31 +233,3 @@ let plan ?weights counts =
     in
     go !surplus !deficit []
   end
-
-(* Apply the plan in-process: really move walkers between the shard
-   populations and report the communication volume the moves represent. *)
-let exchange ?weights shards =
-  let counts = Array.map size shards in
-  let moves = plan ?weights counts in
-  let messages = ref 0 and bytes = ref 0 in
-  List.iter
-    (fun { src; dst; count } ->
-      let ws = give shards.(src) count in
-      List.iter
-        (fun w ->
-          incr messages;
-          bytes := !bytes + Walker.message_bytes w)
-        ws;
-      absorb shards.(dst) ws)
-    moves;
-  let total = Array.fold_left (fun a s -> a + size s) 0 shards in
-  let per = total / max 1 (Array.length shards) in
-  let maxc = Array.fold_left (fun a s -> max a (size s)) 0 shards in
-  let minc = Array.fold_left (fun a s -> min a (size s)) max_int shards in
-  {
-    messages = !messages;
-    bytes = !bytes;
-    imbalance =
-      (if total = 0 || Array.length shards = 0 then 0.
-       else float_of_int (maxc - minc) /. float_of_int (max 1 per));
-  }

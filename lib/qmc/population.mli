@@ -82,6 +82,3 @@ val plan : ?weights:float array -> int array -> move list
     @raise Invalid_argument on a length mismatch or non-positive
     weight. *)
 
-val exchange : ?weights:float array -> t array -> balance_report
-(** Apply {!plan} in-process — really move walkers between the shards —
-    and report the exchange volume the moves represent. *)
