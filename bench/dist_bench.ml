@@ -44,7 +44,7 @@ let run () =
       let local = Supervisor.run_local ~factory (params ~ranks ~faults:[] ~checkpoint:None) in
       line "in-process mailbox" local;
       let forked = Supervisor.run ~factory (params ~ranks ~faults:[] ~checkpoint:None) in
-      line "forked pipes, fault-free" forked;
+      line "pipes, fault-free" forked;
       let dir = Filename.temp_file "oqmc_distbench" "" in
       Sys.remove dir;
       Unix.mkdir dir 0o700;
@@ -54,7 +54,7 @@ let run () =
              ~faults:[ (ranks - 1, 30, Oqmc_core.Fault.Rank_kill) ]
              ~checkpoint:(Some (Filename.concat dir "bench.chk")))
       in
-      line "forked pipes, 1 crash recovered" recovered;
+      line "pipes, 1 crash recovered" recovered;
       if local.Supervisor.wall_time > 0. then
         Printf.printf "  fork+wire overhead: %+.1f%%   crash-recovery cost: %+.1f%%\n"
           ((forked.Supervisor.wall_time /. local.Supervisor.wall_time -. 1.)
