@@ -312,7 +312,10 @@ let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
     | Wire.Final f ->
         Wire.send fd_out
           (Wire.Final
-             { f with trace = (if Trace.enabled () then Trace.serialize () else "") })
+             {
+               f with
+               trace = (if Trace.enabled () then Trace.serialize () else "");
+             })
     | Wire.Heartbeat { gen } as m ->
         Wire.send fd_out m;
         fire_faults ~gen

@@ -537,7 +537,9 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
         Option.map
           (fun gen ->
             Array.init p.ranks (fun r ->
-                let e_trial, walkers = Checkpoint.load_shard ~path ~rank:r ~gen in
+                let e_trial, walkers =
+                  Checkpoint.load_shard ~path ~rank:r ~gen
+                in
                 { Rank.e_trial; walkers; resume = None }))
           (Checkpoint.latest_complete ~path ~ranks:p.ranks)
     | _ -> None
@@ -746,7 +748,9 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
               hb ps
             |> Float.max 0.005
           in
-          let ready = T.ready ~timeout:wait (List.map (fun r -> (proc r).link) ps) in
+          let ready =
+            T.ready ~timeout:wait (List.map (fun r -> (proc r).link) ps)
+          in
           List.iter
             (fun r ->
               if List.memq (proc r).link ready then
@@ -757,7 +761,9 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
           let t = now () in
           List.iter
             (fun r ->
-              if (not (List.memq (proc r).link ready)) && t > Hashtbl.find deadline r
+              if
+                (not (List.memq (proc r).link ready))
+                && t > Hashtbl.find deadline r
               then fail_rank r Stall)
             (pending ());
           loop ()

@@ -36,7 +36,8 @@ module Pipes = struct
   }
 
   let create ~factory =
-    { factory; links = []; old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore }
+    let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    { factory; links = []; old_sigpipe }
 
   (* Wait for [pid] without losing the reap to a signal ([EINTR] restarts
      the wait) or double-reaping ([ECHILD] means some earlier path

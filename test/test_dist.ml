@@ -152,16 +152,16 @@ let test_wire_roundtrip () =
   let rng = Xoshiro.create 8 in
   let master = Xoshiro.state_string rng in
   let pool = Xoshiro.state_string (Xoshiro.split rng) in
-  match
-    roundtrip
-      (Wire.State { gen = 40; master; pool; acc = 123456789012; prop = 5; walkers })
-  with
+  let acc = 123456789012 in
+  let state = Wire.State { gen = 40; master; pool; acc; prop = 5; walkers } in
+  match roundtrip state with
   | Wire.State
-      { gen = 40; master = m; pool = pl; acc = 123456789012; prop = 5; walkers = ws }
-    ->
+      { gen = 40; master = m; pool = pl; acc = a; prop = 5; walkers = ws } ->
       check_bool "rng states intact" true (m = master && pl = pool);
+      check_int "64-bit move total" acc a;
       List.iter2
-        (fun a b -> check_bool "state shard bit-exact" true (encode_one a = encode_one b))
+        (fun a b ->
+          check_bool "state shard bit-exact" true (encode_one a = encode_one b))
         walkers ws
   | _ -> Alcotest.fail "wrong message"
 
@@ -762,21 +762,32 @@ let test_restore_local_matches_forked () =
   ignore (Supervisor.run ~factory p1);
   (* Restored runs write no further shards, so both read generation 9. *)
   let p2 =
-    { p1 with Supervisor.restore = true; warmup = 0; generations = 5; checkpoint_every = 0 }
+    {
+      p1 with
+      Supervisor.restore = true;
+      warmup = 0;
+      generations = 5;
+      checkpoint_every = 0;
+    }
   in
   let local = Supervisor.run_local ~factory p2 in
   let forked = Supervisor.run ~factory p2 in
   check_bool "restored energy series bit-identical" true
-    (same_series local.Supervisor.energy_series forked.Supervisor.energy_series);
+    (same_series local.Supervisor.energy_series
+       forked.Supervisor.energy_series);
   Alcotest.(check (array int))
     "restored population series identical" local.Supervisor.population_series
     forked.Supervisor.population_series;
-  let fresh = Supervisor.run_local ~factory { p2 with Supervisor.restore = false } in
+  let fresh =
+    Supervisor.run_local ~factory { p2 with Supervisor.restore = false }
+  in
   check_bool "restore actually changed the trajectory" false
     (same_series local.Supervisor.energy_series fresh.Supervisor.energy_series)
 
 let test_local_rejects_faults () =
-  let p = { base_params with Supervisor.faults = [ (1, 2, Fault.Rank_kill) ] } in
+  let p =
+    { base_params with Supervisor.faults = [ (1, 2, Fault.Rank_kill) ] }
+  in
   let rejects f =
     match f () with _ -> false | exception Invalid_argument _ -> true
   in
@@ -837,7 +848,9 @@ let test_snapshot_resume_bit_identical () =
     path
   in
   let path = interrupted () in
-  let o = Supervisor.run_job ~factory ~snapshot:path ~snapshot_every:3 snap_params in
+  let o =
+    Supervisor.run_job ~factory ~snapshot:path ~snapshot_every:3 snap_params
+  in
   check_int "resumed from the drain snapshot" 7 o.Supervisor.resumed_from;
   check_bool "second call ran to completion" false o.Supervisor.drained;
   same_job_physics "resume@7" whole o.Supervisor.job_result;
@@ -846,7 +859,9 @@ let test_snapshot_resume_bit_identical () =
      uninterrupted trajectory. *)
   let path = interrupted () in
   Sys.remove (Checkpoint.generation_path ~path:(path ^ ".job") 7);
-  let o = Supervisor.run_job ~factory ~snapshot:path ~snapshot_every:3 snap_params in
+  let o =
+    Supervisor.run_job ~factory ~snapshot:path ~snapshot_every:3 snap_params
+  in
   check_int "fell back to the previous snapshot" 6 o.Supervisor.resumed_from;
   same_job_physics "resume@6" whole o.Supervisor.job_result
 
