@@ -11,10 +11,10 @@ open Oqmc_wavefunction
    Four measurements, printed as a table and optionally written as JSON
    (BENCH_crowd.json) so regressions are diffable across PRs:
 
-   1. full PbP sweep: the SPO-only staged crowd path (pipeline:false,
-      the PR2 behaviour) vs. the fully batched pipeline, with the
-      bit-identity of the two paths asserted on each slot's local
-      energy;
+   1. full PbP sweep: scalar [Engine_api.sweep]s vs. the fused
+      pipeline at crowd 1 (one one-slot crowd per walker) and at crowd 8,
+      over the same walkers and streams, with the bit-identity of all
+      three asserted on each walker's local energy;
    2. per-kernel ns/move: scalar per-slot calls vs. the batched kernel,
       for the AA distance table and the J1/J2 Jastrow stages;
    3. allocation per move: the batched DistTable and Jastrow kernels
@@ -46,56 +46,77 @@ let minor_words_per ~reps f =
   done;
   (Gc.minor_words () -. w0) /. float_of_int reps
 
-(* ---- 1. full PbP sweep: staged (SPO-only) vs full pipeline ---- *)
+(* ---- 1. full PbP sweep: scalar vs pipeline at crowd 1 and 8 ---- *)
 
 type sweep_point = {
   system : string;
   crowd : int;
   moves_per_sweep : int;
-  staged_ns_per_move : float;
+  scalar_ns_per_move : float;
+  crowd1_ns_per_move : float;
   pipeline_ns_per_move : float;
-  speedup : float;
+  speedup : float; (* scalar / pipeline at [crowd] *)
 }
 
 let bench_sweep ~name ~sys ~crowd ~sweeps =
   let factory = Build.factory ~variant:Variant.Current ~seed:5 sys in
-  let run ~pipeline =
-    let cr = Crowd.create ~pipeline ~factory ~base:0 ~size:crowd () in
-    if pipeline && not (Crowd.pipelined cr) then
-      failwith "crowd_bench: pipeline did not engage";
+  (* [crowd] walkers, each on its own engine; [sweep ()] advances all of
+     them once.  Returns seconds per call and the final local energies. *)
+  let time_walkers engines sweep =
     let rngs = Xoshiro.streams ~seed:7 crowd in
-    for s = 0 to crowd - 1 do
-      (Crowd.engine cr s).Engine_api.randomize rngs.(s)
-    done;
-    let srngs = Xoshiro.streams ~seed:11 crowd in
-    let sweep () =
-      ignore (Crowd.sweep cr ~active:crowd ~rng:(fun s -> srngs.(s)) ~tau:0.1)
-    in
+    Array.iteri (fun s e -> e.Engine_api.randomize rngs.(s)) engines;
     sweep ();
     (* warmup *)
     let t = time_per ~reps:sweeps sweep in
-    let fp =
-      Array.init crowd (fun s -> (Crowd.engine cr s).Engine_api.measure ())
-    in
-    (t, fp)
+    (t, Array.map (fun e -> e.Engine_api.measure ()) engines)
   in
-  let ts, fs = run ~pipeline:false in
-  let tp, fp = run ~pipeline:true in
-  (* same seeds, same draw order: the two paths must agree bit-for-bit *)
-  Array.iteri
-    (fun i a ->
-      if not (Float.equal a fp.(i)) then
-        failwith "crowd_bench: pipeline sweep deviates from staged path")
-    fs;
+  let scalar =
+    let engines = Array.init crowd factory in
+    let srngs = Xoshiro.streams ~seed:11 crowd in
+    time_walkers engines (fun () ->
+        Array.iteri
+          (fun s e -> ignore (e.Engine_api.sweep srngs.(s) ~tau:0.1))
+          engines)
+  in
+  let crowds size =
+    let crs =
+      Array.init (crowd / size) (fun c ->
+          Crowd.create ~factory ~base:(c * size) ~size ())
+    in
+    let srngs = Xoshiro.streams ~seed:11 crowd in
+    time_walkers
+      (Array.init crowd (fun s -> Crowd.engine crs.(s / size) (s mod size)))
+      (fun () ->
+        Array.iteri
+          (fun c cr ->
+            ignore
+              (Crowd.sweep cr ~active:size
+                 ~rng:(fun s -> srngs.((c * size) + s))
+                 ~tau:0.1))
+          crs)
+  in
+  let one = crowds 1 and full = crowds crowd in
+  (* same seeds, same draw order: every path must agree bit-for-bit *)
+  let ts, es = scalar in
+  List.iter
+    (fun (_, fs) ->
+      Array.iteri
+        (fun i a ->
+          if not (Float.equal a fs.(i)) then
+            failwith "crowd_bench: pipeline sweep deviates from scalar sweeps")
+        es)
+    [ one; full ];
   let e0 = Build.engine ~variant:Variant.Current ~seed:5 sys in
   let moves = crowd * e0.Engine_api.n_electrons in
+  let per_move t = t *. 1e9 /. float_of_int moves in
   {
     system = name;
     crowd;
     moves_per_sweep = moves;
-    staged_ns_per_move = ts *. 1e9 /. float_of_int moves;
-    pipeline_ns_per_move = tp *. 1e9 /. float_of_int moves;
-    speedup = ts /. tp;
+    scalar_ns_per_move = per_move ts;
+    crowd1_ns_per_move = per_move (fst one);
+    pipeline_ns_per_move = per_move (fst full);
+    speedup = ts /. fst full;
   }
 
 let bench_sweeps () =
@@ -342,10 +363,10 @@ let json_of ~sweeps ~kernels ~delays =
     (fun i p ->
       f b
         "    {\"system\": %S, \"crowd\": %d, \"moves_per_sweep\": %d, \
-         \"staged_ns_per_move\": %.1f, \"pipeline_ns_per_move\": %.1f, \
-         \"speedup\": %.3f}%s\n"
-        p.system p.crowd p.moves_per_sweep p.staged_ns_per_move
-        p.pipeline_ns_per_move p.speedup
+         \"scalar_ns_per_move\": %.1f, \"crowd1_ns_per_move\": %.1f, \
+         \"pipeline_ns_per_move\": %.1f, \"speedup\": %.3f}%s\n"
+        p.system p.crowd p.moves_per_sweep p.scalar_ns_per_move
+        p.crowd1_ns_per_move p.pipeline_ns_per_move p.speedup
         (if i = List.length sweeps - 1 then "" else ","))
     sweeps;
   f b "  ],\n";
@@ -373,17 +394,17 @@ let json_of ~sweeps ~kernels ~delays =
   Buffer.contents b
 
 let run ?json () =
-  Printf.printf "== full PbP sweep: staged (SPO-only) vs pipeline ==\n%!";
+  Printf.printf "== full PbP sweep: scalar vs pipeline ==\n%!";
   let sweeps = bench_sweeps () in
   (* ns/move always %.1f, words/move always %.2f — same precisions as
      the JSON record, so console and BENCH file never disagree. *)
   List.iter
     (fun p ->
       Printf.printf
-        "  %-12s crowd %2d: staged %.1f ns/move, pipeline %.1f ns/move  \
-         (%.2fx)\n"
-        p.system p.crowd p.staged_ns_per_move p.pipeline_ns_per_move
-        p.speedup)
+        "  %-12s scalar %.1f ns/move, crowd 1 %.1f ns/move, crowd %d %.1f \
+         ns/move  (%.2fx)\n"
+        p.system p.scalar_ns_per_move p.crowd1_ns_per_move p.crowd
+        p.pipeline_ns_per_move p.speedup)
     sweeps;
   Printf.printf "== per-kernel scalar vs batched ==\n%!";
   let kernels = bench_kernels () in
@@ -413,7 +434,7 @@ let run ?json () =
       Printf.printf "wrote %s\n%!" path
 
 (* Reduced run for the @bench-smoke alias: keeps every assertion — the
-   pipeline-vs-staged trajectory identity of [bench_sweep], the
+   pipeline-vs-scalar trajectory identity of [bench_sweep], the
    per-kernel zero-allocation failwiths of [bench_kernels], and the
    delayed-update regression guard — at a fraction of the reps, and
    skips the NiO build.  Timing numbers from this mode are noise except
@@ -424,8 +445,10 @@ let smoke () =
       ~sys:(Oqmc_workloads.Validation.harmonic ~n:6 ~omega:1.0)
       ~crowd:8 ~sweeps:40
   in
-  Printf.printf "crowd smoke: %s pipeline bit-identical to staged path\n"
-    p.system;
+  Printf.printf
+    "crowd smoke: %s pipeline at crowd 1 and %d bit-identical to scalar \
+     sweeps\n"
+    p.system p.crowd;
   let kernels = bench_kernels ~reps:2_000 () in
   List.iter
     (fun q ->

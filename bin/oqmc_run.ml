@@ -146,6 +146,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let telemetry = cfg.Input.telemetry in
   let telemetry_every = max 1 cfg.Input.telemetry_every in
   let progress = cfg.Input.progress in
+  if crowd < 1 then invalid_arg "oqmc_run: --crowd must be >= 1";
   if delay < 1 then invalid_arg "oqmc_run: --delay must be >= 1";
   if tile < 0 then invalid_arg "oqmc_run: --tile must be >= 0";
   let sys = make_system workload reduction with_nlpp precision tile seed in
@@ -216,8 +217,10 @@ let run input method_ workload variant reduction walkers blocks steps tau
     method_ workload
     (Variant.to_string variant)
     (match eff_precision with `F32 -> "f32" | `F64 -> "f64")
-    (System.n_electrons sys) domains crowd delay
-    tile;
+    (System.n_electrons sys) domains
+    (* the crowd in effect: Ref / Ref+MP sweep one walker at a time *)
+    (if Variant.layout variant = Variant.Store then 1 else crowd)
+    delay tile;
   (* --audit: calibrate a roofline projection for this run shape up
      front; measured-vs-projected gauges refresh live (per ledger
      window) and the verdict table prints after the run. *)
@@ -264,6 +267,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
           tau;
           seed = seed + 1;
           n_domains = domains;
+          crowd;
           heartbeat_s = float_of_int heartbeat_ms /. 1000.;
           max_respawn;
           checkpoint = (match checkpoint with Some _ -> checkpoint | None -> restore);
@@ -458,8 +462,8 @@ let crowd =
     value & opt int 1
     & info [ "crowd" ] ~docv:"C"
         ~doc:
-          "Walkers advanced in lockstep per domain through batched SPO \
-           kernels (1 = scalar reference path).")
+          "Walkers advanced in lockstep per domain through the fused crowd \
+           pipeline (Current variants; Ref and Ref+MP ignore it).")
 
 let delay =
   Arg.(

@@ -26,6 +26,7 @@ type config = {
   tau : float;
   target : int; (* GLOBAL walker target; feedback is supervisor-side *)
   n_domains : int; (* worker domains inside this rank *)
+  crowd : int; (* walkers per domain sweep unit ([Runner]) *)
   checkpoint : string option;
   checkpoint_keep : int;
   async_checkpoint : bool;
@@ -60,11 +61,12 @@ type t = {
 }
 
 (* Build this rank's engines: the factory sees globally distinct indices
-   so every (rank, domain) pair gets an independent engine seed. *)
+   so every (rank, domain, crowd slot) gets an independent engine seed. *)
 let start ~(factory : int -> Engine_api.t) ~init ~emit cfg =
+  let per_rank = cfg.n_domains * cfg.crowd in
   let runner =
-    Runner.create ~n_domains:cfg.n_domains
-      ~factory:(fun d -> factory ((cfg.rank * cfg.n_domains) + d))
+    Runner.create ~crowd:cfg.crowd ~n_domains:cfg.n_domains
+      ~factory:(fun i -> factory ((cfg.rank * per_rank) + i))
   in
   let e_trial, walkers =
     match init with Some i -> (i.e_trial, i.walkers) | None -> (0., [])
@@ -132,17 +134,8 @@ let reduce t ~gen ~wsum ~esum =
    master stream and report its (Σ1, ΣE_L), the gen-0 terms of the
    global starting trial energy. *)
 let fresh_init t ~count =
-  if count > 0 then begin
-    let e0 = Runner.engine t.runner 0 in
-    let n = e0.Engine_api.n_electrons in
-    Population.absorb t.pop
-      (List.init count (fun _ ->
-           let w = Walker.create n in
-           e0.Engine_api.randomize t.master_rng;
-           w.Walker.e_local <- e0.Engine_api.measure ();
-           e0.Engine_api.register_walker w;
-           w))
-  end;
+  Population.absorb t.pop
+    (Dmc.fresh_walkers (Runner.engine t.runner 0) ~rng:t.master_rng count);
   let wsum, esum =
     List.fold_left
       (fun (ws, es) w -> (ws +. 1., es +. w.Walker.e_local))

@@ -17,6 +17,9 @@ type config = {
   tau : float;
   target : int;  (** GLOBAL walker target (feedback is supervisor-side) *)
   n_domains : int;  (** worker domains inside this rank *)
+  crowd : int;
+      (** walkers each domain sweeps in lockstep ({!Runner}); Store
+          variants ignore it *)
   checkpoint : string option;
   checkpoint_keep : int;
   async_checkpoint : bool;

@@ -103,6 +103,7 @@ type params = {
   tau : float;
   seed : int;
   n_domains : int; (* per rank *)
+  crowd : int; (* walkers per domain sweep unit, per rank *)
   feedback : float;
   heartbeat_s : float; (* per-message deadline on every rank read *)
   max_respawn : int; (* respawns per rank before it is abandoned *)
@@ -135,6 +136,7 @@ let default_params =
     tau = 0.01;
     seed = 11;
     n_domains = 1;
+    crowd = 1;
     feedback = 1.;
     heartbeat_s = 5.;
     max_respawn = 2;
@@ -266,6 +268,7 @@ let rank_config (p : params) ~rank ~incarnation ~after =
     tau = p.tau;
     target = p.target_walkers;
     n_domains = p.n_domains;
+    crowd = p.crowd;
     checkpoint = p.checkpoint;
     checkpoint_keep = p.checkpoint_keep;
     async_checkpoint = p.elastic && p.gen_deadline_ms > 0;

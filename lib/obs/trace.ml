@@ -198,8 +198,13 @@ let local_events () =
   Mutex.unlock registry_mutex;
   evs
 
+(* Lane order: (pid, tid), then start time, then DESCENDING end — a
+   child that opens in the same clock tick as its parent sorts after it,
+   so a start-ordered walk always meets the enclosing span first. *)
 let by_lane a b =
-  compare (a.pid, a.tid, a.ts, a.ts +. a.dur) (b.pid, b.tid, b.ts, b.ts +. b.dur)
+  compare
+    (a.pid, a.tid, a.ts, -.(a.ts +. a.dur))
+    (b.pid, b.tid, b.ts, -.(b.ts +. b.dur))
 
 let events () = List.sort by_lane (local_events () @ !foreign)
 

@@ -44,7 +44,9 @@ val clear : unit -> unit
 (** Drop all recorded and ingested events (rings stay allocated). *)
 
 val events : unit -> event list
-(** All recorded + ingested events, sorted by (pid, tid, time). *)
+(** All recorded + ingested events, sorted by (pid, tid, start time)
+    and, at equal starts, by descending end: a parent span precedes a
+    child that began in the same clock tick. *)
 
 val dropped : unit -> int
 (** Events lost to ring overwrite since the last {!enable}/{!clear}. *)

@@ -6,34 +6,25 @@ open Oqmc_rng
    paper's walker-per-thread design.  One crowd lives inside one domain:
    it owns [size] engines (one mutable engine state per resident walker)
    and a single batched SPO context, and advances every walker through
-   electron k together.
-
-   Two sweep paths share the driver:
-
-   - the full pipeline (default, when every engine publishes a matching
-     crowd hook): EVERY move kernel is batched — distance-table rows,
-     one-/two-body Jastrow rows, determinant ratio dots and inverse
-     updates each run as one fused call per crowd per stage, on top of
-     the two batched SPO evaluations;
-
-   - the staged fallback (PR 2 behavior, [pipeline:false] or a declined
-     hook): only the SPO evaluations are batched, and each engine runs
-     its scalar per-walker stages around them.
+   electron k together.  EVERY move kernel is batched: distance-table
+   rows, one-/two-body Jastrow rows, determinant ratio dots and inverse
+   updates each run as one fused call per crowd per stage, on top of the
+   two batched SPO evaluations.  A one-slot crowd is the production
+   sweep of a single walker.
 
    Per walker the arithmetic and RNG draw order are identical to
    [Engine_api.sweep] (gaussian at k, then uniform at k), so crowd
    trajectories on the double-precision path are bit-identical to the
-   scalar reference on BOTH paths. *)
+   scalar reference. *)
 
 type t = {
   engines : Engine_api.t array;
   batch : Oqmc_wavefunction.Spo.vgl_batch;
-  stages : Engine_api.crowd_stage option;
+  stages : Engine_api.crowd_stage;
   pos : Vec3.t array; (* current positions of electron k, per slot *)
   newpos : Vec3.t array;
   chi : Vec3.t array; (* gaussian displacements, for the GF correction *)
   accepted : int array;
-  (* pipeline-path scratch *)
   ratio : float array;
   gx : float array;
   gy : float array;
@@ -41,15 +32,16 @@ type t = {
   acc : bool array;
 }
 
-let create ?(pipeline = true) ~(factory : int -> Engine_api.t) ~base ~size
-    () =
+let create ~(factory : int -> Engine_api.t) ~base ~size () =
   if size < 1 then invalid_arg "Crowd.create: size < 1";
   let engines = Array.init size (fun s -> factory (base + s)) in
   let stages =
-    if pipeline then
+    match
       engines.(0).Engine_api.make_crowd_stages
         (Array.map (fun e -> e.Engine_api.crowd_hook) engines)
-    else None
+    with
+    | Some cs -> cs
+    | None -> invalid_arg "Crowd.create: engines cannot form a fused crowd"
   in
   {
     engines;
@@ -68,65 +60,22 @@ let create ?(pipeline = true) ~(factory : int -> Engine_api.t) ~base ~size
 
 let size t = Array.length t.engines
 let engine t s = t.engines.(s)
-let pipelined t = Option.is_some t.stages
+let pipelined _ = true
 
-(* Staged fallback: batched SPO only, scalar per-walker stages. *)
-let sweep_staged t ~active ~(rng : int -> Xoshiro.t) ~tau =
+(* One sweep of all [active] resident walkers ([rng s] is walker s's
+   stream).  The per-walker expressions (drift, proposal, GF correction,
+   Metropolis) are [Engine_api.sweep]'s; every engine-side kernel goes
+   through the fused crowd stages.  Returns per-slot sweep results. *)
+let sweep t ~active ~(rng : int -> Xoshiro.t) ~tau =
+  if active < 1 || active > size t then invalid_arg "Crowd.sweep: active";
+  Oqmc_obs.Trace.with_span
+    ~args:[ ("active", string_of_int active) ]
+    "crowd.sweep"
+  @@ fun () ->
+  let cs = t.stages in
   let n = t.engines.(0).Engine_api.n_electrons in
   let sqrt_tau = sqrt tau in
-  let timers0 = t.engines.(0).Engine_api.timers in
-  for k = 0 to n - 1 do
-    (* Stage 1: batched SPO at the crowd's current electron-k positions,
-       then per-walker drift, diffusion draw and proposal. *)
-    for s = 0 to active - 1 do
-      let pb = t.engines.(s).Engine_api.pbp in
-      pb.Engine_api.prepare k;
-      t.pos.(s) <- pb.Engine_api.current_pos k
-    done;
-    Timers.time timers0 "Bspline-vgh" (fun () ->
-        t.batch.Oqmc_wavefunction.Spo.run t.pos active);
-    for s = 0 to active - 1 do
-      let pb = t.engines.(s).Engine_api.pbp in
-      pb.Engine_api.stage_vgl t.batch.Oqmc_wavefunction.Spo.slots.(s);
-      let gold = pb.Engine_api.grad k in
-      let cx, cy, cz = Xoshiro.gaussian_vec3 (rng s) in
-      let chi =
-        Vec3.make (sqrt_tau *. cx) (sqrt_tau *. cy) (sqrt_tau *. cz)
-      in
-      let rk = t.pos.(s) in
-      let newpos = Vec3.add rk (Vec3.add (Vec3.scale tau gold) chi) in
-      t.chi.(s) <- chi;
-      t.newpos.(s) <- newpos;
-      pb.Engine_api.propose k newpos
-    done;
-    (* Stage 2: batched SPO at the proposed positions, then per-walker
-       Metropolis decision with the drifted-Gaussian GF correction. *)
-    Timers.time timers0 "Bspline-vgh" (fun () ->
-        t.batch.Oqmc_wavefunction.Spo.run t.newpos active);
-    for s = 0 to active - 1 do
-      let pb = t.engines.(s).Engine_api.pbp in
-      pb.Engine_api.stage_vgl t.batch.Oqmc_wavefunction.Spo.slots.(s);
-      let ratio, gnew = pb.Engine_api.ratio_grad k in
-      let rk = t.pos.(s) and newpos = t.newpos.(s) and chi = t.chi.(s) in
-      let back = Vec3.sub (Vec3.sub rk newpos) (Vec3.scale tau gnew) in
-      let log_gf = -.Vec3.norm2 chi /. (2. *. tau) in
-      let log_gb = -.Vec3.norm2 back /. (2. *. tau) in
-      let p = ratio *. ratio *. exp (log_gb -. log_gf) in
-      if Xoshiro.uniform (rng s) < p then begin
-        t.accepted.(s) <- t.accepted.(s) + 1;
-        pb.Engine_api.accept k ~ratio
-      end
-      else pb.Engine_api.reject k
-    done
-  done
-
-(* Full pipeline: the per-walker expressions (drift, proposal, GF
-   correction, Metropolis) are kept verbatim from the staged path; every
-   engine-side kernel goes through the fused crowd stages. *)
-let sweep_pipeline t (cs : Engine_api.crowd_stage) ~active
-    ~(rng : int -> Xoshiro.t) ~tau =
-  let n = t.engines.(0).Engine_api.n_electrons in
-  let sqrt_tau = sqrt tau in
+  Array.fill t.accepted 0 active 0;
   let timers0 = t.engines.(0).Engine_api.timers in
   for k = 0 to n - 1 do
     cs.Engine_api.cs_prepare ~k ~m:active;
@@ -176,21 +125,6 @@ let sweep_pipeline t (cs : Engine_api.crowd_stage) ~active
       else t.acc.(s) <- false
     done;
     cs.Engine_api.cs_commit ~k ~m:active ~acc:t.acc ~ratio:t.ratio
-  done
-
-(* One sweep of all [active] resident walkers ([rng s] is walker s's
-   stream).  Returns per-slot sweep results; [accepted] scratch is
-   reused, so consume before the next call. *)
-let sweep t ~active ~(rng : int -> Xoshiro.t) ~tau =
-  if active < 1 || active > size t then invalid_arg "Crowd.sweep: active";
-  Oqmc_obs.Trace.with_span
-    ~args:[ ("active", string_of_int active) ]
-    "crowd.sweep"
-  @@ fun () ->
-  let n = t.engines.(0).Engine_api.n_electrons in
-  Array.fill t.accepted 0 active 0;
-  (match t.stages with
-  | Some cs -> sweep_pipeline t cs ~active ~rng ~tau
-  | None -> sweep_staged t ~active ~rng ~tau);
+  done;
   Array.init active (fun s ->
       { Engine_api.accepted = t.accepted.(s); proposed = n })

@@ -10,25 +10,20 @@
 type t
 
 val create :
-  ?pipeline:bool -> factory:(int -> Engine_api.t) -> base:int -> size:int ->
-  unit -> t
+  factory:(int -> Engine_api.t) -> base:int -> size:int -> unit -> t
 (** Engines are built by [factory (base + s)] for slot [s < size] — give
     each domain's crowd a distinct [base] so engine seeds stay unique.
-
-    [pipeline] (default [true]) asks for the full-pipeline batched sweep:
-    distance-table, Jastrow and determinant kernels fused across the
-    crowd per stage, in addition to the batched SPO evaluations.  It
-    takes effect only when every engine publishes a matching crowd hook
-    ({!pipelined} reports the outcome); otherwise — and always with
-    [pipeline:false] — the crowd runs the staged per-walker path with
-    batched SPO only.  Both paths are bit-identical to the scalar
-    [Engine_api.sweep] on the double-precision path.
-    @raise Invalid_argument if [size < 1]. *)
+    The crowd sweeps through the fused stages of
+    [Engine_api.make_crowd_stages]: distance-table, Jastrow and
+    determinant kernels fused across the crowd per stage, in addition to
+    the batched SPO evaluations.
+    @raise Invalid_argument if [size < 1] or the engines cannot form a
+    fused crowd (a Store-layout engine publishes [No_crowd_hook]). *)
 
 val size : t -> int
 
 val pipelined : t -> bool
-(** Whether this crowd runs the full batched pipeline. *)
+(** Always [true]: every crowd runs the fused pipeline. *)
 
 val engine : t -> int -> Engine_api.t
 (** The engine holding slot [s]'s walker state — use it to

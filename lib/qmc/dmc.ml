@@ -63,10 +63,10 @@ type result = {
 
 type wslot = { mutable walker : Walker.t; rng : Xoshiro.t }
 
-(* Everything after a walker's sweep is per-walker and identical in the
-   scalar and crowd paths: measure, reweight against the trial energy,
-   age bookkeeping, state saved back into the walker.  The accepted-move
-   count rides in [multiplicity] until the serial accounting pass. *)
+(* Everything after a walker's sweep is per-walker: measure, reweight
+   against the trial energy, age bookkeeping, state saved back into the
+   walker.  The accepted-move count rides in [multiplicity] until the
+   serial accounting pass. *)
 let settle ~tau ~e_trial ~gen (e : Engine_api.t) (s : wslot)
     (r : Engine_api.sweep_result) =
   let w = s.walker in
@@ -80,19 +80,34 @@ let settle ~tau ~e_trial ~gen (e : Engine_api.t) (s : wslot)
   e.Engine_api.save_walker w;
   w.Walker.multiplicity <- r.Engine_api.accepted
 
-(* One generation's drift-diffusion sweep + reweighting over [pop],
-   fanned out over the runner's engines.  This is THE per-generation
-   DMC physics: the single-process driver below and the multi-rank
-   shard executor (lib/dist) both call it, so a rank shard's
-   trajectory is the single-process trajectory by construction.
+let fresh_walkers (e : Engine_api.t) ~rng count =
+  List.init count (fun _ ->
+      let w = Walker.create e.Engine_api.n_electrons in
+      e.Engine_api.randomize rng;
+      w.Walker.e_local <- e.Engine_api.measure ();
+      e.Engine_api.register_walker w;
+      w)
+
+(* One generation's drift-diffusion sweep + reweighting over [pop], in
+   walker groups of the runner's sweep-unit width; branching changes the
+   population every generation, so groups are re-formed each call.  This
+   is THE per-generation DMC physics: the single-process driver below
+   and the multi-rank shard executor (lib/dist) both call it, so a rank
+   shard's trajectory is the single-process trajectory by construction.
    Returns the (accepted, proposed) move totals. *)
 let sweep_generation runner pop ~next_rng ~gen ~tau ~e_trial =
   let ws = Array.of_list (Population.walkers pop) in
   let slots = Array.map (fun w -> { walker = w; rng = next_rng () }) ws in
-  Runner.iter_walkers runner slots ~f:(fun e s ->
-      e.Engine_api.restore_walker s.walker;
-      let r = e.Engine_api.sweep s.rng ~tau in
-      settle ~tau ~e_trial ~gen e s r);
+  Runner.iter_groups runner ~n:(Array.length slots)
+    ~walker:(fun i -> slots.(i).walker)
+    ~f:(fun u ~lo ~m ->
+      let rs =
+        Runner.sweep u ~active:m ~rng:(fun s -> slots.(lo + s).rng) ~tau
+      in
+      for s = 0 to m - 1 do
+        settle ~tau ~e_trial ~gen (Runner.slot_engine u s) slots.(lo + s)
+          rs.(s)
+      done);
   let n = (Runner.engine runner 0).Engine_api.n_electrons in
   let acc = ref 0 and prop = ref 0 in
   Array.iter
@@ -108,24 +123,9 @@ let run ?initial ?observe ?(checkpoint_every = 0) ?checkpoint_path
     ?(telemetry_every = 1) ?progress
     ~(factory : int -> Engine_api.t) (p : params) : result =
   if p.target_walkers < 1 then invalid_arg "Dmc.run: target_walkers < 1";
-  if crowd < 1 then invalid_arg "Dmc.run: crowd < 1";
   let telemetry_every = max 1 telemetry_every in
-  (* Crowd mode: each domain owns [crowd] lockstep engines; the runner's
-     per-domain engine is the crowd's slot 0, so watchdog audits and
-     engine-0 bookkeeping work unchanged. *)
-  let crowds =
-    if crowd > 1 then
-      Array.init p.n_domains (fun d ->
-          Crowd.create ~factory ~base:(d * crowd) ~size:crowd ())
-    else [||]
-  in
-  let runner_factory =
-    if crowd > 1 then fun d -> Crowd.engine crowds.(d) 0 else factory
-  in
-  Runner.with_runner ~n_domains:p.n_domains ~factory:runner_factory
-  @@ fun runner ->
+  Runner.with_runner ~crowd ~n_domains:p.n_domains ~factory @@ fun runner ->
   let e0 = Runner.engine runner 0 in
-  let n = e0.Engine_api.n_electrons in
   let master_rng = Xoshiro.create p.seed in
   let rng_pool = ref (Xoshiro.create (p.seed + 1)) in
   let next_rng () = Xoshiro.split !rng_pool in
@@ -135,15 +135,7 @@ let run ?initial ?observe ?(checkpoint_every = 0) ?checkpoint_path
     match initial with
     | Some (e_trial, walkers) when walkers <> [] -> (walkers, e_trial)
     | _ ->
-        let ws =
-          List.init p.target_walkers (fun _ ->
-              let w = Walker.create n in
-              e0.Engine_api.randomize master_rng;
-              let el = e0.Engine_api.measure () in
-              w.Walker.e_local <- el;
-              e0.Engine_api.register_walker w;
-              w)
-        in
+        let ws = fresh_walkers e0 ~rng:master_rng p.target_walkers in
         ( ws,
           List.fold_left (fun a w -> a +. w.Walker.e_local) 0. ws
           /. float_of_int p.target_walkers )
@@ -178,52 +170,14 @@ let run ?initial ?observe ?(checkpoint_every = 0) ?checkpoint_path
     Trace.with_span ~args:[ ("gen", string_of_int gen) ] "dmc.generation"
     @@ fun () ->
     let e_trial = Population.e_trial pop in
-    let gen_acc = ref 0 and gen_prop = ref 0 in
-    Trace.with_span "dmc.sweep" (fun () ->
-        if crowd = 1 then begin
-          let acc, prop =
-            sweep_generation runner pop ~next_rng ~gen ~tau:p.tau ~e_trial
-          in
-          gen_acc := acc;
-          gen_prop := prop
-        end
-        else begin
-          (* Branching changes the population every generation, so groups
-             are re-formed each step; the last group may be partial. *)
-          let ws = Array.of_list (Population.walkers pop) in
-          let slots =
-            Array.map (fun w -> { walker = w; rng = next_rng () }) ws
-          in
-          let nw = Array.length slots in
-          let n_groups = (nw + crowd - 1) / crowd in
-          Runner.parallel_for runner ~n:n_groups ~f:(fun ~domain g ->
-              let cr = crowds.(domain) in
-              let lo = g * crowd in
-              let m = min crowd (nw - lo) in
-              for s = 0 to m - 1 do
-                (Crowd.engine cr s).Engine_api.restore_walker
-                  slots.(lo + s).walker
-              done;
-              let rs =
-                Crowd.sweep cr ~active:m
-                  ~rng:(fun s -> slots.(lo + s).rng)
-                  ~tau:p.tau
-              in
-              for s = 0 to m - 1 do
-                settle ~tau:p.tau ~e_trial ~gen
-                  (Crowd.engine cr s) slots.(lo + s) rs.(s)
-              done);
-          Array.iter
-            (fun s ->
-              gen_acc := !gen_acc + s.walker.Walker.multiplicity;
-              gen_prop := !gen_prop + n;
-              s.walker.Walker.multiplicity <- 1)
-            slots
-        end);
-    acc_total := !acc_total + !gen_acc;
-    prop_total := !prop_total + !gen_prop;
-    Metrics.add m_acc !gen_acc;
-    Metrics.add m_prop !gen_prop;
+    let gen_acc, gen_prop =
+      Trace.with_span "dmc.sweep" (fun () ->
+          sweep_generation runner pop ~next_rng ~gen ~tau:p.tau ~e_trial)
+    in
+    acc_total := !acc_total + gen_acc;
+    prop_total := !prop_total + gen_prop;
+    Metrics.add m_acc gen_acc;
+    Metrics.add m_prop gen_prop;
     Metrics.inc m_gens;
     (* Watchdog before the estimator: poisoned walkers must never feed
        the mixed estimator or the trial-energy feedback. *)
@@ -290,8 +244,8 @@ let run ?initial ?observe ?(checkpoint_every = 0) ?checkpoint_path
                   ("population", Num (float_of_int size_after));
                   ( "acceptance",
                     Num
-                      (float_of_int !gen_acc
-                      /. float_of_int (max 1 !gen_prop)) );
+                      (float_of_int gen_acc
+                      /. float_of_int (max 1 gen_prop)) );
                   ( "walkers_per_s",
                     Num
                       (if elapsed > 0. then
@@ -308,7 +262,7 @@ let run ?initial ?observe ?(checkpoint_every = 0) ?checkpoint_path
           (Printf.sprintf
              "dmc gen %d/%d  E %+.6f  E_T %+.6f  pop %d  acc %.3f" gen
              total_gens e_gen (Population.e_trial pop) size_after
-             (float_of_int !gen_acc /. float_of_int (max 1 !gen_prop)))
+             (float_of_int gen_acc /. float_of_int (max 1 gen_prop)))
     | None -> ()
   in
   for _ = 1 to p.warmup do
@@ -319,16 +273,7 @@ let run ?initial ?observe ?(checkpoint_every = 0) ?checkpoint_path
     step ~measure_stats:true
   done;
   let wall_time = Oqmc_containers.Timers.now () -. t0 in
-  (* Export the merged kernel-timer totals as [timer_us.*] counters so
-     the efficiency audit sees per-kernel time on the single-process
-     path too (the multi-rank executors feed the same counters). *)
-  List.iter
-    (fun (k, sec, _) ->
-      if sec > 0. then
-        Metrics.add
-          (Metrics.counter ("timer_us." ^ k))
-          (int_of_float (Float.round (sec *. 1e6))))
-    (Oqmc_containers.Timers.snapshot (Runner.merged_timers runner));
+  Runner.export_timers runner;
   let energy = Stats.series_mean energy_series in
   let variance = Stats.series_variance energy_series in
   let tau_corr = Stats.autocorrelation_time energy_series in

@@ -14,6 +14,11 @@ type params = {
 
 val default_params : params
 
+val fresh_walkers :
+  Engine_api.t -> rng:Oqmc_rng.Xoshiro.t -> int -> Oqmc_particle.Walker.t list
+(** [count] walkers randomized by [e] from [rng], local energies
+    measured: the starting ensemble of {!run} and of a rank shard. *)
+
 val sweep_generation :
   Runner.t ->
   Population.t ->
@@ -23,12 +28,12 @@ val sweep_generation :
   e_trial:float ->
   int * int
 (** One generation's drift-diffusion sweep + reweighting over the
-    population, fanned out over the runner's engines — the
-    per-generation DMC physics shared by {!run} and the multi-rank
-    shard executor (lib/dist), so a rank shard's trajectory is the
-    single-process trajectory by construction.  Each walker draws a
-    fresh stream from [next_rng] in ensemble order.  Returns the
-    (accepted, proposed) move totals. *)
+    population, in walker groups of the runner's sweep-unit width
+    ({!Runner.iter_groups}) — the per-generation DMC physics shared by
+    {!run} and the multi-rank shard executor (lib/dist), so a rank
+    shard's trajectory is the single-process trajectory by construction.
+    Each walker draws a fresh stream from [next_rng] in ensemble order.
+    Returns the (accepted, proposed) move totals. *)
 
 type result = {
   energy : float;
@@ -91,6 +96,8 @@ val run :
     poisoned walkers never bias the energy or the trial-energy feedback.
 
     [crowd] (default 1) sets the number of walkers each domain advances
-    in lockstep through batched SPO kernels; per-walker trajectories are
-    bit-identical to the scalar path.
+    in lockstep through the fused crowd pipeline ({!Runner}); Store
+    variants (Ref / Ref+MP) ignore it and sweep one walker at a time.
+    Per-walker trajectories are bit-identical to the scalar
+    [Engine_api.sweep] on the double-precision path.
     @raise Invalid_argument if [target_walkers < 1] or [crowd < 1]. *)

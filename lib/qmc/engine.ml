@@ -43,18 +43,18 @@ struct
   (* ---- full-pipeline crowd batching hook ----
 
      A [slot] is everything the batched move stages need from one
-     engine: the determinant states, the Jastrow compute-on-the-fly
+     Otf engine: the determinant states, the Jastrow compute-on-the-fly
      states, the SoA tables and the particle set.  The extensible
      constructor is minted once per functor instantiation, so every
      engine built from the same instantiation (one per precision in
      [Build]) recognizes its siblings' hooks; a foreign hook makes
-     [make_crowd_stages] decline and the crowd falls back to the staged
-     per-walker path. *)
+     [make_crowd_stages] decline. *)
   type slot = {
     sl_dets : Det.state array;
     sl_j2 : J2.opt option;
     sl_j1 : J1.opt option;
-    sl_tables : tables;
+    sl_aa : AAsoa.t;
+    sl_ab : ABsoa.t option;
     sl_ps : Ps.t;
     sl_twf : Twf.t;
     sl_timers : Timers.t;
@@ -81,35 +81,21 @@ struct
             Array.length s.sl_dets = ndet
             && Option.is_some s.sl_j2 = Option.is_some s0.sl_j2
             && Option.is_some s.sl_j1 = Option.is_some s0.sl_j1
-            &&
-            match (s.sl_tables, s0.sl_tables) with
-            | Otf_t (_, ab), Otf_t (_, ab0) ->
-                Option.is_some ab = Option.is_some ab0
-            | _ -> false (* Store tables have no batched kernels *))
+            && Option.is_some s.sl_ab = Option.is_some s0.sl_ab)
           slots
       in
       if not uniform then None
       else begin
-        let aa_of s =
-          match s.sl_tables with
-          | Otf_t (aa, _) -> aa
-          | Store_t _ -> assert false
-        in
-        let ab_of s =
-          match s.sl_tables with
-          | Otf_t (_, ab) -> ab
-          | Store_t _ -> assert false
-        in
         let aab =
-          AAsoa.make_batch (Array.map (fun s -> (aa_of s, s.sl_ps)) slots)
+          AAsoa.make_batch (Array.map (fun s -> (s.sl_aa, s.sl_ps)) slots)
         in
         let abb =
-          match ab_of s0 with
+          match s0.sl_ab with
           | None -> None
           | Some _ ->
               Some
                 (ABsoa.make_batch
-                   (Array.map (fun s -> Option.get (ab_of s)) slots))
+                   (Array.map (fun s -> Option.get s.sl_ab) slots))
         in
         let j2s =
           match s0.sl_j2 with
@@ -298,17 +284,13 @@ struct
               Option.map (fun i -> ABsoa.create ~sources:i ps) io )
     in
     (* --- wavefunction components --- *)
-    (* One staging slot shared by both spin determinants: exactly one of
-       them is in-group for any electron k, so a staged SPO result is
-       always consumed by the determinant the crowd driver aimed it at. *)
-    let staged = ref None in
     let det_states =
-      Det.make ~timers ~scheme:det_scheme ~staged ~spo:sys.System.spo
-        ~first:0 ~count:n_up ps
+      Det.make ~timers ~scheme:det_scheme ~spo:sys.System.spo ~first:0
+        ~count:n_up ps
       ::
       (if n_down > 0 then
          [
-           Det.make ~timers ~scheme:det_scheme ~staged ~spo:sys.System.spo
+           Det.make ~timers ~scheme:det_scheme ~spo:sys.System.spo
              ~first:n_up ~count:n_down ps;
          ]
        else [])
@@ -565,43 +547,35 @@ struct
       + Option.fold ~none:0 ~some:(fun i -> Ps.bytes i) ions
       + table_bytes + Twf.bytes twf
     in
-    (* Staged form of the sweep's per-electron move for crowd-lockstep
-       drivers; [sweep] above remains the reference composition. *)
     let pbp =
       {
         Engine_api.prepare = tables_prepare;
         current_pos = (fun k -> Ps.get ps k);
-        grad = (fun k -> Twf.grad twf ps k);
         propose =
           (fun k pos ->
             Ps.propose ps k pos;
             tables_move k pos);
         ratio_grad = (fun k -> Twf.ratio_grad twf ps k);
-        accept =
-          (fun k ~ratio ->
-            Twf.accept twf ps k ~ratio;
-            tables_accept k;
-            Ps.accept ps);
         reject =
           (fun k ->
             Twf.reject twf ps k;
             Ps.reject ps);
-        stage_vgl = (fun v -> staged := Some v);
       }
     in
     (* Full-pipeline crowd hook: only the SoA/compute-on-the-fly layout
-       has batched table kernels; Store engines decline and crowds fall
-       back to the staged path. *)
+       has batched table kernels; Store engines publish [No_crowd_hook]
+       and run the scalar [sweep]. *)
     let crowd_hook =
       match tables with
       | Store_t _ -> Engine_api.No_crowd_hook
-      | Otf_t _ ->
+      | Otf_t (aa, ab) ->
           Crowd_slot
             {
               sl_dets = Array.of_list det_states;
               sl_j2 = j2_state;
               sl_j1 = j1_state;
-              sl_tables = tables;
+              sl_aa = aa;
+              sl_ab = ab;
               sl_ps = ps;
               sl_twf = twf;
               sl_timers = timers;

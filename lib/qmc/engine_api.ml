@@ -11,22 +11,17 @@ open Oqmc_particle
 
 type sweep_result = { accepted : int; proposed : int }
 
-(* The individual stages of one particle-by-particle move, exposed so a
-   crowd driver can run many engines in lockstep over electron [k] and
-   batch the SPO evaluations across walkers.  [stage_vgl] hands the
-   engine a pre-computed SPO result for the position the next [grad] or
-   [ratio_grad] call would otherwise evaluate; it is consumed exactly
-   once.  The scalar [sweep] is the composition of these stages and
-   stays the reference oracle. *)
+(* The scalar stages of one particle-by-particle move, as the scalar
+   [sweep] runs them: a single proposed move of electron [k] can be
+   driven and its ratio read without committing it.  [current_pos] is
+   what the crowd pipeline reads to place electron [k]'s batched SPO
+   evaluation. *)
 type pbp = {
   prepare : int -> unit; (* distance-table prepare for electron k *)
   current_pos : int -> Vec3.t;
-  grad : int -> Vec3.t; (* ∇ log Ψ at the current position *)
   propose : int -> Vec3.t -> unit; (* ParticleSet propose + table move *)
   ratio_grad : int -> float * Vec3.t; (* at the proposed position *)
-  accept : int -> ratio:float -> unit;
   reject : int -> unit;
-  stage_vgl : Oqmc_wavefunction.Spo.vgl -> unit;
 }
 
 (* Full-pipeline crowd batching.
@@ -36,8 +31,8 @@ type pbp = {
    move stages: each build variant extends the type with a constructor
    wrapping its internal per-walker state, and [make_crowd_stages]
    recognizes its own constructor (and only it — a foreign or [No_crowd_hook]
-   slot makes it return [None], telling the crowd to fall back to the
-   staged per-walker path).
+   slot makes it return [None]).  Variants that publish [No_crowd_hook]
+   (the Store layout) run the scalar [sweep] instead.
 
    A [crowd_stage] runs one stage of the PbP move for crowd slots
    [0..m-1] of electron [k] in a single fused pass per kernel —
@@ -110,7 +105,7 @@ type t = {
       (* Persistent per-engine + per-walker-state footprint (excludes the
          shared read-only SPO table). *)
   pbp : pbp;
-      (* Staged form of one PbP move, for crowd-lockstep drivers. *)
+      (* Scalar stages of one PbP move (see [pbp]). *)
   make_vgl_batch : int -> Oqmc_wavefunction.Spo.vgl_batch;
       (* Crowd-sized batch context over this engine's SPO set; scratch
          is owned by the context, one per domain. *)
@@ -120,8 +115,7 @@ type t = {
   make_crowd_stages : crowd_hook array -> crowd_stage option;
       (* Build the fused move stages over a crowd of sibling engines
          (one hook per slot, this engine's included); [None] when any
-         slot is foreign or the variant cannot batch (crowds then fall
-         back to the staged per-walker path). *)
+         slot is foreign or the variant cannot batch. *)
 }
 
 (* Drift of the incrementally-maintained log Ψ against a full

@@ -29,7 +29,7 @@ type t = {
   steps : int;
   tau : float;
   domains : int;
-  crowd : int; (* walkers advanced in lockstep per domain; 1 = scalar *)
+  crowd : int; (* walkers advanced in lockstep per domain (Current) *)
   delay : int; (* delayed determinant-update rank; 1 = Sherman–Morrison *)
   precision : [ `F32 | `F64 ] option;
       (* working-precision override; None = variant default *)

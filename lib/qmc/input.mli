@@ -12,8 +12,8 @@ type t = {
   tau : float;
   domains : int;
   crowd : int;
-      (** walkers advanced in lockstep per domain through batched SPO
-          kernels; 1 = scalar reference path *)
+      (** walkers advanced in lockstep per domain through the fused
+          crowd pipeline; Ref and Ref+MP ignore it *)
   delay : int;
       (** delayed determinant-update rank (Woodbury block size); 1 (the
           default) keeps the rank-1 Sherman–Morrison update.  Values < 1

@@ -75,8 +75,10 @@ type pool = {
   mutable workers : unit Domain.t array;
 }
 
+type sweeper = Fused of Crowd.t | Scalar of Engine_api.t
+
 type t = {
-  engines : Engine_api.t array;
+  sweepers : sweeper array;
   n_domains : int;
   pool : pool option; (* None iff n_domains = 1: plain sequential loop *)
   mutable shut : bool;
@@ -130,9 +132,33 @@ let worker pool d () =
     end
   done
 
-let create ~n_domains ~(factory : int -> Engine_api.t) =
+(* Domain [d]'s engines are [factory (d * crowd + s)], so every slot of
+   every domain gets a distinct engine seed. *)
+let make_sweeper ~crowd ~(factory : int -> Engine_api.t) d =
+  let base = d * crowd in
+  let e = factory base in
+  match e.Engine_api.crowd_hook with
+  | Engine_api.No_crowd_hook -> Scalar e
+  | _ ->
+      let factory i = if i = base then e else factory i in
+      Fused (Crowd.create ~factory ~base ~size:crowd ())
+
+let slot_engine u s =
+  match u with Fused c -> Crowd.engine c s | Scalar e -> e
+
+let width u = match u with Fused c -> Crowd.size c | Scalar _ -> 1
+
+let sweep u ~active ~rng ~tau =
+  match u with
+  | Fused c -> Crowd.sweep c ~active ~rng ~tau
+  | Scalar e ->
+      if active <> 1 then invalid_arg "Runner.sweep: active";
+      [| e.Engine_api.sweep (rng 0) ~tau |]
+
+let create ~crowd ~n_domains ~(factory : int -> Engine_api.t) =
   if n_domains < 1 then invalid_arg "Runner.create: n_domains < 1";
-  let engines = Array.init n_domains factory in
+  if crowd < 1 then invalid_arg "Runner.create: crowd < 1";
+  let sweepers = Array.init n_domains (make_sweeper ~crowd ~factory) in
   let pool =
     if n_domains = 1 then None
     else begin
@@ -159,17 +185,29 @@ let create ~n_domains ~(factory : int -> Engine_api.t) =
       Some p
     end
   in
-  { engines; n_domains; pool; shut = false }
+  { sweepers; n_domains; pool; shut = false }
 
 let n_domains t = t.n_domains
-let engine t i = t.engines.(i)
-let engines t = t.engines
+let engine t i = slot_engine t.sweepers.(i) 0
 
 (* Merge all per-domain kernel timers into one set. *)
 let merged_timers t =
   let out = Timers.create () in
-  Array.iter (fun e -> Timers.merge ~into:out e.Engine_api.timers) t.engines;
+  Array.iter
+    (fun u -> Timers.merge ~into:out (slot_engine u 0).Engine_api.timers)
+    t.sweepers;
   out
+
+(* The merged totals as [timer_us.*] counters (integral µs) for the
+   efficiency audit — the counters the multi-rank executors feed too. *)
+let export_timers t =
+  List.iter
+    (fun (k, sec, _) ->
+      if sec > 0. then
+        Oqmc_obs.Metrics.add
+          (Oqmc_obs.Metrics.counter ("timer_us." ^ k))
+          (int_of_float (Float.round (sec *. 1e6))))
+    (Timers.snapshot (merged_timers t))
 
 (* Run [f ~domain i] for every [i < n] exactly once, the caller acting
    as domain 0 and pool workers as domains 1..n_domains-1.  All workers
@@ -229,7 +267,22 @@ let parallel_for ?grain t ~n ~(f : domain:int -> int -> unit) =
 let iter_walkers t (walkers : 'w array) ~(f : Engine_api.t -> 'w -> unit) =
   parallel_for t
     ~n:(Array.length walkers)
-    ~f:(fun ~domain i -> f t.engines.(domain) walkers.(i))
+    ~f:(fun ~domain i -> f (engine t domain) walkers.(i))
+
+(* Split walkers [0..n-1] into groups of the sweep-unit width (the last
+   may be partial); restore each group into the executing domain's unit
+   and run [f unit ~lo ~m] on it. *)
+let iter_groups t ~n ~walker ~f =
+  let g = width t.sweepers.(0) in
+  parallel_for t
+    ~n:((n + g - 1) / g)
+    ~f:(fun ~domain i ->
+      let u = t.sweepers.(domain) and lo = i * g in
+      let m = min g (n - lo) in
+      for s = 0 to m - 1 do
+        (slot_engine u s).Engine_api.restore_walker (walker (lo + s))
+      done;
+      f u ~lo ~m)
 
 (* Park-to-join transition: wake every worker with the stop flag and
    join them.  Idempotent; the runner only rejects further parallel
@@ -251,6 +304,6 @@ let shutdown t =
 
 (* Convenience wrapper: run [f runner] and always return the workers to
    the OS, even on exceptions. *)
-let with_runner ~n_domains ~factory f =
-  let t = create ~n_domains ~factory in
+let with_runner ~crowd ~n_domains ~factory f =
+  let t = create ~crowd ~n_domains ~factory in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

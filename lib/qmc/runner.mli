@@ -7,25 +7,42 @@
 
 type t
 
-val create : n_domains:int -> factory:(int -> Engine_api.t) -> t
-(** One engine per domain, built by [factory domain_index], plus
-    [n_domains - 1] parked worker domains (none when [n_domains = 1]).
-    @raise Invalid_argument if [n_domains < 1]. *)
+type sweeper
+(** A domain's sweep unit, chosen once from its engine: a {!Crowd} of
+    [crowd] slots when the engine can form a fused crowd (Current;
+    [crowd = 1] is a one-slot crowd), else the engine alone with its
+    scalar [Engine_api.sweep] (Ref / Ref+MP, which publish
+    [No_crowd_hook] and ignore [crowd]). *)
+
+val create :
+  crowd:int -> n_domains:int -> factory:(int -> Engine_api.t) -> t
+(** One sweep unit per domain plus [n_domains - 1] parked worker domains
+    (none when [n_domains = 1]).  Domain [d]'s engines are built by
+    [factory (d * crowd + s)] for slot [s]; a Store engine is built once,
+    at slot 0.
+    @raise Invalid_argument if [n_domains < 1] or [crowd < 1]. *)
 
 val shutdown : t -> unit
 (** Wake and join all pool workers.  Idempotent.  Further parallel
     regions on this runner raise [Invalid_argument]. *)
 
 val with_runner :
-  n_domains:int -> factory:(int -> Engine_api.t) -> (t -> 'a) -> 'a
+  crowd:int -> n_domains:int -> factory:(int -> Engine_api.t) ->
+  (t -> 'a) -> 'a
 (** [create] + run + guaranteed [shutdown] (also on exceptions). *)
 
 val n_domains : t -> int
+
 val engine : t -> int -> Engine_api.t
-val engines : t -> Engine_api.t array
+(** Domain [d]'s engine: slot 0 of its sweep unit. *)
 
 val merged_timers : t -> Oqmc_containers.Timers.t
-(** All per-domain kernel timers merged into one set. *)
+(** All per-domain kernel timers (slot 0 of each sweep unit) merged into
+    one set. *)
+
+val export_timers : t -> unit
+(** Add the {!merged_timers} totals to the [timer_us.<kernel>] counters
+    (integral µs) of the metrics registry. *)
 
 val total_spawns : unit -> int
 (** Process-lifetime count of domains spawned by this module — a run
@@ -60,3 +77,22 @@ val parallel_for :
 val iter_walkers : t -> 'w array -> f:(Engine_api.t -> 'w -> unit) -> unit
 (** [parallel_for] specialized to walker arrays: [f engine walkers.(i)]
     where [engine] belongs to the executing domain. *)
+
+val iter_groups : t -> n:int -> walker:(int -> Oqmc_particle.Walker.t) ->
+  f:(sweeper -> lo:int -> m:int -> unit) -> unit
+(** Split walkers [0..n-1] into consecutive groups of the sweep-unit
+    width (crowd size, or 1 for a scalar unit; the last group may be
+    partial).  Over the pool, each group [lo, lo + m) is restored into
+    the executing domain's unit — [walker (lo + s)] into slot [s] — and
+    [f unit ~lo ~m] runs on it. *)
+
+val slot_engine : sweeper -> int -> Engine_api.t
+(** The engine holding slot [s]'s walker state: restore, measure and
+    save that walker through it. *)
+
+val sweep : sweeper -> active:int -> rng:(int -> Oqmc_rng.Xoshiro.t) ->
+  tau:float -> Engine_api.sweep_result array
+(** One drift-and-diffusion sweep of slots [0..active-1]; [rng s] is
+    slot [s]'s stream.  Per walker, bit-identical to [Engine_api.sweep]
+    on the double-precision path.
+    @raise Invalid_argument unless [1 <= active <= ] the unit's width. *)

@@ -13,11 +13,11 @@ module Progress = Oqmc_obs.Progress
    engine loads a walker, restores its wavefunction state from the
    anonymous buffer, runs its sweeps, and stores the state back.
 
-   With [crowd > 1] each domain instead owns a crowd of engines and
-   advances [crowd] resident walkers in lockstep, so the SPO work of
-   every per-electron move is evaluated in one batched kernel call
-   (Crowd.sweep).  The per-walker arithmetic and RNG draw order are
-   unchanged, so results are bit-identical to [crowd = 1]. *)
+   Each domain's sweep unit ([Runner]) advances a group of up to [crowd]
+   resident walkers in lockstep through the fused crowd pipeline (or one
+   walker through the scalar sweep for the Store variants).  The
+   per-walker arithmetic and RNG draw order do not depend on the group,
+   so results are bit-identical for every [crowd]. *)
 
 type params = {
   n_walkers : int;
@@ -70,24 +70,10 @@ type wstate = {
 let run ?observe ?(crowd = 1) ?(rank = 0) ?telemetry ?(telemetry_every = 1)
     ?progress ~(factory : int -> Engine_api.t) (p : params) : result =
   if p.n_walkers < 1 then invalid_arg "Vmc.run: n_walkers < 1";
-  if crowd < 1 then invalid_arg "Vmc.run: crowd < 1";
   if rank < 0 then invalid_arg "Vmc.run: rank < 0";
   let telemetry_every = max 1 telemetry_every in
   let crowd = min crowd p.n_walkers in
-  (* Crowd mode: [crowd] engines per domain marching in lockstep; the
-     runner's per-domain engine is each crowd's slot-0 engine, so
-     engine-0 bookkeeping (registration, audits) works unchanged. *)
-  let crowds =
-    if crowd > 1 then
-      Array.init p.n_domains (fun d ->
-          Crowd.create ~factory ~base:(d * crowd) ~size:crowd ())
-    else [||]
-  in
-  let runner_factory =
-    if crowd > 1 then fun d -> Crowd.engine crowds.(d) 0 else factory
-  in
-  Runner.with_runner ~n_domains:p.n_domains ~factory:runner_factory
-  @@ fun runner ->
+  Runner.with_runner ~crowd ~n_domains:p.n_domains ~factory @@ fun runner ->
   let e0 = Runner.engine runner 0 in
   let n = e0.Engine_api.n_electrons in
   (* Rank-aware seeding: shard [rank] of a multi-rank VMC run draws its
@@ -113,59 +99,36 @@ let run ?observe ?(crowd = 1) ?(rank = 0) ?telemetry ?(telemetry_every = 1)
         })
   in
   (* A "pass" runs [steps] sweeps for every walker, calling [measure]
-     after each sweep when set, then [finish] once per walker.  The
-     scalar path iterates walkers over the pool; the crowd path iterates
-     walker GROUPS, each processed in lockstep by its domain's crowd. *)
+     after each sweep when set, then [finish] once per walker; walker
+     groups are processed in lockstep by their domain's sweep unit. *)
   let pass ~steps ~measuring ~finish =
-    let sweep_account (s : wstate) (r : Engine_api.sweep_result) =
+    let measure_into (e : Engine_api.t) (s : wstate)
+        (r : Engine_api.sweep_result) =
       s.accepted <- s.accepted + r.Engine_api.accepted;
-      s.proposed <- s.proposed + r.Engine_api.proposed
-    in
-    let measure_into (e : Engine_api.t) (s : wstate) =
+      s.proposed <- s.proposed + r.Engine_api.proposed;
       let el = e.Engine_api.measure () in
       s.walker.Walker.e_local <- el;
       s.e_sum <- s.e_sum +. el;
       s.e2_sum <- s.e2_sum +. (el *. el);
       s.n_meas <- s.n_meas + 1
     in
-    if crowd = 1 then
-      Runner.iter_walkers runner states ~f:(fun e s ->
-          e.Engine_api.restore_walker s.walker;
-          for _ = 1 to steps do
-            let r = e.Engine_api.sweep s.rng ~tau:p.tau in
-            if measuring then begin
-              sweep_account s r;
-              measure_into e s
-            end
-          done;
-          finish e s)
-    else begin
-      let n_groups = (p.n_walkers + crowd - 1) / crowd in
-      Runner.parallel_for runner ~n:n_groups ~f:(fun ~domain g ->
-          let cr = crowds.(domain) in
-          let lo = g * crowd in
-          let m = min crowd (p.n_walkers - lo) in
-          for s = 0 to m - 1 do
-            (Crowd.engine cr s).Engine_api.restore_walker
-              states.(lo + s).walker
-          done;
-          for _ = 1 to steps do
-            let rs =
-              Crowd.sweep cr ~active:m
-                ~rng:(fun s -> states.(lo + s).rng)
-                ~tau:p.tau
-            in
-            if measuring then
-              for s = 0 to m - 1 do
-                let st = states.(lo + s) in
-                sweep_account st rs.(s);
-                measure_into (Crowd.engine cr s) st
-              done
-          done;
-          for s = 0 to m - 1 do
-            finish (Crowd.engine cr s) states.(lo + s)
-          done)
-    end
+    Runner.iter_groups runner ~n:p.n_walkers
+      ~walker:(fun i -> states.(i).walker)
+      ~f:(fun u ~lo ~m ->
+        for _ = 1 to steps do
+          let rs =
+            Runner.sweep u ~active:m
+              ~rng:(fun s -> states.(lo + s).rng)
+              ~tau:p.tau
+          in
+          if measuring then
+            for s = 0 to m - 1 do
+              measure_into (Runner.slot_engine u s) states.(lo + s) rs.(s)
+            done
+        done;
+        for s = 0 to m - 1 do
+          finish (Runner.slot_engine u s) states.(lo + s)
+        done)
   in
   (* Warmup: equilibrate each walker, then re-derive the wavefunction
      state from scratch to shed accumulated update error. *)
@@ -235,15 +198,7 @@ let run ?observe ?(crowd = 1) ?(rank = 0) ?telemetry ?(telemetry_every = 1)
     | None -> ()
   done;
   let wall_time = Oqmc_containers.Timers.now () -. t0 in
-  (* Export the merged kernel-timer totals as [timer_us.*] counters for
-     the efficiency audit (same counters the multi-rank executors feed). *)
-  List.iter
-    (fun (k, sec, _) ->
-      if sec > 0. then
-        Metrics.add
-          (Metrics.counter ("timer_us." ^ k))
-          (int_of_float (Float.round (sec *. 1e6))))
-    (Oqmc_containers.Timers.snapshot (Runner.merged_timers runner));
+  Runner.export_timers runner;
   let tot_meas = Array.fold_left (fun a s -> a + s.n_meas) 0 states in
   let e_sum = Array.fold_left (fun a s -> a +. s.e_sum) 0. states in
   let e2_sum = Array.fold_left (fun a s -> a +. s.e2_sum) 0. states in

@@ -48,9 +48,10 @@ val run :
     {!Oqmc_obs.Trace} is enabled.  Observability never touches the RNG
     stream, so results are bit-identical with it on or off.
 
-    [crowd] (default 1) sets the number of walkers each domain advances
-    in lockstep through batched SPO kernels; results are bit-identical
-    to the scalar path for any crowd size (clamped to [n_walkers]).
+    [crowd] (default 1, clamped to [n_walkers]) sets the number of
+    walkers each domain advances in lockstep through the fused crowd
+    pipeline ({!Runner}); Store variants (Ref / Ref+MP) ignore it.
+    Results are bit-identical for any crowd size.
 
     [rank] (default 0) offsets the walker RNG streams into a disjoint
     seed block, so shard [rank] of a rank-split VMC run never shares a

@@ -196,6 +196,7 @@ let exec_runner cfg (spec : Job.spec) wfd =
              tau = d.Input.tau;
              seed = d.Input.seed + 1;
              n_domains = d.Input.domains;
+             crowd = d.Input.crowd;
              plan;
              (* Live introspection: the runner keeps a ~4 Hz status
                 snapshot next to its job snapshots (the daemon's Status

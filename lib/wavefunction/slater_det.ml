@@ -48,7 +48,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   type state = {
     spo : Spo.t;
     timers : Timers.t;
-    staged : Spo.vgl option ref;
     first : int;
     n : int;
     binv : M.t;
@@ -68,11 +67,11 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     v_rows : Spo.v_batch Lazy.t;
     vgl_rows : Spo.vgl_batch Lazy.t;
     dot_scratch : A.t;
-    pad : float array; (* unboxed landing pad for staged row dots *)
+    pad : float array; (* unboxed landing pad for row dots *)
   }
 
   let make ?(timers = Timers.null) ?(scheme = Sherman_morrison)
-      ?(staged = ref None) ~(spo : Spo.t) ~first ~count (ps : Ps.t) : state =
+      ~(spo : Spo.t) ~first ~count (ps : Ps.t) : state =
     let n = count in
     if n < 1 then invalid_arg "Slater_det.create: empty determinant";
     if spo.Spo.n_orb < n then
@@ -83,7 +82,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     {
       spo;
       timers;
-      staged;
       first;
       n;
       binv;
@@ -135,7 +133,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
           comp ~n:st.n st.pad 0;
         st.pad.(0)
 
-  (* Commit the staged move of electron [k] (the engine must have routed
+  (* Commit the pending move of electron [k] (the engine must have routed
      the matching ratio/ratio_grad through this state first).  Untimed:
      crowd drivers take one DetUpdate window per batched commit stage. *)
   let accept_move st k =
@@ -189,19 +187,9 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   let component (st : state) : W.t =
     let n = st.n and first = st.first in
     let spo = st.spo and timers = st.timers in
-    (* A crowd driver may stage a pre-computed SPO result for the
-       position the next in-group grad/ratio_grad would evaluate; it is
-       consumed exactly once (the batch slot is reused for the next
-       lockstep step).  The batch kernel times itself, so no Bspline-vgh
-       sample is recorded here for staged evaluations. *)
-    let take_staged eval =
-      match !(st.staged) with
-      | Some s ->
-          st.staged := None;
-          s
-      | None ->
-          Timers.time timers "Bspline-vgh" (fun () -> eval st.vgl);
-          st.vgl
+    let eval_vgl pos =
+      Timers.time timers "Bspline-vgh" (fun () -> spo.Spo.eval_vgl pos st.vgl);
+      st.vgl
     in
     let load_row_pos ps =
       for i = 0 to n - 1 do
@@ -241,7 +229,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       if not (in_group st k) then (1., Vec3.zero)
       else begin
         let kl = k - first in
-        let vgl = take_staged (spo.Spo.eval_vgl (Ps.active_pos ps)) in
+        let vgl = eval_vgl (Ps.active_pos ps) in
         Array.blit vgl.Spo.v 0 st.vbuf 0 n;
         load_psiv st;
         let r = Timers.time timers "DetUpdate" (fun () -> det_ratio st kl) in
@@ -259,7 +247,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       if not (in_group st k) then Vec3.zero
       else begin
         let kl = k - first in
-        let vgl = take_staged (spo.Spo.eval_vgl (Ps.get ps k)) in
+        let vgl = eval_vgl (Ps.get ps k) in
         (* The denominator is 1 in exact arithmetic (row kl of M is the
            orbital vector at r_k); dividing by it stabilizes the mixed
            precision path.  With pending delayed updates every dot routes
@@ -342,6 +330,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       bytes;
     }
 
-  let create ?timers ?scheme ?staged ~spo ~first ~count ps =
-    component (make ?timers ?scheme ?staged ~spo ~first ~count ps)
+  let create ?timers ?scheme ~spo ~first ~count ps =
+    component (make ?timers ?scheme ~spo ~first ~count ps)
 end

@@ -20,7 +20,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   val create :
     ?timers:Timers.t ->
     ?scheme:scheme ->
-    ?staged:Spo.vgl option ref ->
     spo:Spo.t ->
     first:int ->
     count:int ->
@@ -30,12 +29,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
       electrons outside the group have ratio 1.  Kernel timing keys:
       Bspline-v (value-only SPO) and Bspline-vgh (SPO with derivatives),
       plus SPO-vgl (measurement sweep) and DetUpdate (ratio dots and inverse updates).
-
-      [staged], when supplied, lets a crowd driver hand the determinant
-      a pre-computed SPO result for the position the next in-group
-      [grad]/[ratio_grad] would evaluate; the staged value is consumed
-      exactly once and no Bspline-vgh time is recorded for it (the batch
-      kernel times itself).
       @raise Invalid_argument on an empty group, an out-of-range window,
       or fewer orbitals than electrons. *)
 
@@ -49,7 +42,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   val make :
     ?timers:Timers.t ->
     ?scheme:scheme ->
-    ?staged:Spo.vgl option ref ->
     spo:Spo.t ->
     first:int ->
     count:int ->
@@ -74,7 +66,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
       the gradient, staging the move for {!accept_move}.  Untimed. *)
 
   val accept_move : state -> int -> unit
-  (** Commit the move staged by the last [ratio_grad_into]/[ratio] for
+  (** Commit the move proposed by the last [ratio_grad_into]/[ratio] for
       this electron (Sherman–Morrison row update or delayed Woodbury
       enqueue) and bump the stored log |det|.  Untimed. *)
 end

@@ -3,7 +3,7 @@
 # smoke (4 supervised ranks, one SIGKILLed mid-run and respawned from
 # its checkpoint shard), the observability smoke (trace + telemetry
 # artifacts validated end to end), the crowd-batching bench smoke
-# (pipeline/staged bit-identity + zero-allocation kernel assertions),
+# (pipeline/scalar bit-identity + zero-allocation kernel assertions),
 # the autotune smoke (roofline-driven knob selection: sane choice,
 # metrics gauges, JSON round-trip), the tile smoke (tiled orbital
 # layout: zero-allocation batched kernels, and the autotuned tiled

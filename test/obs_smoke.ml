@@ -34,12 +34,16 @@ let fget j key =
   | None -> fail "record missing field %S" key
 
 (* Complete spans within one (pid, tid) lane must nest: sorted by start
-   time, each span either lies inside the innermost open span or starts
-   after it ends.  Partial overlap means broken begin/end pairing. *)
+   time (at equal starts the longer span first, as [Trace.events] orders
+   a parent before a child opened in the same clock tick), each span
+   either lies inside the innermost open span or starts after it ends.
+   Partial overlap means broken begin/end pairing. *)
 let check_lane_nesting ~lane spans =
   let eps = 2.0 (* microseconds; export rounds timestamps *) in
   let sorted =
-    List.sort (fun (t1, _) (t2, _) -> compare t1 t2) spans
+    List.sort
+      (fun (t1, d1) (t2, d2) -> compare (t1, -.(t1 +. d1)) (t2, -.(t2 +. d2)))
+      spans
   in
   let stack = ref [] in
   List.iter

@@ -49,6 +49,20 @@ let test_crowd_capped_by_walkers () =
   let c = choose ~walkers:2 sys in
   check_bool "crowd <= walkers" true (c.Tuner.knobs.Tuner.crowd <= 2)
 
+let test_store_variants_crowd_one () =
+  (* Ref and Ref+MP sweep one walker at a time whatever the crowd, so the
+     tuner never offers them one — on a system where Current batches. *)
+  let sys = Validation.electron_gas ~n_up:24 ~n_down:24 ~box:8. () in
+  let pick variant =
+    (Tuner.choose ~machine:Machine.bdw ~walkers:16 ~domains:1 ~variant
+       ~precision:`F64 ~sys ())
+      .Tuner.knobs
+      .Tuner.crowd
+  in
+  check_bool "Current batches" true (pick Variant.Current > 1);
+  check_int "Ref crowd" 1 (pick Variant.Ref);
+  check_int "Ref+MP crowd" 1 (pick Variant.Ref_mp)
+
 let test_choice_json_roundtrip () =
   let sys = Validation.harmonic ~n:6 ~omega:1.0 in
   let c = choose sys in
@@ -86,6 +100,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "crowd capped by walkers" `Quick
             test_crowd_capped_by_walkers;
+          Alcotest.test_case "store variants keep crowd 1" `Quick
+            test_store_variants_crowd_one;
         ] );
       ( "reporting",
         [

@@ -651,6 +651,39 @@ let test_forked_matches_local_bit_for_bit () =
    + forked.Supervisor.heartbeat_timeouts + forked.Supervisor.garbage_frames);
   check_int "no degraded generations" 0 forked.Supervisor.degraded_generations
 
+(* Ranks honour [crowd]: a 2-rank run sweeping 3-slot crowds is
+   bit-identical to one-slot crowds, the crowds really are 3 wide, and
+   the forked transport gives the same series. *)
+let test_ranks_honour_crowd () =
+  let widest = Atomic.make 0 in
+  let counting i =
+    let e = factory i in
+    {
+      e with
+      Engine_api.make_crowd_stages =
+        (fun hooks ->
+          let w = Array.length hooks in
+          if w > Atomic.get widest then Atomic.set widest w;
+          e.Engine_api.make_crowd_stages hooks);
+    }
+  in
+  let p1 = { base_params with Supervisor.ranks = 2 } in
+  let p3 = { p1 with Supervisor.crowd = 3 } in
+  let one = Supervisor.run_local ~factory p1 in
+  let three = Supervisor.run_local ~factory:counting p3 in
+  check_int "3-slot crowds built" 3 (Atomic.get widest);
+  check_bool "crowd 3 == crowd 1, bit for bit" true
+    (same_series one.Supervisor.energy_series three.Supervisor.energy_series);
+  Alcotest.(check (array int))
+    "population series identical" one.Supervisor.population_series
+    three.Supervisor.population_series;
+  checkf 0. "acceptance identical" one.Supervisor.acceptance
+    three.Supervisor.acceptance;
+  let forked = Supervisor.run ~factory p3 in
+  check_bool "forked crowd 3 == local, bit for bit" true
+    (same_series three.Supervisor.energy_series
+       forked.Supervisor.energy_series)
+
 (* The acceptance scenario: 4 ranks, one SIGKILLed mid-run, recovered
    from its checkpoint shard; the run completes with finite estimators
    and the population under control. *)
@@ -1103,6 +1136,8 @@ let () =
             test_run_local_deterministic;
           Alcotest.test_case "forked == local, bit for bit" `Quick
             test_forked_matches_local_bit_for_bit;
+          Alcotest.test_case "ranks honour crowd" `Quick
+            test_ranks_honour_crowd;
           Alcotest.test_case "SIGKILL mid-run: shard recovery" `Quick
             test_kill_recovery_from_shard;
           Alcotest.test_case "stall trips the heartbeat" `Quick

@@ -117,6 +117,30 @@ let test_trace_span_nesting () =
     && b.Trace.ts +. b.Trace.dur <= a.Trace.ts +. a.Trace.dur +. 1e-9);
   Trace.disable ()
 
+(* A child opened in the same 1 us clock tick as its parent must sort
+   after it: [Trace.events] orders equal starts by descending end. *)
+let test_trace_parent_first_at_tie () =
+  Trace.enable ();
+  for _ = 1 to 2000 do
+    Trace.with_span "parent" (fun () ->
+        Trace.with_span "child" (fun () -> ignore (Sys.opaque_identity 1)))
+  done;
+  let ties = ref 0 in
+  let rec walk = function
+    | (a : Trace.event) :: ((b : Trace.event) :: _ as rest) ->
+        if a.Trace.tid = b.Trace.tid && Float.equal a.Trace.ts b.Trace.ts
+        then begin
+          incr ties;
+          check_bool "enclosing span first at a tie" true
+            (a.Trace.dur >= b.Trace.dur)
+        end;
+        walk rest
+    | _ -> ()
+  in
+  walk (Trace.events ());
+  check_bool "same-tick starts recorded" true (!ties > 0);
+  Trace.disable ()
+
 let test_trace_span_exception_safe () =
   Trace.enable ();
   (try Trace.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
@@ -223,7 +247,7 @@ let test_timers_merge_monotone_under_pool () =
   (* Satellite: merged pool timers only ever grow across parallel
      regions, and the instrumented work is counted exactly once. *)
   let sys = Lazy.force harmonic_sys in
-  Runner.with_runner ~n_domains:2 ~factory:(factory sys) @@ fun r ->
+  Runner.with_runner ~crowd:1 ~n_domains:2 ~factory:(factory sys) @@ fun r ->
   let prev = ref (Timers.snapshot (Runner.merged_timers r)) in
   for _region = 1 to 3 do
     Runner.parallel_for r ~n:64 ~f:(fun ~domain i ->
@@ -659,6 +683,8 @@ let () =
             test_trace_disabled_is_passthrough;
           Alcotest.test_case "ring overwrite" `Quick test_trace_ring_overwrite;
           Alcotest.test_case "span nesting" `Quick test_trace_span_nesting;
+          Alcotest.test_case "parent first at a tie" `Quick
+            test_trace_parent_first_at_tie;
           Alcotest.test_case "exception safe" `Quick
             test_trace_span_exception_safe;
           Alcotest.test_case "chrome export" `Quick

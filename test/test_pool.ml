@@ -4,7 +4,8 @@
    exactly-once dynamic scheduling for uneven walker counts, idempotent
    shutdown) and the batched-kernel contract (batch results identical to
    scalar calls, including positions on the periodic wrap planes; crowd
-   drivers bit-identical to the scalar reference path). *)
+   sweeps bit-identical to scalar [Engine_api.sweep]s, and drivers
+   bit-identical at every crowd size). *)
 
 open Oqmc_containers
 open Oqmc_rng
@@ -46,7 +47,7 @@ let test_explicit_grain () =
   let sys = Lazy.force harmonic_sys in
   List.iter
     (fun n_domains ->
-      Runner.with_runner ~n_domains ~factory:(factory sys) @@ fun runner ->
+      Runner.with_runner ~crowd:1 ~n_domains ~factory:(factory sys) @@ fun runner ->
       (* any explicit grain still covers every index exactly once *)
       List.iter
         (fun grain ->
@@ -74,7 +75,7 @@ let test_coverage_exactly_once () =
   let sys = Lazy.force harmonic_sys in
   List.iter
     (fun (n_domains, n) ->
-      Runner.with_runner ~n_domains ~factory:(factory sys) @@ fun runner ->
+      Runner.with_runner ~crowd:1 ~n_domains ~factory:(factory sys) @@ fun runner ->
       let hits = Array.init n (fun _ -> Atomic.make 0) in
       let domains_seen = Array.make n (-1) in
       Runner.parallel_for runner ~n ~f:(fun ~domain i ->
@@ -100,7 +101,7 @@ let test_coverage_exactly_once () =
 let test_spawn_count () =
   let sys = Lazy.force harmonic_sys in
   let before = Runner.total_spawns () in
-  (Runner.with_runner ~n_domains:3 ~factory:(factory sys) @@ fun runner ->
+  (Runner.with_runner ~crowd:1 ~n_domains:3 ~factory:(factory sys) @@ fun runner ->
    for _ = 1 to 50 do
      let sink = Atomic.make 0 in
      Runner.parallel_for runner ~n:11 ~f:(fun ~domain:_ _ ->
@@ -110,13 +111,13 @@ let test_spawn_count () =
   check_int "exactly n_domains - 1 spawns for 50 regions" 2
     (Runner.total_spawns () - before);
   let before = Runner.total_spawns () in
-  (Runner.with_runner ~n_domains:1 ~factory:(factory sys) @@ fun runner ->
+  (Runner.with_runner ~crowd:1 ~n_domains:1 ~factory:(factory sys) @@ fun runner ->
    Runner.parallel_for runner ~n:5 ~f:(fun ~domain:_ _ -> ()));
   check_int "single domain never spawns" 0 (Runner.total_spawns () - before)
 
 let test_shutdown_idempotent () =
   let sys = Lazy.force harmonic_sys in
-  let runner = Runner.create ~n_domains:2 ~factory:(factory sys) in
+  let runner = Runner.create ~crowd:1 ~n_domains:2 ~factory:(factory sys) in
   Runner.parallel_for runner ~n:4 ~f:(fun ~domain:_ _ -> ());
   Runner.shutdown runner;
   Runner.shutdown runner;
@@ -341,29 +342,29 @@ let vmc_params =
 
 let test_vmc_crowd_identity () =
   let sys = Lazy.force harmonic_sys in
-  let scalar = Vmc.run ~crowd:1 ~factory:(factory sys) vmc_params in
+  let one = Vmc.run ~crowd:1 ~factory:(factory sys) vmc_params in
   List.iter
     (fun crowd ->
       let r = Vmc.run ~crowd ~factory:(factory sys) vmc_params in
       same_float_array
         (Printf.sprintf "vmc crowd=%d block energies" crowd)
-        scalar.Vmc.block_energies r.Vmc.block_energies;
+        one.Vmc.block_energies r.Vmc.block_energies;
       check_bool "energy identical" true
-        (Float.equal scalar.Vmc.energy r.Vmc.energy);
+        (Float.equal one.Vmc.energy r.Vmc.energy);
       check_bool "acceptance identical" true
-        (Float.equal scalar.Vmc.acceptance r.Vmc.acceptance))
+        (Float.equal one.Vmc.acceptance r.Vmc.acceptance))
     [ 2; 4; 6; 13 (* clamped to n_walkers *) ]
 
 let test_vmc_crowd_identity_bspline () =
   (* End-to-end through the native batched B-spline kernels. *)
   let sys = Builder.make ~reduction:16 ~with_nlpp:false Spec.nio32 in
   let params = { vmc_params with Vmc.n_walkers = 4; blocks = 2; warmup = 2; steps_per_block = 3; tau = 0.1 } in
-  let scalar = Vmc.run ~crowd:1 ~factory:(factory sys) params in
+  let one = Vmc.run ~crowd:1 ~factory:(factory sys) params in
   let crowd = Vmc.run ~crowd:4 ~factory:(factory sys) params in
-  same_float_array "bspline vmc block energies" scalar.Vmc.block_energies
+  same_float_array "bspline vmc block energies" one.Vmc.block_energies
     crowd.Vmc.block_energies;
   check_bool "bspline vmc energy identical" true
-    (Float.equal scalar.Vmc.energy crowd.Vmc.energy)
+    (Float.equal one.Vmc.energy crowd.Vmc.energy)
 
 let test_dmc_crowd_identity () =
   let sys = Lazy.force harmonic_sys in
@@ -378,19 +379,19 @@ let test_dmc_crowd_identity () =
       ranks = 1;
     }
   in
-  let scalar = Dmc.run ~crowd:1 ~factory:(factory sys) params in
+  let one = Dmc.run ~crowd:1 ~factory:(factory sys) params in
   let crowd = Dmc.run ~crowd:3 ~factory:(factory sys) params in
-  same_float_array "dmc energy series" scalar.Dmc.energy_series
+  same_float_array "dmc energy series" one.Dmc.energy_series
     crowd.Dmc.energy_series;
   check_bool "dmc energy identical" true
-    (Float.equal scalar.Dmc.energy crowd.Dmc.energy);
+    (Float.equal one.Dmc.energy crowd.Dmc.energy);
   check_int "dmc final population identical"
-    (List.length scalar.Dmc.final_walkers)
+    (List.length one.Dmc.final_walkers)
     (List.length crowd.Dmc.final_walkers)
 
-(* Guard against a silent fallback: the full-pipeline batched path must
-   actually be engaged for the Otf (Current) variants, and must decline
-   gracefully for the Store-layout reference variants. *)
+(* Every crowd runs the fused pipeline: the Otf (Current) variants form
+   one, and the Store-layout reference variants, which publish
+   [No_crowd_hook], are refused. *)
 let test_crowd_pipeline_active () =
   let sys = Lazy.force harmonic_sys in
   let cr = Crowd.create ~factory:(factory sys) ~base:0 ~size:3 () in
@@ -401,47 +402,73 @@ let test_crowd_pipeline_active () =
       ~base:0 ~size:3 ()
   in
   check_bool "Current_f64 crowd pipelined" true (Crowd.pipelined cr64);
-  let off = Crowd.create ~pipeline:false ~factory:(factory sys) ~base:0 ~size:3 () in
-  check_bool "pipeline:false honoured" false (Crowd.pipelined off);
-  let cref =
-    Crowd.create
-      ~factory:(Build.factory ~variant:Variant.Ref ~seed:3 sys)
-      ~base:0 ~size:3 ()
-  in
-  check_bool "Store layout falls back" false (Crowd.pipelined cref)
+  List.iter
+    (fun variant ->
+      check_bool
+        (Variant.to_string variant ^ " crowd refused")
+        true
+        (match
+           Crowd.create ~factory:(Build.factory ~variant ~seed:3 sys)
+             ~base:0 ~size:3 ()
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ Variant.Ref; Variant.Ref_mp ]
 
-(* The pipelined sweep, the staged (PR2) sweep and the scalar per-engine
-   sweep must produce bit-identical trajectories. *)
+(* The pipeline at crowd sizes 1 and 3 against scalar per-engine sweeps
+   of the same walkers with the same streams: bit-identical
+   trajectories. *)
 let test_crowd_pipeline_vs_staged () =
   let sys = Lazy.force harmonic_sys in
-  let size = 3 in
-  let run_crowd ~pipeline =
-    let cr = Crowd.create ~pipeline ~factory:(factory sys) ~base:0 ~size () in
-    check_bool "pipelined as requested" pipeline (Crowd.pipelined cr);
-    let rngs = Xoshiro.streams ~seed:77 size in
-    for s = 0 to size - 1 do
-      (Crowd.engine cr s).Engine_api.randomize rngs.(s)
-    done;
-    let sweep_rngs = Xoshiro.streams ~seed:123 size in
-    let acc = ref 0 in
-    for _ = 1 to 6 do
-      let rs =
-        Crowd.sweep cr ~active:size ~rng:(fun s -> sweep_rngs.(s)) ~tau:0.3
-      in
-      Array.iter (fun r -> acc := !acc + r.Engine_api.accepted) rs
-    done;
-    let es =
-      Array.init size (fun s -> (Crowd.engine cr s).Engine_api.measure ())
+  let walkers = 3 in
+  let sweeps = 6 in
+  let run_crowd size =
+    let cr = Crowd.create ~factory:(factory sys) ~base:0 ~size () in
+    let rngs = Xoshiro.streams ~seed:77 walkers in
+    let sweep_rngs = Xoshiro.streams ~seed:123 walkers in
+    let ws =
+      Array.init walkers (fun s ->
+          let e = Crowd.engine cr 0 in
+          let w = Walker.create e.Engine_api.n_electrons in
+          e.Engine_api.randomize rngs.(s);
+          e.Engine_api.register_walker w;
+          w)
     in
-    (!acc, es)
+    let acc = ref 0 in
+    let lo = ref 0 in
+    while !lo < walkers do
+      let m = min size (walkers - !lo) and lo0 = !lo in
+      for s = 0 to m - 1 do
+        (Crowd.engine cr s).Engine_api.restore_walker ws.(lo0 + s)
+      done;
+      for _ = 1 to sweeps do
+        let rs =
+          Crowd.sweep cr ~active:m
+            ~rng:(fun s -> sweep_rngs.(lo0 + s))
+            ~tau:0.3
+        in
+        Array.iter (fun r -> acc := !acc + r.Engine_api.accepted) rs
+      done;
+      for s = 0 to m - 1 do
+        (Crowd.engine cr s).Engine_api.save_walker ws.(lo0 + s)
+      done;
+      lo := lo0 + m
+    done;
+    let e = Crowd.engine cr 0 in
+    ( !acc,
+      Array.map
+        (fun w ->
+          e.Engine_api.restore_walker w;
+          e.Engine_api.measure ())
+        ws )
   in
   let run_scalar () =
-    let engines = Array.init size (factory sys) in
-    let rngs = Xoshiro.streams ~seed:77 size in
+    let engines = Array.init walkers (factory sys) in
+    let rngs = Xoshiro.streams ~seed:77 walkers in
     Array.iteri (fun s e -> e.Engine_api.randomize rngs.(s)) engines;
-    let sweep_rngs = Xoshiro.streams ~seed:123 size in
+    let sweep_rngs = Xoshiro.streams ~seed:123 walkers in
     let acc = ref 0 in
-    for _ = 1 to 6 do
+    for _ = 1 to sweeps do
       Array.iteri
         (fun s e ->
           let r = e.Engine_api.sweep sweep_rngs.(s) ~tau:0.3 in
@@ -450,28 +477,73 @@ let test_crowd_pipeline_vs_staged () =
     done;
     (!acc, Array.map (fun e -> e.Engine_api.measure ()) engines)
   in
-  let acc_p, e_p = run_crowd ~pipeline:true in
-  let acc_s, e_s = run_crowd ~pipeline:false in
   let acc_r, e_r = run_scalar () in
-  check_int "accepts pipeline = staged" acc_s acc_p;
-  check_int "accepts pipeline = scalar" acc_r acc_p;
-  same_float_array "local energies pipeline = staged" e_s e_p;
-  same_float_array "local energies pipeline = scalar" e_r e_p
+  List.iter
+    (fun size ->
+      let acc, es = run_crowd size in
+      check_int (Printf.sprintf "accepts crowd %d = scalar" size) acc_r acc;
+      same_float_array
+        (Printf.sprintf "local energies crowd %d = scalar" size)
+        e_r es)
+    [ 1; 3 ]
+
+(* Current at f32 on the native B-spline orbitals, over two domains:
+   one-slot crowds and 3-slot crowds give bit-identical DMC and VMC
+   runs. *)
+let test_crowd_one_vs_three_f32 () =
+  let sys = Builder.make ~reduction:16 ~with_nlpp:false Spec.nio32 in
+  let f = factory sys in
+  let dmc crowd =
+    Dmc.run ~crowd ~factory:f
+      {
+        Dmc.target_walkers = 7;
+        warmup = 2;
+        generations = 4;
+        tau = 0.02;
+        seed = 5;
+        n_domains = 2;
+        ranks = 1;
+      }
+  in
+  let d1 = dmc 1 and d3 = dmc 3 in
+  same_float_array "f32 dmc energy series" d1.Dmc.energy_series
+    d3.Dmc.energy_series;
+  Alcotest.(check (array int))
+    "f32 dmc population series" d1.Dmc.population_series
+    d3.Dmc.population_series;
+  check_bool "f32 dmc acceptance identical" true
+    (Float.equal d1.Dmc.acceptance d3.Dmc.acceptance);
+  let vmc crowd =
+    Vmc.run ~crowd ~factory:f
+      {
+        vmc_params with
+        Vmc.n_walkers = 7;
+        blocks = 2;
+        warmup = 2;
+        steps_per_block = 2;
+        tau = 0.1;
+        n_domains = 2;
+      }
+  in
+  let v1 = vmc 1 and v3 = vmc 3 in
+  same_float_array "f32 vmc block energies" v1.Vmc.block_energies
+    v3.Vmc.block_energies;
+  check_bool "f32 vmc acceptance identical" true
+    (Float.equal v1.Vmc.acceptance v3.Vmc.acceptance)
 
 (* Crowd batching composed with delayed determinant updates: the whole
-   VMC trajectory stays bit-identical to the scalar path at equal
-   delay. *)
+   VMC trajectory is bit-identical at crowd 1 and 3 at equal delay. *)
 let test_vmc_crowd_identity_delayed () =
   let sys = Lazy.force harmonic_sys in
   let dfactory = Build.factory ~delay:4 ~variant:Variant.Current ~seed:3 sys in
-  let scalar = Vmc.run ~crowd:1 ~factory:dfactory vmc_params in
+  let one = Vmc.run ~crowd:1 ~factory:dfactory vmc_params in
   let crowd = Vmc.run ~crowd:3 ~factory:dfactory vmc_params in
-  same_float_array "vmc delay=4 block energies" scalar.Vmc.block_energies
+  same_float_array "vmc delay=4 block energies" one.Vmc.block_energies
     crowd.Vmc.block_energies;
   check_bool "vmc delay=4 energy identical" true
-    (Float.equal scalar.Vmc.energy crowd.Vmc.energy);
+    (Float.equal one.Vmc.energy crowd.Vmc.energy);
   check_bool "vmc delay=4 acceptance identical" true
-    (Float.equal scalar.Vmc.acceptance crowd.Vmc.acceptance)
+    (Float.equal one.Vmc.acceptance crowd.Vmc.acceptance)
 
 let () =
   Alcotest.run "pool"
@@ -512,6 +584,8 @@ let () =
             test_crowd_pipeline_active;
           Alcotest.test_case "pipeline vs staged vs scalar" `Quick
             test_crowd_pipeline_vs_staged;
+          Alcotest.test_case "crowd 1 vs 3 at f32" `Quick
+            test_crowd_one_vs_three_f32;
           Alcotest.test_case "vmc crowd delayed bit-identical" `Quick
             test_vmc_crowd_identity_delayed;
         ] );
