@@ -67,7 +67,7 @@ let bench_dispatch () =
   let sys = Oqmc_workloads.Validation.harmonic ~n:2 ~omega:1.0 in
   let factory = Build.factory ~variant:Variant.Current ~seed:1 sys in
   let pool_t =
-    Runner.with_runner ~crowd:1 ~n_domains ~factory (fun runner ->
+    Runner.with_runner ~crowd:1 ~walkers ~n_domains ~factory (fun runner ->
         (* one warm region so workers are parked, not spawning *)
         Runner.parallel_for runner ~n:walkers ~f:(fun ~domain i ->
             body domain i);

@@ -218,8 +218,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
     (Variant.to_string variant)
     (match eff_precision with `F32 -> "f32" | `F64 -> "f64")
     (System.n_electrons sys) domains
-    (* the crowd in effect: Ref / Ref+MP sweep one walker at a time *)
-    (if Variant.layout variant = Variant.Store then 1 else crowd)
+    (min crowd (Runner.max_crowd ~variant ~walkers))
     delay tile;
   (* --audit: calibrate a roofline projection for this run shape up
      front; measured-vs-projected gauges refresh live (per ledger
@@ -463,7 +462,8 @@ let crowd =
     & info [ "crowd" ] ~docv:"C"
         ~doc:
           "Walkers advanced in lockstep per domain through the fused crowd \
-           pipeline (Current variants; Ref and Ref+MP ignore it).")
+           pipeline (Current variants; Ref and Ref+MP ignore it), at most \
+           the walker count.")
 
 let delay =
   Arg.(

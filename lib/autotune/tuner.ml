@@ -316,11 +316,9 @@ let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
     | Variant.Current | Variant.Current_f64 -> `Current
   in
   let walker_bytes = Memory_model.walker_bytes kind ~n ~n_ion ~n_spo in
-  (* Store engines (Ref / Ref+MP) have no crowd pipeline and sweep one
-     walker at a time: crowd 1 is their only candidate. *)
-  let max_crowd =
-    match layout with `Store -> 1 | `Otf -> max 1 (walkers / domains)
-  in
+  (* Store engines (Ref / Ref+MP) sweep one walker at a time: crowd 1
+     is their only candidate. *)
+  let max_crowd = Runner.max_crowd ~variant ~walkers:(walkers / domains) in
   let grain_of c =
     max (Runner.grain_for ~n:walkers ~n_domains:domains) c
   in

@@ -65,7 +65,8 @@ type t = {
 let start ~(factory : int -> Engine_api.t) ~init ~emit cfg =
   let per_rank = cfg.n_domains * cfg.crowd in
   let runner =
-    Runner.create ~crowd:cfg.crowd ~n_domains:cfg.n_domains
+    Runner.create ~crowd:cfg.crowd ~walkers:cfg.target
+      ~n_domains:cfg.n_domains
       ~factory:(fun i -> factory ((cfg.rank * per_rank) + i))
   in
   let e_trial, walkers =

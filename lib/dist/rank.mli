@@ -17,9 +17,7 @@ type config = {
   tau : float;
   target : int;  (** GLOBAL walker target (feedback is supervisor-side) *)
   n_domains : int;  (** worker domains inside this rank *)
-  crowd : int;
-      (** walkers each domain sweeps in lockstep ({!Runner}); Store
-          variants ignore it *)
+  crowd : int;  (** walkers each domain sweeps in lockstep ({!Runner}) *)
   checkpoint : string option;
   checkpoint_keep : int;
   async_checkpoint : bool;

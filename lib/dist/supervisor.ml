@@ -221,6 +221,7 @@ type job_outcome = {
 
 let validate p =
   if p.ranks < 1 then invalid_arg "Supervisor: ranks < 1";
+  if p.crowd < 1 then invalid_arg "Supervisor: crowd < 1";
   if p.target_walkers < p.ranks then
     invalid_arg "Supervisor: target_walkers < ranks";
   if p.heartbeat_s <= 0. then invalid_arg "Supervisor: heartbeat_s <= 0";

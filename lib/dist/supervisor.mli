@@ -64,9 +64,7 @@ type params = {
   tau : float;
   seed : int;
   n_domains : int;  (** worker domains per rank *)
-  crowd : int;
-      (** walkers each rank domain sweeps in lockstep (default 1), as
-          {!Oqmc_core.Dmc.run}'s [crowd] *)
+  crowd : int;  (** walkers each rank domain sweeps in lockstep (default 1) *)
   feedback : float;
   heartbeat_s : float;  (** deadline on every read from a rank *)
   max_respawn : int;  (** respawns per rank before it is abandoned *)

@@ -124,7 +124,8 @@ let run ?initial ?observe ?(checkpoint_every = 0) ?checkpoint_path
     ~(factory : int -> Engine_api.t) (p : params) : result =
   if p.target_walkers < 1 then invalid_arg "Dmc.run: target_walkers < 1";
   let telemetry_every = max 1 telemetry_every in
-  Runner.with_runner ~crowd ~n_domains:p.n_domains ~factory @@ fun runner ->
+  Runner.with_runner ~crowd ~walkers:p.target_walkers
+    ~n_domains:p.n_domains ~factory @@ fun runner ->
   let e0 = Runner.engine runner 0 in
   let master_rng = Xoshiro.create p.seed in
   let rng_pool = ref (Xoshiro.create (p.seed + 1)) in

@@ -139,7 +139,10 @@ let apply cfg ~line key value =
   | "steps" -> { cfg with steps = parse_int line value }
   | "tau" -> { cfg with tau = parse_float line value }
   | "domains" -> { cfg with domains = parse_int line value }
-  | "crowd" -> { cfg with crowd = parse_int line value }
+  | "crowd" ->
+      let c = parse_int line value in
+      if c < 1 then fail line "crowd must be >= 1, got %d" c;
+      { cfg with crowd = c }
   | "delay" ->
       let d = parse_int line value in
       if d < 1 then fail line "delay must be >= 1, got %d" d;

@@ -13,7 +13,8 @@ type t = {
   domains : int;
   crowd : int;
       (** walkers advanced in lockstep per domain through the fused
-          crowd pipeline; Ref and Ref+MP ignore it *)
+          crowd pipeline; Ref and Ref+MP ignore it.  Values < 1 are
+          rejected at parse time. *)
   delay : int;
       (** delayed determinant-update rank (Woodbury block size); 1 (the
           default) keeps the rank-1 Sherman–Morrison update.  Values < 1

@@ -155,9 +155,17 @@ let sweep u ~active ~rng ~tau =
       if active <> 1 then invalid_arg "Runner.sweep: active";
       [| e.Engine_api.sweep (rng 0) ~tau |]
 
-let create ~crowd ~n_domains ~(factory : int -> Engine_api.t) =
+(* [make_sweeper]'s rule stated per variant, before any engine exists. *)
+let max_crowd ~variant ~walkers =
+  match Variant.layout variant with
+  | Variant.Store -> 1
+  | Variant.Otf -> max 1 walkers
+
+let create ~crowd ~walkers ~n_domains ~(factory : int -> Engine_api.t) =
   if n_domains < 1 then invalid_arg "Runner.create: n_domains < 1";
   if crowd < 1 then invalid_arg "Runner.create: crowd < 1";
+  (* slots past the run's walkers would never hold one *)
+  let crowd = min crowd (max 1 walkers) in
   let sweepers = Array.init n_domains (make_sweeper ~crowd ~factory) in
   let pool =
     if n_domains = 1 then None
@@ -187,7 +195,7 @@ let create ~crowd ~n_domains ~(factory : int -> Engine_api.t) =
   in
   { sweepers; n_domains; pool; shut = false }
 
-let n_domains t = t.n_domains
+let crowd t = width t.sweepers.(0)
 let engine t i = slot_engine t.sweepers.(i) 0
 
 (* Merge all per-domain kernel timers into one set. *)
@@ -304,6 +312,6 @@ let shutdown t =
 
 (* Convenience wrapper: run [f runner] and always return the workers to
    the OS, even on exceptions. *)
-let with_runner ~crowd ~n_domains ~factory f =
-  let t = create ~crowd ~n_domains ~factory in
+let with_runner ~crowd ~walkers ~n_domains ~factory f =
+  let t = create ~crowd ~walkers ~n_domains ~factory in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

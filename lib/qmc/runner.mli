@@ -8,18 +8,20 @@
 type t
 
 type sweeper
-(** A domain's sweep unit, chosen once from its engine: a {!Crowd} of
-    [crowd] slots when the engine can form a fused crowd (Current;
-    [crowd = 1] is a one-slot crowd), else the engine alone with its
-    scalar [Engine_api.sweep] (Ref / Ref+MP, which publish
-    [No_crowd_hook] and ignore [crowd]). *)
+(** A domain's sweep unit, chosen once from its engine: a {!Crowd}
+    (Current; [crowd = 1] is a one-slot crowd), or a Store engine
+    ([No_crowd_hook]: Ref / Ref+MP) alone with its scalar sweep. *)
+
+val max_crowd : variant:Variant.t -> walkers:int -> int
+(** The widest unit a run of [walkers] walkers gives [variant]: 1 for
+    Ref / Ref+MP, else [max 1 walkers].  Pinned against {!crowd}. *)
 
 val create :
-  crowd:int -> n_domains:int -> factory:(int -> Engine_api.t) -> t
-(** One sweep unit per domain plus [n_domains - 1] parked worker domains
-    (none when [n_domains = 1]).  Domain [d]'s engines are built by
-    [factory (d * crowd + s)] for slot [s]; a Store engine is built once,
-    at slot 0.
+  crowd:int -> walkers:int -> n_domains:int ->
+  factory:(int -> Engine_api.t) -> t
+(** One sweep unit per domain, [crowd] clamped to the run's [walkers],
+    plus [n_domains - 1] parked worker domains.  Domain [d]'s slot [s]
+    engine is [factory (d * c + s)] for the clamped crowd [c].
     @raise Invalid_argument if [n_domains < 1] or [crowd < 1]. *)
 
 val shutdown : t -> unit
@@ -27,18 +29,18 @@ val shutdown : t -> unit
     regions on this runner raise [Invalid_argument]. *)
 
 val with_runner :
-  crowd:int -> n_domains:int -> factory:(int -> Engine_api.t) ->
-  (t -> 'a) -> 'a
+  crowd:int -> walkers:int -> n_domains:int ->
+  factory:(int -> Engine_api.t) -> (t -> 'a) -> 'a
 (** [create] + run + guaranteed [shutdown] (also on exceptions). *)
 
-val n_domains : t -> int
+val crowd : t -> int
+(** The sweep-unit width in effect (1 for a scalar unit). *)
 
 val engine : t -> int -> Engine_api.t
 (** Domain [d]'s engine: slot 0 of its sweep unit. *)
 
 val merged_timers : t -> Oqmc_containers.Timers.t
-(** All per-domain kernel timers (slot 0 of each sweep unit) merged into
-    one set. *)
+(** All slot-0 kernel timers merged into one set. *)
 
 val export_timers : t -> unit
 (** Add the {!merged_timers} totals to the [timer_us.<kernel>] counters
@@ -80,11 +82,9 @@ val iter_walkers : t -> 'w array -> f:(Engine_api.t -> 'w -> unit) -> unit
 
 val iter_groups : t -> n:int -> walker:(int -> Oqmc_particle.Walker.t) ->
   f:(sweeper -> lo:int -> m:int -> unit) -> unit
-(** Split walkers [0..n-1] into consecutive groups of the sweep-unit
-    width (crowd size, or 1 for a scalar unit; the last group may be
-    partial).  Over the pool, each group [lo, lo + m) is restored into
-    the executing domain's unit — [walker (lo + s)] into slot [s] — and
-    [f unit ~lo ~m] runs on it. *)
+(** Over the pool, restore each group [lo, lo + m) of {!crowd} walkers
+    (the last may be partial) into the executing domain's unit —
+    [walker (lo + s)] into slot [s] — and run [f unit ~lo ~m]. *)
 
 val slot_engine : sweeper -> int -> Engine_api.t
 (** The engine holding slot [s]'s walker state: restore, measure and
@@ -93,6 +93,5 @@ val slot_engine : sweeper -> int -> Engine_api.t
 val sweep : sweeper -> active:int -> rng:(int -> Oqmc_rng.Xoshiro.t) ->
   tau:float -> Engine_api.sweep_result array
 (** One drift-and-diffusion sweep of slots [0..active-1]; [rng s] is
-    slot [s]'s stream.  Per walker, bit-identical to [Engine_api.sweep]
-    on the double-precision path.
+    slot [s]'s stream.  Per walker, bit-identical to [Engine_api.sweep].
     @raise Invalid_argument unless [1 <= active <= ] the unit's width. *)

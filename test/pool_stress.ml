@@ -59,7 +59,8 @@ let stress () =
   let factory = Build.factory ~variant:Variant.Current ~seed:4 sys in
   let spawns_before = Runner.total_spawns () in
   let t0 = Timers.now () in
-  Runner.with_runner ~crowd:1 ~n_domains ~factory (fun runner ->
+  Runner.with_runner ~crowd:1 ~walkers:n_walkers ~n_domains ~factory
+    (fun runner ->
       (* per-walker state, seeded from engine 0 *)
       let e0 = Runner.engine runner 0 in
       let rng0 = Xoshiro.create 99 in

@@ -684,6 +684,36 @@ let test_ranks_honour_crowd () =
     (same_series three.Supervisor.energy_series
        forked.Supervisor.energy_series)
 
+(* A crowd below 1 is refused before any rank starts; a crowd wider than
+   the walker target is clamped to it, and the run is unchanged. *)
+let test_ranks_crowd_bounds () =
+  let p1 = { base_params with Supervisor.ranks = 2 } in
+  check_bool "crowd 0 refused" true
+    (match Supervisor.run_local ~factory { p1 with Supervisor.crowd = 0 } with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let widest = Atomic.make 0 in
+  let counting i =
+    let e = factory i in
+    {
+      e with
+      Engine_api.make_crowd_stages =
+        (fun hooks ->
+          let w = Array.length hooks in
+          if w > Atomic.get widest then Atomic.set widest w;
+          e.Engine_api.make_crowd_stages hooks);
+    }
+  in
+  let one = Supervisor.run_local ~factory p1 in
+  let wide =
+    Supervisor.run_local ~factory:counting
+      { p1 with Supervisor.crowd = 1000 }
+  in
+  check_int "crowd clamped to the walker target"
+    p1.Supervisor.target_walkers (Atomic.get widest);
+  check_bool "clamped crowd == crowd 1, bit for bit" true
+    (same_series one.Supervisor.energy_series wide.Supervisor.energy_series)
+
 (* The acceptance scenario: 4 ranks, one SIGKILLed mid-run, recovered
    from its checkpoint shard; the run completes with finite estimators
    and the population under control. *)
@@ -1138,6 +1168,8 @@ let () =
             test_forked_matches_local_bit_for_bit;
           Alcotest.test_case "ranks honour crowd" `Quick
             test_ranks_honour_crowd;
+          Alcotest.test_case "rank crowd bounds" `Quick
+            test_ranks_crowd_bounds;
           Alcotest.test_case "SIGKILL mid-run: shard recovery" `Quick
             test_kill_recovery_from_shard;
           Alcotest.test_case "stall trips the heartbeat" `Quick

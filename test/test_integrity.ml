@@ -313,7 +313,10 @@ let watchdog_cfg =
   }
 
 let run_watchdog walkers =
-  let runner = Runner.create ~crowd:1 ~n_domains:1 ~factory in
+  let runner =
+    Runner.create ~crowd:1 ~walkers:(List.length walkers) ~n_domains:1
+      ~factory
+  in
   let pop =
     Population.create ~target:(List.length walkers) ~e_trial:(-1.) walkers
   in
@@ -527,7 +530,7 @@ let test_dmc_tiny_run_nan_free () =
 (* ---------- runner failure aggregation ---------- *)
 
 let test_runner_joins_all_failures () =
-  Runner.with_runner ~crowd:1 ~n_domains:3 ~factory @@ fun runner ->
+  Runner.with_runner ~crowd:1 ~walkers:9 ~n_domains:3 ~factory @@ fun runner ->
   let items = Array.init 9 Fun.id in
   (* Every domain fails.  Work is pulled dynamically, so each domain is
      held at its first index until all three have arrived — then all

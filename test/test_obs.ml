@@ -247,7 +247,8 @@ let test_timers_merge_monotone_under_pool () =
   (* Satellite: merged pool timers only ever grow across parallel
      regions, and the instrumented work is counted exactly once. *)
   let sys = Lazy.force harmonic_sys in
-  Runner.with_runner ~crowd:1 ~n_domains:2 ~factory:(factory sys) @@ fun r ->
+  Runner.with_runner ~crowd:1 ~walkers:64 ~n_domains:2 ~factory:(factory sys)
+  @@ fun r ->
   let prev = ref (Timers.snapshot (Runner.merged_timers r)) in
   for _region = 1 to 3 do
     Runner.parallel_for r ~n:64 ~f:(fun ~domain i ->

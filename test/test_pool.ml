@@ -21,6 +21,7 @@ let check_int = Alcotest.(check int)
 
 let factory sys = Build.factory ~variant:Variant.Current ~seed:3 sys
 let harmonic_sys = lazy (Validation.harmonic ~n:4 ~omega:1.0)
+let nio32_r16 = lazy (Builder.make ~reduction:16 ~with_nlpp:false Spec.nio32)
 
 (* ---------- grain size ---------- *)
 
@@ -47,7 +48,8 @@ let test_explicit_grain () =
   let sys = Lazy.force harmonic_sys in
   List.iter
     (fun n_domains ->
-      Runner.with_runner ~crowd:1 ~n_domains ~factory:(factory sys) @@ fun runner ->
+      Runner.with_runner ~crowd:1 ~walkers:13 ~n_domains ~factory:(factory sys)
+      @@ fun runner ->
       (* any explicit grain still covers every index exactly once *)
       List.iter
         (fun grain ->
@@ -75,7 +77,8 @@ let test_coverage_exactly_once () =
   let sys = Lazy.force harmonic_sys in
   List.iter
     (fun (n_domains, n) ->
-      Runner.with_runner ~crowd:1 ~n_domains ~factory:(factory sys) @@ fun runner ->
+      Runner.with_runner ~crowd:1 ~walkers:n ~n_domains ~factory:(factory sys)
+      @@ fun runner ->
       let hits = Array.init n (fun _ -> Atomic.make 0) in
       let domains_seen = Array.make n (-1) in
       Runner.parallel_for runner ~n ~f:(fun ~domain i ->
@@ -101,7 +104,8 @@ let test_coverage_exactly_once () =
 let test_spawn_count () =
   let sys = Lazy.force harmonic_sys in
   let before = Runner.total_spawns () in
-  (Runner.with_runner ~crowd:1 ~n_domains:3 ~factory:(factory sys) @@ fun runner ->
+  (Runner.with_runner ~crowd:1 ~walkers:11 ~n_domains:3 ~factory:(factory sys)
+   @@ fun runner ->
    for _ = 1 to 50 do
      let sink = Atomic.make 0 in
      Runner.parallel_for runner ~n:11 ~f:(fun ~domain:_ _ ->
@@ -111,13 +115,16 @@ let test_spawn_count () =
   check_int "exactly n_domains - 1 spawns for 50 regions" 2
     (Runner.total_spawns () - before);
   let before = Runner.total_spawns () in
-  (Runner.with_runner ~crowd:1 ~n_domains:1 ~factory:(factory sys) @@ fun runner ->
+  (Runner.with_runner ~crowd:1 ~walkers:5 ~n_domains:1 ~factory:(factory sys)
+   @@ fun runner ->
    Runner.parallel_for runner ~n:5 ~f:(fun ~domain:_ _ -> ()));
   check_int "single domain never spawns" 0 (Runner.total_spawns () - before)
 
 let test_shutdown_idempotent () =
   let sys = Lazy.force harmonic_sys in
-  let runner = Runner.create ~crowd:1 ~n_domains:2 ~factory:(factory sys) in
+  let runner =
+    Runner.create ~crowd:1 ~walkers:4 ~n_domains:2 ~factory:(factory sys)
+  in
   Runner.parallel_for runner ~n:4 ~f:(fun ~domain:_ _ -> ());
   Runner.shutdown runner;
   Runner.shutdown runner;
@@ -340,8 +347,67 @@ let vmc_params =
     n_domains = 1;
   }
 
+(* Scalar reference for [Vmc.run]: its per-walker trajectory
+   (same streams, same warmup refresh, same per-block drift recompute)
+   through [Engine_api.sweep] on one engine, walker after walker.
+   Returns the block energies and the acceptance. *)
+let scalar_vmc ~factory (p : Vmc.params) =
+  let e = factory 0 in
+  let rngs = Xoshiro.streams ~seed:p.Vmc.seed (p.Vmc.n_walkers + 1) in
+  let ws =
+    Array.init p.Vmc.n_walkers (fun i ->
+        let w = Walker.create e.Engine_api.n_electrons in
+        e.Engine_api.randomize rngs.(i);
+        e.Engine_api.register_walker w;
+        w)
+  in
+  let acc = ref 0 and prop = ref 0 in
+  let pass ~steps ~measuring ~finish =
+    Array.iteri
+      (fun i w ->
+        e.Engine_api.restore_walker w;
+        for _ = 1 to steps do
+          let r = e.Engine_api.sweep rngs.(i) ~tau:p.Vmc.tau in
+          if measuring then begin
+            acc := !acc + r.Engine_api.accepted;
+            prop := !prop + r.Engine_api.proposed;
+            w.Walker.e_local <- e.Engine_api.measure ()
+          end
+        done;
+        finish ();
+        e.Engine_api.save_walker w)
+      ws
+  in
+  pass ~steps:p.Vmc.warmup ~measuring:false ~finish:(fun () ->
+      ignore (e.Engine_api.refresh ()));
+  let blocks =
+    Array.init p.Vmc.blocks (fun _ ->
+        pass ~steps:p.Vmc.steps_per_block ~measuring:true ~finish:(fun () ->
+            ignore (Engine_api.drift e));
+        Array.fold_left (fun a w -> a +. w.Walker.e_local) 0. ws
+        /. float_of_int p.Vmc.n_walkers)
+  in
+  (blocks, float_of_int !acc /. float_of_int (max 1 !prop))
+
+(* [Vmc.run] at each crowd size against {!scalar_vmc}. *)
+let check_vmc_vs_scalar ~name ~factory ~crowds p =
+  let ref_blocks, ref_acc = scalar_vmc ~factory p in
+  List.iter
+    (fun crowd ->
+      let r = Vmc.run ~crowd ~factory p in
+      same_float_array
+        (Printf.sprintf "%s crowd=%d block energies = scalar" name crowd)
+        ref_blocks r.Vmc.block_energies;
+      check_bool
+        (Printf.sprintf "%s crowd=%d acceptance = scalar" name crowd)
+        true
+        (Float.equal ref_acc r.Vmc.acceptance))
+    crowds
+
 let test_vmc_crowd_identity () =
   let sys = Lazy.force harmonic_sys in
+  check_vmc_vs_scalar ~name:"harmonic vmc" ~factory:(factory sys)
+    ~crowds:[ 1 ] vmc_params;
   let one = Vmc.run ~crowd:1 ~factory:(factory sys) vmc_params in
   List.iter
     (fun crowd ->
@@ -356,13 +422,23 @@ let test_vmc_crowd_identity () =
     [ 2; 4; 6; 13 (* clamped to n_walkers *) ]
 
 let test_vmc_crowd_identity_bspline () =
-  (* End-to-end through the native batched B-spline kernels. *)
-  let sys = Builder.make ~reduction:16 ~with_nlpp:false Spec.nio32 in
-  let params = { vmc_params with Vmc.n_walkers = 4; blocks = 2; warmup = 2; steps_per_block = 3; tau = 0.1 } in
+  (* End-to-end through the native batched B-spline kernels, against
+     the scalar sweep. *)
+  let sys = Lazy.force nio32_r16 in
+  let params =
+    {
+      vmc_params with
+      Vmc.n_walkers = 4;
+      blocks = 2;
+      warmup = 2;
+      steps_per_block = 3;
+      tau = 0.1;
+    }
+  in
+  check_vmc_vs_scalar ~name:"bspline vmc" ~factory:(factory sys)
+    ~crowds:[ 1; 4 ] params;
   let one = Vmc.run ~crowd:1 ~factory:(factory sys) params in
   let crowd = Vmc.run ~crowd:4 ~factory:(factory sys) params in
-  same_float_array "bspline vmc block energies" one.Vmc.block_energies
-    crowd.Vmc.block_energies;
   check_bool "bspline vmc energy identical" true
     (Float.equal one.Vmc.energy crowd.Vmc.energy)
 
@@ -417,13 +493,12 @@ let test_crowd_pipeline_active () =
 
 (* The pipeline at crowd sizes 1 and 3 against scalar per-engine sweeps
    of the same walkers with the same streams: bit-identical
-   trajectories. *)
-let test_crowd_pipeline_vs_staged () =
-  let sys = Lazy.force harmonic_sys in
-  let walkers = 3 in
-  let sweeps = 6 in
+   trajectories, on the harmonic system, on the native B-spline
+   orbitals (NiO-32 r16, Current f32) and with delayed rank-4
+   determinant updates. *)
+let pipeline_vs_scalar ~name ~walkers ~sweeps ~tau factory =
   let run_crowd size =
-    let cr = Crowd.create ~factory:(factory sys) ~base:0 ~size () in
+    let cr = Crowd.create ~factory ~base:0 ~size () in
     let rngs = Xoshiro.streams ~seed:77 walkers in
     let sweep_rngs = Xoshiro.streams ~seed:123 walkers in
     let ws =
@@ -443,9 +518,7 @@ let test_crowd_pipeline_vs_staged () =
       done;
       for _ = 1 to sweeps do
         let rs =
-          Crowd.sweep cr ~active:m
-            ~rng:(fun s -> sweep_rngs.(lo0 + s))
-            ~tau:0.3
+          Crowd.sweep cr ~active:m ~rng:(fun s -> sweep_rngs.(lo0 + s)) ~tau
         in
         Array.iter (fun r -> acc := !acc + r.Engine_api.accepted) rs
       done;
@@ -463,35 +536,66 @@ let test_crowd_pipeline_vs_staged () =
         ws )
   in
   let run_scalar () =
-    let engines = Array.init walkers (factory sys) in
+    let engines = Array.init walkers factory in
     let rngs = Xoshiro.streams ~seed:77 walkers in
-    Array.iteri (fun s e -> e.Engine_api.randomize rngs.(s)) engines;
+    let ws =
+      Array.mapi
+        (fun s e ->
+          let w = Walker.create e.Engine_api.n_electrons in
+          e.Engine_api.randomize rngs.(s);
+          e.Engine_api.register_walker w;
+          w)
+        engines
+    in
     let sweep_rngs = Xoshiro.streams ~seed:123 walkers in
     let acc = ref 0 in
     for _ = 1 to sweeps do
       Array.iteri
         (fun s e ->
-          let r = e.Engine_api.sweep sweep_rngs.(s) ~tau:0.3 in
+          let r = e.Engine_api.sweep sweep_rngs.(s) ~tau in
           acc := !acc + r.Engine_api.accepted)
         engines
     done;
-    (!acc, Array.map (fun e -> e.Engine_api.measure ()) engines)
+    (* measured like the crowd's walkers: saved, then restored *)
+    Array.iteri (fun s e -> e.Engine_api.save_walker ws.(s)) engines;
+    let e = engines.(0) in
+    ( !acc,
+      Array.map
+        (fun w ->
+          e.Engine_api.restore_walker w;
+          e.Engine_api.measure ())
+        ws )
   in
   let acc_r, e_r = run_scalar () in
   List.iter
     (fun size ->
       let acc, es = run_crowd size in
-      check_int (Printf.sprintf "accepts crowd %d = scalar" size) acc_r acc;
+      check_int
+        (Printf.sprintf "%s: accepts crowd %d = scalar" name size)
+        acc_r acc;
       same_float_array
-        (Printf.sprintf "local energies crowd %d = scalar" size)
+        (Printf.sprintf "%s: local energies crowd %d = scalar" name size)
         e_r es)
     [ 1; 3 ]
 
+let test_crowd_pipeline_vs_staged () =
+  let harmonic = Lazy.force harmonic_sys in
+  pipeline_vs_scalar ~name:"harmonic" ~walkers:3 ~sweeps:6 ~tau:0.3
+    (factory harmonic);
+  pipeline_vs_scalar ~name:"harmonic delay 4" ~walkers:3 ~sweeps:6 ~tau:0.3
+    (Build.factory ~delay:4 ~variant:Variant.Current ~seed:3 harmonic);
+  let nio = Lazy.force nio32_r16 in
+  pipeline_vs_scalar ~name:"nio32 r16 bspline" ~walkers:4 ~sweeps:3 ~tau:0.1
+    (factory nio);
+  pipeline_vs_scalar ~name:"nio32 r16 bspline delay 4" ~walkers:4 ~sweeps:3
+    ~tau:0.1
+    (Build.factory ~delay:4 ~variant:Variant.Current ~seed:3 nio)
+
 (* Current at f32 on the native B-spline orbitals, over two domains:
-   one-slot crowds and 3-slot crowds give bit-identical DMC and VMC
-   runs. *)
+   one-slot crowds and 3-slot crowds give bit-identical DMC runs, and
+   VMC runs bit-identical to the scalar sweep. *)
 let test_crowd_one_vs_three_f32 () =
-  let sys = Builder.make ~reduction:16 ~with_nlpp:false Spec.nio32 in
+  let sys = Lazy.force nio32_r16 in
   let f = factory sys in
   let dmc crowd =
     Dmc.run ~crowd ~factory:f
@@ -513,33 +617,53 @@ let test_crowd_one_vs_three_f32 () =
     d3.Dmc.population_series;
   check_bool "f32 dmc acceptance identical" true
     (Float.equal d1.Dmc.acceptance d3.Dmc.acceptance);
-  let vmc crowd =
-    Vmc.run ~crowd ~factory:f
-      {
-        vmc_params with
-        Vmc.n_walkers = 7;
-        blocks = 2;
-        warmup = 2;
-        steps_per_block = 2;
-        tau = 0.1;
-        n_domains = 2;
-      }
+  check_vmc_vs_scalar ~name:"f32 vmc" ~factory:f ~crowds:[ 1; 3 ]
+    {
+      vmc_params with
+      Vmc.n_walkers = 7;
+      blocks = 2;
+      warmup = 2;
+      steps_per_block = 2;
+      tau = 0.1;
+      n_domains = 2;
+    }
+
+(* The sweep-unit width each variant gets is the one [Runner.max_crowd]
+   states (the header and the tuner use it), and the crowd is clamped to
+   the run's walkers. *)
+let test_crowd_width () =
+  let sys = Lazy.force harmonic_sys in
+  let width ~variant ~crowd ~walkers =
+    Runner.with_runner ~crowd ~walkers ~n_domains:1
+      ~factory:(Build.factory ~variant ~seed:3 sys)
+      Runner.crowd
   in
-  let v1 = vmc 1 and v3 = vmc 3 in
-  same_float_array "f32 vmc block energies" v1.Vmc.block_energies
-    v3.Vmc.block_energies;
-  check_bool "f32 vmc acceptance identical" true
-    (Float.equal v1.Vmc.acceptance v3.Vmc.acceptance)
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun (crowd, walkers) ->
+          check_int
+            (Printf.sprintf "%s crowd %d, %d walkers"
+               (Variant.to_string variant) crowd walkers)
+            (min crowd (Runner.max_crowd ~variant ~walkers))
+            (width ~variant ~crowd ~walkers))
+        [ (1, 8); (3, 8); (50, 4) ])
+    [ Variant.Ref; Variant.Ref_mp; Variant.Current; Variant.Current_f64 ];
+  check_bool "crowd 0 refused" true
+    (match width ~variant:Variant.Current ~crowd:0 ~walkers:4 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* Crowd batching composed with delayed determinant updates: the whole
-   VMC trajectory is bit-identical at crowd 1 and 3 at equal delay. *)
+   VMC trajectory at crowd 1 and 3 is the scalar sweep's at equal
+   delay. *)
 let test_vmc_crowd_identity_delayed () =
   let sys = Lazy.force harmonic_sys in
   let dfactory = Build.factory ~delay:4 ~variant:Variant.Current ~seed:3 sys in
+  check_vmc_vs_scalar ~name:"vmc delay=4" ~factory:dfactory ~crowds:[ 1; 3 ]
+    vmc_params;
   let one = Vmc.run ~crowd:1 ~factory:dfactory vmc_params in
   let crowd = Vmc.run ~crowd:3 ~factory:dfactory vmc_params in
-  same_float_array "vmc delay=4 block energies" one.Vmc.block_energies
-    crowd.Vmc.block_energies;
   check_bool "vmc delay=4 energy identical" true
     (Float.equal one.Vmc.energy crowd.Vmc.energy);
   check_bool "vmc delay=4 acceptance identical" true
@@ -586,6 +710,8 @@ let () =
             test_crowd_pipeline_vs_staged;
           Alcotest.test_case "crowd 1 vs 3 at f32" `Quick
             test_crowd_one_vs_three_f32;
+          Alcotest.test_case "crowd width per variant" `Quick
+            test_crowd_width;
           Alcotest.test_case "vmc crowd delayed bit-identical" `Quick
             test_vmc_crowd_identity_delayed;
         ] );

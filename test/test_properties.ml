@@ -148,6 +148,7 @@ let test_input_deck_errors () =
   check_bool "no equals" true (bad "just words\n");
   check_bool "bad variant" true (bad "variant = turbo\n");
   check_bool "delay < 1 rejected" true (bad "delay = 0\n");
+  check_bool "crowd < 1 rejected" true (bad "crowd = 0\n");
   check_bool "delay parsed" true
     ((Input.parse_string "delay = 8\n").Input.delay = 8);
   check_bool "delay defaults to SM" true (Input.default.Input.delay = 1);
