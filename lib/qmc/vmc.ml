@@ -73,8 +73,7 @@ let run ?observe ?(crowd = 1) ?(rank = 0) ?telemetry ?(telemetry_every = 1)
   if rank < 0 then invalid_arg "Vmc.run: rank < 0";
   let telemetry_every = max 1 telemetry_every in
   Runner.with_runner ~crowd ~walkers:p.n_walkers ~n_domains:p.n_domains
-    ~factory
-  @@ fun runner ->
+    ~factory @@ fun runner ->
   let e0 = Runner.engine runner 0 in
   let n = e0.Engine_api.n_electrons in
   (* Rank-aware seeding: shard [rank] of a multi-rank VMC run draws its
