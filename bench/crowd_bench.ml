@@ -17,8 +17,10 @@ open Oqmc_wavefunction
       three asserted on each walker's local energy;
    2. per-kernel ns/move: scalar per-slot calls vs. the batched kernel,
       for the AA distance table and the J1/J2 Jastrow stages;
-   3. allocation per move: the batched DistTable and Jastrow kernels
-      must not allocate — asserted, not just reported;
+   3. allocation per move: the batched DistTable and Jastrow kernels and
+      the determinant's ratio-gradient + accept (which stores the
+      proposal's orbital row) must not allocate — asserted, not just
+      reported;
    4. delayed determinant updates: ns/move across the delay-rank sweep
       (1 = Sherman-Morrison). *)
 
@@ -219,6 +221,30 @@ let bench_kernels ?(reps = 20_000) () =
   and acc = Array.make crowd true in
   let k = n / 2 in
   stage_move ~slots ~k ~px ~py ~pz;
+  (* Determinants over the down group (electron k is its first), each
+     with the orbitals at its proposed position and its stored rows
+     built, so [accept_move] takes the row-copy path. *)
+  let spo =
+    Spo_analytic.plane_waves ~lattice:(Lattice.cubic 6.) ~n_orb:(n - k)
+  in
+  let dets =
+    Array.map
+      (fun (ps, _, _, _, _) ->
+        let st = Det64.make ~spo ~first:k ~count:(n - k) ps in
+        ignore ((Det64.component st).W64.evaluate_log ps);
+        Det64.grad_into st k ~s:0 ~gx ~gy ~gz;
+        st)
+      slots
+  in
+  let detc = Array.map Det64.component dets in
+  let vgls =
+    Array.map
+      (fun (ps, _, _, _, _) ->
+        let vgl = Spo.make_vgl (n - k) in
+        spo.Spo.eval_vgl (Ps64.active_pos ps) vgl;
+        vgl)
+      slots
+  in
   let point ~kernel ~scalar ~batch =
     let st = time_per ~reps scalar in
     let bt = time_per ~reps batch in
@@ -293,6 +319,25 @@ let bench_kernels ?(reps = 20_000) () =
           (fun s (ps, _, _, _, _) -> j1c.(s).W64.accept ps k)
           slots)
       ~batch:(fun () -> J1_64.accept_batch j1s ~k ~m:crowd ~acc);
+    (* The scalar side is the component closures, which evaluate the
+       orbitals themselves; the crowd stages get them from one batched
+       SPO call. *)
+    point ~kernel:"det_ratio_grad_accept"
+      ~scalar:(fun () ->
+        Array.iteri
+          (fun s (ps, _, _, _, _) ->
+            ignore (detc.(s).W64.ratio_grad ps k);
+            detc.(s).W64.accept ps k)
+          slots)
+      ~batch:(fun () ->
+        Array.fill ratio 0 crowd 1.;
+        Array.fill gx 0 crowd 0.;
+        Array.fill gy 0 crowd 0.;
+        Array.fill gz 0 crowd 0.;
+        for s = 0 to crowd - 1 do
+          Det64.ratio_grad_into dets.(s) vgls.(s) k ~s ~ratio ~gx ~gy ~gz;
+          Det64.accept_move dets.(s) k
+        done);
   ]
 
 (* ---- 4. delayed determinant updates: delay-rank sweep ---- *)
@@ -411,7 +456,7 @@ let run ?json () =
   List.iter
     (fun p ->
       Printf.printf
-        "  %-14s crowd %2d: scalar %.1f ns/move, batch %.1f ns/move  \
+        "  %-21s crowd %2d: scalar %.1f ns/move, batch %.1f ns/move  \
          (%.2fx, %.2f words/move)\n"
         p.kernel p.kcrowd p.scalar_ns_per_move p.batch_ns_per_move
         p.kernel_speedup p.batch_words_per_move)
@@ -452,7 +497,7 @@ let smoke () =
   let kernels = bench_kernels ~reps:2_000 () in
   List.iter
     (fun q ->
-      Printf.printf "crowd smoke: %-14s %.2f words/move\n" q.kernel
+      Printf.printf "crowd smoke: %-21s %.2f words/move\n" q.kernel
         q.batch_words_per_move)
     kernels;
   (* Delayed-update regression guard: at an order where the inverse no

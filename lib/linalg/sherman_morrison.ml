@@ -28,7 +28,16 @@ module Make (R : Precision.REAL) = struct
 
   let ratio (binv : M.t) k (v : A.t) = B.row_dot binv k v
 
-  let update_row (binv : M.t) k (v : A.t) ~ratio ~(ws : workspace) =
+  (* [ratio] into unboxed scratch, the same dot as [B.row_dot]. *)
+  let ratio_into (binv : M.t) k (v : A.t) (dst : float array) j =
+    A.dot_into ~a:(M.data binv) ~apos:(k * M.ld binv) ~b:v ~bpos:0
+      ~n:(M.cols binv) dst j
+
+  (* The ratio is read from scratch at [ratio.(ri)] so that no boxed float
+     crosses the call on the per-move path. *)
+  let update_row_at (binv : M.t) k (v : A.t) ~(ratio : float array) ~ri
+      ~(ws : workspace) =
+    let ratio = ratio.(ri) in
     let n = M.rows binv in
     if abs_float ratio < 1e-300 then
       invalid_arg "Sherman_morrison.update_row: zero ratio";
@@ -50,4 +59,7 @@ module Make (R : Precision.REAL) = struct
       if Array.unsafe_get ws.y i <> 0. then
         A.axpy_from ws.y ~ci:i ws.rk data ~pos:(i * ld) ~n
     done
+
+  let update_row binv k v ~ratio ~ws =
+    update_row_at binv k v ~ratio:[| ratio |] ~ri:0 ~ws
 end

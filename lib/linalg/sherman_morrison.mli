@@ -17,8 +17,17 @@ module Make (R : Precision.REAL) : sig
   (** [ratio binv k v] is [det M' / det M] when row [k] of the Slater matrix
       is replaced by the orbital values [v]. *)
 
+  val ratio_into : M.t -> int -> A.t -> float array -> int -> unit
+  (** [ratio_into binv k v dst j] stores [ratio binv k v] in [dst.(j)]
+      without boxing it. *)
+
   val update_row : M.t -> int -> A.t -> ratio:float -> ws:workspace -> unit
   (** Apply the accepted replacement to [binv] in place.  [ratio] must be
       the value returned by {!ratio} for the same [(k, v)].
       @raise Invalid_argument if [ratio] is (numerically) zero. *)
+
+  val update_row_at :
+    M.t -> int -> A.t -> ratio:float array -> ri:int -> ws:workspace -> unit
+  (** {!update_row} with the ratio read from [ratio.(ri)]: allocates
+      nothing. *)
 end

@@ -8,9 +8,11 @@ open Oqmc_rng
    and a single batched SPO context, and advances every walker through
    electron k together.  EVERY move kernel is batched: distance-table
    rows, one-/two-body Jastrow rows, determinant ratio dots and inverse
-   updates each run as one fused call per crowd per stage, on top of the
-   two batched SPO evaluations.  A one-slot crowd is the production
-   sweep of a single walker.
+   updates each run as one fused call per crowd per stage, on top of one
+   batched SPO evaluation at the proposed positions.  The drift at the
+   current positions needs no SPO call: the determinants keep each
+   electron's orbital row.  A one-slot crowd is the production sweep of
+   a single walker.
 
    Per walker the arithmetic and RNG draw order are identical to
    [Engine_api.sweep] (gaussian at k, then uniform at k), so crowd
@@ -82,8 +84,6 @@ let sweep t ~active ~(rng : int -> Xoshiro.t) ~tau =
     for s = 0 to active - 1 do
       t.pos.(s) <- (t.engines.(s).Engine_api.pbp).Engine_api.current_pos k
     done;
-    Timers.time timers0 "Bspline-vgh" (fun () ->
-        t.batch.Oqmc_wavefunction.Spo.run t.pos active);
     Array.fill t.gx 0 active 0.;
     Array.fill t.gy 0 active 0.;
     Array.fill t.gz 0 active 0.;

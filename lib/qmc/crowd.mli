@@ -1,8 +1,8 @@
 (** A crowd of walkers marching in lockstep through the PbP sweep (the
     hierarchical-parallelism layer of QMCPACK's batched drivers): one
     crowd per domain, [size] engines (one per resident walker) and one
-    batched SPO context, so each per-electron move costs two batched
-    kernel calls for the whole crowd instead of two scalar calls per
+    batched SPO context, so each per-electron move costs one batched
+    kernel call for the whole crowd instead of one scalar call per
     walker.  Per walker, arithmetic and RNG draw order are identical to
     [Engine_api.sweep] — crowd trajectories are bit-identical to the
     scalar reference on the double path. *)
@@ -16,7 +16,7 @@ val create :
     The crowd sweeps through the fused stages of
     [Engine_api.make_crowd_stages]: distance-table, Jastrow and
     determinant kernels fused across the crowd per stage, in addition to
-    the batched SPO evaluations.
+    the batched SPO evaluation at the proposed positions.
     @raise Invalid_argument if [size < 1] or the engines cannot form a
     fused crowd (a Store-layout engine publishes [No_crowd_hook]). *)
 

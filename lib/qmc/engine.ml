@@ -121,13 +121,14 @@ struct
           Timers.time timers0 "DistTable" (fun () ->
               AAsoa.prepare_batch aab ~k ~m)
         in
-        let cs_grad ~k ~m ~(slots : Spo.vgl array) ~gx ~gy ~gz =
-          (* Determinant gradients are untimed in the scalar path too
-             (Twf times only J1/J2 components). *)
+        let cs_grad ~k ~m ~slots:_ ~gx ~gy ~gz =
+          (* Determinant gradients read the stored orbital rows, so the
+             batched SPO slots go unused; they are untimed in the scalar
+             path too (Twf times only J1/J2 components). *)
           for s = 0 to m - 1 do
             let sl_dets = det_states.(s) in
             for d = 0 to ndet - 1 do
-              Det.grad_into sl_dets.(d) slots.(s) k ~s ~gx ~gy ~gz
+              Det.grad_into sl_dets.(d) k ~s ~gx ~gy ~gz
             done
           done;
           (match j2s with

@@ -14,8 +14,7 @@ type sweep_result = { accepted : int; proposed : int }
 (* The scalar stages of one particle-by-particle move, as the scalar
    [sweep] runs them: a single proposed move of electron [k] can be
    driven and its ratio read without committing it.  [current_pos] is
-   what the crowd pipeline reads to place electron [k]'s batched SPO
-   evaluation. *)
+   what the crowd pipeline reads to drift electron [k] from. *)
 type pbp = {
   prepare : int -> unit; (* distance-table prepare for electron k *)
   current_pos : int -> Vec3.t;
@@ -40,7 +39,8 @@ type pbp = {
    become one batched call per crowd instead of one per walker.  Slot
    arithmetic and ordering are exactly the scalar sweep's, so the
    double-precision path stays bit-identical to [sweep].  [slots] are the
-   crowd's batched SPO results, one per walker. *)
+   crowd's batched SPO results at the proposed positions, one per
+   walker. *)
 type crowd_hook = ..
 type crowd_hook += No_crowd_hook
 
@@ -56,7 +56,9 @@ type crowd_stage = {
     gz:float array ->
     unit;
       (* accumulate ∇ log Ψ at the current positions into gx/gy/gz
-         (caller zero-initializes) *)
+         (caller zero-initializes).  The determinants read their stored
+         orbital rows, so [slots] goes unused; it stays in the signature
+         for the benchmark's stage wrapper. *)
   cs_propose : k:int -> m:int -> pos:Vec3.t array -> unit;
       (* ParticleSet propose + batched table move rows *)
   cs_ratio_grad :

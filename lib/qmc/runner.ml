@@ -198,11 +198,17 @@ let create ~crowd ~walkers ~n_domains ~(factory : int -> Engine_api.t) =
 let crowd t = width t.sweepers.(0)
 let engine t i = slot_engine t.sweepers.(i) 0
 
-(* Merge all per-domain kernel timers into one set. *)
+(* Merge the kernel timers of every slot of every domain into one set.
+   Per-walker work (measure, restore, NLPP) lands on the timers of the
+   slot holding the walker; batched crowd stages time only on slot 0, so
+   nothing is counted twice. *)
 let merged_timers t =
   let out = Timers.create () in
   Array.iter
-    (fun u -> Timers.merge ~into:out (slot_engine u 0).Engine_api.timers)
+    (fun u ->
+      for s = 0 to width u - 1 do
+        Timers.merge ~into:out (slot_engine u s).Engine_api.timers
+      done)
     t.sweepers;
   out
 

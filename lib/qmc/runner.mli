@@ -40,7 +40,8 @@ val engine : t -> int -> Engine_api.t
 (** Domain [d]'s engine: slot 0 of its sweep unit. *)
 
 val merged_timers : t -> Oqmc_containers.Timers.t
-(** All slot-0 kernel timers merged into one set. *)
+(** The kernel timers of every crowd slot of every domain merged into
+    one set. *)
 
 val export_timers : t -> unit
 (** Add the {!merged_timers} totals to the [timer_us.<kernel>] counters

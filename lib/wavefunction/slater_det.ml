@@ -19,11 +19,22 @@ open Oqmc_linalg
    batched crowd sweeps stay bit-identical to the scalar path by
    construction.
 
+   Stored rows (QMCPACK's psiM/dpsiM/d2psiM): the state keeps φ, ∇φ and
+   ∇²φ of its orbitals at every electron's current position.  An
+   accepted move copies the proposal's SPO result into its row, so the
+   drift gradient ([grad], [grad_into]) and the measurement
+   ([accumulate_gl]) are row dots with no SPO call.  Replacing the
+   positions or the inverse wholesale ([evaluate_log],
+   [copy_from_buffer]) invalidates the rows; the next reader rebuilds
+   them with one batched whole-determinant evaluation.  So each electron
+   costs one SPO evaluation per proposed move and none per measurement.
+
    Kernel timing keys: Bspline-v / Bspline-vgh for SPO evaluation inside
-   [ratio] and [ratio_grad]; SPO-vgl times the per-electron measurement sweep and
+   [ratio] and [ratio_grad]; SPO-vgl times the batched row rebuild and
    DetUpdate the inverse update.  The crowd entry points are UNtimed: the
    crowd driver wraps each batched stage in a single timer window per
-   crowd instead of one per walker.
+   crowd instead of one per walker (a row rebuild inside [grad_into]
+   still times SPO-vgl on the walker's own timers).
 
    Two precisions parameterize the state: [R] is the walker/positions
    precision (particle sets, Wfc interface), [I] the inverse-matrix
@@ -48,6 +59,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   type state = {
     spo : Spo.t;
     timers : Timers.t;
+    ps : Ps.t;
     first : int;
     n : int;
     binv : M.t;
@@ -57,17 +69,24 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     psiv : A.t;
     ws : Sm.workspace;
     du : Du.t option;
-    last_ratio : float ref;
-    log_abs : float ref;
-    (* Whole-determinant sweeps (recompute, measurement) evaluate all n
-       electron positions through one batched kernel call: the scratch
-       arena is shared across the rows instead of re-allocated per
-       electron.  Lazy so single-move-only paths never pay for it. *)
+    last_ratio : float array; (* one unboxed cell: no boxing per move *)
+    log_abs : float array;
+    (* Whole-determinant evaluations (recompute, row rebuild) run all n
+       electron positions through one batched kernel call.  Lazy so
+       single-move-only paths never pay for it. *)
     row_pos : Vec3.t array;
     v_rows : Spo.v_batch Lazy.t;
-    vgl_rows : Spo.vgl_batch Lazy.t;
+    rows : Spo.vgl_batch Lazy.t;
+        (* slot i: φ, ∇φ, ∇²φ at electron [first + i]'s position *)
+    mutable rows_valid : bool;
+    mutable staged : Spo.vgl; (* SPO result of the pending proposal *)
+    mutable staged_vgl : bool; (* false after a value-only [ratio] *)
     dot_scratch : A.t;
-    pad : float array; (* unboxed landing pad for row dots *)
+    pad : float array;
+        (* unboxed cells for the per-move floats: 0 = the last row dot,
+           1 = the gradient's denominator.  A float returned from a
+           call or passed to one is boxed; a float in a float array is
+           not. *)
   }
 
   let make ?(timers = Timers.null) ?(scheme = Sherman_morrison)
@@ -79,14 +98,16 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     if first < 0 || first + n > Ps.n ps then
       invalid_arg "Slater_det.create: electron range out of bounds";
     let binv = M.create n n in
+    let vgl = Spo.make_vgl spo.Spo.n_orb in
     {
       spo;
       timers;
+      ps;
       first;
       n;
       binv;
       phim = M.create n n;
-      vgl = Spo.make_vgl spo.Spo.n_orb;
+      vgl;
       vbuf = Array.make spo.Spo.n_orb 0.;
       psiv = A.create n;
       ws = Sm.make_workspace n;
@@ -94,13 +115,16 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
         (match scheme with
         | Delayed d -> Some (Du.create ~delay:d binv)
         | Sherman_morrison -> None);
-      last_ratio = ref 1.;
-      log_abs = ref 0.;
+      last_ratio = [| 1. |];
+      log_abs = [| 0. |];
       row_pos = Array.make n Vec3.zero;
       v_rows = lazy (spo.Spo.make_v_batch n);
-      vgl_rows = lazy (spo.Spo.make_vgl_batch n);
+      rows = lazy (spo.Spo.make_vgl_batch n);
+      rows_valid = false;
+      staged = vgl;
+      staged_vgl = false;
       dot_scratch = A.create n;
-      pad = [| 0. |];
+      pad = [| 0.; 1. |];
     }
 
   let in_group st k = k >= st.first && k < st.first + st.n
@@ -111,13 +135,15 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
      per-element stores it replaces. *)
   let load_psiv st = A.write_from st.vbuf st.psiv ~pos:0 ~n:st.n
 
+  (* The ratio for replacing row [kl] by [psiv], into
+     [st.last_ratio.(0)]. *)
   let det_ratio st kl =
     match st.du with
-    | Some d -> Du.ratio d kl st.psiv
-    | None -> Sm.ratio st.binv kl st.psiv
+    | Some d -> st.last_ratio.(0) <- Du.ratio d kl st.psiv
+    | None -> Sm.ratio_into st.binv kl st.psiv st.last_ratio 0
 
-  (* Row dot of B[kl] against one gradient component, with the delayed
-     corrections when a queue is pending. *)
+  (* Row dot of B[kl] against one orbital component into [st.pad.(0)],
+     with the delayed corrections when a queue is pending. *)
   let corrected_dot st kl (comp : float array) =
     match st.du with
     | Some d when Du.pending d > 0 ->
@@ -126,59 +152,99 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
            ([Du.ratio] only reads it, so the scratch is reusable). *)
         let tmp = st.dot_scratch in
         A.write_from comp tmp ~pos:0 ~n:st.n;
-        Du.ratio d kl tmp
+        st.pad.(0) <- Du.ratio d kl tmp
     | _ ->
         A.dot_arr_into (M.data st.binv)
           ~pos:(kl * M.ld st.binv)
-          comp ~n:st.n st.pad 0;
-        st.pad.(0)
+          comp ~n:st.n st.pad 0
+
+  (* [gx/gy/gz.(s) += (B[kl]·∂φ) / st.pad.(1)] for the gradient
+     components of [src]. *)
+  let add_grad st kl (src : Spo.vgl) ~s ~(gx : float array)
+      ~(gy : float array) ~(gz : float array) =
+    corrected_dot st kl src.Spo.gx;
+    gx.(s) <- gx.(s) +. (st.pad.(0) /. st.pad.(1));
+    corrected_dot st kl src.Spo.gy;
+    gy.(s) <- gy.(s) +. (st.pad.(0) /. st.pad.(1));
+    corrected_dot st kl src.Spo.gz;
+    gz.(s) <- gz.(s) +. (st.pad.(0) /. st.pad.(1))
+
+  let load_row_pos st =
+    for i = 0 to st.n - 1 do
+      st.row_pos.(i) <- Ps.get st.ps (st.first + i)
+    done
+
+  (* The stored rows, rebuilt from the current positions by one batched
+     evaluation when a wholesale replacement left them stale. *)
+  let rows st =
+    let b = Lazy.force st.rows in
+    if not st.rows_valid then begin
+      load_row_pos st;
+      Timers.time st.timers "SPO-vgl" (fun () -> b.Spo.run st.row_pos st.n);
+      st.rows_valid <- true
+    end;
+    b.Spo.slots
 
   (* Commit the pending move of electron [k] (the engine must have routed
-     the matching ratio/ratio_grad through this state first).  Untimed:
-     crowd drivers take one DetUpdate window per batched commit stage. *)
+     the matching ratio/ratio_grad through this state first).  The
+     proposal's SPO result becomes row [k]; after a value-only [ratio]
+     there is none, and the rows are rebuilt on next use.  Untimed: crowd
+     drivers take one DetUpdate window per batched commit stage. *)
   let accept_move st k =
     if in_group st k then begin
       let kl = k - st.first in
       (match st.du with
       | Some d -> Du.accept d kl st.psiv
       | None ->
-          Sm.update_row st.binv kl st.psiv ~ratio:!(st.last_ratio)
+          Sm.update_row_at st.binv kl st.psiv ~ratio:st.last_ratio ~ri:0
             ~ws:st.ws);
-      st.log_abs := !(st.log_abs) +. log (abs_float !(st.last_ratio))
+      st.log_abs.(0) <- st.log_abs.(0) +. log (abs_float st.last_ratio.(0));
+      if not st.staged_vgl then st.rows_valid <- false
+      else if st.rows_valid then begin
+        let src = st.staged and dst = (Lazy.force st.rows).Spo.slots.(kl) in
+        let n = st.n in
+        Array.blit src.Spo.v 0 dst.Spo.v 0 n;
+        Array.blit src.Spo.gx 0 dst.Spo.gx 0 n;
+        Array.blit src.Spo.gy 0 dst.Spo.gy 0 n;
+        Array.blit src.Spo.gz 0 dst.Spo.gz 0 n;
+        Array.blit src.Spo.lap 0 dst.Spo.lap 0 n
+      end
     end
 
   (* Crowd gradient stage: accumulate ∇ log D at the CURRENT position of
-     electron [k] into slot [s], from a pre-computed SPO result.
-     Out-of-group electrons contribute exactly +0. in the scalar path, so
-     skipping them leaves the accumulators bit-identical. *)
-  let grad_into st (vgl : Spo.vgl) k ~s ~(gx : float array)
-      ~(gy : float array) ~(gz : float array) =
+     electron [k] into slot [s], from the stored row.  Out-of-group
+     electrons contribute exactly +0. in the scalar path, so skipping
+     them leaves the accumulators bit-identical. *)
+  let grad_into st k ~s ~(gx : float array) ~(gy : float array)
+      ~(gz : float array) =
     if in_group st k then begin
       let kl = k - st.first in
-      let denom = corrected_dot st kl vgl.Spo.v in
-      gx.(s) <- gx.(s) +. (corrected_dot st kl vgl.Spo.gx /. denom);
-      gy.(s) <- gy.(s) +. (corrected_dot st kl vgl.Spo.gy /. denom);
-      gz.(s) <- gz.(s) +. (corrected_dot st kl vgl.Spo.gz /. denom)
+      let row = (rows st).(kl) in
+      corrected_dot st kl row.Spo.v;
+      st.pad.(1) <- st.pad.(0);
+      add_grad st kl row ~s ~gx ~gy ~gz
     end
 
   (* Crowd ratio+gradient stage at the PROPOSED position: multiplies
      [ratio.(s)] (out-of-group factor is exactly 1., so skipping is
      bit-identical) and accumulates the gradient.  Mirrors the scalar
      [ratio_grad] arithmetic exactly, including the near-singular
-     zero-gradient guard. *)
+     zero-gradient guard.  [vgl] must stay untouched until the move is
+     accepted or rejected: [accept_move] copies it into the rows. *)
   let ratio_grad_into st (vgl : Spo.vgl) k ~s ~(ratio : float array)
       ~(gx : float array) ~(gy : float array) ~(gz : float array) =
     if in_group st k then begin
       let kl = k - st.first in
+      st.staged <- vgl;
+      st.staged_vgl <- true;
       Array.blit vgl.Spo.v 0 st.vbuf 0 st.n;
       load_psiv st;
-      let r = det_ratio st kl in
-      st.last_ratio := r;
+      det_ratio st kl;
+      let r = st.last_ratio.(0) in
       ratio.(s) <- ratio.(s) *. r;
       if abs_float r >= 1e-300 then begin
-        gx.(s) <- gx.(s) +. (corrected_dot st kl vgl.Spo.gx /. r);
-        gy.(s) <- gy.(s) +. (corrected_dot st kl vgl.Spo.gy /. r);
-        gz.(s) <- gz.(s) +. (corrected_dot st kl vgl.Spo.gz /. r)
+        st.pad.(1) <- r;
+        add_grad st kl vgl ~s ~gx ~gy ~gz
       end
     end
 
@@ -187,19 +253,15 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   let component (st : state) : W.t =
     let n = st.n and first = st.first in
     let spo = st.spo and timers = st.timers in
-    let eval_vgl pos =
-      Timers.time timers "Bspline-vgh" (fun () -> spo.Spo.eval_vgl pos st.vgl);
-      st.vgl
+    let dot kl comp =
+      corrected_dot st kl comp;
+      st.pad.(0)
     in
-    let load_row_pos ps =
-      for i = 0 to n - 1 do
-        st.row_pos.(i) <- Ps.get ps (first + i)
-      done
-    in
-    let evaluate_log ps =
+    let evaluate_log _ps =
       flush st;
+      st.rows_valid <- false;
       let b = Lazy.force st.v_rows in
-      load_row_pos ps;
+      load_row_pos st;
       Timers.time timers "Bspline-v" (fun () -> b.Spo.vrun st.row_pos n);
       for i = 0 to n - 1 do
         A.write_from b.Spo.vslots.(i) (M.data st.phim)
@@ -209,7 +271,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
         Timers.time timers "DetUpdate" (fun () ->
             L.invert_transpose ~src:st.phim ~dst:st.binv)
       in
-      st.log_abs := logd;
+      st.log_abs.(0) <- logd;
       logd
     in
     let ratio ps k =
@@ -217,46 +279,48 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       else begin
         Timers.time timers "Bspline-v" (fun () ->
             spo.Spo.eval_v (Ps.active_pos ps) st.vbuf);
+        st.staged_vgl <- false;
         load_psiv st;
-        let r =
-          Timers.time timers "DetUpdate" (fun () -> det_ratio st (k - first))
-        in
-        st.last_ratio := r;
-        r
+        Timers.time timers "DetUpdate" (fun () -> det_ratio st (k - first));
+        st.last_ratio.(0)
       end
     in
     let ratio_grad ps k =
       if not (in_group st k) then (1., Vec3.zero)
       else begin
         let kl = k - first in
-        let vgl = eval_vgl (Ps.active_pos ps) in
+        let vgl = st.vgl in
+        Timers.time timers "Bspline-vgh" (fun () ->
+            spo.Spo.eval_vgl (Ps.active_pos ps) vgl);
+        st.staged <- vgl;
+        st.staged_vgl <- true;
         Array.blit vgl.Spo.v 0 st.vbuf 0 n;
         load_psiv st;
-        let r = Timers.time timers "DetUpdate" (fun () -> det_ratio st kl) in
-        st.last_ratio := r;
+        Timers.time timers "DetUpdate" (fun () -> det_ratio st kl);
+        let r = st.last_ratio.(0) in
         if abs_float r < 1e-300 then (r, Vec3.zero)
         else begin
-          let gx = corrected_dot st kl vgl.Spo.gx /. r in
-          let gy = corrected_dot st kl vgl.Spo.gy /. r in
-          let gz = corrected_dot st kl vgl.Spo.gz /. r in
+          let gx = dot kl vgl.Spo.gx /. r in
+          let gy = dot kl vgl.Spo.gy /. r in
+          let gz = dot kl vgl.Spo.gz /. r in
           (r, Vec3.make gx gy gz)
         end
       end
     in
-    let grad ps k =
+    let grad _ps k =
       if not (in_group st k) then Vec3.zero
       else begin
         let kl = k - first in
-        let vgl = eval_vgl (Ps.get ps k) in
+        let row = (rows st).(kl) in
         (* The denominator is 1 in exact arithmetic (row kl of M is the
            orbital vector at r_k); dividing by it stabilizes the mixed
            precision path.  With pending delayed updates every dot routes
            through the corrected form. *)
-        let denom = corrected_dot st kl vgl.Spo.v in
+        let denom = dot kl row.Spo.v in
         Vec3.make
-          (corrected_dot st kl vgl.Spo.gx /. denom)
-          (corrected_dot st kl vgl.Spo.gy /. denom)
-          (corrected_dot st kl vgl.Spo.gz /. denom)
+          (dot kl row.Spo.gx /. denom)
+          (dot kl row.Spo.gy /. denom)
+          (dot kl row.Spo.gz /. denom)
       end
     in
     let accept _ps k =
@@ -264,25 +328,23 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
         Timers.time timers "DetUpdate" (fun () -> accept_move st k)
     in
     let reject _ps _k = () in
-    let accumulate_gl ps (g : W.gl) =
+    let accumulate_gl _ps (g : W.gl) =
       flush st;
-      let b = Lazy.force st.vgl_rows in
-      load_row_pos ps;
-      Timers.time timers "SPO-vgl" (fun () -> b.Spo.run st.row_pos n);
+      let rows = rows st in
       for i = 0 to n - 1 do
         let k = first + i in
-        let vgl = b.Spo.slots.(i) in
+        let row = rows.(i) in
         let dot comp =
           A.dot_arr_into (M.data st.binv)
             ~pos:(i * M.ld st.binv)
             comp ~n st.pad 0;
           st.pad.(0)
         in
-        let denom = dot vgl.Spo.v in
-        let gx = dot vgl.Spo.gx /. denom in
-        let gy = dot vgl.Spo.gy /. denom in
-        let gz = dot vgl.Spo.gz /. denom in
-        let lap = dot vgl.Spo.lap /. denom in
+        let denom = dot row.Spo.v in
+        let gx = dot row.Spo.gx /. denom in
+        let gy = dot row.Spo.gy /. denom in
+        let gz = dot row.Spo.gz /. denom in
+        let lap = dot row.Spo.lap /. denom in
         g.W.ggx.(k) <- g.W.ggx.(k) +. gx;
         g.W.ggy.(k) <- g.W.ggy.(k) +. gy;
         g.W.ggz.(k) <- g.W.ggz.(k) +. gz;
@@ -303,7 +365,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
           Wbuffer.put buf (M.get st.binv i j)
         done
       done;
-      Wbuffer.put buf !(st.log_abs)
+      Wbuffer.put buf st.log_abs.(0)
     in
     let copy_from_buffer _ps buf =
       flush st;
@@ -312,7 +374,8 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
           M.set st.binv i j (Wbuffer.get buf)
         done
       done;
-      st.log_abs := Wbuffer.get buf
+      st.log_abs.(0) <- Wbuffer.get buf;
+      st.rows_valid <- false
     in
     let bytes () = M.bytes st.binv + M.bytes st.phim in
     {

@@ -135,6 +135,48 @@ let test_shutdown_idempotent () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* ---------- merged timers ---------- *)
+
+(* One VMC pass through the runner at crowd [crowd]: 6 walkers, each
+   swept and measured 3 times by the slot engine holding it, as
+   [Vmc.run] does.  Returns the merged timer set. *)
+let vmc_pass_timers ~crowd =
+  let sys = Lazy.force harmonic_sys in
+  Runner.with_runner ~crowd ~walkers:6 ~n_domains:1
+    ~factory:(Build.factory ~variant:Variant.Current_f64 ~seed:3 sys)
+  @@ fun r ->
+  let e0 = Runner.engine r 0 in
+  let rngs = Xoshiro.streams ~seed:9 6 in
+  let ws =
+    Array.init 6 (fun i ->
+        let w = Walker.create e0.Engine_api.n_electrons in
+        e0.Engine_api.randomize rngs.(i);
+        e0.Engine_api.register_walker w;
+        w)
+  in
+  Runner.iter_groups r ~n:6 ~walker:(fun i -> ws.(i)) ~f:(fun u ~lo ~m ->
+      for _ = 1 to 3 do
+        ignore
+          (Runner.sweep u ~active:m ~rng:(fun s -> rngs.(lo + s)) ~tau:0.3);
+        for s = 0 to m - 1 do
+          ignore ((Runner.slot_engine u s).Engine_api.measure ())
+        done
+      done);
+  Runner.merged_timers r
+
+(* Per-walker work (measure, row rebuilds) runs on the timers of the
+   slot holding the walker: the merged counts must not depend on the
+   crowd size. *)
+let test_merged_timers_all_slots () =
+  let one = vmc_pass_timers ~crowd:1 and three = vmc_pass_timers ~crowd:3 in
+  List.iter
+    (fun key ->
+      check_bool (key ^ " recorded") true (Timers.count one key > 0);
+      check_int
+        (key ^ " count: crowd 3 = crowd 1")
+        (Timers.count one key) (Timers.count three key))
+    [ "Other"; "SPO-vgl" ]
+
 (* ---------- batched B-spline kernels vs scalar oracle ---------- *)
 
 (* Positions straddling the periodic wrap planes plus random interior
@@ -654,6 +696,103 @@ let test_crowd_width () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* ---------- orbital evaluations per move ---------- *)
+
+(* [spo] wrapped to count its vgl evaluations: scalar [eval_vgl] calls
+   plus every position of a batched run. *)
+let counting_spo (spo : Spo.t) =
+  let count = ref 0 in
+  let make_vgl_batch cap =
+    let b = spo.Spo.make_vgl_batch cap in
+    {
+      b with
+      Spo.run =
+        (fun pos n ->
+          count := !count + n;
+          b.Spo.run pos n);
+    }
+  in
+  ( {
+      spo with
+      Spo.eval_vgl =
+        (fun pos vgl ->
+          incr count;
+          spo.Spo.eval_vgl pos vgl);
+      make_vgl_batch;
+    },
+    count )
+
+(* The determinants keep every electron's orbital row: one vgl
+   evaluation per proposed move, n per rebuild after a restore (both
+   determinants together), none in a measurement that follows a sweep.
+   Two determinants of different sizes; the scalar sweep (Ref) and a
+   3-slot crowd (Current_f64). *)
+let test_spo_evaluations_per_move () =
+  let base = Validation.electron_gas ~n_up:3 ~n_down:2 ~box:5.0 () in
+  let spo, count = counting_spo base.System.spo in
+  let sys = { base with System.spo } in
+  let n = 5 in
+  let counted name expected f =
+    let c0 = !count in
+    f ();
+    check_int name expected (!count - c0)
+  in
+  let walkers m (e : Engine_api.t) =
+    let rngs = Xoshiro.streams ~seed:31 m in
+    Array.init m (fun s ->
+        let w = Walker.create n in
+        e.Engine_api.randomize rngs.(s);
+        e.Engine_api.register_walker w;
+        w)
+  in
+  (* scalar sweep *)
+  let e = Build.engine ~variant:Variant.Ref ~seed:3 sys in
+  let w = (walkers 1 e).(0) in
+  let rng = Xoshiro.create 41 in
+  let sweep () =
+    let r = e.Engine_api.sweep rng ~tau:0.3 in
+    check_int "scalar: every electron proposed" n r.Engine_api.proposed
+  in
+  let measure () = ignore (e.Engine_api.measure ()) in
+  counted "scalar: restore is free" 0 (fun () ->
+      e.Engine_api.restore_walker w);
+  counted "scalar: rebuild after restore" n measure;
+  counted "scalar: one per proposed move" n sweep;
+  counted "scalar: measure after sweep" 0 measure;
+  e.Engine_api.restore_walker w;
+  counted "scalar: sweep after restore" (2 * n) sweep;
+  counted "scalar: one per proposed move, again" n sweep;
+  counted "scalar: measure after sweep, again" 0 measure;
+  (* 3-slot crowd *)
+  let factory = Build.factory ~variant:Variant.Current_f64 ~seed:3 sys in
+  let cr = Crowd.create ~factory ~base:0 ~size:3 () in
+  let ws = walkers 3 (Crowd.engine cr 0) in
+  let rngs = Xoshiro.streams ~seed:43 3 in
+  let restore () =
+    Array.iteri
+      (fun s w -> (Crowd.engine cr s).Engine_api.restore_walker w)
+      ws
+  in
+  let sweep () =
+    Array.iter
+      (fun r ->
+        check_int "crowd: every electron proposed" n r.Engine_api.proposed)
+      (Crowd.sweep cr ~active:3 ~rng:(fun s -> rngs.(s)) ~tau:0.3)
+  in
+  let measure () =
+    for s = 0 to 2 do
+      ignore ((Crowd.engine cr s).Engine_api.measure ())
+    done
+  in
+  counted "crowd: restore is free" 0 restore;
+  counted "crowd: rebuild after restore" (3 * n) measure;
+  counted "crowd: one per proposed move" (3 * n) sweep;
+  counted "crowd: measure after sweep" 0 measure;
+  restore ();
+  counted "crowd: sweep after restore" (6 * n) sweep;
+  counted "crowd: one per proposed move, again" (3 * n) sweep;
+  counted "crowd: measure after sweep, again" 0 measure
+
 (* Crowd batching composed with delayed determinant updates: the whole
    VMC trajectory at crowd 1 and 3 is the scalar sweep's at equal
    delay. *)
@@ -681,6 +820,8 @@ let () =
           Alcotest.test_case "spawn accounting" `Quick test_spawn_count;
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
+          Alcotest.test_case "merged timers cover every slot" `Quick
+            test_merged_timers_all_slots;
         ] );
       ( "batched kernels",
         [
@@ -714,5 +855,7 @@ let () =
             test_crowd_width;
           Alcotest.test_case "vmc crowd delayed bit-identical" `Quick
             test_vmc_crowd_identity_delayed;
+          Alcotest.test_case "one SPO evaluation per move" `Quick
+            test_spo_evaluations_per_move;
         ] );
     ]

@@ -82,47 +82,58 @@ let test_free_fermions_exact () =
 
 let test_hydrogen_zero_variance () =
   (* Exact 1s orbital: E_L = -1/2 everywhere, exercising the e-ion
-     Coulomb path end to end. *)
+     Coulomb path end to end, for every variant. *)
   let sys = Validation.hydrogen () in
-  let res =
-    Vmc.run
-      ~factory:(factory ~variant:Variant.Current_f64 ~sys ~seed:70)
-      {
-        Vmc.n_walkers = 2;
-        warmup = 20;
-        blocks = 4;
-        steps_per_block = 10;
-        tau = 0.3;
-        seed = 71;
-        n_domains = 1;
-      }
-  in
-  checkf 1e-8 "hydrogen ground state" (-0.5) res.Vmc.energy;
-  check_bool "zero variance" true (res.Vmc.variance < 1e-12)
+  List.iter
+    (fun variant ->
+      let res =
+        Vmc.run
+          ~factory:(factory ~variant ~sys ~seed:70)
+          {
+            Vmc.n_walkers = 2;
+            warmup = 20;
+            blocks = 4;
+            steps_per_block = 10;
+            tau = 0.3;
+            seed = 71;
+            n_domains = 1;
+          }
+      in
+      let name = Variant.to_string variant in
+      (* f32 positions and e-ion distances leave |E + 1/2| at about
+         1.3e-9 and a variance of about 8e-16 on this seed; f64 is
+         exact *)
+      checkf 1e-8 (name ^ ": hydrogen ground state") (-0.5) res.Vmc.energy;
+      check_bool (name ^ ": zero variance") true (res.Vmc.variance < 1e-12))
+    Variant.all
 
 let test_hydrogen_variational () =
   (* At zeta <> Z the energy must match E(zeta) = zeta^2/2 - Z zeta within
-     statistics and stay above the exact -1/2. *)
+     4 block-error bars, for every variant, and stay above the exact
+     -1/2. *)
   let zeta = 0.8 in
   let sys = Validation.hydrogen ~zeta () in
-  let res =
-    Vmc.run
-      ~factory:(factory ~variant:Variant.Current_f64 ~sys ~seed:72)
-      {
-        Vmc.n_walkers = 6;
-        warmup = 100;
-        blocks = 12;
-        steps_per_block = 25;
-        tau = 0.4;
-        seed = 73;
-        n_domains = 1;
-      }
-  in
   let exact = Validation.hydrogen_variational_energy ~zeta ~z:1.0 in
-  check_bool "matches analytic <H>(zeta)" true
-    (abs_float (res.Vmc.energy -. exact)
-    < (4. *. res.Vmc.energy_error) +. 0.01);
-  check_bool "variational bound" true (res.Vmc.energy > -0.5)
+  List.iter
+    (fun variant ->
+      let res =
+        Vmc.run
+          ~factory:(factory ~variant ~sys ~seed:72)
+          {
+            Vmc.n_walkers = 6;
+            warmup = 100;
+            blocks = 12;
+            steps_per_block = 25;
+            tau = 0.4;
+            seed = 73;
+            n_domains = 1;
+          }
+      in
+      let name = Variant.to_string variant in
+      check_bool (name ^ ": matches analytic <H>(zeta)") true
+        (abs_float (res.Vmc.energy -. exact) < 4. *. res.Vmc.energy_error);
+      check_bool (name ^ ": variational bound") true (res.Vmc.energy > -0.5))
+    Variant.all
 
 (* ---------- observables ---------- *)
 

@@ -640,10 +640,42 @@ let test_j1_batch_identity () =
       (jb.(s).W.evaluate_log psB)
   done
 
+(* A walker buffer holding [d]'s inverse and log |det|. *)
+let det_buffer (d : W.t) ps =
+  let buf = Wbuffer.create () in
+  d.W.register buf;
+  Wbuffer.rewind buf;
+  d.W.update_buffer ps buf;
+  buf
+
+(* [d]'s stored orbital rows against a fresh evaluation: a new twin
+   takes [d]'s inverse through a walker buffer, which leaves the twin's
+   rows stale, so its ∇ log D and ∇² log D come from fresh eval_vgl calls
+   at [Ps.get] (the analytic SPO's batch loops eval_vgl).  Both must give
+   the same bits. *)
+let check_rows_fresh name ~scheme ~spo (d : W.t) ps =
+  let buf = det_buffer d ps in
+  let twin = Det.create ~scheme ~spo ~first:0 ~count:4 ps in
+  Wbuffer.rewind buf;
+  twin.W.copy_from_buffer ps buf;
+  let n = Ps.n ps in
+  let rows = W.make_gl n and fresh = W.make_gl n in
+  d.W.accumulate_gl ps rows;
+  twin.W.accumulate_gl ps fresh;
+  for k = 0 to n - 1 do
+    same_f64 (name ^ ": row grad x") fresh.W.ggx.(k) rows.W.ggx.(k);
+    same_f64 (name ^ ": row grad y") fresh.W.ggy.(k) rows.W.ggy.(k);
+    same_f64 (name ^ ": row grad z") fresh.W.ggz.(k) rows.W.ggz.(k);
+    same_f64 (name ^ ": row lap") fresh.W.glap.(k) rows.W.glap.(k)
+  done
+
 (* Drive one determinant through the crowd entry points
    (grad_into/ratio_grad_into/accept_move on a Det.state) and a replica
    through the scalar closures; every ratio/gradient must agree
-   bit-for-bit, for Sherman-Morrison and for delayed-k updates. *)
+   bit-for-bit, for Sherman-Morrison and for delayed-k updates.  After
+   every accept or reject, and after each sweep's restore of the
+   sweep-start walker (positions + [copy_from_buffer]), both replicas'
+   stored rows must match a fresh evaluation. *)
 let det_batch_identity ~scheme () =
   let ps_b, _ = electrons ~seed:44 8 in
   let ps_s, _ = electrons ~seed:44 8 in
@@ -653,6 +685,10 @@ let det_batch_identity ~scheme () =
   let cs = Det.create ~scheme ~spo ~first:0 ~count:4 ps_s in
   ignore (cb.W.evaluate_log ps_b);
   ignore (cs.W.evaluate_log ps_s);
+  let check_rows name =
+    check_rows_fresh ("crowd " ^ name) ~scheme ~spo cb ps_b;
+    check_rows_fresh ("scalar " ^ name) ~scheme ~spo cs ps_s
+  in
   let vgl = Spo.make_vgl 4 in
   let ratio = [| 1. |]
   and gx = [| 0. |]
@@ -660,12 +696,13 @@ let det_batch_identity ~scheme () =
   and gz = [| 0. |] in
   let rng = Xoshiro.create 51 in
   for _sweep = 1 to 3 do
+    let start = Array.init 8 (Ps.get ps_b) in
+    let buf_b = det_buffer cb ps_b and buf_s = det_buffer cs ps_s in
     for k = 0 to 7 do
-      spo.Spo.eval_vgl (Ps.get ps_b k) vgl;
       gx.(0) <- 0.;
       gy.(0) <- 0.;
       gz.(0) <- 0.;
-      Det.grad_into st vgl k ~s:0 ~gx ~gy ~gz;
+      Det.grad_into st k ~s:0 ~gx ~gy ~gz;
       if k < 4 then begin
         let g = cs.W.grad ps_s k in
         same_f64 "det grad x" g.Vec3.x gx.(0);
@@ -701,15 +738,25 @@ let det_batch_identity ~scheme () =
         Det.accept_move st k;
         cs.W.accept ps_s k;
         Ps.accept ps_b;
-        Ps.accept ps_s
+        Ps.accept ps_s;
+        check_rows "after accept"
       end
       else begin
         cb.W.reject ps_b k;
         cs.W.reject ps_s k;
         Ps.reject ps_b;
-        Ps.reject ps_s
+        Ps.reject ps_s;
+        check_rows "after reject"
       end
-    done
+    done;
+    (* restore the sweep-start walker: its positions, then the buffer *)
+    Ps.set_all ps_b start;
+    Ps.set_all ps_s start;
+    Wbuffer.rewind buf_b;
+    Wbuffer.rewind buf_s;
+    cb.W.copy_from_buffer ps_b buf_b;
+    cs.W.copy_from_buffer ps_s buf_s;
+    check_rows "after copy_from_buffer"
   done;
   same_f64 "det final log" (cs.W.evaluate_log ps_s) (cb.W.evaluate_log ps_b)
 
