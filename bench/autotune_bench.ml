@@ -247,53 +247,9 @@ let bench_tune ~machine ~name ~sys =
     within_best_pct = within;
   }
 
-(* ---- 4. tuner tile pick vs hand-swept tile sweep ---- *)
-
-(* How much batched-vgl throughput the tuner's tile pick leaves on the
-   table against an exhaustive tile sweep (same measurement loop as
-   {!Tile_bench}).  Recorded, not asserted: the measured-refinement grid
-   is small and single-core timing noise routinely exceeds a few
-   percent. *)
-type tile_gap = {
-  g_auto_tile : int;  (* 0 = tuner kept one tile *)
-  g_auto_ns : float;
-  g_best_tile : int;
-  g_best_ns : float;
-  g_within_pct : float;  (* how far the pick is off the swept best *)
-}
-
-let bench_tile_gap () =
-  let s = Tile_bench.sweep ~name:"NiO-32" ~spec:Oqmc_workloads.Spec.nio32 in
-  let auto = Tile_bench.bench_autotuned ~margin:infinity () in
-  let best =
-    List.fold_left
-      (fun (acc : Tile_bench.point) p ->
-        if p.Tile_bench.ns_per_eval < acc.Tile_bench.ns_per_eval then p
-        else acc)
-      (List.hd s.Tile_bench.points)
-      s.Tile_bench.points
-  in
-  let within =
-    100. *. ((auto.Tile_bench.tiled_ns /. best.Tile_bench.ns_per_eval) -. 1.)
-  in
-  Printf.printf
-    "  tile gap: autotuned tile %d %.1f ns/eval vs swept best %s %.1f \
-     ns/eval  (%.1f%% off best)\n%!"
-    auto.Tile_bench.atile auto.Tile_bench.tiled_ns
-    (if best.Tile_bench.tile = 0 then "one"
-     else string_of_int best.Tile_bench.tile)
-    best.Tile_bench.ns_per_eval within;
-  {
-    g_auto_tile = auto.Tile_bench.atile;
-    g_auto_ns = auto.Tile_bench.tiled_ns;
-    g_best_tile = best.Tile_bench.tile;
-    g_best_ns = best.Tile_bench.ns_per_eval;
-    g_within_pct = within;
-  }
-
 (* ---- reporting ---- *)
 
-let json_of ~delays ~best_k ~speedup_k ~mp ~tunes ~tile_gap =
+let json_of ~delays ~best_k ~speedup_k ~mp ~tunes =
   let { v64; v32; n64; n32; it } = mp in
   let chosen_delay =
     match tunes with t :: _ -> t.choice.Tuner.knobs.Tuner.delay | [] -> best_k
@@ -371,15 +327,6 @@ let json_of ~delays ~best_k ~speedup_k ~mp ~tunes ~tile_gap =
                    ("within_best_pct", J.Num t.within_best_pct);
                  ])
              tunes) );
-      ( "tile_gap",
-        J.Obj
-          [
-            ("auto_tile", J.Num (float_of_int tile_gap.g_auto_tile));
-            ("auto_ns_per_eval", J.Num tile_gap.g_auto_ns);
-            ("best_tile", J.Num (float_of_int tile_gap.g_best_tile));
-            ("best_ns_per_eval", J.Num tile_gap.g_best_ns);
-            ("within_best_pct", J.Num tile_gap.g_within_pct);
-          ] );
     ]
 
 let run ?json () =
@@ -399,14 +346,12 @@ let run ?json () =
              Oqmc_workloads.Spec.nio32);
     ]
   in
-  Printf.printf "== tuner tile pick vs hand-swept tile sweep ==\n%!";
-  let tile_gap = bench_tile_gap () in
   match json with
   | None -> ()
   | Some path ->
       let oc = open_out path in
       output_string oc
-        (J.to_string (json_of ~delays ~best_k ~speedup_k ~mp ~tunes ~tile_gap));
+        (J.to_string (json_of ~delays ~best_k ~speedup_k ~mp ~tunes));
       output_char oc '\n';
       close_out oc;
       Printf.printf "wrote %s\n%!" path

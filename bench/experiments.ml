@@ -546,53 +546,6 @@ let delayed () =
     (let n = 512. and k = 16. in
      (2. *. n *. n) /. ((2. *. n *. n /. k) +. (2. *. k *. n)))
 
-let tiling () =
-  Report.section
-    "Sec. 8.4 B-spline tiling (AoSoA) ablation (measured, OCaml)";
-  let module B = Oqmc_spline.Bspline3d.Make (Precision.F32) in
-  let nx = 24 and n_orb = 192 in
-  let rng = Oqmc_rng.Xoshiro.create 7 in
-  let coeff ~orb:_ ~i:_ ~j:_ ~k:_ =
-    Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.
-  in
-  let points =
-    Array.init 64 (fun _ ->
-        ( Oqmc_rng.Xoshiro.uniform rng,
-          Oqmc_rng.Xoshiro.uniform rng,
-          Oqmc_rng.Xoshiro.uniform rng ))
-  in
-  let evals = 3000 in
-  let time f =
-    let t0 = Timers.now () in
-    for i = 1 to evals do
-      let x, y, z = points.(i land 63) in
-      f x y z
-    done;
-    (Timers.now () -. t0) /. float_of_int evals *. 1e9
-  in
-  Printf.printf "%-12s %12s  (grid %d^3, %d orbitals, vgh)
-" "tile" "ns/eval"
-    nx n_orb;
-  List.iter
-    (fun tile ->
-      let tt = B.create ~tile ~nx ~ny:nx ~nz:nx ~n_orb () in
-      B.fill tt coeff;
-      let tbuf = B.make_vgh_buf tt in
-      let t = time (fun x y z -> B.eval_vgh tt ~u0:x ~u1:y ~u2:z tbuf) in
-      Printf.printf "%-12s %12.0f
-"
-        (if tile = 0 then "one tile" else Printf.sprintf "tile=%d" tile)
-        t)
-    [ 0; 16; 32; 64; 96 ];
-  print_newline ();
-  print_endline
-    "paper (Sec. 8.4 / Mathuriya IPDPS'17): tiling bounds the per-stencil \
-     stride and exposes";
-  print_endline
-    "a thread-parallel outer loop; small tiles pay per-block loop \
-     overhead, very large tiles stream";
-  print_endline "poorly -- the optimum sits at a cache-sized middle."
-
 let ewald () =
   Report.section
     "Ablation: minimum-image vs Ewald electrostatics (measured, OCaml)";
@@ -658,7 +611,6 @@ let all () =
   smt ();
   ddr ();
   delayed ();
-  tiling ();
   ewald ()
 
 let by_name = function
@@ -675,7 +627,6 @@ let by_name = function
   | "smt" -> smt
   | "ddr" -> ddr
   | "delayed" -> delayed
-  | "tiling" -> tiling
   | "ewald" -> ewald
   | "all" -> all
   | s -> invalid_arg (Printf.sprintf "unknown experiment %S" s)

@@ -12,8 +12,6 @@
      dune exec bench/main.exe -- --crowd-smoke   # fast CI check (@bench-smoke)
      dune exec bench/main.exe -- --autotune      # roofline autotune acceptance
      dune exec bench/main.exe -- --autotune-smoke # fast CI check (@autotune-smoke)
-     dune exec bench/main.exe -- --tile          # orbital tile sweep
-     dune exec bench/main.exe -- --tile-smoke    # fast CI check (@tile-smoke)
      dune exec bench/main.exe -- --serve         # serve-layer microbenchmarks
      dune exec bench/main.exe -- --json BENCH_pool.json   # + JSON record
      OQMC_BENCH_REDUCTION=4 dune exec bench/main.exe   # bigger measured runs
@@ -24,8 +22,7 @@ let usage () =
     "usage: main.exe [--exp \
      table1|fig1|fig2|fig3|fig7|fig8|fig9|fig10|table2|kernels|smt|ddr|delayed|all] \
      [--bechamel] [--pool] [--crowd] [--crowd-smoke] [--autotune] \
-     [--autotune-smoke] [--tile] [--tile-smoke] [--dist] [--obs] [--serve] \
-     [--json PATH]";
+     [--autotune-smoke] [--dist] [--obs] [--serve] [--json PATH]";
   exit 1
 
 let () =
@@ -42,9 +39,6 @@ let () =
   | [ _; "--autotune" ] -> Autotune_bench.run ()
   | [ _; "--autotune"; "--json"; path ] -> Autotune_bench.run ~json:path ()
   | [ _; "--autotune-smoke" ] -> Autotune_bench.smoke ()
-  | [ _; "--tile" ] -> Tile_bench.run ()
-  | [ _; "--tile"; "--json"; path ] -> Tile_bench.run ~json:path ()
-  | [ _; "--tile-smoke" ] -> Tile_bench.smoke ()
   | [ _; "--dist" ] -> Dist_bench.run ()
   | [ _; "--obs" ] -> Obs_bench.run ()
   | [ _; "--obs"; "--json"; path ] -> Obs_bench.run ~json:path ()

@@ -22,20 +22,6 @@ let with_obs ~trace ~telemetry ~progress f =
       match trace with Some path -> Trace.export ~path | None -> ())
     (fun () -> f sink prog)
 
-let make_system name reduction with_nlpp precision tile seed =
-  match String.lowercase_ascii name with
-  | "harmonic" -> Validation.harmonic ~n:6 ~omega:1.0
-  | "hydrogen" -> Validation.hydrogen ()
-  | "heg" -> Validation.electron_gas ~n_up:8 ~n_down:8 ~box:6.0 ()
-  | _ ->
-      (* Table storage follows the requested working precision; the f32
-         default matches the paper's mixed-precision tables. *)
-      let table_prec =
-        match precision with Some `F64 -> `F64 | _ -> `F32
-      in
-      Builder.make ~seed ~with_nlpp ~reduction ~precision:table_prec ~tile
-        (Spec.find name)
-
 let parse_precision_for flag = function
   | "" | "default" -> None
   | "f32" | "single" -> Some `F32
@@ -49,10 +35,10 @@ let parse_precision = parse_precision_for "precision"
 
 let run input method_ workload variant reduction walkers blocks steps tau
     domains crowd delay precision precision_dt precision_jastrow
-    precision_inv tile autotune with_nlpp seed checkpoint
+    precision_inv autotune with_nlpp seed checkpoint
     checkpoint_every checkpoint_keep
     watchdog restore ranks heartbeat_ms max_respawn elastic gen_deadline_ms
-    straggler_policy plan trace telemetry telemetry_every progress flightrec
+    straggler_policy trace telemetry telemetry_every progress flightrec
     status audit =
   (* An input deck, when given, takes precedence over the flags. *)
   let cfg =
@@ -76,7 +62,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
           precision_jastrow =
             parse_precision_for "precision-jastrow" precision_jastrow;
           precision_inv = parse_precision_for "precision-inv" precision_inv;
-          tile;
           autotune;
           nlpp = with_nlpp;
           seed;
@@ -91,7 +76,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
           elastic;
           gen_deadline_ms;
           straggler_policy;
-          plan;
           trace;
           telemetry;
           telemetry_every;
@@ -113,7 +97,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let precision_dt = cfg.Input.precision_dt in
   let precision_jastrow = cfg.Input.precision_jastrow in
   let precision_inv = cfg.Input.precision_inv in
-  let tile = cfg.Input.tile in
   let autotune = cfg.Input.autotune in
   let with_nlpp = cfg.Input.nlpp in
   let seed = cfg.Input.seed in
@@ -137,19 +120,13 @@ let run input method_ workload variant reduction walkers blocks steps tau
         invalid_arg
           "oqmc_run: --straggler-policy must be warn, steal or quarantine"
   in
-  let plan =
-    match Oqmc_dist.Supervisor.plan_mode_of_string cfg.Input.plan with
-    | Some pm -> pm
-    | None -> invalid_arg "oqmc_run: --plan must be count or load"
-  in
   let trace = cfg.Input.trace in
   let telemetry = cfg.Input.telemetry in
   let telemetry_every = max 1 cfg.Input.telemetry_every in
   let progress = cfg.Input.progress in
   if crowd < 1 then invalid_arg "oqmc_run: --crowd must be >= 1";
   if delay < 1 then invalid_arg "oqmc_run: --delay must be >= 1";
-  if tile < 0 then invalid_arg "oqmc_run: --tile must be >= 0";
-  let sys = make_system workload reduction with_nlpp precision tile seed in
+  let sys = Builder.named ~seed ~reduction ~with_nlpp ~precision workload in
   (* Effective working precision: explicit override beats the variant's
      default. *)
   let eff_precision =
@@ -160,11 +137,11 @@ let run input method_ workload variant reduction walkers blocks steps tau
         | Variant.Ref | Variant.Current_f64 -> `F64
         | Variant.Ref_mp | Variant.Current -> `F32)
   in
-  (* autotune = true: pick crowd/delay/grain/tile from the calibrated
-     roofline + memory model, refined by short measured delay and tile
-     sweeps; explicit non-default flags still win over the tuner. *)
-  let crowd, delay, sys, tile =
-    if not autotune then (crowd, delay, sys, tile)
+  (* autotune = true: pick crowd/delay/grain from the calibrated
+     roofline + memory model, refined by a short measured delay sweep;
+     explicit non-default flags still win over the tuner. *)
+  let crowd, delay =
+    if not autotune then (crowd, delay)
     else begin
       let choice =
         Oqmc_autotune.Tuner.choose ~refine:true ~walkers ~domains ~variant
@@ -176,20 +153,8 @@ let run input method_ workload variant reduction walkers blocks steps tau
         Unix.putenv "OQMC_GRAIN"
           (string_of_int choice.Oqmc_autotune.Tuner.knobs.grain);
       let k = choice.Oqmc_autotune.Tuner.knobs in
-      (* An explicit tile beats the tuner's pick; otherwise a nonzero
-         pick rebuilds the orbital table in that tile (identical
-         coefficients, so f64 results are unchanged). *)
-      let sys, tile =
-        if tile = 0 && k.Oqmc_autotune.Tuner.tile > 0 then
-          ( make_system workload reduction with_nlpp precision
-              k.Oqmc_autotune.Tuner.tile seed,
-            k.Oqmc_autotune.Tuner.tile )
-        else (sys, tile)
-      in
       ( (if crowd <> 1 then crowd else k.Oqmc_autotune.Tuner.crowd),
-        (if delay <> 1 then delay else k.Oqmc_autotune.Tuner.delay),
-        sys,
-        tile )
+        if delay <> 1 then delay else k.Oqmc_autotune.Tuner.delay )
     end
   in
   (* Any explicitly single-precision table — orbital, distance, Jastrow
@@ -213,13 +178,13 @@ let run input method_ workload variant reduction walkers blocks steps tau
   in
   Printf.printf
     "oqmc_run: %s  %s  variant=%s  precision=%s  electrons=%d  domains=%d  \
-     crowd=%d  delay=%d  tile=%d\n"
+     crowd=%d  delay=%d\n"
     method_ workload
     (Variant.to_string variant)
     (match eff_precision with `F32 -> "f32" | `F64 -> "f64")
     (System.n_electrons sys) domains
     (min crowd (Runner.max_crowd ~variant ~walkers))
-    delay tile;
+    delay;
   (* --audit: calibrate a roofline projection for this run shape up
      front; measured-vs-projected gauges refresh live (per ledger
      window) and the verdict table prints after the run. *)
@@ -228,7 +193,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
     else
       Some
         (Oqmc_autotune.Audit.create ~walkers ~domains ~ranks:(max 1 ranks)
-           ~tile ~variant ~precision:eff_precision ~sys ())
+           ~variant ~precision:eff_precision ~sys ())
   in
   let print_audit ?measured_gen_s () =
     match audit_ctx with
@@ -276,7 +241,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
           elastic;
           gen_deadline_ms;
           straggler_policy;
-          plan;
           flightrec;
           status;
           on_window =
@@ -511,24 +475,15 @@ let precision_inv =
            delayed-update panels (f64 accumulation either way).  \
            Default: follow --precision.")
 
-let tile =
-  Arg.(
-    value & opt int 0
-    & info [ "tile" ] ~docv:"T"
-        ~doc:
-          "Orbitals per block of the B-spline orbital table (identical \
-           results at any tile).  0 = one block of every orbital, \
-           unless --autotune picks a tile.")
-
 let autotune =
   Arg.(
     value & flag
     & info [ "autotune" ]
         ~doc:
           "Calibrate this node (microbench roofline) and pick crowd, \
-           delay, grain and orbital tile from the performance model, \
-           refined by short measured delay and tile sweeps.  Explicit \
-           --crowd/--delay/--tile values still win.")
+           delay and grain from the performance model, refined by a \
+           short measured delay sweep.  Explicit --crowd/--delay values \
+           still win.")
 
 let nlpp = Arg.(value & flag & info [ "nlpp" ] ~doc:"Enable NLPP.")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.")
@@ -630,16 +585,6 @@ let straggler_policy =
            walkers to the fastest rank) or quarantine (three consecutive \
            misses are treated as a stall).")
 
-let plan =
-  Arg.(
-    value & opt string "count"
-    & info [ "plan" ] ~docv:"MODE"
-        ~doc:
-          "Walker-exchange planning mode: count (even split, the \
-           bit-identical default) or load (throughput-proportional \
-           split driven by the per-rank ledger; falls back to count \
-           levelling until every live rank has a throughput sample).")
-
 let trace =
   Arg.(
     value
@@ -708,12 +653,11 @@ let cmd =
     Term.(
       const run $ input $ method_ $ workload $ variant $ reduction $ walkers
       $ blocks $ steps $ tau $ domains $ crowd $ delay $ precision
-      $ precision_dt $ precision_jastrow $ precision_inv $ tile
-      $ autotune $ nlpp $ seed
-      $ checkpoint
+      $ precision_dt $ precision_jastrow $ precision_inv $ autotune $ nlpp
+      $ seed $ checkpoint
       $ checkpoint_every $ checkpoint_keep $ watchdog $ restore $ ranks
       $ heartbeat_ms $ max_respawn $ elastic $ gen_deadline_ms
-      $ straggler_policy $ plan $ trace $ telemetry $ telemetry_every
+      $ straggler_policy $ trace $ telemetry $ telemetry_every
       $ progress $ flightrec $ status $ audit)
 
 let () = exit (Cmd.eval cmd)

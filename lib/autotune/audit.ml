@@ -47,8 +47,8 @@ type report = {
   kernels : kernel_verdict list;
 }
 
-let create ?machine ?(walkers = 8) ?(domains = 1) ?(ranks = 1) ?(tile = 0)
-    ~variant ~precision ~(sys : System.t) () =
+let create ?machine ?(walkers = 8) ?(domains = 1) ?(ranks = 1) ~variant
+    ~precision ~(sys : System.t) () =
   let calibrated = machine = None in
   let mach = match machine with Some m -> m | None -> Calibrate.machine () in
   let n = System.n_electrons sys in
@@ -71,7 +71,7 @@ let create ?machine ?(walkers = 8) ?(domains = 1) ?(ranks = 1) ?(tile = 0)
         layout;
         acceptance = Opcount.default_acceptance;
         nlpp_evals = Opcount.nlpp_evals_estimate ~n ~has_pp;
-        tile;
+        tile = 0;
       }
   in
   let points = Roofline.project_all mach costs in

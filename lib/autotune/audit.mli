@@ -23,7 +23,6 @@ val create :
   ?walkers:int ->
   ?domains:int ->
   ?ranks:int ->
-  ?tile:int ->
   variant:Variant.t ->
   precision:[ `F32 | `F64 ] ->
   sys:System.t ->
@@ -32,9 +31,7 @@ val create :
 (** Build the projection.  [machine] defaults to on-node calibration
     ({!Calibrate.machine}, quick mode — tens of milliseconds);
     [walkers] (default 8) is the GLOBAL walker count, spread over
-    [ranks] × [domains] ideal lanes (both default 1).  [tile] (default
-    0 = one tile) projects the orbital tile's bandwidth boost so tiled
-    runs are audited against the model they were tuned by. *)
+    [ranks] × [domains] ideal lanes (both default 1). *)
 
 (** Measured-vs-projected share of one kernel. *)
 type kernel_verdict = {

@@ -8,11 +8,10 @@ open Oqmc_perfmodel
 (* Roofline-driven knob selection.
 
    Given a system and a machine descriptor (published SKU or on-node
-   calibration), pick the four throughput knobs of the optimized
-   pipeline — crowd size, delayed-update rank, scheduler grain and the
-   orbital-table tile (0 = one tile) — by minimizing a modeled
-   one-walker step time, optionally refined for the delay rank and the
-   tile by short measured sweeps on the node itself.
+   calibration), pick the three throughput knobs of the optimized
+   pipeline — crowd size, delayed-update rank and scheduler grain — by
+   minimizing a modeled one-walker step time, optionally refined for the
+   delay rank by short measured sweeps on the node itself.
 
    The model starts from the repo's analytic per-kernel op/byte counts
    ({!Opcount.step_costs}) projected through the cache-aware roofline
@@ -42,13 +41,12 @@ module Ps64 = Particle_set.Make (Precision.F64)
 module Det64 = Slater_det.Make (Precision.F64) (Precision.F64)
 module W64 = Wfc.Make (Precision.F64)
 
-type knobs = { crowd : int; delay : int; grain : int; tile : int }
+type knobs = { crowd : int; delay : int; grain : int }
 
 type candidate = {
   cand : knobs;
   model_step_s : float;
   measured_det_ns : float option;
-  measured_spline_ns : float option;
 }
 
 type choice = {
@@ -64,15 +62,6 @@ type choice = {
 
 let crowd_candidates = [ 1; 2; 4; 8; 16; 32 ]
 let delay_candidates = [ 1; 4; 8; 16 ]
-
-(* Orbital-tile candidates; 0 = one tile.  Tiles at or above the
-   orbital count degenerate to a one-tile table and are filtered out in
-   {!choose}. *)
-let tile_candidates = [ 0; 8; 16; 32; 64 ]
-
-let spline_kernel = function
-  | "Bspline-v" | "Bspline-vgh" | "SPO-vgl" -> true
-  | _ -> false
 
 (* Saturating crowd-batching speedup per kernel class. *)
 let batch_saturation = function
@@ -133,25 +122,9 @@ let det_time (mach : Machine.t) (det_cost : Opcount.kernel_cost) ~m ~n
   in
   Float.max t_compute (bytes /. bw)
 
-(* Modeled time of the B-spline/SPO kernels at crowd [c], batched the
-   same way {!model_step_time} batches them — the component the tile
-   knob rescales (pass the costs/points projected at that tile). *)
-let spline_time ~costs ~points c =
-  let fc = float_of_int c in
-  List.fold_left2
-    (fun acc (q : Opcount.kernel_cost) (p : Roofline.point) ->
-      if spline_kernel q.Opcount.kernel then begin
-        let s = batch_saturation q.Opcount.kernel in
-        acc
-        +. (p.Roofline.time_s *. ((1. /. s) +. ((1. -. (1. /. s)) /. fc)))
-      end
-      else acc)
-    0. costs points
-
-(* Modeled one-walker step time at the given knobs ([costs]/[points]
-   must be projected at the knobs' tile). *)
+(* Modeled one-walker step time at the given knobs. *)
 let model_step_time (mach : Machine.t) ~costs ~points ~m ~n ~elt_bytes
-    ~acceptance ~walker_bytes { crowd = c; delay = k; grain = _; tile = _ } =
+    ~acceptance ~walker_bytes { crowd = c; delay = k; grain = _ } =
   let det_cost =
     List.find (fun q -> q.Opcount.kernel = "DetUpdate") costs
   in
@@ -210,54 +183,6 @@ let measure_det_ns ~m ~sweeps kd =
   in
   Float.min (once ()) (once ())
 
-(* Measured tile refinement: ns per batched Bspline-vgh evaluation at
-   the system's real orbital count, on a cubic grid [grid] sized like
-   the system's table, at random positions streamed over
-   the whole grid — the regime the production kernel runs in, where the
-   coefficient stream, not a cache-resident handful of stencils, is the
-   cost (on a cache-resident table the ranking of tiles can invert).
-   Coefficient values are irrelevant to cost, so the tables stay zero.
-   [tile = 0] measures one tile.  The candidates are measured in
-   interleaved rounds and each keeps its median, so a host burst lands
-   on every candidate of a round instead of deciding the ranking. *)
-let measure_spline_ns ~n_spo ~grid tiles =
-  let module B = Oqmc_spline.Bspline3d.Make (Precision.F32) in
-  let batch = 8 and rounds = 5 and n_pos = 4096 in
-  let rng = Xoshiro.create 37 in
-  let stream () = Array.init n_pos (fun _ -> Xoshiro.uniform rng) in
-  let p0 = stream () and p1 = stream () and p2 = stream () in
-  let u0 = Array.make batch 0. and u1 = Array.make batch 0. in
-  let u2 = Array.make batch 0. in
-  let reps = max 4 (2_000_000 / (64 * n_spo * batch)) in
-  let timed tile =
-    let t = B.create ~tile ~nx:grid ~ny:grid ~nz:grid ~n_orb:n_spo () in
-    let arena = B.make_vgh_batch t ~cap:batch in
-    let samples = Array.make rounds 0. in
-    let once r =
-      let t0 = Timers.now () in
-      for i = 0 to reps - 1 do
-        for s = 0 to batch - 1 do
-          let q = ((i * batch) + s) land (n_pos - 1) in
-          u0.(s) <- p0.(q);
-          u1.(s) <- p1.(q);
-          u2.(s) <- p2.(q)
-        done;
-        B.eval_vgh_batch t arena ~n:batch ~u0 ~u1 ~u2
-      done;
-      samples.(r) <- (Timers.now () -. t0) *. 1e9 /. float_of_int (reps * batch)
-    in
-    (tile, samples, once)
-  in
-  let runs = List.map timed tiles in
-  for r = 0 to rounds - 1 do
-    List.iter (fun (_, _, once) -> once r) runs
-  done;
-  List.map
-    (fun (tile, samples, _) ->
-      Array.sort compare samples;
-      (tile, samples.(rounds / 2)))
-    runs
-
 let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
     ~variant ~precision ~(sys : System.t) () =
   let calibrated = machine = None in
@@ -276,39 +201,20 @@ let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
   in
   let has_pp = sys.System.ham.System.nlpp <> None in
   let acceptance = Opcount.default_acceptance in
-  (* Tile candidates: only a B-spline orbital table can be re-laid out,
-     and a tile at or above the orbital count degenerates to one tile. *)
-  let spo_label = sys.System.spo.Spo.label in
-  let tileable =
-    String.length spo_label >= 7 && String.sub spo_label 0 7 = "bspline"
+  let costs =
+    Opcount.step_costs
+      {
+        Opcount.n;
+        n_ion;
+        n_spo;
+        elt_bytes;
+        layout;
+        acceptance;
+        nlpp_evals = Opcount.nlpp_evals_estimate ~n ~has_pp;
+        tile = 0;
+      }
   in
-  let tile_cands =
-    if not tileable then [ 0 ]
-    else List.filter (fun t -> t = 0 || t < n_spo) tile_candidates
-  in
-  let costs_for =
-    let memo =
-      List.map
-        (fun tile ->
-          let costs =
-            Opcount.step_costs
-              {
-                Opcount.n;
-                n_ion;
-                n_spo;
-                elt_bytes;
-                layout;
-                acceptance;
-                nlpp_evals = Opcount.nlpp_evals_estimate ~n ~has_pp;
-                tile;
-              }
-          in
-          (tile, (costs, Roofline.project_all mach costs)))
-        tile_cands
-    in
-    fun tile -> List.assoc tile memo
-  in
-  let costs, _ = costs_for 0 in
+  let points = Roofline.project_all mach costs in
   let kind =
     match variant with
     | Variant.Ref -> `Ref
@@ -323,18 +229,14 @@ let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
     max (Runner.grain_for ~n:walkers ~n_domains:domains) c
   in
   let time_of knobs =
-    let costs, points = costs_for knobs.tile in
     model_step_time mach ~costs ~points ~m ~n ~elt_bytes ~acceptance
       ~walker_bytes knobs
   in
-  let baseline_step_s =
-    time_of { crowd = 1; delay = 1; grain = 1; tile = 0 }
-  in
-  (* Measured refinement replaces the modeled delay and tile rankings
-     with real measurements — ns/move of the determinant component at
-     this system's per-spin order, and ns/eval of the batched vgh kernel
-     at this system's real orbital count — the two knobs whose
-     crossovers are too close to call from counts alone. *)
+  let baseline_step_s = time_of { crowd = 1; delay = 1; grain = 1 } in
+  (* Measured refinement replaces the modeled delay ranking with real
+     measurements — ns/move of the determinant component at this
+     system's per-spin order — the knob whose crossover is too close to
+     call from counts alone. *)
   let measured_det =
     if not refine then fun _ -> None
     else begin
@@ -346,73 +248,36 @@ let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
       fun k -> List.assoc_opt k tbl
     end
   in
-  let measured_spline =
-    if not (refine && List.length tile_cands > 1) then fun _ -> None
-    else begin
-      (* As large as the system's table, but at most 32 MB: past the
-         caches either way, without a production-sized table per
-         candidate on the full-size workloads. *)
-      let grid =
-        let bytes = min sys.System.spo.Spo.bytes (32 lsl 20) in
-        let points = bytes / (elt_bytes * n_spo) in
-        max 4 (int_of_float (Float.cbrt (float_of_int points)) - 3)
-      in
-      let tbl = measure_spline_ns ~n_spo ~grid tile_cands in
-      fun t -> List.assoc_opt t tbl
-    end
-  in
   let candidates =
     List.concat_map
       (fun c ->
         if c > max_crowd then []
         else
-          List.concat_map
+          List.map
             (fun k ->
-              List.map
-                (fun t ->
-                  let cand =
-                    { crowd = c; delay = k; grain = grain_of c; tile = t }
-                  in
-                  {
-                    cand;
-                    model_step_s = time_of cand;
-                    measured_det_ns = measured_det k;
-                    measured_spline_ns = measured_spline t;
-                  })
-                tile_cands)
+              let cand = { crowd = c; delay = k; grain = grain_of c } in
+              {
+                cand;
+                model_step_s = time_of cand;
+                measured_det_ns = measured_det k;
+              })
             delay_candidates)
       crowd_candidates
   in
-  (* Rank by model time; under refinement the delay and tile dimensions
-     are ranked by their measured components instead, each scaled into
-     the model's share and anchored at the delay = 1 / one-tile point (so a
-     candidate's score stays the plain model time when no measurement
-     covers it). *)
+  (* Rank by model time; under refinement the delay dimension is ranked
+     by its measured component instead, scaled into the model's share
+     and anchored at the delay = 1 point (so a candidate's score stays
+     the plain model time when no measurement covers it). *)
   let det_cost = List.find (fun q -> q.Opcount.kernel = "DetUpdate") costs in
   let det1 = det_time mach det_cost ~m ~n ~elt_bytes ~acceptance 1 in
-  let spill c =
-    let ws = float_of_int (c * walker_bytes) in
-    if level_for mach ws > 0 then 1.25 else 1.0
-  in
-  let spline_share ~tile c =
-    let costs, points = costs_for tile in
-    spill c *. spline_time ~costs ~points c
-  in
   let score cd =
-    let c = cd.cand.crowd in
     let det_term =
       match (cd.measured_det_ns, measured_det 1) with
       | Some ns, Some ns1 when ns1 > 0. -> det1 *. ns /. ns1
       | _ -> det_time mach det_cost ~m ~n ~elt_bytes ~acceptance cd.cand.delay
     in
-    let spline0 = spline_share ~tile:0 c in
-    let spline_term =
-      match (cd.measured_spline_ns, measured_spline 0) with
-      | Some ns, Some ns0 when ns0 > 0. -> spline0 *. ns /. ns0
-      | _ -> spline_share ~tile:cd.cand.tile c
-    in
-    let base = time_of { cd.cand with delay = 1; tile = 0 } in
-    base -. det1 -. spline0 +. det_term +. spline_term
+    let base = time_of { cd.cand with delay = 1 } in
+    base -. det1 +. det_term
   in
   let best =
     List.fold_left
@@ -425,9 +290,8 @@ let choose ?machine ?(refine = false) ?(walkers = 8) ?(domains = 1)
   let best =
     match best with
     | Some b -> b
-    | None -> { cand = { crowd = 1; delay = 1; grain = 1; tile = 0 };
-                model_step_s = baseline_step_s; measured_det_ns = None;
-                measured_spline_ns = None }
+    | None -> { cand = { crowd = 1; delay = 1; grain = 1 };
+                model_step_s = baseline_step_s; measured_det_ns = None }
   in
   {
     knobs = best.cand;
@@ -447,7 +311,6 @@ let publish (c : choice) =
   Mx.set (Mx.gauge "autotune.crowd") (float_of_int c.knobs.crowd);
   Mx.set (Mx.gauge "autotune.delay") (float_of_int c.knobs.delay);
   Mx.set (Mx.gauge "autotune.grain") (float_of_int c.knobs.grain);
-  Mx.set (Mx.gauge "autotune.tile") (float_of_int c.knobs.tile);
   Mx.set (Mx.gauge "autotune.predicted_speedup") c.predicted_speedup;
   Mx.set
     (Mx.gauge "autotune.machine_gflops")
@@ -463,7 +326,6 @@ let knobs_json (k : knobs) =
       ("crowd", J.Num (float_of_int k.crowd));
       ("delay", J.Num (float_of_int k.delay));
       ("grain", J.Num (float_of_int k.grain));
-      ("tile", J.Num (float_of_int k.tile));
     ]
 
 let choice_json (c : choice) =
@@ -491,23 +353,19 @@ let choice_json (c : choice) =
                J.Obj
                  (("knobs", knobs_json cd.cand)
                  :: ("model_us_per_step", J.Num (cd.model_step_s *. 1e6))
-                 :: ((match cd.measured_det_ns with
-                     | None -> []
-                     | Some ns -> [ ("measured_det_ns", J.Num ns) ])
-                    @
-                    match cd.measured_spline_ns with
-                    | None -> []
-                    | Some ns -> [ ("measured_spline_ns", J.Num ns) ])))
+                 ::
+                 (match cd.measured_det_ns with
+                 | None -> []
+                 | Some ns -> [ ("measured_det_ns", J.Num ns) ])))
              c.candidates) );
     ]
 
 let describe (c : choice) =
   Printf.sprintf
-    "autotune[%s%s]: crowd=%d delay=%d grain=%d tile=%s  (model %.1f -> \
-     %.1f us/step/walker, x%.2f)"
+    "autotune[%s%s]: crowd=%d delay=%d grain=%d  (model %.1f -> %.1f \
+     us/step/walker, x%.2f)"
     c.machine.Machine.mname
     (if c.refined then ", refined" else "")
     c.knobs.crowd c.knobs.delay c.knobs.grain
-    (if c.knobs.tile = 0 then "one" else string_of_int c.knobs.tile)
     (c.baseline_step_s *. 1e6)
     (c.tuned_step_s *. 1e6) c.predicted_speedup

@@ -2,30 +2,18 @@ open Oqmc_core
 open Oqmc_perfmodel
 
 (** Roofline-driven selection of the optimized pipeline's throughput
-    knobs — crowd size, delayed-update rank, scheduler grain and the
-    orbital-table tile — from the analytic op/byte counts projected on a
-    machine descriptor (published SKU or {!Calibrate} microbench),
-    optionally refined by short measured sweeps of the delay rank and
-    the tile on the node itself. *)
+    knobs — crowd size, delayed-update rank and scheduler grain — from
+    the analytic op/byte counts projected on a machine descriptor
+    (published SKU or {!Calibrate} microbench), optionally refined by
+    short measured sweeps of the delay rank on the node itself. *)
 
-type knobs = {
-  crowd : int;
-  delay : int;
-  grain : int;
-  tile : int;
-      (** orbitals per block of the B-spline table; 0 = one block.
-          Only candidates below the system's orbital count are scored,
-          and only for B-spline orbital tables. *)
-}
+type knobs = { crowd : int; delay : int; grain : int }
 
 type candidate = {
   cand : knobs;
   model_step_s : float;  (** modeled one-walker step time *)
   measured_det_ns : float option;
       (** measured det-component ns/move under [~refine:true] *)
-  measured_spline_ns : float option;
-      (** measured batched-vgh ns/eval at this tile under
-          [~refine:true] (real orbital count, small grid) *)
 }
 
 type choice = {
@@ -53,9 +41,8 @@ val choose :
     domains.  Without [?machine] the node is calibrated first
     ({!Calibrate.machine}, tens of milliseconds).  [refine] (default
     [false]) additionally measures the determinant component at each
-    delay rank and the batched vgh kernel at each tile candidate — at
-    the system's real orbital count — and ranks those knobs by
-    measurement instead of the model. *)
+    delay rank and ranks that knob by measurement instead of the
+    model. *)
 
 val choice_json : choice -> Oqmc_obs.Jsonx.t
 (** The choice, machine projection and scored candidate grid as a JSON

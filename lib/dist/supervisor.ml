@@ -78,18 +78,6 @@ let straggler_policy_name = function
   | Steal -> "steal"
   | Quarantine -> "quarantine"
 
-(* How the exchange planner splits walkers: [Count_level] is the
-   historical even split (bit-identical default); [Load_level] levels
-   throughput instead, weighting each rank by its ledger speed. *)
-type plan_mode = Count_level | Load_level
-
-let plan_mode_of_string = function
-  | "count" -> Some Count_level
-  | "load" -> Some Load_level
-  | _ -> None
-
-let plan_mode_name = function Count_level -> "count" | Load_level -> "load"
-
 (* Elastic membership plan entry: at the END of generation [gen] (first
    element of the pair), grow the rank set by one ([Join]) or retire a
    specific rank gracefully ([Leave r]). *)
@@ -121,7 +109,6 @@ type params = {
   gen_deadline_ms : int; (* soft per-generation budget; 0 = lockstep *)
   straggler_policy : straggler_policy;
   membership : (int * member_event) list; (* (gen, event), any order *)
-  plan : plan_mode; (* exchange planning: count levelling | load levelling *)
   flightrec : string option; (* postmortem dump path for abort paths *)
   status : string option; (* live status-snapshot file (atomic rename) *)
   on_window : (int -> unit) option; (* ledger-window boundary callback *)
@@ -154,7 +141,6 @@ let default_params =
     gen_deadline_ms = 0;
     straggler_policy = Warn;
     membership = [];
-    plan = Count_level;
     flightrec = None;
     status = None;
     on_window = None;
@@ -814,13 +800,7 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
      post-join rebalance and walker stealing. *)
   let relay_exchange ~gen ids =
     let ids = Array.of_list (List.filter ok_rank ids) in
-    let plan_counts = Array.map (fun r -> (proc r).count) ids in
-    let weights =
-      match p.plan with
-      | Count_level -> None
-      | Load_level -> Ledger.speed_weights ledger (Array.to_list ids)
-    in
-    let moves = Population.plan ?weights plan_counts in
+    let moves = Population.plan (Array.map (fun r -> (proc r).count) ids) in
     List.iter
       (fun { Population.src; dst; count } ->
         Ledger.add_exchange ledger ~rank:ids.(src) ~walkers:count;

@@ -37,20 +37,6 @@ val straggler_policy_of_string : string -> straggler_policy option
 
 val straggler_policy_name : straggler_policy -> string
 
-(** How the exchange planner splits walkers across ranks. *)
-type plan_mode =
-  | Count_level
-      (** even split — the historical, bit-identical default *)
-  | Load_level
-      (** throughput-proportional split from the per-rank ledger's
-          speed weights; falls back to count levelling until every
-          live rank has a throughput sample *)
-
-val plan_mode_of_string : string -> plan_mode option
-(** ["count" | "load"]. *)
-
-val plan_mode_name : plan_mode -> string
-
 type member_event =
   | Join  (** grow the rank set by one (lowest vacant slot, else a
               fresh id) *)
@@ -96,9 +82,6 @@ type params = {
   membership : (int * member_event) list;
       (** (generation, event): applied at the END of that generation,
           in list order.  Requires [elastic = true] *)
-  plan : plan_mode;
-      (** exchange planning mode; {!Count_level} (the default) keeps
-          the trajectory bit-identical to the historical planner *)
   flightrec : string option;
       (** dump the {!Oqmc_obs.Flightrec} ring to this postmortem file
           on every abort path (rank failure, [All_ranks_lost],

@@ -197,21 +197,24 @@ module Make (R : Precision.REAL) = struct
 
   (* B := B − Y T : the rank-k flush apply.
 
-     Tiled over columns so the k rows of T being broadcast stay L1-resident
-     even when k·n outgrows the cache, and row-blocked within a tile: the
+     Blocked over columns so the k rows of T being broadcast stay
+     L1-resident even when k·n outgrows the cache, and row-blocked within
+     a column block: the
      row segment of B is staged once, receives all k rank-1 corrections in
      scratch (double accumulation), and is written back with one narrowing
      store per element.  Per-element accumulation order over i = 0..k−1 is
      identical to the unblocked reference, so the f64 result is
      bit-identical; at f32 the blocked path rounds once per element per
      flush instead of once per rank, which only tightens the error. *)
-  let rank_update ?(tile = 512) (bm : M.t) ~(y : float array) ~ystride
+  let col_block = 512
+
+  let rank_update (bm : M.t) ~(y : float array) ~ystride
       ~(tm : float array array) ~k ~(scratch : float array) =
     let n = M.rows bm and cols = M.cols bm and ld = M.ld bm in
     let data = M.data bm in
     let b0 = ref 0 in
     while !b0 < cols do
-      let len = min tile (cols - !b0) in
+      let len = min col_block (cols - !b0) in
       for a = 0 to n - 1 do
         let pos = (a * ld) + !b0 in
         A.read_into data ~pos scratch ~n:len;

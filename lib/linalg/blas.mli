@@ -49,7 +49,6 @@ module Make (R : Precision.REAL) : sig
       reference).  [scratch] must hold at least [cols b] elements. *)
 
   val rank_update :
-    ?tile:int ->
     M.t ->
     y:float array ->
     ystride:int ->
@@ -59,10 +58,10 @@ module Make (R : Precision.REAL) : sig
     unit
   (** [rank_update b ~y ~ystride ~tm ~k ~scratch] :
       [B := B − Y·T] with Y as laid out by {!mul_vt} and T given as [k]
-      plain rows — the BLAS-3 rank-k apply.  Column-tiled ([tile],
-      default 512) so the T panel stays L1-resident at large n, row
+      plain rows — the BLAS-3 rank-k apply.  Column-blocked (512
+      columns) so the T panel stays L1-resident at large n, row
       segments staged once and written back once; per-element
       accumulation order matches the unblocked reference, so the f64
       result is bit-identical.  [scratch] must hold at least
-      [min tile (cols b)] elements. *)
+      [min 512 (cols b)] elements. *)
 end

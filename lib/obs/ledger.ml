@@ -4,13 +4,9 @@
    per rank as an EWMA-smoothed walkers·moves/sec plus windowed wall
    p50/p99 via the bucketed [Metrics.quantile].
 
-   The ledger answers two questions: "how fast is each rank *really*
-   going" (the Status endpoint / JSONL export) and "how should the
-   exchange planner split walkers to level throughput instead of raw
-   counts" ([speed_weights], the [plan = load] deck mode).  It is pure
-   bookkeeping — no locks beyond its owner's thread, no RNG, no effect
-   on the trajectory unless the caller opts into load-weighted
-   planning. *)
+   The ledger answers "how fast is each rank *really* going" (the
+   Status endpoint / JSONL export).  It is pure bookkeeping — no locks
+   beyond its owner's thread, no RNG, no effect on the trajectory. *)
 
 type window = {
   rank : int;
@@ -161,25 +157,6 @@ let windows t =
     (fun _ rs acc -> match window_of rs with Some w -> w :: acc | None -> acc)
     t.ranks []
   |> List.sort (fun (a : window) (b : window) -> compare a.rank b.rank)
-
-(* Relative speeds for the exchange planner.  Only meaningful once every
-   listed rank has at least one sample; otherwise the caller must fall
-   back to count levelling (None). *)
-let speed_weights t ranks =
-  let ws =
-    List.map
-      (fun r ->
-        match Hashtbl.find_opt t.ranks r with
-        | Some rs when rs.ewma > 0. -> rs.ewma
-        | Some rs -> (
-            match window_of rs with
-            | Some w when w.walkers_moves_per_s > 0. -> w.walkers_moves_per_s
-            | _ -> 0.)
-        | None -> 0.)
-      ranks
-  in
-  if List.exists (fun w -> w <= 0.) ws then None
-  else Some (Array.of_list ws)
 
 let json_of_window (w : window) =
   Jsonx.Obj

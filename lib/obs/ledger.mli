@@ -2,8 +2,7 @@
     facts the supervisor already absorbs — proposed-move throughput
     (EWMA-smoothed across windows), exchange volume, straggle time and
     generation wall p50/p99 (via {!Metrics.quantile}) — exported through
-    the Status endpoint / JSONL sink, and convertible into per-rank
-    speed weights for load-levelled exchange planning. *)
+    the Status endpoint / JSONL sink. *)
 
 type t
 
@@ -37,11 +36,6 @@ val drop_rank : t -> rank:int -> unit
 val windows : t -> window list
 (** Newest per-rank summaries, sorted by rank: the last completed window
     (or the live partial one), always carrying the cross-window EWMA. *)
-
-val speed_weights : t -> int list -> float array option
-(** Relative speeds for [ranks], in order, for the exchange planner —
-    [None] until every listed rank has at least one sample (fall back to
-    count levelling). *)
 
 val json : t -> Jsonx.t
 val json_of_window : window -> Jsonx.t

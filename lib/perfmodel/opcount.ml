@@ -40,29 +40,10 @@ type params = {
   layout : [ `Store | `Otf ];
   acceptance : float; (* fraction of accepted moves *)
   nlpp_evals : float; (* value-only SPO evaluations per sweep *)
-  tile : int; (* orbitals per B-spline table block; 0 = one block *)
+  tile : int; (* ignored; kept for perfbench/src/driver.ml's record *)
 }
 
 let default_acceptance = 0.5
-
-(* Effective-bandwidth factor of a tiled (array-of-SoA) orbital table
-   relative to one tile, applied to the [stream] constant of the
-   B-spline kernels.  A tile bounds one stencil pass over a block to
-   64·tile coefficients plus a tile-wide output strip, which stays
-   cache-resident across the pass — but a small tile repays that with
-   per-block loop startup and base-pointer chasing.  Reuse therefore
-   saturates in the tile size while a spill term grows once the block's
-   pass outsizes the first cache level; the peak
-   sits near tile = 32..64.  Like [eff]/[stream] this is a calibration
-   constant, machine-independent by design. *)
-let tile_stream_boost tile =
-  if tile <= 0 then 1.0
-  else begin
-    let t = float_of_int tile in
-    let reuse = 1.4 *. t /. (t +. 8.) in
-    let spill = 1. +. (t /. 512.) in
-    Float.max 0.5 (reuse /. spill)
-  end
 
 (* Per-element costs of a distance-row evaluation (subtract, minimum
    image, square, sqrt). *)
@@ -76,7 +57,6 @@ let step_costs (p : params) =
   let single = p.elt_bytes = 4 in
   let acc = p.acceptance in
   let spline_flops = 14. in
-  let tb = tile_stream_boost p.tile in
   match p.layout with
   | `Otf ->
       [
@@ -119,7 +99,7 @@ let step_costs (p : params) =
           flops = p.nlpp_evals *. 64. *. m *. 2.;
           bytes = p.nlpp_evals *. 64. *. m *. 4.;
           eff = 0.10;
-          stream = 0.52 *. tb;
+          stream = 0.52;
           vectorized = true;
           single = true;
           level = Dram;
@@ -129,7 +109,7 @@ let step_costs (p : params) =
           flops = n *. 64. *. m *. 20.;
           bytes = n *. 64. *. m *. 4.;
           eff = 0.13;
-          stream = 0.27 *. tb;
+          stream = 0.27;
           vectorized = true;
           single = true;
           level = Dram;
@@ -139,7 +119,7 @@ let step_costs (p : params) =
           flops = (n *. 64. *. m *. 20.) +. (n *. 10. *. m);
           bytes = n *. ((64. *. m *. 4.) +. (m *. s));
           eff = 0.13;
-          stream = 0.27 *. tb;
+          stream = 0.27;
           vectorized = true;
           single = true;
           level = Dram;
@@ -203,7 +183,7 @@ let step_costs (p : params) =
           flops = p.nlpp_evals *. 64. *. m *. 2.;
           bytes = p.nlpp_evals *. 64. *. m *. 4.;
           eff = 0.08;
-          stream = 0.4 *. tb;
+          stream = 0.4;
           vectorized = true;
           single = true;
           level = Dram;
@@ -213,7 +193,7 @@ let step_costs (p : params) =
           flops = n *. 64. *. m *. 20.;
           bytes = n *. 64. *. m *. 4. *. 2.5 (* AoS outputs spill *);
           eff = 0.08;
-          stream = 0.4 *. tb;
+          stream = 0.4;
           vectorized = true;
           single = true;
           level = Dram;
@@ -223,7 +203,7 @@ let step_costs (p : params) =
           flops = (n *. 64. *. m *. 20.) +. (n *. 10. *. m);
           bytes = n *. ((64. *. m *. 4. *. 2.5) +. (m *. s));
           eff = 0.08;
-          stream = 0.4 *. tb;
+          stream = 0.4;
           vectorized = true;
           single = true;
           level = Dram;

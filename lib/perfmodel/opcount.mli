@@ -26,16 +26,13 @@ type params = {
   acceptance : float;
   nlpp_evals : float;
   tile : int;
-      (** orbitals per block of the B-spline table; 0 = one block *)
+      (** ignored: the B-spline table is one array.  A shim kept only
+          because [perfbench/src/driver.ml] builds this record with
+          [tile = 0]; delete it with the next change to that driver. *)
 }
 
 val default_acceptance : float
 val dist_flops : float
-
-val tile_stream_boost : int -> float
-(** Effective-bandwidth factor of a tiled orbital table relative to one
-    tile, applied to the B-spline kernels' [stream] constant; 1.0 at
-    tile = 0 (one tile), peaking near tile = 32..64. *)
 
 val step_costs : params -> kernel_cost list
 (** One entry per kernel of the paper's profiles. *)

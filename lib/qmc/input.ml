@@ -39,8 +39,7 @@ type t = {
       (* Jastrow radial-spline coefficients; None = follow precision *)
   precision_inv : [ `F32 | `F64 ] option;
       (* inverse / delayed-update storage; None = follow precision *)
-  tile : int; (* orbitals per orbital-table block; 0 = one block *)
-  autotune : bool; (* model-driven crowd/delay/grain/tile selection *)
+  autotune : bool; (* model-driven crowd/delay/grain selection *)
   nlpp : bool;
   seed : int;
   checkpoint : string option;
@@ -54,7 +53,6 @@ type t = {
   elastic : bool; (* elastic rank membership + async checkpoints *)
   gen_deadline_ms : int; (* soft generation budget; 0 = lockstep *)
   straggler_policy : string; (* warn | steal | quarantine *)
-  plan : string; (* exchange planning: count (even split) | load *)
   trace : string option; (* Chrome trace_event JSON output *)
   telemetry : string option; (* per-generation JSONL output *)
   telemetry_every : int;
@@ -78,7 +76,6 @@ let default =
     precision_dt = None;
     precision_jastrow = None;
     precision_inv = None;
-    tile = 0;
     autotune = false;
     nlpp = false;
     seed = 1;
@@ -93,7 +90,6 @@ let default =
     elastic = false;
     gen_deadline_ms = 0;
     straggler_policy = "warn";
-    plan = "count";
     trace = None;
     telemetry = None;
     telemetry_every = 1;
@@ -162,10 +158,6 @@ let apply cfg ~line key value =
       }
   | "precision_inv" ->
       { cfg with precision_inv = parse_precision line "precision_inv" value }
-  | "tile" ->
-      let v = parse_int line value in
-      if v < 0 then fail line "tile must be >= 0, got %d" v;
-      { cfg with tile = v }
   | "autotune" -> { cfg with autotune = parse_bool line value }
   | "nlpp" -> { cfg with nlpp = parse_bool line value }
   | "seed" -> { cfg with seed = parse_int line value }
@@ -190,10 +182,6 @@ let apply cfg ~line key value =
           fail line
             "straggler_policy must be warn, steal or quarantine, got %S"
             other)
-  | "plan" -> (
-      match String.lowercase_ascii value with
-      | ("count" | "load") as p -> { cfg with plan = p }
-      | other -> fail line "plan must be count or load, got %S" other)
   | "trace" -> { cfg with trace = Some value }
   | "telemetry" -> { cfg with telemetry = Some value }
   | "telemetry_every" -> { cfg with telemetry_every = parse_int line value }
@@ -258,7 +246,6 @@ let canonical cfg =
   put "precision_dt" (prec_str cfg.precision_dt);
   put "precision_jastrow" (prec_str cfg.precision_jastrow);
   put "precision_inv" (prec_str cfg.precision_inv);
-  put "tile" (string_of_int cfg.tile);
   put "autotune" (string_of_bool cfg.autotune);
   put "nlpp" (string_of_bool cfg.nlpp);
   put "seed" (string_of_int cfg.seed);
@@ -267,7 +254,6 @@ let canonical cfg =
   put "elastic" (string_of_bool cfg.elastic);
   put "gen_deadline_ms" (string_of_int cfg.gen_deadline_ms);
   put "straggler_policy" cfg.straggler_policy;
-  put "plan" cfg.plan;
   Buffer.contents b
 
 let deck_hash cfg = Digest.to_hex (Digest.string (canonical cfg))

@@ -34,14 +34,9 @@ type t = {
   precision_inv : [ `F32 | `F64 ] option;
       (** Inverse-matrix / delayed-update panel storage precision;
           [None] follows [precision]. *)
-  tile : int;
-      (** Orbitals per block of the B-spline orbital table; 0 (the
-          default) is one block of every orbital, unless
-          [autotune = true] picks a tile.  Values < 0 are rejected. *)
   autotune : bool;
-      (** [autotune = true] lets {!Oqmc_autotune} pick crowd, delay,
-          grain and orbital tile from the roofline/memory model before
-          the run starts *)
+      (** [autotune = true] lets {!Oqmc_autotune} pick crowd, delay and
+          grain from the roofline/memory model before the run starts *)
   nlpp : bool;
   seed : int;
   checkpoint : string option;
@@ -67,11 +62,6 @@ type t = {
   straggler_policy : string;
       (** ["warn"], ["steal"] or ["quarantine"] (validated at parse
           time) *)
-  plan : string;
-      (** exchange planning mode: ["count"] (even split, the default,
-          bit-identical to the historical planner) or ["load"]
-          (throughput-proportional split from the per-rank ledger).
-          Result-determining, so it is part of the canonical deck *)
   trace : string option;
       (** write a Chrome trace_event JSON timeline here (load it in
           Perfetto / chrome://tracing) *)

@@ -167,54 +167,18 @@ let drain t =
 
 type move = { src : int; dst : int; count : int }
 
-(* Ideal per-shard targets.  Unweighted: the even split with the
-   remainder on the lowest indices — this arm is the pre-existing
-   formula, untouched, so default planning stays bit-identical.
-   Weighted: targets proportional to the (positive) weights, integerized
-   by largest-remainder rounding with ties to the lower index, so the
-   split is deterministic and sums exactly to [total]. *)
-let ideal_targets ?weights counts total =
-  let k = Array.length counts in
-  match weights with
-  | None ->
-      let per = total / k and extra = total mod k in
-      Array.init k (fun i -> per + if i < extra then 1 else 0)
-  | Some w ->
-      if Array.length w <> k then
-        invalid_arg "Population.plan: weights length mismatch";
-      Array.iter
-        (fun x ->
-          if not (Float.is_finite x) || x <= 0. then
-            invalid_arg "Population.plan: weights must be finite and positive")
-        w;
-      let wsum = Array.fold_left ( +. ) 0. w in
-      let exact = Array.map (fun x -> float_of_int total *. x /. wsum) w in
-      let base = Array.map (fun x -> int_of_float (Float.floor x)) exact in
-      let rem = max 0 (total - Array.fold_left ( + ) 0 base) in
-      let idx = Array.init k (fun i -> i) in
-      let frac i = exact.(i) -. float_of_int base.(i) in
-      Array.sort
-        (fun a b ->
-          match compare (frac b) (frac a) with 0 -> compare a b | c -> c)
-        idx;
-      for j = 0 to min rem k - 1 do
-        base.(idx.(j)) <- base.(idx.(j)) + 1
-      done;
-      base
-
 (* Deterministic all-to-ideal rebalancing plan: [counts.(i)] walkers
-   currently live on shard [i]; surplus shards (ascending) are matched
-   greedily against deficit shards (ascending).  Σsurplus = Σdeficit, so
-   the recursion exhausts both lists together.  [weights] switches the
-   ideal from the even split to a throughput-proportional one (the
-   [plan = load] deck mode). *)
-let plan ?weights counts =
+   currently live on shard [i]; the ideal is the even split with the
+   remainder on the lowest indices.  Surplus shards (ascending) are
+   matched greedily against deficit shards (ascending).  Σsurplus =
+   Σdeficit, so the recursion exhausts both lists together. *)
+let plan counts =
   let k = Array.length counts in
   if k = 0 then []
   else begin
     let total = Array.fold_left ( + ) 0 counts in
-    let targets = ideal_targets ?weights counts total in
-    let ideal i = targets.(i) in
+    let per = total / k and extra = total mod k in
+    let ideal i = per + if i < extra then 1 else 0 in
     let surplus = ref [] and deficit = ref [] in
     for i = k - 1 downto 0 do
       let diff = counts.(i) - ideal i in

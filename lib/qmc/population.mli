@@ -71,14 +71,8 @@ val drain : t -> Walker.t list
 
 type move = { src : int; dst : int; count : int }
 
-val plan : ?weights:float array -> int array -> move list
-(** Deterministic rebalancing plan toward the ideal split: surplus
-    shards (ascending index) matched against deficit shards (ascending
-    index).  Without [weights] the ideal is the even split (remainder on
-    the lowest indices) — unchanged, bit-identical behaviour.  With
-    [weights] (one positive relative speed per shard) the ideal is
-    throughput-proportional, integerized by largest-remainder rounding
-    with ties to the lower index.
-    @raise Invalid_argument on a length mismatch or non-positive
-    weight. *)
+val plan : int array -> move list
+(** Deterministic rebalancing plan toward the even split (remainder on
+    the lowest indices): surplus shards (ascending index) matched
+    against deficit shards (ascending index). *)
 

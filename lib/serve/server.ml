@@ -65,16 +65,6 @@ let default_config =
 
 (* ---------- the runner child ---------- *)
 
-let make_system name reduction with_nlpp precision seed =
-  match String.lowercase_ascii name with
-  | "harmonic" -> Validation.harmonic ~n:6 ~omega:1.0
-  | "hydrogen" -> Validation.hydrogen ()
-  | "heg" -> Validation.electron_gas ~n_up:8 ~n_down:8 ~box:6.0 ()
-  | _ ->
-      let table_prec = match precision with Some `F64 -> `F64 | _ -> `F32 in
-      Builder.make ~seed ~with_nlpp ~reduction ~precision:table_prec
-        (Spec.find name)
-
 let outcome_of_job (o : Supervisor.job_outcome) : Job.outcome =
   let r = o.Supervisor.job_result in
   {
@@ -124,13 +114,19 @@ let exec_runner cfg (spec : Job.spec) wfd =
     try
      let d = Input.parse_string spec.Job.deck in
      let sys =
-       make_system d.Input.workload d.Input.reduction d.Input.nlpp
-         d.Input.precision d.Input.seed
+       Builder.named ~seed:d.Input.seed ~reduction:d.Input.reduction
+         ~with_nlpp:d.Input.nlpp ~precision:d.Input.precision
+         d.Input.workload
      in
+     (* Every precision override reaches the engines, as in oqmc_run:
+        they are part of the deck hash, so a cached result must have
+        run with them. *)
      let factory =
        Build.factory
          ?delay:(if d.Input.delay <= 1 then None else Some d.Input.delay)
-         ?precision:d.Input.precision ~variant:d.Input.variant
+         ?precision:d.Input.precision ?precision_dt:d.Input.precision_dt
+         ?precision_jastrow:d.Input.precision_jastrow
+         ?precision_inv:d.Input.precision_inv ~variant:d.Input.variant
          ~seed:d.Input.seed sys
      in
      match d.Input.method_ with
@@ -161,11 +157,6 @@ let exec_runner cfg (spec : Job.spec) wfd =
          let stop () = !drain || !suspend in
          let snap = Filename.concat cfg.dir "snap" in
          let snapshot = Filename.concat snap spec.Job.id in
-         let plan =
-           match Supervisor.plan_mode_of_string d.Input.plan with
-           | Some pm -> pm
-           | None -> Supervisor.Count_level
-         in
          (* Efficiency audit: project the calibrated roofline for this
             run shape once, then refresh the [audit.*] gauges at every
             ledger window so the status snapshot (and any Status query)
@@ -197,7 +188,6 @@ let exec_runner cfg (spec : Job.spec) wfd =
              seed = d.Input.seed + 1;
              n_domains = d.Input.domains;
              crowd = d.Input.crowd;
-             plan;
              (* Live introspection: the runner keeps a ~4 Hz status
                 snapshot next to its job snapshots (the daemon's Status
                 endpoint reads it) and dumps a flight-recorder

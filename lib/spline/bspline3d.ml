@@ -3,16 +3,13 @@ open Oqmc_containers
 (* Periodic tricubic B-spline tables for single-particle orbitals.
 
    This is the Bspline-SPO engine (Bspline-v / Bspline-vgh kernels of the
-   paper).  The orbitals are split into blocks of [tile] consecutive
-   orbitals (the paper's future-work AoSoA tiling, after Mathuriya et
-   al. IPDPS'17); each block is one grid-major coefficient array with the
-   orbital index innermost, so the hot loops stream the block's
-   consecutive coefficients per (i,j,k) stencil point — einspline's
-   multi-spline layout.  [tile = 0] (the default) is one block holding
-   every orbital: exactly einspline's flat table.  Coefficients are
-   stored at the build's storage precision (single precision for every
-   variant since QMCPACK 3.0.0, per the paper); accumulation happens in
-   double-precision buffers owned by the caller.
+   paper).  All orbitals live in one grid-major coefficient array with
+   the orbital index innermost, so the hot loops stream consecutive
+   coefficients per (i,j,k) stencil point — einspline's flat
+   multi-spline table.  Coefficients are stored at the build's storage
+   precision (single precision for every variant since QMCPACK 3.0.0,
+   per the paper); accumulation happens in double-precision buffers
+   owned by the caller.
 
    Positions are fractional supercell coordinates s ∈ [0,1)³; derivatives
    are returned with respect to s.  The SPO wrapper applies the lattice
@@ -23,19 +20,15 @@ open Oqmc_containers
    so the stencil never needs a modulo.
 
    Every kernel accumulates orbital m over the 64 stencil points in the
-   same (a,b,c) order with the same weight-product expressions, whatever
-   block holds m, so the block partition never changes a result. *)
+   same (a,b,c) order with the same weight-product expressions, so the
+   scalar and batched kernels agree bit for bit on the double path. *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
 
-  (* Orbitals [off, off + width) of the table, at stride [orb_stride]
-     per grid point. *)
-  type block = { coeffs : A.t; off : int; width : int; orb_stride : int }
-
   type t = {
-    blocks : block array;
-    tile : int; (* orbitals per block; the last block may be narrower *)
+    coeffs : A.t;
+    orb_stride : int; (* n_orb padded to the SIMD width *)
     nx : int;
     ny : int;
     nz : int;
@@ -87,44 +80,34 @@ module Make (R : Precision.REAL) = struct
     vouts : float array array;
   }
 
-  let create ?(tile = 0) ~nx ~ny ~nz ~n_orb () =
+  let create ~nx ~ny ~nz ~n_orb () =
     if nx < 4 || ny < 4 || nz < 4 then
       invalid_arg "Bspline3d.create: grid must be at least 4 per dimension";
     if n_orb < 1 then invalid_arg "Bspline3d.create: n_orb < 1";
-    if tile < 0 then invalid_arg "Bspline3d.create: tile < 0";
-    let tile = if tile = 0 || tile > n_orb then n_orb else tile in
+    let orb_stride = A.padded_len n_orb in
     let points = (nx + 3) * (ny + 3) * (nz + 3) in
-    let blocks =
-      Array.init ((n_orb + tile - 1) / tile) (fun b ->
-          let off = b * tile in
-          let width = min tile (n_orb - off) in
-          let orb_stride = A.padded_len width in
-          { coeffs = A.create (points * orb_stride); off; width; orb_stride })
-    in
-    { blocks; tile; nx; ny; nz; n_orb; cy = ny + 3; cz = nz + 3 }
+    { coeffs = A.create (points * orb_stride); orb_stride; nx; ny; nz; n_orb;
+      cy = ny + 3; cz = nz + 3 }
 
   let n_orb t = t.n_orb
-  let n_blocks t = Array.length t.blocks
-  let bytes t = Array.fold_left (fun acc b -> acc + A.bytes b.coeffs) 0 t.blocks
+  let bytes t = A.bytes t.coeffs
 
   let make_vgh_buf t =
     let z () = Array.make t.n_orb 0. in
     { v = z (); gx = z (); gy = z (); gz = z (); hxx = z (); hxy = z ();
       hxz = z (); hyy = z (); hyz = z (); hzz = z () }
 
-  let block_of t orb =
+  let check_orb t orb =
     if orb < 0 || orb >= t.n_orb then
-      invalid_arg "Bspline3d: orbital out of range";
-    t.blocks.(orb / t.tile)
+      invalid_arg "Bspline3d: orbital out of range"
 
-  let index t blk i j k m = ((((i * t.cy) + j) * t.cz) + k) * blk.orb_stride + m
+  let index t i j k m = ((((i * t.cy) + j) * t.cz) + k) * t.orb_stride + m
 
   (* Write a base coefficient (i < nx etc.) and its wrap duplicates. *)
   let set_base t ~orb ~i ~j ~k value =
     if i < 0 || i >= t.nx || j < 0 || j >= t.ny || k < 0 || k >= t.nz then
       invalid_arg "Bspline3d.set_base: index out of base grid";
-    let blk = block_of t orb in
-    let m = orb - blk.off in
+    check_orb t orb;
     let is = if i < 3 then [ i; i + t.nx ] else [ i ] in
     let js = if j < 3 then [ j; j + t.ny ] else [ j ] in
     let ks = if k < 3 then [ k; k + t.nz ] else [ k ] in
@@ -133,14 +116,14 @@ module Make (R : Precision.REAL) = struct
         List.iter
           (fun jj ->
             List.iter
-              (fun kk -> A.set blk.coeffs (index t blk ii jj kk m) value)
+              (fun kk -> A.set t.coeffs (index t ii jj kk orb) value)
               ks)
           js)
       is
 
   let get_base t ~orb ~i ~j ~k =
-    let blk = block_of t orb in
-    A.get blk.coeffs (index t blk i j k (orb - blk.off))
+    check_orb t orb;
+    A.get t.coeffs (index t i j k orb)
 
   let fill t f =
     for i = 0 to t.nx - 1 do
@@ -252,12 +235,11 @@ module Make (R : Precision.REAL) = struct
 
   (* ---------- scalar kernels ----------
 
-     One position per call; each block is accumulated straight into the
-     caller's full-width buffer at the block's orbital offset, so the
-     only mutable state is the caller's and concurrent calls on a shared
-     table are safe.  These are the production path for scalar sweeps and
-     NLPP quadrature, and the oracle the batched kernels are tested
-     against. *)
+     One position per call, accumulated straight into the caller's
+     buffer, so the only mutable state is the caller's and concurrent
+     calls on a shared table are safe.  These are the production path
+     for scalar sweeps and NLPP quadrature, and the oracle the batched
+     kernels are tested against. *)
 
   (* Bspline-v: values of all orbitals at s = (u0,u1,u2). *)
   let eval_v t ~u0 ~u1 ~u2 (out : float array) =
@@ -268,19 +250,16 @@ module Make (R : Precision.REAL) = struct
     let wy = weights_of Bspline_basis.value ty in
     let wz = weights_of Bspline_basis.value tz in
     Array.fill out 0 t.n_orb 0.;
-    for bi = 0 to Array.length t.blocks - 1 do
-      let { coeffs; off; width; orb_stride } = t.blocks.(bi) in
-      for a = 0 to 3 do
-        for b = 0 to 3 do
-          let wab = wx.(a) *. wy.(b) in
-          let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
-          for c = 0 to 3 do
-            let p = wab *. wz.(c) in
-            let base = (row + c) * orb_stride in
-            for m = 0 to width - 1 do
-              let o = off + m in
-              out.(o) <- out.(o) +. (p *. A.unsafe_get coeffs (base + m))
-            done
+    let coeffs = t.coeffs and orb_stride = t.orb_stride in
+    for a = 0 to 3 do
+      for b = 0 to 3 do
+        let wab = wx.(a) *. wy.(b) in
+        let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
+        for c = 0 to 3 do
+          let p = wab *. wz.(c) in
+          let base = (row + c) * orb_stride in
+          for m = 0 to t.n_orb - 1 do
+            out.(m) <- out.(m) +. (p *. A.unsafe_get coeffs (base + m))
           done
         done
       done
@@ -301,40 +280,37 @@ module Make (R : Precision.REAL) = struct
     let sy = weights_of Bspline_basis.second ty in
     let sz = weights_of Bspline_basis.second tz in
     zero_vgh buf t.n_orb;
-    for bi = 0 to Array.length t.blocks - 1 do
-      let { coeffs; off; width; orb_stride } = t.blocks.(bi) in
-      for a = 0 to 3 do
-        for b = 0 to 3 do
-          let wxa = wx.(a) and dxa = dx.(a) and sxa = sx.(a) in
-          let wyb = wy.(b) and dyb = dy.(b) and syb = sy.(b) in
-          let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
-          for c = 0 to 3 do
-            let wzc = wz.(c) and dzc = dz.(c) and szc = sz.(c) in
-            let p_v = wxa *. wyb *. wzc in
-            let p_gx = dxa *. wyb *. wzc in
-            let p_gy = wxa *. dyb *. wzc in
-            let p_gz = wxa *. wyb *. dzc in
-            let p_hxx = sxa *. wyb *. wzc in
-            let p_hxy = dxa *. dyb *. wzc in
-            let p_hxz = dxa *. wyb *. dzc in
-            let p_hyy = wxa *. syb *. wzc in
-            let p_hyz = wxa *. dyb *. dzc in
-            let p_hzz = wxa *. wyb *. szc in
-            let base = (row + c) * orb_stride in
-            for m = 0 to width - 1 do
-              let cf = A.unsafe_get coeffs (base + m) in
-              let o = off + m in
-              buf.v.(o) <- buf.v.(o) +. (p_v *. cf);
-              buf.gx.(o) <- buf.gx.(o) +. (p_gx *. cf);
-              buf.gy.(o) <- buf.gy.(o) +. (p_gy *. cf);
-              buf.gz.(o) <- buf.gz.(o) +. (p_gz *. cf);
-              buf.hxx.(o) <- buf.hxx.(o) +. (p_hxx *. cf);
-              buf.hxy.(o) <- buf.hxy.(o) +. (p_hxy *. cf);
-              buf.hxz.(o) <- buf.hxz.(o) +. (p_hxz *. cf);
-              buf.hyy.(o) <- buf.hyy.(o) +. (p_hyy *. cf);
-              buf.hyz.(o) <- buf.hyz.(o) +. (p_hyz *. cf);
-              buf.hzz.(o) <- buf.hzz.(o) +. (p_hzz *. cf)
-            done
+    let coeffs = t.coeffs and orb_stride = t.orb_stride in
+    for a = 0 to 3 do
+      for b = 0 to 3 do
+        let wxa = wx.(a) and dxa = dx.(a) and sxa = sx.(a) in
+        let wyb = wy.(b) and dyb = dy.(b) and syb = sy.(b) in
+        let row = (((ix + a) * t.cy) + iy + b) * t.cz + iz in
+        for c = 0 to 3 do
+          let wzc = wz.(c) and dzc = dz.(c) and szc = sz.(c) in
+          let p_v = wxa *. wyb *. wzc in
+          let p_gx = dxa *. wyb *. wzc in
+          let p_gy = wxa *. dyb *. wzc in
+          let p_gz = wxa *. wyb *. dzc in
+          let p_hxx = sxa *. wyb *. wzc in
+          let p_hxy = dxa *. dyb *. wzc in
+          let p_hxz = dxa *. wyb *. dzc in
+          let p_hyy = wxa *. syb *. wzc in
+          let p_hyz = wxa *. dyb *. dzc in
+          let p_hzz = wxa *. wyb *. szc in
+          let base = (row + c) * orb_stride in
+          for m = 0 to t.n_orb - 1 do
+            let cf = A.unsafe_get coeffs (base + m) in
+            buf.v.(m) <- buf.v.(m) +. (p_v *. cf);
+            buf.gx.(m) <- buf.gx.(m) +. (p_gx *. cf);
+            buf.gy.(m) <- buf.gy.(m) +. (p_gy *. cf);
+            buf.gz.(m) <- buf.gz.(m) +. (p_gz *. cf);
+            buf.hxx.(m) <- buf.hxx.(m) +. (p_hxx *. cf);
+            buf.hxy.(m) <- buf.hxy.(m) +. (p_hxy *. cf);
+            buf.hxz.(m) <- buf.hxz.(m) +. (p_hxz *. cf);
+            buf.hyy.(m) <- buf.hyy.(m) +. (p_hyy *. cf);
+            buf.hyz.(m) <- buf.hyz.(m) +. (p_hyz *. cf);
+            buf.hzz.(m) <- buf.hzz.(m) +. (p_hzz *. cf)
           done
         done
       done
@@ -346,8 +322,8 @@ module Make (R : Precision.REAL) = struct
      The batched entry points take [n] fractional positions (one per
      walker of the crowd).  Per slot, the stencil origin and 1-D weights
      are staged once into the arena (and, for vgh, the 64×10 weight
-     products), then every block is accumulated straight from its
-     coefficient bigarray into the slot's full-width result buffer.
+     products), then the table is accumulated straight from its
+     coefficient bigarray into the slot's result buffer.
      Per walker the arithmetic (expressions and accumulation order) is
      exactly that of the scalar kernels, so the double path is
      bit-identical to [n] scalar calls.  Zero allocation throughout. *)
@@ -429,7 +405,7 @@ module Make (R : Precision.REAL) = struct
 
   (* The 64×10 vgh weight products of the staged slot, field order
      v,gx,gy,gz,hxx,hxy,hxz,hyy,hyz,hzz — the exact expressions of
-     [eval_vgh], computed once per slot instead of once per block. *)
+     [eval_vgh], computed once per slot and read by the accumulation. *)
   let stage_products (b : vgh_batch) =
     let prod = b.prod in
     let q = ref 0 in
@@ -455,7 +431,7 @@ module Make (R : Precision.REAL) = struct
       done
     done
 
-  (* Kind-specialized accumulation of one block.  Reading a bigarray whose
+  (* Kind-specialized accumulation of the table.  Reading a bigarray whose
      element kind is only known through the functor argument goes
      through an indirect call that boxes every float it returns; matching
      the kind GADT once recovers the static kind, so these twins compile
@@ -464,7 +440,7 @@ module Make (R : Precision.REAL) = struct
   let accum_vgh_f64
       (coeffs : (float, Bigarray.float64_elt, Bigarray.c_layout)
                   Bigarray.Array1.t) (prod : float array) (org : int array)
-      (buf : vgh_buf) ~off ~width ~cy ~cz ~orb_stride =
+      (buf : vgh_buf) ~width ~cy ~cz ~orb_stride =
     let ix = org.(0) and iy = org.(1) and iz = org.(2) in
     let q = ref 0 in
     for a = 0 to 3 do
@@ -485,17 +461,16 @@ module Make (R : Precision.REAL) = struct
           let base = (row + c) * orb_stride in
           for m = 0 to width - 1 do
             let cf = Bigarray.Array1.unsafe_get coeffs (base + m) in
-            let o = off + m in
-            buf.v.(o) <- buf.v.(o) +. (p_v *. cf);
-            buf.gx.(o) <- buf.gx.(o) +. (p_gx *. cf);
-            buf.gy.(o) <- buf.gy.(o) +. (p_gy *. cf);
-            buf.gz.(o) <- buf.gz.(o) +. (p_gz *. cf);
-            buf.hxx.(o) <- buf.hxx.(o) +. (p_hxx *. cf);
-            buf.hxy.(o) <- buf.hxy.(o) +. (p_hxy *. cf);
-            buf.hxz.(o) <- buf.hxz.(o) +. (p_hxz *. cf);
-            buf.hyy.(o) <- buf.hyy.(o) +. (p_hyy *. cf);
-            buf.hyz.(o) <- buf.hyz.(o) +. (p_hyz *. cf);
-            buf.hzz.(o) <- buf.hzz.(o) +. (p_hzz *. cf)
+            buf.v.(m) <- buf.v.(m) +. (p_v *. cf);
+            buf.gx.(m) <- buf.gx.(m) +. (p_gx *. cf);
+            buf.gy.(m) <- buf.gy.(m) +. (p_gy *. cf);
+            buf.gz.(m) <- buf.gz.(m) +. (p_gz *. cf);
+            buf.hxx.(m) <- buf.hxx.(m) +. (p_hxx *. cf);
+            buf.hxy.(m) <- buf.hxy.(m) +. (p_hxy *. cf);
+            buf.hxz.(m) <- buf.hxz.(m) +. (p_hxz *. cf);
+            buf.hyy.(m) <- buf.hyy.(m) +. (p_hyy *. cf);
+            buf.hyz.(m) <- buf.hyz.(m) +. (p_hyz *. cf);
+            buf.hzz.(m) <- buf.hzz.(m) +. (p_hzz *. cf)
           done;
           q := p + 10
         done
@@ -505,7 +480,7 @@ module Make (R : Precision.REAL) = struct
   let accum_vgh_f32
       (coeffs : (float, Bigarray.float32_elt, Bigarray.c_layout)
                   Bigarray.Array1.t) (prod : float array) (org : int array)
-      (buf : vgh_buf) ~off ~width ~cy ~cz ~orb_stride =
+      (buf : vgh_buf) ~width ~cy ~cz ~orb_stride =
     let ix = org.(0) and iy = org.(1) and iz = org.(2) in
     let q = ref 0 in
     for a = 0 to 3 do
@@ -526,17 +501,16 @@ module Make (R : Precision.REAL) = struct
           let base = (row + c) * orb_stride in
           for m = 0 to width - 1 do
             let cf = Bigarray.Array1.unsafe_get coeffs (base + m) in
-            let o = off + m in
-            buf.v.(o) <- buf.v.(o) +. (p_v *. cf);
-            buf.gx.(o) <- buf.gx.(o) +. (p_gx *. cf);
-            buf.gy.(o) <- buf.gy.(o) +. (p_gy *. cf);
-            buf.gz.(o) <- buf.gz.(o) +. (p_gz *. cf);
-            buf.hxx.(o) <- buf.hxx.(o) +. (p_hxx *. cf);
-            buf.hxy.(o) <- buf.hxy.(o) +. (p_hxy *. cf);
-            buf.hxz.(o) <- buf.hxz.(o) +. (p_hxz *. cf);
-            buf.hyy.(o) <- buf.hyy.(o) +. (p_hyy *. cf);
-            buf.hyz.(o) <- buf.hyz.(o) +. (p_hyz *. cf);
-            buf.hzz.(o) <- buf.hzz.(o) +. (p_hzz *. cf)
+            buf.v.(m) <- buf.v.(m) +. (p_v *. cf);
+            buf.gx.(m) <- buf.gx.(m) +. (p_gx *. cf);
+            buf.gy.(m) <- buf.gy.(m) +. (p_gy *. cf);
+            buf.gz.(m) <- buf.gz.(m) +. (p_gz *. cf);
+            buf.hxx.(m) <- buf.hxx.(m) +. (p_hxx *. cf);
+            buf.hxy.(m) <- buf.hxy.(m) +. (p_hxy *. cf);
+            buf.hxz.(m) <- buf.hxz.(m) +. (p_hxz *. cf);
+            buf.hyy.(m) <- buf.hyy.(m) +. (p_hyy *. cf);
+            buf.hyz.(m) <- buf.hyz.(m) +. (p_hyz *. cf);
+            buf.hzz.(m) <- buf.hzz.(m) +. (p_hzz *. cf)
           done;
           q := p + 10
         done
@@ -544,18 +518,18 @@ module Make (R : Precision.REAL) = struct
     done
 
   let accum_vgh :
-      A.t -> float array -> int array -> vgh_buf -> off:int -> width:int ->
-      cy:int -> cz:int -> orb_stride:int -> unit =
+      A.t -> float array -> int array -> vgh_buf -> width:int -> cy:int ->
+      cz:int -> orb_stride:int -> unit =
     match R.kind with
     | Bigarray.Float64 -> accum_vgh_f64
     | Bigarray.Float32 -> accum_vgh_f32
 
   (* Value twins; the value products are three mults per stencil point,
-     cheap enough to recompute per block. *)
+     cheap enough to compute inline. *)
   let accum_v_f64
       (coeffs : (float, Bigarray.float64_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (b : v_batch) (out : float array) ~off
-      ~width ~cy ~cz ~orb_stride =
+                  Bigarray.Array1.t) (b : v_batch) (out : float array) ~width
+      ~cy ~cz ~orb_stride =
     let ix = b.vorg.(0) and iy = b.vorg.(1) and iz = b.vorg.(2) in
     for a = 0 to 3 do
       for bb = 0 to 3 do
@@ -565,9 +539,8 @@ module Make (R : Precision.REAL) = struct
           let p = wab *. b.vwz.(c) in
           let base = (row + c) * orb_stride in
           for m = 0 to width - 1 do
-            let o = off + m in
-            out.(o) <-
-              out.(o) +. (p *. Bigarray.Array1.unsafe_get coeffs (base + m))
+            out.(m) <-
+              out.(m) +. (p *. Bigarray.Array1.unsafe_get coeffs (base + m))
           done
         done
       done
@@ -575,8 +548,8 @@ module Make (R : Precision.REAL) = struct
 
   let accum_v_f32
       (coeffs : (float, Bigarray.float32_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (b : v_batch) (out : float array) ~off
-      ~width ~cy ~cz ~orb_stride =
+                  Bigarray.Array1.t) (b : v_batch) (out : float array) ~width
+      ~cy ~cz ~orb_stride =
     let ix = b.vorg.(0) and iy = b.vorg.(1) and iz = b.vorg.(2) in
     for a = 0 to 3 do
       for bb = 0 to 3 do
@@ -586,17 +559,16 @@ module Make (R : Precision.REAL) = struct
           let p = wab *. b.vwz.(c) in
           let base = (row + c) * orb_stride in
           for m = 0 to width - 1 do
-            let o = off + m in
-            out.(o) <-
-              out.(o) +. (p *. Bigarray.Array1.unsafe_get coeffs (base + m))
+            out.(m) <-
+              out.(m) +. (p *. Bigarray.Array1.unsafe_get coeffs (base + m))
           done
         done
       done
     done
 
   let accum_v :
-      A.t -> v_batch -> float array -> off:int -> width:int -> cy:int ->
-      cz:int -> orb_stride:int -> unit =
+      A.t -> v_batch -> float array -> width:int -> cy:int -> cz:int ->
+      orb_stride:int -> unit =
     match R.kind with
     | Bigarray.Float64 -> accum_v_f64
     | Bigarray.Float32 -> accum_v_f32
@@ -626,11 +598,8 @@ module Make (R : Precision.REAL) = struct
       stage_products b;
       let buf = b.outs.(s) in
       zero_vgh buf t.n_orb;
-      for bi = 0 to Array.length t.blocks - 1 do
-        let blk = t.blocks.(bi) in
-        accum_vgh blk.coeffs b.prod b.org buf ~off:blk.off ~width:blk.width
-          ~cy:t.cy ~cz:t.cz ~orb_stride:blk.orb_stride
-      done;
+      accum_vgh t.coeffs b.prod b.org buf ~width:t.n_orb ~cy:t.cy ~cz:t.cz
+        ~orb_stride:t.orb_stride;
       scale_vgh t buf
     done
 
@@ -646,11 +615,8 @@ module Make (R : Precision.REAL) = struct
       put_value b.vwz;
       let out = b.vouts.(s) in
       Array.fill out 0 t.n_orb 0.;
-      for bi = 0 to Array.length t.blocks - 1 do
-        let blk = t.blocks.(bi) in
-        accum_v blk.coeffs b out ~off:blk.off ~width:blk.width ~cy:t.cy
-          ~cz:t.cz ~orb_stride:blk.orb_stride
-      done
+      accum_v t.coeffs b out ~width:t.n_orb ~cy:t.cy ~cz:t.cz
+        ~orb_stride:t.orb_stride
     done
 
   (* Analytic size of a table in bytes for workloads too big to allocate

@@ -2,15 +2,12 @@ open Oqmc_containers
 
 (** Periodic tricubic B-spline tables holding all single-particle orbitals
     on one shared grid — the paper's Bspline-v / Bspline-vgh kernels.
-    The orbitals are split into blocks of [tile] orbitals (the paper's
-    future-work AoSoA tiling), each block a grid-major array with the
-    orbital index innermost (einspline's multi-spline layout); one block
-    of every orbital is einspline's flat table.  Coefficients live at the
-    build's storage precision; accumulation is in double.  Positions are
-    fractional supercell coordinates [s ∈ [0,1)³] and derivatives are
-    with respect to [s]; the SPO layer applies the lattice metric.  The
-    block partition never changes a result: every kernel accumulates each
-    orbital in the same order whatever block holds it. *)
+    All orbitals share one grid-major coefficient array with the orbital
+    index innermost (einspline's flat multi-spline table).  Coefficients
+    live at the build's storage precision; accumulation is in double.
+    Positions are fractional supercell coordinates [s ∈ [0,1)³] and
+    derivatives are with respect to [s]; the SPO layer applies the
+    lattice metric. *)
 
 module Make (R : Precision.REAL) : sig
   module A : module type of Aligned.Make (R)
@@ -30,15 +27,12 @@ module Make (R : Precision.REAL) : sig
     hzz : float array;
   }
 
-  val create : ?tile:int -> nx:int -> ny:int -> nz:int -> n_orb:int -> unit -> t
-  (** Zero table on an [nx × ny × nz] periodic grid, in blocks of [tile]
-      orbitals (the last block may be narrower).  [tile = 0] (the
-      default) or [tile >= n_orb] is one block of [n_orb] orbitals.
-      @raise Invalid_argument if any dimension is below 4, [n_orb < 1]
-      or [tile < 0]. *)
+  val create : nx:int -> ny:int -> nz:int -> n_orb:int -> unit -> t
+  (** Zero table of [n_orb] orbitals on an [nx × ny × nz] periodic grid.
+      @raise Invalid_argument if any dimension is below 4 or
+      [n_orb < 1]. *)
 
   val n_orb : t -> int
-  val n_blocks : t -> int
 
   val bytes : t -> int
   (** Allocated coefficient storage. *)
@@ -98,7 +92,7 @@ module Make (R : Precision.REAL) : sig
     unit
   (** Batched Bspline-vgh over the first [n] fractional positions into
       [outs.(0..n-1)]: per slot the stencil and weight products are
-      staged once, then every block is accumulated straight from its
+      staged once, then the table is accumulated straight from its
       coefficient array, with zero allocation.  Per walker the arithmetic
       matches {!eval_vgh} exactly (bit-identical on the double path).
       @raise Invalid_argument if [n > cap]. *)

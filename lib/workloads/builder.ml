@@ -10,8 +10,8 @@ open Oqmc_core
    The paper's DFT-generated orbital tables and pseudopotentials are
    proprietary inputs; per the substitution rule the builder synthesizes
    a B-spline table of the right shape filled with deterministic smooth
-   pseudo-random coefficients (kernel cost depends on table dimensions,
-   tiling and precision — not coefficient values) and Gaussian-shell
+   pseudo-random coefficients (kernel cost depends on table dimensions
+   and precision — not coefficient values) and Gaussian-shell
    pseudopotential channels.  [reduction] scales the problem down
    uniformly — electron count, ion count, orbital count and grid — so the
    full PbyP machinery runs in laptop-scale benchmarks while Table 1 and
@@ -75,9 +75,7 @@ let ion_positions (bx, by, bz) n =
    halves table bytes and bandwidth, per the paper's mixed-precision
    scheme) while the coefficient values themselves are computed in
    double either way.  The functor instantiations are precision-erased by
-   [Spo.t]'s runtime closures, so both produce the same System shape.
-   [tile] only partitions the orbitals into blocks; the coefficients, and
-   therefore every f64 evaluation, do not depend on it. *)
+   [Spo.t]'s runtime closures, so both produce the same System shape. *)
 module Spline_builder (R : Precision.REAL) = struct
   module B = Oqmc_spline.Bspline3d.Make (R)
   module SpoB = Spo_bspline.Make (R)
@@ -115,9 +113,9 @@ module Spline_builder (R : Precision.REAL) = struct
         modes.(orb);
       !acc
 
-  let build ~seed ~grid ~n_spo ~tile ~lattice =
+  let build ~seed ~grid ~n_spo ~lattice =
     let nx, ny, nz = grid in
-    let table = B.create ~tile ~nx ~ny ~nz ~n_orb:n_spo () in
+    let table = B.create ~nx ~ny ~nz ~n_orb:n_spo () in
     B.fill table (coeff_fn ~seed ~grid ~n_spo);
     SpoB.create ~table ~lattice
 end
@@ -125,10 +123,10 @@ end
 module Sp32 = Spline_builder (Precision.F32)
 module Sp64 = Spline_builder (Precision.F64)
 
-let synthetic_spo ~precision ~tile ~seed ~grid ~n_spo ~lattice =
+let synthetic_spo ~precision ~seed ~grid ~n_spo ~lattice =
   match precision with
-  | `F32 -> Sp32.build ~seed ~grid ~n_spo ~tile ~lattice
-  | `F64 -> Sp64.build ~seed ~grid ~n_spo ~tile ~lattice
+  | `F32 -> Sp32.build ~seed ~grid ~n_spo ~lattice
+  | `F64 -> Sp64.build ~seed ~grid ~n_spo ~lattice
 
 (* Gaussian-shell pseudopotential channels per species. *)
 let nlpp_channels (species : Spec.species list) =
@@ -156,7 +154,7 @@ let nlpp_channels (species : Spec.species list) =
 
 (* Build the runnable System for a (possibly scaled) workload. *)
 let system ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
-    ?(precision = `F32) ?(tile = 0) (s : scaled) : System.t =
+    ?(precision = `F32) (s : scaled) : System.t =
   let bx, by, bz = s.box in
   let lattice = Lattice.orthorhombic bx by bz in
   let positions = ion_positions s.box s.n_ion in
@@ -180,7 +178,7 @@ let system ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
       species
   in
   let spo =
-    synthetic_spo ~precision ~tile ~seed ~grid:s.grid ~n_spo:s.n_spo ~lattice
+    synthetic_spo ~precision ~seed ~grid:s.grid ~n_spo:s.n_spo ~lattice
   in
   let cutoff = Lattice.wigner_seitz_radius lattice in
   let j2 = if with_jastrow then Some (Jastrow_sets.ee_set ~cutoff) else None in
@@ -205,8 +203,19 @@ let system ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
       ham = { System.coulomb = true; ewald = false; harmonic = None; nlpp };
     }
 
+let named ~seed ~reduction ~with_nlpp ~precision name =
+  match String.lowercase_ascii name with
+  | "harmonic" -> Validation.harmonic ~n:6 ~omega:1.0
+  | "hydrogen" -> Validation.hydrogen ()
+  | "heg" -> Validation.electron_gas ~n_up:8 ~n_down:8 ~box:6.0 ()
+  | _ ->
+      (* Table storage follows the requested working precision; the f32
+         default matches the paper's mixed-precision tables. *)
+      let table_prec = match precision with Some `F64 -> `F64 | _ -> `F32 in
+      system ~seed ~with_nlpp ~precision:table_prec
+        (scale (Spec.find name) ~reduction)
+
 let make ?(seed = 20170101) ?(with_nlpp = true) ?(with_jastrow = true)
-    ?(reduction = 8) ?(precision = `F32) ?layout:_ ?(tile = 0)
-    (spec : Spec.t) : System.t =
-  system ~seed ~with_nlpp ~with_jastrow ~precision ~tile
-    (scale spec ~reduction)
+    ?(reduction = 8) ?(precision = `F32) ?layout:_ ?tile:_ (spec : Spec.t) :
+    System.t =
+  system ~seed ~with_nlpp ~with_jastrow ~precision (scale spec ~reduction)

@@ -7,7 +7,7 @@ open Oqmc_core
     The paper's proprietary DFT orbital tables and pseudopotentials are
     substituted with synthetic equivalents of the right shape
     (deterministic smooth coefficients; Gaussian-shell PP channels) —
-    kernel cost depends on dimensions, tiling and precision, not on
+    kernel cost depends on dimensions and precision, not on
     coefficient values.  [reduction] scales the problem down uniformly so
     the full machinery runs at laptop scale. *)
 
@@ -35,18 +35,26 @@ val system :
   ?with_nlpp:bool ->
   ?with_jastrow:bool ->
   ?precision:[ `F32 | `F64 ] ->
-  ?tile:int ->
   scaled ->
   System.t
 (** [precision] (default [`F32]) selects the storage precision of the
     synthetic B-spline orbital table — coefficient {e values} are
     identical either way ([`F32] rounds them once at store time), so
-    f32-vs-f64 comparisons isolate storage/bandwidth effects.
+    f32-vs-f64 comparisons isolate storage/bandwidth effects. *)
 
-    [tile] (default 0 = one tile of every orbital) sets the orbitals per
-    block of the table ({!Oqmc_spline.Bspline3d.Make.create}).  Every
-    tile holds the same coefficients, so f64 evaluations are
-    bit-identical across tiles. *)
+val named :
+  seed:int ->
+  reduction:int ->
+  with_nlpp:bool ->
+  precision:[ `F32 | `F64 ] option ->
+  string ->
+  System.t
+(** The system a deck's [workload] names: [harmonic], [hydrogen] and
+    [heg] are the {!Validation} systems; anything else is a Table 1
+    name ({!Spec.find}) built at [reduction], its orbital table stored
+    at f64 only when the deck's [precision] override is [Some `F64].
+    The production driver and the serve runner both build through this.
+    @raise Invalid_argument for an unknown name. *)
 
 val make :
   ?seed:int ->
@@ -58,7 +66,8 @@ val make :
   ?tile:int ->
   Spec.t ->
   System.t
-(** [scale] + [system]; default reduction 8.  [layout] has no effect: the
-    orbital table has one layout, and the argument is kept only for the
-    benchmark driver's existing call ([perfbench/src/driver.ml]).  Delete
-    it with the next change to that driver. *)
+(** [scale] + [system]; default reduction 8.  [layout] and [tile] have no
+    effect: the orbital table is one coefficient array, and both arguments
+    are shims kept only for the benchmark driver's existing call
+    ([perfbench/src/driver.ml] passes [~tile:0]).  Delete them with the
+    next change to that driver. *)

@@ -5,9 +5,7 @@
 # artifacts validated end to end), the crowd-batching bench smoke
 # (pipeline/scalar bit-identity + zero-allocation kernel assertions),
 # the autotune smoke (roofline-driven knob selection: sane choice,
-# metrics gauges, JSON round-trip), the tile smoke (tiled orbital
-# layout: zero-allocation batched kernels, and the autotuned tiled
-# table must not lose to flat beyond 5%), and the chaos soak (a deterministic
+# metrics gauges, JSON round-trip), and the chaos soak (a deterministic
 # multi-hundred-generation run per seed under injected
 # kills/stalls/garbage/disk-full + elastic join/leave membership;
 # OQMC_CHAOS_LONG=1 extends the matrix), the serve smoke (daemon boot,
@@ -31,7 +29,6 @@ dune build @recovery-smoke
 dune build @obs-smoke
 dune build @bench-smoke
 dune build @autotune-smoke
-dune build @tile-smoke
 dune build @status-smoke
 dune build test/chaos_soak.exe
 OQMC_BENCH_OUT="$PWD/BENCH_chaos.json" ./_build/default/test/chaos_soak.exe
@@ -40,5 +37,4 @@ OQMC_BENCH_OUT="$PWD/BENCH_serve.json" ./_build/default/test/serve_smoke.exe
 ./_build/default/test/serve_soak.exe
 dune build bench/main.exe
 dune exec bench/main.exe -- --obs --json "$PWD/BENCH_obs.json"
-dune exec bench/main.exe -- --tile --json "$PWD/BENCH_tile.json"
 scripts/validate_bench.sh

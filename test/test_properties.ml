@@ -158,29 +158,15 @@ let test_input_deck_errors () =
     | exception _ -> false)
 
 let test_tile_deck_key () =
-  (* [tile = N] on its own reaches the orbital table as N-orbital
-     blocks; the retired [layout] key is rejected like any unknown key. *)
-  let cfg = Input.parse_string "tile = 8\n" in
-  Alcotest.(check int) "tile parsed" 8 cfg.Input.tile;
-  let module B = Oqmc_spline.Bspline3d.Make (Precision.F32) in
-  let s = Builder.scale Spec.nio32 ~reduction:8 in
-  let nx, ny, nz = s.Builder.grid in
-  let table_bytes tile =
-    B.bytes (B.create ~tile ~nx ~ny ~nz ~n_orb:s.Builder.n_spo ())
-  in
-  (* Each block pads its orbitals to the alignment width, so the table
-     size tells the partition apart. *)
-  check_bool "8-orbital tiles differ from one tile in size" true
-    (table_bytes 8 <> table_bytes 0);
-  let sys =
-    Builder.make ~reduction:8 ~with_nlpp:false ~tile:cfg.Input.tile Spec.nio32
-  in
-  Alcotest.(check int) "8-orbital tiles" (table_bytes 8)
-    sys.System.spo.Oqmc_wavefunction.Spo.bytes;
-  check_bool "layout key rejected" true
-    (match Input.parse_string "layout = tiled\n" with
-    | exception Input.Parse_error _ -> true
-    | _ -> false)
+  (* The retired orbital-table keys ([tile], [layout]) and exchange
+     planner key ([plan]) are rejected like any unknown key. *)
+  List.iter
+    (fun line ->
+      check_bool (line ^ " rejected") true
+        (match Input.parse_string (line ^ "\n") with
+        | exception Input.Parse_error _ -> true
+        | _ -> false))
+    [ "tile = 8"; "layout = tiled"; "plan = load"; "plan = count" ]
 
 let test_unbalanced_spins () =
   (* n_up <> n_down exercises the two-determinant bookkeeping. *)

@@ -353,79 +353,21 @@ let test_dmc_population_control () =
   check_bool "acceptance high at small tau" true (res.Dmc.acceptance > 0.8);
   check_bool "comm accounting active" true (res.Dmc.comm_messages >= 0)
 
-let test_tiled_vs_flat_bit_identical () =
-  (* The orbital tile is a storage partition, not a physics or even a
-     rounding knob: at f64 every tile consumes the same doubles in the
-     same order, so a full crowd-batched VMC and a DMC with delayed
-     updates (delay > 1) at tile 5 must produce EXACTLY the numbers of
-     one tile — bit-identical energies, not statistically compatible
-     ones. *)
-  let sys tile =
-    Builder.make ~seed:7 ~with_nlpp:false ~reduction:32 ~precision:`F64 ~tile
-      Spec.nio32
-  in
-  let vmc tile =
-    Vmc.run ~crowd:4
-      ~factory:
-        (Build.factory ~variant:Variant.Current_f64 ~precision:`F64 ~seed:21
-           (sys tile))
-      {
-        Vmc.default_params with
-        Vmc.n_walkers = 4;
-        warmup = 3;
-        blocks = 2;
-        steps_per_block = 4;
-        tau = 0.05;
-        seed = 22;
-      }
-  in
-  let v_flat = vmc 0 and v_tiled = vmc 5 in
-  check_bool
-    (Printf.sprintf "VMC tiled %.17g = flat %.17g" v_tiled.Vmc.energy
-       v_flat.Vmc.energy)
-    true
-    (v_tiled.Vmc.energy = v_flat.Vmc.energy);
-  check_bool "VMC variance bit-identical" true
-    (v_tiled.Vmc.variance = v_flat.Vmc.variance);
-  let dmc tile =
-    Dmc.run ~crowd:4
-      ~factory:
-        (Build.factory ~variant:Variant.Current_f64 ~precision:`F64 ~delay:3
-           ~seed:31 (sys tile))
-      {
-        Dmc.default_params with
-        Dmc.target_walkers = 6;
-        warmup = 3;
-        generations = 8;
-        tau = 0.02;
-        seed = 32;
-      }
-  in
-  let d_flat = dmc 0 and d_tiled = dmc 5 in
-  check_bool
-    (Printf.sprintf "DMC tiled %.17g = flat %.17g" d_tiled.Dmc.energy
-       d_flat.Dmc.energy)
-    true
-    (d_tiled.Dmc.energy = d_flat.Dmc.energy);
-  check_bool "DMC population bit-identical" true
-    (d_tiled.Dmc.mean_population = d_flat.Dmc.mean_population)
-
 let test_tiled_nlpp_domains_deterministic () =
-  (* Two domains share one tiled orbital table through the scalar
+  (* Two domains share one orbital table through the scalar
      kernels — the drift-diffusion sweeps and NLPP quadrature — so a run
      must not depend on how the domains interleave: the same deck twice
      gives a bit-identical energy series. *)
   let cfg =
     Input.parse_string
       "method = dmc\nworkload = NiO-32\nreduction = 16\nvariant = Current\n\
-       nlpp = true\ndomains = 2\ntile = 8\nwalkers = 8\ntau = 0.001\n\
+       nlpp = true\ndomains = 2\nwalkers = 8\ntau = 0.001\n\
        seed = 3\n"
   in
   let run () =
     let sys =
       Builder.make ~seed:cfg.Input.seed ~with_nlpp:cfg.Input.nlpp
-        ~reduction:cfg.Input.reduction ~tile:cfg.Input.tile
-        (Spec.find cfg.Input.workload)
+        ~reduction:cfg.Input.reduction (Spec.find cfg.Input.workload)
     in
     Dmc.run
       ~factory:
@@ -664,8 +606,7 @@ let () =
             test_dmc_population_control;
           Alcotest.test_case "f32 vs f64 energy" `Quick
             test_dmc_f32_vs_f64_agree;
-          Alcotest.test_case "tiled vs flat bit-identical" `Quick
-            test_tiled_vs_flat_bit_identical;
+          (* name predates the single orbital table; kept for history *)
           Alcotest.test_case "tiled nlpp 2 domains deterministic" `Quick
             test_tiled_nlpp_domains_deterministic;
         ] );

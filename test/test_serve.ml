@@ -332,14 +332,12 @@ let test_canonical_sensitivity () =
       check_bool (Printf.sprintf "%s = %s changes the hash" k v) true
         (h0 <> hash_of (base_deck @ [ (k, v) ])))
     [
-      ("precision", "f32"); ("nlpp", "true"); ("ranks", "3");
-      (* load-level exchange planning changes which walkers move where,
-         so it cannot share a cache entry with the count-level default *)
-      ("plan", "load");
+      ("precision", "f32"); ("precision_dt", "f32"); ("nlpp", "true");
+      ("ranks", "3");
     ];
-  (* ... while spelling out the count default is a no-op. *)
-  check_str "explicit plan = count keeps the hash" h0
-    (hash_of (base_deck @ [ ("plan", "count") ]))
+  (* ... while spelling out a default is a no-op. *)
+  check_str "explicit straggler_policy = warn keeps the hash" h0
+    (hash_of (base_deck @ [ ("straggler_policy", "warn") ]))
 
 let prop_canonical_shuffle =
   (* Property: ANY permutation of the deck lines, with random comment
@@ -544,8 +542,10 @@ let ledger_rows body =
       | _ -> [])
     (member_list "jobs" body)
 
-let test_status_under_load () =
-  let base = fresh "statusd" in
+(* Run [f socket] against a forked daemon with one runner slot, and
+   stop the daemon afterwards. *)
+let with_daemon name f =
+  let base = fresh name in
   Unix.mkdir base 0o755;
   let socket = Filename.concat base "sock" in
   let cfg =
@@ -570,7 +570,10 @@ let test_status_under_load () =
     ~finally:(fun () ->
       (try Unix.kill daemon Sys.sigterm with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] daemon))
-    (fun () ->
+    (fun () -> f socket)
+
+let test_status_under_load () =
+  with_daemon "statusd" (fun socket ->
       let deck =
         "method = dmc\nworkload = harmonic\nwalkers = 64\nblocks = 100\n\
          steps = 50\ntau = 0.01\nseed = 5\n"
@@ -621,6 +624,51 @@ let test_status_under_load () =
           check_bool "25 status queries answered in < 10 s" true
             (Unix.gettimeofday () -. t0 < 10.);
           ignore (Client.cancel fd "j0001")))
+
+(* A served deck's precision overrides reach the engines: the deck hash
+   includes them, so the cached result must be the run they ask for. *)
+let test_served_precision_overrides () =
+  let deck extra =
+    "method = vmc\nworkload = heg\nvariant = current64\nwalkers = 4\n\
+     blocks = 2\nsteps = 4\ntau = 0.1\nseed = 5\n" ^ extra
+  in
+  let served socket d =
+    match Client.run_deck ~timeout:60. ~socket ~client:"t" d with
+    | Ok o -> o.Job.energy
+    | Error e -> Alcotest.failf "served job failed: %s" e
+  in
+  let e_dt32, e_default =
+    with_daemon "precisiond" (fun socket ->
+        let a = served socket (deck "precision_dt = f32\n") in
+        (a, served socket (deck "")))
+  in
+  let open Oqmc_core in
+  let sys =
+    Oqmc_workloads.Builder.named ~seed:5 ~reduction:8 ~with_nlpp:false
+      ~precision:None "heg"
+  in
+  let local =
+    Vmc.run ~crowd:1
+      ~factory:
+        (Build.factory ~precision_dt:`F32 ~variant:Variant.Current_f64 ~seed:5
+           sys)
+      {
+        Vmc.n_walkers = 4;
+        warmup = 4;
+        blocks = 2;
+        steps_per_block = 4;
+        tau = 0.1;
+        seed = 6;
+        n_domains = 1;
+      }
+  in
+  check_bool
+    (Printf.sprintf "served f32-dt %h = in-process %h" e_dt32
+       local.Vmc.energy)
+    true
+    (e_dt32 = local.Vmc.energy);
+  check_bool "precision_dt = f32 changes the served energy" true
+    (e_dt32 <> e_default)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_canonical_shuffle ] in
@@ -674,5 +722,10 @@ let () =
         [
           Alcotest.test_case "live snapshot under load" `Quick
             test_status_under_load;
+        ] );
+      ( "runner",
+        [
+          Alcotest.test_case "precision overrides reach served jobs" `Quick
+            test_served_precision_overrides;
         ] );
     ]

@@ -282,18 +282,19 @@ let test_bspline3d_table_bytes () =
   near "Be-64 ~1.4 GB" 1.4 (gb ~nx:84 ~ny:84 ~nz:144 ~n_orb:81);
   near "Graphite ~0.1 GB" 0.1 (gb ~nx:28 ~ny:28 ~nz:80 ~n_orb:80)
 
-(* ---------- orbital tiles ----------
+(* ---------- batched kernels vs the scalar oracle ----------
 
-   Every tile partition holds the same coefficients and accumulates each
-   orbital in the same order, so at f64 every kernel must agree with the
-   one-tile scalar oracle EXACTLY — float equality, not a tolerance. *)
+   The batched kernels stage each slot's weights and products once and
+   accumulate each orbital in the scalar kernels' order, so at f64 every
+   slot must agree with the scalar oracle EXACTLY — float equality, not a
+   tolerance. *)
 
-let random_table ~seed ~nx ~n_orb ~tile =
+let random_table ~seed ~nx ~n_orb =
   let rng = Oqmc_rng.Xoshiro.create seed in
   let vals = Array.init (nx * nx * nx * n_orb) (fun _ ->
       Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
   in
-  let t = B3_64.create ~tile ~nx ~ny:nx ~nz:nx ~n_orb () in
+  let t = B3_64.create ~nx ~ny:nx ~nz:nx ~n_orb () in
   B3_64.fill t (fun ~orb ~i ~j ~k ->
       vals.(((((i * nx) + j) * nx) + k) * n_orb + orb));
   t
@@ -304,87 +305,65 @@ let vgh_fields (b : B3_64.vgh_buf) =
 
 let same_vgh a b = List.for_all2 ( = ) (vgh_fields a) (vgh_fields b)
 
-(* Batched v and vgh of [tiled] at every slot equal the scalar kernels of
-   [oracle]. *)
-let batch_matches_scalar ~oracle ~tiled ~u0 ~u1 ~u2 =
-  let cap = Array.length u0 in
-  let hb = B3_64.make_vgh_batch tiled ~cap in
-  let vb = B3_64.make_v_batch tiled ~cap in
-  B3_64.eval_vgh_batch tiled hb ~n:cap ~u0 ~u1 ~u2;
-  B3_64.eval_v_batch tiled vb ~n:cap ~u0 ~u1 ~u2;
-  let buf = B3_64.make_vgh_buf oracle in
-  let out = Array.make (B3_64.n_orb oracle) 0. in
+(* Batched v and vgh over the first [n] positions, in arenas of [cap]
+   slots, equal the scalar kernels at every evaluated slot. *)
+let batch_matches_scalar ?(cap = 0) t ~n ~u0 ~u1 ~u2 =
+  let cap = max cap n in
+  let hb = B3_64.make_vgh_batch t ~cap in
+  let vb = B3_64.make_v_batch t ~cap in
+  B3_64.eval_vgh_batch t hb ~n ~u0 ~u1 ~u2;
+  B3_64.eval_v_batch t vb ~n ~u0 ~u1 ~u2;
+  let buf = B3_64.make_vgh_buf t in
+  let out = Array.make (B3_64.n_orb t) 0. in
   List.for_all
     (fun s ->
-      B3_64.eval_vgh oracle ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) buf;
-      B3_64.eval_v oracle ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) out;
+      B3_64.eval_vgh t ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) buf;
+      B3_64.eval_v t ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) out;
       same_vgh buf (B3_64.outs hb).(s) && out = (B3_64.vouts vb).(s))
-    (List.init cap Fun.id)
+    (List.init n Fun.id)
 
-let tiles = [ 0; 1; 3; 4; 10; 16 ]
-
-let test_tiled_matches_untiled () =
-  let nx = 8 and n_orb = 10 in
-  let oracle = random_table ~seed:33 ~nx ~n_orb ~tile:0 in
-  List.iter
-    (fun tile ->
-      let tiled = random_table ~seed:33 ~nx ~n_orb ~tile in
-      let o1 = Array.make n_orb 0. and o2 = Array.make n_orb 0. in
-      let b1 = B3_64.make_vgh_buf oracle and b2 = B3_64.make_vgh_buf tiled in
-      List.iter
-        (fun (x, y, z) ->
-          B3_64.eval_v oracle ~u0:x ~u1:y ~u2:z o1;
-          B3_64.eval_v tiled ~u0:x ~u1:y ~u2:z o2;
-          check_bool (Printf.sprintf "tile %d values" tile) true (o1 = o2);
-          B3_64.eval_vgh oracle ~u0:x ~u1:y ~u2:z b1;
-          B3_64.eval_vgh tiled ~u0:x ~u1:y ~u2:z b2;
-          check_bool (Printf.sprintf "tile %d vgh" tile) true (same_vgh b1 b2))
-        [ (0.1, 0.5, 0.9); (0.77, 0.2, 0.41) ])
-    tiles
-
-(* The batched crowd path — the production kernel — at every tile
-   against the one-tile scalar oracle. *)
+(* The batched crowd path — the production kernel — against the scalar
+   oracle, for full and partial crowds. *)
 let test_tiled_batch_bit_identical () =
   let nx = 8 and n_orb = 10 and cap = 5 in
-  let oracle = random_table ~seed:77 ~nx ~n_orb ~tile:0 in
+  let t = random_table ~seed:77 ~nx ~n_orb in
   let rng = Oqmc_rng.Xoshiro.create 78 in
   let u () = Array.init cap (fun _ -> Oqmc_rng.Xoshiro.uniform rng) in
   let u0 = u () in
   let u1 = u () in
   let u2 = u () in
   List.iter
-    (fun tile ->
-      let tiled = random_table ~seed:77 ~nx ~n_orb ~tile in
+    (fun n ->
       check_bool
-        (Printf.sprintf "tile %d batch = scalar oracle" tile)
+        (Printf.sprintf "crowd %d/%d batch = scalar oracle" n cap)
         true
-        (batch_matches_scalar ~oracle ~tiled ~u0 ~u1 ~u2))
-    tiles
+        (batch_matches_scalar ~cap t ~n ~u0 ~u1 ~u2))
+    [ 1; 3; cap ]
 
 let test_tiled_shapes () =
-  let mk tile = B3_64.create ~tile ~nx:8 ~ny:8 ~nz:8 ~n_orb:10 () in
-  let t = mk 4 in
-  Alcotest.(check int) "blocks" 3 (B3_64.n_blocks t);
+  let t = B3_64.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:10 () in
   Alcotest.(check int) "orbitals" 10 (B3_64.n_orb t);
-  Alcotest.(check int) "tile 0 is one block" 1 (B3_64.n_blocks (mk 0));
-  Alcotest.(check int) "tile > n_orb is one block" 1 (B3_64.n_blocks (mk 64));
-  (* One tile is einspline's flat table: 11³ points × 10 orbitals padded
-     to the alignment width. *)
-  Alcotest.(check int) "one-tile bytes" (11 * 11 * 11 * 16 * 8)
-    (B3_64.bytes (mk 0));
+  (* einspline's flat table: 11³ points × 10 orbitals padded to the
+     alignment width. *)
+  Alcotest.(check int) "bytes" (11 * 11 * 11 * 16 * 8) (B3_64.bytes t);
   Alcotest.check_raises "orb range"
     (Invalid_argument "Bspline3d: orbital out of range") (fun () ->
       ignore (B3_64.get_base t ~orb:10 ~i:0 ~j:0 ~k:0));
-  Alcotest.check_raises "negative tile"
-    (Invalid_argument "Bspline3d.create: tile < 0") (fun () -> ignore (mk (-1)))
+  Alcotest.check_raises "grid below 4"
+    (Invalid_argument
+       "Bspline3d.create: grid must be at least 4 per dimension") (fun () ->
+      ignore (B3_64.create ~nx:3 ~ny:8 ~nz:8 ~n_orb:10 ()));
+  Alcotest.check_raises "no orbitals"
+    (Invalid_argument "Bspline3d.create: n_orb < 1") (fun () ->
+      ignore (B3_64.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:0 ()))
 
-(* Two domains sharing one tiled table through the scalar kernels (as
+(* Two domains sharing one table through the scalar kernels (as
    NLPP quadrature and multi-domain scalar sweeps do) must each get
    exactly the sequential results: the kernels write only the caller's
    buffers. *)
 let test_concurrent_scalar_kernels () =
   let nx = 8 and n_orb = 24 and n_pos = 2000 and reps = 5 in
-  let t = random_table ~seed:5 ~nx ~n_orb ~tile:8 in
+  let t = random_table ~seed:5 ~nx ~n_orb in
   let rng = Oqmc_rng.Xoshiro.create 6 in
   let pos =
     Array.init n_pos (fun _ ->
@@ -434,21 +413,20 @@ let prop_partition_of_unity =
     QCheck.(float_range 0. 0.999999)
     (fun t -> abs_float (Bspline_basis.sum (Bspline_basis.value t) -. 1.) < 1e-12)
 
-(* Random tile sizes never change the batched results: exact equality
-   against the one-tile scalar oracle at every orbital, for both eval_v
-   and eval_vgh.  Complements the fixed-tile test with arbitrary
-   (tile, position) draws. *)
+(* Random crowds at random positions: every batched slot equals the
+   scalar oracle exactly, for both eval_v and eval_vgh. *)
 let prop_tile_invariant =
   let nx = 6 and n_orb = 7 in
-  let oracle = random_table ~seed:91 ~nx ~n_orb ~tile:0 in
+  let t = random_table ~seed:91 ~nx ~n_orb in
+  let pos = QCheck.float_range 0. 0.999 in
   QCheck.Test.make ~name:"tile size never changes batched results" ~count:30
-    QCheck.(
-      pair (int_range 0 12)
-        (triple (float_range 0. 0.999) (float_range 0. 0.999)
-           (float_range 0. 0.999)))
-    (fun (tile, (x, y, z)) ->
-      let tiled = random_table ~seed:91 ~nx ~n_orb ~tile in
-      batch_matches_scalar ~oracle ~tiled ~u0:[| x |] ~u1:[| y |] ~u2:[| z |])
+    QCheck.(list_of_size Gen.(1 -- 8) (triple pos pos pos))
+    (fun slots ->
+      let coord f = Array.of_list (List.map f slots) in
+      batch_matches_scalar t ~n:(List.length slots)
+        ~u0:(coord (fun (x, _, _) -> x))
+        ~u1:(coord (fun (_, y, _) -> y))
+        ~u2:(coord (fun (_, _, z) -> z)))
 
 let prop_spline_zero_outside =
   QCheck.Test.make ~name:"1d spline zero outside cutoff" ~count:200
@@ -494,8 +472,8 @@ let () =
           Alcotest.test_case "periodic wrap" `Quick test_bspline3d_periodic_wrap;
           Alcotest.test_case "f32 vs f64" `Quick test_bspline3d_f32_close_to_f64;
           Alcotest.test_case "table bytes" `Quick test_bspline3d_table_bytes;
-          Alcotest.test_case "tiled matches untiled" `Quick
-            test_tiled_matches_untiled;
+          (* "tiled" names predate the single table; kept so test
+             histories line up. *)
           Alcotest.test_case "tiled batch bit-identical" `Quick
             test_tiled_batch_bit_identical;
           Alcotest.test_case "tiled shapes" `Quick test_tiled_shapes;
