@@ -67,12 +67,9 @@ let spo_positions () =
         (Xoshiro.uniform rng *. 15.)
         (Xoshiro.uniform rng *. 7.))
 
-(* Crowd-batched evaluation (the pipeline's hot path): the batch
-   kernels read stencil coefficients through kind-specialized unboxed
-   loads, so the f32 table moves half the bytes of the f64 one per
-   eval — the scalar [eval_v]/[eval_vgl] entry points instead pay a
-   boxed functor-boundary load per coefficient and hide the bandwidth
-   difference behind allocation. *)
+(* Crowd-batched evaluation (the pipeline's hot path): the f32 table
+   moves half the bytes of the f64 one per eval, and the batched entry
+   points allocate nothing, so the ratio isolates storage width. *)
 let spo_ns ~kernel (sys : System.t) ~reps =
   let spo = sys.System.spo in
   let pos = spo_positions () in

@@ -17,10 +17,10 @@ open Oqmc_wavefunction
       three asserted on each walker's local energy;
    2. per-kernel ns/move: scalar per-slot calls vs. the batched kernel,
       for the AA distance table and the J1/J2 Jastrow stages;
-   3. allocation per move: the batched DistTable and Jastrow kernels and
-      the determinant's ratio-gradient + accept (which stores the
-      proposal's orbital row) must not allocate — asserted, not just
-      reported;
+   3. allocation per move: the batched DistTable, Jastrow and B-spline
+      kernels and the determinant's ratio-gradient + accept (which
+      stores the proposal's orbital row) must not allocate — asserted,
+      not just reported;
    4. delayed determinant updates: ns/move across the delay-rank sweep
       (1 = Sherman-Morrison). *)
 
@@ -31,6 +31,7 @@ module J2_64 = Jastrow_two.Make (Precision.F64) (Precision.F64)
 module J1_64 = Jastrow_one.Make (Precision.F64) (Precision.F64)
 module Det64 = Slater_det.Make (Precision.F64) (Precision.F64)
 module W64 = Wfc.Make (Precision.F64)
+module B3_32 = Oqmc_spline.Bspline3d.Make (Precision.F32)
 
 let time_per ~reps f =
   let t0 = Timers.now () in
@@ -245,6 +246,17 @@ let bench_kernels ?(reps = 20_000) () =
         vgl)
       slots
   in
+  (* The orbital table of NiO-32/r8 (40³ grid, 24 orbitals, f32) at the
+     crowd's fractional positions. *)
+  let table = B3_32.create ~nx:40 ~ny:40 ~nz:40 ~n_orb:24 () in
+  let trng = Xoshiro.create 31 in
+  B3_32.fill table (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
+      Xoshiro.uniform_range trng ~lo:(-1.) ~hi:1.);
+  let frac = Array.map (fun x -> Float.rem (Float.abs x) 6. /. 6.) in
+  let su0 = frac px and su1 = frac py and su2 = frac pz in
+  let vb = B3_32.make_v_batch table ~cap:crowd in
+  let hb = B3_32.make_vgh_batch table ~cap:crowd in
+  let vrows = B3_32.vouts vb and hbufs = B3_32.outs hb in
   let point ~kernel ~scalar ~batch =
     let st = time_per ~reps scalar in
     let bt = time_per ~reps batch in
@@ -338,6 +350,20 @@ let bench_kernels ?(reps = 20_000) () =
           Det64.ratio_grad_into dets.(s) vgls.(s) k ~s ~ratio ~gx ~gy ~gz;
           Det64.accept_move dets.(s) k
         done);
+    point ~kernel:"bspline_v"
+      ~scalar:(fun () ->
+        for s = 0 to crowd - 1 do
+          B3_32.eval_v table ~u0:su0.(s) ~u1:su1.(s) ~u2:su2.(s) vrows.(s)
+        done)
+      ~batch:(fun () ->
+        B3_32.eval_v_batch table vb ~n:crowd ~u0:su0 ~u1:su1 ~u2:su2);
+    point ~kernel:"bspline_vgh"
+      ~scalar:(fun () ->
+        for s = 0 to crowd - 1 do
+          B3_32.eval_vgh table ~u0:su0.(s) ~u1:su1.(s) ~u2:su2.(s) hbufs.(s)
+        done)
+      ~batch:(fun () ->
+        B3_32.eval_vgh_batch table hb ~n:crowd ~u0:su0 ~u1:su1 ~u2:su2);
   ]
 
 (* ---- 4. delayed determinant updates: delay-rank sweep ---- *)

@@ -628,5 +628,6 @@ let by_name = function
   | "ddr" -> ddr
   | "delayed" -> delayed
   | "ewald" -> ewald
+  | "simd" -> Simd_bench.run
   | "all" -> all
   | s -> invalid_arg (Printf.sprintf "unknown experiment %S" s)

@@ -6,6 +6,7 @@
 
      dune exec bench/main.exe                    # everything
      dune exec bench/main.exe -- --exp fig8      # one experiment
+     dune exec bench/main.exe -- --exp simd      # B-spline SIMD ablation
      dune exec bench/main.exe -- --bechamel      # microbenchmarks only
      dune exec bench/main.exe -- --pool          # pool/crowd benchmark
      dune exec bench/main.exe -- --crowd         # full-pipeline crowd batching
@@ -20,7 +21,7 @@
 let usage () =
   print_endline
     "usage: main.exe [--exp \
-     table1|fig1|fig2|fig3|fig7|fig8|fig9|fig10|table2|kernels|smt|ddr|delayed|all] \
+     table1|fig1|fig2|fig3|fig7|fig8|fig9|fig10|table2|kernels|smt|ddr|delayed|simd|all] \
      [--bechamel] [--pool] [--crowd] [--crowd-smoke] [--autotune] \
      [--autotune-smoke] [--dist] [--obs] [--serve] [--json PATH]";
   exit 1

@@ -7,7 +7,12 @@ open Oqmc_containers
     live at the build's storage precision; accumulation is in double.
     Positions are fractional supercell coordinates [s ∈ [0,1)³] and
     derivatives are with respect to [s]; the SPO layer applies the
-    lattice metric. *)
+    lattice metric.
+
+    Every evaluation runs one vectorized C accumulation per position;
+    the scalar and batched entry points return the same doubles.  Any
+    position is safe: the stencil origin is clamped to the grid, and
+    buffer lengths are checked before the C code writes. *)
 
 module Make (R : Precision.REAL) : sig
   module A : module type of Aligned.Make (R)
@@ -58,16 +63,18 @@ module Make (R : Precision.REAL) : sig
   val eval_v : t -> u0:float -> u1:float -> u2:float -> float array -> unit
   (** Bspline-v: values of all orbitals into a caller array of length
       [>= n_orb].  Writes only the caller's array, so concurrent calls on
-      one table are safe. *)
+      one table are safe.
+      @raise Invalid_argument if the array is shorter than [n_orb]. *)
 
   val eval_vgh : t -> u0:float -> u1:float -> u2:float -> vgh_buf -> unit
   (** Bspline-vgh: values, fractional-coordinate gradients and Hessian
-      components of all orbitals; same safety as {!eval_v}. *)
+      components of all orbitals; same safety as {!eval_v}.
+      @raise Invalid_argument if any of the ten arrays is shorter than
+      [n_orb]. *)
 
   type vgh_batch
-  (** Crowd-sized scratch arena for {!eval_vgh_batch}: one slot's stencil
-      origin, 1-D weights and 64×10 weight products, and one result
-      buffer per slot.  Allocate once per domain, reuse forever. *)
+  (** Crowd-sized result arena for {!eval_vgh_batch}: one result buffer
+      per slot.  Allocate once per domain, reuse forever. *)
 
   type v_batch
 
@@ -91,11 +98,10 @@ module Make (R : Precision.REAL) : sig
     u2:float array ->
     unit
   (** Batched Bspline-vgh over the first [n] fractional positions into
-      [outs.(0..n-1)]: per slot the stencil and weight products are
-      staged once, then the table is accumulated straight from its
-      coefficient array, with zero allocation.  Per walker the arithmetic
-      matches {!eval_vgh} exactly (bit-identical on the double path).
-      @raise Invalid_argument if [n > cap]. *)
+      [outs.(0..n-1)], with zero allocation.  Each slot is one
+      {!eval_vgh}, so the results are the scalar ones bit for bit.
+      @raise Invalid_argument if [n > cap] or a slot's buffer is shorter
+      than [n_orb]. *)
 
   val eval_v_batch :
     t ->

@@ -65,8 +65,8 @@ module Make (R : Precision.REAL) = struct
     in
     (* Native crowd batches: fractional coordinates for the whole crowd
        are staged into the context's arrays, the table's batched kernel
-       computes every walker's 1-D weights once and streams coefficient
-       blocks, then each slot is pushed through the metric. *)
+       evaluates every slot without allocating, then each slot is pushed
+       through the metric. *)
     let make_vgl_batch cap =
       if cap < 1 then invalid_arg "Spo_bspline.make_vgl_batch: cap < 1";
       let arena = B3.make_vgh_batch table ~cap in

@@ -408,6 +408,181 @@ let test_concurrent_scalar_kernels () =
   Alcotest.(check int) "evaluations differing from sequential" 0
     (mine + theirs)
 
+(* ---------- the C kernels against the OCaml oracle ---------- *)
+
+(* One table at one precision: [lib] and [oracle] evaluate a crowd of
+   positions through all four entry points (scalar v and vgh per slot,
+   then batched v and vgh) and return every result row in that order. *)
+type kernels = {
+  label : string;
+  n_orb : int;
+  lib : float array -> float array -> float array -> float array list;
+  oracle : float array -> float array -> float array -> float array list;
+}
+
+module Kernels (R : Precision.REAL) = struct
+  module B3 = Bspline3d.Make (R)
+  module O = Bspline_oracle.Make (R)
+
+  let fields (b : B3.vgh_buf) =
+    [ b.v; b.gx; b.gy; b.gz; b.hxx; b.hxy; b.hxz; b.hyy; b.hyz; b.hzz ]
+
+  (* A 5×6×7 grid (distinct extents catch a swapped stride) of random
+     coefficients, with crowd arenas of 8. *)
+  let make ~seed ~n_orb =
+    let nx = 5 and ny = 6 and nz = 7 in
+    let t = B3.create ~nx ~ny ~nz ~n_orb () in
+    let rng = Oqmc_rng.Xoshiro.create seed in
+    B3.fill t (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
+        Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.);
+    let o = O.of_table t ~nx ~ny ~nz in
+    let cap = 8 in
+    let hb = B3.make_vgh_batch t ~cap and vb = B3.make_v_batch t ~cap in
+    let ohb = Array.init cap (fun _ -> B3.make_vgh_buf t) in
+    let ovb = Array.init cap (fun _ -> Array.make n_orb 0.) in
+    let rows ~eval_v ~eval_vgh ~v_batch ~vgh_batch ~vouts ~outs u0 u1 u2 =
+      let n = Array.length u0 in
+      let scalar =
+        List.concat_map
+          (fun s ->
+            let out = Array.make n_orb 0. and b = B3.make_vgh_buf t in
+            eval_v ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) out;
+            eval_vgh ~u0:u0.(s) ~u1:u1.(s) ~u2:u2.(s) b;
+            out :: fields b)
+          (List.init n Fun.id)
+      in
+      v_batch ~n ~u0 ~u1 ~u2;
+      vgh_batch ~n ~u0 ~u1 ~u2;
+      let slot f = List.init n (fun s -> f s) in
+      scalar
+      @ slot (fun s -> Array.copy vouts.(s))
+      @ List.concat (slot (fun s -> List.map Array.copy (fields outs.(s))))
+    in
+    {
+      label = Printf.sprintf "%s n_orb %d" R.name n_orb;
+      n_orb;
+      lib =
+        rows ~eval_v:(B3.eval_v t) ~eval_vgh:(B3.eval_vgh t)
+          ~v_batch:(B3.eval_v_batch t vb) ~vgh_batch:(B3.eval_vgh_batch t hb)
+          ~vouts:(B3.vouts vb) ~outs:(B3.outs hb);
+      oracle =
+        rows ~eval_v:(O.eval_v o) ~eval_vgh:(O.eval_vgh o)
+          ~v_batch:(O.eval_v_batch o ovb) ~vgh_batch:(O.eval_vgh_batch o ohb)
+          ~vouts:ovb ~outs:ohb;
+    }
+end
+
+module K64 = Kernels (Precision.F64)
+module K32 = Kernels (Precision.F32)
+
+(* n_orb 1, 7, 24 and 33 put every orbital count through the vector
+   loops' remainder paths at both widths. *)
+let kernel_sets =
+  List.concat_map
+    (fun n_orb ->
+      [ K64.make ~seed:(100 + n_orb) ~n_orb; K32.make ~seed:(200 + n_orb) ~n_orb ])
+    [ 1; 7; 24; 33 ]
+
+(* Every row of every entry point equals the oracle's bit for bit. *)
+let matches_oracle k ~u0 ~u1 ~u2 =
+  let same a b =
+    let ok = ref true in
+    for m = 0 to k.n_orb - 1 do
+      if not (Int64.equal (Int64.bits_of_float a.(m)) (Int64.bits_of_float b.(m)))
+      then ok := false
+    done;
+    !ok
+  in
+  List.for_all2 same (k.lib u0 u1 u2) (k.oracle u0 u1 u2)
+
+let prop_kernels_match_oracle =
+  let pos = QCheck.float_range (-1.5) 2.5 in
+  QCheck.Test.make ~name:"C kernels equal the OCaml oracle bit for bit"
+    ~count:40
+    QCheck.(list_of_size Gen.(1 -- 8) (triple pos pos pos))
+    (fun slots ->
+      let coord f = Array.of_list (List.map f slots) in
+      let u0 = coord (fun (x, _, _) -> x)
+      and u1 = coord (fun (_, y, _) -> y)
+      and u2 = coord (fun (_, _, z) -> z) in
+      List.for_all (fun k -> matches_oracle k ~u0 ~u1 ~u2) kernel_sets)
+
+(* Positions no walker should reach still locate inside the grid: the C
+   kernels have no bounds checks, so a stray origin would read outside
+   the table.  Finite ones give the oracle's results (for |s| < 2^62
+   the two wraps agree); huge ones wrap to a grid point, so a constant
+   table reads back its constants. *)
+let test_extreme_positions () =
+  let odd =
+    [| nan; infinity; neg_infinity; 1e300; -1e300; -0.; 1. -. epsilon_float;
+       -1e-20 |]
+  in
+  (* -1e-20 wraps to exactly 1.0, the one finite case the clamp to the
+     last cell decides. *)
+  let finite = [ -0.; 1. -. epsilon_float; -.epsilon_float; -1e-20 ] in
+  List.iter
+    (fun k ->
+      ignore (k.lib odd (Array.map (fun _ -> 0.3) odd) odd);
+      List.iter
+        (fun s ->
+          check_bool
+            (Printf.sprintf "%s at %h equals the oracle" k.label s)
+            true
+            (matches_oracle k ~u0:[| s; 0.5 |] ~u1:[| 0.25; s |]
+               ~u2:[| s; s |]))
+        finite)
+    kernel_sets;
+  let t = B3_32.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:3 () in
+  B3_32.fill t (fun ~orb ~i:_ ~j:_ ~k:_ -> float_of_int (orb + 1));
+  let out = Array.make 3 0. in
+  List.iter
+    (fun s ->
+      B3_32.eval_v t ~u0:s ~u1:s ~u2:0.5 out;
+      Array.iteri
+        (fun m c ->
+          checkf 1e-12 (Printf.sprintf "constant table at %h" s)
+            (float_of_int (m + 1)) c)
+        out)
+    [ 1e300; -1e300 ]
+
+(* A caller buffer shorter than the table's orbital count is refused
+   before the kernel runs. *)
+let test_short_buffers () =
+  let t = B3_64.create ~nx:5 ~ny:6 ~nz:7 ~n_orb:9 () in
+  let v_err = Invalid_argument "Bspline3d.eval_v: output shorter than n_orb"
+  and vgh_err =
+    Invalid_argument "Bspline3d.eval_vgh: buffer shorter than n_orb"
+  in
+  Alcotest.check_raises "eval_v" v_err (fun () ->
+      B3_64.eval_v t ~u0:0.1 ~u1:0.2 ~u2:0.3 (Array.make 8 0.));
+  let ok = B3_64.make_vgh_buf t and short = Array.make 8 0. in
+  let shortened =
+    [ { ok with B3_64.v = short }; { ok with gx = short };
+      { ok with gy = short }; { ok with gz = short };
+      { ok with hxx = short }; { ok with hxy = short };
+      { ok with hxz = short }; { ok with hyy = short };
+      { ok with hyz = short }; { ok with hzz = short } ]
+  in
+  List.iteri
+    (fun f b ->
+      Alcotest.check_raises (Printf.sprintf "eval_vgh field %d" f) vgh_err
+        (fun () -> B3_64.eval_vgh t ~u0:0.1 ~u1:0.2 ~u2:0.3 b))
+    shortened;
+  let u = [| 0.1; 0.2 |] in
+  let hb = B3_64.make_vgh_batch t ~cap:2 and vb = B3_64.make_v_batch t ~cap:2 in
+  (B3_64.outs hb).(1) <- List.nth shortened 9;
+  Alcotest.check_raises "vgh batch slot" vgh_err (fun () ->
+      B3_64.eval_vgh_batch t hb ~n:2 ~u0:u ~u1:u ~u2:u);
+  (B3_64.vouts vb).(1) <- short;
+  Alcotest.check_raises "v batch slot" v_err (fun () ->
+      B3_64.eval_v_batch t vb ~n:2 ~u0:u ~u1:u ~u2:u);
+  Alcotest.check_raises "vgh batch n > cap"
+    (Invalid_argument "Bspline3d.eval_vgh_batch: bad n") (fun () ->
+      B3_64.eval_vgh_batch t hb ~n:3 ~u0:u ~u1:u ~u2:u);
+  Alcotest.check_raises "v batch n > cap"
+    (Invalid_argument "Bspline3d.eval_v_batch: bad n") (fun () ->
+      B3_64.eval_v_batch t vb ~n:3 ~u0:u ~u1:u ~u2:u)
+
 let prop_partition_of_unity =
   QCheck.Test.make ~name:"basis partition of unity" ~count:500
     QCheck.(float_range 0. 0.999999)
@@ -479,11 +654,15 @@ let () =
           Alcotest.test_case "tiled shapes" `Quick test_tiled_shapes;
           Alcotest.test_case "concurrent scalar kernels" `Quick
             test_concurrent_scalar_kernels;
+          Alcotest.test_case "extreme positions" `Quick
+            test_extreme_positions;
+          Alcotest.test_case "short buffers refused" `Quick
+            test_short_buffers;
         ] );
       ( "properties",
         qt
           [
             prop_partition_of_unity; prop_spline_zero_outside;
-            prop_tile_invariant;
+            prop_tile_invariant; prop_kernels_match_oracle;
           ] );
     ]
