@@ -1,12 +1,11 @@
 open Oqmc_containers
 open Oqmc_rng
 open Oqmc_core
-open Oqmc_autotune
 module J = Oqmc_obs.Jsonx
 
-(* BENCH_autotune: the three acceptance measurements of the
-   autotuning + mixed-precision + blocked-delayed-update work, recorded
-   as one JSON document:
+(* BENCH_autotune: the two acceptance measurements of the
+   mixed-precision + blocked-delayed-update work, recorded as one JSON
+   document:
 
    1. delayed updates at NiO-32's real determinant order (192 per spin):
       the blocked flush must make the best rank *faster* than rank-1
@@ -14,11 +13,9 @@ module J = Oqmc_obs.Jsonx
    2. mixed precision: f32 B-spline coefficient storage vs f64 on the
       same synthetic NiO-32 table, SPO-vgl ns/eval, plus a short f32 DMC
       under the integrity watchdog whose sampled full-recompute drift
-      audit must pass — asserted;
-   3. autotuned crowd/delay vs a hand-swept grid on two systems: the
-      tuner's pick must land within 10% of the best measured VMC
-      throughput (reported; warned on miss — single-core timing noise
-      exceeds the margin on bad days). *)
+      audit must pass — asserted.
+
+   The header's [delay] is the measured best rank of (1). *)
 
 (* ---- 1. delayed updates at NiO-32 determinant order ---- *)
 
@@ -167,90 +164,10 @@ let bench_mixed_precision () =
        table)\n";
   { v64; v32; n64; n32; it }
 
-(* ---- 3. autotuned knobs vs hand-swept grid ---- *)
-
-let vmc_throughput ~sys ~crowd ~delay ~walkers =
-  let factory =
-    Build.factory
-      ?delay:(if delay <= 1 then None else Some delay)
-      ~variant:Variant.Current ~seed:5 sys
-  in
-  let res =
-    Vmc.run ~crowd ~factory
-      {
-        Vmc.n_walkers = walkers;
-        warmup = 4;
-        blocks = 2;
-        steps_per_block = 8;
-        tau = 0.1;
-        seed = 9;
-        n_domains = 1;
-      }
-  in
-  res.Vmc.throughput
-
-type tune_point = {
-  tsystem : string;
-  choice : Tuner.choice;
-  auto_samples_per_s : float;
-  best_samples_per_s : float;
-  best_crowd : int;
-  best_delay : int;
-  within_best_pct : float;
-}
-
-let bench_tune ~machine ~name ~sys =
-  let walkers = 8 in
-  let choice =
-    Tuner.choose ~machine ~refine:true ~walkers ~domains:1
-      ~variant:Variant.Current ~precision:`F32 ~sys ()
-  in
-  Tuner.publish choice;
-  Printf.printf "  %s: %s\n" name (Tuner.describe choice);
-  let measure crowd delay =
-    let t = vmc_throughput ~sys ~crowd ~delay ~walkers in
-    Float.max t (vmc_throughput ~sys ~crowd ~delay ~walkers)
-  in
-  let grid =
-    List.concat_map
-      (fun c -> List.map (fun k -> (c, k)) [ 1; 8 ])
-      [ 1; 2; 4; 8 ]
-  in
-  let swept = List.map (fun (c, k) -> (c, k, measure c k)) grid in
-  let bc, bk, bt =
-    List.fold_left
-      (fun (bc, bk, bt) (c, k, t) ->
-        if t > bt then (c, k, t) else (bc, bk, bt))
-      (1, 1, 0.) swept
-  in
-  let ac = min choice.Tuner.knobs.Tuner.crowd walkers in
-  let ak = choice.Tuner.knobs.Tuner.delay in
-  let at = measure ac ak in
-  let within = 100. *. ((bt /. Float.max at 1e-9) -. 1.) in
-  Printf.printf
-    "    hand-swept best crowd=%d delay=%d %.1f samples/s; autotuned \
-     crowd=%d delay=%d %.1f samples/s  (%.1f%% off best)\n"
-    bc bk bt ac ak at within;
-  if within > 10. then
-    Printf.printf
-      "    WARNING: autotuned config more than 10%% off hand-swept best\n";
-  {
-    tsystem = name;
-    choice;
-    auto_samples_per_s = at;
-    best_samples_per_s = bt;
-    best_crowd = bc;
-    best_delay = bk;
-    within_best_pct = within;
-  }
-
 (* ---- reporting ---- *)
 
-let json_of ~delays ~best_k ~speedup_k ~mp ~tunes =
+let json_of ~delays ~best_k ~speedup_k ~mp =
   let { v64; v32; n64; n32; it } = mp in
-  let chosen_delay =
-    match tunes with t :: _ -> t.choice.Tuner.knobs.Tuner.delay | [] -> best_k
-  in
   J.Obj
     [
       ( "header",
@@ -258,7 +175,7 @@ let json_of ~delays ~best_k ~speedup_k ~mp ~tunes =
           [
             ("schema", J.Num 1.);
             ("precision", J.Str "f32");
-            ("delay", J.Num (float_of_int chosen_delay));
+            ("delay", J.Num (float_of_int best_k));
           ] );
       ( "delayed_nio32",
         J.Obj
@@ -309,21 +226,6 @@ let json_of ~delays ~best_k ~speedup_k ~mp ~tunes =
               J.Bool
                 (it.Integrity.audits > 0 && it.Integrity.quarantined = 0) );
           ] );
-      ( "systems",
-        J.Arr
-          (List.map
-             (fun t ->
-               J.Obj
-                 [
-                   ("system", J.Str t.tsystem);
-                   ("autotune", Tuner.choice_json t.choice);
-                   ("auto_samples_per_s", J.Num t.auto_samples_per_s);
-                   ("best_samples_per_s", J.Num t.best_samples_per_s);
-                   ("best_crowd", J.Num (float_of_int t.best_crowd));
-                   ("best_delay", J.Num (float_of_int t.best_delay));
-                   ("within_best_pct", J.Num t.within_best_pct);
-                 ])
-             tunes) );
     ]
 
 let run ?json () =
@@ -331,57 +233,11 @@ let run ?json () =
   let delays, best_k, speedup_k = bench_delay_nio () in
   Printf.printf "== mixed precision: f32 vs f64 spline storage ==\n%!";
   let mp = bench_mixed_precision () in
-  Printf.printf "== autotune vs hand-swept grid ==\n%!";
-  let machine = Calibrate.machine () in
-  let tunes =
-    [
-      bench_tune ~machine ~name:"harmonic-6"
-        ~sys:(Oqmc_workloads.Validation.harmonic ~n:6 ~omega:1.0);
-      bench_tune ~machine ~name:"NiO-32/r16"
-        ~sys:
-          (Oqmc_workloads.Builder.make ~reduction:16 ~with_nlpp:false
-             Oqmc_workloads.Spec.nio32);
-    ]
-  in
   match json with
   | None -> ()
   | Some path ->
       let oc = open_out path in
-      output_string oc
-        (J.to_string (json_of ~delays ~best_k ~speedup_k ~mp ~tunes));
+      output_string oc (J.to_string (json_of ~delays ~best_k ~speedup_k ~mp));
       output_char oc '\n';
       close_out oc;
       Printf.printf "wrote %s\n%!" path
-
-(* Tiny run for the @autotune-smoke alias: model-only choice on the
-   harmonic validation system — asserts a config is chosen, lands in the
-   metrics registry, and round-trips through the JSON encoder. *)
-let smoke () =
-  let sys = Oqmc_workloads.Validation.harmonic ~n:6 ~omega:1.0 in
-  let choice =
-    Tuner.choose ~machine:(Calibrate.machine ()) ~walkers:8 ~domains:1
-      ~variant:Variant.Current ~precision:`F32 ~sys ()
-  in
-  Tuner.publish choice;
-  print_endline ("autotune smoke: " ^ Tuner.describe choice);
-  let k = choice.Tuner.knobs in
-  if k.Tuner.crowd < 1 || k.Tuner.delay < 1 || k.Tuner.grain < 1 then
-    failwith "autotune_bench: nonsensical knobs chosen";
-  (* the harmonic determinant is 3x3: delaying would be a model bug *)
-  if k.Tuner.delay <> 1 then
-    failwith "autotune_bench: delay > 1 chosen for a 3x3 determinant";
-  let ms = Oqmc_obs.Metrics.snapshot () in
-  let gauge name =
-    match Oqmc_obs.Metrics.find ms name with
-    | Some (Oqmc_obs.Metrics.Gauge g) -> g
-    | _ -> failwith ("autotune_bench: metric missing: " ^ name)
-  in
-  if int_of_float (gauge "autotune.crowd") <> k.Tuner.crowd then
-    failwith "autotune_bench: metrics registry disagrees with choice";
-  ignore (gauge "autotune.predicted_speedup");
-  (* the BENCH record must parse back *)
-  let doc = J.to_string (Tuner.choice_json choice) in
-  (match J.parse_string_exn doc with
-  | J.Obj _ -> ()
-  | _ -> failwith "autotune_bench: choice JSON is not an object");
-  Printf.printf "autotune smoke: ok\n%!"

@@ -408,8 +408,8 @@ let bench_delay ?(n = 32) ?(sweeps = 100) ?(delays = [ 1; 2; 4; 8 ]) () =
 
 (* ---- reporting ---- *)
 
-(* The best measured rank at the largest determinant order swept — what
-   an autotuned run of that system would pick. *)
+(* The best measured rank at the largest determinant order swept — the
+   [delay] to give a run of that system. *)
 let best_delay delays =
   match delays with
   | [] -> 1

@@ -11,8 +11,7 @@
      dune exec bench/main.exe -- --pool          # pool/crowd benchmark
      dune exec bench/main.exe -- --crowd         # full-pipeline crowd batching
      dune exec bench/main.exe -- --crowd-smoke   # fast CI check (@bench-smoke)
-     dune exec bench/main.exe -- --autotune      # roofline autotune acceptance
-     dune exec bench/main.exe -- --autotune-smoke # fast CI check (@autotune-smoke)
+     dune exec bench/main.exe -- --autotune      # delayed-update + f32 acceptance
      dune exec bench/main.exe -- --serve         # serve-layer microbenchmarks
      dune exec bench/main.exe -- --json BENCH_pool.json   # + JSON record
      OQMC_BENCH_REDUCTION=4 dune exec bench/main.exe   # bigger measured runs
@@ -22,8 +21,8 @@ let usage () =
   print_endline
     "usage: main.exe [--exp \
      table1|fig1|fig2|fig3|fig7|fig8|fig9|fig10|table2|kernels|smt|ddr|delayed|simd|all] \
-     [--bechamel] [--pool] [--crowd] [--crowd-smoke] [--autotune] \
-     [--autotune-smoke] [--dist] [--obs] [--serve] [--json PATH]";
+     [--bechamel] [--pool] [--crowd] [--crowd-smoke] [--autotune] [--dist] \
+     [--obs] [--serve] [--json PATH]";
   exit 1
 
 let () =
@@ -39,7 +38,6 @@ let () =
   | [ _; "--crowd-smoke" ] -> Crowd_bench.smoke ()
   | [ _; "--autotune" ] -> Autotune_bench.run ()
   | [ _; "--autotune"; "--json"; path ] -> Autotune_bench.run ~json:path ()
-  | [ _; "--autotune-smoke" ] -> Autotune_bench.smoke ()
   | [ _; "--dist" ] -> Dist_bench.run ()
   | [ _; "--obs" ] -> Obs_bench.run ()
   | [ _; "--obs"; "--json"; path ] -> Obs_bench.run ~json:path ()

@@ -22,20 +22,16 @@ let with_obs ~trace ~telemetry ~progress f =
       match trace with Some path -> Trace.export ~path | None -> ())
     (fun () -> f sink prog)
 
-let parse_precision_for flag = function
-  | "" | "default" -> None
-  | "f32" | "single" -> Some `F32
-  | "f64" | "double" -> Some `F64
-  | other ->
-      invalid_arg
-        (Printf.sprintf "oqmc_run: --%s must be f32 or f64, got %S" flag
-           other)
+let parse_precision_for flag =
+  Input.precision_of_string
+    ~fail:(fun msg -> invalid_arg ("oqmc_run: --" ^ msg))
+    flag
 
 let parse_precision = parse_precision_for "precision"
 
 let run input method_ workload variant reduction walkers blocks steps tau
     domains crowd delay precision precision_dt precision_jastrow
-    precision_inv autotune with_nlpp seed checkpoint
+    precision_inv with_nlpp seed checkpoint
     checkpoint_every checkpoint_keep
     watchdog restore ranks heartbeat_ms max_respawn elastic gen_deadline_ms
     straggler_policy trace telemetry telemetry_every progress flightrec
@@ -45,42 +41,45 @@ let run input method_ workload variant reduction walkers blocks steps tau
     match input with
     | Some path -> Input.parse_file path
     | None ->
-        {
-          Input.method_ = String.lowercase_ascii method_;
-          workload;
-          variant = Variant.of_string variant;
-          reduction;
-          walkers;
-          blocks;
-          steps;
-          tau;
-          domains;
-          crowd;
-          delay;
-          precision = parse_precision precision;
-          precision_dt = parse_precision_for "precision-dt" precision_dt;
-          precision_jastrow =
-            parse_precision_for "precision-jastrow" precision_jastrow;
-          precision_inv = parse_precision_for "precision-inv" precision_inv;
-          autotune;
-          nlpp = with_nlpp;
-          seed;
-          checkpoint;
-          checkpoint_every;
-          checkpoint_keep;
-          watchdog;
-          restore;
-          ranks;
-          heartbeat_ms;
-          max_respawn;
-          elastic;
-          gen_deadline_ms;
-          straggler_policy;
-          trace;
-          telemetry;
-          telemetry_every;
-          progress;
-        }
+        let cfg =
+          {
+            Input.method_ = String.lowercase_ascii method_;
+            workload;
+            variant = Variant.of_string variant;
+            reduction;
+            walkers;
+            blocks;
+            steps;
+            tau;
+            domains;
+            crowd;
+            delay;
+            precision = parse_precision precision;
+            precision_dt = parse_precision_for "precision-dt" precision_dt;
+            precision_jastrow =
+              parse_precision_for "precision-jastrow" precision_jastrow;
+            precision_inv = parse_precision_for "precision-inv" precision_inv;
+            nlpp = with_nlpp;
+            seed;
+            checkpoint;
+            checkpoint_every;
+            checkpoint_keep;
+            watchdog;
+            restore;
+            ranks;
+            heartbeat_ms;
+            max_respawn;
+            elastic;
+            gen_deadline_ms;
+            straggler_policy;
+            trace;
+            telemetry;
+            telemetry_every;
+            progress;
+          }
+        in
+        Input.check cfg;
+        cfg
   in
   let method_ = cfg.Input.method_ in
   let workload = cfg.Input.workload in
@@ -97,7 +96,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let precision_dt = cfg.Input.precision_dt in
   let precision_jastrow = cfg.Input.precision_jastrow in
   let precision_inv = cfg.Input.precision_inv in
-  let autotune = cfg.Input.autotune in
   let with_nlpp = cfg.Input.nlpp in
   let seed = cfg.Input.seed in
   let checkpoint = cfg.Input.checkpoint in
@@ -117,8 +115,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
     with
     | Some pol -> pol
     | None ->
-        invalid_arg
-          "oqmc_run: --straggler-policy must be warn, steal or quarantine"
+        invalid_arg "oqmc_run: --straggler-policy must be warn or quarantine"
   in
   let trace = cfg.Input.trace in
   let telemetry = cfg.Input.telemetry in
@@ -136,26 +133,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
         match variant with
         | Variant.Ref | Variant.Current_f64 -> `F64
         | Variant.Ref_mp | Variant.Current -> `F32)
-  in
-  (* autotune = true: pick crowd/delay/grain from the calibrated
-     roofline + memory model, refined by a short measured delay sweep;
-     explicit non-default flags still win over the tuner. *)
-  let crowd, delay =
-    if not autotune then (crowd, delay)
-    else begin
-      let choice =
-        Oqmc_autotune.Tuner.choose ~refine:true ~walkers ~domains ~variant
-          ~precision:eff_precision ~sys ()
-      in
-      Oqmc_autotune.Tuner.publish choice;
-      print_endline (Oqmc_autotune.Tuner.describe choice);
-      if Sys.getenv_opt "OQMC_GRAIN" = None then
-        Unix.putenv "OQMC_GRAIN"
-          (string_of_int choice.Oqmc_autotune.Tuner.knobs.grain);
-      let k = choice.Oqmc_autotune.Tuner.knobs in
-      ( (if crowd <> 1 then crowd else k.Oqmc_autotune.Tuner.crowd),
-        if delay <> 1 then delay else k.Oqmc_autotune.Tuner.delay )
-    end
   in
   (* Any explicitly single-precision table — orbital, distance, Jastrow
      or inverse — arms the integrity watchdog's sampled full-recompute
@@ -273,11 +250,11 @@ let run input method_ workload variant reduction walkers blocks steps tau
         res.garbage_frames res.degraded_generations;
       if elastic then
         Printf.printf
-          "elastic       : %d joins, %d leaves, %d stragglers (%s), %d \
-           steals, gen p50 %.1f ms p99 %.1f ms\n"
+          "elastic       : %d joins, %d leaves, %d stragglers (%s), gen p50 \
+           %.1f ms p99 %.1f ms\n"
           res.joins res.leaves res.stragglers
           (Oqmc_dist.Supervisor.straggler_policy_name straggler_policy)
-          res.steals (1e3 *. res.gen_p50_s) (1e3 *. res.gen_p99_s);
+          (1e3 *. res.gen_p50_s) (1e3 *. res.gen_p99_s);
       if res.ranks_failed <> [] then
         Printf.printf "ranks lost    : %s\n"
           (String.concat ", " (List.map string_of_int res.ranks_failed));
@@ -475,16 +452,6 @@ let precision_inv =
            delayed-update panels (f64 accumulation either way).  \
            Default: follow --precision.")
 
-let autotune =
-  Arg.(
-    value & flag
-    & info [ "autotune" ]
-        ~doc:
-          "Calibrate this node (microbench roofline) and pick crowd, \
-           delay and grain from the performance model, refined by a \
-           short measured delay sweep.  Explicit --crowd/--delay values \
-           still win.")
-
 let nlpp = Arg.(value & flag & info [ "nlpp" ] ~doc:"Enable NLPP.")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.")
 
@@ -581,8 +548,7 @@ let straggler_policy =
     & info [ "straggler-policy" ] ~docv:"POLICY"
         ~doc:
           "What to do with a rank that misses the soft generation \
-           deadline: warn (count it), steal (shed a quarter of its \
-           walkers to the fastest rank) or quarantine (three consecutive \
+           deadline: warn (count it) or quarantine (three consecutive \
            misses are treated as a stall).")
 
 let trace =
@@ -653,7 +619,7 @@ let cmd =
     Term.(
       const run $ input $ method_ $ workload $ variant $ reduction $ walkers
       $ blocks $ steps $ tau $ domains $ crowd $ delay $ precision
-      $ precision_dt $ precision_jastrow $ precision_inv $ autotune $ nlpp
+      $ precision_dt $ precision_jastrow $ precision_inv $ nlpp
       $ seed $ checkpoint
       $ checkpoint_every $ checkpoint_keep $ watchdog $ restore $ ranks
       $ heartbeat_ms $ max_respawn $ elastic $ gen_deadline_ms

@@ -8,11 +8,11 @@ module J = Oqmc_obs.Jsonx
    totals vs the calibrated roofline projection for the same system and
    run shape.
 
-   The projection side reuses exactly the analytic pipeline the tuner
-   optimizes over — {!Opcount.step_costs} for the per-kernel op/byte
-   counts, {!Roofline.project_all} through the machine descriptor — so
-   the audit answers "how close is this run to the model the knobs were
-   chosen against", not "how close to an aspirational peak".  The
+   The projection side is the analytic pipeline of the performance
+   model — {!Opcount.step_costs} for the per-kernel op/byte counts,
+   {!Roofline.project_all} through the machine descriptor — so the
+   audit answers "how close is this run to the model", not "how close
+   to an aspirational peak".  The
    measured side reads the global {!Oqmc_obs.Metrics} registry: the
    supervisor's [sup.generation_s] histogram and the [timer_us.*]
    kernel counters that both executors (forked rank piggyback, local

@@ -4,7 +4,7 @@ open Oqmc_perfmodel
 (** Efficiency audit: measured run performance vs the calibrated
     roofline projection for the same system and run shape.
 
-    The projection reuses the tuner's analytic pipeline
+    The projection is the performance model's analytic pipeline
     ({!Opcount.step_costs} → {!Roofline.project_all}); the measurement
     reads the global {!Oqmc_obs.Metrics} registry (the supervisor's
     [sup.generation_s] histogram and the [timer_us.*] kernel counters

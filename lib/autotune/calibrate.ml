@@ -1,13 +1,13 @@
 open Oqmc_containers
 open Oqmc_perfmodel
 
-(* On-node machine calibration for the autotuner.
+(* On-node machine calibration for the efficiency audit.
 
    The roofline/memory models normally run against published SKU
    constants ({!Machine.knl} etc.) — hardware this repository cannot run
-   on.  When tuning for the node we are actually executing on, those
-   constants are wrong; this module measures the two numbers the models
-   need (sustained scalar flop rate; streaming bandwidth at a
+   on.  When projecting a run on the node we are actually executing on,
+   those constants are wrong; this module measures the two numbers the
+   models need (sustained scalar flop rate; streaming bandwidth at a
    cache-resident and a DRAM-sized footprint) with microbenchmarks built
    from the same monomorphic float-array loops the kernels use, and
    packages them as a single-core {!Machine.t}.
@@ -88,7 +88,7 @@ let machine ?(quick = true) () =
     best (fun () -> measure_triad ~n:(2048 * kib) ~reps:(scale 2))
   in
   (* Caches never make streaming slower than DRAM; clamp the rare noisy
-     inversion so the tuner's level choice stays monotone. *)
+     inversion so the projection's level choice stays monotone. *)
   let bw_cache = Float.max bw_cache bw_dram in
   {
     Machine.mname = "calibrated";

@@ -3,8 +3,8 @@ open Oqmc_perfmodel
 (** On-node calibration microbenchmarks: measure the sustained scalar
     flop rate and the streaming bandwidth at a cache-resident and a
     DRAM-sized footprint, packaged as a single-core {!Machine.t} whose
-    roofline reproduces the measured rates.  Used by {!Tuner.choose} when
-    no machine descriptor is supplied. *)
+    roofline reproduces the measured rates.  {!Audit.create} projects a
+    run shape on it. *)
 
 val measure_gflops : reps:int -> float
 (** Sustained scalar multiply–add rate (GFLOP/s), 4 independent

@@ -34,9 +34,8 @@ module Flightrec = Oqmc_obs.Flightrec
    on arrival order), and a
    rank that blows its soft deadline — [gen_deadline_ms] plus three
    heartbeat-RTT EWMAs of slack — is handled per [straggler_policy]:
-   warn (count it), steal (shed a quarter of its walkers to the
-   fastest rank), or quarantine (three consecutive misses → treated as
-   a stall and respawned).
+   warn (count it) or quarantine (three consecutive misses → treated
+   as a stall and respawned).
 
    Robustness machinery, exercised deterministically by the Fault rank
    injectors and the [Chaos] schedule planner:
@@ -65,17 +64,15 @@ module Flightrec = Oqmc_obs.Flightrec
    their own across a [run] call.  (Forked ranks DO spawn domains —
    including the [Checkpoint.Async] writer — but only after the fork.) *)
 
-type straggler_policy = Warn | Steal | Quarantine
+type straggler_policy = Warn | Quarantine
 
 let straggler_policy_of_string = function
   | "warn" -> Some Warn
-  | "steal" -> Some Steal
   | "quarantine" -> Some Quarantine
   | _ -> None
 
 let straggler_policy_name = function
   | Warn -> "warn"
-  | Steal -> "steal"
   | Quarantine -> "quarantine"
 
 (* Elastic membership plan entry: at the END of generation [gen] (first
@@ -180,7 +177,6 @@ type result = {
   joins : int;
   leaves : int;
   stragglers : int;
-  steals : int;
   membership_skipped : int; (* events that could not be applied *)
   membership_log : member_record list; (* chronological *)
   gen_p50_s : float; (* per-generation wall-time percentiles *)
@@ -491,7 +487,7 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
   let degraded_generations = ref 0 in
   let comm_messages = ref 0 and comm_bytes = ref 0 in
   let joins = ref 0 and leaves = ref 0 in
-  let stragglers = ref 0 and steals = ref 0 in
+  let stragglers = ref 0 in
   let skipped = ref 0 in
   let membership_log = ref [] in
   let gen_times = ref [] in
@@ -796,8 +792,8 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
             | None -> ()))
   in
   (* Full load-balance exchange over [ids] (healthy subset), relayed in
-     deterministic [Population.plan] order — shared by phase 4, the
-     post-join rebalance and walker stealing. *)
+     deterministic [Population.plan] order — shared by phase 4 and the
+     post-join rebalance. *)
   let relay_exchange ~gen ids =
     let ids = Array.of_list (List.filter ok_rank ids) in
     let moves = Population.plan (Array.map (fun r -> (proc r).count) ids) in
@@ -1018,7 +1014,6 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
     let arrivals = collect_phase2 ~gen participants in
     let wsum_t = ref 0. and esum_t = ref 0. and n_t = ref 0 in
     let acc_t = ref 0 and prop_t = ref 0 in
-    let steal_from = ref [] in
     List.iter
       (fun r ->
         match Hashtbl.find_opt arrivals r with
@@ -1069,7 +1064,6 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
                   "sup.straggler";
                 match p.straggler_policy with
                 | Warn -> ()
-                | Steal -> steal_from := r :: !steal_from
                 | Quarantine -> if s.straggles >= 3 then fail_rank r Stall
               end
               else s.straggles <- 0
@@ -1108,42 +1102,6 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
     (* Phase 4: real load-balance exchange, relayed through the
        supervisor in deterministic plan order. *)
     relay_exchange ~gen reduced;
-    (* Straggler stealing: shed a quarter of each flagged rank's shard
-       to the currently fastest rank, AFTER the exchange so the plan
-       stays deterministic. *)
-    List.iter
-      (fun r ->
-        if ok_rank r then begin
-          let k = (proc r).count / 4 in
-          let candidates =
-            List.filter (fun x -> ok_rank x && x <> r) (live ())
-          in
-          let fastest =
-            List.fold_left
-              (fun best x ->
-                match best with
-                | None -> Some x
-                | Some b ->
-                    if (proc x).rtt_ewma < (proc b).rtt_ewma then Some x
-                    else best)
-              None candidates
-          in
-          match fastest with
-          | Some dst when k > 0 ->
-              relay_move ~gen r dst k ~others:candidates;
-              incr steals;
-              Metrics.inc (Metrics.counter "sup.steals");
-              Trace.instant
-                ~args:
-                  [
-                    ("from", string_of_int r);
-                    ("to", string_of_int dst);
-                    ("walkers", string_of_int k);
-                  ]
-                "sup.steal"
-          | _ -> ()
-        end)
-      (List.rev !steal_from);
     (* Phase 5: global trial-energy feedback from the reduced counts. *)
     let total =
       List.fold_left
@@ -1418,7 +1376,6 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
       joins = !joins;
       leaves = !leaves;
       stragglers = !stragglers;
-      steals = !steals;
       membership_skipped = !skipped;
       membership_log = List.rev !membership_log;
       gen_p50_s = wall_percentile !gen_times 0.50;

@@ -25,15 +25,12 @@ open Oqmc_core
 
 type straggler_policy =
   | Warn  (** count + trace the straggler, nothing else *)
-  | Steal
-      (** shed a quarter of the straggler's walkers to the currently
-          fastest rank *)
   | Quarantine
       (** three consecutive misses → treated as a stall: the rank is
           killed and respawned from its newest checkpoint shard *)
 
 val straggler_policy_of_string : string -> straggler_policy option
-(** ["warn" | "steal" | "quarantine"]. *)
+(** ["warn" | "quarantine"]. *)
 
 val straggler_policy_name : straggler_policy -> string
 
@@ -135,7 +132,6 @@ type result = {
   joins : int;
   leaves : int;
   stragglers : int;  (** soft-deadline misses observed *)
-  steals : int;  (** walker-steal transfers performed *)
   membership_skipped : int;
       (** membership events that could not be applied (target rank
           gone, last rank, joiner failed to start) *)

@@ -11,8 +11,6 @@ type point = {
   time_s : float;
 }
 
-val compute_rate : Machine.t -> Opcount.kernel_cost -> float
-
 val level_index : Machine.t -> Opcount.level_hint -> int
 (** [Cache] → the first level; [Dram] → the first level that is not an
     on-die cache. *)

@@ -39,7 +39,6 @@ type t = {
       (* Jastrow radial-spline coefficients; None = follow precision *)
   precision_inv : [ `F32 | `F64 ] option;
       (* inverse / delayed-update storage; None = follow precision *)
-  autotune : bool; (* model-driven crowd/delay/grain selection *)
   nlpp : bool;
   seed : int;
   checkpoint : string option;
@@ -52,7 +51,7 @@ type t = {
   max_respawn : int; (* respawns per rank before it is abandoned *)
   elastic : bool; (* elastic rank membership + async checkpoints *)
   gen_deadline_ms : int; (* soft generation budget; 0 = lockstep *)
-  straggler_policy : string; (* warn | steal | quarantine *)
+  straggler_policy : string; (* warn | quarantine *)
   trace : string option; (* Chrome trace_event JSON output *)
   telemetry : string option; (* per-generation JSONL output *)
   telemetry_every : int;
@@ -76,7 +75,6 @@ let default =
     precision_dt = None;
     precision_jastrow = None;
     precision_inv = None;
-    autotune = false;
     nlpp = false;
     seed = 1;
     checkpoint = None;
@@ -115,12 +113,15 @@ let parse_float line v =
   try float_of_string (String.trim v)
   with Failure _ -> fail line "expected a number, got %S" v
 
-let parse_precision line key v =
+let precision_of_string ~fail key v =
   match String.lowercase_ascii v with
   | "f32" | "single" -> Some `F32
   | "f64" | "double" -> Some `F64
   | "" | "default" -> None
-  | other -> fail line "%s must be f32 or f64, got %S" key other
+  | other -> fail (Printf.sprintf "%s must be f32 or f64, got %S" key other)
+
+let parse_precision line key v =
+  precision_of_string ~fail:(fun msg -> fail line "%s" msg) key v
 
 let apply cfg ~line key value =
   match String.lowercase_ascii key with
@@ -143,12 +144,8 @@ let apply cfg ~line key value =
       let d = parse_int line value in
       if d < 1 then fail line "delay must be >= 1, got %d" d;
       { cfg with delay = d }
-  | "precision" -> (
-      match String.lowercase_ascii value with
-      | "f32" | "single" -> { cfg with precision = Some `F32 }
-      | "f64" | "double" -> { cfg with precision = Some `F64 }
-      | "" | "default" -> { cfg with precision = None }
-      | other -> fail line "precision must be f32 or f64, got %S" other)
+  | "precision" ->
+      { cfg with precision = parse_precision line "precision" value }
   | "precision_dt" ->
       { cfg with precision_dt = parse_precision line "precision_dt" value }
   | "precision_jastrow" ->
@@ -158,7 +155,6 @@ let apply cfg ~line key value =
       }
   | "precision_inv" ->
       { cfg with precision_inv = parse_precision line "precision_inv" value }
-  | "autotune" -> { cfg with autotune = parse_bool line value }
   | "nlpp" -> { cfg with nlpp = parse_bool line value }
   | "seed" -> { cfg with seed = parse_int line value }
   | "checkpoint" -> { cfg with checkpoint = Some value }
@@ -176,17 +172,24 @@ let apply cfg ~line key value =
       { cfg with gen_deadline_ms = d }
   | "straggler_policy" -> (
       match String.lowercase_ascii value with
-      | ("warn" | "steal" | "quarantine") as pol ->
-          { cfg with straggler_policy = pol }
+      | ("warn" | "quarantine") as pol -> { cfg with straggler_policy = pol }
       | other ->
-          fail line
-            "straggler_policy must be warn, steal or quarantine, got %S"
-            other)
+          fail line "straggler_policy must be warn or quarantine, got %S" other)
   | "trace" -> { cfg with trace = Some value }
   | "telemetry" -> { cfg with telemetry = Some value }
   | "telemetry_every" -> { cfg with telemetry_every = parse_int line value }
   | "progress" -> { cfg with progress = parse_bool line value }
   | other -> fail line "unknown key %S" other
+
+(* Run parameters no driver can use: a non-finite or non-positive time
+   step (DMC then reports NaN energies, VMC never moves), no walkers, or
+   no worker domains. *)
+let check cfg =
+  let bad fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt in
+  if not (Float.is_finite cfg.tau && cfg.tau > 0.) then
+    bad "tau must be finite and > 0, got %g" cfg.tau;
+  if cfg.walkers < 1 then bad "walkers must be >= 1, got %d" cfg.walkers;
+  if cfg.domains < 1 then bad "domains must be >= 1, got %d" cfg.domains
 
 let parse_string contents =
   let cfg = ref default in
@@ -211,6 +214,7 @@ let parse_string contents =
                if key = "" then fail line "empty key";
                cfg := apply !cfg ~line key value
          end);
+  check !cfg;
   !cfg
 
 (* ---------- canonicalization ----------
@@ -246,7 +250,6 @@ let canonical cfg =
   put "precision_dt" (prec_str cfg.precision_dt);
   put "precision_jastrow" (prec_str cfg.precision_jastrow);
   put "precision_inv" (prec_str cfg.precision_inv);
-  put "autotune" (string_of_bool cfg.autotune);
   put "nlpp" (string_of_bool cfg.nlpp);
   put "seed" (string_of_int cfg.seed);
   put "watchdog" (string_of_int cfg.watchdog);

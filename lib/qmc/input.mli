@@ -34,9 +34,6 @@ type t = {
   precision_inv : [ `F32 | `F64 ] option;
       (** Inverse-matrix / delayed-update panel storage precision;
           [None] follows [precision]. *)
-  autotune : bool;
-      (** [autotune = true] lets {!Oqmc_autotune} pick crowd, delay and
-          grain from the roofline/memory model before the run starts *)
   nlpp : bool;
   seed : int;
   checkpoint : string option;
@@ -60,8 +57,7 @@ type t = {
       (** soft per-generation budget feeding the straggler policy;
           0 = classic lockstep.  Values < 0 are rejected at parse time *)
   straggler_policy : string;
-      (** ["warn"], ["steal"] or ["quarantine"] (validated at parse
-          time) *)
+      (** ["warn"] or ["quarantine"] (validated at parse time) *)
   trace : string option;
       (** write a Chrome trace_event JSON timeline here (load it in
           Perfetto / chrome://tracing) *)
@@ -75,8 +71,24 @@ val default : t
 
 exception Parse_error of string
 
+val precision_of_string :
+  fail:(string -> [ `F32 | `F64 ] option) ->
+  string ->
+  string ->
+  [ `F32 | `F64 ] option
+(** [precision_of_string ~fail key v] reads a precision setting:
+    [f32]/[single], [f64]/[double], or [""]/[default] for [None]
+    (case-insensitive).  Anything else calls [fail] with
+    ["<key> must be f32 or f64, got <v>"]. *)
+
+val check : t -> unit
+(** Refuses run parameters no driver can use: a [tau] that is not
+    finite or not > 0, [walkers < 1], [domains < 1].
+    @raise Parse_error naming the offending value. *)
+
 val parse_string : string -> t
-(** @raise Parse_error on malformed input. *)
+(** Parses a deck and {!check}s the result.
+    @raise Parse_error on malformed input or unusable parameters. *)
 
 val parse_file : string -> t
 

@@ -37,28 +37,12 @@ let total_spawns () = Atomic.get spawns
 let grain_for ~n ~n_domains =
   if n <= 0 then 1 else max 1 (min 32 (n / (n_domains * 4)))
 
-(* Environment override for bench sweeps: OQMC_GRAIN=<g> forces every
-   region's grain (clamped to >= 1); unset/invalid means the heuristic.
-   Read once — a process's grain policy should not drift mid-run. *)
-let env_grain =
-  lazy
-    (match Sys.getenv_opt "OQMC_GRAIN" with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some g when g >= 1 -> Some g
-        | _ -> None))
-
-(* Per-region grain resolution: explicit [?grain] beats OQMC_GRAIN beats
-   [grain_for]. *)
+(* Per-region grain resolution: explicit [?grain] beats [grain_for]. *)
 let resolve_grain ?grain ~n ~n_domains () =
   match grain with
   | Some g when g >= 1 -> g
   | Some _ -> invalid_arg "Runner.parallel_for: grain < 1"
-  | None -> (
-      match Lazy.force env_grain with
-      | Some g -> g
-      | None -> grain_for ~n ~n_domains)
+  | None -> grain_for ~n ~n_domains
 
 type pool = {
   mutex : Mutex.t;

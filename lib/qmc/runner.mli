@@ -72,9 +72,7 @@ val parallel_for :
     {!Domain_failures}.
 
     The grain (indices pulled per counter fetch) is [?grain] when given,
-    else the [OQMC_GRAIN] environment variable (read once per process;
-    invalid or < 1 values are ignored), else {!grain_for} — the tunable
-    exists for bench sweeps over scheduling granularity.
+    else {!grain_for}.
     @raise Invalid_argument if [grain < 1]. *)
 
 val iter_walkers : t -> 'w array -> f:(Engine_api.t -> 'w -> unit) -> unit

@@ -4,11 +4,9 @@
 # its checkpoint shard), the observability smoke (trace + telemetry
 # artifacts validated end to end), the crowd-batching bench smoke
 # (pipeline/scalar bit-identity + zero-allocation kernel assertions),
-# the autotune smoke (roofline-driven knob selection: sane choice,
-# metrics gauges, JSON round-trip), and the chaos soak (a deterministic
-# multi-hundred-generation run per seed under injected
-# kills/stalls/garbage/disk-full + elastic join/leave membership;
-# OQMC_CHAOS_LONG=1 extends the matrix), the serve smoke (daemon boot,
+# the chaos soak (a deterministic multi-hundred-generation run per seed
+# under injected kills/stalls/garbage/disk-full + elastic join/leave
+# membership; OQMC_CHAOS_LONG=1 extends the matrix), the serve smoke (daemon boot,
 # cold job, cache-hit resubmission, deadline drain, per-job telemetry;
 # emits BENCH_serve.json), and the serve soak (SIGKILL the daemon with
 # jobs running and queued, restart, prove bit-identical completion and
@@ -28,7 +26,6 @@ dune runtest
 dune build @recovery-smoke
 dune build @obs-smoke
 dune build @bench-smoke
-dune build @autotune-smoke
 dune build @status-smoke
 dune build test/chaos_soak.exe
 OQMC_BENCH_OUT="$PWD/BENCH_chaos.json" ./_build/default/test/chaos_soak.exe

@@ -198,7 +198,7 @@ let soak seed =
 
 (* Generation-latency comparison: the same straggler workload (periodic
    sub-heartbeat stalls) under classic lockstep vs deadline-budgeted
-   barrier softening with walker stealing + async checkpoints. *)
+   barrier softening (stragglers counted) + async checkpoints. *)
 let latency_run ~softened =
   let dir = tmpdir () in
   let path = Filename.concat dir "lat.chk" in
@@ -217,7 +217,7 @@ let latency_run ~softened =
       checkpoint_keep = 2;
       faults;
       gen_deadline_ms = (if softened then 40 else 0);
-      straggler_policy = Supervisor.Steal;
+      straggler_policy = Supervisor.Warn;
     }
   in
   let res = Supervisor.run ~factory p in
@@ -230,12 +230,12 @@ let () =
   let softened = latency_run ~softened:true in
   Printf.printf
     "latency: lockstep p50 %.1f ms p99 %.1f ms | softened p50 %.1f ms p99 \
-     %.1f ms (%d stragglers, %d steals)\n%!"
+     %.1f ms (%d stragglers)\n%!"
     (1000. *. lockstep.Supervisor.gen_p50_s)
     (1000. *. lockstep.Supervisor.gen_p99_s)
     (1000. *. softened.Supervisor.gen_p50_s)
     (1000. *. softened.Supervisor.gen_p99_s)
-    softened.Supervisor.stragglers softened.Supervisor.steals;
+    softened.Supervisor.stragglers;
   let seed_obj (seed, schedule, (res : Supervisor.result)) =
     let c = Chaos.count schedule in
     Jsonx.Obj
@@ -264,7 +264,6 @@ let () =
         ("gen_p50_s", Jsonx.Num r.Supervisor.gen_p50_s);
         ("gen_p99_s", Jsonx.Num r.Supervisor.gen_p99_s);
         ("stragglers", Jsonx.Num (float_of_int r.Supervisor.stragglers));
-        ("steals", Jsonx.Num (float_of_int r.Supervisor.steals));
       ]
   in
   let bench =

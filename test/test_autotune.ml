@@ -5,89 +5,100 @@ open Oqmc_autotune
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_str = Alcotest.(check string)
 
-(* Model-only choices against a published machine descriptor are pure
-   functions of the system dimensions — no microbenchmarks, no noise —
-   so the tests can pin exact behaviour. *)
+(* Crowd and delay are plain deck parameters: a run gets exactly the
+   values its deck names, and no key picks them at run time. *)
 
-let choose ?(walkers = 16) sys =
-  Tuner.choose ~machine:Machine.bdw ~walkers ~domains:1
-    ~variant:Variant.Current ~precision:`F32 ~sys ()
+let deck lines = Input.parse_string (String.concat "\n" lines ^ "\n")
+
+let harmonic_deck = [ "method = dmc"; "workload = harmonic"; "walkers = 16" ]
+
+(* [Some msg] when [text] fails to parse, [None] when it parses. *)
+let parse_error text =
+  match Input.parse_string text with
+  | _ -> None
+  | exception Input.Parse_error msg -> Some msg
 
 let test_small_det_keeps_rank1 () =
-  (* 3x3 determinant per spin: delayed updates have nothing to amortize
-     and the model must not pick a rank above 1. *)
-  let sys = Validation.harmonic ~n:6 ~omega:1.0 in
-  let c = choose sys in
-  check_int "delay" 1 c.Tuner.knobs.Tuner.delay;
-  check_bool "crowd sane" true
-    (c.Tuner.knobs.Tuner.crowd >= 1 && c.Tuner.knobs.Tuner.crowd <= 16);
-  check_bool "grain covers crowd" true
-    (c.Tuner.knobs.Tuner.grain >= c.Tuner.knobs.Tuner.crowd)
+  (* A deck that names no delay keeps the rank-1 Sherman-Morrison
+     update. *)
+  let cfg = deck harmonic_deck in
+  check_int "delay" 1 cfg.Input.delay;
+  check_int "crowd" 1 cfg.Input.crowd
 
 let test_large_det_delays () =
-  (* 96 electrons per spin: register reuse across accumulated ranks makes
-     a delayed flush strictly cheaper in the model, so the chosen rank
-     must rise above rank-1 (and stay in the candidate set). *)
-  let sys = Validation.electron_gas ~n_up:96 ~n_down:96 ~box:10. () in
-  let c = choose sys in
-  check_bool "delay > 1" true (c.Tuner.knobs.Tuner.delay > 1);
-  check_bool "delay in candidates" true
-    (List.mem c.Tuner.knobs.Tuner.delay [ 4; 8; 16 ]);
-  check_bool "speedup predicted" true (c.Tuner.predicted_speedup >= 1.)
+  (* The delay rank is what the deck says, including an explicit 1. *)
+  List.iter
+    (fun k ->
+      check_int
+        (Printf.sprintf "delay = %d" k)
+        k
+        (deck (harmonic_deck @ [ Printf.sprintf "delay = %d" k ])).Input.delay)
+    [ 1; 4; 8; 16 ];
+  check_bool "delay = 0 refused" true (parse_error "delay = 0\n" <> None)
 
 let test_deterministic () =
-  let sys = Validation.electron_gas ~n_up:24 ~n_down:24 ~box:8. () in
-  let a = choose sys and b = choose sys in
-  check_int "crowd" a.Tuner.knobs.Tuner.crowd b.Tuner.knobs.Tuner.crowd;
-  check_int "delay" a.Tuner.knobs.Tuner.delay b.Tuner.knobs.Tuner.delay;
-  check_int "grain" a.Tuner.knobs.Tuner.grain b.Tuner.knobs.Tuner.grain
+  (* The same deck always yields the same knobs and the same canonical
+     form, which carries no run-time knob picker. *)
+  let text = harmonic_deck @ [ "crowd = 8"; "delay = 4" ] in
+  let a = deck text and b = deck (List.rev text) in
+  check_int "crowd" a.Input.crowd b.Input.crowd;
+  check_int "delay" a.Input.delay b.Input.delay;
+  check_str "canonical" (Input.canonical a) (Input.canonical b);
+  check_bool "no autotune line" false
+    (List.exists
+       (String.starts_with ~prefix:"autotune")
+       (String.split_on_char '\n' (Input.canonical a)))
 
 let test_crowd_capped_by_walkers () =
   (* crowd can never exceed the walkers available to one domain. *)
+  check_int "Current, 2 walkers" 2
+    (Runner.max_crowd ~variant:Variant.Current ~walkers:2);
+  check_int "Current, 16 walkers" 16
+    (Runner.max_crowd ~variant:Variant.Current ~walkers:16);
   let sys = Validation.harmonic ~n:6 ~omega:1.0 in
-  let c = choose ~walkers:2 sys in
-  check_bool "crowd <= walkers" true (c.Tuner.knobs.Tuner.crowd <= 2)
+  Runner.with_runner ~crowd:8 ~walkers:2 ~n_domains:1
+    ~factory:(Build.factory ~variant:Variant.Current ~seed:1 sys)
+    (fun r -> check_int "runner crowd" 2 (Runner.crowd r))
 
 let test_store_variants_crowd_one () =
-  (* Ref and Ref+MP sweep one walker at a time whatever the crowd, so the
-     tuner never offers them one — on a system where Current batches. *)
-  let sys = Validation.electron_gas ~n_up:24 ~n_down:24 ~box:8. () in
-  let pick variant =
-    (Tuner.choose ~machine:Machine.bdw ~walkers:16 ~domains:1 ~variant
-       ~precision:`F64 ~sys ())
-      .Tuner.knobs
-      .Tuner.crowd
-  in
-  check_bool "Current batches" true (pick Variant.Current > 1);
-  check_int "Ref crowd" 1 (pick Variant.Ref);
-  check_int "Ref+MP crowd" 1 (pick Variant.Ref_mp)
+  (* Ref and Ref+MP sweep one walker at a time whatever the crowd. *)
+  check_bool "Current batches" true
+    (Runner.max_crowd ~variant:Variant.Current ~walkers:16 > 1);
+  check_int "Ref crowd" 1 (Runner.max_crowd ~variant:Variant.Ref ~walkers:16);
+  check_int "Ref+MP crowd" 1
+    (Runner.max_crowd ~variant:Variant.Ref_mp ~walkers:16)
 
 let test_choice_json_roundtrip () =
-  let sys = Validation.harmonic ~n:6 ~omega:1.0 in
-  let c = choose sys in
-  let doc = Oqmc_obs.Jsonx.to_string (Tuner.choice_json c) in
-  match Oqmc_obs.Jsonx.parse_string_exn doc with
-  | Oqmc_obs.Jsonx.Obj fields ->
-      check_bool "has knobs" true (List.mem_assoc "knobs" fields);
-      check_bool "has machine" true (List.mem_assoc "machine" fields);
-      check_bool "has candidates" true (List.mem_assoc "candidates" fields)
-  | _ -> Alcotest.fail "choice JSON is not an object"
+  (* There is no tuner choice to report: the key is refused, naming its
+     line. *)
+  match parse_error "method = dmc\nautotune = true\n" with
+  | Some msg ->
+      check_bool ("names line 2: " ^ msg) true
+        (String.starts_with ~prefix:"line 2:" msg)
+  | None -> Alcotest.fail "autotune = true accepted"
 
 let test_publish_gauges () =
+  (* The efficiency audit publishes its gauges into the registry. *)
   let sys = Validation.harmonic ~n:6 ~omega:1.0 in
-  let c = choose sys in
-  Tuner.publish c;
-  let ms = Oqmc_obs.Metrics.snapshot () in
-  let gauge name =
-    match Oqmc_obs.Metrics.find ms name with
-    | Some (Oqmc_obs.Metrics.Gauge g) -> g
-    | _ -> Alcotest.failf "metric missing: %s" name
+  let a =
+    Audit.create ~machine:Machine.bdw ~walkers:16 ~variant:Variant.Current
+      ~precision:`F32 ~sys ()
   in
-  check_int "autotune.crowd gauge" c.Tuner.knobs.Tuner.crowd
-    (int_of_float (gauge "autotune.crowd"));
-  check_int "autotune.delay gauge" c.Tuner.knobs.Tuner.delay
-    (int_of_float (gauge "autotune.delay"))
+  (match Audit.observe ~measured_gen_s:0.01 ~kernel_seconds:[] a with
+  | Some r ->
+      check_bool "report json is an object" true
+        (match Audit.json r with Oqmc_obs.Jsonx.Obj _ -> true | _ -> false)
+  | None -> Alcotest.fail "no audit report");
+  let ms = Oqmc_obs.Metrics.snapshot () in
+  List.iter
+    (fun name ->
+      check_bool name true
+        (match Oqmc_obs.Metrics.find ms name with
+        | Some (Oqmc_obs.Metrics.Gauge g) -> Float.is_finite g
+        | _ -> false))
+    [ "audit.efficiency"; "audit.projected_gen_s"; "audit.measured_gen_s" ]
 
 let () =
   Alcotest.run "autotune"

@@ -1055,27 +1055,20 @@ let test_straggler_warn_counts () =
   check_int "warn never kills" 0
     (r.Supervisor.respawns + r.Supervisor.heartbeat_timeouts
    + r.Supervisor.crashes);
-  check_int "warn never steals" 0 r.Supervisor.steals;
   assert_healthy "straggler-warn" r
 
-let test_straggler_steal_sheds_walkers () =
-  let p =
-    {
-      base_params with
-      Supervisor.elastic = true;
-      target_walkers = 24;
-      generations = 8;
-      gen_deadline_ms = 1;
-      straggler_policy = Supervisor.Steal;
-      faults = [ (1, 4, Fault.Rank_stall 0.05) ];
-    }
-  in
-  let r = Supervisor.run ~factory p in
-  check_bool "straggler observed" true (r.Supervisor.stragglers >= 1);
-  check_bool "a quarter-shard steal happened" true (r.Supervisor.steals >= 1);
-  check_int "stealing never kills" 0
-    (r.Supervisor.respawns + r.Supervisor.crashes);
-  assert_healthy "straggler-steal" r
+let test_straggler_steal_refused () =
+  (* Stealing is not a policy: the name maps to nothing and a deck that
+     asks for it fails to parse, naming its line. *)
+  check_bool "no steal policy" true
+    (Supervisor.straggler_policy_of_string "steal" = None);
+  match
+    Input.parse_string "method = dmc\nranks = 2\nstraggler_policy = steal\n"
+  with
+  | _ -> Alcotest.fail "straggler_policy = steal accepted"
+  | exception Input.Parse_error msg ->
+      check_bool ("names line 3: " ^ msg) true
+        (String.starts_with ~prefix:"line 3:" msg)
 
 (* ---------- chaos schedules ---------- *)
 
@@ -1202,7 +1195,7 @@ let () =
           Alcotest.test_case "straggler policy: warn" `Quick
             test_straggler_warn_counts;
           Alcotest.test_case "straggler policy: steal" `Quick
-            test_straggler_steal_sheds_walkers;
+            test_straggler_steal_refused;
           Alcotest.test_case "chaos plans are deterministic" `Quick
             test_chaos_plan_deterministic;
         ] );

@@ -157,6 +157,29 @@ let test_input_deck_errors () =
     | cfg -> cfg = Input.default
     | exception _ -> false)
 
+let test_run_parameters_refused () =
+  (* A time step that is not finite and positive, no walkers or no
+     domains: refused at parse time, naming the value. *)
+  List.iter
+    (fun (line, reason) ->
+      match Input.parse_string ("method = dmc\n" ^ line ^ "\n") with
+      | _ -> Alcotest.failf "%s accepted" line
+      | exception Input.Parse_error msg ->
+          check_bool (line ^ ": " ^ msg) true (msg = reason))
+    [
+      ("tau = 0", "tau must be finite and > 0, got 0");
+      ("tau = -0.01", "tau must be finite and > 0, got -0.01");
+      ("tau = nan", "tau must be finite and > 0, got nan");
+      ("tau = inf", "tau must be finite and > 0, got inf");
+      ("walkers = 0", "walkers must be >= 1, got 0");
+      ("domains = 0", "domains must be >= 1, got 0");
+    ];
+  check_bool "the checked record itself" true
+    (match Input.check { Input.default with Input.walkers = -3 } with
+    | () -> false
+    | exception Input.Parse_error _ -> true);
+  Input.check Input.default
+
 let test_tile_deck_key () =
   (* The retired orbital-table keys ([tile], [layout]) and exchange
      planner key ([plan]) are rejected like any unknown key. *)
@@ -215,6 +238,8 @@ let () =
         [
           Alcotest.test_case "input deck errors" `Quick test_input_deck_errors;
           Alcotest.test_case "tile deck key" `Quick test_tile_deck_key;
+          Alcotest.test_case "run parameters refused" `Quick
+            test_run_parameters_refused;
           Alcotest.test_case "unbalanced spins" `Quick test_unbalanced_spins;
         ] );
     ]

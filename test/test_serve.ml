@@ -670,6 +670,37 @@ let test_served_precision_overrides () =
   check_bool "precision_dt = f32 changes the served energy" true
     (e_dt32 <> e_default)
 
+(* Decks no driver can run, or that name a retired knob, are refused at
+   admission with a [deck:] reason: never queued, never cached. *)
+let test_served_bad_decks_rejected () =
+  with_daemon "rejectd" (fun socket ->
+      let fd = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close fd)
+        (fun () ->
+          List.iter
+            (fun (extra, reason) ->
+              let deck =
+                "method = dmc\nworkload = harmonic\nwalkers = 8\nblocks = 2\n\
+                 steps = 3\n" ^ extra ^ "\n"
+              in
+              match Client.submit fd ~client:"t" deck with
+              | Proto.Rejected { reason = r; _ } ->
+                  check_str extra ("deck: " ^ reason) r
+              | other ->
+                  Alcotest.failf "%s: %s" extra
+                    (Jsonx.to_string (Proto.reply_to_json other)))
+            [
+              ("tau = 0", "tau must be finite and > 0, got 0");
+              ("tau = nan", "tau must be finite and > 0, got nan");
+              ("walkers = 0", "walkers must be >= 1, got 0");
+              ("domains = 0", "domains must be >= 1, got 0");
+              ("autotune = true", "line 6: unknown key \"autotune\"");
+              ( "straggler_policy = steal",
+                "line 6: straggler_policy must be warn or quarantine, got \
+                 \"steal\"" );
+            ]))
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_canonical_shuffle ] in
   Alcotest.run "serve"
@@ -727,5 +758,7 @@ let () =
         [
           Alcotest.test_case "precision overrides reach served jobs" `Quick
             test_served_precision_overrides;
+          Alcotest.test_case "unusable decks rejected" `Quick
+            test_served_bad_decks_rejected;
         ] );
     ]
