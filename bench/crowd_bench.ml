@@ -18,9 +18,9 @@ open Oqmc_wavefunction
    2. per-kernel ns/move: scalar per-slot calls vs. the batched kernel,
       for the AA distance table and the J1/J2 Jastrow stages;
    3. allocation per move: the batched DistTable, Jastrow and B-spline
-      kernels and the determinant's ratio-gradient + accept (which
-      stores the proposal's orbital row) must not allocate — asserted,
-      not just reported;
+      kernels, the determinant's ratio-gradient + accept (which stores
+      the proposal's orbital row) and the scalar DistTable calls must
+      not allocate — asserted, not just reported;
    4. delayed determinant updates: ns/move across the delay-rank sweep
       (1 = Sherman-Morrison). *)
 
@@ -32,6 +32,9 @@ module J1_64 = Jastrow_one.Make (Precision.F64) (Precision.F64)
 module Det64 = Slater_det.Make (Precision.F64) (Precision.F64)
 module W64 = Wfc.Make (Precision.F64)
 module B3_32 = Oqmc_spline.Bspline3d.Make (Precision.F32)
+module Ps32 = Particle_set.Make (Precision.F32)
+module AA32 = Dt_aa_soa.Make (Precision.F32) (Precision.F32)
+module AB32 = Dt_ab_soa.Make (Precision.F32) (Precision.F32)
 
 let time_per ~reps f =
   let t0 = Timers.now () in
@@ -366,6 +369,45 @@ let bench_kernels ?(reps = 20_000) () =
         B3_32.eval_vgh_batch table hb ~n:crowd ~u0:su0 ~u1:su1 ~u2:su2);
   ]
 
+(* ---- 3b. scalar DistTable calls: time and allocation per call ---- *)
+
+type scalar_point = { call : string; ns_per_call : float; words_per_call : float }
+
+(* The scalar table API at NiO-32 r8's shape (48 electrons, f32 positions
+   and tables, orthorhombic cell): one AA [evaluate] (all 48 rows), one
+   AA [move] and one AB [move].  They share the batched calls' staged
+   kernel and must not allocate either. *)
+let bench_scalar_dt ?(reps = 20_000) () =
+  let n = 48 and lattice = Lattice.orthorhombic 7. 7.5 8. in
+  let u = let r = Xoshiro.create 37 in fun () -> Xoshiro.uniform r in
+  let ps =
+    Ps32.create ~lattice [ { Particle_set.name = "e"; charge = -1.; count = n } ]
+  in
+  Ps32.randomize ps u;
+  let ions =
+    Ps32.create ~lattice [ { Particle_set.name = "ion"; charge = 2.; count = 8 } ]
+  in
+  Ps32.randomize ions u;
+  let aa = AA32.create ps and ab = AB32.create ~sources:ions ps in
+  AA32.evaluate aa ps;
+  AB32.evaluate ab ps;
+  let k = n / 2 in
+  let np = Vec3.add (Ps32.get ps k) (Vec3.make 0.1 (-0.2) 0.3) in
+  let point call f =
+    let ns = time_per ~reps f *. 1e9 in
+    let w = minor_words_per ~reps:2000 f in
+    if w > 1. then
+      failwith
+        (Printf.sprintf "crowd_bench: scalar %s allocates %.1f words/call" call
+           w);
+    { call; ns_per_call = ns; words_per_call = w }
+  in
+  [
+    point "dt_aa_evaluate" (fun () -> AA32.evaluate aa ps);
+    point "dt_aa_move" (fun () -> AA32.move aa ps k np);
+    point "dt_ab_move" (fun () -> AB32.move ab np);
+  ]
+
 (* ---- 4. delayed determinant updates: delay-rank sweep ---- *)
 
 type delay_point = { dn : int; delay : int; det_ns_per_move : float }
@@ -487,6 +529,12 @@ let run ?json () =
         p.kernel p.kcrowd p.scalar_ns_per_move p.batch_ns_per_move
         p.kernel_speedup p.batch_words_per_move)
     kernels;
+  Printf.printf "== scalar DistTable calls (f32, n = 48) ==\n%!";
+  List.iter
+    (fun p ->
+      Printf.printf "  %-21s %.1f ns/call, %.2f words/call\n" p.call
+        p.ns_per_call p.words_per_call)
+    (bench_scalar_dt ~reps:2_000 ());
   Printf.printf "== delayed determinant updates ==\n%!";
   let delays =
     bench_delay ~n:32 () @ bench_delay ~n:96 ~sweeps:40 ()
@@ -526,6 +574,11 @@ let smoke () =
       Printf.printf "crowd smoke: %-21s %.2f words/move\n" q.kernel
         q.batch_words_per_move)
     kernels;
+  List.iter
+    (fun q ->
+      Printf.printf "crowd smoke: scalar %-14s %.2f words/call\n" q.call
+        q.words_per_call)
+    (bench_scalar_dt ~reps:200 ());
   (* Delayed-update regression guard: at an order where the inverse no
      longer fits in L1 the blocked rank-8 flush must beat rank-1
      Sherman-Morrison.  Best-of-2 per rank; the tolerance absorbs

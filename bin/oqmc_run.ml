@@ -286,7 +286,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
         print_audit
           ~measured_gen_s:(float_of_int walkers /. res.Vmc.throughput)
           ()
-  | "dmc" ->
+  | _ (* "dmc": [Input.check] admits no other method *) ->
       let initial =
         match restore with
         | Some path ->
@@ -352,7 +352,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
             (List.length res.Dmc.final_walkers)
             path
       | None -> ())
-  | m -> Printf.eprintf "unknown method %S (vmc|dmc)\n" m
 
 open Cmdliner
 

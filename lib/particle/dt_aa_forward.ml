@@ -36,50 +36,69 @@ module Make (R : Precision.REAL) = struct
     temp_dx : A.t;
     temp_dy : A.t;
     temp_dz : A.t;
+    mutable src : Ps.Vs.t; (* the SoA positions [g] is bound to *)
+    g : K.single; (* kernel slot, also this table's crowd-batch slot *)
   }
+
+  let bind t ps =
+    let soa = Ps.soa ps in
+    t.src <- soa;
+    K.bind t.g.K.slot ~xs:(Ps.Vs.xs soa) ~ys:(Ps.Vs.ys soa)
+      ~zs:(Ps.Vs.zs soa) ~n:t.n
 
   let create (ps : Ps.t) =
     let n = Ps.n ps in
     let mk () = M.create ~padded:true n n in
     let np = M.ld (mk ()) in
-    {
-      n;
-      lattice = Ps.lattice ps;
-      d = mk ();
-      dx = mk ();
-      dy = mk ();
-      dz = mk ();
-      temp_d = A.create np;
-      temp_dx = A.create np;
-      temp_dy = A.create np;
-      temp_dz = A.create np;
-    }
+    let t =
+      {
+        n;
+        lattice = Ps.lattice ps;
+        d = mk ();
+        dx = mk ();
+        dy = mk ();
+        dz = mk ();
+        temp_d = A.create np;
+        temp_dx = A.create np;
+        temp_dy = A.create np;
+        temp_dz = A.create np;
+        src = Ps.soa ps;
+        g = K.make_single ();
+      }
+    in
+    bind t ps;
+    t
 
   let n t = t.n
 
-  let fill_row t ps px py pz ~d ~dx ~dy ~dz =
-    let soa = Ps.soa ps in
-    K.soa_row ~lattice:t.lattice ~xs:(Ps.Vs.xs soa) ~ys:(Ps.Vs.ys soa)
-      ~zs:(Ps.Vs.zs soa) ~n:t.n ~px ~py ~pz ~d ~dx ~dy ~dz
+  let mirror t ps =
+    if Ps.soa ps != t.src then bind t ps;
+    K.mirror_slot t.g.K.slot
 
+  (* Sources mirrored once, then every row at its electron's mirrored
+     position. *)
   let evaluate t ps =
+    mirror t ps;
+    let g = t.g in
+    let sl = g.K.slot in
     for k = 0 to t.n - 1 do
-      let p = Ps.get ps k in
-      fill_row t ps p.Vec3.x p.Vec3.y p.Vec3.z ~d:(M.row t.d k)
-        ~dx:(M.row t.dx k) ~dy:(M.row t.dy k) ~dz:(M.row t.dz k);
-      M.set t.d k k 0.;
-      M.set t.dx k k 0.;
-      M.set t.dy k k 0.;
-      M.set t.dz k k 0.
+      g.K.qx.(0) <- sl.K.sx.(k);
+      g.K.qy.(0) <- sl.K.sy.(k);
+      g.K.qz.(0) <- sl.K.sz.(k);
+      K.aim sl ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
+        ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:k;
+      K.single_row ~lattice:t.lattice g
     done
 
   let move t ps k (newpos : Vec3.t) =
-    fill_row t ps newpos.Vec3.x newpos.Vec3.y newpos.Vec3.z ~d:t.temp_d
-      ~dx:t.temp_dx ~dy:t.temp_dy ~dz:t.temp_dz;
-    A.set t.temp_d k 0.;
-    A.set t.temp_dx k 0.;
-    A.set t.temp_dy k 0.;
-    A.set t.temp_dz k 0.
+    mirror t ps;
+    let g = t.g in
+    g.K.qx.(0) <- newpos.Vec3.x;
+    g.K.qy.(0) <- newpos.Vec3.y;
+    g.K.qz.(0) <- newpos.Vec3.z;
+    K.aim g.K.slot ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
+      ~o:0 ~self:k;
+    K.single_row ~lattice:t.lattice g
 
   (* Forward update: contiguous row copy + strided column writes for the
      later rows only. *)
@@ -108,21 +127,15 @@ module Make (R : Precision.REAL) = struct
   }
 
   let make_batch (pairs : (t * Ps.t) array) =
-    let m = Array.length pairs in
-    if m < 1 then invalid_arg "Dt_aa_forward.make_batch: empty crowd";
+    if Array.length pairs < 1 then
+      invalid_arg "Dt_aa_forward.make_batch: empty crowd";
     let slots =
       Array.map
         (fun ((t : t), ps) ->
           if Ps.n ps <> t.n then
             invalid_arg "Dt_aa_forward.make_batch: table/set size mismatch";
-          let soa = Ps.soa ps in
-          let sl = K.make_row_slot () in
-          sl.K.xs <- Ps.Vs.xs soa;
-          sl.K.ys <- Ps.Vs.ys soa;
-          sl.K.zs <- Ps.Vs.zs soa;
-          sl.K.n <- t.n;
-          K.ensure_scratch sl;
-          sl)
+          if Ps.soa ps != t.src then bind t ps;
+          t.g.K.slot)
         pairs
     in
     { btabs = Array.map fst pairs; bslots = slots;
@@ -135,20 +148,10 @@ module Make (R : Precision.REAL) = struct
       (* No prepare stage in the forward scheme: refresh the source
          mirrors here, exactly when the scalar [move] reads positions. *)
       K.mirror_slot sl;
-      sl.K.od <- t.temp_d;
-      sl.K.odx <- t.temp_dx;
-      sl.K.ody <- t.temp_dy;
-      sl.K.odz <- t.temp_dz;
-      sl.K.o <- 0
+      K.aim sl ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
+        ~o:0 ~self:k
     done;
-    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m;
-    for s = 0 to m - 1 do
-      let t = b.btabs.(s) in
-      A.unsafe_set t.temp_d k 0.;
-      A.unsafe_set t.temp_dx k 0.;
-      A.unsafe_set t.temp_dy k 0.;
-      A.unsafe_set t.temp_dz k 0.
-    done
+    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m
 
   let update_batch b ~k ~(acc : bool array) ~m =
     for s = 0 to m - 1 do

@@ -8,10 +8,12 @@ open Oqmc_containers
    streaming in every kernel.
 
    Compute-on-the-fly update policy (Sec. 7.5): before electron k moves,
-   [move] recomputes row k from the current positions — eliminating the
-   strided column updates of the forward-update intermediate — and fills
-   the temporary row v for the proposed position.  [accept] is a single
-   contiguous row copy.  Rows of electrons that have not yet moved in the
+   [prepare] recomputes row k from the current positions — eliminating the
+   strided column updates of the forward-update intermediate — and [move]
+   fills the temporary row v for the proposed position.  [accept] is a
+   single contiguous row copy.  Every row goes through the one staged
+   kernel ([Dt_kernels.soa_rows]) on scratch the table owns, so none of
+   these calls allocates.  Rows of electrons that have not yet moved in the
    current sweep may be stale in between; [evaluate] refreshes the whole
    table before measurements (it is reused by the Hamiltonian, so the
    O(N²) storage is retained).
@@ -38,66 +40,91 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     temp_dx : A.t;
     temp_dy : A.t;
     temp_dz : A.t;
+    mutable src : Ps.Vs.t; (* the SoA positions [g] is bound to *)
+    g : K.single; (* kernel slot, also this table's crowd-batch slot *)
   }
+
+  let bind t ps =
+    let soa = Ps.soa ps in
+    t.src <- soa;
+    K.bind t.g.K.slot ~xs:(Ps.Vs.xs soa) ~ys:(Ps.Vs.ys soa)
+      ~zs:(Ps.Vs.zs soa) ~n:t.n
 
   let create (ps : Ps.t) =
     let n = Ps.n ps in
     let mk () = M.create ~padded:true n n in
     let np = M.ld (mk ()) in
-    {
-      n;
-      lattice = Ps.lattice ps;
-      d = mk ();
-      dx = mk ();
-      dy = mk ();
-      dz = mk ();
-      temp_d = A.create np;
-      temp_dx = A.create np;
-      temp_dy = A.create np;
-      temp_dz = A.create np;
-    }
+    let t =
+      {
+        n;
+        lattice = Ps.lattice ps;
+        d = mk ();
+        dx = mk ();
+        dy = mk ();
+        dz = mk ();
+        temp_d = A.create np;
+        temp_dx = A.create np;
+        temp_dy = A.create np;
+        temp_dz = A.create np;
+        src = Ps.soa ps;
+        g = K.make_single ();
+      }
+    in
+    bind t ps;
+    t
 
   let n t = t.n
 
-  let fill_row t ps px py pz ~d ~dx ~dy ~dz =
-    let soa = Ps.soa ps in
-    K.soa_row ~lattice:t.lattice ~xs:(Ps.Vs.xs soa) ~ys:(Ps.Vs.ys soa)
-      ~zs:(Ps.Vs.zs soa) ~n:t.n ~px ~py ~pz ~d ~dx ~dy ~dz
+  (* Refresh the kernel's source mirrors from [ps] (rebinding first when
+     [ps] is not the set the table was built on). *)
+  let mirror t ps =
+    if Ps.soa ps != t.src then bind t ps;
+    K.mirror_slot t.g.K.slot
 
-  let refresh_row t ps k =
-    let p = Ps.get ps k in
-    fill_row t ps p.Vec3.x p.Vec3.y p.Vec3.z ~d:(M.row t.d k)
-      ~dx:(M.row t.dx k) ~dy:(M.row t.dy k) ~dz:(M.row t.dz k);
-    (* Self entry: exact zeros so consumers can guard on i = k cheaply. *)
-    A.set (M.row t.d k) k 0.;
-    A.set (M.row t.dx k) k 0.;
-    A.set (M.row t.dy k) k 0.;
-    A.set (M.row t.dz k) k 0.
+  (* Row [k] at electron [k]'s mirrored position, self entry exact
+     zeros so consumers can guard on i = k cheaply. *)
+  let refresh_row t k =
+    let g = t.g in
+    let sl = g.K.slot in
+    g.K.qx.(0) <- sl.K.sx.(k);
+    g.K.qy.(0) <- sl.K.sy.(k);
+    g.K.qz.(0) <- sl.K.sz.(k);
+    K.aim sl ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
+      ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:k;
+    K.single_row ~lattice:t.lattice g
 
   let evaluate t ps =
+    mirror t ps;
     for k = 0 to t.n - 1 do
-      refresh_row t ps k
+      refresh_row t k
     done
 
   (* Compute-on-the-fly step 1: refresh row k at the current position
      (called before gradients/ratios of electron k are needed, replacing
      the column updates of the forward-update scheme). *)
-  let prepare t ps k = refresh_row t ps k
+  let prepare t ps k =
+    mirror t ps;
+    refresh_row t k
 
   (* Step 2: fill the temporary row against the proposed position. *)
   let move t ps k (newpos : Vec3.t) =
-    fill_row t ps newpos.Vec3.x newpos.Vec3.y newpos.Vec3.z ~d:t.temp_d
-      ~dx:t.temp_dx ~dy:t.temp_dy ~dz:t.temp_dz;
-    A.set t.temp_d k 0.;
-    A.set t.temp_dx k 0.;
-    A.set t.temp_dy k 0.;
-    A.set t.temp_dz k 0.
+    mirror t ps;
+    let g = t.g in
+    g.K.qx.(0) <- newpos.Vec3.x;
+    g.K.qy.(0) <- newpos.Vec3.y;
+    g.K.qz.(0) <- newpos.Vec3.z;
+    K.aim g.K.slot ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
+      ~o:0 ~self:k;
+    K.single_row ~lattice:t.lattice g
 
+  (* Contiguous copy of the whole padded temporary row. *)
   let accept t k =
-    A.blit ~src:t.temp_d ~dst:(M.row t.d k);
-    A.blit ~src:t.temp_dx ~dst:(M.row t.dx k);
-    A.blit ~src:t.temp_dy ~dst:(M.row t.dy k);
-    A.blit ~src:t.temp_dz ~dst:(M.row t.dz k)
+    let ld = M.ld t.d in
+    let o = k * ld in
+    A.copy_within ~src:t.temp_d ~spos:0 ~dst:(M.data t.d) ~dpos:o ~n:ld;
+    A.copy_within ~src:t.temp_dx ~spos:0 ~dst:(M.data t.dx) ~dpos:o ~n:ld;
+    A.copy_within ~src:t.temp_dy ~spos:0 ~dst:(M.data t.dy) ~dpos:o ~n:ld;
+    A.copy_within ~src:t.temp_dz ~spos:0 ~dst:(M.data t.dz) ~dpos:o ~n:ld
 
   let dist t k i = M.get t.d k i
 
@@ -125,10 +152,10 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   (* ------------------- crowd batch context ------------------- *)
 
   (* [prepare]/[move]/[accept] over every slot of a crowd in one batched
-     kernel call each.  The context owns all scratch (positions travel in
-     unboxed float arrays, outputs are retargeted slot records), so the
-     per-move path allocates nothing.  Per-slot arithmetic is exactly the
-     scalar protocol's — rows come out bit-identical. *)
+     kernel call each.  Each table's own kernel slot serves as its crowd
+     slot (every call re-aims it), positions travel in unboxed float
+     arrays, so the per-move path allocates nothing.  Per-slot arithmetic
+     is exactly the scalar protocol's — rows come out bit-identical. *)
   type batch = {
     btabs : t array;
     bslots : K.row_slot array;
@@ -146,14 +173,8 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
         (fun ((t : t), ps) ->
           if Ps.n ps <> t.n then
             invalid_arg "Dt_aa_soa.make_batch: table/set size mismatch";
-          let soa = Ps.soa ps in
-          let sl = K.make_row_slot () in
-          sl.K.xs <- Ps.Vs.xs soa;
-          sl.K.ys <- Ps.Vs.ys soa;
-          sl.K.zs <- Ps.Vs.zs soa;
-          sl.K.n <- t.n;
-          K.ensure_scratch sl;
-          sl)
+          if Ps.soa ps != t.src then bind t ps;
+          t.g.K.slot)
         pairs
     in
     {
@@ -170,10 +191,10 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
 
   (* Refresh row [k] of every slot's table at its current position (read
      from the SoA container, which holds the same rounded values as the
-     AoS side the scalar path reads).  This is also where the slot's
-     source mirrors are refreshed: positions only change at [Ps.accept],
-     after which the next move's prepare runs first, so the mirrors stay
-     valid through the following [move_batch]. *)
+     AoS side).  This is also where the slot's source mirrors are
+     refreshed: positions only change at [Ps.accept], after which the
+     next move's prepare runs first, so the mirrors stay valid through
+     the following [move_batch]. *)
   let prepare_batch b ~k ~m =
     for s = 0 to m - 1 do
       let t = b.btabs.(s) and sl = b.bslots.(s) in
@@ -181,59 +202,26 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       b.bpx.(s) <- sl.K.sx.(k);
       b.bpy.(s) <- sl.K.sy.(k);
       b.bpz.(s) <- sl.K.sz.(k);
-      sl.K.od <- M.data t.d;
-      sl.K.odx <- M.data t.dx;
-      sl.K.ody <- M.data t.dy;
-      sl.K.odz <- M.data t.dz;
-      sl.K.o <- k * M.ld t.d
+      K.aim sl ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
+        ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:k
     done;
     K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px:b.bpx ~py:b.bpy ~pz:b.bpz
-      ~m;
-    for s = 0 to m - 1 do
-      let t = b.btabs.(s) in
-      let p = (k * M.ld t.d) + k in
-      A.unsafe_set (M.data t.d) p 0.;
-      A.unsafe_set (M.data t.dx) p 0.;
-      A.unsafe_set (M.data t.dy) p 0.;
-      A.unsafe_set (M.data t.dz) p 0.
-    done
+      ~m
 
   (* Fill every slot's temporary row against its proposed position. *)
   let move_batch b ~k ~(px : float array) ~(py : float array)
       ~(pz : float array) ~m =
     for s = 0 to m - 1 do
-      let t = b.btabs.(s) and sl = b.bslots.(s) in
-      sl.K.od <- t.temp_d;
-      sl.K.odx <- t.temp_dx;
-      sl.K.ody <- t.temp_dy;
-      sl.K.odz <- t.temp_dz;
-      sl.K.o <- 0
-    done;
-    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m;
-    for s = 0 to m - 1 do
       let t = b.btabs.(s) in
-      A.unsafe_set t.temp_d k 0.;
-      A.unsafe_set t.temp_dx k 0.;
-      A.unsafe_set t.temp_dy k 0.;
-      A.unsafe_set t.temp_dz k 0.
-    done
+      K.aim b.bslots.(s) ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy
+        ~odz:t.temp_dz ~o:0 ~self:k
+    done;
+    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m
 
-  (* Commit the temporary row of every accepted slot (contiguous copy,
-     padding included, like the scalar [accept] blit). *)
+  (* Commit the temporary row of every accepted slot. *)
   let accept_batch b ~k ~(acc : bool array) ~m =
     for s = 0 to m - 1 do
-      if acc.(s) then begin
-        let t = b.btabs.(s) in
-        let ld = M.ld t.d in
-        let o = k * ld in
-        A.copy_within ~src:t.temp_d ~spos:0 ~dst:(M.data t.d) ~dpos:o ~n:ld;
-        A.copy_within ~src:t.temp_dx ~spos:0 ~dst:(M.data t.dx) ~dpos:o
-          ~n:ld;
-        A.copy_within ~src:t.temp_dy ~spos:0 ~dst:(M.data t.dy) ~dpos:o
-          ~n:ld;
-        A.copy_within ~src:t.temp_dz ~spos:0 ~dst:(M.data t.dz) ~dpos:o
-          ~n:ld
-      end
+      if acc.(s) then accept b.btabs.(s) k
     done
 
   let bytes t =

@@ -7,7 +7,9 @@ open Oqmc_containers
     at the current position), {!Make.move} (fill the temporary row at the
     proposed position), then {!Make.accept} (contiguous row copy) or
     nothing on rejection.  {!Make.evaluate} rebuilds the whole table for
-    measurements.
+    measurements.  All of them run one staged kernel on scratch the
+    table owns and allocate nothing when passed the particle set the
+    table was created on (another set rebinds the kernel to it first).
 
     [R] is the walker/positions precision, [D] the table storage
     precision (the [precision_dt] knob): rows and temporaries live at
@@ -65,7 +67,7 @@ module Make (R : Precision.REAL) (D : Precision.REAL) : sig
       bigarray-proxy allocation of [row_*] in hot loops. *)
 
   type batch
-  (** Crowd batch context: one retargetable kernel slot per table, all
+  (** Crowd batch context over the tables' own kernel slots, all
       scratch preallocated.  [prepare_batch]/[move_batch]/[accept_batch]
       run the scalar per-move protocol for every slot in one batched
       kernel call each, with zero allocation and bit-identical rows. *)

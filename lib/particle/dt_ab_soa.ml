@@ -6,7 +6,8 @@ open Oqmc_containers
    components per electron, computed by streaming the fixed ions' SoA
    container.  Ions never move, so rows depend only on their own electron:
    a move fills the temporary row and acceptance is one contiguous row
-   copy — no column updates exist for AB tables.
+   copy — no column updates exist for AB tables.  Rows come from the one
+   staged kernel ([Dt_kernels.soa_rows]) on scratch the table owns.
 
    [R] is the walker/positions precision, [D] the table storage precision
    (the [precision_dt] knob); see Dt_aa_soa. *)
@@ -21,7 +22,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     n : int; (* electrons (targets, rows) *)
     n_src : int; (* ions (sources, columns) *)
     lattice : Lattice.t;
-    sources : Ps.t;
     d : M.t;
     dx : M.t;
     dy : M.t;
@@ -30,17 +30,24 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     temp_dx : A.t;
     temp_dy : A.t;
     temp_dz : A.t;
+    g : K.single; (* kernel slot, ions mirrored; also the crowd slot *)
   }
 
+  (* Ions never move: their positions are mirrored into the kernel slot
+     once, here. *)
   let create ~(sources : Ps.t) (targets : Ps.t) =
     let n = Ps.n targets and n_src = Ps.n sources in
     let mk () = M.create ~padded:true n n_src in
     let np = M.ld (mk ()) in
+    let g = K.make_single () in
+    let soa = Ps.soa sources in
+    K.bind g.K.slot ~xs:(Ps.Vs.xs soa) ~ys:(Ps.Vs.ys soa) ~zs:(Ps.Vs.zs soa)
+      ~n:n_src;
+    K.mirror_slot g.K.slot;
     {
       n;
       n_src;
       lattice = Ps.lattice targets;
-      sources;
       d = mk ();
       dx = mk ();
       dy = mk ();
@@ -49,35 +56,41 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       temp_dx = A.create np;
       temp_dy = A.create np;
       temp_dz = A.create np;
+      g;
     }
 
   let n t = t.n
   let n_sources t = t.n_src
 
-  let fill_row t px py pz ~d ~dx ~dy ~dz =
-    let soa = Ps.soa t.sources in
-    K.soa_row ~lattice:t.lattice ~xs:(Ps.Vs.xs soa) ~ys:(Ps.Vs.ys soa)
-      ~zs:(Ps.Vs.zs soa) ~n:t.n_src ~px ~py ~pz ~d ~dx ~dy ~dz
-
-  let refresh_row t ps k =
-    let p = Ps.get ps k in
-    fill_row t p.Vec3.x p.Vec3.y p.Vec3.z ~d:(M.row t.d k) ~dx:(M.row t.dx k)
-      ~dy:(M.row t.dy k) ~dz:(M.row t.dz k)
-
   let evaluate t ps =
+    let g = t.g in
     for k = 0 to t.n - 1 do
-      refresh_row t ps k
+      let p = Ps.get ps k in
+      g.K.qx.(0) <- p.Vec3.x;
+      g.K.qy.(0) <- p.Vec3.y;
+      g.K.qz.(0) <- p.Vec3.z;
+      K.aim g.K.slot ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
+        ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:(-1);
+      K.single_row ~lattice:t.lattice g
     done
 
   let move t (newpos : Vec3.t) =
-    fill_row t newpos.Vec3.x newpos.Vec3.y newpos.Vec3.z ~d:t.temp_d
-      ~dx:t.temp_dx ~dy:t.temp_dy ~dz:t.temp_dz
+    let g = t.g in
+    g.K.qx.(0) <- newpos.Vec3.x;
+    g.K.qy.(0) <- newpos.Vec3.y;
+    g.K.qz.(0) <- newpos.Vec3.z;
+    K.aim g.K.slot ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
+      ~o:0 ~self:(-1);
+    K.single_row ~lattice:t.lattice g
 
+  (* Contiguous copy of the whole padded temporary row. *)
   let accept t k =
-    A.blit ~src:t.temp_d ~dst:(M.row t.d k);
-    A.blit ~src:t.temp_dx ~dst:(M.row t.dx k);
-    A.blit ~src:t.temp_dy ~dst:(M.row t.dy k);
-    A.blit ~src:t.temp_dz ~dst:(M.row t.dz k)
+    let ld = M.ld t.d in
+    let o = k * ld in
+    A.copy_within ~src:t.temp_d ~spos:0 ~dst:(M.data t.d) ~dpos:o ~n:ld;
+    A.copy_within ~src:t.temp_dx ~spos:0 ~dst:(M.data t.dx) ~dpos:o ~n:ld;
+    A.copy_within ~src:t.temp_dy ~spos:0 ~dst:(M.data t.dy) ~dpos:o ~n:ld;
+    A.copy_within ~src:t.temp_dz ~spos:0 ~dst:(M.data t.dz) ~dpos:o ~n:ld
 
   let dist t k i = M.get t.d k i
 
@@ -104,7 +117,8 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   (* ------------------- crowd batch context ------------------- *)
 
   (* Batched [move]/[accept] over a crowd (ions never move, so there is
-     no prepare stage).  Zero allocation per call; bit-identical rows. *)
+     no prepare stage); each table's own kernel slot is its crowd slot.
+     Zero allocation per call; bit-identical rows. *)
   type batch = {
     btabs : t array;
     bslots : K.row_slot array;
@@ -112,53 +126,27 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   }
 
   let make_batch (tabs : t array) =
-    let m = Array.length tabs in
-    if m < 1 then invalid_arg "Dt_ab_soa.make_batch: empty crowd";
-    let slots =
-      Array.map
-        (fun (t : t) ->
-          let soa = Ps.soa t.sources in
-          let sl = K.make_row_slot () in
-          sl.K.xs <- Ps.Vs.xs soa;
-          sl.K.ys <- Ps.Vs.ys soa;
-          sl.K.zs <- Ps.Vs.zs soa;
-          sl.K.n <- t.n_src;
-          (* Ions never move: mirror the source components once here
-             instead of per call. *)
-          K.mirror_slot sl;
-          sl)
-        tabs
-    in
-    { btabs = tabs; bslots = slots; blat = tabs.(0).lattice }
+    if Array.length tabs < 1 then invalid_arg "Dt_ab_soa.make_batch: empty crowd";
+    {
+      btabs = tabs;
+      bslots = Array.map (fun t -> t.g.K.slot) tabs;
+      blat = tabs.(0).lattice;
+    }
 
   let batch_cap b = Array.length b.btabs
 
   let move_batch b ~(px : float array) ~(py : float array)
       ~(pz : float array) ~m =
     for s = 0 to m - 1 do
-      let t = b.btabs.(s) and sl = b.bslots.(s) in
-      sl.K.od <- t.temp_d;
-      sl.K.odx <- t.temp_dx;
-      sl.K.ody <- t.temp_dy;
-      sl.K.odz <- t.temp_dz;
-      sl.K.o <- 0
+      let t = b.btabs.(s) in
+      K.aim b.bslots.(s) ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy
+        ~odz:t.temp_dz ~o:0 ~self:(-1)
     done;
     K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m
 
   let accept_batch b ~k ~(acc : bool array) ~m =
     for s = 0 to m - 1 do
-      if acc.(s) then begin
-        let t = b.btabs.(s) in
-        let ld = M.ld t.d in
-        let o = k * ld in
-        A.copy_within ~src:t.temp_d ~spos:0 ~dst:(M.data t.d) ~dpos:o ~n:ld;
-        A.copy_within ~src:t.temp_dx ~spos:0 ~dst:(M.data t.dx) ~dpos:o
-          ~n:ld;
-        A.copy_within ~src:t.temp_dy ~spos:0 ~dst:(M.data t.dy) ~dpos:o
-          ~n:ld;
-        A.copy_within ~src:t.temp_dz ~spos:0 ~dst:(M.data t.dz) ~dpos:o
-          ~n:ld
-      end
+      if acc.(s) then accept b.btabs.(s) k
     done
 
   let bytes t =

@@ -16,7 +16,9 @@ module Make (R : Precision.REAL) (D : Precision.REAL) : sig
   type t
 
   val create : sources:Ps.t -> Ps.t -> t
-  (** [create ~sources targets]: [sources] are the fixed ions. *)
+  (** [create ~sources targets]: [sources] are the fixed ions.  Their
+      positions are read once, here: moving them afterwards does not
+      reach the table. *)
 
   val n : t -> int
   val n_sources : t -> int
@@ -24,6 +26,8 @@ module Make (R : Precision.REAL) (D : Precision.REAL) : sig
   val evaluate : t -> Ps.t -> unit
   val move : t -> Vec3.t -> unit
   val accept : t -> int -> unit
+  (** Rebuild every row, fill the temporary row at a proposed position,
+      copy it into row [k].  None of them allocates. *)
 
   val dist : t -> int -> int -> float
   val displ : t -> int -> int -> Vec3.t

@@ -9,6 +9,16 @@ open Oqmc_containers
    vectorizability motivated the transformation.  The orthorhombic
    minimum-image branch is hoisted out of the loops.
 
+   There is one SoA kernel, [soa_rows]: it serves the crowd batches and,
+   through a one-slot [single] each table owns, every scalar
+   [evaluate]/[prepare]/[move] as well.  It runs on [float array] mirrors
+   of the sources and stages its output in [float array]s, so it neither
+   boxes nor allocates.  The per-element loop it replaced reads and
+   writes through the precision functor, boxing a float on every access
+   without flambda; it survives as the bit-for-bit test oracle
+   ([test/dt_oracle.ml]).  [aos_row] is the Ref layout's kernel and keeps
+   that per-element form.
+
    Two precisions parameterize the kernels: [S] is the source precision
    (the particle-set component rows being read) and [O] the output
    precision (the distance/displacement rows being written) — the
@@ -26,58 +36,15 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
   let nearest x =
     float_of_int (int_of_float (if x >= 0. then x +. 0.5 else x -. 0.5))
 
-  (* dr(p, i) = r_i − p, minimum image, for all i in [0, n).  The output
-     rows receive distances and the three displacement components. *)
-  let soa_row ~lattice ~(xs : As.t) ~(ys : As.t) ~(zs : As.t) ~n ~px ~py ~pz
-      ~(d : A.t) ~(dx : A.t) ~(dy : A.t) ~(dz : A.t) =
-    match Lattice.kind lattice with
-    | Lattice.Ortho (lx, ly, lz) ->
-        let ix = 1. /. lx and iy = 1. /. ly and iz = 1. /. lz in
-        for i = 0 to n - 1 do
-          let ddx = As.unsafe_get xs i -. px in
-          let ddy = As.unsafe_get ys i -. py in
-          let ddz = As.unsafe_get zs i -. pz in
-          let ddx = ddx -. (lx *. nearest (ddx *. ix)) in
-          let ddy = ddy -. (ly *. nearest (ddy *. iy)) in
-          let ddz = ddz -. (lz *. nearest (ddz *. iz)) in
-          A.unsafe_set dx i ddx;
-          A.unsafe_set dy i ddy;
-          A.unsafe_set dz i ddz;
-          A.unsafe_set d i (sqrt ((ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz)))
-        done
-    | Lattice.Open ->
-        for i = 0 to n - 1 do
-          let ddx = As.unsafe_get xs i -. px in
-          let ddy = As.unsafe_get ys i -. py in
-          let ddz = As.unsafe_get zs i -. pz in
-          A.unsafe_set dx i ddx;
-          A.unsafe_set dy i ddy;
-          A.unsafe_set dz i ddz;
-          A.unsafe_set d i (sqrt ((ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz)))
-        done
-    | Lattice.General ->
-        let p = Vec3.make px py pz in
-        for i = 0 to n - 1 do
-          let ri =
-            Vec3.make (As.unsafe_get xs i) (As.unsafe_get ys i)
-              (As.unsafe_get zs i)
-          in
-          let dr = Lattice.min_image_disp lattice (Vec3.sub ri p) in
-          A.unsafe_set dx i dr.Vec3.x;
-          A.unsafe_set dy i dr.Vec3.y;
-          A.unsafe_set dz i dr.Vec3.z;
-          A.unsafe_set d i (Vec3.norm dr)
-        done
+  (* ------------------------ staged SoA row kernel ------------------------ *)
 
-  (* -------------------- crowd-batched row kernel -------------------- *)
-
-  (* One retargetable slot of the batched kernel: sources (a SoA
-     component triple), an output base array per component and a common
-     element offset, so the same slot can aim at matrix row k on one
-     call and at the temporary row on the next without allocating row
-     proxies.  Positions travel in parallel float arrays (unboxed), not
-     in the record — a mutable float field in a mixed record would box
-     on every write.
+  (* One retargetable slot of the kernel: sources (a SoA component
+     triple), an output base array per component and a common element
+     offset, so the same slot can aim at matrix row k on one call and at
+     the temporary row on the next without allocating row proxies.
+     Positions travel in parallel float arrays (unboxed), not in the
+     record — a mutable float field in a mixed record would box on every
+     write.
 
      The [float array] scratch fields mirror the source components and
      stage the output rows: without flambda every [A.unsafe_get]/[set]
@@ -95,6 +62,7 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
     mutable ody : A.t;
     mutable odz : A.t;
     mutable o : int; (* common output offset (row base) *)
+    mutable self : int; (* entry written as exact zeros, or -1 *)
     mutable sx : float array; (* source mirrors *)
     mutable sy : float array;
     mutable sz : float array;
@@ -117,6 +85,7 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
       ody = e;
       odz = e;
       o = 0;
+      self = -1;
       sx = [||];
       sy = [||];
       sz = [||];
@@ -126,7 +95,7 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
       rdz = [||];
     }
 
-  (* Size the scratch to the slot's [n]; called from [make_batch]s (and
+  (* Size the scratch to the slot's [n]; called from [bind] (and
      defensively from [mirror_slot]) so the hot path never allocates. *)
   let ensure_scratch sl =
     if Array.length sl.sx < sl.n then begin
@@ -139,9 +108,18 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
       sl.rdz <- Array.make sl.n 0.
     end
 
+  (* Point the slot at [n] sources.  The component views are bigarray
+     proxies, so tables bind once at creation, never per call. *)
+  let bind sl ~xs ~ys ~zs ~n =
+    sl.xs <- xs;
+    sl.ys <- ys;
+    sl.zs <- zs;
+    sl.n <- n;
+    ensure_scratch sl
+
   (* Refresh the source mirrors from the SoA components.  AA tables call
-     this at [prepare] time (electron positions change on every accepted
-     move); AB tables mirror once at batch construction (ions never
+     this before every row they compute (electron positions change on
+     every accepted move); AB tables mirror once at creation (ions never
      move). *)
   let mirror_slot sl =
     ensure_scratch sl;
@@ -149,15 +127,23 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
     As.read_into sl.ys ~pos:0 sl.sy ~n:sl.n;
     As.read_into sl.zs ~pos:0 sl.sz ~n:sl.n
 
-  (* The batched form of [soa_row]: the moved-electron row for [m] crowd
-     slots in one pass, minimum-image dispatch hoisted out of the slot
-     loop.  Per-slot arithmetic is exactly [soa_row]'s, so each slot's
-     row is bit-identical to a scalar call.  Sources are read from the
-     slot mirrors (refreshed by the caller via [mirror_slot]) and the row
-     is staged in [float array] scratch, then committed with one bulk
-     write per component: the Ortho and Open paths allocate nothing (the
-     General fallback still builds Vec3s per element, as the scalar
-     kernel does). *)
+  (* Aim the slot's output at offset [o] of four arrays; entry [self]
+     (when >= 0) is committed as exact zeros. *)
+  let aim sl ~od ~odx ~ody ~odz ~o ~self =
+    sl.od <- od;
+    sl.odx <- odx;
+    sl.ody <- ody;
+    sl.odz <- odz;
+    sl.o <- o;
+    sl.self <- self
+
+  (* dr(p_s, i) = r_i − p_s, minimum image, for the [n] sources of each
+     of [m] slots, minimum-image dispatch hoisted out of the slot loop.
+     Sources are read from the slot mirrors (refreshed by the caller via
+     [mirror_slot]) and each row is staged in [float array] scratch, then
+     committed with one bulk write per component, entry [self] as exact
+     zeros.  The Ortho and Open paths allocate nothing (the General
+     fallback builds Vec3s per element). *)
   let soa_rows ~lattice ~(slots : row_slot array) ~(px : float array)
       ~(py : float array) ~(pz : float array) ~m =
     (match Lattice.kind lattice with
@@ -238,11 +224,37 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
         done);
     for s = 0 to m - 1 do
       let sl = slots.(s) in
+      let k = sl.self in
+      if k >= 0 then begin
+        sl.rd.(k) <- 0.;
+        sl.rdx.(k) <- 0.;
+        sl.rdy.(k) <- 0.;
+        sl.rdz.(k) <- 0.
+      end;
       A.write_from sl.rd sl.od ~pos:sl.o ~n:sl.n;
       A.write_from sl.rdx sl.odx ~pos:sl.o ~n:sl.n;
       A.write_from sl.rdy sl.ody ~pos:sl.o ~n:sl.n;
       A.write_from sl.rdz sl.odz ~pos:sl.o ~n:sl.n
     done
+
+  (* The scalar tables' entry point: [soa_rows] over one slot with its
+     own position cells.  Callers store the point in [qx.(0)], [qy.(0)],
+     [qz.(0)] (a float argument would be boxed), [aim] the slot and call
+     [single_row]. *)
+  type single = {
+    slot : row_slot;
+    one : row_slot array;
+    qx : float array;
+    qy : float array;
+    qz : float array;
+  }
+
+  let make_single () =
+    let sl = make_row_slot () in
+    { slot = sl; one = [| sl |]; qx = [| 0. |]; qy = [| 0. |]; qz = [| 0. |] }
+
+  let single_row ~lattice g =
+    soa_rows ~lattice ~slots:g.one ~px:g.qx ~py:g.qy ~pz:g.qz ~m:1
 
   (* Same relation over an interleaved AoS source; displacements are
      written interleaved as well (the Ref storage format). *)

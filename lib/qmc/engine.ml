@@ -509,9 +509,22 @@ struct
       Ps.load_walker ps w;
       ignore (refresh ())
     in
+    (* Restore rebuilds only what the next reader cannot rebuild itself.
+       Store tables are updated incrementally, so Ref keeps its full
+       rebuild (the paper's baseline).  Under compute-on-the-fly, [prepare
+       k] refreshes AA row k before anything reads it and [measure]
+       rebuilds the whole AA table, so only the AB table is rebuilt here:
+       its rows change only at accepted moves, and the electron-ion
+       terms of [measure] read them as they stand. *)
     let restore_walker w =
       Ps.load_walker ps w;
-      tables_evaluate ();
+      (match tables with
+      | Store_t _ -> tables_evaluate ()
+      | Otf_t (_, ab) ->
+          Option.iter
+            (fun t ->
+              Timers.time timers "DistTable" (fun () -> ABsoa.evaluate t ps))
+            ab);
       Wbuffer.rewind w.Walker.buffer;
       Twf.copy_from_buffer twf ps w.Walker.buffer;
       Twf.set_log_psi twf w.Walker.log_psi

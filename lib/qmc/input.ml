@@ -181,11 +181,17 @@ let apply cfg ~line key value =
   | "progress" -> { cfg with progress = parse_bool line value }
   | other -> fail line "unknown key %S" other
 
-(* Run parameters no driver can use: a non-finite or non-positive time
-   step (DMC then reports NaN energies, VMC never moves), no walkers, or
-   no worker domains. *)
+(* Run parameters no QMC method can use: a method other than vmc or
+   dmc, a non-finite or non-positive time step (DMC then reports NaN
+   energies, VMC never moves), no walkers, no worker domains, or no
+   blocks or steps (VMC and DMC then print a zero-variance energy of 0
+   that sampled nothing). *)
 let check cfg =
   let bad fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt in
+  if cfg.method_ <> "vmc" && cfg.method_ <> "dmc" then
+    bad "method must be vmc or dmc, got %S" cfg.method_;
+  if cfg.blocks < 1 then bad "blocks must be >= 1, got %d" cfg.blocks;
+  if cfg.steps < 1 then bad "steps must be >= 1, got %d" cfg.steps;
   if not (Float.is_finite cfg.tau && cfg.tau > 0.) then
     bad "tau must be finite and > 0, got %g" cfg.tau;
   if cfg.walkers < 1 then bad "walkers must be >= 1, got %d" cfg.walkers;

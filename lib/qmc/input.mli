@@ -82,7 +82,8 @@ val precision_of_string :
     ["<key> must be f32 or f64, got <v>"]. *)
 
 val check : t -> unit
-(** Refuses run parameters no driver can use: a [tau] that is not
+(** Refuses run parameters no QMC method can use: a [method] other than
+    [vmc] or [dmc], [blocks < 1], [steps < 1], a [tau] that is not
     finite or not > 0, [walkers < 1], [domains < 1].
     @raise Parse_error naming the offending value. *)
 

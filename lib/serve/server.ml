@@ -153,7 +153,7 @@ let exec_runner cfg (spec : Job.spec) wfd =
              }
          in
          `Outcome (outcome_of_vmc r)
-     | "dmc" ->
+     | _ (* "dmc": [Input.check] admits no other method *) ->
          let stop () = !drain || !suspend in
          let snap = Filename.concat cfg.dir "snap" in
          let snapshot = Filename.concat snap spec.Job.id in
@@ -208,7 +208,6 @@ let exec_runner cfg (spec : Job.spec) wfd =
          in
          if !suspend && out.Supervisor.drained then `Suspended
          else `Outcome (outcome_of_job out)
-     | m -> failwith (Printf.sprintf "unknown method %S" m)
     with e -> `Crashed (Printexc.to_string e)
   in
   (* The daemon may have died while we ran (pipe reader gone): the
@@ -657,9 +656,7 @@ let handle_submit t fd (s : Proto.submit) =
           | "harmonic" | "hydrogen" | "heg" -> true
           | name -> ( match Spec.find name with _ -> true | exception _ -> false)
         in
-        if d.Input.method_ <> "vmc" && d.Input.method_ <> "dmc" then
-          bad (Printf.sprintf "deck: unknown method %S" d.Input.method_)
-        else if not known_workload then
+        if not known_workload then
           bad (Printf.sprintf "deck: unknown workload %S" d.Input.workload)
         else
           let hash = Input.deck_hash d in

@@ -84,6 +84,15 @@ let () =
             (refused (dmc @ [ "-n"; "0" ]) ~reason:"walkers must be >= 1");
           Alcotest.test_case "domains = 0 refused" `Quick
             (refused (dmc @ [ "-d"; "0" ]) ~reason:"domains must be >= 1");
+          Alcotest.test_case "unknown method refused" `Quick
+            (refused [ "-m"; "foo"; "-w"; "harmonic" ]
+               ~reason:"method must be vmc or dmc, got \\\"foo\\\"");
+          Alcotest.test_case "blocks = 0 refused" `Quick
+            (refused [ "-m"; "dmc"; "-w"; "harmonic"; "-b"; "0" ]
+               ~reason:"blocks must be >= 1");
+          Alcotest.test_case "steps = 0 refused" `Quick
+            (refused [ "-m"; "vmc"; "-w"; "harmonic"; "-s"; "0" ]
+               ~reason:"steps must be >= 1");
           Alcotest.test_case "precision message kept" `Quick
             (refused
                [ "--precision-dt"; "f16" ]
@@ -103,6 +112,15 @@ let () =
           Alcotest.test_case "walkers = 0 refused" `Quick
             (refused ~deck:(harmonic_deck @ [ "walkers = 0" ]) []
                ~reason:"walkers must be >= 1");
+          Alcotest.test_case "unknown method refused" `Quick
+            (refused ~deck:(harmonic_deck @ [ "method = foo" ]) []
+               ~reason:"method must be vmc or dmc, got \\\"foo\\\"");
+          Alcotest.test_case "blocks = 0 refused" `Quick
+            (refused ~deck:(harmonic_deck @ [ "blocks = 0" ]) []
+               ~reason:"blocks must be >= 1, got 0");
+          Alcotest.test_case "steps = 0 refused" `Quick
+            (refused ~deck:(harmonic_deck @ [ "steps = 0" ]) []
+               ~reason:"steps must be >= 1, got 0");
           Alcotest.test_case "autotune refused on its line" `Quick
             (refused ~deck:(harmonic_deck @ [ "autotune = true" ]) []
                ~reason:"line 6: unknown key \\\"autotune\\\"");

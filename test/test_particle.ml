@@ -497,6 +497,126 @@ let same_bits name (a : AAsoa.A.t) (b : AAsoa.A.t) =
 let same_f64 name a b =
   check_bool name true (Int64.bits_of_float a = Int64.bits_of_float b)
 
+(* Every scalar and batched entry point of the SoA tables against the
+   per-element oracle, bit for bit, self entries included: [evaluate]
+   (AA and AB), [prepare], [move] and the three [*_batch] calls, at
+   table precision [D] over f64 positions.  Scalar and batched callers
+   share one kernel, so the batch-identity tests below hold their rows
+   to the oracle through these helpers too. *)
+module Oracle_check (D : Precision.REAL) = struct
+  module AA = Dt_aa_soa.Make (Precision.F64) (D)
+  module AB = Dt_ab_soa.Make (Precision.F64) (D)
+  module O = Dt_oracle.Make (Precision.F64) (D)
+  module A = AA.A
+
+  let same ok (a : A.t) ~apos (b : A.t) ~n =
+    for i = 0 to n - 1 do
+      if
+        Int64.bits_of_float (A.get a (apos + i))
+        <> Int64.bits_of_float (A.get b i)
+      then ok := false
+    done
+
+  let same_row ok (d, dx, dy, dz) ~apos ~n (od, odx, ody, odz) =
+    same ok d ~apos od ~n;
+    same ok dx ~apos odx ~n;
+    same ok dy ~apos ody ~n;
+    same ok dz ~apos odz ~n
+
+  let aa_row t k =
+    ( (AA.dist_data t, AA.dx_data t, AA.dy_data t, AA.dz_data t),
+      k * AA.row_stride t )
+
+  let ab_row t k =
+    ( (AB.dist_data t, AB.dx_data t, AB.dy_data t, AB.dz_data t),
+      k * AB.row_stride t )
+
+  let aa_temp t = (AA.temp_dist t, AA.temp_dx t, AA.temp_dy t, AA.temp_dz t)
+  let ab_temp t = (AB.temp_dist t, AB.temp_dx t, AB.temp_dy t, AB.temp_dz t)
+
+  let run ~lattice ~n ~seed =
+    let ok = ref true in
+    let rng = Xoshiro.create seed in
+    let u () = Xoshiro.uniform rng in
+    let place ps = Ps.randomize ~spread:4. ps u in
+    let ps = electrons ~lattice n in
+    place ps;
+    let ions =
+      Ps.create ~lattice [ { Particle_set.name = "ion"; charge = 2.; count = 5 } ]
+    in
+    place ions;
+    let aa = AA.create ps and ab = AB.create ~sources:ions ps in
+    AA.evaluate aa ps;
+    AB.evaluate ab ps;
+    for k = 0 to n - 1 do
+      let p = Ps.get ps k in
+      let rows, apos = aa_row aa k in
+      same_row ok rows ~apos (O.row ~self:k ps p) ~n;
+      let rows, apos = ab_row ab k in
+      same_row ok rows ~apos (O.row ions p) ~n:5
+    done;
+    (* A crowd of this table and a second one, stepped alongside the
+       scalar calls. *)
+    let ps2 = electrons ~lattice n in
+    place ps2;
+    let aa2 = AA.create ps2 and ab2 = AB.create ~sources:ions ps2 in
+    AA.evaluate aa2 ps2;
+    AB.evaluate ab2 ps2;
+    let aab = AA.make_batch [| (aa2, ps2); (aa, ps) |] in
+    let abb = AB.make_batch [| ab2; ab |] in
+    let px = Array.make 2 0. and py = Array.make 2 0. in
+    let pz = Array.make 2 0. and acc = [| true; true |] in
+    let step () = Vec3.make (u () -. 0.5) (u () -. 0.5) (u () -. 0.5) in
+    for k = 0 to n - 1 do
+      (* scalar protocol on [aa]/[ab] *)
+      AA.prepare aa ps k;
+      let rows, apos = aa_row aa k in
+      same_row ok rows ~apos (O.row ~self:k ps (Ps.get ps k)) ~n;
+      let np = Vec3.add (Ps.get ps k) (step ()) in
+      AA.move aa ps k np;
+      AB.move ab np;
+      same_row ok (aa_temp aa) ~apos:0 (O.row ~self:k ps np) ~n;
+      same_row ok (ab_temp ab) ~apos:0 (O.row ions np) ~n:5;
+      AA.accept aa k;
+      AB.accept ab k;
+      Ps.propose ps k np;
+      Ps.accept ps;
+      (* batched protocol on both slots *)
+      AA.prepare_batch aab ~k ~m:2;
+      let moves = [| (ps2, aa2, ab2); (ps, aa, ab) |] in
+      Array.iteri
+        (fun s (q, t, _) ->
+          let rows, apos = aa_row t k in
+          same_row ok rows ~apos (O.row ~self:k q (Ps.get q k)) ~n;
+          let np = Vec3.add (Ps.get q k) (step ()) in
+          px.(s) <- np.Vec3.x;
+          py.(s) <- np.Vec3.y;
+          pz.(s) <- np.Vec3.z)
+        moves;
+      AA.move_batch aab ~k ~px ~py ~pz ~m:2;
+      AB.move_batch abb ~px ~py ~pz ~m:2;
+      Array.iteri
+        (fun s (q, t, b) ->
+          let np = Vec3.make px.(s) py.(s) pz.(s) in
+          same_row ok (aa_temp t) ~apos:0 (O.row ~self:k q np) ~n;
+          same_row ok (ab_temp b) ~apos:0 (O.row ions np) ~n:5;
+          Ps.propose q k np;
+          Ps.accept q)
+        moves;
+      AA.accept_batch aab ~k ~acc ~m:2;
+      AB.accept_batch abb ~k ~acc ~m:2
+    done;
+    (* After accepted moves every AB row is current: compare them all. *)
+    for k = 0 to n - 1 do
+      let rows, apos = ab_row ab k in
+      same_row ok rows ~apos (O.row ions (Ps.get ps k)) ~n:5
+    done;
+    !ok
+end
+
+module Check64 = Oracle_check (Precision.F64)
+module Check32 = Oracle_check (Precision.F32)
+
 (* Random per-slot moves and accept decisions shared between the batched
    and the scalar runs of one test. *)
 let gauss_move rng ps k =
@@ -513,6 +633,7 @@ let test_aa_soa_batch_identity () =
   let tb = Array.map mk psb and ts = Array.map mk pss in
   let batch = AAsoa.make_batch (Array.init slots (fun s -> (tb.(s), psb.(s)))) in
   check_bool "batch cap" true (AAsoa.batch_cap batch = slots);
+  let oracle_ok = ref true in
   check_bool "batch table" true (AAsoa.batch_table batch 0 == tb.(0));
   let rng = Xoshiro.create 5 in
   let px = Array.make slots 0.
@@ -523,7 +644,10 @@ let test_aa_soa_batch_identity () =
     for k = 0 to n - 1 do
       AAsoa.prepare_batch batch ~k ~m:slots;
       for s = 0 to slots - 1 do
-        AAsoa.prepare ts.(s) pss.(s) k
+        AAsoa.prepare ts.(s) pss.(s) k;
+        let rows, apos = Check64.aa_row tb.(s) k in
+        Check64.same_row oracle_ok rows ~apos ~n
+          (Check64.O.row ~self:k psb.(s) (Ps.get psb.(s) k))
       done;
       let newpos = Array.init slots (fun s -> gauss_move rng psb.(s) k) in
       for s = 0 to slots - 1 do
@@ -535,7 +659,9 @@ let test_aa_soa_batch_identity () =
       AAsoa.move_batch batch ~k ~px ~py ~pz ~m:slots;
       for s = 0 to slots - 1 do
         AAsoa.move ts.(s) pss.(s) k newpos.(s);
-        same_bits "temp row" (AAsoa.temp_dist tb.(s)) (AAsoa.temp_dist ts.(s))
+        same_bits "temp row" (AAsoa.temp_dist tb.(s)) (AAsoa.temp_dist ts.(s));
+        Check64.same_row oracle_ok (Check64.aa_temp tb.(s)) ~apos:0 ~n
+          (Check64.O.row ~self:k psb.(s) newpos.(s))
       done;
       AAsoa.accept_batch batch ~k ~acc ~m:slots;
       for s = 0 to slots - 1 do
@@ -549,6 +675,7 @@ let test_aa_soa_batch_identity () =
       done
     done
   done;
+  check_bool "prepared and temp rows = oracle" true !oracle_ok;
   for s = 0 to slots - 1 do
     same_bits "dist data" (AAsoa.dist_data tb.(s)) (AAsoa.dist_data ts.(s));
     same_bits "dx data" (AAsoa.dx_data tb.(s)) (AAsoa.dx_data ts.(s));
@@ -570,10 +697,12 @@ let test_ab_soa_batch_identity () =
   in
   let psb = Array.init slots (fun s -> fst (random_ps ~lattice ~seed:(200 + s) n)) in
   let pss = Array.init slots (fun s -> fst (random_ps ~lattice ~seed:(200 + s) n)) in
+  let ions = mk_ions () in
   let mk ps = let t = ABsoa.create ~sources:(mk_ions ()) ps in ABsoa.evaluate t ps; t in
   let tb = Array.map mk psb and ts = Array.map mk pss in
   let batch = ABsoa.make_batch tb in
   check_bool "batch cap" true (ABsoa.batch_cap batch = slots);
+  let oracle_ok = ref true in
   let rng = Xoshiro.create 8 in
   let px = Array.make slots 0.
   and py = Array.make slots 0.
@@ -591,7 +720,9 @@ let test_ab_soa_batch_identity () =
       ABsoa.move_batch batch ~px ~py ~pz ~m:slots;
       for s = 0 to slots - 1 do
         ABsoa.move ts.(s) newpos.(s);
-        same_bits "temp row" (ABsoa.temp_dist tb.(s)) (ABsoa.temp_dist ts.(s))
+        same_bits "temp row" (ABsoa.temp_dist tb.(s)) (ABsoa.temp_dist ts.(s));
+        Check64.same_row oracle_ok (Check64.ab_temp tb.(s)) ~apos:0 ~n:ni
+          (Check64.O.row ions newpos.(s))
       done;
       ABsoa.accept_batch batch ~k ~acc ~m:slots;
       for s = 0 to slots - 1 do
@@ -605,6 +736,7 @@ let test_ab_soa_batch_identity () =
       done
     done
   done;
+  check_bool "temp rows = oracle" true !oracle_ok;
   for s = 0 to slots - 1 do
     same_bits "dist data" (ABsoa.dist_data tb.(s)) (ABsoa.dist_data ts.(s));
     same_bits "dx data" (ABsoa.dx_data tb.(s)) (ABsoa.dx_data ts.(s));
@@ -666,6 +798,29 @@ let test_aa_forward_batch_identity () =
       done
     done
   done
+
+
+let prop_soa_rows_equal_oracle =
+  let lattices =
+    [|
+      ("ortho", Lattice.orthorhombic 4. 5. 6.);
+      ("open", Lattice.open_cell);
+      ( "general",
+        Lattice.general
+          [|
+            Vec3.make 4.2 0. 0.;
+            Vec3.make (-2.1) (4.2 *. sqrt 3. /. 2.) 0.;
+            Vec3.make 0.3 0. 6.7;
+          |] );
+    |]
+  in
+  QCheck.Test.make ~name:"SoA rows equal the oracle bit for bit" ~count:24
+    QCheck.(
+      quad (int_range 0 2) bool (oneofl [ 1; 7; 48; 65 ]) (int_range 1 10000))
+    (fun (li, f32, n, seed) ->
+      let _, lattice = lattices.(li) in
+      if f32 then Check32.run ~lattice ~n ~seed
+      else Check64.run ~lattice ~n ~seed)
 
 let prop_aa_symmetry =
   QCheck.Test.make ~name:"AA distances symmetric" ~count:30
@@ -759,5 +914,11 @@ let () =
           Alcotest.test_case "forward batch bit-identical" `Quick
             test_aa_forward_batch_identity;
         ] );
-      ("properties", qt [ prop_aa_symmetry; prop_dist_below_ws_diameter ]);
+      ( "properties",
+        qt
+          [
+            prop_aa_symmetry;
+            prop_dist_below_ws_diameter;
+            prop_soa_rows_equal_oracle;
+          ] );
     ]

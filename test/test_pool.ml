@@ -670,6 +670,63 @@ let test_crowd_one_vs_three_f32 () =
       n_domains = 2;
     }
 
+(* Restoring a walker leaves the AA table to [prepare] and [measure]
+   and rebuilds only the AB table.  A Current_f64 crowd of 3 slots, each
+   slot first holding another configuration, runs restore -> sweep ->
+   measure exactly like engines that ran [load_walker] (a full refresh)
+   instead: positions, log psi, local energy and saved buffer, bit for
+   bit.  NiO-32 r16 has ions, J1 and electron-ion Coulomb terms, so a
+   stale AB row would show in the local energy. *)
+let test_restore_equals_refresh () =
+  let sys = Lazy.force nio32_r16 in
+  let factory = Build.factory ~variant:Variant.Current_f64 ~seed:3 sys in
+  let run ~restore =
+    let cr = Crowd.create ~factory ~base:0 ~size:3 () in
+    let e0 = Crowd.engine cr 0 in
+    let rngs = Xoshiro.streams ~seed:61 3 in
+    let ws =
+      Array.init 3 (fun s ->
+          let w = Walker.create e0.Engine_api.n_electrons in
+          e0.Engine_api.randomize rngs.(s);
+          e0.Engine_api.register_walker w;
+          w)
+    in
+    for s = 0 to 2 do
+      (Crowd.engine cr s).Engine_api.randomize (Xoshiro.create (90 + s))
+    done;
+    Array.iteri
+      (fun s w ->
+        let e = Crowd.engine cr s in
+        if restore then e.Engine_api.restore_walker w
+        else e.Engine_api.load_walker w)
+      ws;
+    let sweep_rngs = Xoshiro.streams ~seed:62 3 in
+    ignore (Crowd.sweep cr ~active:3 ~rng:(fun s -> sweep_rngs.(s)) ~tau:0.1);
+    Array.mapi
+      (fun s w ->
+        let e = Crowd.engine cr s in
+        let el = e.Engine_api.measure () in
+        e.Engine_api.save_walker w;
+        (el, w))
+      ws
+  in
+  let restored = run ~restore:true and refreshed = run ~restore:false in
+  Array.iteri
+    (fun s ((el_a, (wa : Walker.t)), (el_b, (wb : Walker.t))) ->
+      let name what = Printf.sprintf "slot %d: %s" s what in
+      same_float_array (name "local energy") [| el_a |] [| el_b |];
+      same_float_array (name "log psi") [| wa.Walker.log_psi |]
+        [| wb.Walker.log_psi |];
+      for i = 0 to Walker.n_particles wa - 1 do
+        let p = Walker.Aos.get wa.Walker.r i and q = Walker.Aos.get wb.Walker.r i in
+        same_float_array (name "position") [| p.Vec3.x; p.Vec3.y; p.Vec3.z |]
+          [| q.Vec3.x; q.Vec3.y; q.Vec3.z |]
+      done;
+      same_float_array (name "saved buffer")
+        (Wbuffer.contents wa.Walker.buffer)
+        (Wbuffer.contents wb.Walker.buffer))
+    (Array.combine restored refreshed)
+
 (* The sweep-unit width each variant gets is the one [Runner.max_crowd]
    states (the header and the tuner use it), and the crowd is clamped to
    the run's walkers. *)
@@ -853,6 +910,8 @@ let () =
             test_crowd_one_vs_three_f32;
           Alcotest.test_case "crowd width per variant" `Quick
             test_crowd_width;
+          Alcotest.test_case "restore equals a full refresh" `Quick
+            test_restore_equals_refresh;
           Alcotest.test_case "vmc crowd delayed bit-identical" `Quick
             test_vmc_crowd_identity_delayed;
           Alcotest.test_case "one SPO evaluation per move" `Quick

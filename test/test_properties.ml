@@ -158,8 +158,9 @@ let test_input_deck_errors () =
     | exception _ -> false)
 
 let test_run_parameters_refused () =
-  (* A time step that is not finite and positive, no walkers or no
-     domains: refused at parse time, naming the value. *)
+  (* A method other than vmc or dmc, no blocks or steps, a time step
+     that is not finite and positive, no walkers or no domains: refused
+     at parse time, naming the value. *)
   List.iter
     (fun (line, reason) ->
       match Input.parse_string ("method = dmc\n" ^ line ^ "\n") with
@@ -173,6 +174,9 @@ let test_run_parameters_refused () =
       ("tau = inf", "tau must be finite and > 0, got inf");
       ("walkers = 0", "walkers must be >= 1, got 0");
       ("domains = 0", "domains must be >= 1, got 0");
+      ("blocks = 0", "blocks must be >= 1, got 0");
+      ("steps = -2", "steps must be >= 1, got -2");
+      ("method = foo", "method must be vmc or dmc, got \"foo\"");
     ];
   check_bool "the checked record itself" true
     (match Input.check { Input.default with Input.walkers = -3 } with

@@ -695,6 +695,8 @@ let test_served_bad_decks_rejected () =
               ("tau = nan", "tau must be finite and > 0, got nan");
               ("walkers = 0", "walkers must be >= 1, got 0");
               ("domains = 0", "domains must be >= 1, got 0");
+              ("blocks = 0", "blocks must be >= 1, got 0");
+              ("method = foo", "method must be vmc or dmc, got \"foo\"");
               ("autotune = true", "line 6: unknown key \"autotune\"");
               ( "straggler_policy = steal",
                 "line 6: straggler_policy must be warn or quarantine, got \
