@@ -64,9 +64,11 @@ let spo_positions () =
         (Xoshiro.uniform rng *. 15.)
         (Xoshiro.uniform rng *. 7.))
 
-(* Crowd-batched evaluation (the pipeline's hot path): the f32 table
-   moves half the bytes of the f64 one per eval, and the batched entry
-   points allocate nothing, so the ratio isolates storage width. *)
+(* Value-only evaluation as the NLPP quadrature runs it (one position
+   per call) and the crowd-batched vgl evaluation (the pipeline's hot
+   path): the f32 table moves half the bytes of the f64 one per eval,
+   and neither entry point allocates, so the ratio isolates storage
+   width. *)
 let spo_ns ~kernel (sys : System.t) ~reps =
   let spo = sys.System.spo in
   let pos = spo_positions () in
@@ -82,10 +84,12 @@ let spo_ns ~kernel (sys : System.t) ~reps =
   let run =
     match kernel with
     | `V ->
-        let b = spo.Oqmc_wavefunction.Spo.make_v_batch crowd in
+        let row = Array.make spo.Oqmc_wavefunction.Spo.n_orb 0. in
         fun i ->
           fill i;
-          b.Oqmc_wavefunction.Spo.vrun window crowd
+          for s = 0 to crowd - 1 do
+            spo.Oqmc_wavefunction.Spo.eval_v window.(s) row
+          done
     | `Vgl ->
         let b = spo.Oqmc_wavefunction.Spo.make_vgl_batch crowd in
         fun i ->
@@ -123,7 +127,7 @@ let bench_mixed_precision () =
   let n64 = spo_ns ~kernel:`Vgl sys64 ~reps:(reps / 4)
   and n32 = spo_ns ~kernel:`Vgl sys32 ~reps:(reps / 4) in
   Printf.printf
-    "  Bspline-v batched NiO-32/r4: f64 %.1f ns/eval, f32 %.1f ns/eval  \
+    "  Bspline-v NiO-32/r4: f64 %.1f ns/eval, f32 %.1f ns/eval  \
      (%.2fx)\n"
     v64 v32 (v64 /. v32);
   (* Drift audit: short f32 DMC with the watchdog's sampled
@@ -204,7 +208,7 @@ let json_of ~delays ~best_k ~speedup_k ~mp =
                 [
                   J.Obj
                     [
-                      ("kernel", J.Str "Bspline-v-batch");
+                      ("kernel", J.Str "Bspline-v");
                       ("f64_ns_per_eval", J.Num v64);
                       ("f32_ns_per_eval", J.Num v32);
                       ("speedup", J.Num (v64 /. v32));

@@ -20,7 +20,9 @@ open Oqmc_wavefunction
    3. allocation per move: the batched DistTable, Jastrow and B-spline
       kernels, the determinant's ratio-gradient + accept (which stores
       the proposal's orbital row) and the scalar DistTable calls must
-      not allocate — asserted, not just reported;
+      not allocate — asserted, not just reported; walker save/restore
+      time and allocation on NiO-32 r8, with no row rebuild after
+      restoring a saved walker asserted;
    4. delayed determinant updates: ns/move across the delay-rank sweep
       (1 = Sherman-Morrison). *)
 
@@ -408,6 +410,46 @@ let bench_scalar_dt ?(reps = 20_000) () =
     point "dt_ab_move" (fun () -> AB32.move ab np);
   ]
 
+(* ---- 3c. walker save / restore ---- *)
+
+(* [save_walker] and [restore_walker] of one NiO-32 r8 Current engine
+   (f32, delay 4: the nio32-current-dmc engine) on a walker that
+   carries its orbital rows.  Restoring a saved walker needs no orbital
+   evaluation: a restore and the sweep after it must record no SPO-vgl
+   call, the timer key of a row rebuild. *)
+let bench_walker_io ?(reps = 2_000) () =
+  let sys =
+    Oqmc_workloads.Builder.named ~seed:11 ~reduction:8 ~with_nlpp:false
+      ~precision:None "NiO-32"
+  in
+  let timers = Timers.create () in
+  let e = Build.engine ~timers ~delay:4 ~variant:Variant.Current ~seed:3 sys in
+  let w = Walker.create e.Engine_api.n_electrons in
+  e.Engine_api.register_walker w;
+  let rebuilds () = Timers.count timers "SPO-vgl" in
+  let before = rebuilds () in
+  e.Engine_api.restore_walker w;
+  ignore (e.Engine_api.sweep (Xoshiro.create 5) ~tau:0.001);
+  e.Engine_api.save_walker w;
+  e.Engine_api.restore_walker w;
+  ignore (e.Engine_api.measure ());
+  if rebuilds () > before then
+    failwith
+      (Printf.sprintf
+         "crowd_bench: restoring a saved walker recorded %d SPO-vgl calls"
+         (rebuilds () - before));
+  let point call f =
+    {
+      call;
+      ns_per_call = time_per ~reps f *. 1e9;
+      words_per_call = minor_words_per ~reps:(max 1 (reps / 10)) f;
+    }
+  in
+  [
+    point "save_walker" (fun () -> e.Engine_api.save_walker w);
+    point "restore_walker" (fun () -> e.Engine_api.restore_walker w);
+  ]
+
 (* ---- 4. delayed determinant updates: delay-rank sweep ---- *)
 
 type delay_point = { dn : int; delay : int; det_ns_per_move : float }
@@ -535,6 +577,12 @@ let run ?json () =
       Printf.printf "  %-21s %.1f ns/call, %.2f words/call\n" p.call
         p.ns_per_call p.words_per_call)
     (bench_scalar_dt ~reps:2_000 ());
+  Printf.printf "== walker save/restore (NiO-32 r8 Current, f32) ==\n%!";
+  List.iter
+    (fun p ->
+      Printf.printf "  %-21s %.1f ns/call, %.1f words/call\n" p.call
+        p.ns_per_call p.words_per_call)
+    (bench_walker_io ());
   Printf.printf "== delayed determinant updates ==\n%!";
   let delays =
     bench_delay ~n:32 () @ bench_delay ~n:96 ~sweeps:40 ()
@@ -554,10 +602,11 @@ let run ?json () =
 
 (* Reduced run for the @bench-smoke alias: keeps every assertion — the
    pipeline-vs-scalar trajectory identity of [bench_sweep], the
-   per-kernel zero-allocation failwiths of [bench_kernels], and the
+   per-kernel zero-allocation failwiths of [bench_kernels], the
+   no-rebuild-at-restore check of [bench_walker_io], and the
    delayed-update regression guard — at a fraction of the reps, and
-   skips the NiO build.  Timing numbers from this mode are noise except
-   the k1/k8 ratio the guard checks. *)
+   skips the NiO sweep table.  Timing numbers from this mode are noise
+   except the k1/k8 ratio the guard checks. *)
 let smoke () =
   let p =
     bench_sweep ~name:"harmonic-6"
@@ -579,6 +628,14 @@ let smoke () =
       Printf.printf "crowd smoke: scalar %-14s %.2f words/call\n" q.call
         q.words_per_call)
     (bench_scalar_dt ~reps:200 ());
+  List.iter
+    (fun q ->
+      Printf.printf
+        "crowd smoke: NiO-32 r8 %-14s %.0f ns/call, %.1f words/call\n" q.call
+        q.ns_per_call q.words_per_call)
+    (bench_walker_io ~reps:200 ());
+  Printf.printf
+    "crowd smoke: restoring a saved walker records no SPO-vgl call\n";
   (* Delayed-update regression guard: at an order where the inverse no
      longer fits in L1 the blocked rank-8 flush must beat rank-1
      Sherman-Morrison.  Best-of-2 per rank; the tolerance absorbs

@@ -67,10 +67,24 @@ let get_vec3 t =
   Vec3.make x y z
 
 let add_array t a = Array.iter (add t) a
-let put_array t a = Array.iter (put t) a
+(* Whole arrays move as one blit: no float crosses a call boxed. *)
+let put_array t a =
+  let n = Array.length a in
+  if t.cursor + n > t.size then invalid_arg "Wbuffer.put: past end of pool";
+  Array.blit a 0 t.data t.cursor n;
+  t.cursor <- t.cursor + n
+
+let get_into t dst =
+  let n = Array.length dst in
+  if t.cursor + n > t.size then invalid_arg "Wbuffer.get: past end of pool";
+  Array.blit t.data t.cursor dst 0 n;
+  t.cursor <- t.cursor + n
 
 let get_array t n = Array.init n (fun _ -> get t)
 
-let copy t = { data = Array.copy t.data; size = t.size; cursor = t.cursor }
+(* The copy holds the pool only, not the spare capacity the doubling
+   growth of the registration pass left behind. *)
+let copy t =
+  { data = Array.sub t.data 0 (max t.size 1); size = t.size; cursor = t.cursor }
 
 let contents t = Array.sub t.data 0 t.size

@@ -35,6 +35,13 @@ val put_vec3 : t -> Vec3.t -> unit
 val get_vec3 : t -> Vec3.t
 val add_array : t -> float array -> unit
 val put_array : t -> float array -> unit
+(** Overwrite [Array.length a] entries at the cursor in one blit and
+    advance.  @raise Invalid_argument past the end of the pool. *)
+
+val get_into : t -> float array -> unit
+(** Read [Array.length dst] entries at the cursor into [dst] in one blit
+    and advance.  @raise Invalid_argument past the end of the pool. *)
+
 val get_array : t -> int -> float array
 
 val copy : t -> t

@@ -11,7 +11,8 @@ open Oqmc_containers
 
    The particle-by-particle protocol is [propose] / [accept] / [reject]:
    a proposal never touches the containers, acceptance writes the single
-   particle to both. *)
+   particle to both.  A proposal is held rounded to the storage
+   precision, so callers read it back with [active_pos]. *)
 
 type species = { name : string; charge : float; count : int }
 
@@ -26,6 +27,7 @@ module Make (R : Precision.REAL) = struct
     n : int;
     r : Aos.t;
     rsoa : Vs.t;
+    stage : float array; (* 3n: walker positions cross here in bulk *)
     mutable active : int;
     mutable active_pos : Vec3.t;
   }
@@ -51,6 +53,7 @@ module Make (R : Precision.REAL) = struct
       n;
       r = Aos.create n;
       rsoa = Vs.create n;
+      stage = Array.make (3 * n) 0.;
       active = -1;
       active_pos = Vec3.zero;
     }
@@ -94,27 +97,37 @@ module Make (R : Precision.REAL) = struct
     done
 
   (* loadWalker: copy a stored walker's positions into this compute engine
-     (AoS assignment + the extra AoS-to-SoA transposition, Fig. 5). *)
+     (AoS assignment + the extra AoS-to-SoA transposition, Fig. 5).  The
+     AoS copy is one bulk read and one narrowing bulk write through
+     [stage], rounding exactly like per-particle stores. *)
   let load_walker t (w : Walker.t) =
     if Walker.n_particles w <> t.n then
       invalid_arg "Particle_set.load_walker: size mismatch";
-    for i = 0 to t.n - 1 do
-      Aos.set t.r i (Walker.Aos.get w.Walker.r i)
-    done;
+    let m = 3 * t.n in
+    Walker.Aos.A.read_into (Walker.Aos.data w.Walker.r) ~pos:0 t.stage ~n:m;
+    Aos.A.write_from t.stage (Aos.data t.r) ~pos:0 ~n:m;
     Vs.assign_from_aos t.rsoa t.r;
     t.active <- -1
 
   let store_walker t (w : Walker.t) =
     if Walker.n_particles w <> t.n then
       invalid_arg "Particle_set.store_walker: size mismatch";
-    for i = 0 to t.n - 1 do
-      Walker.Aos.set w.Walker.r i (Aos.get t.r i)
-    done
+    let m = 3 * t.n in
+    Aos.A.read_into (Aos.data t.r) ~pos:0 t.stage ~n:m;
+    Walker.Aos.A.write_from t.stage (Walker.Aos.data w.Walker.r) ~pos:0 ~n:m
 
-  let propose t k pos =
+  (* The proposal is rounded to the storage precision once, here, so
+     everything that reads it (orbitals, tables, the acceptance test) sees
+     the position an accepted move stores.  Orbital rows are then a pure
+     function of the stored positions. *)
+  let propose t k (pos : Vec3.t) =
     if k < 0 || k >= t.n then invalid_arg "Particle_set.propose: bad index";
     t.active <- k;
-    t.active_pos <- pos
+    t.active_pos <-
+      (if R.bytes = 8 then pos
+       else
+         Vec3.make (R.round pos.Vec3.x) (R.round pos.Vec3.y)
+           (R.round pos.Vec3.z))
 
   let active t = t.active
   let active_pos t = t.active_pos

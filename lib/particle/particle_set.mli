@@ -49,12 +49,15 @@ module Make (R : Precision.REAL) : sig
   val store_walker : t -> Walker.t -> unit
 
   val propose : t -> int -> Vec3.t -> unit
-  (** Stage a single-particle move; containers are untouched. *)
+  (** Stage a single-particle move; containers are untouched.  The staged
+      position is rounded to [R] (a no-op at f64), the value an accepted
+      move stores: read it back with {!active_pos}. *)
 
   val active : t -> int
   (** Index of the staged move, or [-1]. *)
 
   val active_pos : t -> Vec3.t
+  (** The staged position, rounded to [R]. *)
 
   val accept : t -> unit
   (** Commit the staged move (6 scalar writes across R and Rsoa).

@@ -5,9 +5,23 @@ open Oqmc_containers
    anonymous buffer into which wavefunction components serialize their
    internal state.  Walkers are always stored in double precision — they
    are the units serialized for load balancing — while the compute engines
-   (ParticleSet, TrialWaveFunction) hold precision-dependent copies. *)
+   (ParticleSet, TrialWaveFunction) hold precision-dependent copies.
+
+   The one exception is [rows]: the determinants' orbital rows (φ, ∇φ,
+   ∇²φ of every electron), kept at the inverse's storage precision so a
+   restore needs no orbital evaluation.  They are a pure function of the
+   positions, so they travel only in process: [copy] keeps them, the
+   wire codec, the checkpoint and [message_bytes] leave them out, and an
+   engine rebuilds them for a walker that arrives without. *)
 
 module Aos = Pos_aos.Make (Precision.F64)
+
+type rows =
+  | No_rows
+  | Rows_f32 of
+      (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+  | Rows_f64 of
+      (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
   r : Aos.t;
@@ -17,6 +31,7 @@ type t = {
   mutable log_psi : float;
   mutable e_local : float;
   buffer : Wbuffer.t;
+  mutable rows : rows;
   id : int;
 }
 
@@ -32,10 +47,86 @@ let create n =
     log_psi = 0.;
     e_local = 0.;
     buffer = Wbuffer.create ();
+    rows = No_rows;
     id = !counter;
   }
 
 let n_particles t = Aos.length t.r
+
+let copy_array a =
+  let b =
+    Bigarray.Array1.create (Bigarray.Array1.kind a) Bigarray.c_layout
+      (Bigarray.Array1.dim a)
+  in
+  Bigarray.Array1.blit a b;
+  b
+
+let copy_rows = function
+  | No_rows -> No_rows
+  | Rows_f32 a -> Rows_f32 (copy_array a)
+  | Rows_f64 a -> Rows_f64 (copy_array a)
+
+let rows_of : type e.
+    (float, e) Bigarray.kind ->
+    t ->
+    (float, e, Bigarray.c_layout) Bigarray.Array1.t option =
+ fun kind t ->
+  match (kind, t.rows) with
+  | Bigarray.Float32, Rows_f32 a -> Some a
+  | Bigarray.Float64, Rows_f64 a -> Some a
+  | _ -> None
+
+let rows_for : type e.
+    (float, e) Bigarray.kind ->
+    t ->
+    int ->
+    (float, e, Bigarray.c_layout) Bigarray.Array1.t =
+ fun kind t len ->
+  match rows_of kind t with
+  | Some a when Bigarray.Array1.dim a = len -> a
+  | _ ->
+      let a = Bigarray.Array1.create kind Bigarray.c_layout len in
+      (t.rows <-
+         match kind with
+         | Bigarray.Float32 -> Rows_f32 a
+         | Bigarray.Float64 -> Rows_f64 a);
+      a
+
+let drop_rows t = t.rows <- No_rows
+
+type f32s = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type f64s = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* The entry-wise relative deviation |t - m| / (1 + |t|), maximized; a
+   NaN entry yields infinity.  One loop per storage kind, so element
+   reads stay unboxed and nothing is allocated. *)
+let dev_f32 (t : f32s) (m : f32s) =
+  let d = ref 0. in
+  for i = 0 to Bigarray.Array1.dim t - 1 do
+    let x = Bigarray.Array1.unsafe_get t i in
+    let y = Bigarray.Array1.unsafe_get m i in
+    let e = Float.abs (x -. y) /. (1. +. Float.abs x) in
+    if not (e <= !d) then d := if Float.is_nan e then Float.infinity else e
+  done;
+  !d
+
+let dev_f64 (t : f64s) (m : f64s) =
+  let d = ref 0. in
+  for i = 0 to Bigarray.Array1.dim t - 1 do
+    let x = Bigarray.Array1.unsafe_get t i in
+    let y = Bigarray.Array1.unsafe_get m i in
+    let e = Float.abs (x -. y) /. (1. +. Float.abs x) in
+    if not (e <= !d) then d := if Float.is_nan e then Float.infinity else e
+  done;
+  !d
+
+let rows_deviation ~truth t =
+  let same a b = Bigarray.Array1.dim a = Bigarray.Array1.dim b in
+  match (truth.rows, t.rows) with
+  | _, No_rows -> 0.
+  | Rows_f32 a, Rows_f32 b when same a b -> dev_f32 a b
+  | Rows_f64 a, Rows_f64 b when same a b -> dev_f64 a b
+  | _ -> Float.infinity
 
 let copy t =
   incr counter;
@@ -47,12 +138,13 @@ let copy t =
     log_psi = t.log_psi;
     e_local = t.e_local;
     buffer = Wbuffer.copy t.buffer;
+    rows = copy_rows t.rows;
     id = !counter;
   }
 
 (* Size of the serialized walker (positions + scalars + buffer): the
    load-balancing message the paper's Jastrow memory optimization shrinks
-   by 22.5 MB for NiO-64. *)
+   by 22.5 MB for NiO-64.  The carried rows are not part of it. *)
 let message_bytes t = Aos.bytes t.r + (8 * 4) + Wbuffer.bytes t.buffer
 
 (* ---------- binary wire codec ----------

@@ -143,9 +143,13 @@ struct
                   J1.grad_batch js ~k ~m ~gx ~gy ~gz)
         in
         let cs_propose ~k ~m ~(pos : Vec3.t array) =
+          (* The particle set rounds the proposal to R; the rounded point
+             goes back into [pos] for the SPO call and the GF term. *)
           for s = 0 to m - 1 do
-            let p = pos.(s) in
-            Ps.propose slots.(s).sl_ps k p;
+            let ps = slots.(s).sl_ps in
+            Ps.propose ps k pos.(s);
+            let p = Ps.active_pos ps in
+            pos.(s) <- p;
             px.(s) <- p.Vec3.x;
             py.(s) <- p.Vec3.y;
             pz.(s) <- p.Vec3.z
@@ -285,18 +289,45 @@ struct
               Option.map (fun i -> ABsoa.create ~sources:i ps) io )
     in
     (* --- wavefunction components --- *)
+    (* Both determinants build their rows through one batch context. *)
+    let batch = sys.System.spo.Spo.make_vgl_batch (max n_up n_down) in
     let det_states =
-      Det.make ~timers ~scheme:det_scheme ~spo:sys.System.spo ~first:0
-        ~count:n_up ps
+      Det.make ~timers ~scheme:det_scheme ~batch ~spo:sys.System.spo
+        ~first:0 ~count:n_up ps
       ::
       (if n_down > 0 then
          [
-           Det.make ~timers ~scheme:det_scheme ~spo:sys.System.spo
+           Det.make ~timers ~scheme:det_scheme ~batch ~spo:sys.System.spo
              ~first:n_up ~count:n_down ps;
          ]
        else [])
     in
     let dets = List.map Det.component det_states in
+    (* The walker carries every determinant's rows in one store, at the
+       inverse precision: determinant d at [row_pos.(d)]. *)
+    let det_arr = Array.of_list det_states in
+    let row_pos = Array.make (Array.length det_arr) 0 in
+    for d = 1 to Array.length det_arr - 1 do
+      row_pos.(d) <- row_pos.(d - 1) + Det.row_words det_arr.(d - 1)
+    done;
+    let row_words =
+      Array.fold_left (fun acc st -> acc + Det.row_words st) 0 det_arr
+    in
+    let save_rows w =
+      if Array.for_all Det.rows_valid det_arr then begin
+        let dst = Walker.rows_for I.kind w row_words in
+        Array.iteri (fun d st -> Det.save_rows st dst ~pos:row_pos.(d)) det_arr
+      end
+      else Walker.drop_rows w
+    in
+    let load_rows w =
+      match Walker.rows_of I.kind w with
+      | Some src when Bigarray.Array1.dim src = row_words ->
+          Array.iteri
+            (fun d st -> Det.load_rows st src ~pos:row_pos.(d))
+            det_arr
+      | _ -> ()
+    in
     let j2_state =
       match (sys.System.j2, tables) with
       | Some functors, Otf_t (aa, _) ->
@@ -379,7 +410,7 @@ struct
     in
     let nlpp_ratio k pos =
       Ps.propose ps k pos;
-      tables_move k pos;
+      tables_move k (Ps.active_pos ps);
       let r = Twf.ratio twf ps k in
       Twf.reject twf ps k;
       Ps.reject ps;
@@ -469,8 +500,8 @@ struct
           Vec3.make (sqrt_tau *. cx) (sqrt_tau *. cy) (sqrt_tau *. cz)
         in
         let rk = Ps.get ps k in
-        let newpos = Vec3.add rk (Vec3.add (Vec3.scale tau gold) chi) in
-        Ps.propose ps k newpos;
+        Ps.propose ps k (Vec3.add rk (Vec3.add (Vec3.scale tau gold) chi));
+        let newpos = Ps.active_pos ps in
         tables_move k newpos;
         let ratio, gnew = Twf.ratio_grad twf ps k in
         (* Green's-function correction for the drifted Gaussian proposal. *)
@@ -515,7 +546,10 @@ struct
        k] refreshes AA row k before anything reads it and [measure]
        rebuilds the whole AA table, so only the AB table is rebuilt here:
        its rows change only at accepted moves, and the electron-ion
-       terms of [measure] read them as they stand. *)
+       terms of [measure] read them as they stand.  The determinants'
+       orbital rows come back from the walker when it carries them (no
+       SPO call); otherwise the first reader rebuilds them, to the same
+       bits. *)
     let restore_walker w =
       Ps.load_walker ps w;
       (match tables with
@@ -527,21 +561,20 @@ struct
             ab);
       Wbuffer.rewind w.Walker.buffer;
       Twf.copy_from_buffer twf ps w.Walker.buffer;
+      load_rows w;
       Twf.set_log_psi twf w.Walker.log_psi
     in
     let save_walker w =
       Ps.store_walker ps w;
       w.Walker.log_psi <- Twf.log_psi twf;
       Wbuffer.rewind w.Walker.buffer;
-      Twf.update_buffer twf ps w.Walker.buffer
+      Twf.update_buffer twf ps w.Walker.buffer;
+      save_rows w
     in
     let register_walker w =
       Wbuffer.clear w.Walker.buffer;
       Twf.register twf w.Walker.buffer;
-      Ps.store_walker ps w;
-      w.Walker.log_psi <- Twf.log_psi twf;
-      Wbuffer.rewind w.Walker.buffer;
-      Twf.update_buffer twf ps w.Walker.buffer
+      save_walker w
     in
     let randomize rng =
       Ps.randomize ps (fun () -> Xoshiro.uniform rng);
@@ -568,7 +601,7 @@ struct
         propose =
           (fun k pos ->
             Ps.propose ps k pos;
-            tables_move k pos);
+            tables_move k (Ps.active_pos ps));
         ratio_grad = (fun k -> Twf.ratio_grad twf ps k);
         reject =
           (fun k ->

@@ -60,7 +60,10 @@ type crowd_stage = {
          orbital rows, so [slots] goes unused; it stays in the signature
          for the benchmark's stage wrapper. *)
   cs_propose : k:int -> m:int -> pos:Vec3.t array -> unit;
-      (* ParticleSet propose + batched table move rows *)
+      (* ParticleSet propose + batched table move rows; each [pos.(s)]
+         is replaced by the proposal as the set holds it (rounded to the
+         walker precision), which the SPO call and the Green's-function
+         term then use *)
   cs_ratio_grad :
     k:int ->
     m:int ->
@@ -94,11 +97,17 @@ type t = {
       (* Positions from the walker + full recompute (first touch). *)
   restore_walker : Walker.t -> unit;
       (* Positions + wavefunction state from the walker's buffer (the
-         store-over-compute fast path; tables are still rebuilt). *)
+         store-over-compute fast path) and the determinants' orbital
+         rows from the walker, when it carries them: no SPO call.  Ref's
+         Store tables are rebuilt in full, Current's AB table only (the
+         sweep's prepare and measure rebuild the AA rows).  A walker
+         without rows has them rebuilt by the first reader, to the same
+         bits. *)
   save_walker : Walker.t -> unit;
-      (* Positions, log Ψ and serialized state back into the walker. *)
+      (* Positions, log Ψ, serialized state and the orbital rows back
+         into the walker. *)
   register_walker : Walker.t -> unit;
-      (* Size and fill a fresh walker's buffer. *)
+      (* Size and fill a fresh walker's buffer (and its rows). *)
   log_psi : unit -> float;
   randomize : Oqmc_rng.Xoshiro.t -> unit;
       (* Fresh uniform electron configuration + full recompute; used to

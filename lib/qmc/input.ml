@@ -185,7 +185,11 @@ let apply cfg ~line key value =
    dmc, a non-finite or non-positive time step (DMC then reports NaN
    energies, VMC never moves), no walkers, no worker domains, or no
    blocks or steps (VMC and DMC then print a zero-variance energy of 0
-   that sampled nothing). *)
+   that sampled nothing).  Also no ranks (a run would silently use one
+   process), a size reduction below 1 (the builder fails after the run
+   header), a negative checkpoint interval (it would silently never
+   checkpoint) and keeping no checkpoint generations (the run would die
+   at its first checkpoint, losing the work before it). *)
 let check cfg =
   let bad fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt in
   if cfg.method_ <> "vmc" && cfg.method_ <> "dmc" then
@@ -195,7 +199,14 @@ let check cfg =
   if not (Float.is_finite cfg.tau && cfg.tau > 0.) then
     bad "tau must be finite and > 0, got %g" cfg.tau;
   if cfg.walkers < 1 then bad "walkers must be >= 1, got %d" cfg.walkers;
-  if cfg.domains < 1 then bad "domains must be >= 1, got %d" cfg.domains
+  if cfg.domains < 1 then bad "domains must be >= 1, got %d" cfg.domains;
+  if cfg.ranks < 1 then bad "ranks must be >= 1, got %d" cfg.ranks;
+  if cfg.reduction < 1 then
+    bad "reduction must be >= 1, got %d" cfg.reduction;
+  if cfg.checkpoint_every < 0 then
+    bad "checkpoint_every must be >= 0, got %d" cfg.checkpoint_every;
+  if cfg.checkpoint_keep < 1 then
+    bad "checkpoint_keep must be >= 1, got %d" cfg.checkpoint_keep
 
 let parse_string contents =
   let cfg = ref default in

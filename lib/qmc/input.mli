@@ -84,7 +84,8 @@ val precision_of_string :
 val check : t -> unit
 (** Refuses run parameters no QMC method can use: a [method] other than
     [vmc] or [dmc], [blocks < 1], [steps < 1], a [tau] that is not
-    finite or not > 0, [walkers < 1], [domains < 1].
+    finite or not > 0, [walkers < 1], [domains < 1], [ranks < 1],
+    [reduction < 1], [checkpoint_every < 0], [checkpoint_keep < 1].
     @raise Parse_error naming the offending value. *)
 
 val parse_string : string -> t

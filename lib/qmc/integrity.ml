@@ -82,8 +82,9 @@ let audit cfg (e : Engine_api.t) scratch (w : Walker.t) =
   let fresh = e.Engine_api.log_psi () in
   let drift = Float.abs (w.Walker.log_psi -. fresh) in
   (* Ground-truth serialization of the recomputed state, compared
-     entry-wise against the walker's buffer: catches corruption the
-     scalar comparison cannot see (flipped bits in stored matrices). *)
+     entry-wise against the walker's buffer and carried orbital rows:
+     catches corruption the scalar comparison cannot see (flipped bits
+     in stored matrices, a damaged row the next restore would use). *)
   e.Engine_api.register_walker scratch;
   let truth = Wbuffer.contents scratch.Walker.buffer in
   let mine = Wbuffer.contents w.Walker.buffer in
@@ -100,9 +101,13 @@ let audit cfg (e : Engine_api.t) scratch (w : Walker.t) =
       !dev
     end
   in
+  (* A walker without rows has nothing to check: its restore rebuilds
+     them. *)
+  let row_deviation = Walker.rows_deviation ~truth:scratch w in
   let ok =
     Float.is_finite fresh && drift <= cfg.drift_tol
     && deviation <= cfg.buffer_tol
+    && row_deviation <= cfg.buffer_tol
   in
   if ok then e.Engine_api.save_walker w;
   (ok, drift)

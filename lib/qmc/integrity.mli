@@ -14,8 +14,9 @@ type config = {
   drift_tol : float;
       (** quarantine when |stored log Ψ − recomputed| exceeds this *)
   buffer_tol : float;
-      (** quarantine when any serialized-state entry deviates relatively
-          from its recomputed value by more than this *)
+      (** quarantine when any serialized-state entry, or any entry of
+          the carried orbital rows, deviates relatively from its
+          recomputed value by more than this *)
   sample : int;  (** walkers audited per recompute pass *)
 }
 
@@ -44,8 +45,9 @@ val walker_finite : Walker.t -> bool
 
 val audit : config -> Engine_api.t -> Walker.t -> Walker.t -> bool * float
 (** [audit cfg engine scratch w] recomputes [w]'s wavefunction state
-    from its positions and compares the stored log Ψ scalar and state
-    buffer against it; heals [w] on pass (recomputed state saved back).
+    from its positions and compares the stored log Ψ scalar, state
+    buffer and carried orbital rows (when [w] has them) against it;
+    heals [w] on pass (recomputed state saved back).
     [scratch] is a walker of the same size used for the ground-truth
     serialization.  Returns [(trustworthy, drift)]; does not touch any
     shared stats, so audits run in parallel across the pool (the

@@ -335,16 +335,11 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       Wbuffer.put_array buf st.jlap
     in
     let copy_from_buffer _ps buf =
-      let rd a =
-        for i = 0 to n - 1 do
-          a.(i) <- Wbuffer.get buf
-        done
-      in
-      rd st.uat;
-      rd st.jgx;
-      rd st.jgy;
-      rd st.jgz;
-      rd st.jlap
+      Wbuffer.get_into buf st.uat;
+      Wbuffer.get_into buf st.jgx;
+      Wbuffer.get_into buf st.jgy;
+      Wbuffer.get_into buf st.jgz;
+      Wbuffer.get_into buf st.jlap
     in
     let bytes () = 5 * n * 8 in
     {

@@ -20,29 +20,36 @@ open Oqmc_linalg
    construction.
 
    Stored rows (QMCPACK's psiM/dpsiM/d2psiM): the state keeps φ, ∇φ and
-   ∇²φ of its orbitals at every electron's current position.  An
-   accepted move copies the proposal's SPO result into its row, so the
-   drift gradient ([grad], [grad_into]) and the measurement
-   ([accumulate_gl]) are row dots with no SPO call.  Replacing the
-   positions or the inverse wholesale ([evaluate_log],
-   [copy_from_buffer]) invalidates the rows; the next reader rebuilds
-   them with one batched whole-determinant evaluation.  So each electron
-   costs one SPO evaluation per proposed move and none per measurement.
+   ∇²φ of its orbitals at every electron's current position, narrowed to
+   [I] in one bigarray of 5·n·n like [phim] and [binv].  Every row is a
+   pure function of the stored position: proposals arrive rounded to [R]
+   ([Particle_set.propose]), an accepted move narrows the proposal's SPO
+   result into its row, and [evaluate_log] builds all rows from one
+   batched vgl evaluation and the Slater matrix from their values.  So
+   the drift gradient ([grad], [grad_into]) and the measurement
+   ([accumulate_gl]) are row dots with no SPO call, and rows rebuilt from
+   the positions equal rows kept through any number of moves, bit for
+   bit.  The engine carries the rows in the walker ([save_rows] /
+   [load_rows]); a restore without them ([copy_from_buffer] alone)
+   invalidates the rows and the next reader rebuilds them in one batched
+   evaluation.  So each electron costs one SPO evaluation per proposed
+   move and none per measurement or restore.
 
    Kernel timing keys: Bspline-v / Bspline-vgh for SPO evaluation inside
-   [ratio] and [ratio_grad]; SPO-vgl times the batched row rebuild and
-   DetUpdate the inverse update.  The crowd entry points are UNtimed: the
-   crowd driver wraps each batched stage in a single timer window per
-   crowd instead of one per walker (a row rebuild inside [grad_into]
-   still times SPO-vgl on the walker's own timers).
+   [ratio] and [ratio_grad]; SPO-vgl times the batched row build (in
+   [evaluate_log] and in a rebuild) and DetUpdate the inverse update.
+   The crowd entry points are UNtimed: the crowd driver wraps each
+   batched stage in a single timer window per crowd instead of one per
+   walker (a row rebuild inside [grad_into] still times SPO-vgl on the
+   walker's own timers).
 
    Two precisions parameterize the state: [R] is the walker/positions
    precision (particle sets, Wfc interface), [I] the inverse-matrix
-   storage precision — B = M⁻ᵀ, the Slater matrix and the delayed-update
-   panels narrow through [I] while every dot product and update
-   accumulates in double (the precision_inv knob of the mixed-precision
-   scheme).  [evaluate_log]'s full recompute doubles as the periodic
-   refresh that bounds f32 inverse drift. *)
+   storage precision — B = M⁻ᵀ, the Slater matrix, the stored rows and
+   the delayed-update panels narrow through [I] while every dot product
+   and update accumulates in double (the precision_inv knob of the
+   mixed-precision scheme).  [evaluate_log]'s full recompute doubles as
+   the periodic refresh that bounds f32 inverse drift. *)
 
 module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   module W = Wfc.Make (R)
@@ -64,6 +71,10 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     n : int;
     binv : M.t;
     phim : M.t;
+    rows : A.t;
+        (* 5·n·n: component [c] (φ, ∂φ/∂x, ∂φ/∂y, ∂φ/∂z, ∇²φ) of
+           electron [first + i]'s row at [row_at st i c] *)
+    mutable rows_valid : bool;
     vgl : Spo.vgl;
     vbuf : float array;
     psiv : A.t;
@@ -72,16 +83,14 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     last_ratio : float array; (* one unboxed cell: no boxing per move *)
     log_abs : float array;
     (* Whole-determinant evaluations (recompute, row rebuild) run all n
-       electron positions through one batched kernel call.  Lazy so
-       single-move-only paths never pay for it. *)
+       electron positions through one batched kernel call; the context
+       is scratch, so one engine's determinants may share it. *)
     row_pos : Vec3.t array;
-    v_rows : Spo.v_batch Lazy.t;
-    rows : Spo.vgl_batch Lazy.t;
-        (* slot i: φ, ∇φ, ∇²φ at electron [first + i]'s position *)
-    mutable rows_valid : bool;
+    batch : Spo.vgl_batch;
     mutable staged : Spo.vgl; (* SPO result of the pending proposal *)
     mutable staged_vgl : bool; (* false after a value-only [ratio] *)
     dot_scratch : A.t;
+    line : float array; (* one row of B, staged for the walker buffer *)
     pad : float array;
         (* unboxed cells for the per-move floats: 0 = the last row dot,
            1 = the gradient's denominator.  A float returned from a
@@ -89,7 +98,15 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
            not. *)
   }
 
-  let make ?(timers = Timers.null) ?(scheme = Sherman_morrison)
+  (* Components of a stored row, in [Spo.vgl] order. *)
+  let c_v = 0
+  let c_gx = 1
+  let c_gy = 2
+  let c_gz = 3
+  let c_lap = 4
+  let row_at st i c = ((5 * i) + c) * st.n
+
+  let make ?(timers = Timers.null) ?(scheme = Sherman_morrison) ?batch
       ~(spo : Spo.t) ~first ~count (ps : Ps.t) : state =
     let n = count in
     if n < 1 then invalid_arg "Slater_det.create: empty determinant";
@@ -97,6 +114,12 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       invalid_arg "Slater_det.create: fewer orbitals than electrons";
     if first < 0 || first + n > Ps.n ps then
       invalid_arg "Slater_det.create: electron range out of bounds";
+    let batch =
+      match batch with
+      | None -> spo.Spo.make_vgl_batch n
+      | Some b when b.Spo.cap >= n -> b
+      | Some _ -> invalid_arg "Slater_det.create: batch smaller than the group"
+    in
     let binv = M.create n n in
     let vgl = Spo.make_vgl spo.Spo.n_orb in
     {
@@ -107,6 +130,8 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       n;
       binv;
       phim = M.create n n;
+      rows = A.create (5 * n * n);
+      rows_valid = false;
       vgl;
       vbuf = Array.make spo.Spo.n_orb 0.;
       psiv = A.create n;
@@ -118,12 +143,11 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       last_ratio = [| 1. |];
       log_abs = [| 0. |];
       row_pos = Array.make n Vec3.zero;
-      v_rows = lazy (spo.Spo.make_v_batch n);
-      rows = lazy (spo.Spo.make_vgl_batch n);
-      rows_valid = false;
+      batch;
       staged = vgl;
       staged_vgl = false;
       dot_scratch = A.create n;
+      line = Array.make n 0.;
       pad = [| 0.; 1. |];
     }
 
@@ -142,8 +166,9 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     | Some d -> st.last_ratio.(0) <- Du.ratio d kl st.psiv
     | None -> Sm.ratio_into st.binv kl st.psiv st.last_ratio 0
 
-  (* Row dot of B[kl] against one orbital component into [st.pad.(0)],
-     with the delayed corrections when a queue is pending. *)
+  (* Row dot of B[kl] against one orbital component of a proposal into
+     [st.pad.(0)], with the delayed corrections when a queue is
+     pending. *)
   let corrected_dot st kl (comp : float array) =
     match st.du with
     | Some d when Du.pending d > 0 ->
@@ -158,6 +183,19 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
           ~pos:(kl * M.ld st.binv)
           comp ~n:st.n st.pad 0
 
+  (* The same dot against component [c] of stored row [kl]. *)
+  let row_dot st kl c =
+    let pos = row_at st kl c in
+    match st.du with
+    | Some d when Du.pending d > 0 ->
+        let tmp = st.dot_scratch in
+        A.copy_within ~src:st.rows ~spos:pos ~dst:tmp ~dpos:0 ~n:st.n;
+        st.pad.(0) <- Du.ratio d kl tmp
+    | _ ->
+        A.dot_into ~a:(M.data st.binv)
+          ~apos:(kl * M.ld st.binv)
+          ~b:st.rows ~bpos:pos ~n:st.n st.pad 0
+
   (* [gx/gy/gz.(s) += (B[kl]·∂φ) / st.pad.(1)] for the gradient
      components of [src]. *)
   let add_grad st kl (src : Spo.vgl) ~s ~(gx : float array)
@@ -169,21 +207,40 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     corrected_dot st kl src.Spo.gz;
     gz.(s) <- gz.(s) +. (st.pad.(0) /. st.pad.(1))
 
-  let load_row_pos st =
+  (* Narrow one SPO result into stored row [i]. *)
+  let store_row st i (src : Spo.vgl) =
+    let n = st.n in
+    A.write_from src.Spo.v st.rows ~pos:(row_at st i c_v) ~n;
+    A.write_from src.Spo.gx st.rows ~pos:(row_at st i c_gx) ~n;
+    A.write_from src.Spo.gy st.rows ~pos:(row_at st i c_gy) ~n;
+    A.write_from src.Spo.gz st.rows ~pos:(row_at st i c_gz) ~n;
+    A.write_from src.Spo.lap st.rows ~pos:(row_at st i c_lap) ~n
+
+  (* Every row from the current positions, in one batched evaluation. *)
+  let build_rows st =
     for i = 0 to st.n - 1 do
       st.row_pos.(i) <- Ps.get st.ps (st.first + i)
-    done
+    done;
+    let b = st.batch in
+    Timers.time st.timers "SPO-vgl" (fun () -> b.Spo.run st.row_pos st.n);
+    for i = 0 to st.n - 1 do
+      store_row st i b.Spo.slots.(i)
+    done;
+    st.rows_valid <- true
 
-  (* The stored rows, rebuilt from the current positions by one batched
-     evaluation when a wholesale replacement left them stale. *)
-  let rows st =
-    let b = Lazy.force st.rows in
-    if not st.rows_valid then begin
-      load_row_pos st;
-      Timers.time st.timers "SPO-vgl" (fun () -> b.Spo.run st.row_pos st.n);
-      st.rows_valid <- true
-    end;
-    b.Spo.slots
+  (* The stored rows, rebuilt when a restore without carried rows left
+     them stale. *)
+  let ensure_rows st = if not st.rows_valid then build_rows st
+
+  let row_words st = 5 * st.n * st.n
+  let rows_valid st = st.rows_valid
+
+  let save_rows st dst ~pos =
+    A.copy_within ~src:st.rows ~spos:0 ~dst ~dpos:pos ~n:(row_words st)
+
+  let load_rows st src ~pos =
+    A.copy_within ~src ~spos:pos ~dst:st.rows ~dpos:0 ~n:(row_words st);
+    st.rows_valid <- true
 
   (* Commit the pending move of electron [k] (the engine must have routed
      the matching ratio/ratio_grad through this state first).  The
@@ -200,15 +257,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
             ~ws:st.ws);
       st.log_abs.(0) <- st.log_abs.(0) +. log (abs_float st.last_ratio.(0));
       if not st.staged_vgl then st.rows_valid <- false
-      else if st.rows_valid then begin
-        let src = st.staged and dst = (Lazy.force st.rows).Spo.slots.(kl) in
-        let n = st.n in
-        Array.blit src.Spo.v 0 dst.Spo.v 0 n;
-        Array.blit src.Spo.gx 0 dst.Spo.gx 0 n;
-        Array.blit src.Spo.gy 0 dst.Spo.gy 0 n;
-        Array.blit src.Spo.gz 0 dst.Spo.gz 0 n;
-        Array.blit src.Spo.lap 0 dst.Spo.lap 0 n
-      end
+      else if st.rows_valid then store_row st kl st.staged
     end
 
   (* Crowd gradient stage: accumulate ∇ log D at the CURRENT position of
@@ -219,10 +268,15 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       ~(gz : float array) =
     if in_group st k then begin
       let kl = k - st.first in
-      let row = (rows st).(kl) in
-      corrected_dot st kl row.Spo.v;
+      ensure_rows st;
+      row_dot st kl c_v;
       st.pad.(1) <- st.pad.(0);
-      add_grad st kl row ~s ~gx ~gy ~gz
+      row_dot st kl c_gx;
+      gx.(s) <- gx.(s) +. (st.pad.(0) /. st.pad.(1));
+      row_dot st kl c_gy;
+      gy.(s) <- gy.(s) +. (st.pad.(0) /. st.pad.(1));
+      row_dot st kl c_gz;
+      gz.(s) <- gz.(s) +. (st.pad.(0) /. st.pad.(1))
     end
 
   (* Crowd ratio+gradient stage at the PROPOSED position: multiplies
@@ -259,13 +313,11 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     in
     let evaluate_log _ps =
       flush st;
-      st.rows_valid <- false;
-      let b = Lazy.force st.v_rows in
-      load_row_pos st;
-      Timers.time timers "Bspline-v" (fun () -> b.Spo.vrun st.row_pos n);
+      build_rows st;
+      let ld = M.ld st.phim in
       for i = 0 to n - 1 do
-        A.write_from b.Spo.vslots.(i) (M.data st.phim)
-          ~pos:(i * M.ld st.phim) ~n
+        A.copy_within ~src:st.rows ~spos:(row_at st i c_v)
+          ~dst:(M.data st.phim) ~dpos:(i * ld) ~n
       done;
       let _sign, logd =
         Timers.time timers "DetUpdate" (fun () ->
@@ -311,16 +363,20 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       if not (in_group st k) then Vec3.zero
       else begin
         let kl = k - first in
-        let row = (rows st).(kl) in
+        ensure_rows st;
         (* The denominator is 1 in exact arithmetic (row kl of M is the
            orbital vector at r_k); dividing by it stabilizes the mixed
            precision path.  With pending delayed updates every dot routes
            through the corrected form. *)
-        let denom = dot kl row.Spo.v in
+        let rdot c =
+          row_dot st kl c;
+          st.pad.(0)
+        in
+        let denom = rdot c_v in
         Vec3.make
-          (dot kl row.Spo.gx /. denom)
-          (dot kl row.Spo.gy /. denom)
-          (dot kl row.Spo.gz /. denom)
+          (rdot c_gx /. denom)
+          (rdot c_gy /. denom)
+          (rdot c_gz /. denom)
       end
     in
     let accept _ps k =
@@ -330,21 +386,18 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     let reject _ps _k = () in
     let accumulate_gl _ps (g : W.gl) =
       flush st;
-      let rows = rows st in
+      ensure_rows st;
       for i = 0 to n - 1 do
         let k = first + i in
-        let row = rows.(i) in
-        let dot comp =
-          A.dot_arr_into (M.data st.binv)
-            ~pos:(i * M.ld st.binv)
-            comp ~n st.pad 0;
+        let dot c =
+          row_dot st i c;
           st.pad.(0)
         in
-        let denom = dot row.Spo.v in
-        let gx = dot row.Spo.gx /. denom in
-        let gy = dot row.Spo.gy /. denom in
-        let gz = dot row.Spo.gz /. denom in
-        let lap = dot row.Spo.lap /. denom in
+        let denom = dot c_v in
+        let gx = dot c_gx /. denom in
+        let gy = dot c_gy /. denom in
+        let gz = dot c_gz /. denom in
+        let lap = dot c_lap /. denom in
         g.W.ggx.(k) <- g.W.ggx.(k) +. gx;
         g.W.ggy.(k) <- g.W.ggy.(k) +. gy;
         g.W.ggz.(k) <- g.W.ggz.(k) +. gz;
@@ -358,26 +411,28 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
         Wbuffer.add buf 0.
       done
     in
+    (* B travels as whole rows: one bulk read per row into [line], then
+       one buffer blit. *)
     let update_buffer _ps buf =
       flush st;
+      let ld = M.ld st.binv in
       for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Wbuffer.put buf (M.get st.binv i j)
-        done
+        A.read_into (M.data st.binv) ~pos:(i * ld) st.line ~n;
+        Wbuffer.put_array buf st.line
       done;
       Wbuffer.put buf st.log_abs.(0)
     in
     let copy_from_buffer _ps buf =
       flush st;
+      let ld = M.ld st.binv in
       for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          M.set st.binv i j (Wbuffer.get buf)
-        done
+        Wbuffer.get_into buf st.line;
+        A.write_from st.line (M.data st.binv) ~pos:(i * ld) ~n
       done;
       st.log_abs.(0) <- Wbuffer.get buf;
       st.rows_valid <- false
     in
-    let bytes () = M.bytes st.binv + M.bytes st.phim in
+    let bytes () = M.bytes st.binv + M.bytes st.phim + A.bytes st.rows in
     {
       W.name = Printf.sprintf "Det[%d..%d)" first (first + n);
       evaluate_log;

@@ -12,11 +12,16 @@ open Oqmc_containers
     updates accumulate in double.
 
     The state also keeps each electron's orbital row (φ, ∇φ, ∇²φ at its
-    current position; QMCPACK's psiM/dpsiM/d2psiM).  An accepted move
-    stores the proposal's SPO result, so drift gradients and the
-    measurement are row dots with no SPO call; a full recompute or a
-    buffer restore invalidates the rows, and the next reader rebuilds
-    them in one batched evaluation. *)
+    current position; QMCPACK's psiM/dpsiM/d2psiM), narrowed to [I].
+    Each row is a pure function of the stored position: an accepted move
+    narrows the proposal's SPO result (proposals are rounded to [R] by
+    [Particle_set.propose]) and [evaluate_log] builds every row, and the
+    Slater matrix from them, in one batched evaluation.  Drift gradients
+    and the measurement are row dots with no SPO call.  The engine
+    carries the rows in the walker ({!save_rows} / {!load_rows}); a
+    buffer restore without them invalidates the rows, and the next reader
+    rebuilds them in one batched evaluation — bit-identical to the rows
+    it would have carried. *)
 
 module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   module W : module type of Wfc.Make (R)
@@ -35,9 +40,9 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   (** Determinant over electrons [first, first + count); moves of
       electrons outside the group have ratio 1.  Kernel timing keys:
       Bspline-v (value-only SPO) and Bspline-vgh (SPO with derivatives
-      at a proposed position), plus SPO-vgl (batched rebuild of the stored
-      rows after a recompute or restore) and DetUpdate (ratio dots and
-      inverse updates).
+      at a proposed position), plus SPO-vgl (the batched build of the
+      stored rows in a recompute, or after a restore without carried
+      rows) and DetUpdate (ratio dots and inverse updates).
       @raise Invalid_argument on an empty group, an out-of-range window,
       or fewer orbitals than electrons. *)
 
@@ -51,13 +56,38 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   val make :
     ?timers:Timers.t ->
     ?scheme:scheme ->
+    ?batch:Spo.vgl_batch ->
     spo:Spo.t ->
     first:int ->
     count:int ->
     Ps.t ->
     state
+  (** [batch] is the whole-determinant evaluation context (a fresh one of
+      capacity [count] by default).  It is scratch: the determinants of
+      one engine may share one, but never across domains.
+      @raise Invalid_argument as {!create}, or if [batch] holds fewer
+      than [count] slots. *)
 
   val component : state -> W.t
+
+  val row_words : state -> int
+  (** Length of the stored rows, 5·n·n. *)
+
+  val rows_valid : state -> bool
+  (** False only between a buffer restore without carried rows (or an
+      accept after a value-only [ratio]) and the rebuild. *)
+
+  val save_rows :
+    state -> (float, I.elt, Bigarray.c_layout) Bigarray.Array1.t ->
+    pos:int -> unit
+  (** [save_rows st dst ~pos]: copy the stored rows (valid ones) into
+      [dst] at [pos .. pos + row_words st - 1]. *)
+
+  val load_rows :
+    state -> (float, I.elt, Bigarray.c_layout) Bigarray.Array1.t ->
+    pos:int -> unit
+  (** Inverse of {!save_rows}; marks the rows valid.  Must follow the
+      buffer restore of the same walker. *)
 
   val grad_into :
     state -> int -> s:int -> gx:float array -> gy:float array ->
@@ -81,6 +111,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   (** Commit the move proposed by the last [ratio_grad_into]/[ratio] for
       this electron (Sherman–Morrison row update or delayed Woodbury
       enqueue), bump the stored log |det| and store the proposal's SPO
-      result as the electron's row (after a value-only [ratio] the rows
-      are rebuilt on next use instead).  Allocates nothing.  Untimed. *)
+      result, narrowed to [I], as the electron's row (after a value-only
+      [ratio] the rows are rebuilt on next use instead).  Allocates
+      nothing.  Untimed. *)
 end

@@ -32,19 +32,12 @@ type vgl_batch = {
   run : Vec3.t array -> int -> unit;
 }
 
-type v_batch = {
-  vcap : int;
-  vslots : float array array;
-  vrun : Vec3.t array -> int -> unit;
-}
-
 type t = {
   n_orb : int;
   label : string;
   eval_v : Vec3.t -> float array -> unit;
   eval_vgl : Vec3.t -> vgl -> unit;
   make_vgl_batch : int -> vgl_batch;
-  make_v_batch : int -> v_batch;
   bytes : int; (* backing-table storage, shared across walkers/threads *)
 }
 
@@ -73,20 +66,7 @@ let serial_vgl_batch ~n_orb ~eval_vgl cap =
         done);
   }
 
-let serial_v_batch ~n_orb ~eval_v cap =
-  if cap < 1 then invalid_arg "Spo.serial_v_batch: cap < 1";
-  let vslots = Array.init cap (fun _ -> Array.make n_orb 0.) in
-  {
-    vcap = cap;
-    vslots;
-    vrun =
-      (fun pos n ->
-        for s = 0 to n - 1 do
-          eval_v pos.(s) vslots.(s)
-        done);
-  }
-
-let make ?make_vgl_batch ?make_v_batch ~n_orb ~label ~eval_v ~eval_vgl ~bytes () =
+let make ?make_vgl_batch ~n_orb ~label ~eval_v ~eval_vgl ~bytes () =
   {
     n_orb;
     label;
@@ -96,9 +76,5 @@ let make ?make_vgl_batch ?make_v_batch ~n_orb ~label ~eval_v ~eval_vgl ~bytes ()
       (match make_vgl_batch with
       | Some f -> f
       | None -> serial_vgl_batch ~n_orb ~eval_vgl);
-    make_v_batch =
-      (match make_v_batch with
-      | Some f -> f
-      | None -> serial_v_batch ~n_orb ~eval_v);
     bytes;
   }

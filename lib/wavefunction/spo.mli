@@ -26,12 +26,6 @@ type vgl_batch = {
       (** [run pos n] evaluates [pos.(0..n-1)] into [slots.(0..n-1)]. *)
 }
 
-type v_batch = {
-  vcap : int;
-  vslots : float array array;
-  vrun : Vec3.t array -> int -> unit;
-}
-
 type t = {
   n_orb : int;
   label : string;
@@ -39,7 +33,6 @@ type t = {
   eval_vgl : Vec3.t -> vgl -> unit;
   make_vgl_batch : int -> vgl_batch;
       (** Fresh batch context with the given capacity (>= 1). *)
-  make_v_batch : int -> v_batch;
   bytes : int;  (** backing-table storage, shared across walkers/threads *)
 }
 
@@ -48,7 +41,6 @@ val grad_of : vgl -> int -> Vec3.t
 
 val make :
   ?make_vgl_batch:(int -> vgl_batch) ->
-  ?make_v_batch:(int -> v_batch) ->
   n_orb:int ->
   label:string ->
   eval_v:(Vec3.t -> float array -> unit) ->

@@ -94,27 +94,7 @@ module Make (R : Precision.REAL) = struct
       in
       { Spo.cap; slots; run }
     in
-    let make_v_batch cap =
-      if cap < 1 then invalid_arg "Spo_bspline.make_v_batch: cap < 1";
-      let arena = B3.make_v_batch table ~cap in
-      let u0 = Array.make cap 0. in
-      let u1 = Array.make cap 0. in
-      let u2 = Array.make cap 0. in
-      let vrun (pos : Vec3.t array) nw =
-        for s = 0 to nw - 1 do
-          let r = pos.(s) in
-          let x = r.Vec3.x and y = r.Vec3.y and z = r.Vec3.z in
-          u0.(s) <- (g0.Vec3.x *. x) +. (g0.Vec3.y *. y) +. (g0.Vec3.z *. z);
-          u1.(s) <- (g1.Vec3.x *. x) +. (g1.Vec3.y *. y) +. (g1.Vec3.z *. z);
-          u2.(s) <- (g2.Vec3.x *. x) +. (g2.Vec3.y *. y) +. (g2.Vec3.z *. z)
-        done;
-        B3.eval_v_batch table arena ~n:nw ~u0 ~u1 ~u2
-      in
-      (* Values need no metric conversion: expose the arena's result rows
-         directly as the batch slots. *)
-      { Spo.vcap = cap; vslots = B3.vouts arena; vrun }
-    in
-    Spo.make ~make_vgl_batch ~make_v_batch ~n_orb:n
+    Spo.make ~make_vgl_batch ~n_orb:n
       ~label:(Printf.sprintf "bspline-%s" R.name)
       ~eval_v ~eval_vgl ~bytes:(B3.bytes table) ()
 end

@@ -93,6 +93,20 @@ let () =
           Alcotest.test_case "steps = 0 refused" `Quick
             (refused [ "-m"; "vmc"; "-w"; "harmonic"; "-s"; "0" ]
                ~reason:"steps must be >= 1");
+          Alcotest.test_case "ranks = 0 refused" `Quick
+            (refused (dmc @ [ "--ranks"; "0" ]) ~reason:"ranks must be >= 1");
+          Alcotest.test_case "reduction = 0 refused" `Quick
+            (refused [ "-m"; "vmc"; "-w"; "NiO-32"; "-r"; "0" ]
+               ~reason:"reduction must be >= 1, got 0");
+          Alcotest.test_case "checkpoint_every < 0 refused" `Quick
+            (refused (dmc @ [ "--checkpoint-every=-1" ])
+               ~reason:"checkpoint_every must be >= 0, got -1");
+          Alcotest.test_case "checkpoint_keep = 0 refused" `Quick
+            (refused
+               (dmc
+               @ [ "--checkpoint"; "x.chk"; "--checkpoint-every"; "1";
+                   "--checkpoint-keep"; "0" ])
+               ~reason:"checkpoint_keep must be >= 1, got 0");
           Alcotest.test_case "precision message kept" `Quick
             (refused
                [ "--precision-dt"; "f16" ]
@@ -121,6 +135,18 @@ let () =
           Alcotest.test_case "steps = 0 refused" `Quick
             (refused ~deck:(harmonic_deck @ [ "steps = 0" ]) []
                ~reason:"steps must be >= 1, got 0");
+          Alcotest.test_case "ranks = 0 refused" `Quick
+            (refused ~deck:(harmonic_deck @ [ "ranks = 0" ]) []
+               ~reason:"ranks must be >= 1, got 0");
+          Alcotest.test_case "reduction = 0 refused" `Quick
+            (refused ~deck:(harmonic_deck @ [ "reduction = 0" ]) []
+               ~reason:"reduction must be >= 1, got 0");
+          Alcotest.test_case "checkpoint_every < 0 refused" `Quick
+            (refused ~deck:(harmonic_deck @ [ "checkpoint_every = -3" ]) []
+               ~reason:"checkpoint_every must be >= 0, got -3");
+          Alcotest.test_case "checkpoint_keep = 0 refused" `Quick
+            (refused ~deck:(harmonic_deck @ [ "checkpoint_keep = 0" ]) []
+               ~reason:"checkpoint_keep must be >= 1, got 0");
           Alcotest.test_case "autotune refused on its line" `Quick
             (refused ~deck:(harmonic_deck @ [ "autotune = true" ]) []
                ~reason:"line 6: unknown key \\\"autotune\\\"");

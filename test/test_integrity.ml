@@ -369,6 +369,23 @@ let test_watchdog_detects_bit_flip () =
   check_bool "victim removed" false (List.memq victim (Population.walkers pop));
   check_int "population size preserved" 4 (Population.size pop)
 
+let test_watchdog_detects_corrupt_row () =
+  (* One damaged entry of the carried orbital rows: the buffer and log Ψ
+     are intact, and the next restore would use the row without an SPO
+     call, so only the row comparison can see it. *)
+  let _, walkers = mk_walkers 4 in
+  let victim = List.nth walkers 2 in
+  (match victim.Walker.rows with
+  | Walker.Rows_f64 a ->
+      let i = Bigarray.Array1.dim a / 3 in
+      Bigarray.Array1.set a i ((2. *. Bigarray.Array1.get a i) +. 1.)
+  | Walker.Rows_f32 _ | Walker.No_rows ->
+      Alcotest.fail "a Current_f64 walker carries f64 rows");
+  let st, pop = run_watchdog walkers in
+  check_int "quarantined" 1 st.Integrity.quarantined;
+  check_bool "victim removed" false (List.memq victim (Population.walkers pop));
+  check_int "population size preserved" 4 (Population.size pop)
+
 let test_watchdog_detects_scalar_drift () =
   (* Accumulated incremental drift of log Ψ beyond tolerance. *)
   let _, walkers = mk_walkers 4 in
@@ -623,6 +640,8 @@ let () =
           Alcotest.test_case "NaN position" `Quick
             test_watchdog_quarantines_nan_position;
           Alcotest.test_case "bit flip" `Quick test_watchdog_detects_bit_flip;
+          Alcotest.test_case "corrupt carried row" `Quick
+            test_watchdog_detects_corrupt_row;
           Alcotest.test_case "scalar drift" `Quick
             test_watchdog_detects_scalar_drift;
           Alcotest.test_case "total loss reseeds" `Quick

@@ -139,12 +139,17 @@ let test_shutdown_idempotent () =
 
 (* One VMC pass through the runner at crowd [crowd]: 6 walkers, each
    swept and measured 3 times by the slot engine holding it, as
-   [Vmc.run] does.  Returns the merged timer set. *)
+   [Vmc.run] does.  The walkers arrive without orbital rows (as from a
+   checkpoint), so each restore is followed by a row rebuild.  Returns
+   the merged timer set and the one taken before the walkers were made:
+   building an engine refreshes it once, so a wider crowd records more
+   calls before any walker exists. *)
 let vmc_pass_timers ~crowd =
   let sys = Lazy.force harmonic_sys in
   Runner.with_runner ~crowd ~walkers:6 ~n_domains:1
     ~factory:(Build.factory ~variant:Variant.Current_f64 ~seed:3 sys)
   @@ fun r ->
+  let built = Runner.merged_timers r in
   let e0 = Runner.engine r 0 in
   let rngs = Xoshiro.streams ~seed:9 6 in
   let ws =
@@ -152,6 +157,7 @@ let vmc_pass_timers ~crowd =
         let w = Walker.create e0.Engine_api.n_electrons in
         e0.Engine_api.randomize rngs.(i);
         e0.Engine_api.register_walker w;
+        Walker.drop_rows w;
         w)
   in
   Runner.iter_groups r ~n:6 ~walker:(fun i -> ws.(i)) ~f:(fun u ~lo ~m ->
@@ -162,19 +168,22 @@ let vmc_pass_timers ~crowd =
           ignore ((Runner.slot_engine u s).Engine_api.measure ())
         done
       done);
-  Runner.merged_timers r
+  (Runner.merged_timers r, built)
 
 (* Per-walker work (measure, row rebuilds) runs on the timers of the
-   slot holding the walker: the merged counts must not depend on the
-   crowd size. *)
+   slot holding the walker: the merged counts, less the refreshes done
+   while the engines were built, must not depend on the crowd size. *)
 let test_merged_timers_all_slots () =
   let one = vmc_pass_timers ~crowd:1 and three = vmc_pass_timers ~crowd:3 in
+  let per_walker (all, built) key =
+    Timers.count all key - Timers.count built key
+  in
   List.iter
     (fun key ->
-      check_bool (key ^ " recorded") true (Timers.count one key > 0);
+      check_bool (key ^ " recorded") true (per_walker one key > 0);
       check_int
         (key ^ " count: crowd 3 = crowd 1")
-        (Timers.count one key) (Timers.count three key))
+        (per_walker one key) (per_walker three key))
     [ "Other"; "SPO-vgl" ]
 
 (* ---------- batched B-spline kernels vs scalar oracle ---------- *)
@@ -779,11 +788,13 @@ let counting_spo (spo : Spo.t) =
     },
     count )
 
-(* The determinants keep every electron's orbital row: one vgl
-   evaluation per proposed move, n per rebuild after a restore (both
-   determinants together), none in a measurement that follows a sweep.
-   Two determinants of different sizes; the scalar sweep (Ref) and a
-   3-slot crowd (Current_f64). *)
+(* The determinants keep every electron's orbital row and the walker
+   carries them: one vgl evaluation per proposed move, none to restore a
+   saved walker or to measure after a sweep, n to refresh (both
+   determinants together).  A walker without rows (as from a checkpoint
+   or another rank) pays one rebuild of n after its restore.  Two
+   determinants of different sizes; the scalar sweep (Ref) and a 3-slot
+   crowd (Current_f64). *)
 let test_spo_evaluations_per_move () =
   let base = Validation.electron_gas ~n_up:3 ~n_down:2 ~box:5.0 () in
   let spo, count = counting_spo base.System.spo in
@@ -805,21 +816,30 @@ let test_spo_evaluations_per_move () =
   (* scalar sweep *)
   let e = Build.engine ~variant:Variant.Ref ~seed:3 sys in
   let w = (walkers 1 e).(0) in
+  check_bool "scalar: a registered walker carries rows" true
+    (w.Walker.rows <> Walker.No_rows);
   let rng = Xoshiro.create 41 in
   let sweep () =
     let r = e.Engine_api.sweep rng ~tau:0.3 in
     check_int "scalar: every electron proposed" n r.Engine_api.proposed
   in
   let measure () = ignore (e.Engine_api.measure ()) in
-  counted "scalar: restore is free" 0 (fun () ->
-      e.Engine_api.restore_walker w);
-  counted "scalar: rebuild after restore" n measure;
-  counted "scalar: one per proposed move" n sweep;
+  let restore () = e.Engine_api.restore_walker w in
+  counted "scalar: restore is free" 0 restore;
+  counted "scalar: sweep after restoring a saved walker" n sweep;
   counted "scalar: measure after sweep" 0 measure;
-  e.Engine_api.restore_walker w;
-  counted "scalar: sweep after restore" (2 * n) sweep;
-  counted "scalar: one per proposed move, again" n sweep;
-  counted "scalar: measure after sweep, again" 0 measure;
+  e.Engine_api.save_walker w;
+  counted "scalar: restore a saved walker, again" 0 restore;
+  counted "scalar: sweep after restore, again" n sweep;
+  counted "scalar: refresh builds the rows" n (fun () ->
+      ignore (e.Engine_api.refresh ()));
+  counted "scalar: measure after refresh" 0 measure;
+  Walker.drop_rows w;
+  counted "scalar: restore without rows is free" 0 restore;
+  counted "scalar: rebuild after a restore without rows" n measure;
+  counted "scalar: one per proposed move after the rebuild" n sweep;
+  restore ();
+  counted "scalar: sweep after a restore without rows" (2 * n) sweep;
   (* 3-slot crowd *)
   let factory = Build.factory ~variant:Variant.Current_f64 ~seed:3 sys in
   let cr = Crowd.create ~factory ~base:0 ~size:3 () in
@@ -829,6 +849,9 @@ let test_spo_evaluations_per_move () =
     Array.iteri
       (fun s w -> (Crowd.engine cr s).Engine_api.restore_walker w)
       ws
+  in
+  let save () =
+    Array.iteri (fun s w -> (Crowd.engine cr s).Engine_api.save_walker w) ws
   in
   let sweep () =
     Array.iter
@@ -842,13 +865,131 @@ let test_spo_evaluations_per_move () =
     done
   in
   counted "crowd: restore is free" 0 restore;
-  counted "crowd: rebuild after restore" (3 * n) measure;
-  counted "crowd: one per proposed move" (3 * n) sweep;
+  counted "crowd: sweep after restoring saved walkers" (3 * n) sweep;
   counted "crowd: measure after sweep" 0 measure;
+  save ();
+  counted "crowd: restore saved walkers, again" 0 restore;
+  counted "crowd: sweep after restore, again" (3 * n) sweep;
+  counted "crowd: measure after sweep, again" 0 measure;
+  Array.iter Walker.drop_rows ws;
+  counted "crowd: restore without rows is free" 0 restore;
+  counted "crowd: rebuild after a restore without rows" (3 * n) measure;
+  counted "crowd: one per proposed move after the rebuild" (3 * n) sweep;
   restore ();
-  counted "crowd: sweep after restore" (6 * n) sweep;
-  counted "crowd: one per proposed move, again" (3 * n) sweep;
-  counted "crowd: measure after sweep, again" 0 measure
+  counted "crowd: sweep after a restore without rows" (6 * n) sweep
+
+(* ---------- carried orbital rows ---------- *)
+
+(* Every walker through a wire roundtrip and a checkpoint roundtrip:
+   what a rank exchange and a resume do.  Both drop the carried rows. *)
+let roundtrip_walkers (ws : Walker.t array) =
+  let buf = Buffer.create 4096 in
+  Array.iter (Walker.encode buf) ws;
+  let s = Buffer.contents buf and pos = ref 0 in
+  let decoded = Array.map (fun _ -> Walker.decode s pos) ws in
+  let path = Filename.temp_file "oqmc_rows" ".chk" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Checkpoint.save ~path ~e_trial:0. (Array.to_list decoded);
+      Array.of_list (snd (Checkpoint.load ~path)))
+
+(* [gens] generations of [step ws rngs], which runs restore -> sweep ->
+   measure -> save (the DMC generation's walker choreography) over all
+   walkers.  With [~lose] every walker loses its rows between
+   generations.  Returns, per generation, every walker's positions,
+   log psi and local energy. *)
+let carried_rows_run ~lose ~gens ~walkers ~(e0 : Engine_api.t)
+    ~(step : Walker.t array -> Xoshiro.t array -> unit) =
+  let rngs = Xoshiro.streams ~seed:71 walkers in
+  let ws =
+    ref
+      (Array.init walkers (fun s ->
+           let w = Walker.create e0.Engine_api.n_electrons in
+           e0.Engine_api.randomize rngs.(s);
+           e0.Engine_api.register_walker w;
+           w))
+  in
+  let sweep_rngs = Xoshiro.streams ~seed:72 walkers in
+  List.init gens (fun g ->
+      if lose then ws := roundtrip_walkers !ws;
+      Array.iter
+        (fun (w : Walker.t) ->
+          check_bool
+            (Printf.sprintf "gen %d: rows carried" g)
+            (not lose) (w.Walker.rows <> Walker.No_rows))
+        !ws;
+      step !ws sweep_rngs;
+      Array.concat
+        (List.map
+           (fun (w : Walker.t) ->
+             let pos =
+               List.init (Walker.n_particles w) (fun i ->
+                   let p = Walker.Aos.get w.Walker.r i in
+                   [| p.Vec3.x; p.Vec3.y; p.Vec3.z |])
+             in
+             Array.concat (pos @ [ [| w.Walker.log_psi; w.Walker.e_local |] ]))
+           (Array.to_list !ws)))
+
+let measure_and_save (e : Engine_api.t) (w : Walker.t) =
+  w.Walker.e_local <- e.Engine_api.measure ();
+  e.Engine_api.save_walker w
+
+(* The invariant of the carried rows: every row is a pure function of
+   the stored positions, so walkers that lose their rows every
+   generation (and rebuild them) follow the trajectory of walkers that
+   keep them, bit for bit.  NiO-32 r16 Current at f32 through a crowd of
+   3 (rows narrowed to f32, proposals rounded to f32), and Ref at f64
+   through the scalar sweep. *)
+let test_carried_rows_invariant () =
+  let sys = Lazy.force nio32_r16 in
+  let gens = 3 and walkers = 3 in
+  let check name ~e0 ~step =
+    let keep = carried_rows_run ~lose:false ~gens ~walkers ~e0 ~step
+    and lose = carried_rows_run ~lose:true ~gens ~walkers ~e0 ~step in
+    List.iteri
+      (fun g (a, b) ->
+        same_float_array
+          (Printf.sprintf "%s gen %d: positions, log psi, local energies"
+             name g)
+          a b)
+      (List.combine keep lose)
+  in
+  let current = Build.factory ~variant:Variant.Current ~seed:3 sys in
+  let cr = Crowd.create ~factory:current ~base:0 ~size:walkers () in
+  check "Current f32 crowd 3" ~e0:(Crowd.engine cr 0) ~step:(fun ws rngs ->
+      Array.iteri
+        (fun s w -> (Crowd.engine cr s).Engine_api.restore_walker w)
+        ws;
+      ignore
+        (Crowd.sweep cr ~active:walkers ~rng:(fun s -> rngs.(s)) ~tau:0.1);
+      Array.iteri (fun s w -> measure_and_save (Crowd.engine cr s) w) ws);
+  let e = Build.engine ~variant:Variant.Ref ~seed:3 sys in
+  check "Ref f64 scalar" ~e0:e ~step:(fun ws rngs ->
+      Array.iteri
+        (fun s w ->
+          e.Engine_api.restore_walker w;
+          ignore (e.Engine_api.sweep rngs.(s) ~tau:0.1);
+          measure_and_save e w)
+        ws)
+
+(* [Walker.copy] gives the copy its own rows: equal contents, separate
+   storage. *)
+let test_walker_copy_rows () =
+  let sys = Lazy.force nio32_r16 in
+  let e = Build.engine ~variant:Variant.Current ~seed:3 sys in
+  let w = Walker.create e.Engine_api.n_electrons in
+  e.Engine_api.register_walker w;
+  let c = Walker.copy w in
+  check_bool "copy has the rows" true
+    (c.Walker.rows <> Walker.No_rows && c.Walker.rows = w.Walker.rows);
+  check_bool "equal rows deviate by 0" true
+    (Walker.rows_deviation ~truth:w c = 0.);
+  (match c.Walker.rows with
+  | Walker.Rows_f32 a -> Bigarray.Array1.set a 0 (Bigarray.Array1.get a 0 +. 1.)
+  | Walker.Rows_f64 _ | Walker.No_rows -> Alcotest.fail "Current rows are f32");
+  check_bool "original untouched by a write to the copy" true
+    (Walker.rows_deviation ~truth:w c > 0.1)
 
 (* Crowd batching composed with delayed determinant updates: the whole
    VMC trajectory at crowd 1 and 3 is the scalar sweep's at equal
@@ -914,6 +1055,10 @@ let () =
             test_restore_equals_refresh;
           Alcotest.test_case "vmc crowd delayed bit-identical" `Quick
             test_vmc_crowd_identity_delayed;
+          Alcotest.test_case "carried rows: same trajectory without them"
+            `Quick test_carried_rows_invariant;
+          Alcotest.test_case "walker copy copies the rows" `Quick
+            test_walker_copy_rows;
           Alcotest.test_case "one SPO evaluation per move" `Quick
             test_spo_evaluations_per_move;
         ] );

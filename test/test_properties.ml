@@ -159,8 +159,9 @@ let test_input_deck_errors () =
 
 let test_run_parameters_refused () =
   (* A method other than vmc or dmc, no blocks or steps, a time step
-     that is not finite and positive, no walkers or no domains: refused
-     at parse time, naming the value. *)
+     that is not finite and positive, no walkers, domains or ranks, a
+     reduction below 1, a negative checkpoint interval or no checkpoint
+     generations kept: refused at parse time, naming the value. *)
   List.iter
     (fun (line, reason) ->
       match Input.parse_string ("method = dmc\n" ^ line ^ "\n") with
@@ -177,6 +178,10 @@ let test_run_parameters_refused () =
       ("blocks = 0", "blocks must be >= 1, got 0");
       ("steps = -2", "steps must be >= 1, got -2");
       ("method = foo", "method must be vmc or dmc, got \"foo\"");
+      ("ranks = 0", "ranks must be >= 1, got 0");
+      ("reduction = 0", "reduction must be >= 1, got 0");
+      ("checkpoint_every = -1", "checkpoint_every must be >= 0, got -1");
+      ("checkpoint_keep = 0", "checkpoint_keep must be >= 1, got 0");
     ];
   check_bool "the checked record itself" true
     (match Input.check { Input.default with Input.walkers = -3 } with

@@ -697,6 +697,11 @@ let test_served_bad_decks_rejected () =
               ("domains = 0", "domains must be >= 1, got 0");
               ("blocks = 0", "blocks must be >= 1, got 0");
               ("method = foo", "method must be vmc or dmc, got \"foo\"");
+              ("ranks = 0", "ranks must be >= 1, got 0");
+              ("reduction = 0", "reduction must be >= 1, got 0");
+              ( "checkpoint_every = -1",
+                "checkpoint_every must be >= 0, got -1" );
+              ("checkpoint_keep = 0", "checkpoint_keep must be >= 1, got 0");
               ("autotune = true", "line 6: unknown key \"autotune\"");
               ( "straggler_policy = steal",
                 "line 6: straggler_policy must be warn or quarantine, got \
