@@ -21,8 +21,9 @@ open Oqmc_wavefunction
       kernels, the determinant's ratio-gradient + accept (which stores
       the proposal's orbital row) and the scalar DistTable calls must
       not allocate — asserted, not just reported; walker save/restore
-      time and allocation on NiO-32 r8, with no row rebuild after
-      restoring a saved walker asserted;
+      time and allocation on NiO-32 r8 Current and Ref, with no row
+      rebuild after restoring a saved walker and no per-element
+      allocation in either call asserted;
    4. delayed determinant updates: ns/move across the delay-rank sweep
       (1 = Sherman-Morrison). *)
 
@@ -37,6 +38,8 @@ module B3_32 = Oqmc_spline.Bspline3d.Make (Precision.F32)
 module Ps32 = Particle_set.Make (Precision.F32)
 module AA32 = Dt_aa_soa.Make (Precision.F32) (Precision.F32)
 module AB32 = Dt_ab_soa.Make (Precision.F32) (Precision.F32)
+module AAref64 = Dt_aa_ref.Make (Precision.F64)
+module ABref64 = Dt_ab_ref.Make (Precision.F64)
 
 let time_per ~reps f =
   let t0 = Timers.now () in
@@ -412,43 +415,83 @@ let bench_scalar_dt ?(reps = 20_000) () =
 
 (* ---- 3c. walker save / restore ---- *)
 
-(* [save_walker] and [restore_walker] of one NiO-32 r8 Current engine
-   (f32, delay 4: the nio32-current-dmc engine) on a walker that
+(* [save_walker] and [restore_walker] of the two NiO-32 r8 engines the
+   benchmark runs: Current (f32, delay 4: the nio32-current-dmc engine)
+   and Ref (f64, delay 1: the nio32-ref-dmc engine), on a walker that
    carries its orbital rows.  Restoring a saved walker needs no orbital
    evaluation: a restore and the sweep after it must record no SPO-vgl
-   call, the timer key of a row rebuild. *)
+   call, the timer key of a row rebuild.  Walker state moves in whole
+   blocks, so neither call may allocate per element: more than
+   [max_walker_io_words] minor words per call fails the run (Ref's Store
+   matrices alone are 5·48² + 5·48·8 entries; one boxed float each was
+   25k words per save and 73k per restore).  Ref's restore also rebuilds
+   its Store distance tables with the AoS kernels, which allocate per
+   pair by design; that rebuild, measured on its own at the same shape,
+   is the one allowance on top. *)
+let max_walker_io_words = 64.
+
+let store_rebuild ~reps (sys : System.t) =
+  let lattice = sys.System.lattice in
+  let u = let r = Xoshiro.create 41 in fun () -> Xoshiro.uniform r in
+  let group name count = [ { Particle_set.name; charge = -1.; count } ] in
+  let ps = Ps64.create ~lattice (group "e" (System.n_electrons sys)) in
+  Ps64.randomize ps u;
+  let ions = Ps64.create ~lattice (group "ion" (System.n_ions sys)) in
+  Ps64.randomize ions u;
+  let aa = AAref64.create ps and ab = ABref64.create ~sources:ions ps in
+  let f () =
+    AAref64.evaluate aa ps;
+    ABref64.evaluate ab ps
+  in
+  {
+    call = "Ref table rebuild";
+    ns_per_call = time_per ~reps f *. 1e9;
+    words_per_call = minor_words_per ~reps:(max 1 (reps / 10)) f;
+  }
+
 let bench_walker_io ?(reps = 2_000) () =
   let sys =
     Oqmc_workloads.Builder.named ~seed:11 ~reduction:8 ~with_nlpp:false
       ~precision:None "NiO-32"
   in
-  let timers = Timers.create () in
-  let e = Build.engine ~timers ~delay:4 ~variant:Variant.Current ~seed:3 sys in
-  let w = Walker.create e.Engine_api.n_electrons in
-  e.Engine_api.register_walker w;
-  let rebuilds () = Timers.count timers "SPO-vgl" in
-  let before = rebuilds () in
-  e.Engine_api.restore_walker w;
-  ignore (e.Engine_api.sweep (Xoshiro.create 5) ~tau:0.001);
-  e.Engine_api.save_walker w;
-  e.Engine_api.restore_walker w;
-  ignore (e.Engine_api.measure ());
-  if rebuilds () > before then
-    failwith
-      (Printf.sprintf
-         "crowd_bench: restoring a saved walker recorded %d SPO-vgl calls"
-         (rebuilds () - before));
-  let point call f =
-    {
-      call;
-      ns_per_call = time_per ~reps f *. 1e9;
-      words_per_call = minor_words_per ~reps:(max 1 (reps / 10)) f;
-    }
+  let io variant ~delay ~allowance =
+    let name = Variant.to_string variant in
+    let timers = Timers.create () in
+    let e = Build.engine ~timers ~delay ~variant ~seed:3 sys in
+    let w = Walker.create e.Engine_api.n_electrons in
+    e.Engine_api.register_walker w;
+    let rebuilds () = Timers.count timers "SPO-vgl" in
+    let before = rebuilds () in
+    e.Engine_api.restore_walker w;
+    ignore (e.Engine_api.sweep (Xoshiro.create 5) ~tau:0.001);
+    e.Engine_api.save_walker w;
+    e.Engine_api.restore_walker w;
+    ignore (e.Engine_api.measure ());
+    if rebuilds () > before then
+      failwith
+        (Printf.sprintf
+           "crowd_bench: restoring a saved %s walker recorded %d SPO-vgl calls"
+           name (rebuilds () - before));
+    let point ~allowance call f =
+      let call = name ^ " " ^ call in
+      let words = minor_words_per ~reps:(max 1 (reps / 10)) f in
+      if words > max_walker_io_words +. allowance then
+        failwith
+          (Printf.sprintf
+             "crowd_bench: %s allocates %.1f words/call (bound %.0f + %.0f)"
+             call words max_walker_io_words allowance);
+      { call; ns_per_call = time_per ~reps f *. 1e9; words_per_call = words }
+    in
+    [
+      point ~allowance:0. "save_walker" (fun () -> e.Engine_api.save_walker w);
+      point ~allowance "restore_walker" (fun () ->
+          e.Engine_api.restore_walker w);
+    ]
   in
-  [
-    point "save_walker" (fun () -> e.Engine_api.save_walker w);
-    point "restore_walker" (fun () -> e.Engine_api.restore_walker w);
-  ]
+  let rebuild = store_rebuild ~reps sys in
+  let current = io Variant.Current ~delay:4 ~allowance:0. in
+  let ref_ = io Variant.Ref ~delay:1 ~allowance:rebuild.words_per_call in
+  current @ ref_ @ [ rebuild ]
 
 (* ---- 4. delayed determinant updates: delay-rank sweep ---- *)
 
@@ -577,7 +620,7 @@ let run ?json () =
       Printf.printf "  %-21s %.1f ns/call, %.2f words/call\n" p.call
         p.ns_per_call p.words_per_call)
     (bench_scalar_dt ~reps:2_000 ());
-  Printf.printf "== walker save/restore (NiO-32 r8 Current, f32) ==\n%!";
+  Printf.printf "== walker save/restore (NiO-32 r8 Current f32, Ref f64) ==\n%!";
   List.iter
     (fun p ->
       Printf.printf "  %-21s %.1f ns/call, %.1f words/call\n" p.call
@@ -631,11 +674,11 @@ let smoke () =
   List.iter
     (fun q ->
       Printf.printf
-        "crowd smoke: NiO-32 r8 %-14s %.0f ns/call, %.1f words/call\n" q.call
+        "crowd smoke: NiO-32 r8 %-22s %.0f ns/call, %.1f words/call\n" q.call
         q.ns_per_call q.words_per_call)
     (bench_walker_io ~reps:200 ());
   Printf.printf
-    "crowd smoke: restoring a saved walker records no SPO-vgl call\n";
+    "crowd smoke: restoring a saved Current or Ref walker records no SPO-vgl call\n";
   (* Delayed-update regression guard: at an order where the inverse no
      longer fits in L1 the blocked rank-8 flush must beat rank-1
      Sherman-Morrison.  Best-of-2 per rank; the tolerance absorbs

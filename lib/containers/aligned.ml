@@ -36,11 +36,25 @@ module Make (R : Precision.REAL) = struct
      functor boundary, so batched kernels mirror whole rows into plain
      [float array] scratch — one allocation-free call per row — and run
      their inner loops monomorphically on the scratch. *)
-  let read_into (a : t) ~pos dst ~n = R.read_row a ~pos dst ~n
-  let write_from src (a : t) ~pos ~n = R.write_row src a ~pos ~n
+  let read_into (a : t) ~pos dst ~n = R.read_row a ~pos dst ~dpos:0 ~n
+  let write_from src (a : t) ~pos ~n = R.write_row src ~spos:0 a ~pos ~n
+
+  (* The same row moves with a walker buffer's pool as the other side, at
+     its cursor: a whole block of saved state crosses the functor once,
+     with no staging copy. *)
+  let to_buffer (a : t) ~pos ~n buf =
+    let at = Wbuffer.block buf n in
+    R.read_row a ~pos (Wbuffer.pool buf) ~dpos:at ~n
+
+  let of_buffer buf (a : t) ~pos ~n =
+    let at = Wbuffer.block buf n in
+    R.write_row (Wbuffer.pool buf) ~spos:at a ~pos ~n
 
   let copy_within ~(src : t) ~spos ~(dst : t) ~dpos ~n =
     R.copy_row ~src ~spos ~dst ~dpos ~n
+
+  let copy_strided ~(src : t) ~spos ~stride ~(dst : t) ~dpos ~n =
+    R.copy_strided ~src ~spos ~stride ~dst ~dpos ~n
 
   let get_into (a : t) i dst j = R.get_into a i dst j
 

@@ -41,9 +41,28 @@ module Make (R : Precision.REAL) : sig
       narrowing through the storage width exactly like a per-element
       store. *)
 
+  val to_buffer : t -> pos:int -> n:int -> Wbuffer.t -> unit
+  (** [to_buffer a ~pos ~n buf] writes [a.(pos) .. a.(pos + n - 1)] into
+      [buf] at its cursor and advances it: one bulk row straight into the
+      pool, no staging copy and no boxed float.  Reading [a] is
+      unchecked.  @raise Invalid_argument past the end of the pool. *)
+
+  val of_buffer : Wbuffer.t -> t -> pos:int -> n:int -> unit
+  (** [of_buffer buf a ~pos ~n] is the inverse of {!to_buffer}: the [n]
+      entries at the cursor into [a.(pos ..)], narrowing through the
+      storage width like a per-element store.
+      @raise Invalid_argument past the end of the pool. *)
+
   val copy_within : src:t -> spos:int -> dst:t -> dpos:int -> n:int -> unit
   (** Contiguous unchecked element copy without slice proxies; both sides
       stay in the storage format (no widening round-trip). *)
+
+  val copy_strided :
+    src:t -> spos:int -> stride:int -> dst:t -> dpos:int -> n:int -> unit
+  (** [copy_strided ~src ~spos ~stride ~dst ~dpos ~n]:
+      [dst.(dpos + i) <- src.(spos + i·stride)], unchecked — one
+      component of an interleaved array gathered into a contiguous row in
+      a single functor crossing. *)
 
   val get_into : t -> int -> float array -> int -> unit
   (** [get_into a i dst j]: [dst.(j) <- a.(i)] — a one-element read landing

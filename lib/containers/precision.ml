@@ -60,17 +60,18 @@ module type REAL = sig
 
   val read_row :
     (float, elt, Bigarray.c_layout) Bigarray.Array1.t ->
-    pos:int -> float array -> n:int -> unit
-  (** [read_row a ~pos dst ~n]: [dst.(i) <- a.(pos + i)] for [i < n];
-      unchecked. *)
+    pos:int -> float array -> dpos:int -> n:int -> unit
+  (** [read_row a ~pos dst ~dpos ~n]: [dst.(dpos + i) <- a.(pos + i)] for
+      [i < n]; unchecked. *)
 
   val write_row :
     float array ->
+    spos:int ->
     (float, elt, Bigarray.c_layout) Bigarray.Array1.t ->
     pos:int -> n:int -> unit
-  (** [write_row src a ~pos ~n]: [a.(pos + i) <- src.(i)] for [i < n];
-      unchecked, rounding through the storage width exactly like a
-      per-element store. *)
+  (** [write_row src ~spos a ~pos ~n]: [a.(pos + i) <- src.(spos + i)] for
+      [i < n]; unchecked, rounding through the storage width exactly like
+      a per-element store. *)
 
   val copy_row :
     src:(float, elt, Bigarray.c_layout) Bigarray.Array1.t ->
@@ -80,6 +81,17 @@ module type REAL = sig
   (** [copy_row ~src ~spos ~dst ~dpos ~n]: contiguous element copy with
       no slice proxies (and no widening round-trip: both sides share the
       storage format). *)
+
+  val copy_strided :
+    src:(float, elt, Bigarray.c_layout) Bigarray.Array1.t ->
+    spos:int ->
+    stride:int ->
+    dst:(float, elt, Bigarray.c_layout) Bigarray.Array1.t ->
+    dpos:int -> n:int -> unit
+  (** [copy_strided ~src ~spos ~stride ~dst ~dpos ~n]:
+      [dst.(dpos + i) <- src.(spos + i·stride)] for [i < n] — one
+      component of an interleaved (AoS) array gathered into a contiguous
+      row, storage to storage. *)
 
   val get_into :
     (float, elt, Bigarray.c_layout) Bigarray.Array1.t ->
@@ -134,15 +146,15 @@ module F64 : REAL with type elt = f64_elt = struct
     Bigarray.Array1.unsafe_set a i v
 
   let read_row (a : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~pos
-      (dst : float array) ~n =
+      (dst : float array) ~dpos ~n =
     for i = 0 to n - 1 do
-      Array.unsafe_set dst i (Bigarray.Array1.unsafe_get a (pos + i))
+      Array.unsafe_set dst (dpos + i) (Bigarray.Array1.unsafe_get a (pos + i))
     done
 
-  let write_row (src : float array)
+  let write_row (src : float array) ~spos
       (a : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~pos ~n =
     for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set a (pos + i) (Array.unsafe_get src i)
+      Bigarray.Array1.unsafe_set a (pos + i) (Array.unsafe_get src (spos + i))
     done
 
   let copy_row ~(src : (float, elt, Bigarray.c_layout) Bigarray.Array1.t)
@@ -151,6 +163,14 @@ module F64 : REAL with type elt = f64_elt = struct
     for i = 0 to n - 1 do
       Bigarray.Array1.unsafe_set dst (dpos + i)
         (Bigarray.Array1.unsafe_get src (spos + i))
+    done
+
+  let copy_strided
+      ~(src : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~spos ~stride
+      ~(dst : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~dpos ~n =
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set dst (dpos + i)
+        (Bigarray.Array1.unsafe_get src (spos + (i * stride)))
     done
 
   let get_into (a : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) i
@@ -205,15 +225,15 @@ module F32 : REAL with type elt = f32_elt = struct
     Bigarray.Array1.unsafe_set a i v
 
   let read_row (a : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~pos
-      (dst : float array) ~n =
+      (dst : float array) ~dpos ~n =
     for i = 0 to n - 1 do
-      Array.unsafe_set dst i (Bigarray.Array1.unsafe_get a (pos + i))
+      Array.unsafe_set dst (dpos + i) (Bigarray.Array1.unsafe_get a (pos + i))
     done
 
-  let write_row (src : float array)
+  let write_row (src : float array) ~spos
       (a : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~pos ~n =
     for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set a (pos + i) (Array.unsafe_get src i)
+      Bigarray.Array1.unsafe_set a (pos + i) (Array.unsafe_get src (spos + i))
     done
 
   let copy_row ~(src : (float, elt, Bigarray.c_layout) Bigarray.Array1.t)
@@ -222,6 +242,14 @@ module F32 : REAL with type elt = f32_elt = struct
     for i = 0 to n - 1 do
       Bigarray.Array1.unsafe_set dst (dpos + i)
         (Bigarray.Array1.unsafe_get src (spos + i))
+    done
+
+  let copy_strided
+      ~(src : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~spos ~stride
+      ~(dst : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) ~dpos ~n =
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set dst (dpos + i)
+        (Bigarray.Array1.unsafe_get src (spos + (i * stride)))
     done
 
   let get_into (a : (float, elt, Bigarray.c_layout) Bigarray.Array1.t) i

@@ -43,16 +43,16 @@ module Make (R : Precision.REAL) = struct
   let unsafe_y t i = A.unsafe_get t.data (t.stride + i)
   let unsafe_z t i = A.unsafe_get t.data ((2 * t.stride) + i)
 
-  (* AoS-to-SoA assignment: Rsoa = awalker.R in loadWalker. *)
+  (* AoS-to-SoA assignment: Rsoa = awalker.R in loadWalker.  Each
+     component row is one strided gather, storage to storage, so no
+     coordinate crosses the functor boxed. *)
   let assign_from_aos t (aos : Aos.t) =
     if Aos.length aos <> t.n then
       invalid_arg "Vsc.assign_from_aos: size mismatch";
     let src = Aos.data aos in
-    for i = 0 to t.n - 1 do
-      let base = 3 * i in
-      A.unsafe_set t.data i (A.unsafe_get src base);
-      A.unsafe_set t.data (t.stride + i) (A.unsafe_get src (base + 1));
-      A.unsafe_set t.data ((2 * t.stride) + i) (A.unsafe_get src (base + 2))
+    for c = 0 to 2 do
+      A.copy_strided ~src ~spos:c ~stride:3 ~dst:t.data ~dpos:(c * t.stride)
+        ~n:t.n
     done
 
   let to_aos t =

@@ -2,11 +2,12 @@
 
    The Ref design reconstructs a walker's complete wavefunction state
    without recomputation by serializing every component's scalars into one
-   flat buffer.  Usage is two-phase: a registration pass [add]s values to
-   size the pool; thereafter components [rewind] and [get]/[put] their slice
-   at a running cursor.  The Current design shrinks what goes in here —
-   that shrinkage is the 22.5 MB/walker message-size reduction the paper
-   reports for NiO-64. *)
+   flat buffer.  Usage is two-phase: a registration pass [extend]s the
+   pool by each component's size; thereafter components [rewind] and move
+   their slice at a running cursor, scalars with [get]/[put], blocks with
+   [put_array]/[get_into] or straight into [pool] at a [block] offset.
+   The Current design shrinks what goes in here — that shrinkage is the
+   22.5 MB/walker message-size reduction the paper reports for NiO-64. *)
 
 type t = { mutable data : float array; mutable size : int; mutable cursor : int }
 
@@ -34,10 +35,26 @@ let ensure t n =
     t.data <- data
   end
 
-let add t v =
-  ensure t (t.size + 1);
-  t.data.(t.size) <- v;
-  t.size <- t.size + 1
+let extend t n =
+  if n < 0 then invalid_arg "Wbuffer.extend: negative size";
+  ensure t (t.size + n);
+  Array.fill t.data t.size n 0.;
+  t.size <- t.size + n
+
+(* The array becomes the pool as it is: no copy, no spare capacity.  An
+   empty pool still gets one cell, since [ensure] grows by doubling. *)
+let load t a =
+  t.data <- (if Array.length a = 0 then [| 0. |] else a);
+  t.size <- Array.length a;
+  t.cursor <- 0
+
+let pool t = t.data
+
+let block t n =
+  let at = t.cursor in
+  if n < 0 || at + n > t.size then invalid_arg "Wbuffer.block: past end of pool";
+  t.cursor <- at + n;
+  at
 
 let put t v =
   if t.cursor >= t.size then invalid_arg "Wbuffer.put: past end of pool";
@@ -50,23 +67,6 @@ let get t =
   t.cursor <- t.cursor + 1;
   v
 
-let add_vec3 t (v : Vec3.t) =
-  add t v.Vec3.x;
-  add t v.Vec3.y;
-  add t v.Vec3.z
-
-let put_vec3 t (v : Vec3.t) =
-  put t v.Vec3.x;
-  put t v.Vec3.y;
-  put t v.Vec3.z
-
-let get_vec3 t =
-  let x = get t in
-  let y = get t in
-  let z = get t in
-  Vec3.make x y z
-
-let add_array t a = Array.iter (add t) a
 (* Whole arrays move as one blit: no float crosses a call boxed. *)
 let put_array t a =
   let n = Array.length a in
@@ -79,8 +79,6 @@ let get_into t dst =
   if t.cursor + n > t.size then invalid_arg "Wbuffer.get: past end of pool";
   Array.blit t.data t.cursor dst 0 n;
   t.cursor <- t.cursor + n
-
-let get_array t n = Array.init n (fun _ -> get t)
 
 (* The copy holds the pool only, not the spare capacity the doubling
    growth of the registration pass left behind. *)

@@ -62,13 +62,15 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   let n t = t.n
   let n_sources t = t.n_src
 
+  (* Each electron's coordinates land in the slot's query cells without
+     a boxed [Vec3]: a restore rebuilds this table for every walker. *)
   let evaluate t ps =
     let g = t.g in
+    let r = Ps.Aos.data (Ps.aos ps) in
     for k = 0 to t.n - 1 do
-      let p = Ps.get ps k in
-      g.K.qx.(0) <- p.Vec3.x;
-      g.K.qy.(0) <- p.Vec3.y;
-      g.K.qz.(0) <- p.Vec3.z;
+      Ps.Aos.A.get_into r (3 * k) g.K.qx 0;
+      Ps.Aos.A.get_into r ((3 * k) + 1) g.K.qy 0;
+      Ps.Aos.A.get_into r ((3 * k) + 2) g.K.qz 0;
       K.aim g.K.slot ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
         ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:(-1);
       K.single_row ~lattice:t.lattice g

@@ -207,9 +207,11 @@ let decode s pos =
   done;
   let nbuf = get_i32 s pos in
   guard "buffer length" nbuf 0;
-  Wbuffer.clear w.buffer;
-  for _ = 1 to nbuf do
-    Wbuffer.add w.buffer (get_f64 s pos)
+  if nbuf > (String.length s - !pos) / 8 then
+    invalid_arg (Printf.sprintf "Walker.decode: bad buffer length %d" nbuf);
+  let b = Array.make nbuf 0. in
+  for i = 0 to nbuf - 1 do
+    b.(i) <- get_f64 s pos
   done;
-  Wbuffer.rewind w.buffer;
+  Wbuffer.load w.buffer b;
   w

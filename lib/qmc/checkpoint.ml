@@ -143,12 +143,10 @@ let read_walker c =
   done;
   let nbuf = scan c "buffer header" "buffer %d%!" Fun.id in
   if nbuf < 0 then fail "negative buffer length";
-  Wbuffer.clear w.Walker.buffer;
-  for _ = 1 to nbuf do
-    let v = scan c "buffer value" "%h%!" Fun.id in
-    Wbuffer.add w.Walker.buffer v
-  done;
-  Wbuffer.rewind w.Walker.buffer;
+  if nbuf > Array.length c.lines - c.pos then
+    fail "unexpected end of file reading buffer value";
+  Wbuffer.load w.Walker.buffer
+    (Array.init nbuf (fun _ -> scan c "buffer value" "%h%!" Fun.id));
   w
 
 (* Parse payload lines (everything after the magic); strict: the walker

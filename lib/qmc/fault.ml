@@ -138,9 +138,7 @@ let flip_buffer_bit (w : Walker.t) ~index ~bit =
       (Int64.logxor
          (Int64.bits_of_float data.(index))
          (Int64.shift_left 1L bit));
-  Wbuffer.clear buf;
-  Array.iter (Wbuffer.add buf) data;
-  Wbuffer.rewind buf
+  Wbuffer.load buf data
 
 (* ---------- checkpoint-file corrupters ---------- *)
 

@@ -241,11 +241,7 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
         g.W.glap.(k) <- g.W.glap.(k) +. st.jlap.(k)
       done
     in
-    let register buf =
-      for _ = 1 to 5 * n do
-        Wbuffer.add buf 0.
-      done
-    in
+    let register buf = Wbuffer.extend buf (5 * n) in
     let update_buffer _ps buf =
       Wbuffer.put_array buf st.vat;
       Wbuffer.put_array buf st.jgx;
@@ -380,32 +376,18 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
         g.W.glap.(k) <- g.W.glap.(k) -. !al
       done
     in
-    let register buf =
-      for _ = 1 to 5 * n * ni do
-        Wbuffer.add buf 0.
-      done
-    in
+    let register buf = Wbuffer.extend buf (5 * n * ni) in
+    (* The three Store matrices move as whole blocks, straight between
+       their storage and the pool. *)
     let update_buffer _ps buf =
-      for p = 0 to (n * ni) - 1 do
-        Wbuffer.put buf (A.get umat p)
-      done;
-      for p = 0 to (3 * n * ni) - 1 do
-        Wbuffer.put buf (A.get dumat p)
-      done;
-      for p = 0 to (n * ni) - 1 do
-        Wbuffer.put buf (A.get d2umat p)
-      done
+      A.to_buffer umat ~pos:0 ~n:(n * ni) buf;
+      A.to_buffer dumat ~pos:0 ~n:(3 * n * ni) buf;
+      A.to_buffer d2umat ~pos:0 ~n:(n * ni) buf
     in
     let copy_from_buffer _ps buf =
-      for p = 0 to (n * ni) - 1 do
-        A.set umat p (Wbuffer.get buf)
-      done;
-      for p = 0 to (3 * n * ni) - 1 do
-        A.set dumat p (Wbuffer.get buf)
-      done;
-      for p = 0 to (n * ni) - 1 do
-        A.set d2umat p (Wbuffer.get buf)
-      done
+      A.of_buffer buf umat ~pos:0 ~n:(n * ni);
+      A.of_buffer buf dumat ~pos:0 ~n:(3 * n * ni);
+      A.of_buffer buf d2umat ~pos:0 ~n:(n * ni)
     in
     let bytes () = A.bytes umat + A.bytes dumat + A.bytes d2umat in
     {

@@ -90,7 +90,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     mutable staged : Spo.vgl; (* SPO result of the pending proposal *)
     mutable staged_vgl : bool; (* false after a value-only [ratio] *)
     dot_scratch : A.t;
-    line : float array; (* one row of B, staged for the walker buffer *)
     pad : float array;
         (* unboxed cells for the per-move floats: 0 = the last row dot,
            1 = the gradient's denominator.  A float returned from a
@@ -147,7 +146,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       staged = vgl;
       staged_vgl = false;
       dot_scratch = A.create n;
-      line = Array.make n 0.;
       pad = [| 0.; 1. |];
     }
 
@@ -406,19 +404,14 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
           g.W.glap.(k) +. lap -. ((gx *. gx) +. (gy *. gy) +. (gz *. gz))
       done
     in
-    let register buf =
-      for _ = 1 to (n * n) + 1 do
-        Wbuffer.add buf 0.
-      done
-    in
-    (* B travels as whole rows: one bulk read per row into [line], then
-       one buffer blit. *)
+    let register buf = Wbuffer.extend buf ((n * n) + 1) in
+    (* B travels as whole rows, each straight between the padded matrix
+       row and the pool. *)
     let update_buffer _ps buf =
       flush st;
       let ld = M.ld st.binv in
       for i = 0 to n - 1 do
-        A.read_into (M.data st.binv) ~pos:(i * ld) st.line ~n;
-        Wbuffer.put_array buf st.line
+        A.to_buffer (M.data st.binv) ~pos:(i * ld) ~n buf
       done;
       Wbuffer.put buf st.log_abs.(0)
     in
@@ -426,8 +419,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       flush st;
       let ld = M.ld st.binv in
       for i = 0 to n - 1 do
-        Wbuffer.get_into buf st.line;
-        A.write_from st.line (M.data st.binv) ~pos:(i * ld) ~n
+        A.of_buffer buf (M.data st.binv) ~pos:(i * ld) ~n
       done;
       st.log_abs.(0) <- Wbuffer.get buf;
       st.rows_valid <- false

@@ -132,32 +132,101 @@ let test_vsc_size_mismatch () =
 
 let test_wbuffer_protocol () =
   let b = Wbuffer.create ~capacity:2 () in
-  Wbuffer.add b 1.5;
-  Wbuffer.add_vec3 b (Vec3.make 2. 3. 4.);
-  Wbuffer.add_array b [| 5.; 6. |];
+  Wbuffer.extend b 1;
+  Wbuffer.extend b 5;
   check_int "size" 6 (Wbuffer.size b);
+  check_bool "extend zeroes" true (Wbuffer.contents b = Array.make 6 0.);
+  Wbuffer.rewind b;
+  Wbuffer.put b 1.5;
+  Wbuffer.put_array b [| 2.; 3.; 4. |];
+  check_int "block at cursor" 4 (Wbuffer.block b 2);
+  (Wbuffer.pool b).(4) <- 5.;
+  (Wbuffer.pool b).(5) <- 6.;
+  check_int "cursor" 6 (Wbuffer.cursor b);
   Wbuffer.rewind b;
   check_float "get" 1.5 (Wbuffer.get b);
-  let v = Wbuffer.get_vec3 b in
-  check_bool "vec3" true (Vec3.equal v (Vec3.make 2. 3. 4.));
-  Wbuffer.rewind b;
-  Wbuffer.put b 10.;
-  Wbuffer.rewind b;
-  check_float "after put" 10. (Wbuffer.get b);
-  check_int "bytes" 48 (Wbuffer.bytes b)
+  let dst = Array.make 5 0. in
+  Wbuffer.get_into b dst;
+  check_bool "get_into" true (dst = [| 2.; 3.; 4.; 5.; 6. |]);
+  check_int "bytes" 48 (Wbuffer.bytes b);
+  (* A cleared pool extends to zeros again, not to its old contents. *)
+  Wbuffer.clear b;
+  Wbuffer.extend b 3;
+  check_bool "re-extend zeroes" true (Wbuffer.contents b = Array.make 3 0.)
 
 let test_wbuffer_overrun () =
   let b = Wbuffer.create () in
-  Wbuffer.add b 1.;
+  Wbuffer.extend b 1;
   Wbuffer.rewind b;
   ignore (Wbuffer.get b);
   Alcotest.check_raises "overrun"
     (Invalid_argument "Wbuffer.get: past end of pool") (fun () ->
-      ignore (Wbuffer.get b))
+      ignore (Wbuffer.get b));
+  Wbuffer.rewind b;
+  Alcotest.check_raises "block overrun"
+    (Invalid_argument "Wbuffer.block: past end of pool") (fun () ->
+      ignore (Wbuffer.block b 2));
+  check_int "failed block leaves the cursor" 0 (Wbuffer.cursor b)
+
+(* [load] adopts the array as the pool: exact size, cursor at 0. *)
+let test_wbuffer_load_exact () =
+  let b = Wbuffer.create () in
+  Wbuffer.extend b 3;
+  ignore (Wbuffer.get b);
+  let a = [| 7.; 8.; 9.; 10.; 11. |] in
+  Wbuffer.load b a;
+  check_int "size" 5 (Wbuffer.size b);
+  check_int "cursor" 0 (Wbuffer.cursor b);
+  check_bool "no spare capacity" true (Wbuffer.pool b == a);
+  check_float "first" 7. (Wbuffer.get b);
+  Wbuffer.load b [||];
+  check_int "empty" 0 (Wbuffer.size b);
+  Wbuffer.extend b 2;
+  check_int "grows from empty" 2 (Wbuffer.size b)
+
+(* Storage rows cross the pool whole, bit for bit at f64 and rounded
+   exactly like a per-element store at f32. *)
+let test_aligned_buffer_blocks () =
+  let xs = Array.init 7 (fun i -> (float_of_int i *. 0.1) +. 1e-9) in
+  let a64 = A64.of_array xs and a32 = A32.of_array xs in
+  let b = Wbuffer.create () in
+  Wbuffer.extend b 1;
+  Wbuffer.extend b 9;
+  Wbuffer.rewind b;
+  Wbuffer.put b 42.;
+  A64.to_buffer a64 ~pos:2 ~n:5 b;
+  A32.to_buffer a32 ~pos:3 ~n:4 b;
+  let pool = Wbuffer.contents b in
+  check_float "scalar kept" 42. pool.(0);
+  for i = 0 to 4 do
+    check_bool "f64 bits" true (pool.(1 + i) = xs.(2 + i))
+  done;
+  for i = 0 to 3 do
+    check_bool "f32 widened" true (pool.(6 + i) = A32.get a32 (3 + i))
+  done;
+  let c64 = A64.create 7 and c32 = A32.create 7 in
+  Wbuffer.rewind b;
+  ignore (Wbuffer.get b);
+  A64.of_buffer b c64 ~pos:0 ~n:5;
+  A32.of_buffer b c32 ~pos:1 ~n:4;
+  for i = 0 to 4 do
+    check_bool "f64 back" true (A64.get c64 i = xs.(2 + i))
+  done;
+  for i = 0 to 3 do
+    check_bool "f32 back" true (A32.get c32 (1 + i) = A32.get a32 (3 + i))
+  done;
+  (* Narrowing through the pool rounds like [set]. *)
+  Wbuffer.load b (Array.copy xs);
+  A32.of_buffer b c32 ~pos:0 ~n:7;
+  for i = 0 to 6 do
+    check_bool "f32 rounds like set" true (A32.get c32 i = A32.get a32 i)
+  done
 
 let test_wbuffer_copy_independent () =
   let b = Wbuffer.create () in
-  Wbuffer.add b 1.;
+  Wbuffer.extend b 1;
+  Wbuffer.rewind b;
+  Wbuffer.put b 1.;
   let c = Wbuffer.copy b in
   Wbuffer.rewind b;
   Wbuffer.put b 2.;
@@ -293,6 +362,8 @@ let () =
         [
           Alcotest.test_case "protocol" `Quick test_wbuffer_protocol;
           Alcotest.test_case "overrun" `Quick test_wbuffer_overrun;
+          Alcotest.test_case "load is exact" `Quick test_wbuffer_load_exact;
+          Alcotest.test_case "aligned blocks" `Quick test_aligned_buffer_blocks;
           Alcotest.test_case "copy" `Quick test_wbuffer_copy_independent;
         ] );
       ( "matrix",

@@ -73,7 +73,17 @@ let test_codec_rejects_malformed () =
   check_bool "truncated input rejected" true
     (match Walker.decode (String.sub s 0 (String.length s / 2)) (ref 0) with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  (* A buffer length beyond the message is refused before the pool is
+     allocated. *)
+  let b = Bytes.of_string s in
+  let at = 4 + 8 + 4 + 4 + 8 + 8 + (24 * Walker.n_particles w) in
+  Bytes.set_int32_be b at Int32.max_int;
+  check_bool "inflated buffer length rejected" true
+    (match Walker.decode (Bytes.to_string b) (ref 0) with
+    | _ -> false
+    | exception Invalid_argument m ->
+        m = "Walker.decode: bad buffer length 2147483647")
 
 (* ---------- wire protocol framing ---------- *)
 

@@ -991,6 +991,122 @@ let test_walker_copy_rows () =
   check_bool "original untouched by a write to the copy" true
     (Walker.rows_deviation ~truth:w c > 0.1)
 
+(* ---------- Ref walker state in whole blocks ---------- *)
+
+(* The Store variants at both widths: Ref keeps its Jastrow matrices in
+   f64, Ref+MP in f32 (widened into the f64 pool, narrowed back out). *)
+let store_variants =
+  [ ("Ref f64", Variant.Ref); ("Ref+MP f32", Variant.Ref_mp) ]
+
+(* A registered NiO-32 r16 walker; with [~sweep], one sweep away from
+   its random start (incrementally updated state) and saved again. *)
+let store_walker ~sweep (e : Engine_api.t) =
+  let w = Walker.create e.Engine_api.n_electrons in
+  e.Engine_api.randomize (Xoshiro.create 81);
+  e.Engine_api.register_walker w;
+  if sweep then begin
+    ignore (e.Engine_api.sweep (Xoshiro.create 82) ~tau:0.1);
+    e.Engine_api.save_walker w
+  end;
+  w
+
+(* save -> restore -> save reproduces the walker buffer bit for bit, on
+   an engine whose own state was scrambled in between. *)
+let test_store_save_restore_save () =
+  let sys = Lazy.force nio32_r16 in
+  List.iter
+    (fun (name, variant) ->
+      let e = Build.engine ~variant ~seed:3 sys in
+      let w = store_walker ~sweep:true e in
+      let saved = Wbuffer.contents w.Walker.buffer in
+      e.Engine_api.randomize (Xoshiro.create 83);
+      e.Engine_api.restore_walker w;
+      e.Engine_api.save_walker w;
+      same_float_array (name ^ ": buffer") saved
+        (Wbuffer.contents w.Walker.buffer))
+    store_variants
+
+(* An engine that restored a walker from its buffer reads the same
+   ratios and gradients (the drift of a sweep), and measures the same
+   local energy, as an engine that rebuilt it with [load_walker], bit
+   for bit; the sweep after it then saves the same state.  The walker
+   was saved from a full evaluation: a swept walker's incremental state
+   differs from a rebuild in the last bits by design. *)
+let test_store_restore_equals_load () =
+  let sys = Lazy.force nio32_r16 in
+  List.iter
+    (fun (name, variant) ->
+      let w =
+        store_walker ~sweep:false (Build.engine ~variant ~seed:3 sys)
+      in
+      let observe ~restore =
+        let e = Build.engine ~variant ~seed:3 sys in
+        e.Engine_api.randomize (Xoshiro.create 84);
+        let w = Walker.copy w in
+        if restore then e.Engine_api.restore_walker w
+        else e.Engine_api.load_walker w;
+        let pbp = e.Engine_api.pbp in
+        let ratios =
+          List.init e.Engine_api.n_electrons (fun k ->
+              pbp.Engine_api.prepare k;
+              let p = pbp.Engine_api.current_pos k in
+              pbp.Engine_api.propose k (Vec3.add p (Vec3.make 0.1 0. (-0.05)));
+              let r, g = pbp.Engine_api.ratio_grad k in
+              pbp.Engine_api.reject k;
+              [| r; g.Vec3.x; g.Vec3.y; g.Vec3.z |])
+        in
+        let el = e.Engine_api.measure () in
+        let sw = e.Engine_api.sweep (Xoshiro.create 85) ~tau:0.1 in
+        let el' = e.Engine_api.measure () in
+        e.Engine_api.save_walker w;
+        Array.concat
+          (ratios
+          @ [
+              [| el; float_of_int sw.Engine_api.accepted; el' |];
+              [| w.Walker.log_psi |];
+              Wbuffer.contents w.Walker.buffer;
+            ])
+      in
+      same_float_array
+        (name ^ ": ratio_grad, measure, sweep, saved state")
+        (observe ~restore:true) (observe ~restore:false))
+    store_variants
+
+(* A walker off the wire, out of a checkpoint or through a fault flip
+   holds its pool at exact size, with the same contents. *)
+let test_reloaded_pool_exact () =
+  let sys = Lazy.force nio32_r16 in
+  let w =
+    store_walker ~sweep:true (Build.engine ~variant:Variant.Ref ~seed:3 sys)
+  in
+  let contents = Wbuffer.contents w.Walker.buffer in
+  let exact = Obj.reachable_words (Obj.repr (Wbuffer.copy w.Walker.buffer)) in
+  check_bool "registration leaves spare capacity" true
+    (Obj.reachable_words (Obj.repr w.Walker.buffer) > exact);
+  let check what (b : Wbuffer.t) =
+    check_int (what ^ ": no spare capacity") exact
+      (Obj.reachable_words (Obj.repr b));
+    check_int (what ^ ": cursor") 0 (Wbuffer.cursor b);
+    same_float_array (what ^ ": contents") contents (Wbuffer.contents b)
+  in
+  let buf = Buffer.create 4096 in
+  Walker.encode buf w;
+  let decoded = Walker.decode (Buffer.contents buf) (ref 0) in
+  check "decode" decoded.Walker.buffer;
+  let path = Filename.temp_file "oqmc_pool" ".chk" in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Checkpoint.save ~path ~e_trial:0. [ w ];
+        snd (Checkpoint.load ~path))
+  in
+  List.iter (fun (l : Walker.t) -> check "checkpoint" l.Walker.buffer) loaded;
+  let flipped = Walker.copy w in
+  Fault.flip_buffer_bit flipped ~index:0 ~bit:3;
+  Fault.flip_buffer_bit flipped ~index:0 ~bit:3;
+  check "fault flip" flipped.Walker.buffer
+
 (* Crowd batching composed with delayed determinant updates: the whole
    VMC trajectory at crowd 1 and 3 is the scalar sweep's at equal
    delay. *)
@@ -1061,5 +1177,11 @@ let () =
             test_walker_copy_rows;
           Alcotest.test_case "one SPO evaluation per move" `Quick
             test_spo_evaluations_per_move;
+          Alcotest.test_case "store save -> restore -> save bit-identical"
+            `Quick test_store_save_restore_save;
+          Alcotest.test_case "store restore equals load_walker" `Quick
+            test_store_restore_equals_load;
+          Alcotest.test_case "reloaded walker pool is exact-size" `Quick
+            test_reloaded_pool_exact;
         ] );
     ]

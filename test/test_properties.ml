@@ -91,8 +91,9 @@ let prop_checkpoint_roundtrip_random =
             let w = random_walker ~box:4.0 ~n:5 (seed + i) in
             w.Walker.weight <- Xoshiro.uniform rng;
             w.Walker.e_local <- Xoshiro.gaussian rng;
-            Wbuffer.add w.Walker.buffer (Xoshiro.gaussian rng);
-            Wbuffer.add w.Walker.buffer (Xoshiro.gaussian rng);
+            let g0 = Xoshiro.gaussian rng in
+            let g1 = Xoshiro.gaussian rng in
+            Wbuffer.load w.Walker.buffer [| g0; g1 |];
             w)
       in
       let path = Filename.temp_file "oqmc-prop" ".chk" in

@@ -562,6 +562,20 @@ let test_checkpoint_corrupt () =
      ignore (Checkpoint.load ~path);
      Alcotest.fail "expected Corrupt"
    with Checkpoint.Corrupt _ -> ());
+  (* A v1 file (no CRC) whose buffer header claims more entries than the
+     file holds is refused before the pool is allocated. *)
+  let oc = open_out path in
+  output_string oc
+    "OQMC-CHECKPOINT-1\ne_trial 0x0p+0\nwalkers 1\n\
+     walker 1 0x1p+0 1 0 0x0p+0 0x0p+0\n0x0p+0 0x0p+0 0x0p+0\n\
+     buffer 1000000000000\n0x1p+0\n";
+  close_out oc;
+  (try
+     ignore (Checkpoint.load ~path);
+     Alcotest.fail "expected Corrupt"
+   with Checkpoint.Corrupt m ->
+     Alcotest.(check string)
+       "inflated buffer" "unexpected end of file reading buffer value" m);
   Sys.remove path
 
 let () =
