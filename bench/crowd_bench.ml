@@ -378,10 +378,13 @@ let bench_kernels ?(reps = 20_000) () =
 
 type scalar_point = { call : string; ns_per_call : float; words_per_call : float }
 
-(* The scalar table API at NiO-32 r8's shape (48 electrons, f32 positions
-   and tables, orthorhombic cell): one AA [evaluate] (all 48 rows), one
-   AA [move] and one AB [move].  They share the batched calls' staged
-   kernel and must not allocate either. *)
+(* The scalar table API at NiO-32 r8's shape (48 electrons, 8 ions,
+   orthorhombic cell): for Current (f32 positions and tables) one AA
+   [evaluate] (all 48 rows), one AA [move] and one AB [move], which share
+   the batched calls' SoA kernel; for Ref (f64, the nio32-ref-dmc
+   engine's precision) one AA and one AB [move] and the rebuild of both
+   Store tables a Ref restore runs, through the AoS kernel.  None may
+   allocate. *)
 let bench_scalar_dt ?(reps = 20_000) () =
   let n = 48 and lattice = Lattice.orthorhombic 7. 7.5 8. in
   let u = let r = Xoshiro.create 37 in fun () -> Xoshiro.uniform r in
@@ -396,8 +399,21 @@ let bench_scalar_dt ?(reps = 20_000) () =
   let aa = AA32.create ps and ab = AB32.create ~sources:ions ps in
   AA32.evaluate aa ps;
   AB32.evaluate ab ps;
+  let ps64 =
+    Ps64.create ~lattice
+      [ { Particle_set.name = "e"; charge = -1.; count = n } ]
+  in
+  Ps64.randomize ps64 u;
+  let ions64 =
+    Ps64.create ~lattice
+      [ { Particle_set.name = "ion"; charge = 2.; count = 8 } ]
+  in
+  Ps64.randomize ions64 u;
+  let aref = AAref64.create ps64 in
+  let bref = ABref64.create ~sources:ions64 ps64 in
   let k = n / 2 in
   let np = Vec3.add (Ps32.get ps k) (Vec3.make 0.1 (-0.2) 0.3) in
+  let np64 = Vec3.add (Ps64.get ps64 k) (Vec3.make 0.1 (-0.2) 0.3) in
   let point call f =
     let ns = time_per ~reps f *. 1e9 in
     let w = minor_words_per ~reps:2000 f in
@@ -411,6 +427,11 @@ let bench_scalar_dt ?(reps = 20_000) () =
     point "dt_aa_evaluate" (fun () -> AA32.evaluate aa ps);
     point "dt_aa_move" (fun () -> AA32.move aa ps k np);
     point "dt_ab_move" (fun () -> AB32.move ab np);
+    point "dt_aa_ref_move" (fun () -> AAref64.move aref ps64 k np64);
+    point "dt_ab_ref_move" (fun () -> ABref64.move bref np64);
+    point "dt_ref_evaluate" (fun () ->
+        AAref64.evaluate aref ps64;
+        ABref64.evaluate bref ps64);
   ]
 
 (* ---- 3c. walker save / restore ---- *)
@@ -425,36 +446,16 @@ let bench_scalar_dt ?(reps = 20_000) () =
    [max_walker_io_words] minor words per call fails the run (Ref's Store
    matrices alone are 5·48² + 5·48·8 entries; one boxed float each was
    25k words per save and 73k per restore).  Ref's restore also rebuilds
-   its Store distance tables with the AoS kernels, which allocate per
-   pair by design; that rebuild, measured on its own at the same shape,
-   is the one allowance on top. *)
+   its Store distance tables, through the AoS row kernel, which
+   allocates nothing; the bound is the same for both engines. *)
 let max_walker_io_words = 64.
-
-let store_rebuild ~reps (sys : System.t) =
-  let lattice = sys.System.lattice in
-  let u = let r = Xoshiro.create 41 in fun () -> Xoshiro.uniform r in
-  let group name count = [ { Particle_set.name; charge = -1.; count } ] in
-  let ps = Ps64.create ~lattice (group "e" (System.n_electrons sys)) in
-  Ps64.randomize ps u;
-  let ions = Ps64.create ~lattice (group "ion" (System.n_ions sys)) in
-  Ps64.randomize ions u;
-  let aa = AAref64.create ps and ab = ABref64.create ~sources:ions ps in
-  let f () =
-    AAref64.evaluate aa ps;
-    ABref64.evaluate ab ps
-  in
-  {
-    call = "Ref table rebuild";
-    ns_per_call = time_per ~reps f *. 1e9;
-    words_per_call = minor_words_per ~reps:(max 1 (reps / 10)) f;
-  }
 
 let bench_walker_io ?(reps = 2_000) () =
   let sys =
     Oqmc_workloads.Builder.named ~seed:11 ~reduction:8 ~with_nlpp:false
       ~precision:None "NiO-32"
   in
-  let io variant ~delay ~allowance =
+  let io variant ~delay =
     let name = Variant.to_string variant in
     let timers = Timers.create () in
     let e = Build.engine ~timers ~delay ~variant ~seed:3 sys in
@@ -472,26 +473,22 @@ let bench_walker_io ?(reps = 2_000) () =
         (Printf.sprintf
            "crowd_bench: restoring a saved %s walker recorded %d SPO-vgl calls"
            name (rebuilds () - before));
-    let point ~allowance call f =
+    let point call f =
       let call = name ^ " " ^ call in
       let words = minor_words_per ~reps:(max 1 (reps / 10)) f in
-      if words > max_walker_io_words +. allowance then
+      if words > max_walker_io_words then
         failwith
           (Printf.sprintf
-             "crowd_bench: %s allocates %.1f words/call (bound %.0f + %.0f)"
-             call words max_walker_io_words allowance);
+             "crowd_bench: %s allocates %.1f words/call (bound %.0f)" call
+             words max_walker_io_words);
       { call; ns_per_call = time_per ~reps f *. 1e9; words_per_call = words }
     in
     [
-      point ~allowance:0. "save_walker" (fun () -> e.Engine_api.save_walker w);
-      point ~allowance "restore_walker" (fun () ->
-          e.Engine_api.restore_walker w);
+      point "save_walker" (fun () -> e.Engine_api.save_walker w);
+      point "restore_walker" (fun () -> e.Engine_api.restore_walker w);
     ]
   in
-  let rebuild = store_rebuild ~reps sys in
-  let current = io Variant.Current ~delay:4 ~allowance:0. in
-  let ref_ = io Variant.Ref ~delay:1 ~allowance:rebuild.words_per_call in
-  current @ ref_ @ [ rebuild ]
+  io Variant.Current ~delay:4 @ io Variant.Ref ~delay:1
 
 (* ---- 4. delayed determinant updates: delay-rank sweep ---- *)
 
@@ -614,7 +611,8 @@ let run ?json () =
         p.kernel p.kcrowd p.scalar_ns_per_move p.batch_ns_per_move
         p.kernel_speedup p.batch_words_per_move)
     kernels;
-  Printf.printf "== scalar DistTable calls (f32, n = 48) ==\n%!";
+  Printf.printf
+    "== scalar DistTable calls (n = 48; Current f32, Ref f64) ==\n%!";
   List.iter
     (fun p ->
       Printf.printf "  %-21s %.1f ns/call, %.2f words/call\n" p.call
@@ -668,7 +666,7 @@ let smoke () =
     kernels;
   List.iter
     (fun q ->
-      Printf.printf "crowd smoke: scalar %-14s %.2f words/call\n" q.call
+      Printf.printf "crowd smoke: scalar %-15s %.2f words/call\n" q.call
         q.words_per_call)
     (bench_scalar_dt ~reps:200 ());
   List.iter

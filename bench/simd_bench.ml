@@ -1,13 +1,19 @@
 open Oqmc_containers
+open Oqmc_particle
 
-(* The paper's SIMD ablation for the B-spline orbital kernels, measured:
-   µs per position for the OCaml loops kept as the test oracle, for the
-   C accumulation built with -fno-tree-vectorize (a second copy of
-   lib/spline/bspline3d_stubs.c compiled into this executable with
-   renamed entry points), and for the library's vectorized build.  Each
-   at f32 and f64, on a NiO-32/r8-sized table (40³ grid, 24 orbitals)
-   evaluated in crowds of 8 at random positions.  Every implementation
-   must return the same doubles; the bench checks that before timing.
+(* The paper's SIMD ablation, measured, for two kernels, each at f32 and
+   f64 and each in three builds: the OCaml loops kept as the test
+   oracles, the C kernel compiled with -fno-tree-vectorize (a second copy
+   of its stub file compiled into this executable with renamed entry
+   points), and the library's vectorized build.  Every implementation
+   must return the same bits; the bench checks that before timing.
+
+   - B-spline orbitals (lib/spline/bspline3d_stubs.c): µs per position
+     on a NiO-32/r8-sized table (40³ grid, 24 orbitals), evaluated in
+     crowds of 8 at random positions.
+   - DistTable rows (lib/particle/dt_kernels_stubs.c): ns per 48-entry
+     row (NiO-32 r8's electron count, orthorhombic cell), SoA (the
+     Current layout) and AoS (the Ref layout), at random points.
 
      dune exec bench/main.exe -- --exp simd *)
 
@@ -151,10 +157,177 @@ end
 module Run32 = Run (Precision.F32)
 module Run64 = Run (Precision.F64)
 
+(* ---- DistTable rows ---- *)
+
+let dt_n = 48
+let dt_points = 4096
+let dt_lattice = Lattice.orthorhombic 7. 7.5 8.
+
+(* Interleaved rounds of [f ()] per implementation; the median ns per
+   call of [f], each call one sweep over [calls] rows. *)
+let median_ns ~calls impls =
+  let samples = List.map (fun _ -> ref []) impls in
+  for _ = 1 to rounds do
+    List.iter2
+      (fun (_, f) acc ->
+        let t0 = Timers.now () in
+        f ();
+        acc := ((Timers.now () -. t0) *. 1e9 /. float_of_int calls) :: !acc)
+      impls samples
+  done;
+  List.map2
+    (fun (name, _) acc ->
+      let a = Array.of_list !acc in
+      Array.sort compare a;
+      (name, a.(Array.length a / 2)))
+    impls samples
+
+module Dt_run (R : Precision.REAL) = struct
+  module K = Dt_kernels.Make (R) (R)
+  module Ps = Particle_set.Make (R)
+  module O = Dt_oracle.Make (R) (R)
+  module Oa = Dt_oracle.Aos (R)
+  module A = K.A
+
+  external soa_novec :
+    K.row_slot array -> float array -> float array -> float array -> int ->
+    unit = "oqmc_dt_soa_rows_novec"
+  [@@noalloc]
+
+  external soa_vec :
+    K.row_slot array -> float array -> float array -> float array -> int ->
+    unit = "oqmc_dt_soa_rows"
+  [@@noalloc]
+
+  external aos_novec :
+    K.aos_slot -> (float[@unboxed]) -> (float[@unboxed]) -> (float[@unboxed]) ->
+    unit = "oqmc_dt_aos_row_byte_novec" "oqmc_dt_aos_row_novec"
+  [@@noalloc]
+
+  external aos_vec :
+    K.aos_slot -> (float[@unboxed]) -> (float[@unboxed]) -> (float[@unboxed]) ->
+    unit = "oqmc_dt_aos_row_byte" "oqmc_dt_aos_row"
+  [@@noalloc]
+
+  let run () =
+    let rng = Oqmc_rng.Xoshiro.create 43 in
+    let u () = Oqmc_rng.Xoshiro.uniform rng in
+    let ps =
+      Ps.create ~lattice:dt_lattice
+        [ { Particle_set.name = "e"; charge = -1.; count = dt_n } ]
+    in
+    Ps.randomize ps u;
+    let pts f = Array.init dt_points (fun _ -> f *. ((3. *. u ()) -. 1.)) in
+    let qx = pts 7. and qy = pts 7.5 and qz = pts 8. in
+    let soa = Ps.soa ps and src = Ps.Aos.data (Ps.aos ps) in
+    let xs = Ps.Vs.xs soa and ys = Ps.Vs.ys soa and zs = Ps.Vs.zs soa in
+    (* SoA: one output row set per build, so their bits can be
+       compared. *)
+    let rows () = Array.init 4 (fun _ -> A.create dt_n) in
+    let slot_for r =
+      let g = K.make_single dt_lattice in
+      K.bind g.K.slot ~xs ~ys ~zs ~n:dt_n;
+      K.aim g.K.slot ~od:r.(0) ~odx:r.(1) ~ody:r.(2) ~odz:r.(3) ~o:0
+        ~self:(-1);
+      g
+    in
+    let ro = rows () and rn = rows () and rv = rows () in
+    let gn = slot_for rn and gv = slot_for rv in
+    let c_soa call (g : K.single) p =
+      g.K.qx.(0) <- qx.(p);
+      g.K.qy.(0) <- qy.(p);
+      g.K.qz.(0) <- qz.(p);
+      call g.K.one g.K.qx g.K.qy g.K.qz 1
+    in
+    let soa_impls =
+      [
+        ("OCaml oracle",
+         fun p ->
+           O.soa_row ~lattice:dt_lattice ~xs ~ys ~zs ~n:dt_n ~px:qx.(p)
+             ~py:qy.(p) ~pz:qz.(p) ~d:ro.(0) ~dx:ro.(1) ~dy:ro.(2) ~dz:ro.(3));
+        ("C -fno-tree-vectorize", c_soa soa_novec gn);
+        ("C vectorized", c_soa soa_vec gv);
+      ]
+    in
+    (* AoS *)
+    let aos_rows () = (A.create dt_n, A.create (3 * dt_n)) in
+    let ado, adro = aos_rows () in
+    let aslot_for (d, dr) =
+      let sl = K.make_aos_slot dt_lattice in
+      K.bind_aos sl ~src ~n:dt_n;
+      K.aim_aos sl ~d ~dr ~o:0 ~neg:false;
+      sl
+    in
+    let an = aos_rows () and av = aos_rows () in
+    let sn = aslot_for an and sv = aslot_for av in
+    let aos_impls =
+      [
+        ("OCaml oracle",
+         fun p ->
+           Oa.aos_row ~lattice:dt_lattice ~src ~n:dt_n ~px:qx.(p) ~py:qy.(p)
+             ~pz:qz.(p) ~d:ado ~dr:adro);
+        ("C -fno-tree-vectorize", fun p -> aos_novec sn qx.(p) qy.(p) qz.(p));
+        ("C vectorized", fun p -> aos_vec sv qx.(p) qy.(p) qz.(p));
+      ]
+    in
+    let bits (a : A.t) =
+      Array.init (A.length a) (fun i -> Int64.bits_of_float (A.get a i))
+    in
+    let agree layout impls outs =
+      for p = 0 to 63 do
+        List.iter (fun (_, f) -> f p) impls;
+        match List.map (fun o -> List.map bits o) outs with
+        | reference :: rest ->
+            List.iter2
+              (fun (name, _) o ->
+                if o <> reference then
+                  failwith
+                    (Printf.sprintf
+                       "simd bench: DistTable %s %s (%s) differs from the \
+                        oracle"
+                       layout name R.name))
+              (List.tl impls) rest
+        | [] -> ()
+      done
+    in
+    agree "SoA" soa_impls (List.map Array.to_list [ ro; rn; rv ]);
+    agree "AoS" aos_impls
+      [ [ ado; adro ]; [ fst an; snd an ]; [ fst av; snd av ] ];
+    let sweep f () =
+      for p = 0 to dt_points - 1 do
+        f p
+      done
+    in
+    List.iter
+      (fun (layout, impls) ->
+        let res =
+          median_ns ~calls:dt_points
+            (List.map (fun (name, f) -> (name, sweep f)) impls)
+        in
+        let base = snd (List.hd res) in
+        List.iter
+          (fun (name, ns) ->
+            Printf.printf
+              "  DistTable %s %s  %-22s %7.1f ns/row  %5.2f ns/entry  \
+               (%.2fx)\n%!"
+              layout R.name name ns (ns /. float_of_int dt_n) (base /. ns))
+          res)
+      [ ("SoA", soa_impls); ("AoS", aos_impls) ]
+end
+
+module Dt32 = Dt_run (Precision.F32)
+module Dt64 = Dt_run (Precision.F64)
+
 let run () =
   Printf.printf
     "== SIMD ablation: B-spline kernels, %d^3 grid, %d orbitals, crowds of \
      %d, median of %d rounds ==\n%!"
     grid n_orb crowd rounds;
   Run32.run ();
-  Run64.run ()
+  Run64.run ();
+  Printf.printf
+    "== SIMD ablation: DistTable rows, %d entries, orthorhombic cell, %d \
+     points, median of %d rounds ==\n%!"
+    dt_n dt_points rounds;
+  Dt32.run ();
+  Dt64.run ()

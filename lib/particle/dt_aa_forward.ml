@@ -27,7 +27,6 @@ module Make (R : Precision.REAL) = struct
 
   type t = {
     n : int;
-    lattice : Lattice.t;
     d : M.t;
     dx : M.t;
     dy : M.t;
@@ -53,7 +52,6 @@ module Make (R : Precision.REAL) = struct
     let t =
       {
         n;
-        lattice = Ps.lattice ps;
         d = mk ();
         dx = mk ();
         dy = mk ();
@@ -63,7 +61,7 @@ module Make (R : Precision.REAL) = struct
         temp_dy = A.create np;
         temp_dz = A.create np;
         src = Ps.soa ps;
-        g = K.make_single ();
+        g = K.make_single (Ps.lattice ps);
       }
     in
     bind t ps;
@@ -71,34 +69,28 @@ module Make (R : Precision.REAL) = struct
 
   let n t = t.n
 
-  let mirror t ps =
-    if Ps.soa ps != t.src then bind t ps;
-    K.mirror_slot t.g.K.slot
+  let rebind t ps = if Ps.soa ps != t.src then bind t ps
 
-  (* Sources mirrored once, then every row at its electron's mirrored
-     position. *)
+  (* Every row at its electron's current position. *)
   let evaluate t ps =
-    mirror t ps;
+    rebind t ps;
     let g = t.g in
-    let sl = g.K.slot in
     for k = 0 to t.n - 1 do
-      g.K.qx.(0) <- sl.K.sx.(k);
-      g.K.qy.(0) <- sl.K.sy.(k);
-      g.K.qz.(0) <- sl.K.sz.(k);
-      K.aim sl ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
+      K.query_source g k;
+      K.aim g.K.slot ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
         ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:k;
-      K.single_row ~lattice:t.lattice g
+      K.single_row g
     done
 
   let move t ps k (newpos : Vec3.t) =
-    mirror t ps;
+    rebind t ps;
     let g = t.g in
     g.K.qx.(0) <- newpos.Vec3.x;
     g.K.qy.(0) <- newpos.Vec3.y;
     g.K.qz.(0) <- newpos.Vec3.z;
     K.aim g.K.slot ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
       ~o:0 ~self:k;
-    K.single_row ~lattice:t.lattice g
+    K.single_row g
 
   (* Forward update: contiguous row copy + strided column writes for the
      later rows only. *)
@@ -123,7 +115,6 @@ module Make (R : Precision.REAL) = struct
   type batch = {
     btabs : t array;
     bslots : K.row_slot array;
-    blat : Lattice.t;
   }
 
   let make_batch (pairs : (t * Ps.t) array) =
@@ -138,20 +129,16 @@ module Make (R : Precision.REAL) = struct
           t.g.K.slot)
         pairs
     in
-    { btabs = Array.map fst pairs; bslots = slots;
-      blat = (fst pairs.(0)).lattice }
+    { btabs = Array.map fst pairs; bslots = slots }
 
   let move_batch b ~k ~(px : float array) ~(py : float array)
       ~(pz : float array) ~m =
     for s = 0 to m - 1 do
-      let t = b.btabs.(s) and sl = b.bslots.(s) in
-      (* No prepare stage in the forward scheme: refresh the source
-         mirrors here, exactly when the scalar [move] reads positions. *)
-      K.mirror_slot sl;
-      K.aim sl ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
-        ~o:0 ~self:k
+      let t = b.btabs.(s) in
+      K.aim b.bslots.(s) ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy
+        ~odz:t.temp_dz ~o:0 ~self:k
     done;
-    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m
+    K.soa_rows ~slots:b.bslots ~px ~py ~pz ~m
 
   let update_batch b ~k ~(acc : bool array) ~m =
     for s = 0 to m - 1 do

@@ -8,7 +8,15 @@ open Oqmc_containers
    the N−1 entries back into the triangle — scattered, sign-flipping
    writes whose unaligned access pattern is exactly what the paper
    replaces.  Entry (i, j) with i < j stores d(i,j) and
-   dr(i,j) = r_j − r_i at packed index j(j−1)/2 + i. *)
+   dr(i,j) = r_j − r_i at packed index j(j−1)/2 + i.
+
+   Every row, the move's temporary one and each column j of the
+   [evaluate] rebuild (entries 0 … j−1, contiguous in the packing), goes
+   through the AoS C row kernel ([Dt_kernels.aos_row]).  The rebuild
+   computes column j as the row of r_j over particles 0 … j−1 and stores
+   it negated, which is bit for bit what [move] of electron j at its own
+   position followed by [update] would store: the minimum-image
+   arithmetic is exactly antisymmetric.  No call allocates. *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
@@ -17,11 +25,11 @@ module Make (R : Precision.REAL) = struct
 
   type t = {
     n : int;
-    lattice : Lattice.t;
     d : A.t; (* packed triangle *)
     dr : A.t; (* packed triangle, interleaved xyz *)
     temp_d : A.t; (* dr(k, i) = r_i − r_k' for the active move *)
     temp_dr : A.t;
+    g : K.aos_slot;
   }
 
   let tri_len n = n * (n - 1) / 2
@@ -32,40 +40,32 @@ module Make (R : Precision.REAL) = struct
     let n = Ps.n ps in
     {
       n;
-      lattice = Ps.lattice ps;
       d = A.create (tri_len n);
       dr = A.create (3 * tri_len n);
       temp_d = A.create n;
       temp_dr = A.create (3 * n);
+      g = K.make_aos_slot (Ps.lattice ps);
     }
 
   let n t = t.n
 
   let evaluate t ps =
-    let src = Ps.Aos.data (Ps.aos ps) in
-    (* Row-by-row over the triangle using the strided AoS loads. *)
+    let src = Ps.Aos.data (Ps.aos ps) and g = t.g in
     for j = 1 to t.n - 1 do
-      let pj = Ps.get ps j in
-      for i = 0 to j - 1 do
-        let base = 3 * i in
-        let ddx = pj.Vec3.x -. A.unsafe_get src base in
-        let ddy = pj.Vec3.y -. A.unsafe_get src (base + 1) in
-        let ddz = pj.Vec3.z -. A.unsafe_get src (base + 2) in
-        let dd =
-          Lattice.min_image_disp t.lattice (Vec3.make ddx ddy ddz)
-        in
-        let p = idx i j in
-        A.unsafe_set t.d p (Vec3.norm dd);
-        A.unsafe_set t.dr (3 * p) dd.Vec3.x;
-        A.unsafe_set t.dr ((3 * p) + 1) dd.Vec3.y;
-        A.unsafe_set t.dr ((3 * p) + 2) dd.Vec3.z
-      done
+      K.bind_aos g ~src ~n:j;
+      K.aim_aos g ~d:t.d ~dr:t.dr ~o:(idx 0 j) ~neg:true;
+      K.query_aos g src j;
+      K.aos_row g
     done
 
   let move t ps _k (newpos : Vec3.t) =
-    let src = Ps.Aos.data (Ps.aos ps) in
-    K.aos_row ~lattice:t.lattice ~src ~n:t.n ~px:newpos.Vec3.x
-      ~py:newpos.Vec3.y ~pz:newpos.Vec3.z ~d:t.temp_d ~dr:t.temp_dr
+    let g = t.g in
+    K.bind_aos g ~src:(Ps.Aos.data (Ps.aos ps)) ~n:t.n;
+    K.aim_aos g ~d:t.temp_d ~dr:t.temp_dr ~o:0 ~neg:false;
+    g.K.q.(0) <- newpos.Vec3.x;
+    g.K.q.(1) <- newpos.Vec3.y;
+    g.K.q.(2) <- newpos.Vec3.z;
+    K.aos_row g
 
   (* Accept: scatter the temporary row back into the packed triangle
      (N − 1 strided copies with a sign flip below the diagonal). *)

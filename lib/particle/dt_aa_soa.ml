@@ -11,12 +11,13 @@ open Oqmc_containers
    [prepare] recomputes row k from the current positions — eliminating the
    strided column updates of the forward-update intermediate — and [move]
    fills the temporary row v for the proposed position.  [accept] is a
-   single contiguous row copy.  Every row goes through the one staged
-   kernel ([Dt_kernels.soa_rows]) on scratch the table owns, so none of
-   these calls allocates.  Rows of electrons that have not yet moved in the
-   current sweep may be stale in between; [evaluate] refreshes the whole
-   table before measurements (it is reused by the Hamiltonian, so the
-   O(N²) storage is retained).
+   single contiguous row copy.  Every row goes through the one C row
+   kernel ([Dt_kernels.soa_rows]), which reads the positions in place
+   and writes straight into the table, so none of these calls
+   allocates.  Rows of electrons that have not yet moved in the current
+   sweep may be stale in between; [evaluate] refreshes the whole table
+   before measurements (it is reused by the Hamiltonian, so the O(N²)
+   storage is retained).
 
    [R] is the walker/positions precision, [D] the table storage precision
    (the [precision_dt] knob): rows and temporaries narrow through [D]
@@ -31,7 +32,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
 
   type t = {
     n : int;
-    lattice : Lattice.t;
     d : M.t;
     dx : M.t;
     dy : M.t;
@@ -57,7 +57,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     let t =
       {
         n;
-        lattice = Ps.lattice ps;
         d = mk ();
         dx = mk ();
         dy = mk ();
@@ -67,7 +66,7 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
         temp_dy = A.create np;
         temp_dz = A.create np;
         src = Ps.soa ps;
-        g = K.make_single ();
+        g = K.make_single (Ps.lattice ps);
       }
     in
     bind t ps;
@@ -75,26 +74,21 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
 
   let n t = t.n
 
-  (* Refresh the kernel's source mirrors from [ps] (rebinding first when
-     [ps] is not the set the table was built on). *)
-  let mirror t ps =
-    if Ps.soa ps != t.src then bind t ps;
-    K.mirror_slot t.g.K.slot
+  (* Rebind the kernel slot when [ps] is not the set the table was built
+     on. *)
+  let rebind t ps = if Ps.soa ps != t.src then bind t ps
 
-  (* Row [k] at electron [k]'s mirrored position, self entry exact
-     zeros so consumers can guard on i = k cheaply. *)
+  (* Row [k] at electron [k]'s current position, self entry exact zeros
+     so consumers can guard on i = k cheaply. *)
   let refresh_row t k =
     let g = t.g in
-    let sl = g.K.slot in
-    g.K.qx.(0) <- sl.K.sx.(k);
-    g.K.qy.(0) <- sl.K.sy.(k);
-    g.K.qz.(0) <- sl.K.sz.(k);
-    K.aim sl ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
+    K.query_source g k;
+    K.aim g.K.slot ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
       ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:k;
-    K.single_row ~lattice:t.lattice g
+    K.single_row g
 
   let evaluate t ps =
-    mirror t ps;
+    rebind t ps;
     for k = 0 to t.n - 1 do
       refresh_row t k
     done
@@ -103,19 +97,19 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
      (called before gradients/ratios of electron k are needed, replacing
      the column updates of the forward-update scheme). *)
   let prepare t ps k =
-    mirror t ps;
+    rebind t ps;
     refresh_row t k
 
   (* Step 2: fill the temporary row against the proposed position. *)
   let move t ps k (newpos : Vec3.t) =
-    mirror t ps;
+    rebind t ps;
     let g = t.g in
     g.K.qx.(0) <- newpos.Vec3.x;
     g.K.qy.(0) <- newpos.Vec3.y;
     g.K.qz.(0) <- newpos.Vec3.z;
     K.aim g.K.slot ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
       ~o:0 ~self:k;
-    K.single_row ~lattice:t.lattice g
+    K.single_row g
 
   (* Contiguous copy of the whole padded temporary row. *)
   let accept t k =
@@ -162,7 +156,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     bpx : float array;
     bpy : float array;
     bpz : float array;
-    blat : Lattice.t;
   }
 
   let make_batch (pairs : (t * Ps.t) array) =
@@ -183,7 +176,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       bpx = Array.make m 0.;
       bpy = Array.make m 0.;
       bpz = Array.make m 0.;
-      blat = (fst pairs.(0)).lattice;
     }
 
   let batch_cap b = Array.length b.btabs
@@ -191,22 +183,17 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
 
   (* Refresh row [k] of every slot's table at its current position (read
      from the SoA container, which holds the same rounded values as the
-     AoS side).  This is also where the slot's source mirrors are
-     refreshed: positions only change at [Ps.accept], after which the
-     next move's prepare runs first, so the mirrors stay valid through
-     the following [move_batch]. *)
+     AoS side). *)
   let prepare_batch b ~k ~m =
     for s = 0 to m - 1 do
       let t = b.btabs.(s) and sl = b.bslots.(s) in
-      K.mirror_slot sl;
-      b.bpx.(s) <- sl.K.sx.(k);
-      b.bpy.(s) <- sl.K.sy.(k);
-      b.bpz.(s) <- sl.K.sz.(k);
+      K.As.get_into sl.K.xs k b.bpx s;
+      K.As.get_into sl.K.ys k b.bpy s;
+      K.As.get_into sl.K.zs k b.bpz s;
       K.aim sl ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
         ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:k
     done;
-    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px:b.bpx ~py:b.bpy ~pz:b.bpz
-      ~m
+    K.soa_rows ~slots:b.bslots ~px:b.bpx ~py:b.bpy ~pz:b.bpz ~m
 
   (* Fill every slot's temporary row against its proposed position. *)
   let move_batch b ~k ~(px : float array) ~(py : float array)
@@ -216,7 +203,7 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       K.aim b.bslots.(s) ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy
         ~odz:t.temp_dz ~o:0 ~self:k
     done;
-    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m
+    K.soa_rows ~slots:b.bslots ~px ~py ~pz ~m
 
   (* Commit the temporary row of every accepted slot. *)
   let accept_batch b ~k ~(acc : bool array) ~m =

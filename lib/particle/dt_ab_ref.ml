@@ -4,7 +4,9 @@ open Oqmc_containers
 
    A dense N × N_ion block with the displacements interleaved AoS-style,
    filled by walking the ions' interleaved positions — the
-   strided-access baseline the SoA table replaces. *)
+   strided-access baseline the SoA table replaces.  Rows, the move's and
+   the [evaluate] rebuild's, go through the AoS C row kernel
+   ([Dt_kernels.aos_row]) bound to the ions once; no call allocates. *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
@@ -14,51 +16,51 @@ module Make (R : Precision.REAL) = struct
   type t = {
     n : int;
     n_src : int;
-    lattice : Lattice.t;
-    sources : Ps.t;
     d : A.t; (* n × n_src row-major *)
     dr : A.t; (* interleaved xyz per entry *)
     temp_d : A.t;
     temp_dr : A.t;
+    g : K.aos_slot; (* bound to the ions *)
   }
 
   let create ~(sources : Ps.t) (targets : Ps.t) =
     let n = Ps.n targets and n_src = Ps.n sources in
+    let g = K.make_aos_slot (Ps.lattice targets) in
+    K.bind_aos g ~src:(Ps.Aos.data (Ps.aos sources)) ~n:n_src;
     {
       n;
       n_src;
-      lattice = Ps.lattice targets;
-      sources;
       d = A.create (n * n_src);
       dr = A.create (3 * n * n_src);
       temp_d = A.create n_src;
       temp_dr = A.create (3 * n_src);
+      g;
     }
 
   let n t = t.n
   let n_sources t = t.n_src
 
-  let fill_row t px py pz ~(d : A.t) ~(dr : A.t) =
-    let src = Ps.Aos.data (Ps.aos t.sources) in
-    K.aos_row ~lattice:t.lattice ~src ~n:t.n_src ~px ~py ~pz ~d ~dr
-
   let evaluate t ps =
+    let r = Ps.Aos.data (Ps.aos ps) and g = t.g in
     for k = 0 to t.n - 1 do
-      let p = Ps.get ps k in
-      let d = A.sub t.d ~pos:(k * t.n_src) ~len:t.n_src in
-      let dr = A.sub t.dr ~pos:(3 * k * t.n_src) ~len:(3 * t.n_src) in
-      fill_row t p.Vec3.x p.Vec3.y p.Vec3.z ~d ~dr
+      K.aim_aos g ~d:t.d ~dr:t.dr ~o:(k * t.n_src) ~neg:false;
+      K.query_aos g r k;
+      K.aos_row g
     done
 
   let move t (newpos : Vec3.t) =
-    fill_row t newpos.Vec3.x newpos.Vec3.y newpos.Vec3.z ~d:t.temp_d
-      ~dr:t.temp_dr
+    let g = t.g in
+    K.aim_aos g ~d:t.temp_d ~dr:t.temp_dr ~o:0 ~neg:false;
+    g.K.q.(0) <- newpos.Vec3.x;
+    g.K.q.(1) <- newpos.Vec3.y;
+    g.K.q.(2) <- newpos.Vec3.z;
+    K.aos_row g
 
   let update t k =
-    let d = A.sub t.d ~pos:(k * t.n_src) ~len:t.n_src in
-    let dr = A.sub t.dr ~pos:(3 * k * t.n_src) ~len:(3 * t.n_src) in
-    A.blit ~src:t.temp_d ~dst:d;
-    A.blit ~src:t.temp_dr ~dst:dr
+    let o = k * t.n_src in
+    A.copy_within ~src:t.temp_d ~spos:0 ~dst:t.d ~dpos:o ~n:t.n_src;
+    A.copy_within ~src:t.temp_dr ~spos:0 ~dst:t.dr ~dpos:(3 * o)
+      ~n:(3 * t.n_src)
 
   let dist t k i = A.get t.d ((k * t.n_src) + i)
 

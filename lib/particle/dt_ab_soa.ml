@@ -7,7 +7,8 @@ open Oqmc_containers
    container.  Ions never move, so rows depend only on their own electron:
    a move fills the temporary row and acceptance is one contiguous row
    copy — no column updates exist for AB tables.  Rows come from the one
-   staged kernel ([Dt_kernels.soa_rows]) on scratch the table owns.
+   C row kernel ([Dt_kernels.soa_rows]), which reads the ion positions in
+   place.
 
    [R] is the walker/positions precision, [D] the table storage precision
    (the [precision_dt] knob); see Dt_aa_soa. *)
@@ -21,7 +22,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   type t = {
     n : int; (* electrons (targets, rows) *)
     n_src : int; (* ions (sources, columns) *)
-    lattice : Lattice.t;
     d : M.t;
     dx : M.t;
     dy : M.t;
@@ -30,24 +30,22 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     temp_dx : A.t;
     temp_dy : A.t;
     temp_dz : A.t;
-    g : K.single; (* kernel slot, ions mirrored; also the crowd slot *)
+    g : K.single; (* kernel slot bound to the ions; also the crowd slot *)
   }
 
-  (* Ions never move: their positions are mirrored into the kernel slot
-     once, here. *)
+  (* Ions never move: the kernel slot is bound to their positions once,
+     here. *)
   let create ~(sources : Ps.t) (targets : Ps.t) =
     let n = Ps.n targets and n_src = Ps.n sources in
     let mk () = M.create ~padded:true n n_src in
     let np = M.ld (mk ()) in
-    let g = K.make_single () in
+    let g = K.make_single (Ps.lattice targets) in
     let soa = Ps.soa sources in
     K.bind g.K.slot ~xs:(Ps.Vs.xs soa) ~ys:(Ps.Vs.ys soa) ~zs:(Ps.Vs.zs soa)
       ~n:n_src;
-    K.mirror_slot g.K.slot;
     {
       n;
       n_src;
-      lattice = Ps.lattice targets;
       d = mk ();
       dx = mk ();
       dy = mk ();
@@ -73,7 +71,7 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       Ps.Aos.A.get_into r ((3 * k) + 2) g.K.qz 0;
       K.aim g.K.slot ~od:(M.data t.d) ~odx:(M.data t.dx) ~ody:(M.data t.dy)
         ~odz:(M.data t.dz) ~o:(k * M.ld t.d) ~self:(-1);
-      K.single_row ~lattice:t.lattice g
+      K.single_row g
     done
 
   let move t (newpos : Vec3.t) =
@@ -83,7 +81,7 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     g.K.qz.(0) <- newpos.Vec3.z;
     K.aim g.K.slot ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy ~odz:t.temp_dz
       ~o:0 ~self:(-1);
-    K.single_row ~lattice:t.lattice g
+    K.single_row g
 
   (* Contiguous copy of the whole padded temporary row. *)
   let accept t k =
@@ -124,7 +122,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   type batch = {
     btabs : t array;
     bslots : K.row_slot array;
-    blat : Lattice.t;
   }
 
   let make_batch (tabs : t array) =
@@ -132,7 +129,6 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     {
       btabs = tabs;
       bslots = Array.map (fun t -> t.g.K.slot) tabs;
-      blat = tabs.(0).lattice;
     }
 
   let batch_cap b = Array.length b.btabs
@@ -144,7 +140,7 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       K.aim b.bslots.(s) ~od:t.temp_d ~odx:t.temp_dx ~ody:t.temp_dy
         ~odz:t.temp_dz ~o:0 ~self:(-1)
     done;
-    K.soa_rows ~lattice:b.blat ~slots:b.bslots ~px ~py ~pz ~m
+    K.soa_rows ~slots:b.bslots ~px ~py ~pz ~m
 
   let accept_batch b ~k ~(acc : bool array) ~m =
     for s = 0 to m - 1 do

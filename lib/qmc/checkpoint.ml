@@ -37,13 +37,21 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32_of ~len ~get =
   let table = Lazy.force crc_table in
   let crc = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
-    s;
+  for i = 0 to len - 1 do
+    crc := table.((!crc lxor Char.code (get i)) land 0xff) lxor (!crc lsr 8)
+  done;
   !crc lxor 0xFFFFFFFF
+
+let crc32 s = crc32_of ~len:(String.length s) ~get:(String.unsafe_get s)
+
+(* Append the trailer to a rendered payload in place: the CRC is read
+   from the buffer itself, so the checkpoint text is never copied out. *)
+let add_crc_trailer buf =
+  let crc = crc32_of ~len:(Buffer.length buf) ~get:(Buffer.nth buf) in
+  Printf.bprintf buf "crc %08x\n" crc
 
 (* ---------- rendering ---------- *)
 
@@ -65,8 +73,8 @@ let render ~e_trial walkers =
   Printf.bprintf buf "e_trial %h\n" e_trial;
   Printf.bprintf buf "walkers %d\n" (List.length walkers);
   List.iter (write_walker buf) walkers;
-  let payload = Buffer.contents buf in
-  payload ^ Printf.sprintf "crc %08x\n" (crc32 payload)
+  add_crc_trailer buf;
+  buf
 
 (* ---------- atomic write with retry ---------- *)
 
@@ -76,7 +84,7 @@ let write_atomic ~path data =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     output_string oc data;
+     Buffer.output_buffer oc data;
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -361,13 +369,12 @@ let save_manifest ?retries ?backoff ~path ~gen ~ranks () =
   Printf.bprintf buf "gen %d\n" gen;
   Printf.bprintf buf "ranks %s\n"
     (String.concat " " (List.map string_of_int ranks));
-  let payload = Buffer.contents buf in
-  let data = payload ^ Printf.sprintf "crc %08x\n" (crc32 payload) in
+  add_crc_trailer buf;
   let mpath = manifest_path ~path in
   let retries = Option.value retries ~default:3 in
   let backoff = Option.value backoff ~default:0.05 in
   let rec attempt k =
-    try write_atomic ~path:mpath data
+    try write_atomic ~path:mpath buf
     with Sys_error _ when k < retries ->
       Unix.sleepf (backoff *. float_of_int (1 lsl k));
       attempt (k + 1)

@@ -71,6 +71,35 @@ let test_v2_roundtrip_atomic () =
       checkf 0. "log_psi bit-exact" a.Walker.log_psi b.Walker.log_psi)
     walkers restored
 
+(* The checkpoint and manifest writers append the CRC trailer to the
+   rendered buffer in place; the bytes on disk must be exactly the
+   payload followed by "crc %08x\n" of it, as when the payload was a
+   copied-out string. *)
+let test_trailer_form () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "t.chk" in
+  let old_form data =
+    let len = String.length data in
+    let cut = String.rindex_from data (len - 2) '\n' + 1 in
+    let payload = String.sub data 0 cut in
+    payload ^ Printf.sprintf "crc %08x\n" (Checkpoint.crc32 payload)
+  in
+  let _, walkers = mk_walkers 3 in
+  Checkpoint.save ~path ~e_trial:(-1.25) walkers;
+  let data = read_file path in
+  Alcotest.(check string) "checkpoint bytes" (old_form data) data;
+  Checkpoint.save_shard ~path ~rank:1 ~gen:4 ~e_trial:0.5 walkers;
+  let shard =
+    read_file
+      (Checkpoint.generation_path ~path:(Checkpoint.shard_path ~path ~rank:1) 4)
+  in
+  Alcotest.(check string) "shard bytes" (old_form shard) shard;
+  Checkpoint.save_manifest ~path ~gen:30 ~ranks:[ 0; 1; 3 ] ();
+  let payload = "OQMC-MANIFEST-1\ngen 30\nranks 0 1 3\n" in
+  Alcotest.(check string) "manifest bytes"
+    (payload ^ Printf.sprintf "crc %08x\n" (Checkpoint.crc32 payload))
+    (read_file (Checkpoint.manifest_path ~path))
+
 let test_v1_still_loads () =
   let dir = tmpdir () in
   let path = Filename.concat dir "v1.chk" in
@@ -610,6 +639,7 @@ let () =
           Alcotest.test_case "roundtrip + atomic" `Quick
             test_v2_roundtrip_atomic;
           Alcotest.test_case "v1 compatibility" `Quick test_v1_still_loads;
+          Alcotest.test_case "trailer form" `Quick test_trailer_form;
           Alcotest.test_case "trailing garbage" `Quick
             test_strict_trailing_garbage;
           Alcotest.test_case "count mismatch" `Quick

@@ -497,6 +497,32 @@ let same_bits name (a : AAsoa.A.t) (b : AAsoa.A.t) =
 let same_f64 name a b =
   check_bool name true (Int64.bits_of_float a = Int64.bits_of_float b)
 
+(* Points that pin the kernels' minimum-image rounding: a pair exactly
+   half a box apart on every axis, a negative zero, a pair an ulp inside
+   half a box, and coordinates several boxes out, an odd number of half
+   boxes from the origin.  In a cell whose extents have inexact
+   inverses (5.1, 11.3, 6.7) some of these pairs round differently under
+   division and [Float.round] than under multiply-by-inverse and
+   truncation.  Open and General cells use a nominal box. *)
+let edge_points lattice =
+  let lx, ly, lz =
+    Option.value (Lattice.ortho_dims lattice) ~default:(4., 5., 6.)
+  in
+  [|
+    Vec3.make 0. 0. 0.;
+    Vec3.make (lx /. 2.) (ly /. 2.) (lz /. 2.);
+    Vec3.make (-0.) (-0.) (-0.);
+    Vec3.make (Float.pred (lx /. 2.)) (Float.succ (-.ly /. 2.)) (lz /. 2.);
+    Vec3.make (7.5 *. lx) (-6.5 *. ly) (3.5 *. lz);
+  |]
+
+(* The first edge points into the first particles of a set. *)
+let place_edges ~set ~n lattice =
+  let e = edge_points lattice in
+  for i = 0 to min n (Array.length e) - 1 do
+    set i e.(i)
+  done
+
 (* Every scalar and batched entry point of the SoA tables against the
    per-element oracle, bit for bit, self entries included: [evaluate]
    (AA and AB), [prepare], [move] and the three [*_batch] calls, at
@@ -538,7 +564,10 @@ module Oracle_check (D : Precision.REAL) = struct
     let ok = ref true in
     let rng = Xoshiro.create seed in
     let u () = Xoshiro.uniform rng in
-    let place ps = Ps.randomize ~spread:4. ps u in
+    let place ps =
+      Ps.randomize ~spread:4. ps u;
+      place_edges ~set:(Ps.set ps) ~n:(Ps.n ps) lattice
+    in
     let ps = electrons ~lattice n in
     place ps;
     let ions =
@@ -804,6 +833,7 @@ let prop_soa_rows_equal_oracle =
   let lattices =
     [|
       ("ortho", Lattice.orthorhombic 4. 5. 6.);
+      ("ortho, inexact inverses", Lattice.orthorhombic 5.1 11.3 6.7);
       ("open", Lattice.open_cell);
       ( "general",
         Lattice.general
@@ -816,11 +846,172 @@ let prop_soa_rows_equal_oracle =
   in
   QCheck.Test.make ~name:"SoA rows equal the oracle bit for bit" ~count:24
     QCheck.(
-      quad (int_range 0 2) bool (oneofl [ 1; 7; 48; 65 ]) (int_range 1 10000))
+      quad (int_range 0 3) bool (oneofl [ 1; 7; 48; 65 ]) (int_range 1 10000))
     (fun (li, f32, n, seed) ->
       let _, lattice = lattices.(li) in
       if f32 then Check32.run ~lattice ~n ~seed
       else Check64.run ~lattice ~n ~seed)
+
+(* The Ref (AoS) tables against the per-element oracle, bit for bit, at
+   positions and table precision [R]: [move] of both Store tables
+   against [aos_row], and both [evaluate] rebuilds against the old
+   per-pair and per-row ones.  Random points only: [store_aa] rounds a
+   half-box tie differently (see "Store evaluate equals Store move"). *)
+module Aos_check (R : Precision.REAL) = struct
+  module P = Particle_set.Make (R)
+  module AA = Dt_aa_ref.Make (R)
+  module AB = Dt_ab_ref.Make (R)
+  module O = Dt_oracle.Aos (R)
+  module A = Aligned.Make (R)
+
+  let bits = Int64.bits_of_float
+
+  let same_vec ok (v : Vec3.t) (dr : A.t) p =
+    if
+      bits v.Vec3.x <> bits (A.get dr p)
+      || bits v.Vec3.y <> bits (A.get dr (p + 1))
+      || bits v.Vec3.z <> bits (A.get dr (p + 2))
+    then ok := false
+
+  let same ok a b = if bits a <> bits b then ok := false
+
+  let sets ~lattice ~n ~seed =
+    let rng = Xoshiro.create seed in
+    let u () = Xoshiro.uniform rng in
+    let mk name count =
+      let ps =
+        P.create ~lattice [ { Particle_set.name; charge = -1.; count } ]
+      in
+      P.randomize ~spread:4. ps u;
+      ps
+    in
+    (mk "e" n, mk "ion" 5, rng)
+
+  let run ~lattice ~n ~seed =
+    let ok = ref true in
+    let ps, ions, rng = sets ~lattice ~n ~seed in
+    let aa = AA.create ps and ab = AB.create ~sources:ions ps in
+    AA.evaluate aa ps;
+    AB.evaluate ab ps;
+    let od, odr = O.store_aa ps in
+    for j = 1 to n - 1 do
+      for i = 0 to j - 1 do
+        let p = (j * (j - 1) / 2) + i in
+        same ok (AA.dist aa i j) (A.get od p);
+        same_vec ok (AA.displ aa i j) odr (3 * p)
+      done
+    done;
+    let od, odr = O.store_ab ~sources:ions ps in
+    for k = 0 to n - 1 do
+      for i = 0 to 4 do
+        same ok (AB.dist ab k i) (A.get od ((k * 5) + i));
+        same_vec ok (AB.displ ab k i) odr (3 * ((k * 5) + i))
+      done
+    done;
+    for k = 0 to n - 1 do
+      let np =
+        Vec3.add (P.get ps k)
+          (Vec3.make (Xoshiro.gaussian rng) (Xoshiro.gaussian rng)
+             (Xoshiro.gaussian rng))
+      in
+      AA.move aa ps k np;
+      AB.move ab np;
+      let check_temp nsrc td tdispl (d, dr) =
+        for i = 0 to nsrc - 1 do
+          same ok (A.get td i) (A.get d i);
+          same_vec ok (tdispl i) dr (3 * i)
+        done
+      in
+      check_temp n (AA.temp_dist aa) (AA.temp_displ aa) (O.row ps np);
+      check_temp 5 (AB.temp_dist ab) (AB.temp_displ ab) (O.row ions np);
+      AA.update aa k;
+      AB.update ab k;
+      P.propose ps k np;
+      P.accept ps
+    done;
+    !ok
+
+  (* After [evaluate], moving each electron to its own position and
+     committing the move leaves both Store tables unchanged, bit for
+     bit, edge points included. *)
+  let evaluate_is_move ~lattice ~n ~seed =
+    let ok = ref true in
+    let ps, ions, _ = sets ~lattice ~n ~seed in
+    place_edges ~set:(P.set ps) ~n lattice;
+    place_edges ~set:(P.set ions) ~n:5 lattice;
+    let aa = AA.create ps and ab = AB.create ~sources:ions ps in
+    AA.evaluate aa ps;
+    AB.evaluate ab ps;
+    let aa_snap () =
+      List.concat_map
+        (fun j ->
+          List.concat_map
+            (fun i ->
+              let v = AA.displ aa i j in
+              List.map bits [ AA.dist aa i j; v.Vec3.x; v.Vec3.y; v.Vec3.z ])
+            (List.init j Fun.id))
+        (List.init n Fun.id)
+    in
+    let ab_snap () =
+      List.concat_map
+        (fun k ->
+          List.concat_map
+            (fun i ->
+              let v = AB.displ ab k i in
+              List.map bits [ AB.dist ab k i; v.Vec3.x; v.Vec3.y; v.Vec3.z ])
+            (List.init 5 Fun.id))
+        (List.init n Fun.id)
+    in
+    let aa0 = aa_snap () and ab0 = ab_snap () in
+    for k = 0 to n - 1 do
+      let p = P.get ps k in
+      AA.move aa ps k p;
+      AA.update aa k;
+      AB.move ab p;
+      AB.update ab k
+    done;
+    if aa_snap () <> aa0 || ab_snap () <> ab0 then ok := false;
+    !ok
+end
+
+module Aos64 = Aos_check (Precision.F64)
+module Aos32 = Aos_check (Precision.F32)
+
+let aos_lattices =
+  [|
+    Lattice.orthorhombic 5.1 11.3 6.7;
+    Lattice.open_cell;
+    Lattice.general
+      [|
+        Vec3.make 4.2 0. 0.;
+        Vec3.make (-2.1) (4.2 *. sqrt 3. /. 2.) 0.;
+        Vec3.make 0.3 0. 6.7;
+      |];
+  |]
+
+let prop_aos_rows_equal_oracle =
+  QCheck.Test.make ~name:"AoS rows equal the oracle bit for bit" ~count:24
+    QCheck.(
+      quad (int_range 0 2) bool (oneofl [ 1; 7; 48; 65 ]) (int_range 1 10000))
+    (fun (li, f32, n, seed) ->
+      let lattice = aos_lattices.(li) in
+      if f32 then Aos32.run ~lattice ~n ~seed else Aos64.run ~lattice ~n ~seed)
+
+let test_store_evaluate_is_move () =
+  Array.iteri
+    (fun li lattice ->
+      List.iter
+        (fun n ->
+          check_bool
+            (Printf.sprintf "f64 lattice %d n %d" li n)
+            true
+            (Aos64.evaluate_is_move ~lattice ~n ~seed:(11 + n));
+          check_bool
+            (Printf.sprintf "f32 lattice %d n %d" li n)
+            true
+            (Aos32.evaluate_is_move ~lattice ~n ~seed:(11 + n)))
+        [ 1; 7; 48; 65 ])
+    aos_lattices
 
 let prop_aa_symmetry =
   QCheck.Test.make ~name:"AA distances symmetric" ~count:30
@@ -911,6 +1102,8 @@ let () =
             test_aa_soa_batch_identity;
           Alcotest.test_case "AB batch bit-identical" `Quick
             test_ab_soa_batch_identity;
+          Alcotest.test_case "Store evaluate equals Store move" `Quick
+            test_store_evaluate_is_move;
           Alcotest.test_case "forward batch bit-identical" `Quick
             test_aa_forward_batch_identity;
         ] );
@@ -920,5 +1113,6 @@ let () =
             prop_aa_symmetry;
             prop_dist_below_ws_diameter;
             prop_soa_rows_equal_oracle;
+            prop_aos_rows_equal_oracle;
           ] );
     ]
