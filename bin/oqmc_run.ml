@@ -34,7 +34,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
     precision_inv with_nlpp seed checkpoint
     checkpoint_every checkpoint_keep
     watchdog restore ranks heartbeat_ms max_respawn elastic gen_deadline_ms
-    straggler_policy trace telemetry telemetry_every progress flightrec
+    trace telemetry telemetry_every progress flightrec
     status audit =
   (* An input deck, when given, takes precedence over the flags. *)
   let cfg =
@@ -71,7 +71,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
             max_respawn;
             elastic;
             gen_deadline_ms;
-            straggler_policy;
             trace;
             telemetry;
             telemetry_every;
@@ -108,15 +107,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let max_respawn = cfg.Input.max_respawn in
   let elastic = cfg.Input.elastic in
   let gen_deadline_ms = cfg.Input.gen_deadline_ms in
-  let straggler_policy =
-    match
-      Oqmc_dist.Supervisor.straggler_policy_of_string
-        cfg.Input.straggler_policy
-    with
-    | Some pol -> pol
-    | None ->
-        invalid_arg "oqmc_run: --straggler-policy must be warn or quarantine"
-  in
   let trace = cfg.Input.trace in
   let telemetry = cfg.Input.telemetry in
   let telemetry_every = max 1 cfg.Input.telemetry_every in
@@ -217,7 +207,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
           restore = restore <> None;
           elastic;
           gen_deadline_ms;
-          straggler_policy;
           flightrec;
           status;
           on_window =
@@ -250,11 +239,10 @@ let run input method_ workload variant reduction walkers blocks steps tau
         res.garbage_frames res.degraded_generations;
       if elastic then
         Printf.printf
-          "elastic       : %d joins, %d leaves, %d stragglers (%s), gen p50 \
+          "elastic       : %d joins, %d leaves, %d stragglers, gen p50 \
            %.1f ms p99 %.1f ms\n"
-          res.joins res.leaves res.stragglers
-          (Oqmc_dist.Supervisor.straggler_policy_name straggler_policy)
-          (1e3 *. res.gen_p50_s) (1e3 *. res.gen_p99_s);
+          res.joins res.leaves res.stragglers (1e3 *. res.gen_p50_s)
+          (1e3 *. res.gen_p99_s);
       if res.ranks_failed <> [] then
         Printf.printf "ranks lost    : %s\n"
           (String.concat ", " (List.map string_of_int res.ranks_failed));
@@ -538,17 +526,8 @@ let gen_deadline_ms =
     & info [ "gen-deadline-ms" ] ~docv:"MS"
         ~doc:
           "Soft per-generation budget: a rank finishing later than \
-           $(docv) plus three smoothed heartbeat RTTs is a straggler, \
-           handled per --straggler-policy (0 = classic lockstep).")
-
-let straggler_policy =
-  Arg.(
-    value & opt string "warn"
-    & info [ "straggler-policy" ] ~docv:"POLICY"
-        ~doc:
-          "What to do with a rank that misses the soft generation \
-           deadline: warn (count it) or quarantine (three consecutive \
-           misses are treated as a stall).")
+           $(docv) plus three smoothed heartbeat RTTs is counted as a \
+           straggler (0 = classic lockstep).")
 
 let trace =
   Arg.(
@@ -622,7 +601,7 @@ let cmd =
       $ seed $ checkpoint
       $ checkpoint_every $ checkpoint_keep $ watchdog $ restore $ ranks
       $ heartbeat_ms $ max_respawn $ elastic $ gen_deadline_ms
-      $ straggler_policy $ trace $ telemetry $ telemetry_every
+      $ trace $ telemetry $ telemetry_every
       $ progress $ flightrec $ status $ audit)
 
 let () = exit (Cmd.eval cmd)

@@ -193,7 +193,10 @@ let table r =
         (k.projected_frac *. 100.))
     r.kernels;
   let verdict =
-    if r.efficiency >= 0.5 then
+    if r.efficiency > 2. then
+      "verdict: more than 2x faster than the projection; the model \
+       under-predicts this code, so its ceilings or counts are stale"
+    else if r.efficiency >= 0.5 then
       "verdict: within 2x of the projection; kernel mix above shows \
        where the rest goes"
     else if r.efficiency > 0. then

@@ -2,19 +2,26 @@ open Oqmc_particle
 open Oqmc_core
 module Trace = Oqmc_obs.Trace
 module Metrics = Oqmc_obs.Metrics
-module Telemetry = Oqmc_obs.Telemetry
-module Progress = Oqmc_obs.Progress
 module Ledger = Oqmc_obs.Ledger
 module Flightrec = Oqmc_obs.Flightrec
+module Jsonx = Oqmc_obs.Jsonx
 
 (* Supervised multi-rank DMC execution.
 
-   One generation loop ([run_ext]) drives N worker ranks through the
-   Wire protocol:
+   [run_ext] drives N worker ranks through the Wire protocol:
 
      Begin_gen → (Heartbeat, Reduce) → Branch → Count
        → Give/Walkers relays (real load-balance exchange)
        → Checkpoint_cmd/Ack rounds → [State_req/State] → … → Finish/Final
+
+   The run's mutable state is one record ([run]); [run_ext] is the
+   startup handshake, a loop of [generation]s and the finals, and each
+   phase of a generation is its own function over that record.  Each
+   decision lives in one function: [round] is every send-to-all-then-
+   gather exchange, [deliver] every walker batch the supervisor hands a
+   rank, [spawn] + [hello] every rank start, [vacate] every slot that
+   empties and [abandon] every rank given up on.  The observability
+   outputs live in [Sup_obs].
 
    It reaches the ranks only through a [Transport]: [run] forks one Unix
    process per rank and talks over pipes (real fault isolation: a
@@ -25,17 +32,16 @@ module Flightrec = Oqmc_obs.Flightrec
    The rank set is ELASTIC: the membership plan can grow the set
    mid-run (fork + [Join] + rebalance through the exchange relays) and
    retire ranks gracefully ([Drain] → the whole shard ships to the
-   survivors → Finish/reap).  Slots lost to unrecoverable failures are
-   refillable by later joins, so degraded mode is reversible.
+   survivors → Finish/reap).  Every slot that empties — a leave, a
+   failed join, an abandoned rank — is vacant and refillable by a later
+   join, so degraded mode is reversible.
 
    Generations are deadline-budgeted rather than hard-lockstep: phase 2
    collects heartbeat/reduce frames in ARRIVAL order (folding the float
    reduction in ascending rank order, so the trajectory does not depend
-   on arrival order), and a
-   rank that blows its soft deadline — [gen_deadline_ms] plus three
-   heartbeat-RTT EWMAs of slack — is handled per [straggler_policy]:
-   warn (count it) or quarantine (three consecutive misses → treated
-   as a stall and respawned).
+   on arrival order), and a rank that blows its soft deadline —
+   [gen_deadline_ms] plus three heartbeat-RTT EWMAs of slack — is
+   counted as a straggler.
 
    Robustness machinery, exercised deterministically by the Fault rank
    injectors and the [Chaos] schedule planner:
@@ -47,12 +53,12 @@ module Flightrec = Oqmc_obs.Flightrec
      backoff from its newest *valid* checkpoint shard
      ([Checkpoint.load_latest_shard]) — or from fresh walkers when it
      never checkpointed — rejoining at the next generation;
-   - after [max_respawn] respawns the rank is declared unrecoverable:
-     its last shard is salvaged and redistributed over the survivors,
-     its slot is marked vacant (a later Join refills it with a fresh
-     incarnation), and the run continues degraded.  The mixed estimator
-     Σw·E_L / Σw is self-normalizing, so dropping a rank's terms from a
-     generation leaves the energy unbiased (see docs/ROBUSTNESS.md);
+   - after [max_respawn] respawns, or when a respawn never starts, the
+     rank is abandoned: its newest shard is salvaged and spread over the
+     survivors, its slot is vacated, and the run continues degraded.
+     The mixed estimator Σw·E_L / Σw is self-normalizing, so dropping a
+     rank's terms from a generation leaves the energy unbiased (see
+     docs/ROBUSTNESS.md);
    - SIGTERM/SIGINT raise [Interrupted] so the normal unwind path runs:
      children reaped, telemetry/trace sinks flushed and closed — the
      JSONL tail stays parseable even on abort;
@@ -63,17 +69,6 @@ module Flightrec = Oqmc_obs.Flightrec
    safe at any point of the run; callers must not hold live domains of
    their own across a [run] call.  (Forked ranks DO spawn domains —
    including the [Checkpoint.Async] writer — but only after the fork.) *)
-
-type straggler_policy = Warn | Quarantine
-
-let straggler_policy_of_string = function
-  | "warn" -> Some Warn
-  | "quarantine" -> Some Quarantine
-  | _ -> None
-
-let straggler_policy_name = function
-  | Warn -> "warn"
-  | Quarantine -> "quarantine"
 
 (* Elastic membership plan entry: at the END of generation [gen] (first
    element of the pair), grow the rank set by one ([Join]) or retire a
@@ -104,7 +99,6 @@ type params = {
   progress : bool; (* live one-line progress on stderr *)
   elastic : bool; (* enable membership events + async checkpoints *)
   gen_deadline_ms : int; (* soft per-generation budget; 0 = lockstep *)
-  straggler_policy : straggler_policy;
   membership : (int * member_event) list; (* (gen, event), any order *)
   flightrec : string option; (* postmortem dump path for abort paths *)
   status : string option; (* live status-snapshot file (atomic rename) *)
@@ -136,7 +130,6 @@ let default_params =
     progress = false;
     elastic = false;
     gen_deadline_ms = 0;
-    straggler_policy = Warn;
     membership = [];
     flightrec = None;
     status = None;
@@ -262,8 +255,6 @@ let rank_config (p : params) ~rank ~incarnation ~after =
         p.faults;
   }
 
-(* ---------- result statistics ---------- *)
-
 (* Generation wall-time percentiles via the shared bucketed quantile
    estimator — the same estimator the ledger and Status views use, so
    every reported percentile carries the same semantics. *)
@@ -271,44 +262,6 @@ let wall_percentile gen_times q =
   match Metrics.quantile (Metrics.hview_of_values gen_times) q with
   | Some (estimate, _) -> estimate
   | None -> 0.
-
-(* ---------- observability plumbing ----------
-
-   Enables tracing when a trace path is requested (forked ranks inherit
-   the enabled flag, so this must happen BEFORE any fork), opens the
-   JSONL sink and the live progress line, and hands back emit/update
-   callbacks plus a [close] that flushes and exports everything.
-   [close] is failure-isolated: a broken progress line or sink cannot
-   keep the others from flushing, so the telemetry tail stays
-   parseable on every abort path.  None of this touches the physics or
-   the RNG streams. *)
-let obs_setup (p : params) =
-  if p.trace <> None && not (Trace.enabled ()) then Trace.enable ();
-  let sink = Option.map Telemetry.create p.telemetry in
-  let prog = if p.progress then Some (Progress.create ()) else None in
-  let every = max 1 p.telemetry_every in
-  let emit ~gen record =
-    match sink with
-    | Some s when gen mod every = 0 -> Telemetry.emit s record
-    | _ -> ()
-  in
-  (* Unfiltered emit for sparse structural records (membership events):
-     these must never be dropped by the telemetry_every decimation. *)
-  let emit_event record =
-    match sink with Some s -> Telemetry.emit s record | None -> ()
-  in
-  let update line =
-    match prog with Some pr -> Progress.update pr line | None -> ()
-  in
-  let close () =
-    (try match prog with Some pr -> Progress.finish pr | None -> ()
-     with _ -> ());
-    (try match sink with Some s -> Telemetry.close s | None -> ()
-     with _ -> ());
-    try match p.trace with Some path -> Trace.export ~path | None -> ()
-    with _ -> ()
-  in
-  (emit, emit_event, update, close)
 
 (* Route SIGTERM/SIGINT through the normal exception unwind so every
    [Fun.protect] finally — child reaping, sink flushing — runs on
@@ -325,7 +278,7 @@ let restore_signals saved =
   List.iter (fun (s, old) -> try Sys.set_signal s old with _ -> ()) saved
 
 let membership_json (m : member_record) =
-  Oqmc_obs.Jsonx.(
+  Jsonx.(
     Obj
       [
         ("event", Str m.m_kind);
@@ -335,91 +288,6 @@ let membership_json (m : member_record) =
         ("walkers_before", Num (float_of_int m.m_walkers_before));
         ("walkers_after", Num (float_of_int m.m_walkers_after));
       ])
-
-(* Dump the flight-recorder ring to the configured postmortem path.
-   Failures are swallowed — the recorder must never turn one abort into
-   a different one. *)
-let flight_dump (p : params) reason =
-  match p.flightrec with
-  | None -> ()
-  | Some path -> ( try Flightrec.dump ~reason ~path () with _ -> ())
-
-(* Live per-job status file: a small JSON snapshot written to a temp
-   file and atomically renamed into place, throttled to ~4 Hz.  The
-   serve daemon's Status endpoint reads (never writes) this file, so a
-   crashed runner leaves its last consistent snapshot behind. *)
-let status_writer (p : params) =
-  match p.status with
-  | None -> fun ~force:_ _ -> ()
-  | Some path ->
-      let last = ref 0. in
-      fun ~force mk ->
-        let now = Oqmc_containers.Timers.now () in
-        if force || now -. !last >= 0.25 then begin
-          last := now;
-          try
-            let tmp = path ^ ".tmp" in
-            let oc = open_out tmp in
-            output_string oc (Oqmc_obs.Jsonx.to_string (mk ()));
-            output_char oc '\n';
-            close_out oc;
-            Sys.rename tmp path
-          with Sys_error _ | Unix.Unix_error _ -> ()
-        end
-
-(* Sparse structural telemetry record carrying the per-rank ledger
-   windows (emitted every ledger window, decimation-proof). *)
-let ledger_event ~gen ledger =
-  Oqmc_obs.Jsonx.(
-    Obj
-      [
-        ("event", Str "ledger");
-        ("gen", Num (float_of_int gen));
-        ("ranks", Ledger.json ledger);
-      ])
-
-(* How often (in generations) the ledger windows are pushed to the
-   JSONL sink — matches [Ledger.create]'s default window. *)
-let ledger_emit_every = 16
-
-(* Registry [audit.*] gauges — set by the driver's efficiency audit
-   through the [on_window] hook — echoed verbatim into the status
-   snapshot so a Status query surfaces live efficiency numbers. *)
-let audit_json () =
-  Oqmc_obs.Jsonx.Obj
-    (List.filter_map
-       (fun (name, v) ->
-         match v with
-         | Metrics.Gauge g
-           when String.length name > 6 && String.sub name 0 6 = "audit." ->
-             Some (name, Oqmc_obs.Jsonx.Num g)
-         | _ -> None)
-       (Metrics.snapshot ()))
-
-let fire_window (p : params) gen =
-  if gen mod ledger_emit_every = 0 then
-    match p.on_window with
-    | None -> ()
-    | Some f -> ( try f gen with _ -> ())
-
-(* ---------- the generation protocol ---------- *)
-
-(* A rank as the supervisor sees it, over any transport. *)
-type 'link member = {
-  id : int;
-  link : 'link;
-  mutable dead : bool; (* permanently abandoned *)
-  incarnation : int;
-  mutable count : int; (* last known shard size *)
-  mutable begin_t : float; (* when this gen's Begin_gen was sent *)
-  mutable rtt_ewma : float; (* smoothed heartbeat RTT, seconds *)
-  mutable straggles : int; (* consecutive soft-deadline misses *)
-}
-
-(* Why the rank failed: drives the failure counters. *)
-type failure = Crash | Stall | Corrupt_stream
-
-let startup_timeout (p : params) = Float.max 30. (10. *. p.heartbeat_s)
 
 (* A valid job snapshot of THIS job — parameters echoed and matching —
    or [None], which starts the job fresh. *)
@@ -435,6 +303,908 @@ let load_snapshot (p : params) = function
           Some (st, shards)
       | _ -> None)
 
+(* The ranks' starting shards: a job snapshot continues the trajectory
+   bit-identically; a shard restore replays the checkpointed walkers on
+   fresh RNG streams; [None] starts every rank empty, waiting for
+   [Init]. *)
+let initial_shards (p : params) resume =
+  match (resume, p.checkpoint) with
+  | Some (st, shards), _ ->
+      Some
+        (Array.of_list
+           (List.map
+              (fun (rs : Snapshot.rank_state) ->
+                {
+                  Rank.e_trial = st.Snapshot.e_trial;
+                  walkers = List.assoc rs.Snapshot.r_rank shards;
+                  resume =
+                    Some
+                      {
+                        Rank.master = rs.Snapshot.r_master;
+                        pool = rs.Snapshot.r_pool;
+                        acc = rs.Snapshot.r_acc;
+                        prop = rs.Snapshot.r_prop;
+                      };
+                })
+              st.Snapshot.rank_states))
+  | None, Some path when p.restore ->
+      Option.map
+        (fun gen ->
+          Array.init p.ranks (fun r ->
+              let e_trial, walkers = Checkpoint.load_shard ~path ~rank:r ~gen in
+              { Rank.e_trial; walkers; resume = None }))
+        (Checkpoint.latest_complete ~path ~ranks:p.ranks)
+  | _ -> None
+
+(* ---------- the run record ---------- *)
+
+(* How the protocol reaches its ranks: one run's [Transport.S]. *)
+type 'link io = {
+  spawn : Rank.config -> Rank.init option -> 'link;
+  send : 'link -> Wire.msg -> unit;
+  recv : timeout:float -> 'link -> Wire.msg * float;
+  ready : timeout:float -> 'link list -> 'link list;
+  kill : 'link -> unit;
+  close : 'link -> unit;
+}
+
+(* A live rank as the supervisor sees it.  A vacant slot has no member:
+   it waits in [vacant] for a Join. *)
+type 'link member = {
+  link : 'link;
+  incarnation : int;
+  mutable count : int; (* last known shard size *)
+  mutable begin_t : float; (* when this gen's Begin_gen was sent *)
+  mutable rtt_ewma : float; (* smoothed heartbeat RTT, seconds *)
+}
+
+type 'link run = {
+  p : params;
+  io : 'link io;
+  obs : Sup_obs.t;
+  startup : float; (* deadline for Hello, Init, Join and Final replies *)
+  total_gens : int;
+  stop : unit -> bool; (* polled at every generation boundary *)
+  snapshot : string option;
+  snapshot_every : int;
+  members : (int, 'link member) Hashtbl.t;
+  mutable vacant : (int * int) list; (* (slot, its next incarnation) *)
+  mutable next_id : int; (* first never-used slot *)
+  mutable failed : int list; (* this generation's casualties, newest first *)
+  mutable gen : int;
+  mutable e_trial : float;
+  mutable t0 : float; (* end of the startup handshake *)
+  ledger : Ledger.t;
+  rank_prop : (int, int) Hashtbl.t;
+      (* per-rank proposed-move watermark for the ledger: [Reduce]
+         carries cumulative totals; a respawn resets them, and the delta
+         clamps to 0 *)
+  energy : Stats.series;
+  mutable pops : int list; (* newest first *)
+  mutable samples : int;
+  mutable prev_acc : int; (* cumulative move totals at the last reduce *)
+  mutable prev_prop : int;
+  mutable acc_done : int; (* lifetime totals of ranks already finished *)
+  mutable prop_done : int;
+  mutable comm_messages : int;
+  mutable comm_bytes : int;
+  mutable respawns : int;
+  mutable crashes : int;
+  mutable hb_timeouts : int;
+  mutable garbage_frames : int;
+  mutable ranks_failed : int list;
+  mutable degraded : int;
+  mutable stragglers : int;
+  mutable skipped : int;
+  mutable membership_log : member_record list; (* newest first *)
+  mutable gen_times : float list;
+  mutable rtt_max : float; (* this generation's slowest heartbeat *)
+}
+
+let now = Oqmc_containers.Timers.now
+let member st r = Hashtbl.find st.members r
+
+let live st =
+  Hashtbl.fold (fun id _ acc -> id :: acc) st.members [] |> List.sort compare
+
+let ok st r = Hashtbl.mem st.members r && not (List.mem r st.failed)
+let healthy st = List.filter (ok st) (live st)
+
+let walkers_per_s st elapsed =
+  if elapsed > 0. then float_of_int st.samples /. elapsed else 0.
+
+let walkers_on st ids =
+  List.fold_left (fun a r -> if ok st r then a + (member st r).count else a) 0 ids
+
+(* ---------- failures and the per-rank primitives ---------- *)
+
+(* Why the rank failed: drives the failure counters. *)
+type failure = Crash | Stall | Corrupt_stream
+
+(* Record a failure and tear the rank down; recovery runs at the end of
+   the generation so surviving ranks stay in lockstep. *)
+let fail_rank st r why =
+  match Hashtbl.find_opt st.members r with
+  | Some s when not (List.mem r st.failed) ->
+      let reason =
+        match why with
+        | Crash -> st.crashes <- st.crashes + 1; "crash"
+        | Stall -> st.hb_timeouts <- st.hb_timeouts + 1; "stall"
+        | Corrupt_stream -> st.garbage_frames <- st.garbage_frames + 1; "garbage"
+      in
+      Metrics.inc (Metrics.counter ("sup.rank_failures." ^ reason));
+      Trace.instant
+        ~args:[ ("rank", string_of_int r); ("reason", reason) ]
+        "sup.rank_failed";
+      Flightrec.record "rank_failed"
+        Jsonx.(
+          Obj
+            [
+              ("rank", Num (float_of_int r));
+              ("reason", Str reason);
+              ("gen", Num (float_of_int st.gen));
+              ("incarnation", Num (float_of_int s.incarnation));
+            ]);
+      Sup_obs.flight_dump st.obs ("rank_failed:" ^ reason);
+      st.io.kill s.link;
+      st.failed <- r :: st.failed
+  | _ -> ()
+
+(* Run [f] against rank [r], converting wire failures into rank
+   failures.  Returns [None] when the rank is not healthy or just
+   failed. *)
+let guard st r f =
+  if not (ok st r) then None
+  else
+    match f (member st r) with
+    | v -> Some v
+    | exception Wire.Closed -> fail_rank st r Crash; None
+    | exception Wire.Timeout -> fail_rank st r Stall; None
+    | exception Wire.Garbage _ -> fail_rank st r Corrupt_stream; None
+    | exception Unix.Unix_error (Unix.EPIPE, _, _) -> fail_rank st r Crash; None
+
+let recv st s = fst (st.io.recv ~timeout:st.p.heartbeat_s s.link)
+
+let expect st ~timeout r match_ =
+  guard st r (fun s ->
+      match match_ (fst (st.io.recv ~timeout s.link)) with
+      | Some v -> v
+      | None -> raise (Wire.Garbage "unexpected frame"))
+
+(* The send-to-all-then-gather round: [msg r] to every healthy rank of
+   [ranks], then one reply matching [match_] from each, in [ranks]
+   order.  A rank that fails either half is failed and left out. *)
+let round st ?(timeout = st.p.heartbeat_s) ranks msg match_ =
+  List.iter
+    (fun r -> ignore (guard st r (fun s -> st.io.send s.link (msg r))))
+    ranks;
+  List.filter_map
+    (fun r -> Option.map (fun v -> (r, v)) (expect st ~timeout r match_))
+    ranks
+
+(* Start one incarnation of a rank.  Its shard size is known at once
+   when it restores one; a fresh rank waits for [init_round]. *)
+let spawn st cfg init =
+  let r = cfg.Rank.rank in
+  Hashtbl.replace st.members r
+    {
+      link = st.io.spawn cfg init;
+      incarnation = cfg.Rank.incarnation;
+      count = (match init with Some i -> List.length i.Rank.walkers | None -> 0);
+      begin_t = 0.;
+      rtt_ewma = 0.;
+    };
+  st.failed <- List.filter (( <> ) r) st.failed
+
+let hello st r =
+  expect st ~timeout:st.startup r (function Wire.Hello _ -> Some () | _ -> None)
+  <> None
+
+(* Fresh shards: [Init] of [count] walkers for each (rank, count),
+   answered by a gen-0 [Reduce].  Returns the summed weight and weighted
+   energy, folded in [counts] order. *)
+let init_round st counts =
+  round st ~timeout:st.startup (List.map fst counts)
+    (fun r -> Wire.Init { count = List.assoc r counts })
+    (function
+      | Wire.Reduce { gen = 0; wsum; esum; n; _ } -> Some (wsum, esum, n)
+      | _ -> None)
+  |> List.fold_left
+       (fun (w, e) (r, (wr, er, n)) ->
+         (member st r).count <- n;
+         (w +. wr, e +. er))
+       (0., 0.)
+
+(* [Finish] to [ranks]; each [Final] adds the rank's lifetime move totals
+   and merges its span ring into the supervisor's trace under the rank's
+   id, so the exported timeline shows every process on its own track.
+   Returns (rank, final shard) for the ranks that answered. *)
+let finish st ranks =
+  round st ~timeout:st.startup ranks
+    (fun _ -> Wire.Finish)
+    (function
+      | Wire.Final { acc; prop; walkers; trace } ->
+          Some (acc, prop, walkers, trace)
+      | _ -> None)
+  |> List.map (fun (r, (acc, prop, walkers, trace)) ->
+         st.acc_done <- st.acc_done + acc;
+         st.prop_done <- st.prop_done + prop;
+         (if trace <> "" then
+            try Trace.ingest ~pid:r trace with Trace.Malformed -> ());
+         (r, walkers))
+
+(* Hand [walkers] to the first healthy rank of [dsts] that takes them,
+   counting each delivered walker as one exchange message. *)
+let deliver st ~gen walkers dsts =
+  let n = List.length walkers in
+  let rec go = function
+    | [] -> ()
+    | d :: rest -> (
+        match
+          guard st d (fun s ->
+              st.io.send s.link (Wire.Walkers { gen; walkers });
+              s.count <- s.count + n)
+        with
+        | Some () ->
+            st.comm_messages <- st.comm_messages + n;
+            List.iter
+              (fun w -> st.comm_bytes <- st.comm_bytes + Walker.message_bytes w)
+              walkers
+        | None -> go rest)
+  in
+  if n > 0 then go dsts
+
+(* The newest valid checkpoint shard of rank [r], if it ever wrote one. *)
+let newest_shard st r =
+  match st.p.checkpoint with
+  | None -> None
+  | Some path -> (
+      match Checkpoint.load_latest_shard ~path ~rank:r with
+      | _, shard -> Some shard
+      | exception Checkpoint.Corrupt _ -> None)
+
+(* Empty slot [r]: its link, member, ledger row and move watermark go,
+   and the slot waits for a Join under the incarnation after the one it
+   held, so a refill draws its own RNG block. *)
+let vacate st r =
+  Option.iter
+    (fun s ->
+      st.io.kill s.link;
+      Hashtbl.remove st.members r;
+      Ledger.drop_rank st.ledger ~rank:r;
+      Hashtbl.remove st.rank_prop r;
+      st.vacant <- (r, s.incarnation + 1) :: st.vacant)
+    (Hashtbl.find_opt st.members r)
+
+(* Give up on rank [r]: vacate its slot, and salvage its newest shard
+   round-robin over the healthy ranks so the run loses no walker a
+   checkpoint still holds. *)
+let abandon st ~gen r =
+  let incarnation = (member st r).incarnation in
+  vacate st r;
+  st.ranks_failed <- r :: st.ranks_failed;
+  Metrics.inc (Metrics.counter "sup.ranks_abandoned");
+  Trace.instant
+    ~args:[ ("rank", string_of_int r); ("incarnation", string_of_int incarnation) ]
+    "sup.rank_abandoned";
+  let salvaged = match newest_shard st r with Some (_, ws) -> ws | None -> [] in
+  let survivors = healthy st in
+  let k = List.length survivors in
+  List.iteri
+    (fun i dst ->
+      deliver st ~gen (List.filteri (fun j _ -> j mod k = i) salvaged)
+        (dst :: survivors))
+    survivors
+
+(* ---------- the generation phases ---------- *)
+
+(* Phase 2 collector: heartbeat + reduce frames accepted in ARRIVAL
+   order, each rank on its own hard deadline (heartbeat_s per frame, as
+   in lockstep).  Fast ranks are never blocked behind a stalled
+   sibling's timeout, while [reduce] folds the results in ascending rank
+   order, keeping the float reduction identical for any arrival order.
+   A rank is failed only when nothing is waiting from it past its
+   deadline.  Returns rank → (wsum, esum, acc, prop, n, kvs, arrival). *)
+let collect st ~gen participants =
+  let hb = st.p.heartbeat_s in
+  let stage : (int, [ `Hb | `Reduce ]) Hashtbl.t = Hashtbl.create 8 in
+  let deadline : (int, float) Hashtbl.t = Hashtbl.create 8 in
+  let results = Hashtbl.create 8 in
+  List.iter
+    (fun r ->
+      Hashtbl.replace stage r `Hb;
+      Hashtbl.replace deadline r ((member st r).begin_t +. hb))
+    participants;
+  let pending () =
+    List.filter (fun r -> ok st r && not (Hashtbl.mem results r)) participants
+  in
+  let handle r (m, arrival) =
+    let s = member st r in
+    match (Hashtbl.find stage r, m) with
+    | `Hb, Wire.Heartbeat _ ->
+        let rtt = arrival -. s.begin_t in
+        Metrics.observe (Metrics.histogram "sup.heartbeat_rtt_s") rtt;
+        st.rtt_max <- Float.max st.rtt_max rtt;
+        s.rtt_ewma <-
+          (if s.rtt_ewma = 0. then rtt else (0.8 *. s.rtt_ewma) +. (0.2 *. rtt));
+        Trace.instant
+          ~args:
+            [
+              ("rank", string_of_int r);
+              ("rtt_us", string_of_int (int_of_float (rtt *. 1e6)));
+            ]
+          "sup.heartbeat";
+        Hashtbl.replace stage r `Reduce;
+        Hashtbl.replace deadline r (now () +. hb)
+    | `Reduce, Wire.Reduce { gen = g; wsum; esum; acc; prop; n; telemetry }
+      when g = gen ->
+        Hashtbl.replace results r (wsum, esum, acc, prop, n, telemetry, arrival)
+    | _ -> fail_rank st r Corrupt_stream
+  in
+  let rec loop () =
+    match pending () with
+    | [] -> ()
+    | ps ->
+        let t = now () in
+        let wait =
+          List.fold_left
+            (fun a r -> Float.min a (Hashtbl.find deadline r -. t))
+            hb ps
+          |> Float.max 0.005
+        in
+        let ready =
+          st.io.ready ~timeout:wait (List.map (fun r -> (member st r).link) ps)
+        in
+        let is_ready r = List.memq (member st r).link ready in
+        List.iter
+          (fun r ->
+            if is_ready r then
+              Option.iter (handle r)
+                (guard st r (fun s -> st.io.recv ~timeout:hb s.link)))
+          ps;
+        let t = now () in
+        List.iter
+          (fun r ->
+            if (not (is_ready r)) && t > Hashtbl.find deadline r then
+              fail_rank st r Stall)
+          (pending ());
+        loop ()
+  in
+  loop ();
+  results
+
+(* Soft-deadline straggler check: the budget plus three smoothed RTTs of
+   slack, so only ranks genuinely slower than their own recent history
+   are counted. *)
+let check_straggler st r s gen_time =
+  let soft =
+    (float_of_int st.p.gen_deadline_ms /. 1000.) +. (3. *. s.rtt_ewma)
+  in
+  if gen_time > soft then begin
+    st.stragglers <- st.stragglers + 1;
+    Ledger.add_straggle st.ledger ~rank:r ~seconds:(gen_time -. soft);
+    Metrics.inc (Metrics.counter "sup.stragglers");
+    Trace.instant
+      ~args:
+        [
+          ("rank", string_of_int r);
+          ("gen_ms", string_of_int (int_of_float (gen_time *. 1e3)));
+        ]
+      "sup.straggler"
+  end
+
+(* Fold the arrivals in ascending rank order and feed the series, each
+   rank's ledger row and the straggler check.  Returns the ranks that
+   reduced, the generation's energy and its acceptance. *)
+let reduce st ~gen participants arrivals =
+  let wsum = ref 0. and esum = ref 0. and n_t = ref 0 in
+  let acc_t = ref 0 and prop_t = ref 0 in
+  List.iter
+    (fun r ->
+      match Hashtbl.find_opt arrivals r with
+      | None -> ()
+      | Some (w, e, a, pr, n, kvs, arrival) ->
+          wsum := !wsum +. w;
+          esum := !esum +. e;
+          acc_t := !acc_t + a;
+          prop_t := !prop_t + pr;
+          n_t := !n_t + n;
+          let s = member st r in
+          s.count <- n;
+          Metrics.absorb_kvs
+            (List.map
+               (fun (kind, key, value) -> { Metrics.kind; key; value })
+               kvs);
+          (* Ledger feed: supervisor-side generation wall (Begin_gen send
+             to Reduce arrival) over the rank's proposed-move delta. *)
+          let gen_time = arrival -. s.begin_t in
+          let before = Option.value ~default:0 (Hashtbl.find_opt st.rank_prop r) in
+          Hashtbl.replace st.rank_prop r pr;
+          Ledger.observe_gen st.ledger ~rank:r ~gen ~moves:(max 0 (pr - before))
+            ~wall_s:gen_time;
+          if st.p.gen_deadline_ms > 0 then check_straggler st r s gen_time)
+    participants;
+  let reduced = List.filter (ok st) participants in
+  if reduced = [] then raise All_ranks_lost;
+  if List.length reduced < st.p.ranks then st.degraded <- st.degraded + 1;
+  let e_gen = if !wsum > 0. then !esum /. !wsum else st.e_trial in
+  if gen > st.p.warmup then begin
+    Stats.append st.energy e_gen;
+    st.pops <- !n_t :: st.pops;
+    st.samples <- st.samples + !n_t
+  end;
+  (* Per-generation acceptance from the cumulative move totals the ranks
+     report; a respawned rank resets its totals, so the delta is clamped
+     at zero for that generation. *)
+  let gen_acc = max 0 (!acc_t - st.prev_acc)
+  and gen_prop = max 0 (!prop_t - st.prev_prop) in
+  st.prev_acc <- !acc_t;
+  st.prev_prop <- !prop_t;
+  (reduced, e_gen, float_of_int gen_acc /. float_of_int (max 1 gen_prop))
+
+(* Relay one walker batch rank→rank through the supervisor; if the
+   destination dies mid-relay the batch goes to the next healthy rank of
+   [others] rather than being lost. *)
+let relay_move st ~gen rs rd count ~others =
+  Option.iter
+    (fun walkers -> deliver st ~gen walkers (rd :: others))
+    (guard st rs (fun s ->
+         st.io.send s.link (Wire.Give { gen; count });
+         match recv st s with
+         | Wire.Walkers { walkers; _ } ->
+             s.count <- s.count - List.length walkers;
+             walkers
+         | _ -> raise (Wire.Garbage "expected walker batch")))
+
+(* Full load-balance exchange over the healthy ranks of [ids], relayed in
+   deterministic [Population.plan] order — phase 4, and the rebalance
+   after a join. *)
+let relay_exchange st ~gen ids =
+  let ids = Array.of_list (List.filter (ok st) ids) in
+  List.iter
+    (fun { Population.src; dst; count } ->
+      Ledger.add_exchange st.ledger ~rank:ids.(src) ~walkers:count;
+      Ledger.add_exchange st.ledger ~rank:ids.(dst) ~walkers:count;
+      relay_move st ~gen ids.(src) ids.(dst) count ~others:(Array.to_list ids))
+    (Population.plan (Array.map (fun r -> (member st r).count) ids))
+
+(* Phase 6: sharded checkpoint round + manifest of the ranks that
+   acknowledged their shard. *)
+let checkpoint_round st ~gen ranks =
+  match st.p.checkpoint with
+  | Some path
+    when st.p.checkpoint_every > 0 && gen mod st.p.checkpoint_every = 0 ->
+      let acked =
+        round st ranks
+          (fun _ -> Wire.Checkpoint_cmd { gen; e_trial = st.e_trial })
+          (function Wire.Ack { gen = g; ok } when g = gen -> Some ok | _ -> None)
+        |> List.filter_map (fun (r, ok) -> if ok then Some r else None)
+      in
+      (try Checkpoint.save_manifest ~path ~gen ~ranks:acked ()
+       with Sys_error _ -> ())
+  | _ -> ()
+
+(* Respawn rank [r] from its newest shard, or from fresh walkers at its
+   ideal share of the target when it has none.  A respawn that never
+   starts abandons the rank, as an exhausted budget does. *)
+let respawn st ~gen r =
+  let incarnation = (member st r).incarnation + 1 in
+  st.respawns <- st.respawns + 1;
+  let backoff = st.p.respawn_backoff *. float_of_int (1 lsl (incarnation - 1)) in
+  Metrics.inc (Metrics.counter "sup.respawns");
+  Trace.instant
+    ~args:
+      [
+        ("rank", string_of_int r);
+        ("incarnation", string_of_int incarnation);
+        ("backoff_s", Printf.sprintf "%.3f" backoff);
+      ]
+    "sup.respawn";
+  Unix.sleepf backoff;
+  let init =
+    Option.map
+      (fun (e_trial, walkers) -> { Rank.e_trial; walkers; resume = None })
+      (newest_shard st r)
+  in
+  spawn st (rank_config st.p ~rank:r ~incarnation ~after:gen) init;
+  if hello st r && Option.is_none init then begin
+    let want = max 1 (st.p.target_walkers / max 1 (List.length (live st))) in
+    ignore (init_round st [ (r, want) ])
+  end;
+  if not (ok st r) then abandon st ~gen r
+
+(* Phase 7: recovery — respawn this generation's casualties, or abandon
+   those whose respawn budget is spent. *)
+let recover st ~gen =
+  List.iter
+    (fun r ->
+      if (member st r).incarnation >= st.p.max_respawn then abandon st ~gen r
+      else respawn st ~gen r)
+    (List.rev st.failed)
+
+(* ---------- elastic membership ---------- *)
+
+(* A transition that happened: counted, traced, logged and emitted, with
+   the healthy rank count and shard total after it. *)
+let log_membership st ~gen ~kind r ~before =
+  Metrics.inc (Metrics.counter ("sup." ^ kind ^ "s"));
+  Trace.instant ~args:[ ("rank", string_of_int r) ] ("sup." ^ kind);
+  let m =
+    {
+      m_gen = gen;
+      m_kind = kind;
+      m_rank = r;
+      m_live = List.length (healthy st);
+      m_walkers_before = before;
+      m_walkers_after = walkers_on st (live st);
+    }
+  in
+  st.membership_log <- m :: st.membership_log;
+  Sup_obs.emit_event st.obs (membership_json m)
+
+(* Grow by one rank: the lowest vacant slot, else a fresh id.  A joiner
+   that never comes up goes back to the vacancies and the run goes on —
+   an elastic run must not die because a grow step failed. *)
+let join st ~gen =
+  let before = walkers_on st (live st) in
+  let id, incarnation =
+    match List.sort compare st.vacant with
+    | slot :: rest ->
+        st.vacant <- rest;
+        slot
+    | [] ->
+        st.next_id <- st.next_id + 1;
+        (st.next_id - 1, 0)
+  in
+  spawn st (rank_config st.p ~rank:id ~incarnation ~after:gen) None;
+  let acked =
+    hello st id
+    && round st ~timeout:st.startup [ id ]
+         (fun _ -> Wire.Join { gen; e_trial = st.e_trial })
+         (function Wire.Ack { ok; _ } -> Some ok | _ -> None)
+       = [ (id, true) ]
+  in
+  if acked then begin
+    relay_exchange st ~gen (live st);
+    log_membership st ~gen ~kind:"join" id ~before
+  end
+  else begin
+    vacate st id;
+    st.skipped <- st.skipped + 1
+  end
+
+(* Retire rank [r] gracefully: its whole shard ships to the first
+   healthy survivor and its slot is vacated.  A rank that dies while
+   draining is vacated too; the shard it was draining is lost, and the
+   event counts as skipped. *)
+let leave st ~gen r =
+  if (not (ok st r)) || List.length (healthy st) <= 1 then begin
+    st.skipped <- st.skipped + 1;
+    Trace.instant ~args:[ ("rank", string_of_int r) ] "sup.leave_skipped"
+  end
+  else begin
+    let before = walkers_on st (live st) in
+    let drained =
+      guard st r (fun s ->
+          st.io.send s.link (Wire.Drain { gen });
+          let ws =
+            match recv st s with
+            | Wire.Walkers { walkers; _ } -> walkers
+            | _ -> raise (Wire.Garbage "expected drain batch")
+          in
+          match recv st s with
+          | Wire.Leave { count; _ } when count = List.length ws -> ws
+          | _ -> raise (Wire.Garbage "drain count mismatch"))
+    in
+    match Option.map (fun ws -> (ws, finish st [ r ])) drained with
+    | Some (ws, [ _ ]) ->
+        st.io.close (member st r).link;
+        vacate st r;
+        deliver st ~gen ws (healthy st);
+        log_membership st ~gen ~kind:"leave" r ~before
+    | _ ->
+        vacate st r;
+        st.skipped <- st.skipped + 1
+  end
+
+(* Membership events scheduled for this generation, applied after
+   recovery so joins see a settled member set. *)
+let apply_membership st ~gen =
+  List.iter
+    (fun (g, ev) ->
+      if g = gen then
+        match ev with Join -> join st ~gen | Leave r -> leave st ~gen r)
+    st.p.membership
+
+(* ---------- reporting and job snapshots ---------- *)
+
+(* The fields the generation telemetry record and the status snapshot
+   share. *)
+let gen_fields st ~gen ~e_gen ~population ~elapsed =
+  Jsonx.
+    [
+      ("gen", Num (float_of_int gen));
+      ("e_gen", Num e_gen);
+      ("e_trial", Num st.e_trial);
+      ("population", Num (float_of_int population));
+      ("live_ranks", Num (float_of_int (List.length (live st))));
+      ("walkers_per_s", Num (walkers_per_s st elapsed));
+      ("wall_s", Num elapsed);
+    ]
+
+(* The generation's telemetry record (flight recorder, JSONL sink past
+   the warmup) and progress line. *)
+let report st ~gen ~e_gen ~population ~elapsed ~acceptance =
+  let record =
+    Jsonx.Obj
+      (gen_fields st ~gen ~e_gen ~population ~elapsed
+      @ Jsonx.
+          [
+            ("acceptance", Num acceptance);
+            ("rtt_max_s", Num st.rtt_max);
+            ( "respawns",
+              Num
+                (float_of_int
+                   (Metrics.counter_value (Metrics.counter "sup.respawns"))) );
+          ])
+  in
+  Flightrec.record "gen" record;
+  if gen > st.p.warmup then Sup_obs.emit st.obs ~gen:(gen - st.p.warmup) record;
+  Sup_obs.progress st.obs
+    (Printf.sprintf
+       "dmc[%d/%d ranks] gen %d/%d  E %+.6f  E_T %+.6f  pop %d  acc %.3f  \
+        %.0f w/s  lag %.1fms"
+       (List.length (live st)) st.p.ranks gen st.total_gens e_gen st.e_trial
+       population acceptance (walkers_per_s st elapsed) (1e3 *. st.rtt_max))
+
+(* A job snapshot at a generation boundary: the supervisor's series and
+   counters plus every rank's [State].  IO failures are swallowed — a
+   snapshot that does not land only costs resume granularity — and a
+   round a rank fails to answer is not saved. *)
+let save_snapshot st ~gen path =
+  let ranks = live st in
+  let states =
+    round st ranks
+      (fun _ -> Wire.State_req { gen })
+      (function
+        | Wire.State { gen = g; master; pool; acc; prop; walkers } when g = gen ->
+            Some (master, pool, acc, prop, walkers)
+        | _ -> None)
+  in
+  if List.length states = List.length ranks then
+    let snap =
+      {
+        Snapshot.gen;
+        seed = st.p.seed;
+        ranks = st.p.ranks;
+        target = st.p.target_walkers;
+        e_trial = st.e_trial;
+        energy = Stats.to_array st.energy;
+        pops = Array.of_list (List.rev st.pops);
+        samples = st.samples;
+        comm_messages = st.comm_messages;
+        comm_bytes = st.comm_bytes;
+        rank_states =
+          List.map
+            (fun (r, (master, pool, acc, prop, _)) ->
+              {
+                Snapshot.r_rank = r;
+                r_master = master;
+                r_pool = pool;
+                r_acc = acc;
+                r_prop = prop;
+              })
+            states;
+      }
+    in
+    try
+      Snapshot.save ~path snap
+        (List.map (fun (r, (_, _, _, _, walkers)) -> (r, walkers)) states)
+    with Sys_error _ | Checkpoint.Corrupt _ -> ()
+
+(* The generation boundary: poll [stop], write the status file and, on
+   the snapshot cadence, a job snapshot.  Graceful early drain: a [stop]
+   ends the run here and the normal finals still run, so a
+   deadline-stopped job reports consistent partial estimators instead of
+   dying mid-protocol.  The snapshot cadence always covers the drain
+   point and the final generation, so a suspended job never replays
+   work.  Returns whether the run drains. *)
+let boundary st ~gen ~e_gen ~population ~elapsed =
+  let drained = st.stop () in
+  let last = drained || gen = st.total_gens in
+  Sup_obs.write_status st.obs ~force:last (fun () ->
+      Jsonx.Obj
+        (gen_fields st ~gen ~e_gen ~population ~elapsed
+        @ [
+            ("total_gens", Jsonx.Num (float_of_int st.total_gens));
+            ("ledger", Ledger.json st.ledger);
+            ("audit", Sup_obs.audit_json ());
+          ]));
+  (match st.snapshot with
+  | Some path when last || gen mod st.snapshot_every = 0 ->
+      save_snapshot st ~gen path
+  | _ -> ());
+  drained
+
+(* One generation, phases 1–7 plus reporting and membership.  Returns
+   whether the run drains at its boundary. *)
+let generation st ~gen =
+  Trace.with_span ~args:[ ("gen", string_of_int gen) ] "sup.generation"
+  @@ fun () ->
+  let gen_t0 = now () in
+  st.gen <- gen;
+  st.failed <- [];
+  st.rtt_max <- 0.;
+  let participants = live st in
+  (* Phase 1: open the generation. *)
+  List.iter
+    (fun r ->
+      ignore
+        (guard st r (fun s ->
+             s.begin_t <- now ();
+             st.io.send s.link (Wire.Begin_gen { gen; e_trial = st.e_trial }))))
+    participants;
+  (* Phase 2: arrival-order collection, ascending-order reduction. *)
+  let reduced, e_gen, acceptance =
+    reduce st ~gen participants (collect st ~gen participants)
+  in
+  (* Phase 3: branch, collect post-branch counts. *)
+  round st reduced
+    (fun _ -> Wire.Branch { gen })
+    (function Wire.Count { gen = g; n } when g = gen -> Some n | _ -> None)
+  |> List.iter (fun (r, n) -> (member st r).count <- n);
+  (* Phase 4: real load-balance exchange. *)
+  relay_exchange st ~gen reduced;
+  (* Phase 5: global trial-energy feedback from the reduced counts. *)
+  let population = walkers_on st reduced in
+  st.e_trial <-
+    Population.trial_energy_update ~feedback:st.p.feedback ~tau:st.p.tau
+      ~target:st.p.target_walkers ~population ~e_estimate:e_gen;
+  checkpoint_round st ~gen reduced;
+  recover st ~gen;
+  if live st = [] then raise All_ranks_lost;
+  let elapsed = now () -. st.t0 in
+  report st ~gen ~e_gen ~population ~elapsed ~acceptance;
+  apply_membership st ~gen;
+  let dt = now () -. gen_t0 in
+  Metrics.observe (Metrics.histogram "sup.generation_s") dt;
+  st.gen_times <- dt :: st.gen_times;
+  Sup_obs.fire_window st.obs ~gen st.ledger;
+  boundary st ~gen ~e_gen ~population ~elapsed
+
+(* ---------- the run ---------- *)
+
+(* The startup handshake: spawn every rank, collect the Hellos, then
+   [Init] fresh shards (the initial trial energy is their weighted mean
+   energy) or take the restored ones as they are. *)
+let start st inits =
+  let p = st.p in
+  let ranks = List.init p.ranks Fun.id in
+  List.iter
+    (fun r ->
+      spawn st
+        (rank_config p ~rank:r ~incarnation:0 ~after:(-1))
+        (Option.map (fun a -> a.(r)) inits))
+    ranks;
+  List.iter (fun r -> ignore (hello st r)) ranks;
+  (st.e_trial <-
+     match inits with
+     | Some a -> a.(0).Rank.e_trial
+     | None ->
+         let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
+         let w, e = init_round st (List.map (fun r -> (r, counts.(r))) ranks) in
+         if w > 0. then e /. w else 0.);
+  if st.failed <> [] then
+    (* A rank that cannot even start is not worth respawning: fail fast
+       rather than mask a broken factory. *)
+    failwith "Supervisor: rank startup failed";
+  st.t0 <- now ()
+
+(* A resumed job continues its series, counters and move totals;
+   returns the generation it resumes after. *)
+let resume_from st = function
+  | None -> 0
+  | Some (snap, _) ->
+      Array.iter (Stats.append st.energy) snap.Snapshot.energy;
+      st.pops <- List.rev (Array.to_list snap.Snapshot.pops);
+      st.comm_messages <- snap.Snapshot.comm_messages;
+      st.comm_bytes <- snap.Snapshot.comm_bytes;
+      st.samples <- snap.Snapshot.samples;
+      List.iter
+        (fun (rs : Snapshot.rank_state) ->
+          Hashtbl.replace st.rank_prop rs.Snapshot.r_rank rs.Snapshot.r_prop;
+          st.prev_acc <- st.prev_acc + rs.Snapshot.r_acc;
+          st.prev_prop <- st.prev_prop + rs.Snapshot.r_prop)
+        snap.Snapshot.rank_states;
+      snap.Snapshot.gen
+
+(* Collect every live rank's final shard and move totals, and build the
+   result. *)
+let finals st =
+  let ranks = live st in
+  (* Every member is asked, one that failed after this generation's
+     recovery included. *)
+  st.failed <- [];
+  let finals = finish st ranks in
+  List.iter (fun r -> st.io.close (member st r).link) ranks;
+  let pops = Array.of_list (List.rev st.pops) in
+  let log = List.rev st.membership_log in
+  let count kind = List.length (List.filter (fun m -> m.m_kind = kind) log) in
+  {
+    energy = Stats.series_mean st.energy;
+    energy_error = Stats.series_error st.energy;
+    variance = Stats.series_variance st.energy;
+    tau_corr = Stats.autocorrelation_time st.energy;
+    acceptance = float_of_int st.acc_done /. float_of_int (max 1 st.prop_done);
+    wall_time = now () -. st.t0;
+    mean_population =
+      (if Array.length pops = 0 then 0.
+       else
+         float_of_int (Array.fold_left ( + ) 0 pops)
+         /. float_of_int (Array.length pops));
+    energy_series = Stats.to_array st.energy;
+    population_series = pops;
+    comm_messages = st.comm_messages;
+    comm_bytes = st.comm_bytes;
+    respawns = st.respawns;
+    heartbeat_timeouts = st.hb_timeouts;
+    garbage_frames = st.garbage_frames;
+    crashes = st.crashes;
+    ranks_failed = List.sort compare st.ranks_failed;
+    live_ranks = List.length ranks;
+    degraded_generations = st.degraded;
+    joins = count "join";
+    leaves = count "leave";
+    stragglers = st.stragglers;
+    membership_skipped = st.skipped;
+    membership_log = log;
+    gen_p50_s = wall_percentile st.gen_times 0.50;
+    gen_p99_s = wall_percentile st.gen_times 0.99;
+    final_walkers = List.concat_map snd finals;
+    final_e_trial = st.e_trial;
+  }
+
+let make_run (p : params) io obs ~stop ~snapshot ~snapshot_every =
+  {
+    p;
+    io;
+    obs;
+    startup = Float.max 30. (10. *. p.heartbeat_s);
+    total_gens = p.warmup + p.generations;
+    stop;
+    snapshot;
+    snapshot_every;
+    members = Hashtbl.create 16;
+    vacant = [];
+    next_id = p.ranks;
+    failed = [];
+    gen = 0;
+    e_trial = 0.;
+    t0 = 0.;
+    ledger = Ledger.create ();
+    rank_prop = Hashtbl.create 8;
+    energy = Stats.make_series ();
+    pops = [];
+    samples = 0;
+    prev_acc = 0;
+    prev_prop = 0;
+    acc_done = 0;
+    prop_done = 0;
+    comm_messages = 0;
+    comm_bytes = 0;
+    respawns = 0;
+    crashes = 0;
+    hb_timeouts = 0;
+    garbage_frames = 0;
+    ranks_failed = [];
+    degraded = 0;
+    stragglers = 0;
+    skipped = 0;
+    membership_log = [];
+    gen_times = [];
+    rtt_max = 0.;
+  }
+
 (* The one generation loop, over any transport.  [stop] is polled at
    every generation boundary; [snapshot] persists the job's full
    dynamical state every [snapshot_every] generations (and at drain and
@@ -446,958 +1216,55 @@ let run_ext (module T : Transport.S) ~(factory : int -> Engine_api.t)
     invalid_arg "Supervisor: job snapshots require an empty membership plan";
   if snapshot_every < 1 then invalid_arg "Supervisor: snapshot_every < 1";
   (* Observability must attach BEFORE any fork so children inherit the
-     tracing-enabled flag; the supervisor's own spans carry pid -1,
-     rank blobs are ingested under their rank id at Final time. *)
-  let emit, emit_event, update_progress, obs_close = obs_setup p in
+     tracing-enabled flag; the supervisor's own spans carry pid -1, rank
+     blobs are ingested under their rank id at Final time. *)
+  let obs =
+    Sup_obs.create ~trace:p.trace ~telemetry:p.telemetry
+      ~telemetry_every:p.telemetry_every ~progress:p.progress
+      ~flightrec:p.flightrec ~status:p.status ~on_window:p.on_window
+  in
   if Trace.enabled () then Trace.set_rank (-1);
   let saved_signals = if handle_signals then install_signals () else [] in
   let tr = T.create ~factory in
   let cleanup () =
     T.teardown tr;
     restore_signals saved_signals;
-    obs_close ()
+    Sup_obs.close obs
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   try
-  (* The member table: rank id → rank.  Abandoned members stay in the
-     table (dead = true) until their slot is refilled by a Join, which
-     overwrites the entry with a fresh incarnation. *)
-  let members : (int, T.link member) Hashtbl.t = Hashtbl.create 16 in
-  let vacant = ref [] and next_id = ref p.ranks in
-  let incarnations : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let spawn ~cfg ~init =
-    let s =
+    let io =
       {
-        id = cfg.Rank.rank;
-        link = T.spawn tr cfg init;
-        dead = false;
-        incarnation = cfg.Rank.incarnation;
-        count = 0;
-        begin_t = 0.;
-        rtt_ewma = 0.;
-        straggles = 0;
+        spawn = T.spawn tr;
+        send = T.send;
+        recv = T.recv;
+        ready = T.ready;
+        kill = T.kill;
+        close = T.close;
       }
     in
-    Hashtbl.replace members s.id s
-  in
-  let hb = p.heartbeat_s in
-  let respawns = ref 0 in
-  let hb_timeouts = ref 0 and garbage_frames = ref 0 and crashes = ref 0 in
-  let ranks_failed = ref [] in
-  let degraded_generations = ref 0 in
-  let comm_messages = ref 0 and comm_bytes = ref 0 in
-  let joins = ref 0 and leaves = ref 0 in
-  let stragglers = ref 0 in
-  let skipped = ref 0 in
-  let membership_log = ref [] in
-  let gen_times = ref [] in
-  let acc_left = ref 0 and prop_left = ref 0 in
-  let energy_series = Stats.make_series () in
-  let pop_series = ref [] in
-  let samples = ref 0 in
-  (* -------- spawn + initial ensemble -------- *)
-  (* A job snapshot continues the trajectory bit-identically; a shard
-     restore replays the checkpointed walkers on fresh RNG streams. *)
-  let resume = load_snapshot p snapshot in
-  let inits =
-    match (resume, p.checkpoint) with
-    | Some (st, shards), _ ->
-        Some
-          (Array.of_list
-             (List.map
-                (fun (rs : Snapshot.rank_state) ->
-                  {
-                    Rank.e_trial = st.Snapshot.e_trial;
-                    walkers = List.assoc rs.Snapshot.r_rank shards;
-                    resume =
-                      Some
-                        {
-                          Rank.master = rs.Snapshot.r_master;
-                          pool = rs.Snapshot.r_pool;
-                          acc = rs.Snapshot.r_acc;
-                          prop = rs.Snapshot.r_prop;
-                        };
-                  })
-                st.Snapshot.rank_states))
-    | None, Some path when p.restore ->
-        Option.map
-          (fun gen ->
-            Array.init p.ranks (fun r ->
-                let e_trial, walkers =
-                  Checkpoint.load_shard ~path ~rank:r ~gen
-                in
-                { Rank.e_trial; walkers; resume = None }))
-          (Checkpoint.latest_complete ~path ~ranks:p.ranks)
-    | _ -> None
-  in
-  let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
-  for r = 0 to p.ranks - 1 do
-    spawn
-      ~cfg:(rank_config p ~rank:r ~incarnation:0 ~after:(-1))
-      ~init:(Option.map (fun a -> a.(r)) inits)
-  done;
-  let find r = Hashtbl.find_opt members r in
-  let proc r = Hashtbl.find members r in
-  let live () =
-    Hashtbl.fold (fun id s acc -> if s.dead then acc else id :: acc) members []
-    |> List.sort compare
-  in
-  (* Record a failure and tear the rank down; respawn happens at the end
-     of the generation so surviving ranks stay in lockstep. *)
-  let failed_this_gen = ref [] in
-  let cur_gen = ref 0 in
-  let fail_rank r why =
-    match find r with
-    | None -> ()
-    | Some s ->
-        if (not s.dead) && not (List.mem r !failed_this_gen) then begin
-          let reason =
-            match why with
-            | Crash -> incr crashes; "crash"
-            | Stall -> incr hb_timeouts; "stall"
-            | Corrupt_stream -> incr garbage_frames; "garbage"
-          in
-          Metrics.inc (Metrics.counter ("sup.rank_failures." ^ reason));
-          Trace.instant
-            ~args:[ ("rank", string_of_int r); ("reason", reason) ]
-            "sup.rank_failed";
-          Flightrec.record "rank_failed"
-            Oqmc_obs.Jsonx.(
-              Obj
-                [
-                  ("rank", Num (float_of_int r));
-                  ("reason", Str reason);
-                  ("gen", Num (float_of_int !cur_gen));
-                  ("incarnation", Num (float_of_int s.incarnation));
-                ]);
-          flight_dump p ("rank_failed:" ^ reason);
-          T.kill s.link;
-          failed_this_gen := r :: !failed_this_gen
-        end
-  in
-  let ok_rank r =
-    match find r with
-    | Some s -> (not s.dead) && not (List.mem r !failed_this_gen)
-    | None -> false
-  in
-  (* Run [f] against rank [r], converting wire failures into rank
-     failures.  Returns [None] when the rank just failed. *)
-  let guard r f =
-    if not (ok_rank r) then None
-    else
-      match f (proc r) with
-      | v -> Some v
-      | exception Wire.Closed -> fail_rank r Crash; None
-      | exception Wire.Timeout -> fail_rank r Stall; None
-      | exception Wire.Garbage _ -> fail_rank r Corrupt_stream; None
-      | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
-          fail_rank r Crash; None
-  in
-  let send s m = T.send s.link m in
-  let recv ?(timeout = hb) s = fst (T.recv ~timeout s.link) in
-  let recv_expect ?(timeout = hb) r match_ =
-    guard r (fun s ->
-        match match_ (recv ~timeout s) with
-        | Some v -> v
-        | None -> raise (Wire.Garbage "unexpected frame"))
-  in
-  (* -------- handshake: Hello (+ Init reduce on fresh spawns) -------- *)
-  let startup = startup_timeout p in
-  let w0 = ref 0. and e0 = ref 0. in
-  for r = 0 to p.ranks - 1 do
-    ignore
-      (recv_expect ~timeout:startup r (function
-        | Wire.Hello _ -> Some ()
-        | _ -> None))
-  done;
-  (match inits with
-  | Some a ->
-      Array.iteri (fun r i -> (proc r).count <- List.length i.Rank.walkers) a
-  | None ->
-      for r = 0 to p.ranks - 1 do
-        ignore (guard r (fun s -> send s (Wire.Init { count = counts.(r) })))
-      done;
-      for r = 0 to p.ranks - 1 do
-        match
-          recv_expect ~timeout:startup r (function
-            | Wire.Reduce { gen = 0; wsum; esum; n; _ } -> Some (wsum, esum, n)
-            | _ -> None)
-        with
-        | Some (w, e, n) ->
-            w0 := !w0 +. w;
-            e0 := !e0 +. e;
-            (proc r).count <- n
-        | None -> ()
-      done);
-  let e_trial =
-    ref
-      (match inits with
-      | Some a -> a.(0).Rank.e_trial
-      | None -> if !w0 > 0. then !e0 /. !w0 else 0.)
-  in
-  if !failed_this_gen <> [] then
-    (* A rank that cannot even start is not worth respawning: fail fast
-       rather than mask a broken factory. *)
-    failwith "Supervisor: rank startup failed";
-  let t0 = Oqmc_containers.Timers.now () in
-  let total_gens = p.warmup + p.generations in
-  let total_walkers () =
-    List.fold_left
-      (fun a r -> if ok_rank r then a + (proc r).count else a)
-      0 (live ())
-  in
-  (* Heartbeat RTT is measured supervisor-side — Begin_gen send to
-     Heartbeat receipt — so the wire protocol needs no clock exchange. *)
-  let m_rtt = Metrics.histogram "sup.heartbeat_rtt_s" in
-  let m_gen_s = Metrics.histogram "sup.generation_s" in
-  let ledger = Ledger.create () in
-  let write_status = status_writer p in
-  (* Per-rank proposed-move watermarks for the ledger ([Reduce] carries
-     cumulative totals; a respawn resets them, the delta clamps to 0). *)
-  let rank_prop : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let prev_acc = ref 0 and prev_prop = ref 0 in
-  let rtt_max = ref 0. in
-  (* A resumed job continues its series, counters and move totals. *)
-  let start_gen =
-    match resume with
-    | None -> 0
-    | Some (st, _) ->
-        Array.iter (fun e -> Stats.append energy_series e) st.Snapshot.energy;
-        pop_series := List.rev (Array.to_list st.Snapshot.pops);
-        comm_messages := st.Snapshot.comm_messages;
-        comm_bytes := st.Snapshot.comm_bytes;
-        samples := st.Snapshot.samples;
-        List.iter
-          (fun (rs : Snapshot.rank_state) ->
-            Hashtbl.replace rank_prop rs.Snapshot.r_rank rs.Snapshot.r_prop;
-            prev_acc := !prev_acc + rs.Snapshot.r_acc;
-            prev_prop := !prev_prop + rs.Snapshot.r_prop)
-          st.Snapshot.rank_states;
-        st.Snapshot.gen
-  in
-  (* Phase 2 collector: heartbeat + reduce frames accepted in ARRIVAL
-     order, each rank on its own hard deadline (heartbeat_s per frame,
-     as in lockstep).  Fast ranks are never blocked behind a stalled
-     sibling's timeout — the soak's barrier softening — while the caller
-     folds the results in ascending rank order, keeping the float
-     reduction identical for any arrival order.  A rank is failed only
-     when nothing is waiting from it past its deadline.  Returns rank →
-     (wsum, esum, acc, prop, n, kvs, arrival_time). *)
-  let collect_phase2 ~gen participants =
-    let now () = Oqmc_containers.Timers.now () in
-    let stage : (int, [ `Hb | `Reduce ]) Hashtbl.t = Hashtbl.create 8 in
-    let deadline : (int, float) Hashtbl.t = Hashtbl.create 8 in
-    let results = Hashtbl.create 8 in
-    List.iter
-      (fun r ->
-        Hashtbl.replace stage r `Hb;
-        Hashtbl.replace deadline r ((proc r).begin_t +. hb))
-      participants;
-    let pending () =
-      List.filter
-        (fun r -> ok_rank r && not (Hashtbl.mem results r))
-        participants
+    let st = make_run p io obs ~stop ~snapshot ~snapshot_every in
+    let resume = load_snapshot p snapshot in
+    start st (initial_shards p resume);
+    let start_gen = resume_from st resume in
+    let rec loop gen =
+      if gen > st.total_gens then gen - 1
+      else if generation st ~gen then gen
+      else loop (gen + 1)
     in
-    let handle r (m, arrival) =
-      let s = proc r in
-      match (Hashtbl.find stage r, m) with
-      | `Hb, Wire.Heartbeat _ ->
-          let rtt = arrival -. s.begin_t in
-          Metrics.observe m_rtt rtt;
-          rtt_max := Float.max !rtt_max rtt;
-          s.rtt_ewma <-
-            (if s.rtt_ewma = 0. then rtt
-             else (0.8 *. s.rtt_ewma) +. (0.2 *. rtt));
-          Trace.instant
-            ~args:
-              [
-                ("rank", string_of_int r);
-                ("rtt_us", string_of_int (int_of_float (rtt *. 1e6)));
-              ]
-            "sup.heartbeat";
-          Hashtbl.replace stage r `Reduce;
-          Hashtbl.replace deadline r (now () +. hb)
-      | `Reduce, Wire.Reduce { gen = g; wsum; esum; acc; prop; n; telemetry }
-        when g = gen ->
-          Hashtbl.replace results r
-            (wsum, esum, acc, prop, n, telemetry, arrival)
-      | _ -> fail_rank r Corrupt_stream
-    in
-    let rec loop () =
-      match pending () with
-      | [] -> ()
-      | ps ->
-          let t = now () in
-          let wait =
-            List.fold_left
-              (fun a r -> Float.min a (Hashtbl.find deadline r -. t))
-              hb ps
-            |> Float.max 0.005
-          in
-          let ready =
-            T.ready ~timeout:wait (List.map (fun r -> (proc r).link) ps)
-          in
-          List.iter
-            (fun r ->
-              if List.memq (proc r).link ready then
-                match guard r (fun s -> T.recv ~timeout:hb s.link) with
-                | Some m -> handle r m
-                | None -> ())
-            ps;
-          let t = now () in
-          List.iter
-            (fun r ->
-              if
-                (not (List.memq (proc r).link ready))
-                && t > Hashtbl.find deadline r
-              then fail_rank r Stall)
-            (pending ());
-          loop ()
-    in
-    loop ();
-    results
-  in
-  (* Relay one walker batch rank→rank through the supervisor, counting
-     the communication volume; if the destination dies mid-relay the
-     batch is rerouted to the first other healthy rank in [others]
-     rather than lost. *)
-  let relay_move ~gen rs rd count ~others =
-    match
-      guard rs (fun s ->
-          send s (Wire.Give { gen; count });
-          match recv s with
-          | Wire.Walkers { walkers; _ } -> walkers
-          | _ -> raise (Wire.Garbage "expected walker batch"))
-    with
-    | None -> ()
-    | Some walkers ->
-        (proc rs).count <- (proc rs).count - List.length walkers;
-        List.iter
-          (fun w ->
-            incr comm_messages;
-            comm_bytes := !comm_bytes + Walker.message_bytes w)
-          walkers;
-        let deliver rank =
-          guard rank (fun s ->
-              send s (Wire.Walkers { gen; walkers });
-              s.count <- s.count + List.length walkers)
-        in
-        (match deliver rd with
-        | Some () -> ()
-        | None -> (
-            match
-              List.find_opt (fun r -> ok_rank r && r <> rd) others
-            with
-            | Some alt -> ignore (deliver alt)
-            | None -> ()))
-  in
-  (* Full load-balance exchange over [ids] (healthy subset), relayed in
-     deterministic [Population.plan] order — shared by phase 4 and the
-     post-join rebalance. *)
-  let relay_exchange ~gen ids =
-    let ids = Array.of_list (List.filter ok_rank ids) in
-    let moves = Population.plan (Array.map (fun r -> (proc r).count) ids) in
-    List.iter
-      (fun { Population.src; dst; count } ->
-        Ledger.add_exchange ledger ~rank:ids.(src) ~walkers:count;
-        Ledger.add_exchange ledger ~rank:ids.(dst) ~walkers:count;
-        relay_move ~gen ids.(src) ids.(dst) count
-          ~others:(Array.to_list ids))
-      moves
-  in
-  (* -------- elastic membership -------- *)
-  let do_join ~gen =
-    let before = total_walkers () in
-    let id, incarnation =
-      match List.sort compare !vacant with
-      | v :: rest ->
-          vacant := rest;
-          (v, Option.value ~default:0 (Hashtbl.find_opt incarnations v))
-      | [] ->
-          let id = !next_id in
-          incr next_id;
-          (id, 0)
-    in
-    spawn ~cfg:(rank_config p ~rank:id ~incarnation ~after:gen) ~init:None;
-    failed_this_gen := List.filter (fun x -> x <> id) !failed_this_gen;
-    let ok =
-      match
-        recv_expect ~timeout:(startup_timeout p) id (function
-          | Wire.Hello _ -> Some ()
-          | _ -> None)
-      with
-      | None -> false
-      | Some () -> (
-          ignore
-            (guard id (fun s ->
-                 send s (Wire.Join { gen; e_trial = !e_trial })));
-          match
-            recv_expect ~timeout:(startup_timeout p) id (function
-              | Wire.Ack { ok; _ } -> Some ok
-              | _ -> None)
-          with
-          | Some true -> true
-          | _ -> false)
-    in
-    if not ok then begin
-      (* The joiner never came up: restore the vacancy (with a fresh
-         incarnation so a retry gets its own RNG block) and move on —
-         an elastic run must not die because a grow step failed. *)
-      Option.iter (fun s -> T.kill s.link) (find id);
-      Hashtbl.remove members id;
-      vacant := id :: !vacant;
-      Hashtbl.replace incarnations id (incarnation + 1);
-      incr skipped
-    end
-    else begin
-      (proc id).count <- 0;
-      relay_exchange ~gen (live ());
-      incr joins;
-      Metrics.inc (Metrics.counter "sup.joins");
-      Trace.instant ~args:[ ("rank", string_of_int id) ] "sup.join";
-      let m =
-        {
-          m_gen = gen;
-          m_kind = "join";
-          m_rank = id;
-          m_live = List.length (List.filter ok_rank (live ()));
-          m_walkers_before = before;
-          m_walkers_after = total_walkers ();
-        }
-      in
-      membership_log := m :: !membership_log;
-      emit_event (membership_json m)
-    end
-  in
-  let do_leave ~gen r =
-    if (not (ok_rank r)) || List.length (List.filter ok_rank (live ())) <= 1
-    then begin
-      incr skipped;
-      Trace.instant ~args:[ ("rank", string_of_int r) ] "sup.leave_skipped"
-    end
-    else begin
-      let before = total_walkers () in
-      let s = proc r in
-      let incarnation = s.incarnation in
-      let drained =
-        guard r (fun s ->
-            send s (Wire.Drain { gen });
-            let ws =
-              match recv s with
-              | Wire.Walkers { walkers; _ } -> walkers
-              | _ -> raise (Wire.Garbage "expected drain batch")
-            in
-            (match recv s with
-            | Wire.Leave { count; _ } when count = List.length ws -> ()
-            | _ -> raise (Wire.Garbage "drain count mismatch"));
-            send s Wire.Finish;
-            (match recv ~timeout:(startup_timeout p) s with
-            | Wire.Final { acc = a; prop = pr; trace; _ } ->
-                acc_left := !acc_left + a;
-                prop_left := !prop_left + pr;
-                if trace <> "" then (
-                  try Trace.ingest ~pid:r trace with Trace.Malformed -> ())
-            | _ -> raise (Wire.Garbage "expected final"));
-            ws)
-      in
-      match drained with
-      | None ->
-          (* The rank died mid-drain: [guard] already reaped it and its
-             shard walkers are gone until the next checkpoint salvage.
-             Record the slot as vacant so a later join can refill it. *)
-          Hashtbl.remove members r;
-          vacant := r :: !vacant;
-          Hashtbl.replace incarnations r (incarnation + 1);
-          incr skipped
-      | Some ws ->
-          T.close s.link;
-          Hashtbl.remove members r;
-          Ledger.drop_rank ledger ~rank:r;
-          Hashtbl.remove rank_prop r;
-          vacant := r :: !vacant;
-          Hashtbl.replace incarnations r (incarnation + 1);
-          (match List.filter ok_rank (live ()) with
-          | [] -> ()
-          | dst :: _ ->
-              List.iter
-                (fun w ->
-                  incr comm_messages;
-                  comm_bytes := !comm_bytes + Walker.message_bytes w)
-                ws;
-              if ws <> [] then
-                ignore
-                  (guard dst (fun sd ->
-                       send sd (Wire.Walkers { gen; walkers = ws });
-                       sd.count <- sd.count + List.length ws)));
-          incr leaves;
-          Metrics.inc (Metrics.counter "sup.leaves");
-          Trace.instant ~args:[ ("rank", string_of_int r) ] "sup.leave";
-          let m =
-            {
-              m_gen = gen;
-              m_kind = "leave";
-              m_rank = r;
-              m_live = List.length (List.filter ok_rank (live ()));
-              m_walkers_before = before;
-              m_walkers_after = total_walkers ();
-            }
-          in
-          membership_log := m :: !membership_log;
-          emit_event (membership_json m)
-    end
-  in
-  (* -------- generation loop -------- *)
-  (* A job snapshot at a generation boundary: the supervisor's series and
-     counters plus every rank's [State].  IO failures are swallowed — a
-     snapshot that does not land only costs resume granularity — and a
-     round a rank fails to answer is not saved. *)
-  let save_snapshot ~gen path =
-    let ranks = live () in
-    let states =
-      List.filter_map
-        (fun r ->
-          ignore (guard r (fun s -> send s (Wire.State_req { gen })));
-          recv_expect r (function
-            | Wire.State { gen = g; master; pool; acc; prop; walkers }
-              when g = gen ->
-                Some
-                  ( {
-                      Snapshot.r_rank = r;
-                      r_master = master;
-                      r_pool = pool;
-                      r_acc = acc;
-                      r_prop = prop;
-                    },
-                    (r, walkers) )
-            | _ -> None))
-        ranks
-    in
-    if List.length states = List.length ranks then
-      let st =
-        {
-          Snapshot.gen;
-          seed = p.seed;
-          ranks = p.ranks;
-          target = p.target_walkers;
-          e_trial = !e_trial;
-          energy = Stats.to_array energy_series;
-          pops = Array.of_list (List.rev !pop_series);
-          samples = !samples;
-          comm_messages = !comm_messages;
-          comm_bytes = !comm_bytes;
-          rank_states = List.map fst states;
-        }
-      in
-      try Snapshot.save ~path st (List.map snd states)
-      with Sys_error _ | Checkpoint.Corrupt _ -> ()
-  in
-  let gen_ref = ref (start_gen + 1) in
-  let job_drained = ref false in
-  while (not !job_drained) && !gen_ref <= total_gens do
-    let gen = !gen_ref in
-    Trace.with_span ~args:[ ("gen", string_of_int gen) ] "sup.generation"
-    @@ fun () ->
-    let gen_t0 = Oqmc_containers.Timers.now () in
-    cur_gen := gen;
-    failed_this_gen := [];
-    rtt_max := 0.;
-    let participants = live () in
-    (* Phase 1: open the generation. *)
-    List.iter
-      (fun r ->
-        ignore
-          (guard r (fun s ->
-               s.begin_t <- Oqmc_containers.Timers.now ();
-               send s (Wire.Begin_gen { gen; e_trial = !e_trial }))))
-      participants;
-    (* Phase 2: arrival-order collection, ascending-order reduction. *)
-    let arrivals = collect_phase2 ~gen participants in
-    let wsum_t = ref 0. and esum_t = ref 0. and n_t = ref 0 in
-    let acc_t = ref 0 and prop_t = ref 0 in
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt arrivals r with
-        | None -> ()
-        | Some (w, e, a, pr, n, kvs, arrival) ->
-            wsum_t := !wsum_t +. w;
-            esum_t := !esum_t +. e;
-            acc_t := !acc_t + a;
-            prop_t := !prop_t + pr;
-            n_t := !n_t + n;
-            let s = proc r in
-            s.count <- n;
-            Metrics.absorb_kvs
-              (List.map
-                 (fun (kind, key, value) -> { Metrics.kind; key; value })
-                 kvs);
-            (* Ledger feed: supervisor-side generation wall (Begin_gen
-               send to Reduce arrival) over the rank's proposed-move
-               delta. *)
-            let gen_time = arrival -. s.begin_t in
-            let before =
-              Option.value ~default:0 (Hashtbl.find_opt rank_prop r)
-            in
-            Hashtbl.replace rank_prop r pr;
-            Ledger.observe_gen ledger ~rank:r ~gen
-              ~moves:(max 0 (pr - before)) ~wall_s:gen_time;
-            (* Soft-deadline straggler check: the budget plus three
-               smoothed RTTs of slack, so policy only fires on ranks
-               genuinely slower than their own recent history. *)
-            if p.gen_deadline_ms > 0 then begin
-              let soft =
-                (float_of_int p.gen_deadline_ms /. 1000.)
-                +. (3. *. s.rtt_ewma)
-              in
-              if gen_time > soft then begin
-                incr stragglers;
-                Ledger.add_straggle ledger ~rank:r
-                  ~seconds:(gen_time -. soft);
-                s.straggles <- s.straggles + 1;
-                Metrics.inc (Metrics.counter "sup.stragglers");
-                Trace.instant
-                  ~args:
-                    [
-                      ("rank", string_of_int r);
-                      ("gen_ms", string_of_int (int_of_float (gen_time *. 1e3)));
-                      ("policy", straggler_policy_name p.straggler_policy);
-                    ]
-                  "sup.straggler";
-                match p.straggler_policy with
-                | Warn -> ()
-                | Quarantine -> if s.straggles >= 3 then fail_rank r Stall
-              end
-              else s.straggles <- 0
-            end)
-      participants;
-    let reduced = List.filter ok_rank participants in
-    if reduced = [] then raise All_ranks_lost;
-    if List.length reduced < p.ranks then incr degraded_generations;
-    let e_gen = if !wsum_t > 0. then !esum_t /. !wsum_t else !e_trial in
-    if gen > p.warmup then begin
-      Stats.append energy_series e_gen;
-      pop_series := !n_t :: !pop_series;
-      samples := !samples + !n_t
-    end;
-    (* Per-generation acceptance from the cumulative move totals the
-       ranks report; a respawned rank resets its totals, so the delta is
-       clamped at zero for that generation. *)
-    let gen_acc = max 0 (!acc_t - !prev_acc)
-    and gen_prop = max 0 (!prop_t - !prev_prop) in
-    prev_acc := !acc_t;
-    prev_prop := !prop_t;
-    (* Phase 3: branch, collect post-branch counts. *)
-    List.iter
-      (fun r -> ignore (guard r (fun s -> send s (Wire.Branch { gen }))))
-      reduced;
-    List.iter
-      (fun r ->
-        match
-          recv_expect r (function
-            | Wire.Count { gen = g; n } when g = gen -> Some n
-            | _ -> None)
-        with
-        | Some n -> (proc r).count <- n
-        | None -> ())
-      reduced;
-    (* Phase 4: real load-balance exchange, relayed through the
-       supervisor in deterministic plan order. *)
-    relay_exchange ~gen reduced;
-    (* Phase 5: global trial-energy feedback from the reduced counts. *)
-    let total =
-      List.fold_left
-        (fun a r -> if ok_rank r then a + (proc r).count else a)
-        0 reduced
-    in
-    e_trial :=
-      Population.trial_energy_update ~feedback:p.feedback ~tau:p.tau
-        ~target:p.target_walkers ~population:total ~e_estimate:e_gen;
-    (* Phase 6: sharded checkpoint round + manifest. *)
-    (match p.checkpoint with
-    | Some path when p.checkpoint_every > 0 && gen mod p.checkpoint_every = 0
-      ->
-        let acked = ref [] in
-        List.iter
-          (fun r ->
-            ignore
-              (guard r (fun s ->
-                   send s
-                     (Wire.Checkpoint_cmd { gen; e_trial = !e_trial }))))
-          (List.filter ok_rank reduced);
-        List.iter
-          (fun r ->
-            match
-              recv_expect r (function
-                | Wire.Ack { gen = g; ok } when g = gen -> Some ok
-                | _ -> None)
-            with
-            | Some true -> acked := r :: !acked
-            | _ -> ())
-          (List.filter ok_rank reduced);
-        (try
-           Checkpoint.save_manifest ~path ~gen ~ranks:(List.rev !acked) ()
-         with Sys_error _ -> ())
-    | _ -> ());
-    (* Phase 7: recovery — respawn this generation's casualties, or
-       degrade once the respawn budget is spent.  An abandoned slot is
-       recorded VACANT, so a later membership Join can refill it with a
-       fresh incarnation: degradation is reversible. *)
-    List.iter
-      (fun r ->
-        let s = proc r in
-        if s.incarnation >= p.max_respawn then begin
-          s.dead <- true;
-          ranks_failed := r :: !ranks_failed;
-          Ledger.drop_rank ledger ~rank:r;
-          Hashtbl.remove rank_prop r;
-          vacant := r :: !vacant;
-          Hashtbl.replace incarnations r (s.incarnation + 1);
-          Metrics.inc (Metrics.counter "sup.ranks_abandoned");
-          Trace.instant
-            ~args:
-              [
-                ("rank", string_of_int r);
-                ("incarnation", string_of_int s.incarnation);
-              ]
-            "sup.rank_abandoned";
-          (* Salvage the lost shard from its newest valid checkpoint and
-             spread it over the survivors. *)
-          let salvaged =
-            match p.checkpoint with
-            | None -> []
-            | Some path -> (
-                match Checkpoint.load_latest_shard ~path ~rank:r with
-                | _, (_, ws) -> ws
-                | exception Checkpoint.Corrupt _ -> [])
-          in
-          let survivors = List.filter ok_rank (live ()) in
-          match (salvaged, survivors) with
-          | [], _ | _, [] -> ()
-          | ws, survivors ->
-              let k = List.length survivors in
-              List.iteri
-                (fun i dst ->
-                    let mine =
-                      List.filteri (fun j _ -> j mod k = i) ws
-                    in
-                    if mine <> [] then
-                      ignore
-                        (guard dst (fun sd ->
-                             send sd
-                               (Wire.Walkers { gen; walkers = mine });
-                             sd.count <- sd.count + List.length mine)))
-                survivors
-        end
-        else begin
-          incr respawns;
-          let incarnation = s.incarnation + 1 in
-          let backoff =
-            p.respawn_backoff *. float_of_int (1 lsl (incarnation - 1))
-          in
-          Metrics.inc (Metrics.counter "sup.respawns");
-          Trace.instant
-            ~args:
-              [
-                ("rank", string_of_int r);
-                ("incarnation", string_of_int incarnation);
-                ("backoff_s", Printf.sprintf "%.3f" backoff);
-              ]
-            "sup.respawn";
-          Unix.sleepf backoff;
-          let init =
-            match p.checkpoint with
-            | None -> None
-            | Some path -> (
-                match Checkpoint.load_latest_shard ~path ~rank:r with
-                | _, (e_trial, walkers) ->
-                    Some { Rank.e_trial; walkers; resume = None }
-                | exception Checkpoint.Corrupt _ -> None)
-          in
-          spawn ~cfg:(rank_config p ~rank:r ~incarnation ~after:gen) ~init;
-          let startup = startup_timeout p in
-          failed_this_gen := List.filter (fun x -> x <> r) !failed_this_gen;
-          match
-            recv_expect ~timeout:startup r (function
-              | Wire.Hello _ -> Some ()
-              | _ -> None)
-          with
-          | None -> (proc r).dead <- true; ranks_failed := r :: !ranks_failed
-          | Some () -> (
-              match init with
-              | Some i -> (proc r).count <- List.length i.Rank.walkers
-              | None -> (
-                  (* No shard to restore: restart the rank from fresh
-                     walkers at its ideal share of the target. *)
-                  let want =
-                    max 1 (p.target_walkers / max 1 (List.length (live ())))
-                  in
-                  ignore
-                    (guard r (fun s2 ->
-                         send s2 (Wire.Init { count = want })));
-                  match
-                    recv_expect ~timeout:startup r (function
-                      | Wire.Reduce { gen = 0; n; _ } -> Some n
-                      | _ -> None)
-                  with
-                  | Some n -> (proc r).count <- n
-                  | None ->
-                      (proc r).dead <- true;
-                      ranks_failed := r :: !ranks_failed))
-        end)
-      (List.rev !failed_this_gen);
-    if live () = [] then raise All_ranks_lost;
-    let elapsed = Oqmc_containers.Timers.now () -. t0 in
-    let acceptance =
-      float_of_int gen_acc /. float_of_int (max 1 gen_prop)
-    in
-    let walkers_per_s =
-      if elapsed > 0. then float_of_int !samples /. elapsed else 0.
-    in
-    let gen_record =
-      Oqmc_obs.Jsonx.(Obj
-         [
-           ("gen", Num (float_of_int gen));
-           ("e_gen", Num e_gen);
-           ("e_trial", Num !e_trial);
-           ("population", Num (float_of_int total));
-           ("acceptance", Num acceptance);
-           ("walkers_per_s", Num walkers_per_s);
-           ("live_ranks", Num (float_of_int (List.length (live ()))));
-           ("rtt_max_s", Num !rtt_max);
-           ( "respawns",
-             Num
-               (float_of_int
-                  (Metrics.counter_value
-                     (Metrics.counter "sup.respawns"))) );
-           ("wall_s", Num elapsed);
-         ])
-    in
-    Flightrec.record "gen" gen_record;
-    if gen > p.warmup then emit ~gen:(gen - p.warmup) gen_record;
-    update_progress
-      (Printf.sprintf
-         "dmc[%d/%d ranks] gen %d/%d  E %+.6f  E_T %+.6f  pop %d  acc %.3f  %.0f w/s  lag %.1fms"
-         (List.length (live ())) p.ranks gen total_gens e_gen !e_trial
-         total acceptance walkers_per_s (1e3 *. !rtt_max));
-    (* Membership events scheduled for this generation, applied after
-       recovery so joins see a settled member set. *)
-    if p.elastic then
-      List.iter
-        (fun (g, ev) ->
-          if g = gen then
-            match ev with
-            | Join -> do_join ~gen
-            | Leave r -> do_leave ~gen r)
-        p.membership;
-    let dt = Oqmc_containers.Timers.now () -. gen_t0 in
-    Metrics.observe m_gen_s dt;
-    gen_times := dt :: !gen_times;
-    if gen mod ledger_emit_every = 0 then emit_event (ledger_event ~gen ledger);
-    fire_window p gen;
-    (* Graceful early drain: the [stop] poll ends the run at the next
-       generation boundary and the normal finals collection below still
-       runs, so a deadline-stopped job reports consistent partial
-       estimators instead of dying mid-protocol.  The snapshot cadence
-       always covers the drain point and the final generation, so a
-       suspended job never replays work. *)
-    if stop () then job_drained := true;
-    write_status ~force:(!job_drained || gen = total_gens) (fun () ->
-        Oqmc_obs.Jsonx.(Obj
-           [
-             ("gen", Num (float_of_int gen));
-             ("total_gens", Num (float_of_int total_gens));
-             ("e_gen", Num e_gen);
-             ("e_trial", Num !e_trial);
-             ("population", Num (float_of_int total));
-             ("live_ranks", Num (float_of_int (List.length (live ()))));
-             ("walkers_per_s", Num walkers_per_s);
-             ("wall_s", Num elapsed);
-             ("ledger", Ledger.json ledger);
-             ("audit", audit_json ());
-           ]));
-    (match snapshot with
-    | Some path
-      when !job_drained || gen = total_gens || gen mod snapshot_every = 0 ->
-        save_snapshot ~gen path
-    | _ -> ());
-    incr gen_ref
-  done;
-  let last_gen = !gen_ref - 1 in
-  (* -------- collect finals -------- *)
-  let live_at_end = List.length (live ()) in
-  let acc = ref !acc_left and prop = ref !prop_left in
-  let final_walkers = ref [] in
-  List.iter
-    (fun r ->
-      failed_this_gen := [];
-      ignore (guard r (fun s -> send s Wire.Finish));
-      (match
-         recv_expect ~timeout:(startup_timeout p) r (function
-           | Wire.Final { acc = a; prop = pr; walkers; trace } ->
-               Some (a, pr, walkers, trace)
-           | _ -> None)
-       with
-      | Some (a, pr, walkers, trace) ->
-          acc := !acc + a;
-          prop := !prop + pr;
-          (* Merge the rank's span ring into the supervisor's trace
-             under the rank's id, so the exported timeline shows every
-             process on its own track. *)
-          (if trace <> "" then
-             try Trace.ingest ~pid:r trace with Trace.Malformed -> ());
-          final_walkers := !final_walkers @ walkers
-      | None -> ());
-      T.close (proc r).link)
-    (live ());
-  let pops = Array.of_list (List.rev !pop_series) in
-  let job_result =
+    let last_gen = loop (start_gen + 1) in
     {
-      energy = Stats.series_mean energy_series;
-      energy_error = Stats.series_error energy_series;
-      variance = Stats.series_variance energy_series;
-      tau_corr = Stats.autocorrelation_time energy_series;
-      acceptance = float_of_int !acc /. float_of_int (max 1 !prop);
-      wall_time = Oqmc_containers.Timers.now () -. t0;
-      mean_population =
-        (if Array.length pops = 0 then 0.
-         else
-           float_of_int (Array.fold_left ( + ) 0 pops)
-           /. float_of_int (Array.length pops));
-      energy_series = Stats.to_array energy_series;
-      population_series = pops;
-      comm_messages = !comm_messages;
-      comm_bytes = !comm_bytes;
-      respawns = !respawns;
-      heartbeat_timeouts = !hb_timeouts;
-      garbage_frames = !garbage_frames;
-      crashes = !crashes;
-      ranks_failed = List.sort compare !ranks_failed;
-      live_ranks = live_at_end;
-      degraded_generations = !degraded_generations;
-      joins = !joins;
-      leaves = !leaves;
-      stragglers = !stragglers;
-      membership_skipped = !skipped;
-      membership_log = List.rev !membership_log;
-      gen_p50_s = wall_percentile !gen_times 0.50;
-      gen_p99_s = wall_percentile !gen_times 0.99;
-      final_walkers = !final_walkers;
-      final_e_trial = !e_trial;
+      job_result = finals st;
+      gens_done = last_gen - start_gen;
+      drained = last_gen < st.total_gens;
+      resumed_from = start_gen;
     }
-  in
-  {
-    job_result;
-    gens_done = last_gen - start_gen;
-    drained = !job_drained && last_gen < total_gens;
-    resumed_from = start_gen;
-  }
   with e ->
     (* Abort unwind — [All_ranks_lost], [Interrupted], startup failure:
        dump the flight recorder before [cleanup] closes the sinks. *)
     let bt = Printexc.get_raw_backtrace () in
-    flight_dump p (Printexc.to_string e);
+    Sup_obs.flight_dump obs (Printexc.to_string e);
     Printexc.raise_with_backtrace e bt
-
-
 
 let never () = false
 

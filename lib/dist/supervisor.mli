@@ -15,24 +15,14 @@ open Oqmc_core
 
     The rank set is ELASTIC: a membership plan can grow it mid-run
     (fork + [Join] + rebalance) and retire ranks gracefully ([Drain] →
-    shard ships to the survivors → reap).  Slots abandoned when the
-    respawn budget runs out become vacant and refillable by later
-    joins, so degraded mode is reversible.  Ranks that blow the soft
-    generation deadline are handled per {!straggler_policy}.
+    shard ships to the survivors → reap).  Every slot that empties — a
+    leave, a failed join, a rank abandoned when its respawn budget runs
+    out or its respawn never starts — becomes vacant and refillable by
+    later joins, so degraded mode is reversible.  Ranks that blow the
+    soft generation deadline are counted as stragglers.
 
     With zero injected faults the two transports are bit-identical,
     including through a shared membership plan's joins and leaves. *)
-
-type straggler_policy =
-  | Warn  (** count + trace the straggler, nothing else *)
-  | Quarantine
-      (** three consecutive misses → treated as a stall: the rank is
-          killed and respawned from its newest checkpoint shard *)
-
-val straggler_policy_of_string : string -> straggler_policy option
-(** ["warn" | "quarantine"]. *)
-
-val straggler_policy_name : straggler_policy -> string
 
 type member_event =
   | Join  (** grow the rank set by one (lowest vacant slot, else a
@@ -73,9 +63,9 @@ type params = {
       (** enable the membership plan and (with [gen_deadline_ms > 0])
           asynchronous double-buffered shard checkpoints *)
   gen_deadline_ms : int;
-      (** soft per-generation budget feeding the straggler policy;
-          0 = classic lockstep behavior *)
-  straggler_policy : straggler_policy;
+      (** soft per-generation budget: a rank slower than it plus three
+          smoothed heartbeat RTTs counts as a straggler; 0 = classic
+          lockstep behavior *)
   membership : (int * member_event) list;
       (** (generation, event): applied at the END of that generation,
           in list order.  Requires [elastic = true] *)
@@ -119,7 +109,9 @@ type result = {
   mean_population : float;
   energy_series : float array;
   population_series : int array;
-  comm_messages : int;  (** walkers exchanged for load balance *)
+  comm_messages : int;
+      (** walkers the supervisor delivered to a rank: load-balance
+          exchange, a leaving rank's shard, a salvaged shard *)
   comm_bytes : int;  (** payload bytes of those walkers *)
   respawns : int;
   heartbeat_timeouts : int;

@@ -51,7 +51,6 @@ type t = {
   max_respawn : int; (* respawns per rank before it is abandoned *)
   elastic : bool; (* elastic rank membership + async checkpoints *)
   gen_deadline_ms : int; (* soft generation budget; 0 = lockstep *)
-  straggler_policy : string; (* warn | quarantine *)
   trace : string option; (* Chrome trace_event JSON output *)
   telemetry : string option; (* per-generation JSONL output *)
   telemetry_every : int;
@@ -87,7 +86,6 @@ let default =
     max_respawn = 2;
     elastic = false;
     gen_deadline_ms = 0;
-    straggler_policy = "warn";
     trace = None;
     telemetry = None;
     telemetry_every = 1;
@@ -170,11 +168,6 @@ let apply cfg ~line key value =
       let d = parse_int line value in
       if d < 0 then fail line "gen_deadline_ms must be >= 0, got %d" d;
       { cfg with gen_deadline_ms = d }
-  | "straggler_policy" -> (
-      match String.lowercase_ascii value with
-      | ("warn" | "quarantine") as pol -> { cfg with straggler_policy = pol }
-      | other ->
-          fail line "straggler_policy must be warn or quarantine, got %S" other)
   | "trace" -> { cfg with trace = Some value }
   | "telemetry" -> { cfg with telemetry = Some value }
   | "telemetry_every" -> { cfg with telemetry_every = parse_int line value }
@@ -273,7 +266,6 @@ let canonical cfg =
   put "ranks" (string_of_int cfg.ranks);
   put "elastic" (string_of_bool cfg.elastic);
   put "gen_deadline_ms" (string_of_int cfg.gen_deadline_ms);
-  put "straggler_policy" cfg.straggler_policy;
   Buffer.contents b
 
 let deck_hash cfg = Digest.to_hex (Digest.string (canonical cfg))

@@ -54,10 +54,9 @@ type t = {
           [gen_deadline_ms > 0], async double-buffered shard
           checkpoints *)
   gen_deadline_ms : int;
-      (** soft per-generation budget feeding the straggler policy;
-          0 = classic lockstep.  Values < 0 are rejected at parse time *)
-  straggler_policy : string;
-      (** ["warn"] or ["quarantine"] (validated at parse time) *)
+      (** soft per-generation budget: a rank slower than it is counted
+          as a straggler; 0 = classic lockstep.  Values < 0 are rejected
+          at parse time *)
   trace : string option;
       (** write a Chrome trace_event JSON timeline here (load it in
           Perfetto / chrome://tracing) *)

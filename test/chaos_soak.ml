@@ -64,7 +64,6 @@ let base_params seed =
     respawn_backoff = 0.005;
     elastic = true;
     gen_deadline_ms = 200;
-    straggler_policy = Supervisor.Warn;
   }
 
 let assert_finite seed (res : Supervisor.result) =
@@ -217,7 +216,6 @@ let latency_run ~softened =
       checkpoint_keep = 2;
       faults;
       gen_deadline_ms = (if softened then 40 else 0);
-      straggler_policy = Supervisor.Warn;
     }
   in
   let res = Supervisor.run ~factory p in

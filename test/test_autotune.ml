@@ -100,6 +100,36 @@ let test_publish_gauges () =
         | _ -> false))
     [ "audit.efficiency"; "audit.projected_gen_s"; "audit.measured_gen_s" ]
 
+(* "Within 2x" is two-sided: 0.5 <= efficiency <= 2. *)
+let test_verdict_two_sided () =
+  let verdict efficiency =
+    Audit.table
+      {
+        Audit.machine_name = "m";
+        calibrated = false;
+        projected_gen_s = efficiency;
+        measured_gen_s = 1.;
+        efficiency;
+        gens = 1;
+        kernels = [];
+      }
+    |> String.split_on_char '\n'
+    |> List.find (String.starts_with ~prefix:"verdict:")
+  in
+  let within e =
+    let v = verdict e in
+    let sub = "within 2x" in
+    let n = String.length sub in
+    List.exists
+      (fun i -> String.sub v i n = sub)
+      (List.init (String.length v - n + 1) Fun.id)
+  in
+  check_bool "5.9 is not within 2x" false (within 5.9);
+  check_bool "0.3 is not within 2x" false (within 0.3);
+  check_bool "1.0 is within 2x" true (within 1.0);
+  check_bool "5.9 reads as faster than the model" true
+    (String.starts_with ~prefix:"verdict: more than 2x faster" (verdict 5.9))
+
 let () =
   Alcotest.run "autotune"
     [
@@ -118,5 +148,7 @@ let () =
         [
           Alcotest.test_case "choice json" `Quick test_choice_json_roundtrip;
           Alcotest.test_case "metrics gauges" `Quick test_publish_gauges;
+          Alcotest.test_case "verdict is two-sided" `Quick
+            test_verdict_two_sided;
         ] );
     ]

@@ -1047,7 +1047,46 @@ let test_drain_refill_degraded_reversible () =
   check_int "back to full strength at the end" 3 r.Supervisor.live_ranks;
   assert_healthy "degraded-reversible" r
 
-(* ---------- soft deadlines + straggler policies ---------- *)
+(* A respawn that never starts abandons its rank the way an exhausted
+   budget does: the slot is vacated, so a later Join refills it, and the
+   newest shard is salvaged.  Rank 1 is killed at generation 4; its
+   respawn (the second build of its engine, counted in a file because
+   forked ranks share no memory) fails, and the Join at generation 8
+   brings it back as a third incarnation. *)
+let test_failed_respawn_vacates () =
+  let builds = Filename.concat (tmpdir ()) "rank1.builds" in
+  let failing i =
+    if i = 1 then begin
+      let oc = open_out_gen [ Open_append; Open_creat ] 0o600 builds in
+      output_string oc "x";
+      close_out oc;
+      let marks = In_channel.with_open_bin builds In_channel.input_all in
+      if String.length marks = 2 then failwith "rank 1: second build refused"
+    end;
+    factory i
+  in
+  let p =
+    {
+      base_params with
+      Supervisor.elastic = true;
+      generations = 12;
+      max_respawn = 1;
+      checkpoint = Some (Filename.concat (tmpdir ()) "run.chk");
+      checkpoint_every = 1;
+      faults = [ (1, 4, Fault.Rank_kill) ];
+      membership = [ (8, Supervisor.Join) ];
+    }
+  in
+  let r = Supervisor.run ~factory:failing p in
+  check_int "one respawn tried" 1 r.Supervisor.respawns;
+  Alcotest.(check (list int)) "rank 1 abandoned" [ 1 ] r.Supervisor.ranks_failed;
+  (match r.Supervisor.membership_log with
+  | [ m ] -> check_int "join refilled the vacated slot" 1 m.Supervisor.m_rank
+  | _ -> Alcotest.fail "expected exactly one membership record");
+  check_int "back to full strength at the end" 3 r.Supervisor.live_ranks;
+  assert_healthy "failed-respawn" r
+
+(* ---------- soft deadlines + stragglers ---------- *)
 
 let test_straggler_warn_counts () =
   let p =
@@ -1067,18 +1106,21 @@ let test_straggler_warn_counts () =
    + r.Supervisor.crashes);
   assert_healthy "straggler-warn" r
 
-let test_straggler_steal_refused () =
-  (* Stealing is not a policy: the name maps to nothing and a deck that
-     asks for it fails to parse, naming its line. *)
-  check_bool "no steal policy" true
-    (Supervisor.straggler_policy_of_string "steal" = None);
-  match
-    Input.parse_string "method = dmc\nranks = 2\nstraggler_policy = steal\n"
-  with
-  | _ -> Alcotest.fail "straggler_policy = steal accepted"
-  | exception Input.Parse_error msg ->
-      check_bool ("names line 3: " ^ msg) true
-        (String.starts_with ~prefix:"line 3:" msg)
+let test_straggler_policy_refused () =
+  (* A straggler is only ever counted: there is no policy key, so a deck
+     that asks for one fails to parse, naming its line. *)
+  List.iter
+    (fun policy ->
+      match
+        Input.parse_string
+          ("method = dmc\nranks = 2\nstraggler_policy = " ^ policy ^ "\n")
+      with
+      | _ -> Alcotest.failf "straggler_policy = %s accepted" policy
+      | exception Input.Parse_error msg ->
+          Alcotest.(check string)
+            ("unknown key on line 3: " ^ policy)
+            "line 3: unknown key \"straggler_policy\"" msg)
+    [ "quarantine"; "steal"; "warn" ]
 
 (* ---------- chaos schedules ---------- *)
 
@@ -1202,10 +1244,12 @@ let () =
             `Quick test_membership_forked_matches_local;
           Alcotest.test_case "abandoned slot refilled by a later join" `Quick
             test_drain_refill_degraded_reversible;
+          Alcotest.test_case "failed respawn vacates its slot" `Quick
+            test_failed_respawn_vacates;
           Alcotest.test_case "straggler policy: warn" `Quick
             test_straggler_warn_counts;
           Alcotest.test_case "straggler policy: steal" `Quick
-            test_straggler_steal_refused;
+            test_straggler_policy_refused;
           Alcotest.test_case "chaos plans are deterministic" `Quick
             test_chaos_plan_deterministic;
         ] );

@@ -336,8 +336,8 @@ let test_canonical_sensitivity () =
       ("ranks", "3");
     ];
   (* ... while spelling out a default is a no-op. *)
-  check_str "explicit straggler_policy = warn keeps the hash" h0
-    (hash_of (base_deck @ [ ("straggler_policy", "warn") ]))
+  check_str "explicit gen_deadline_ms = 0 keeps the hash" h0
+    (hash_of (base_deck @ [ ("gen_deadline_ms", "0") ]))
 
 let prop_canonical_shuffle =
   (* Property: ANY permutation of the deck lines, with random comment
@@ -704,8 +704,9 @@ let test_served_bad_decks_rejected () =
               ("checkpoint_keep = 0", "checkpoint_keep must be >= 1, got 0");
               ("autotune = true", "line 6: unknown key \"autotune\"");
               ( "straggler_policy = steal",
-                "line 6: straggler_policy must be warn or quarantine, got \
-                 \"steal\"" );
+                "line 6: unknown key \"straggler_policy\"" );
+              ( "straggler_policy = quarantine",
+                "line 6: unknown key \"straggler_policy\"" );
             ]))
 
 let () =
