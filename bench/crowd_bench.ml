@@ -40,6 +40,10 @@ module AA32 = Dt_aa_soa.Make (Precision.F32) (Precision.F32)
 module AB32 = Dt_ab_soa.Make (Precision.F32) (Precision.F32)
 module AAref64 = Dt_aa_ref.Make (Precision.F64)
 module ABref64 = Dt_ab_ref.Make (Precision.F64)
+module J2_32 = Jastrow_two.Make (Precision.F32) (Precision.F32)
+module J1_32 = Jastrow_one.Make (Precision.F32) (Precision.F32)
+module Det32 = Slater_det.Make (Precision.F32) (Precision.F32)
+module W32 = Wfc.Make (Precision.F32)
 
 let time_per ~reps f =
   let t0 = Timers.now () in
@@ -213,6 +217,156 @@ let stage_move ~slots ~k ~px ~py ~pz =
       AB64.move ab np)
     slots
 
+(* One kernel line: [scalar] and [batch] each run one move per crowd
+   slot.  The batched side may not allocate: more than one minor word per
+   move fails the run. *)
+let kernel_point ~reps ~crowd ~kernel ~scalar ~batch =
+  let st = time_per ~reps scalar in
+  let bt = time_per ~reps batch in
+  let bw = minor_words_per ~reps:2000 batch /. float_of_int crowd in
+  (* the whole point of the batched path: zero allocation per move *)
+  if bw > 1. then
+    failwith
+      (Printf.sprintf "crowd_bench: %s batch allocates %.1f words/move" kernel
+         bw);
+  {
+    kernel;
+    kcrowd = crowd;
+    scalar_ns_per_move = st *. 1e9 /. float_of_int crowd;
+    batch_ns_per_move = bt *. 1e9 /. float_of_int crowd;
+    kernel_speedup = st /. bt;
+    batch_words_per_move = bw;
+  }
+
+(* The move kernels at NiO-32 r8's shape, as nio32-current-dmc runs
+   them: 48 electrons (24 + 24) and 8 ions, f32 positions, tables and
+   inverse, crowd 8.  J2 and J1: one ratio-gradient and one accept per
+   slot.  DetUpdate: the delayed update at delay 4 over a 24-electron
+   determinant, one gradient, ratio-gradient and accept per slot, the
+   moving electron cycling through four rows so each ratio sees 0, 1, 2
+   then 3 pending rows (the fourth accept flushes).  Every proposal is
+   the electron's current orbital row, so the ratio is 1 and the state
+   stays put however many moves are timed. *)
+let bench_r8_kernels ~reps () =
+  let crowd = 8 and n = 48 and n_up = 24 in
+  let lattice = Lattice.orthorhombic 7. 7.5 8. in
+  let ions =
+    let io =
+      Ps32.create ~lattice
+        [ { Particle_set.name = "ion"; charge = 2.; count = 8 } ]
+    in
+    let r = Xoshiro.create 41 in
+    Ps32.randomize io (fun () -> Xoshiro.uniform r);
+    io
+  in
+  let functors2 = Oqmc_workloads.Jastrow_sets.ee_set ~cutoff:3.4 in
+  let functors1 =
+    [| Oqmc_workloads.Jastrow_sets.one_body ~depth:0.4 ~range:0.9 ~cutoff:3.4 () |]
+  in
+  let spo = Spo_analytic.plane_waves ~lattice ~n_orb:n_up in
+  let k = n_up / 2 in
+  let slots =
+    Array.init crowd (fun s ->
+        let ps =
+          Ps32.create ~lattice
+            [
+              { Particle_set.name = "u"; charge = -1.; count = n_up };
+              { Particle_set.name = "d"; charge = -1.; count = n - n_up };
+            ]
+        in
+        let r = Xoshiro.create (200 + s) in
+        Ps32.randomize ps (fun () -> Xoshiro.uniform r);
+        let aa = AA32.create ps and ab = AB32.create ~sources:ions ps in
+        AA32.evaluate aa ps;
+        AB32.evaluate ab ps;
+        let j2 = J2_32.make_opt ~table:aa ~functors:functors2 ps in
+        let j1 = J1_32.make_opt ~table:ab ~functors:functors1 ~ions ps in
+        ignore ((J2_32.opt_component j2).W32.evaluate_log ps);
+        ignore ((J1_32.opt_component j1).W32.evaluate_log ps);
+        let np = Vec3.add (Ps32.get ps k) (Vec3.make 0.1 (-0.2) 0.15) in
+        AA32.prepare aa ps k;
+        Ps32.propose ps k np;
+        AA32.move aa ps k (Ps32.active_pos ps);
+        AB32.move ab (Ps32.active_pos ps);
+        let det =
+          Det32.make ~scheme:(Det32.Delayed 4) ~spo ~first:0 ~count:n_up ps
+        in
+        ignore ((Det32.component det).W32.evaluate_log ps);
+        (* Electron r's current orbital row, for r < 4. *)
+        let vgls =
+          Array.init 4 (fun r ->
+              let vgl = Spo.make_vgl n_up in
+              spo.Spo.eval_vgl (Ps32.get ps r) vgl;
+              vgl)
+        in
+        (ps, j2, j1, det, vgls))
+  in
+  let j2s = Array.map (fun (_, j2, _, _, _) -> j2) slots in
+  let j1s = Array.map (fun (_, _, j1, _, _) -> j1) slots in
+  let j2c = Array.map J2_32.opt_component j2s in
+  let j1c = Array.map J1_32.opt_component j1s in
+  let detc = Array.map (fun (_, _, _, d, _) -> Det32.component d) slots in
+  let ratio = Array.make crowd 1. and gx = Array.make crowd 0. in
+  let gy = Array.make crowd 0. and gz = Array.make crowd 0. in
+  let acc = Array.make crowd true in
+  let reset () =
+    Array.fill ratio 0 crowd 1.;
+    Array.fill gx 0 crowd 0.;
+    Array.fill gy 0 crowd 0.;
+    Array.fill gz 0 crowd 0.
+  in
+  let row = ref 0 in
+  let point = kernel_point ~reps ~crowd in
+  [
+    point ~kernel:"j2_r8"
+      ~scalar:(fun () ->
+        Array.iteri
+          (fun s (ps, _, _, _, _) ->
+            ignore (j2c.(s).W32.ratio_grad ps k);
+            j2c.(s).W32.accept ps k)
+          slots)
+      ~batch:(fun () ->
+        reset ();
+        J2_32.ratio_grad_batch j2s ~k ~m:crowd ~ratio ~gx ~gy ~gz;
+        J2_32.accept_batch j2s ~k ~m:crowd ~acc);
+    point ~kernel:"j1_r8"
+      ~scalar:(fun () ->
+        Array.iteri
+          (fun s (ps, _, _, _, _) ->
+            ignore (j1c.(s).W32.ratio_grad ps k);
+            j1c.(s).W32.accept ps k)
+          slots)
+      ~batch:(fun () ->
+        reset ();
+        J1_32.ratio_grad_batch j1s ~k ~m:crowd ~ratio ~gx ~gy ~gz;
+        J1_32.accept_batch j1s ~k ~m:crowd ~acc);
+    (* The scalar side is the component closures, which evaluate the
+       orbitals themselves (at a proposal of the electron's own
+       position); the crowd stages get them from one batched SPO call. *)
+    point ~kernel:"det_delayed_r8"
+      ~scalar:(fun () ->
+        let r = !row in
+        row := (r + 1) land 3;
+        Array.iteri
+          (fun s (ps, _, _, _, _) ->
+            Ps32.propose ps r (Ps32.get ps r);
+            ignore (detc.(s).W32.grad ps r);
+            ignore (detc.(s).W32.ratio_grad ps r);
+            detc.(s).W32.accept ps r;
+            Ps32.reject ps)
+          slots)
+      ~batch:(fun () ->
+        let r = !row in
+        row := (r + 1) land 3;
+        reset ();
+        for s = 0 to crowd - 1 do
+          let _, _, _, det, vgls = slots.(s) in
+          Det32.grad_into det r ~s ~gx ~gy ~gz;
+          Det32.ratio_grad_into det vgls.(r) r ~s ~ratio ~gx ~gy ~gz;
+          Det32.accept_move det r
+        done);
+  ]
+
 let bench_kernels ?(reps = 20_000) () =
   let crowd = 8 and n = 16 in
   let slots, aab, abb = kernel_fixture ~crowd ~n in
@@ -265,24 +419,7 @@ let bench_kernels ?(reps = 20_000) () =
   let vb = B3_32.make_v_batch table ~cap:crowd in
   let hb = B3_32.make_vgh_batch table ~cap:crowd in
   let vrows = B3_32.vouts vb and hbufs = B3_32.outs hb in
-  let point ~kernel ~scalar ~batch =
-    let st = time_per ~reps scalar in
-    let bt = time_per ~reps batch in
-    let bw = minor_words_per ~reps:2000 batch /. float_of_int crowd in
-    (* the whole point of the batched path: zero allocation per move *)
-    if bw > 1. then
-      failwith
-        (Printf.sprintf "crowd_bench: %s batch allocates %.1f words/move"
-           kernel bw);
-    {
-      kernel;
-      kcrowd = crowd;
-      scalar_ns_per_move = st *. 1e9 /. float_of_int crowd;
-      batch_ns_per_move = bt *. 1e9 /. float_of_int crowd;
-      kernel_speedup = st /. bt;
-      batch_words_per_move = bw;
-    }
-  in
+  let point = kernel_point ~reps ~crowd in
   [
     point ~kernel:"dt_aa_prepare"
       ~scalar:(fun () ->
@@ -373,6 +510,7 @@ let bench_kernels ?(reps = 20_000) () =
       ~batch:(fun () ->
         B3_32.eval_vgh_batch table hb ~n:crowd ~u0:su0 ~u1:su1 ~u2:su2);
   ]
+  @ bench_r8_kernels ~reps ()
 
 (* ---- 3b. scalar DistTable calls: time and allocation per call ---- *)
 
@@ -382,7 +520,8 @@ type scalar_point = { call : string; ns_per_call : float; words_per_call : float
    orthorhombic cell): for Current (f32 positions and tables) one AA
    [evaluate] (all 48 rows), one AA [move] and one AB [move], which share
    the batched calls' SoA kernel; for Ref (f64, the nio32-ref-dmc
-   engine's precision) one AA and one AB [move] and the rebuild of both
+   engine's precision) one AA and one AB [move], the AA table's accept
+   scatter into its packed triangle ([update]) and the rebuild of both
    Store tables a Ref restore runs, through the AoS kernel.  None may
    allocate. *)
 let bench_scalar_dt ?(reps = 20_000) () =
@@ -428,6 +567,7 @@ let bench_scalar_dt ?(reps = 20_000) () =
     point "dt_aa_move" (fun () -> AA32.move aa ps k np);
     point "dt_ab_move" (fun () -> AB32.move ab np);
     point "dt_aa_ref_move" (fun () -> AAref64.move aref ps64 k np64);
+    point "dt_aa_ref_update" (fun () -> AAref64.update aref k);
     point "dt_ab_ref_move" (fun () -> ABref64.move bref np64);
     point "dt_ref_evaluate" (fun () ->
         AAref64.evaluate aref ps64;
@@ -666,7 +806,7 @@ let smoke () =
     kernels;
   List.iter
     (fun q ->
-      Printf.printf "crowd smoke: scalar %-15s %.2f words/call\n" q.call
+      Printf.printf "crowd smoke: scalar %-16s %.2f words/call\n" q.call
         q.words_per_call)
     (bench_scalar_dt ~reps:200 ());
   List.iter

@@ -14,6 +14,13 @@ open Oqmc_particle
    - DistTable rows (lib/particle/dt_kernels_stubs.c): ns per 48-entry
      row (NiO-32 r8's electron count, orthorhombic cell), SoA (the
      Current layout) and AoS (the Ref layout), at random points.
+   - J2 rows (lib/wavefunction/jastrow_kernels_stubs.c): ns per
+     ratio-gradient of one electron over 48 (the old and proposed spline
+     rows and their sums), two spin species, at random proposals.
+   - Delayed ratio and gradient (lib/linalg/det_kernels_stubs.c): ns per
+     proposal on a 24-electron determinant at delay 4 (NiO-32 r8's
+     Current determinant), averaged over 0, 1, 2 and 3 pending rows: the
+     ratio and the three gradient dots with the queue's correction.
 
      dune exec bench/main.exe -- --exp simd *)
 
@@ -318,6 +325,220 @@ end
 module Dt32 = Dt_run (Precision.F32)
 module Dt64 = Dt_run (Precision.F64)
 
+(* ---- J2 rows ---- *)
+
+module J2_run (R : Precision.REAL) = struct
+  module Ps = Particle_set.Make (R)
+  module Aa = Dt_aa_soa.Make (R) (R)
+  module J2 = Oqmc_wavefunction.Jastrow_two.Make (R) (R)
+  module W = Oqmc_wavefunction.Wfc.Make (R)
+  module O = Jastrow_oracle.Make (R) (R)
+
+  external ratio_novec : J2.opt array -> int -> int -> unit
+    = "oqmc_j2_ratio_novec"
+  [@@noalloc]
+
+  external ratio_vec : J2.opt array -> int -> int -> unit
+    = "oqmc_j2_ratio"
+  [@@noalloc]
+
+  external accept_novec : J2.opt array -> int -> int -> bool array -> unit
+    = "oqmc_j2_accept_novec"
+  [@@noalloc]
+
+  external accept_vec : J2.opt array -> int -> int -> bool array -> unit
+    = "oqmc_j2_accept"
+  [@@noalloc]
+
+  let run () =
+    let rng = Oqmc_rng.Xoshiro.create 47 in
+    let ps =
+      Ps.create ~lattice:dt_lattice
+        [
+          { Particle_set.name = "u"; charge = -1.; count = dt_n / 2 };
+          { Particle_set.name = "d"; charge = -1.; count = dt_n / 2 };
+        ]
+    in
+    Ps.randomize ps (fun () -> Oqmc_rng.Xoshiro.uniform rng);
+    let table = Aa.create ps in
+    Aa.evaluate table ps;
+    let functors = Oqmc_workloads.Jastrow_sets.ee_set ~cutoff:3.4 in
+    (* One state per build over the one table, from the same
+       accumulators. *)
+    let state () =
+      let st = J2.make_opt ~table ~functors ps in
+      ignore ((J2.opt_component st).W.evaluate_log ps);
+      st
+    in
+    let sn = state () and sv = state () in
+    let o = O.make_j2 ~table ~functors ps in
+    O.j2_evaluate o;
+    let k = dt_n / 2 in
+    (* Proposals: electron k displaced at random, one temporary row each. *)
+    let moves =
+      Array.init 64 (fun _ ->
+          Vec3.add (Ps.get ps k)
+            (Vec3.make
+               (Oqmc_rng.Xoshiro.gaussian rng *. 0.5)
+               (Oqmc_rng.Xoshiro.gaussian rng *. 0.5)
+               (Oqmc_rng.Xoshiro.gaussian rng *. 0.5)))
+    in
+    Aa.prepare table ps k;
+    Aa.move table ps k moves.(0);
+    let buf_of st =
+      let c = J2.opt_component st in
+      let b = Wbuffer.create () in
+      c.W.register b;
+      Wbuffer.rewind b;
+      c.W.update_buffer ps b;
+      Array.map Int64.bits_of_float (Wbuffer.contents b)
+    in
+    (* One ratio and accept through each build must leave the same
+       accumulators, the oracle's included. *)
+    ratio_novec [| sn |] k 1;
+    accept_novec [| sn |] k 1 [| true |];
+    ratio_vec [| sv |] k 1;
+    accept_vec [| sv |] k 1 [| true |];
+    ignore (O.j2_ratio_grad o k);
+    O.j2_accept o k;
+    let want = Array.map Int64.bits_of_float (O.j2_state o) in
+    List.iter
+      (fun (name, st) ->
+        if buf_of st <> want then
+          failwith
+            (Printf.sprintf "simd bench: J2 %s (%s) differs from the oracle"
+               name R.name))
+      [ ("C -fno-tree-vectorize", sn); ("C vectorized", sv) ];
+    let sweep f () =
+      for p = 0 to dt_points - 1 do
+        if p land 63 = 0 then Aa.move table ps k moves.((p lsr 6) land 63);
+        f ()
+      done
+    in
+    let impls =
+      [
+        ("OCaml oracle", fun () -> ignore (O.j2_ratio_grad o k));
+        ("C -fno-tree-vectorize", fun () -> ratio_novec [| sn |] k 1);
+        ("C vectorized", fun () -> ratio_vec [| sv |] k 1);
+      ]
+    in
+    let res =
+      median_ns ~calls:dt_points
+        (List.map (fun (name, f) -> (name, sweep f)) impls)
+    in
+    let base = snd (List.hd res) in
+    List.iter
+      (fun (name, ns) ->
+        Printf.printf "  J2 ratio_grad %s  %-22s %7.1f ns/move  (%.2fx)\n%!"
+          R.name name ns (base /. ns))
+      res
+end
+
+module J2_32 = J2_run (Precision.F32)
+module J2_64 = J2_run (Precision.F64)
+
+(* ---- delayed ratio and gradient ---- *)
+
+let du_n = 24
+let du_delay = 4
+
+module Du_run (R : Precision.REAL) = struct
+  module A = Aligned.Make (R)
+  module M = Matrix.Make (R)
+  module L = Oqmc_linalg.Lu.Make (R)
+  module Du = Oqmc_linalg.Delayed_update.Make (R)
+  module O = Det_oracle.Make (R)
+  module Spo = Oqmc_wavefunction.Spo
+
+  external dots_novec : Du.t -> int -> A.t -> Spo.vgl -> float array -> unit
+    = "oqmc_du_vgl_dots_novec"
+  [@@noalloc]
+
+  external dots_vec : Du.t -> int -> A.t -> Spo.vgl -> float array -> unit
+    = "oqmc_du_vgl_dots"
+  [@@noalloc]
+
+  let run () =
+    let n = du_n in
+    let rng = Oqmc_rng.Xoshiro.create 53 in
+    let uni () = Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1. in
+    let m = M.init n n (fun i j -> uni () +. if i = j then 4. else 0.) in
+    let b0 = M.create ~padded:true n n in
+    ignore (L.invert_transpose ~src:m ~dst:b0);
+    let row r =
+      let v = A.of_array (Array.init n (fun _ -> uni ())) in
+      A.set v r (A.get v r +. 4.);
+      v
+    in
+    let accepted = Array.init (du_delay - 1) row in
+    (* Queues with 0 … delay − 1 pending rows, library and oracle. *)
+    let queues =
+      Array.init du_delay (fun p ->
+          let bc = M.copy b0 and bo = M.copy b0 in
+          let du = Du.create ~delay:du_delay bc in
+          let od = O.du_create ~delay:du_delay bo in
+          for r = 0 to p - 1 do
+            Du.accept du r accepted.(r);
+            O.du_accept od r accepted.(r)
+          done;
+          (du, od, bo))
+    in
+    let a () = Array.init n (fun _ -> uni ()) in
+    let vgl = { Spo.v = a (); gx = a (); gy = a (); gz = a (); lap = a () } in
+    let r = du_delay in
+    let out = Array.make 4 0. and psiv = A.create n and tmp = A.create n in
+    Array.iter
+      (fun (du, od, bo) ->
+        let want =
+          let a, b, c, d =
+            O.proposal_dots ~du:od bo r ~psiv ~tmp vgl.Spo.v
+              [| vgl.Spo.gx; vgl.Spo.gy; vgl.Spo.gz |]
+          in
+          List.map Int64.bits_of_float [ a; b; c; d ]
+        in
+        List.iter
+          (fun (name, f) ->
+            f du r psiv vgl out;
+            if List.map Int64.bits_of_float (Array.to_list out) <> want then
+              failwith
+                (Printf.sprintf
+                   "simd bench: delayed ratio-gradient %s (%s) differs from \
+                    the oracle"
+                   name R.name))
+          [ ("C -fno-tree-vectorize", dots_novec); ("C vectorized", dots_vec) ])
+      queues;
+    let sweep f () =
+      for p = 0 to dt_points - 1 do
+        f queues.(p land (du_delay - 1))
+      done
+    in
+    let impls =
+      [
+        ( "OCaml oracle",
+          fun (_, od, bo) ->
+            ignore
+              (O.proposal_dots ~du:od bo r ~psiv ~tmp vgl.Spo.v
+                 [| vgl.Spo.gx; vgl.Spo.gy; vgl.Spo.gz |]) );
+        ("C -fno-tree-vectorize", fun (du, _, _) -> dots_novec du r psiv vgl out);
+        ("C vectorized", fun (du, _, _) -> dots_vec du r psiv vgl out);
+      ]
+    in
+    let res =
+      median_ns ~calls:dt_points
+        (List.map (fun (name, f) -> (name, sweep f)) impls)
+    in
+    let base = snd (List.hd res) in
+    List.iter
+      (fun (name, ns) ->
+        Printf.printf
+          "  DetUpdate ratio_grad %s  %-22s %7.1f ns/move  (%.2fx)\n%!" R.name
+          name ns (base /. ns))
+      res
+end
+
+module Du32 = Du_run (Precision.F32)
+module Du64 = Du_run (Precision.F64)
+
 let run () =
   Printf.printf
     "== SIMD ablation: B-spline kernels, %d^3 grid, %d orbitals, crowds of \
@@ -330,4 +551,16 @@ let run () =
      points, median of %d rounds ==\n%!"
     dt_n dt_points rounds;
   Dt32.run ();
-  Dt64.run ()
+  Dt64.run ();
+  Printf.printf
+    "== SIMD ablation: J2 ratio-gradient, %d electrons in two species, \
+     median of %d rounds ==\n%!"
+    dt_n rounds;
+  J2_32.run ();
+  J2_64.run ();
+  Printf.printf
+    "== SIMD ablation: delayed ratio and gradient, n = %d, delay %d, 0-%d \
+     pending, median of %d rounds ==\n%!"
+    du_n du_delay (du_delay - 1) rounds;
+  Du32.run ();
+  Du64.run ()

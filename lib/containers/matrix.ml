@@ -8,6 +8,8 @@
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
 
+  (* The determinant kernels (lib/linalg/det_kernels_stubs.c) read the
+     fields by index: keep the order in step with them. *)
   type t = { data : A.t; rows : int; cols : int; ld : int }
 
   let create ?(padded = false) rows cols =

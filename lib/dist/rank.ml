@@ -297,8 +297,12 @@ let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
            with this generation's Reduce frame. *)
         Metrics.inc (Metrics.counter "chaos.disk_full");
         Fault.arm_io_failure Fault.Checkpoint_write ~times
-    | None -> ()
+    | Some (Fault.Rank_kill_draining _) | None -> ()
   in
+  (* A drain fault fires in the drain: before it ships anything, or
+     right after its batch frame. *)
+  let kill_after_batch = ref false in
+  let self_kill () = Unix.kill (Unix.getpid ()) Sys.sigkill in
   let emit = function
     | Wire.Reduce r ->
         Wire.send fd_out
@@ -313,10 +317,25 @@ let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
     | Wire.Heartbeat { gen } as m ->
         Wire.send fd_out m;
         fire_faults ~gen
+    | Wire.Walkers _ as m when !kill_after_batch ->
+        Wire.send fd_out m;
+        self_kill ()
     | m -> Wire.send fd_out m
   in
   let t = start ~factory ~init ~emit cfg in
-  while handle t (Wire.recv fd_in) do
+  let drain_faults = function
+    | Wire.Drain { gen } -> (
+        match Fault.drain_fault_due ~gen with
+        | Some Fault.Before_batch -> self_kill ()
+        | Some Fault.After_batch -> kill_after_batch := true
+        | None -> ())
+    | _ -> ()
+  in
+  while
+    let m = Wire.recv fd_in in
+    drain_faults m;
+    handle t m
+  do
     ()
   done;
   shutdown t

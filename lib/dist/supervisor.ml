@@ -165,6 +165,7 @@ type result = {
   garbage_frames : int;
   crashes : int;
   ranks_failed : int list; (* abandonment events, ascending *)
+  walkers_salvaged : int; (* walkers delivered from salvaged shards *)
   live_ranks : int; (* live member count at the end of the run *)
   degraded_generations : int;
   joins : int;
@@ -393,6 +394,7 @@ type 'link run = {
   mutable hb_timeouts : int;
   mutable garbage_frames : int;
   mutable ranks_failed : int list;
+  mutable salvaged : int; (* walkers delivered from salvaged shards *)
   mutable degraded : int;
   mutable stragglers : int;
   mutable skipped : int;
@@ -576,9 +578,20 @@ let vacate st r =
       st.vacant <- (r, s.incarnation + 1) :: st.vacant)
     (Hashtbl.find_opt st.members r)
 
-(* Give up on rank [r]: vacate its slot, and salvage its newest shard
-   round-robin over the healthy ranks so the run loses no walker a
-   checkpoint still holds. *)
+(* Spread rank [r]'s newest checkpoint shard round-robin over the
+   healthy ranks, so the run loses no walker a checkpoint still holds. *)
+let salvage st ~gen r =
+  let salvaged = match newest_shard st r with Some (_, ws) -> ws | None -> [] in
+  let survivors = healthy st in
+  let k = List.length survivors in
+  if k > 0 then st.salvaged <- st.salvaged + List.length salvaged;
+  List.iteri
+    (fun i dst ->
+      deliver st ~gen (List.filteri (fun j _ -> j mod k = i) salvaged)
+        (dst :: survivors))
+    survivors
+
+(* Give up on rank [r]: vacate its slot and salvage its newest shard. *)
 let abandon st ~gen r =
   let incarnation = (member st r).incarnation in
   vacate st r;
@@ -587,14 +600,7 @@ let abandon st ~gen r =
   Trace.instant
     ~args:[ ("rank", string_of_int r); ("incarnation", string_of_int incarnation) ]
     "sup.rank_abandoned";
-  let salvaged = match newest_shard st r with Some (_, ws) -> ws | None -> [] in
-  let survivors = healthy st in
-  let k = List.length survivors in
-  List.iteri
-    (fun i dst ->
-      deliver st ~gen (List.filteri (fun j _ -> j mod k = i) salvaged)
-        (dst :: survivors))
-    survivors
+  salvage st ~gen r
 
 (* ---------- the generation phases ---------- *)
 
@@ -875,8 +881,10 @@ let join st ~gen =
 
 (* Retire rank [r] gracefully: its whole shard ships to the first
    healthy survivor and its slot is vacated.  A rank that dies while
-   draining is vacated too; the shard it was draining is lost, and the
-   event counts as skipped. *)
+   draining is vacated too.  If its drain batch arrived, the batch is
+   delivered as a graceful leave's would be; if it died before shipping
+   it, its newest checkpoint shard is salvaged, as an abandoned rank's
+   is, and the event counts as skipped. *)
 let leave st ~gen r =
   if (not (ok st r)) || List.length (healthy st) <= 1 then begin
     st.skipped <- st.skipped + 1;
@@ -884,7 +892,8 @@ let leave st ~gen r =
   end
   else begin
     let before = walkers_on st (live st) in
-    let drained =
+    let batch = ref None in
+    let confirmed =
       guard st r (fun s ->
           st.io.send s.link (Wire.Drain { gen });
           let ws =
@@ -892,18 +901,21 @@ let leave st ~gen r =
             | Wire.Walkers { walkers; _ } -> walkers
             | _ -> raise (Wire.Garbage "expected drain batch")
           in
+          batch := Some ws;
           match recv st s with
-          | Wire.Leave { count; _ } when count = List.length ws -> ws
+          | Wire.Leave { count; _ } when count = List.length ws -> ()
           | _ -> raise (Wire.Garbage "drain count mismatch"))
     in
-    match Option.map (fun ws -> (ws, finish st [ r ])) drained with
-    | Some (ws, [ _ ]) ->
-        st.io.close (member st r).link;
-        vacate st r;
+    if confirmed <> None && finish st [ r ] <> [] then
+      st.io.close (member st r).link;
+    vacate st r;
+    match !batch with
+    | Some ws ->
         deliver st ~gen ws (healthy st);
         log_membership st ~gen ~kind:"leave" r ~before
-    | _ ->
-        vacate st r;
+    | None ->
+        Trace.instant ~args:[ ("rank", string_of_int r) ] "sup.leave_salvaged";
+        salvage st ~gen r;
         st.skipped <- st.skipped + 1
   end
 
@@ -1151,6 +1163,7 @@ let finals st =
     garbage_frames = st.garbage_frames;
     crashes = st.crashes;
     ranks_failed = List.sort compare st.ranks_failed;
+    walkers_salvaged = st.salvaged;
     live_ranks = List.length ranks;
     degraded_generations = st.degraded;
     joins = count "join";
@@ -1197,6 +1210,7 @@ let make_run (p : params) io obs ~stop ~snapshot ~snapshot_every =
     hb_timeouts = 0;
     garbage_frames = 0;
     ranks_failed = [];
+    salvaged = 0;
     degraded = 0;
     stragglers = 0;
     skipped = 0;

@@ -118,6 +118,10 @@ type result = {
   garbage_frames : int;
   crashes : int;
   ranks_failed : int list;  (** abandonment events, ascending *)
+  walkers_salvaged : int;
+      (** walkers delivered from checkpoint shards salvaged from ranks
+          lost with them: abandoned ranks, and ranks that died draining
+          before shipping their batch *)
   live_ranks : int;  (** live member count at the end of the run *)
   degraded_generations : int;
       (** generations reduced over fewer than [ranks] shards *)

@@ -2,19 +2,22 @@ open Oqmc_containers
 
 (* Hand-rolled BLAS-1/2/3 kernels over precision-fixed aligned storage.
 
-   These are the building blocks of DetUpdate (BLAS2 Sherman–Morrison) and
-   of the delayed-update scheme (BLAS3 flush).  Accumulation is always in
-   double; only loads/stores happen at the storage precision, matching the
-   paper's mixed-precision policy.
+   Accumulation is always in double; only loads/stores happen at the
+   storage precision, matching the paper's mixed-precision policy.
 
-   Without flambda, per-element access through the precision functor boxes
-   a float on every call, so the kernels here cross the functor boundary
-   through the bulk row primitives (Aligned.dot_into / dot_arr_into /
-   axpy_from / read_into / write_from) — once per row, never per element —
-   and run their inner loops monomorphically.  The zero-alloc hot paths
-   (determinant ratios and the delayed flush) take caller-owned scratch;
-   the classic BLAS entry points below allocate their own small pads and
-   are kept for the cold paths and tests. *)
+   The two kernels on the hot path are the blocked flush of the
+   delayed-update scheme, [mul_vt] (Y = B·Vᵀ) and [rank_update]
+   (B −= Y·T).  They are C (det_kernels_stubs.c, the DetUpdate stubs,
+   built like the distance-table rows): they read B in place and take the
+   queued vectors as flat [float array]s.  Their OCaml loops are the
+   bit-for-bit test oracles ([test/det_oracle.ml]).
+
+   The classic BLAS entry points (dot, gemv, ger, gemm, ...) are OCaml:
+   without flambda, per-element access through the precision functor
+   boxes a float, so they cross the functor boundary through the bulk row
+   primitives (Aligned.dot_into / dot_arr_into / axpy_from / read_into /
+   write_from), once per row, and allocate their own small pads.  They
+   serve the cold paths and the tests. *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
@@ -134,146 +137,52 @@ module Make (R : Precision.REAL) = struct
 
   (* ---- Blocked GEMM-shaped kernels for the delayed-update flush ---- *)
 
-  (* Y := B Vᵀ : y.(a·ystride + i) = B[a]·vs.(i) for i < k.
+  (* Both run in C (det_kernels_stubs.c), reading B in place; the OCaml
+     loops they replaced are the test oracles ([test/det_oracle.ml]). *)
 
-     Row-blocked: row a of B is staged into [scratch] once and dotted
-     against all k (cache-resident) v rows, so B streams through memory
-     once per flush instead of once per queued column.  Each Y element is
-     a single in-order summation chain over the row, which keeps the
-     result bit-identical to the unblocked reference. *)
-  let mul_vt (bm : M.t) ~(vs : float array array) ~k ~(y : float array)
-      ~ystride ~(scratch : float array) =
-    let n = M.rows bm and cols = M.cols bm and ld = M.ld bm in
-    let data = M.data bm in
-    for a = 0 to n - 1 do
-      A.read_into data ~pos:(a * ld) scratch ~n:cols;
-      let yb = a * ystride in
-      (* 4-way unroll over the rank dimension: one scratch load feeds four
-         accumulators, the BLAS3 register reuse a rank-1 kernel can't
-         have.  Each accumulator is still a single in-order chain over
-         [b], so results are bit-identical to the rolled loop. *)
-      let i = ref 0 in
-      while !i + 4 <= k do
-        let v0 = Array.unsafe_get vs !i
-        and v1 = Array.unsafe_get vs (!i + 1)
-        and v2 = Array.unsafe_get vs (!i + 2)
-        and v3 = Array.unsafe_get vs (!i + 3) in
-        let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
-        for b = 0 to cols - 1 do
-          let s = Array.unsafe_get scratch b in
-          a0 := !a0 +. (s *. Array.unsafe_get v0 b);
-          a1 := !a1 +. (s *. Array.unsafe_get v1 b);
-          a2 := !a2 +. (s *. Array.unsafe_get v2 b);
-          a3 := !a3 +. (s *. Array.unsafe_get v3 b)
-        done;
-        Array.unsafe_set y (yb + !i) !a0;
-        Array.unsafe_set y (yb + !i + 1) !a1;
-        Array.unsafe_set y (yb + !i + 2) !a2;
-        Array.unsafe_set y (yb + !i + 3) !a3;
-        i := !i + 4
-      done;
-      if !i + 2 <= k then begin
-        let v0 = Array.unsafe_get vs !i and v1 = Array.unsafe_get vs (!i + 1) in
-        let a0 = ref 0. and a1 = ref 0. in
-        for b = 0 to cols - 1 do
-          let s = Array.unsafe_get scratch b in
-          a0 := !a0 +. (s *. Array.unsafe_get v0 b);
-          a1 := !a1 +. (s *. Array.unsafe_get v1 b)
-        done;
-        Array.unsafe_set y (yb + !i) !a0;
-        Array.unsafe_set y (yb + !i + 1) !a1;
-        i := !i + 2
-      end;
-      while !i < k do
-        let v = Array.unsafe_get vs !i in
-        let acc = ref 0. in
-        for b = 0 to cols - 1 do
-          acc := !acc +. (Array.unsafe_get scratch b *. Array.unsafe_get v b)
-        done;
-        Array.unsafe_set y (yb + !i) !acc;
-        i := !i + 1
-      done
-    done
+  external c_mul_vt : M.t -> float array -> float array -> int -> int -> unit
+    = "oqmc_blas_mul_vt"
+  [@@noalloc]
 
-  (* B := B − Y T : the rank-k flush apply.
+  external c_rank_update :
+    M.t -> float array -> float array -> int -> int -> unit
+    = "oqmc_blas_rank_update"
+  [@@noalloc]
 
-     Blocked over columns so the k rows of T being broadcast stay
-     L1-resident even when k·n outgrows the cache, and row-blocked within
-     a column block: the
-     row segment of B is staged once, receives all k rank-1 corrections in
-     scratch (double accumulation), and is written back with one narrowing
-     store per element.  Per-element accumulation order over i = 0..k−1 is
-     identical to the unblocked reference, so the f64 result is
-     bit-identical; at f32 the blocked path rounds once per element per
-     flush instead of once per rank, which only tightens the error. *)
-  let col_block = 512
+  let check_panel what (bm : M.t) ~(rows : float array) ~k ~(y : float array)
+      ~ystride =
+    if
+      k < 0 || ystride < k
+      || Array.length rows < k * M.cols bm
+      || Array.length y < M.rows bm * ystride
+    then invalid_arg ("Blas." ^ what ^ ": panel shorter than k rows")
 
-  let rank_update (bm : M.t) ~(y : float array) ~ystride
-      ~(tm : float array array) ~k ~(scratch : float array) =
-    let n = M.rows bm and cols = M.cols bm and ld = M.ld bm in
-    let data = M.data bm in
-    let b0 = ref 0 in
-    while !b0 < cols do
-      let len = min col_block (cols - !b0) in
-      for a = 0 to n - 1 do
-        let pos = (a * ld) + !b0 in
-        A.read_into data ~pos scratch ~n:len;
-        let yb = a * ystride in
-        (* 4-way unroll over the rank dimension: each staged element takes
-           four corrections per load/store round trip.  OCaml's [-.] is
-           left-associative, so the per-element chain
-           (((s − c₀t₀) − c₁t₁) − c₂t₂) − c₃t₃ is exactly the sequential
-           rank-at-a-time order — bit-identical at f64 to the unblocked
-           reference. *)
-        let i = ref 0 in
-        while !i + 4 <= k do
-          let c0 = Array.unsafe_get y (yb + !i)
-          and c1 = Array.unsafe_get y (yb + !i + 1)
-          and c2 = Array.unsafe_get y (yb + !i + 2)
-          and c3 = Array.unsafe_get y (yb + !i + 3) in
-          let t0 = Array.unsafe_get tm !i
-          and t1 = Array.unsafe_get tm (!i + 1)
-          and t2 = Array.unsafe_get tm (!i + 2)
-          and t3 = Array.unsafe_get tm (!i + 3) in
-          for b = 0 to len - 1 do
-            let o = !b0 + b in
-            Array.unsafe_set scratch b
-              (Array.unsafe_get scratch b
-              -. (c0 *. Array.unsafe_get t0 o)
-              -. (c1 *. Array.unsafe_get t1 o)
-              -. (c2 *. Array.unsafe_get t2 o)
-              -. (c3 *. Array.unsafe_get t3 o))
-          done;
-          i := !i + 4
-        done;
-        if !i + 2 <= k then begin
-          let c0 = Array.unsafe_get y (yb + !i)
-          and c1 = Array.unsafe_get y (yb + !i + 1) in
-          let t0 = Array.unsafe_get tm !i
-          and t1 = Array.unsafe_get tm (!i + 1) in
-          for b = 0 to len - 1 do
-            let o = !b0 + b in
-            Array.unsafe_set scratch b
-              (Array.unsafe_get scratch b
-              -. (c0 *. Array.unsafe_get t0 o)
-              -. (c1 *. Array.unsafe_get t1 o))
-          done;
-          i := !i + 2
-        end;
-        while !i < k do
-          let c = Array.unsafe_get y (yb + !i) in
-          if c <> 0. then begin
-            let t = Array.unsafe_get tm !i in
-            for b = 0 to len - 1 do
-              Array.unsafe_set scratch b
-                (Array.unsafe_get scratch b
-                -. (c *. Array.unsafe_get t (!b0 + b)))
-            done
-          end;
-          i := !i + 1
-        done;
-        A.write_from scratch data ~pos ~n:len
-      done;
-      b0 := !b0 + len
-    done
+  (* Y := B Vᵀ : y.(a·ystride + i) = B[a]·v_i for i < k, v_i the [cols b]
+     entries of [vs] from i·cols b.
+
+     Row-blocked: row a of B is staged once and dotted against all k
+     (cache-resident) v rows, four chains side by side, so B streams
+     through memory once per flush instead of once per queued column.
+     Each Y element is a single in-order summation chain over the row,
+     which keeps the result bit-identical to the unblocked reference. *)
+  let mul_vt (bm : M.t) ~(vs : float array) ~k ~(y : float array) ~ystride =
+    check_panel "mul_vt" bm ~rows:vs ~k ~y ~ystride;
+    if k > 0 then c_mul_vt bm vs y k ystride
+
+  (* B := B − Y T : the rank-k flush apply, T's row i the [cols b]
+     entries of [tm] from i·cols b.
+
+     Blocked over 512 columns so the k rows of T being broadcast stay
+     L1-resident even when k·n outgrows the cache; each row segment of B
+     is staged once in double, receives all k rank-1 corrections (four,
+     then two, then one at a time, each element one left-to-right chain
+     (((s − c₀t₀) − c₁t₁) − c₂t₂) − c₃t₃ — the sequential rank-at-a-time
+     order, bit-identical at f64 to the unblocked reference) and is
+     written back with one narrowing store per element.  At f32 that
+     rounds once per element per flush instead of once per rank, which
+     only tightens the error. *)
+  let rank_update (bm : M.t) ~(y : float array) ~ystride ~(tm : float array)
+      ~k =
+    check_panel "rank_update" bm ~rows:tm ~k ~y ~ystride;
+    if k > 0 then c_rank_update bm y tm k ystride
 end

@@ -34,34 +34,24 @@ module Make (R : Precision.REAL) : sig
   (** Dot of matrix row [i] with a vector — the determinant-ratio kernel. *)
 
   val mul_vt :
-    M.t ->
-    vs:float array array ->
-    k:int ->
-    y:float array ->
-    ystride:int ->
-    scratch:float array ->
-    unit
-  (** [mul_vt b ~vs ~k ~y ~ystride ~scratch] :
-      [y.(a·ystride + i) <- B[a]·vs.(i)] for [i < k] — the blocked
-      Y := B·Vᵀ panel of the delayed-update flush.  Row-blocked so B
-      streams through memory once per flush; each output element is a
-      single in-order summation chain (bit-identical to the unblocked
-      reference).  [scratch] must hold at least [cols b] elements. *)
+    M.t -> vs:float array -> k:int -> y:float array -> ystride:int -> unit
+  (** [mul_vt b ~vs ~k ~y ~ystride] :
+      [y.(a·ystride + i) <- B[a]·v_i] for [i < k], where [v_i] is the
+      [cols b] entries of [vs] from [i·cols b] — the blocked Y := B·Vᵀ
+      panel of the delayed-update flush, in C.  Row-blocked so B streams
+      through memory once per flush; each output element is a single
+      in-order summation chain (bit-identical to the unblocked
+      reference).
+      @raise Invalid_argument if [vs] or [y] is too short. *)
 
   val rank_update :
-    M.t ->
-    y:float array ->
-    ystride:int ->
-    tm:float array array ->
-    k:int ->
-    scratch:float array ->
-    unit
-  (** [rank_update b ~y ~ystride ~tm ~k ~scratch] :
-      [B := B − Y·T] with Y as laid out by {!mul_vt} and T given as [k]
-      plain rows — the BLAS-3 rank-k apply.  Column-blocked (512
+    M.t -> y:float array -> ystride:int -> tm:float array -> k:int -> unit
+  (** [rank_update b ~y ~ystride ~tm ~k] : [B := B − Y·T] with Y as laid
+      out by {!mul_vt} and T's row [i] the [cols b] entries of [tm] from
+      [i·cols b] — the BLAS-3 rank-k apply, in C.  Column-blocked (512
       columns) so the T panel stays L1-resident at large n, row
       segments staged once and written back once; per-element
       accumulation order matches the unblocked reference, so the f64
-      result is bit-identical.  [scratch] must hold at least
-      [min 512 (cols b)] elements. *)
+      result is bit-identical.
+      @raise Invalid_argument if [tm] or [y] is too short. *)
 end

@@ -18,47 +18,38 @@ open Oqmc_containers
    the queued orbital vectors.  S⁻¹ is maintained incrementally by bordered
    (Schur-complement) extension, O(k²) per acceptance.
 
-   Queue state (v_i, captured B₀ rows) lives in plain [float array]s:
-   storage rows cross the precision functor once per row through the bulk
-   primitives, and every O(kN)/O(kN²) loop runs monomorphically on plain
-   scratch — this plus the blocked flush kernels in {!Blas} is what makes
-   k > 1 *cheaper* per move than rank-1, instead of paying a boxed
-   indirect call per element.  The flush applies through the blocked
-   GEMM-shaped [Blas.mul_vt] / [Blas.rank_update] kernels, bit-identical
-   at f64 to an unblocked per-rank apply (the test suite's reference). *)
+   The kernels are C (det_kernels_stubs.c): [oqmc_du_dots] and
+   [oqmc_du_vgl_dots] load B₀[r] and compute S⁻¹q once per call, then
+   take every requested dot as base − p·(S⁻¹q); [oqmc_du_accept] is the
+   bordered extension and [oqmc_du_flush] the blocked flush (the
+   GEMM-shaped Y = B₀Vᵀ and B₀ −= Y·T of {!Blas}).  The queue lives in
+   flat [float array]s the C reads in place.  The OCaml loops these
+   replaced, which recompute the correction per dot, are the bit-for-bit
+   test oracles ([test/det_oracle.ml]). *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
   module M = Matrix.Make (R)
-  module B = Blas.Make (R)
 
-  let dotf (x : float array) (y : float array) n =
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      acc := !acc +. (Array.unsafe_get x i *. Array.unsafe_get y i)
-    done;
-    !acc
-
+  (* det_kernels_stubs.c reads the fields by index: keep the order of the
+     first fourteen in step with it. *)
   type t = {
-    binv : M.t; (* B₀ = M⁻ᵀ, updated only at flush *)
+    bd : A.t; (* storage of B₀ = M⁻ᵀ, updated only at flush *)
+    ld : int;
     n : int;
     delay : int;
-    vs : float array array; (* queued orbital vectors, row i = v_i *)
-    brows : float array array; (* row i = B₀[r_i] captured at acceptance *)
-    rows : int array; (* queued replaced-row indices *)
-    sinv : float array array; (* inverse of the k×k Schur matrix S *)
     mutable k : int;
-    (* scratch *)
-    p : float array;
-    q : float array;
-    eb : float array; (* bordered-extension column/row/projection pads *)
-    ec : float array;
-    esb : float array;
-    ecs : float array;
-    y : float array; (* n × delay flush panel, row-major *)
-    tm : float array array; (* delay rows of n: T = S⁻ᵀ W *)
-    rscr : float array; (* staged B₀ row / flush row I/O *)
-    vscr : float array; (* staged proposal row *)
+    rows : int array; (* queued replaced-row indices *)
+    vs : float array; (* delay × n: row i = v_i *)
+    brows : float array; (* delay × n: row i = B₀[r_i] captured at acceptance *)
+    sinv : float array; (* delay × delay: inverse of the Schur matrix S *)
+    w : float array; (* S⁻¹q of the last row a dot call prepared *)
+    y : float array; (* n × delay flush panel *)
+    tm : float array; (* delay × n: T = S⁻ᵀ W *)
+    rscr : float array; (* B₀[r] of the last prepared row *)
+    ext : float array; (* 4 × delay: q, and the bordered-extension pads *)
+    binv : M.t;
+    out : float array; (* [ratio]'s result cell *)
   }
 
   let create ?(delay = 16) (binv : M.t) =
@@ -67,147 +58,56 @@ module Make (R : Precision.REAL) = struct
     if delay < 1 then invalid_arg "Delayed_update.create: delay < 1";
     let delay = min delay n in
     {
-      binv;
+      bd = M.data binv;
+      ld = M.ld binv;
       n;
       delay;
-      vs = Array.init delay (fun _ -> Array.make n 0.);
-      brows = Array.init delay (fun _ -> Array.make n 0.);
-      rows = Array.make delay (-1);
-      sinv = Array.make_matrix delay delay 0.;
       k = 0;
-      p = Array.make delay 0.;
-      q = Array.make delay 0.;
-      eb = Array.make delay 0.;
-      ec = Array.make delay 0.;
-      esb = Array.make delay 0.;
-      ecs = Array.make delay 0.;
+      rows = Array.make delay (-1);
+      vs = Array.make (delay * n) 0.;
+      brows = Array.make (delay * n) 0.;
+      sinv = Array.make (delay * delay) 0.;
+      w = Array.make delay 0.;
       y = Array.make (n * delay) 0.;
-      tm = Array.init delay (fun _ -> Array.make n 0.);
+      tm = Array.make (delay * n) 0.;
       rscr = Array.make n 0.;
-      vscr = Array.make n 0.;
+      ext = Array.make (4 * delay) 0.;
+      binv;
+      out = [| 0. |];
     }
 
   let binv t = t.binv
   let pending t = t.k
   let delay t = t.delay
 
-  (* ρ(r,v) against the implicit inverse: two staged rows (B₀[r] and v),
-     then O(kN) plain-scratch dots. *)
+  external c_dots : t -> int -> A.t -> int -> float array -> unit
+    = "oqmc_du_dots"
+  [@@noalloc]
+
+  external c_accept : t -> M.t -> int -> A.t -> int = "oqmc_du_accept"
+  [@@noalloc]
+
+  external c_flush : t -> M.t -> unit = "oqmc_du_flush" [@@noalloc]
+
+  let check_row t r = if r < 0 || r >= t.n then invalid_arg "Delayed_update: row"
+
+  (* [out.(c)] = ρ(r, src[pos + c·n ..]) for every cell of [out]: the
+     correction is prepared once for the row and shared by the dots. *)
+  let dots t r (src : A.t) ~pos (out : float array) =
+    check_row t r;
+    if pos < 0 || A.length src < pos + (Array.length out * t.n) then
+      invalid_arg "Delayed_update.dots: source too short";
+    c_dots t r src pos out
+
   let ratio t r (v : A.t) =
-    let n = t.n in
-    A.read_into (M.data t.binv) ~pos:(r * M.ld t.binv) t.rscr ~n;
-    A.read_into v ~pos:0 t.vscr ~n;
-    let base = dotf t.rscr t.vscr n in
-    if t.k = 0 then base
-    else begin
-      let k = t.k in
-      for j = 0 to k - 1 do
-        t.p.(j) <- dotf t.brows.(j) t.vscr n
-      done;
-      for i = 0 to k - 1 do
-        let qi = dotf t.vs.(i) t.rscr n in
-        t.q.(i) <- (if t.rows.(i) = r then qi -. 1. else qi)
-      done;
-      let corr = ref 0. in
-      for j = 0 to k - 1 do
-        let acc = ref 0. in
-        for i = 0 to k - 1 do
-          acc := !acc +. (t.sinv.(j).(i) *. t.q.(i))
-        done;
-        corr := !corr +. (t.p.(j) *. !acc)
-      done;
-      base -. !corr
-    end
+    dots t r v ~pos:0 t.out;
+    t.out.(0)
 
-  (* Flush the queue: B₀ ← B₀ − Y S⁻ᵀ W with Y = B₀Vᵀ − E and W = brows. *)
-  let flush t =
-    if t.k > 0 then begin
-      let k = t.k and n = t.n in
-      (* T := S⁻ᵀ W, i.e. T(i,:) = Σ_j S⁻¹(j,i) · brows(j,:). *)
-      for i = 0 to k - 1 do
-        let ti = t.tm.(i) in
-        Array.fill ti 0 n 0.;
-        for j = 0 to k - 1 do
-          let c = t.sinv.(j).(i) in
-          if c <> 0. then begin
-            let w = t.brows.(j) in
-            for b = 0 to n - 1 do
-              Array.unsafe_set ti b
-                (Array.unsafe_get ti b +. (c *. Array.unsafe_get w b))
-            done
-          end
-        done
-      done;
-      (* Y(a,i) = B₀[a]·v_i − δ_{a,r_i} — blocked panel, B₀ streamed once. *)
-      B.mul_vt t.binv ~vs:t.vs ~k ~y:t.y ~ystride:t.delay ~scratch:t.rscr;
-      for i = 0 to k - 1 do
-        let yi = (t.rows.(i) * t.delay) + i in
-        t.y.(yi) <- t.y.(yi) -. 1.
-      done;
-      (* B₀ −= Y T *)
-      B.rank_update t.binv ~y:t.y ~ystride:t.delay ~tm:t.tm ~k
-        ~scratch:t.rscr;
-      t.k <- 0
-    end
-
-  (* Extend S⁻¹ by one bordered row/column via the Schur complement. *)
-  let extend_sinv t =
-    let k = t.k in
-    (* New S entries: column b_i = S(i,k) = brows[k]·v_i,
-       row c_j = S(k,j) = brows[j]·v_k, corner d = brows[k]·v_k. *)
-    let b = t.eb and c = t.ec in
-    for i = 0 to k - 1 do
-      b.(i) <- dotf t.brows.(k) t.vs.(i) t.n;
-      c.(i) <- dotf t.brows.(i) t.vs.(k) t.n
-    done;
-    let d = dotf t.brows.(k) t.vs.(k) t.n in
-    (* sb = S⁻¹ b, cs = c S⁻¹, schur = d − c S⁻¹ b *)
-    let sb = t.esb and cs = t.ecs in
-    for i = 0 to k - 1 do
-      let acc = ref 0. in
-      for j = 0 to k - 1 do
-        acc := !acc +. (t.sinv.(i).(j) *. b.(j))
-      done;
-      sb.(i) <- !acc
-    done;
-    for j = 0 to k - 1 do
-      let acc = ref 0. in
-      for i = 0 to k - 1 do
-        acc := !acc +. (c.(i) *. t.sinv.(i).(j))
-      done;
-      cs.(j) <- !acc
-    done;
-    let schur = ref d in
-    for i = 0 to k - 1 do
-      schur := !schur -. (c.(i) *. sb.(i))
-    done;
-    if abs_float !schur < 1e-300 then
-      invalid_arg "Delayed_update: singular Schur complement";
-    let inv_s = 1. /. !schur in
-    for i = 0 to k - 1 do
-      for j = 0 to k - 1 do
-        t.sinv.(i).(j) <- t.sinv.(i).(j) +. (sb.(i) *. cs.(j) *. inv_s)
-      done
-    done;
-    for i = 0 to k - 1 do
-      t.sinv.(i).(k) <- -.sb.(i) *. inv_s;
-      t.sinv.(k).(i) <- -.cs.(i) *. inv_s
-    done;
-    t.sinv.(k).(k) <- inv_s
+  let flush t = c_flush t t.binv
 
   let accept t r (v : A.t) =
-    (* A repeat of a pending row would break the distinct-rows invariant;
-       flush first (the ordered PbyP sweep never triggers this). *)
-    let repeat = ref false in
-    for i = 0 to t.k - 1 do
-      if t.rows.(i) = r then repeat := true
-    done;
-    if !repeat then flush t;
-    let k = t.k in
-    t.rows.(k) <- r;
-    A.read_into v ~pos:0 t.vs.(k) ~n:t.n;
-    A.read_into (M.data t.binv) ~pos:(r * M.ld t.binv) t.brows.(k) ~n:t.n;
-    extend_sinv t;
-    t.k <- k + 1;
-    if t.k = t.delay then flush t
+    check_row t r;
+    if A.length v < t.n then invalid_arg "Delayed_update.accept: short vector";
+    if c_accept t t.binv r v <> 0 then
+      invalid_arg "Delayed_update: singular Schur complement"
 end

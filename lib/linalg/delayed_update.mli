@@ -4,7 +4,8 @@ open Oqmc_containers
     future-work DetUpdate scheme.  Acceptances are queued and applied to
     the stored inverse in blocks of [delay], trading the per-move O(N²)
     Sherman–Morrison update for O(kN) ratios plus an O(kN²) BLAS3-style
-    flush. *)
+    flush.  The ratios, the queue and the flush run in C
+    (det_kernels_stubs.c). *)
 
 module Make (R : Precision.REAL) : sig
   module A : module type of Aligned.Make (R)
@@ -30,6 +31,14 @@ module Make (R : Precision.REAL) : sig
   val ratio : t -> int -> A.t -> float
   (** [ratio t r v] — determinant ratio for replacing row [r] with orbital
       values [v], correct with respect to all queued acceptances. *)
+
+  val dots : t -> int -> A.t -> pos:int -> float array -> unit
+  (** [dots t r src ~pos out]: [out.(c) <- ratio t r v_c] for every cell
+      of [out], where [v_c] is [src] from element [pos + c·n] — the
+      ratio-style dots of one row against several vectors (a stored
+      orbital row's components), with the queue's correction computed
+      once.  Allocates nothing.
+      @raise Invalid_argument on a row out of range or a short [src]. *)
 
   val accept : t -> int -> A.t -> unit
   (** Queue an accepted replacement; flushes automatically when the queue

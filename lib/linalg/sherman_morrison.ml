@@ -11,54 +11,80 @@ open Oqmc_containers
      y  = B v − e_k            (gemv)
      B ← B − (1/ρ) y ⊗ B[k]    (ger)
 
-   which is the BLAS2 O(N²) DetUpdate kernel of the paper.  The workspace
-   is plain [float array] scratch: rows of B cross the precision functor
-   once per row through the bulk primitives and every inner loop runs
-   monomorphically (see Precision.REAL). *)
+   which is the BLAS2 O(N²) DetUpdate kernel of the paper.  Both run in C
+   (det_kernels_stubs.c, built like the distance-table rows): the ratio is
+   [oqmc_sm_ratio], the update [oqmc_sm_update], which reads B in place,
+   does all arithmetic in double and narrows each updated entry once.
+   The OCaml loops they replaced are the bit-for-bit test oracles
+   ([test/det_oracle.ml]). *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
   module M = Matrix.Make (R)
-  module B = Blas.Make (R)
 
-  type workspace = { y : float array; rk : float array; xv : float array }
+  (* det_kernels_stubs.c reads the fields by index: keep the order in
+     step with it. *)
+  type workspace = {
+    y : float array;
+    rk : float array;
+    xv : float array;
+    ratio_cell : float array; (* the accepted move's ratio *)
+  }
 
   let make_workspace n =
-    { y = Array.make n 0.; rk = Array.make n 0.; xv = Array.make n 0. }
+    {
+      y = Array.make n 0.;
+      rk = Array.make n 0.;
+      xv = Array.make n 0.;
+      ratio_cell = [| 1. |];
+    }
 
-  let ratio (binv : M.t) k (v : A.t) = B.row_dot binv k v
+  external c_ratio : M.t -> int -> A.t -> float array -> int -> unit
+    = "oqmc_sm_ratio"
+  [@@noalloc]
 
-  (* [ratio] into unboxed scratch, the same dot as [B.row_dot]. *)
+  external c_update : M.t -> int -> A.t -> workspace -> unit
+    = "oqmc_sm_update"
+  [@@noalloc]
+
+  external c_dots : M.t -> int -> A.t -> int -> float array -> unit
+    = "oqmc_sm_dots"
+  [@@noalloc]
+
+  let check binv k (v : A.t) =
+    if k < 0 || k >= M.rows binv || A.length v < M.cols binv then
+      invalid_arg "Sherman_morrison: row or vector out of range"
+
+  (* [ratio] into unboxed scratch. *)
   let ratio_into (binv : M.t) k (v : A.t) (dst : float array) j =
-    A.dot_into ~a:(M.data binv) ~apos:(k * M.ld binv) ~b:v ~bpos:0
-      ~n:(M.cols binv) dst j
+    check binv k v;
+    if j < 0 || j >= Array.length dst then
+      invalid_arg "Sherman_morrison.ratio_into: destination";
+    c_ratio binv k v dst j
+
+  (* [out.(c)] = B[k]·src[pos + c·n ..] for every cell of [out]. *)
+  let dots (binv : M.t) k (src : A.t) ~pos (out : float array) =
+    if k < 0 || k >= M.rows binv then invalid_arg "Sherman_morrison: row";
+    if pos < 0 || A.length src < pos + (Array.length out * M.cols binv) then
+      invalid_arg "Sherman_morrison.dots: source too short";
+    c_dots binv k src pos out
+
+  let ratio binv k v =
+    let pad = [| 0. |] in
+    ratio_into binv k v pad 0;
+    pad.(0)
 
   (* The ratio is read from scratch at [ratio.(ri)] so that no boxed float
      crosses the call on the per-move path. *)
   let update_row_at (binv : M.t) k (v : A.t) ~(ratio : float array) ~ri
       ~(ws : workspace) =
-    let ratio = ratio.(ri) in
-    let n = M.rows binv in
-    if abs_float ratio < 1e-300 then
+    check binv k v;
+    if M.rows binv <> M.cols binv || Array.length ws.y < M.rows binv then
+      invalid_arg "Sherman_morrison.update_row: shape";
+    if abs_float ratio.(ri) < 1e-300 then
       invalid_arg "Sherman_morrison.update_row: zero ratio";
-    let data = M.data binv and ld = M.ld binv in
-    A.read_into v ~pos:0 ws.xv ~n;
-    (* y := B v − e_k, one staged row dot per element. *)
-    for i = 0 to n - 1 do
-      A.dot_arr_into data ~pos:(i * ld) ws.xv ~n ws.y i
-    done;
-    ws.y.(k) <- ws.y.(k) -. 1.;
-    (* Save the pre-update row k, then apply the rank-1 correction with
-       the per-row coefficient read from scratch (no boxed crossing). *)
-    A.read_into data ~pos:(k * ld) ws.rk ~n;
-    let c = -1. /. ratio in
-    for i = 0 to n - 1 do
-      ws.y.(i) <- c *. ws.y.(i)
-    done;
-    for i = 0 to n - 1 do
-      if Array.unsafe_get ws.y i <> 0. then
-        A.axpy_from ws.y ~ci:i ws.rk data ~pos:(i * ld) ~n
-    done
+    ws.ratio_cell.(0) <- ratio.(ri);
+    c_update binv k v ws
 
   let update_row binv k v ~ratio ~ws =
     update_row_at binv k v ~ratio:[| ratio |] ~ri:0 ~ws

@@ -2,7 +2,8 @@ open Oqmc_containers
 
 (** Sherman–Morrison rank-1 determinant update — the paper's BLAS2
     [DetUpdate] kernel.  Operates on the transposed inverse [B = M⁻ᵀ] so
-    that both the acceptance ratio and the update stream contiguous rows. *)
+    that both the acceptance ratio and the update stream contiguous rows.
+    The ratio and the update run in C (det_kernels_stubs.c). *)
 
 module Make (R : Precision.REAL) : sig
   module A : module type of Aligned.Make (R)
@@ -20,6 +21,12 @@ module Make (R : Precision.REAL) : sig
   val ratio_into : M.t -> int -> A.t -> float array -> int -> unit
   (** [ratio_into binv k v dst j] stores [ratio binv k v] in [dst.(j)]
       without boxing it. *)
+
+  val dots : M.t -> int -> A.t -> pos:int -> float array -> unit
+  (** [dots binv k src ~pos out]: [out.(c) <- B[k]·v_c] for every cell of
+      [out], where [v_c] is [src] from element [pos + c·n] — a stored
+      orbital row's components in one call.  Allocates nothing.
+      @raise Invalid_argument on a row out of range or a short [src]. *)
 
   val update_row : M.t -> int -> A.t -> ratio:float -> ws:workspace -> unit
   (** Apply the accepted replacement to [binv] in place.  [ratio] must be

@@ -16,7 +16,9 @@ open Oqmc_containers
    computes column j as the row of r_j over particles 0 … j−1 and stores
    it negated, which is bit for bit what [move] of electron j at its own
    position followed by [update] would store: the minimum-image
-   arithmetic is exactly antisymmetric.  No call allocates. *)
+   arithmetic is exactly antisymmetric.  The accept's scatter into the
+   triangle is the AoS C scatter ([Dt_kernels.aos_scatter]).  No call
+   allocates. *)
 
 module Make (R : Precision.REAL) = struct
   module A = Aligned.Make (R)
@@ -68,23 +70,9 @@ module Make (R : Precision.REAL) = struct
     K.aos_row g
 
   (* Accept: scatter the temporary row back into the packed triangle
-     (N − 1 strided copies with a sign flip below the diagonal). *)
+     (N − 1 strided copies with a sign flip below the diagonal), in C. *)
   let update t k =
-    for i = 0 to k - 1 do
-      let p = idx i k in
-      (* entry (i,k) holds r_k' − r_i = −temp(i). *)
-      A.unsafe_set t.d p (A.unsafe_get t.temp_d i);
-      A.unsafe_set t.dr (3 * p) (-.A.unsafe_get t.temp_dr (3 * i));
-      A.unsafe_set t.dr ((3 * p) + 1) (-.A.unsafe_get t.temp_dr ((3 * i) + 1));
-      A.unsafe_set t.dr ((3 * p) + 2) (-.A.unsafe_get t.temp_dr ((3 * i) + 2))
-    done;
-    for j = k + 1 to t.n - 1 do
-      let p = idx k j in
-      A.unsafe_set t.d p (A.unsafe_get t.temp_d j);
-      A.unsafe_set t.dr (3 * p) (A.unsafe_get t.temp_dr (3 * j));
-      A.unsafe_set t.dr ((3 * p) + 1) (A.unsafe_get t.temp_dr ((3 * j) + 1));
-      A.unsafe_set t.dr ((3 * p) + 2) (A.unsafe_get t.temp_dr ((3 * j) + 2))
-    done
+    K.aos_scatter ~d:t.d ~dr:t.dr ~temp_d:t.temp_d ~temp_dr:t.temp_dr ~k
 
   let dist t i j =
     if i = j then 0.

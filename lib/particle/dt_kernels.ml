@@ -17,7 +17,8 @@ open Oqmc_containers
    There is one SoA entry point, [soa_rows]: it serves the crowd batches
    and, through a one-slot [single] each table owns, every scalar
    [evaluate]/[prepare]/[move] as well.  [aos_row] is the Ref layout's,
-   used by the Store tables' [move] and by their [evaluate] rebuilds.
+   used by the Store tables' [move] and by their [evaluate] rebuilds, and
+   [aos_scatter] is the AA Store table's accept.
    The per-element OCaml loops these replaced are the bit-for-bit test
    oracles ([test/dt_oracle.ml]).
 
@@ -266,6 +267,29 @@ module Make (S : Precision.REAL) (O : Precision.REAL) = struct
   let aos_row sl =
     if is_general sl.alattice then general_aos_row sl
     else c_aos_row sl sl.q.(0) sl.q.(1) sl.q.(2)
+
+  (* ---------------------------- AoS scatter ---------------------------- *)
+
+  external c_aos_scatter : A.t -> A.t -> A.t -> A.t -> int -> unit
+    = "oqmc_dt_aos_scatter"
+  [@@noalloc]
+
+  (* The Store triangle's accept: entry (i, j), i < j, of the packed
+     triangles [d] and [dr] (at j(j−1)/2 + i, displacements interleaved)
+     receives the temporary row of electron [k] — [temp_d.(i)] and
+     [temp_dr.(3i ..)] for the pairs (k, i), negated where k is the
+     column (i < k).  [temp_d]'s length is the particle count. *)
+  let aos_scatter ~(d : A.t) ~(dr : A.t) ~(temp_d : A.t) ~(temp_dr : A.t) ~k
+      =
+    let n = A.length temp_d in
+    let len = n * (n - 1) / 2 in
+    check
+      (k >= 0 && k < n
+      && A.length temp_dr >= 3 * n
+      && A.length d >= len
+      && A.length dr >= 3 * len)
+      "aos_scatter: row or triangle out of range";
+    c_aos_scatter d dr temp_d temp_dr k
 
   (* Point [q] at particle [k] of an interleaved AoS source. *)
   let query_aos sl (src : As.t) k =

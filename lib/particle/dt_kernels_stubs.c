@@ -1,7 +1,7 @@
 /* DistTable rows: distances and minimum-image displacements from one
    point to every particle of a set, in both layouts of Dt_kernels.
 
-   Two entry points:
+   Three entry points:
    - oqmc_dt_soa_rows: for each of m slots, one SoA row.  The sources are
      three unit-stride component rows; the outputs are four unit-stride
      rows (distance, dx, dy, dz) at a common offset.  Every loop is
@@ -9,6 +9,8 @@
    - oqmc_dt_aos_row: one AoS row.  The sources are interleaved x y z
      groups and the displacements are written interleaved as well (the
      Ref storage), optionally negated (the Store triangle's sign).
+   - oqmc_dt_aos_scatter: a Store table's accept, the temporary AoS row
+     scattered into the packed triangle (negated below the diagonal).
 
    Each call reads the source bigarrays in place and does all
    arithmetic in double; the storage precision (f32 or f64) of sources
@@ -278,4 +280,49 @@ CAMLprim value ENTRY(oqmc_dt_aos_row_byte)(value sl, value px, value py,
 {
   return ENTRY(oqmc_dt_aos_row)(sl, Double_val(px), Double_val(py),
                                 Double_val(pz));
+}
+
+/* ---------- AoS scatter ---------- */
+
+/* Entry (i, k) of the packed triangle, i < k, is stored at
+   k(k−1)/2 + i: column k is contiguous, row k strided. */
+#define SCATTER(T)                                                          \
+  static void scatter_##T(T *restrict d, T *restrict dr,                   \
+                          const T *restrict td, const T *restrict tdr,     \
+                          long k, long n)                                  \
+  {                                                                        \
+    const long c = k * (k - 1) / 2;                                        \
+    /* (i, k) holds r_k' − r_i = −temp(i). */                              \
+    for (long i = 0; i < k; i++) {                                         \
+      d[c + i] = td[i];                                                    \
+      dr[3 * (c + i)] = -tdr[3 * i];                                       \
+      dr[3 * (c + i) + 1] = -tdr[3 * i + 1];                               \
+      dr[3 * (c + i) + 2] = -tdr[3 * i + 2];                               \
+    }                                                                      \
+    for (long j = k + 1; j < n; j++) {                                     \
+      const long p = j * (j - 1) / 2 + k;                                  \
+      d[p] = td[j];                                                        \
+      dr[3 * p] = tdr[3 * j];                                              \
+      dr[3 * p + 1] = tdr[3 * j + 1];                                      \
+      dr[3 * p + 2] = tdr[3 * j + 2];                                      \
+    }                                                                      \
+  }
+
+SCATTER(float)
+SCATTER(double)
+
+/* Copy the temporary row of electron k (n = its length) into the
+   triangle; every value is moved at the storage width, negation
+   included, so nothing rounds. */
+CAMLprim value ENTRY(oqmc_dt_aos_scatter)(value d, value dr, value td,
+                                          value tdr, value vk)
+{
+  const long n = Caml_ba_array_val(td)->dim[0], k = Long_val(vk);
+  if (is_f32(d))
+    scatter_float(Caml_ba_data_val(d), Caml_ba_data_val(dr),
+                  Caml_ba_data_val(td), Caml_ba_data_val(tdr), k, n);
+  else
+    scatter_double(Caml_ba_data_val(d), Caml_ba_data_val(dr),
+                   Caml_ba_data_val(td), Caml_ba_data_val(tdr), k, n);
+  return Val_unit;
 }

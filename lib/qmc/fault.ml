@@ -86,13 +86,20 @@ let nans_injected_count () = Atomic.get nans_injected
      the protocol's CRC rejection path;
    - [Rank_disk_full n]: the rank's next [n] checkpoint writes fail with
      [Sys_error] (armed through [arm_io_failure]), simulating a full or
-     flaky filesystem under the shard-save path. *)
+     flaky filesystem under the shard-save path;
+   - [Rank_kill_draining p]: the rank SIGKILLs itself while draining in
+     that generation (a graceful leave), before or after it ships its
+     batch.  It does not fire at the generation's start: the drain
+     handler consumes it through [drain_fault_due]. *)
+
+type drain_point = Before_batch | After_batch
 
 type rank_fault =
   | Rank_kill
   | Rank_stall of float
   | Rank_garbage
   | Rank_disk_full of int
+  | Rank_kill_draining of drain_point
 
 let rank_faults : (int, rank_fault) Hashtbl.t = Hashtbl.create 8
 
@@ -100,13 +107,21 @@ let arm_rank_fault ~gen f =
   if gen < 0 then invalid_arg "Fault.arm_rank_fault: gen < 0";
   Hashtbl.replace rank_faults gen f
 
-(* Consume the fault armed for [gen], if any. *)
+(* Consume the fault armed for [gen], if any; a drain fault stays armed
+   for the drain. *)
 let rank_fault_due ~gen =
   match Hashtbl.find_opt rank_faults gen with
+  | Some (Rank_kill_draining _) | None -> None
   | Some f ->
       Hashtbl.remove rank_faults gen;
       Some f
-  | None -> None
+
+let drain_fault_due ~gen =
+  match Hashtbl.find_opt rank_faults gen with
+  | Some (Rank_kill_draining p) ->
+      Hashtbl.remove rank_faults gen;
+      Some p
+  | _ -> None
 
 let reset () =
   Atomic.set write_failures 0;

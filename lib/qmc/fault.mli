@@ -40,6 +40,10 @@ val nans_injected_count : unit -> int
     inside the worker rank process.  Each fires exactly once, at the
     start of the generation it is armed for. *)
 
+type drain_point =
+  | Before_batch  (** on receiving [Drain], before shipping anything *)
+  | After_batch  (** right after shipping the batch, before confirming *)
+
 type rank_fault =
   | Rank_kill  (** the rank SIGKILLs itself (segfault/OOM stand-in) *)
   | Rank_stall of float
@@ -50,12 +54,20 @@ type rank_fault =
       (** the rank's next [n] checkpoint writes raise [Sys_error]
           (armed through {!arm_io_failure}) — a full/flaky filesystem
           under the shard-save path *)
+  | Rank_kill_draining of drain_point
+      (** the rank SIGKILLs itself while draining (a graceful leave) in
+          that generation; consumed by the drain handler, not at the
+          generation's start *)
 
 val arm_rank_fault : gen:int -> rank_fault -> unit
 (** @raise Invalid_argument if [gen < 0]. *)
 
 val rank_fault_due : gen:int -> rank_fault option
-(** Consume the fault armed for [gen], if any. *)
+(** Consume the fault armed for [gen], if any; a [Rank_kill_draining]
+    stays armed for {!drain_fault_due}. *)
+
+val drain_fault_due : gen:int -> drain_point option
+(** Consume the [Rank_kill_draining] armed for [gen], if any. *)
 
 val reset : unit -> unit
 (** Disarm every injector and zero the counters. *)

@@ -11,6 +11,9 @@
    tiny, so the point is drift behaviour and parity with QMCPACK's
    single-precision Jastrow splines, not memory. *)
 
+(* The Jastrow row kernel (lib/wavefunction/jastrow_kernels_stubs.c)
+   evaluates these splines in C and reads the fields by index: keep the
+   order of the first five in step with it. *)
 type t = {
   coeffs : float array; (* n_intervals + 3 control points *)
   cutoff : float;
@@ -87,107 +90,6 @@ let evaluate_vgl t r =
     in
     (v, dv, d2v)
   end
-
-(* Scratch-writing form of [evaluate_vgl] for allocation-free hot loops:
-   the interval search and basis weights are inlined (no tuple, no weight
-   records) and (u, du/dr, d²u/dr²) land in [out.(0..2)].  The arithmetic
-   — expressions and evaluation order — is exactly that of [evaluate_vgl],
-   so results are bit-identical. *)
-let evaluate_vgl3 t r (out : float array) =
-  if r >= t.cutoff || r < 0. then begin
-    out.(0) <- 0.;
-    out.(1) <- 0.;
-    out.(2) <- 0.
-  end
-  else begin
-    let s = r *. t.delta_inv in
-    let i = int_of_float s in
-    let i = if i >= t.n_intervals then t.n_intervals - 1 else i in
-    let i = if i < 0 then 0 else i in
-    let u = s -. float_of_int i in
-    let c0 = t.coeffs.(i) and c1 = t.coeffs.(i + 1) in
-    let c2 = t.coeffs.(i + 2) and c3 = t.coeffs.(i + 3) in
-    let t2 = u *. u in
-    let t3 = t2 *. u in
-    let mt = 1. -. u in
-    let vw0 = mt *. mt *. mt /. 6. in
-    let vw1 = ((3. *. t3) -. (6. *. t2) +. 4.) /. 6. in
-    let vw2 = ((-3. *. t3) +. (3. *. t2) +. (3. *. u) +. 1.) /. 6. in
-    let vw3 = t3 /. 6. in
-    let dw0 = -.(mt *. mt) /. 2. in
-    let dw1 = ((9. *. t2) -. (12. *. u)) /. 6. in
-    let dw2 = ((-9. *. t2) +. (6. *. u) +. 3.) /. 6. in
-    let dw3 = t2 /. 2. in
-    let sw0 = 1. -. u in
-    let sw1 = (3. *. u) -. 2. in
-    let sw2 = 1. -. (3. *. u) in
-    let sw3 = u in
-    out.(0) <-
-      (c0 *. vw0) +. (c1 *. vw1) +. (c2 *. vw2) +. (c3 *. vw3);
-    out.(1) <-
-      ((c0 *. dw0) +. (c1 *. dw1) +. (c2 *. dw2) +. (c3 *. dw3))
-      *. t.delta_inv;
-    out.(2) <-
-      ((c0 *. sw0) +. (c1 *. sw1) +. (c2 *. sw2) +. (c3 *. sw3))
-      *. t.delta_inv *. t.delta_inv
-  end
-
-(* Row form of [evaluate_vgl3] with the Jastrow radial transform fused:
-   for each i in [off, off + n), with r = dist.(i),
-     u.(i) = u(r),  f.(i) = u'(r)/r,  l.(i) = u''(r) + 2 u'(r)/r,
-   and zeros when r <= 0 (self/padding entries) or r >= cutoff.  The
-   per-element arithmetic — expressions and evaluation order — is exactly
-   [evaluate_vgl3] followed by the two divisions the Jastrow factors
-   apply, so results are bit-identical to the scalar path.  Everything is
-   plain [float array] traffic: the loop allocates nothing, which is what
-   lets the crowd-batched Jastrow kernels stay allocation-free. *)
-let evaluate_ufl_row t (dist : float array) ~off ~n ~(u : float array)
-    ~(f : float array) ~(l : float array) =
-  let cut = t.cutoff in
-  for i = off to off + n - 1 do
-    let r = Array.unsafe_get dist i in
-    if r <= 0. || r >= cut then begin
-      Array.unsafe_set u i 0.;
-      Array.unsafe_set f i 0.;
-      Array.unsafe_set l i 0.
-    end
-    else begin
-      let s = r *. t.delta_inv in
-      let j = int_of_float s in
-      let j = if j >= t.n_intervals then t.n_intervals - 1 else j in
-      let j = if j < 0 then 0 else j in
-      let x = s -. float_of_int j in
-      let c0 = t.coeffs.(j) and c1 = t.coeffs.(j + 1) in
-      let c2 = t.coeffs.(j + 2) and c3 = t.coeffs.(j + 3) in
-      let t2 = x *. x in
-      let t3 = t2 *. x in
-      let mt = 1. -. x in
-      let vw0 = mt *. mt *. mt /. 6. in
-      let vw1 = ((3. *. t3) -. (6. *. t2) +. 4.) /. 6. in
-      let vw2 = ((-3. *. t3) +. (3. *. t2) +. (3. *. x) +. 1.) /. 6. in
-      let vw3 = t3 /. 6. in
-      let dw0 = -.(mt *. mt) /. 2. in
-      let dw1 = ((9. *. t2) -. (12. *. x)) /. 6. in
-      let dw2 = ((-9. *. t2) +. (6. *. x) +. 3.) /. 6. in
-      let dw3 = t2 /. 2. in
-      let sw0 = 1. -. x in
-      let sw1 = (3. *. x) -. 2. in
-      let sw2 = 1. -. (3. *. x) in
-      let sw3 = x in
-      let v = (c0 *. vw0) +. (c1 *. vw1) +. (c2 *. vw2) +. (c3 *. vw3) in
-      let dv =
-        ((c0 *. dw0) +. (c1 *. dw1) +. (c2 *. dw2) +. (c3 *. dw3))
-        *. t.delta_inv
-      in
-      let d2v =
-        ((c0 *. sw0) +. (c1 *. sw1) +. (c2 *. sw2) +. (c3 *. sw3))
-        *. t.delta_inv *. t.delta_inv
-      in
-      Array.unsafe_set u i v;
-      Array.unsafe_set f i (dv /. r);
-      Array.unsafe_set l i (d2v +. (2. *. dv /. r))
-    end
-  done
 
 (* Banded Gaussian elimination with partial pivoting for the interpolation
    system; the matrix is (n+3)×(n+3) with bandwidth <= 2, and n is small,

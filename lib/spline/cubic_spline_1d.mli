@@ -40,25 +40,4 @@ val evaluate : t -> float -> float
 val evaluate_vgl : t -> float -> float * float * float
 (** (u, du/dr, d²u/dr²); zeros outside [\[0, cutoff)]. *)
 
-val evaluate_vgl3 : t -> float -> float array -> unit
-(** [evaluate_vgl] into [out.(0..2)] with no allocation (interval search
-    and basis weights inlined) — bit-identical results, for the batched
-    Jastrow hot loops.  [out] must have length at least 3. *)
-
-val evaluate_ufl_row :
-  t ->
-  float array ->
-  off:int ->
-  n:int ->
-  u:float array ->
-  f:float array ->
-  l:float array ->
-  unit
-(** Fused Jastrow row: for each [i] in [\[off, off + n)], with
-    [r = dist.(i)], writes [u.(i) = u(r)], [f.(i) = u'(r)/r] and
-    [l.(i) = u''(r) + 2 u'(r)/r], zeros when [r <= 0] or [r >= cutoff].
-    Per-element arithmetic is exactly [evaluate_vgl3] plus the two
-    divisions, so results are bit-identical to the scalar path; the loop
-    performs no allocation and no per-element calls. *)
-
 val bytes : t -> int

@@ -10,7 +10,10 @@ open Oqmc_spline
    (the store-over-compute baseline) over the Ref AB distance table.
 
    [create_opt] keeps 5N per-electron accumulators and recomputes rows
-   from the SoA AB table on the fly.
+   from the SoA AB table on the fly.  Its rows and sums are C
+   (jastrow_kernels_stubs.c), one call per crowd stage for every slot,
+   the scalar closures calling it on a one-slot array; the OCaml loops it
+   replaced are the bit-for-bit test oracles ([test/jastrow_oracle.ml]).
 
    [R] is the walker precision, [D] the SoA distance-table storage
    precision (the [precision_dt] knob): the opt path reads its rows
@@ -43,35 +46,38 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   (* ------------------------------------------------------------------ *)
 
   (* Compute-on-the-fly state shared by the scalar component closures and
-     the crowd batch kernels — shared row routines make batch vs scalar
-     bit-identity structural. *)
+     the crowd batch kernels — one C kernel behind both makes batch vs
+     scalar bit-identity structural.  jastrow_kernels_stubs.c reads the
+     fields by index: keep the order of the first 23 in step with it. *)
   type opt = {
-    table : Dsoa.t;
-    n : int;
     ni : int;
-    ld : int;
-    functors : functors;
-    ion_spec : int array;
+    ld : int; (* table row stride: electron k's row starts at k * ld *)
+    (* The table's row storage and its temporary (proposed) row. *)
+    dist : Ad.t;
+    dx : Ad.t;
+    dy : Ad.t;
+    dz : Ad.t;
+    tdist : Ad.t;
+    tdx : Ad.t;
+    tdy : Ad.t;
+    tdz : Ad.t;
+    (* Maximal same-species ion runs: one spline row per run. *)
+    run_fn : Cubic_spline_1d.t array;
+    run_lo : int array;
+    run_n : int array;
+    (* Per-electron accumulators. *)
     vat : float array;
     jgx : float array;
     jgy : float array;
     jgz : float array;
     jlap : float array;
+    (* u, f = u'/r, l of the last row evaluated, kept from the ratio call
+       for the accept. *)
     un : float array;
     fn_ : float array;
     ln_ : float array;
-    (* Row mirrors (see Aligned.read_into): distance and displacement
-       rows are staged in unboxed scratch so the inner loops never touch
-       the precision functor per element. *)
-    mdr : float array;
-    mdx : float array;
-    mdy : float array;
-    mdz : float array;
-    (* Maximal same-species ion runs: one fused spline-row call per run
-       instead of a boxed per-ion dispatch. *)
-    run_lo : int array;
-    run_n : int array;
-    run_fn : Cubic_spline_1d.t array;
+    res : float array; (* the ratio call's result: U_k − Σ u, then Σ f·dr *)
+    n : int;
   }
 
   (* Maximal runs of equal values in [spec] (ions are laid out species by
@@ -93,15 +99,21 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       (ps : Ps.t) : opt =
     let n = Ps.n ps in
     let ni = Ps.n ions in
-    let ion_spec = ion_species ions functors in
-    let runs = species_runs ion_spec in
+    let runs = species_runs (ion_species ions functors) in
     {
-      table;
-      n;
       ni;
       ld = Dsoa.row_stride table;
-      functors;
-      ion_spec;
+      dist = Dsoa.dist_data table;
+      dx = Dsoa.dx_data table;
+      dy = Dsoa.dy_data table;
+      dz = Dsoa.dz_data table;
+      tdist = Dsoa.temp_dist table;
+      tdx = Dsoa.temp_dx table;
+      tdy = Dsoa.temp_dy table;
+      tdz = Dsoa.temp_dz table;
+      run_fn = Array.map (fun (_, _, sp) -> functors.(sp)) runs;
+      run_lo = Array.map (fun (lo, _, _) -> lo) runs;
+      run_n = Array.map (fun (_, rn, _) -> rn) runs;
       vat = Array.make n 0.;
       jgx = Array.make n 0.;
       jgy = Array.make n 0.;
@@ -110,21 +122,9 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
       un = Array.make ni 0.;
       fn_ = Array.make ni 0.;
       ln_ = Array.make ni 0.;
-      mdr = Array.make ni 0.;
-      mdx = Array.make ni 0.;
-      mdy = Array.make ni 0.;
-      mdz = Array.make ni 0.;
-      run_lo = Array.map (fun (lo, _, _) -> lo) runs;
-      run_n = Array.map (fun (_, rn, _) -> rn) runs;
-      run_fn = Array.map (fun (_, _, sp) -> functors.(sp)) runs;
+      res = Array.make 4 0.;
+      n;
     }
-
-  let fill_row st (dist : Ad.t) off =
-    Ad.read_into dist ~pos:off st.mdr ~n:st.ni;
-    for r = 0 to Array.length st.run_lo - 1 do
-      Cubic_spline_1d.evaluate_ufl_row st.run_fn.(r) st.mdr
-        ~off:st.run_lo.(r) ~n:st.run_n.(r) ~u:st.un ~f:st.fn_ ~l:st.ln_
-    done
 
   let sum (a : float array) =
     let acc = ref 0. in
@@ -133,49 +133,40 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     done;
     !acc
 
-  let store_k st k ~(dx : Ad.t) ~(dy : Ad.t) ~(dz : Ad.t) ~off =
-    Ad.read_into dx ~pos:off st.mdx ~n:st.ni;
-    Ad.read_into dy ~pos:off st.mdy ~n:st.ni;
-    Ad.read_into dz ~pos:off st.mdz ~n:st.ni;
-    let ax = ref 0. and ay = ref 0. and az = ref 0. in
-    let su = ref 0. and sl = ref 0. in
-    let fn = st.fn_ in
-    for i = 0 to st.ni - 1 do
-      ax := !ax +. (fn.(i) *. st.mdx.(i));
-      ay := !ay +. (fn.(i) *. st.mdy.(i));
-      az := !az +. (fn.(i) *. st.mdz.(i));
-      su := !su +. st.un.(i);
-      sl := !sl +. st.ln_.(i)
-    done;
-    st.vat.(k) <- !su;
-    st.jgx.(k) <- !ax;
-    st.jgy.(k) <- !ay;
-    st.jgz.(k) <- !az;
-    st.jlap.(k) <- -. !sl
+  (* ---- the C kernel: one call per crowd stage ---- *)
+
+  (* For slots [0, m): electron k's proposed row (temporary row) into
+     the scratch, [res] = [U_k − Σ un; Σ fn·dr]. *)
+  external c_ratio : opt array -> int -> int -> unit = "oqmc_j1_ratio"
+  [@@noalloc]
+
+  (* For each slot s < m with [acc.(s)]: electron k's accumulators from
+     the row the ratio call left in scratch. *)
+  external c_accept : opt array -> int -> int -> bool array -> unit
+    = "oqmc_j1_accept"
+  [@@noalloc]
+
+  (* Every electron's accumulators from its table row. *)
+  external c_evaluate : opt -> unit = "oqmc_j1_evaluate" [@@noalloc]
+
+  let check_stage (sts : opt array) ~k ~m =
+    if m < 0 || m > Array.length sts then invalid_arg "Jastrow_one: m";
+    for s = 0 to m - 1 do
+      if k < 0 || k >= sts.(s).n then invalid_arg "Jastrow_one: electron"
+    done
 
   (* ---- crowd batch kernels ---- *)
 
   let ratio_grad_batch (sts : opt array) ~k ~m ~(ratio : float array)
       ~(gx : float array) ~(gy : float array) ~(gz : float array) =
+    check_stage sts ~k ~m;
+    c_ratio sts k m;
     for s = 0 to m - 1 do
-      let st = sts.(s) in
-      fill_row st (Dsoa.temp_dist st.table) 0;
-      Ad.read_into (Dsoa.temp_dx st.table) ~pos:0 st.mdx ~n:st.ni;
-      Ad.read_into (Dsoa.temp_dy st.table) ~pos:0 st.mdy ~n:st.ni;
-      Ad.read_into (Dsoa.temp_dz st.table) ~pos:0 st.mdz ~n:st.ni;
-      let ax = ref 0. and ay = ref 0. and az = ref 0. in
-      let su = ref 0. in
-      let fn = st.fn_ in
-      for i = 0 to st.ni - 1 do
-        ax := !ax +. (fn.(i) *. st.mdx.(i));
-        ay := !ay +. (fn.(i) *. st.mdy.(i));
-        az := !az +. (fn.(i) *. st.mdz.(i));
-        su := !su +. st.un.(i)
-      done;
-      ratio.(s) <- ratio.(s) *. exp (st.vat.(k) -. !su);
-      gx.(s) <- gx.(s) +. !ax;
-      gy.(s) <- gy.(s) +. !ay;
-      gz.(s) <- gz.(s) +. !az
+      let r = sts.(s).res in
+      ratio.(s) <- ratio.(s) *. exp r.(0);
+      gx.(s) <- gx.(s) +. r.(1);
+      gy.(s) <- gy.(s) +. r.(2);
+      gz.(s) <- gz.(s) +. r.(3)
     done
 
   let grad_batch (sts : opt array) ~k ~m ~(gx : float array)
@@ -188,50 +179,32 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     done
 
   let accept_batch (sts : opt array) ~k ~m ~(acc : bool array) =
-    for s = 0 to m - 1 do
-      if acc.(s) then begin
-        let st = sts.(s) in
-        (* Scratch still holds the proposed row from ratio/ratio_grad. *)
-        store_k st k ~dx:(Dsoa.temp_dx st.table) ~dy:(Dsoa.temp_dy st.table)
-          ~dz:(Dsoa.temp_dz st.table) ~off:0
-      end
-    done
+    check_stage sts ~k ~m;
+    if Array.length acc < m then invalid_arg "Jastrow_one: acc";
+    c_accept sts k m acc
 
   (* ---- the W.t component over an [opt] state ---- *)
 
   let opt_component (st : opt) : W.t =
     let n = st.n in
+    let one = [| st |] and yes = [| true |] in
     let evaluate_log _ps =
-      for k = 0 to n - 1 do
-        let off = k * st.ld in
-        fill_row st (Dsoa.dist_data st.table) off;
-        store_k st k ~dx:(Dsoa.dx_data st.table) ~dy:(Dsoa.dy_data st.table)
-          ~dz:(Dsoa.dz_data st.table) ~off
-      done;
+      c_evaluate st;
       -.sum st.vat
     in
     let ratio _ps k =
-      fill_row st (Dsoa.temp_dist st.table) 0;
-      exp (st.vat.(k) -. sum st.un)
+      check_stage one ~k ~m:1;
+      c_ratio one k 1;
+      exp st.res.(0)
     in
     let ratio_grad _ps k =
-      fill_row st (Dsoa.temp_dist st.table) 0;
-      let ax = ref 0. and ay = ref 0. and az = ref 0. in
-      let tx = Dsoa.temp_dx st.table and ty = Dsoa.temp_dy st.table in
-      let tz = Dsoa.temp_dz st.table in
-      let fn = st.fn_ in
-      for i = 0 to st.ni - 1 do
-        ax := !ax +. (fn.(i) *. Ad.unsafe_get tx i);
-        ay := !ay +. (fn.(i) *. Ad.unsafe_get ty i);
-        az := !az +. (fn.(i) *. Ad.unsafe_get tz i)
-      done;
-      (exp (st.vat.(k) -. sum st.un), Vec3.make !ax !ay !az)
+      check_stage one ~k ~m:1;
+      c_ratio one k 1;
+      let r = st.res in
+      (exp r.(0), Vec3.make r.(1) r.(2) r.(3))
     in
     let grad _ps k = Vec3.make st.jgx.(k) st.jgy.(k) st.jgz.(k) in
-    let accept _ps k =
-      store_k st k ~dx:(Dsoa.temp_dx st.table) ~dy:(Dsoa.temp_dy st.table)
-        ~dz:(Dsoa.temp_dz st.table) ~off:0
-    in
+    let accept _ps k = accept_batch one ~k ~m:1 ~acc:yes in
     let reject _ps _k = () in
     let accumulate_gl _ps (g : W.gl) =
       for k = 0 to n - 1 do

@@ -17,9 +17,16 @@ open Oqmc_spline
 
    [create_opt] — the compute-on-the-fly design.  Keeps only the 5N
    per-electron accumulators U_k, ∇U_k, ∇²U_k; every ratio recomputes the
-   old and new pair rows from the SoA distance table with unit-stride
-   loops, and acceptance updates the accumulators incrementally.  The
-   walker buffer shrinks to 5N scalars. *)
+   old and new pair rows from the SoA distance table, and acceptance
+   updates the accumulators incrementally.  The walker buffer shrinks to
+   5N scalars.  Its rows and sums are C (jastrow_kernels_stubs.c, built
+   like the distance-table rows): one call per crowd stage evaluates the
+   spline rows of every slot (one run per species pair) and their sums,
+   reading the table's rows in place; the scalar component closures call
+   the same kernel on a one-slot array.  The OCaml loops it replaced are
+   the bit-for-bit test oracles ([test/jastrow_oracle.ml]).
+
+   [create_ref] is still OCaml. *)
 
 module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   module W = Wfc.Make (R)
@@ -57,16 +64,28 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
   (* ------------------------------------------------------------------ *)
 
   (* The compute-on-the-fly state, exposed as a record so the scalar
-     component closures and the crowd batch kernels share one set of row
-     routines (shared code is what makes batch vs scalar bit-identity
-     structural rather than coincidental). *)
+     component closures and the crowd batch kernels share one C kernel
+     (shared code is what makes batch vs scalar bit-identity structural
+     rather than coincidental).  jastrow_kernels_stubs.c reads the fields
+     by index: keep the order of the first 27 in step with it. *)
   type opt = {
-    table : Dsoa.t;
-    ps : Ps.t;
     n : int;
-    ld : int; (* table row stride, for offset-based row reads *)
+    ld : int; (* table row stride: row k starts at k * ld *)
+    (* The table's row storage and its temporary (proposed) row. *)
+    dist : Ad.t;
+    dx : Ad.t;
+    dy : Ad.t;
+    dz : Ad.t;
+    tdist : Ad.t;
+    tdx : Ad.t;
+    tdy : Ad.t;
+    tdz : Ad.t;
     functors : functors;
     spec : int array;
+    (* Maximal same-species electron runs: one spline row per run. *)
+    run_lo : int array;
+    run_n : int array;
+    run_sp : int array;
     (* Per-electron accumulators: U_k and the gradient/laplacian of
        log ψ. *)
     uat : float array;
@@ -74,28 +93,18 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     jgy : float array;
     jgz : float array;
     jlap : float array;
-    (* Scratch rows for the old and proposed configurations. *)
+    (* u, f = u'/r, l rows of the proposed and the old configuration,
+       kept from the ratio call for the accept. *)
     un : float array;
     fn_ : float array;
     ln_ : float array;
     uo : float array;
     fo : float array;
     lo : float array;
-    (* Row mirrors (see Aligned.read_into): distance and displacement
-       rows are staged in unboxed scratch so the inner loops never touch
-       the precision functor per element. *)
-    mdr : float array;
-    mtx : float array;
-    mty : float array;
-    mtz : float array;
-    mox : float array;
-    moy : float array;
-    moz : float array;
-    (* Maximal same-species electron runs: one fused spline-row call per
-       run instead of a boxed per-pair dispatch. *)
-    run_lo : int array;
-    run_n : int array;
-    run_sp : int array;
+    res : float array;
+        (* the ratio call's result: Σ old u − Σ new u, then Σ f·dr *)
+    table : Dsoa.t;
+    ps : Ps.t;
   }
 
   (* Maximal runs of equal values in [spec] (electrons are laid out
@@ -118,51 +127,38 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     let n = Ps.n ps in
     let spec = Array.init n (fun i -> Ps.species_index ps i) in
     let runs = species_runs spec in
+    let z () = Array.make n 0. in
     {
-      table;
-      ps;
       n;
       ld = Dsoa.row_stride table;
+      dist = Dsoa.dist_data table;
+      dx = Dsoa.dx_data table;
+      dy = Dsoa.dy_data table;
+      dz = Dsoa.dz_data table;
+      tdist = Dsoa.temp_dist table;
+      tdx = Dsoa.temp_dx table;
+      tdy = Dsoa.temp_dy table;
+      tdz = Dsoa.temp_dz table;
       functors;
       spec;
-      uat = Array.make n 0.;
-      jgx = Array.make n 0.;
-      jgy = Array.make n 0.;
-      jgz = Array.make n 0.;
-      jlap = Array.make n 0.;
-      un = Array.make n 0.;
-      fn_ = Array.make n 0.;
-      ln_ = Array.make n 0.;
-      uo = Array.make n 0.;
-      fo = Array.make n 0.;
-      lo = Array.make n 0.;
-      mdr = Array.make n 0.;
-      mtx = Array.make n 0.;
-      mty = Array.make n 0.;
-      mtz = Array.make n 0.;
-      mox = Array.make n 0.;
-      moy = Array.make n 0.;
-      moz = Array.make n 0.;
       run_lo = Array.map (fun (lo, _, _) -> lo) runs;
       run_n = Array.map (fun (_, rn, _) -> rn) runs;
       run_sp = Array.map (fun (_, _, sp) -> sp) runs;
+      uat = z ();
+      jgx = z ();
+      jgy = z ();
+      jgz = z ();
+      jlap = z ();
+      un = z ();
+      fn_ = z ();
+      ln_ = z ();
+      uo = z ();
+      fo = z ();
+      lo = z ();
+      res = Array.make 4 0.;
+      table;
+      ps;
     }
-
-  (* Fill u/f/l rows for electron k against a distance row given as
-     backing storage + offset (no proxy allocation): bulk-stage the row,
-     one fused spline call per species run, then zero the self entry
-     exactly as the scalar branch did (its distance is 0, which the
-     spline guard zeroes as well). *)
-  let fill_row_from st k (dist : Ad.t) off ~u ~f ~l =
-    let fk = st.functors.(st.spec.(k)) in
-    Ad.read_into dist ~pos:off st.mdr ~n:st.n;
-    for r = 0 to Array.length st.run_lo - 1 do
-      Cubic_spline_1d.evaluate_ufl_row fk.(st.run_sp.(r)) st.mdr
-        ~off:st.run_lo.(r) ~n:st.run_n.(r) ~u ~f ~l
-    done;
-    u.(k) <- 0.;
-    f.(k) <- 0.;
-    l.(k) <- 0.
 
   let sum st (arr : float array) =
     let acc = ref 0. in
@@ -171,103 +167,41 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     done;
     !acc
 
-  (* Recompute one electron's accumulators from its (fresh) table row. *)
-  let compute_one st k =
-    Dsoa.prepare st.table st.ps k;
-    let off = k * st.ld in
-    fill_row_from st k (Dsoa.dist_data st.table) off ~u:st.un ~f:st.fn_
-      ~l:st.ln_;
-    Ad.read_into (Dsoa.dx_data st.table) ~pos:off st.mox ~n:st.n;
-    Ad.read_into (Dsoa.dy_data st.table) ~pos:off st.moy ~n:st.n;
-    Ad.read_into (Dsoa.dz_data st.table) ~pos:off st.moz ~n:st.n;
-    let ax = ref 0. and ay = ref 0. and az = ref 0. in
-    let al = ref 0. and su = ref 0. in
-    let fn = st.fn_ in
-    for i = 0 to st.n - 1 do
-      ax := !ax +. (fn.(i) *. st.mox.(i));
-      ay := !ay +. (fn.(i) *. st.moy.(i));
-      az := !az +. (fn.(i) *. st.moz.(i));
-      al := !al +. st.ln_.(i);
-      su := !su +. st.un.(i)
-    done;
-    st.uat.(k) <- !su;
-    st.jgx.(k) <- !ax;
-    st.jgy.(k) <- !ay;
-    st.jgz.(k) <- !az;
-    st.jlap.(k) <- -. !al
+  (* ---- the C kernel: one call per crowd stage ---- *)
 
-  (* Old row from the table (refreshed by the engine's prepare), new row
-     from the temporary move row. *)
-  let compute_rows st k =
-    fill_row_from st k (Dsoa.dist_data st.table) (k * st.ld) ~u:st.uo
-      ~f:st.fo ~l:st.lo;
-    fill_row_from st k (Dsoa.temp_dist st.table) 0 ~u:st.un ~f:st.fn_
-      ~l:st.ln_
+  (* For slots [0, m): electron k's old row (table) and proposed row
+     (temporary row) into the scratch, [res] = [Σ uo − Σ un; Σ fn·dr]. *)
+  external c_ratio : opt array -> int -> int -> unit = "oqmc_j2_ratio"
+  [@@noalloc]
 
-  (* Incremental update of every electron's accumulators using the cached
-     old/new rows; must run before the table accepts. *)
-  let accept_one st k =
-    let off = k * st.ld in
-    Ad.read_into (Dsoa.temp_dx st.table) ~pos:0 st.mtx ~n:st.n;
-    Ad.read_into (Dsoa.temp_dy st.table) ~pos:0 st.mty ~n:st.n;
-    Ad.read_into (Dsoa.temp_dz st.table) ~pos:0 st.mtz ~n:st.n;
-    Ad.read_into (Dsoa.dx_data st.table) ~pos:off st.mox ~n:st.n;
-    Ad.read_into (Dsoa.dy_data st.table) ~pos:off st.moy ~n:st.n;
-    Ad.read_into (Dsoa.dz_data st.table) ~pos:off st.moz ~n:st.n;
-    let ax = ref 0. and ay = ref 0. and az = ref 0. in
-    let al = ref 0. and su = ref 0. in
-    let fn = st.fn_ and fo = st.fo in
-    for i = 0 to st.n - 1 do
-      if i <> k then begin
-        st.uat.(i) <- st.uat.(i) +. st.un.(i) -. st.uo.(i);
-        (* Pair (i,k) contribution to ∇_i log ψ is −f · dr(k,i). *)
-        st.jgx.(i) <-
-          st.jgx.(i) -. (fn.(i) *. st.mtx.(i)) +. (fo.(i) *. st.mox.(i));
-        st.jgy.(i) <-
-          st.jgy.(i) -. (fn.(i) *. st.mty.(i)) +. (fo.(i) *. st.moy.(i));
-        st.jgz.(i) <-
-          st.jgz.(i) -. (fn.(i) *. st.mtz.(i)) +. (fo.(i) *. st.moz.(i));
-        st.jlap.(i) <- st.jlap.(i) -. st.ln_.(i) +. st.lo.(i);
-        ax := !ax +. (fn.(i) *. st.mtx.(i));
-        ay := !ay +. (fn.(i) *. st.mty.(i));
-        az := !az +. (fn.(i) *. st.mtz.(i));
-        al := !al +. st.ln_.(i)
-      end
-    done;
-    (* Σ over the new row, in [sum]'s left-to-right order. *)
-    for i = 0 to st.n - 1 do
-      su := !su +. st.un.(i)
-    done;
-    st.uat.(k) <- !su;
-    st.jgx.(k) <- !ax;
-    st.jgy.(k) <- !ay;
-    st.jgz.(k) <- !az;
-    st.jlap.(k) <- -. !al
+  (* For each slot s < m with [acc.(s)]: the incremental update of
+     every electron's accumulators from the rows the ratio call left in
+     scratch; must run before the table accepts. *)
+  external c_accept : opt array -> int -> int -> bool array -> unit
+    = "oqmc_j2_accept"
+  [@@noalloc]
+
+  (* Every electron's accumulators from its table row. *)
+  external c_evaluate : opt -> unit = "oqmc_j2_evaluate" [@@noalloc]
+
+  let check_stage (sts : opt array) ~k ~m =
+    if m < 0 || m > Array.length sts then invalid_arg "Jastrow_two: m";
+    for s = 0 to m - 1 do
+      if k < 0 || k >= sts.(s).n then invalid_arg "Jastrow_two: electron"
+    done
 
   (* ---- crowd batch kernels: one fused call per stage per crowd ---- *)
 
   let ratio_grad_batch (sts : opt array) ~k ~m ~(ratio : float array)
       ~(gx : float array) ~(gy : float array) ~(gz : float array) =
+    check_stage sts ~k ~m;
+    c_ratio sts k m;
     for s = 0 to m - 1 do
-      let st = sts.(s) in
-      compute_rows st k;
-      Ad.read_into (Dsoa.temp_dx st.table) ~pos:0 st.mtx ~n:st.n;
-      Ad.read_into (Dsoa.temp_dy st.table) ~pos:0 st.mty ~n:st.n;
-      Ad.read_into (Dsoa.temp_dz st.table) ~pos:0 st.mtz ~n:st.n;
-      let ax = ref 0. and ay = ref 0. and az = ref 0. in
-      let so = ref 0. and sn = ref 0. in
-      let fn = st.fn_ in
-      for i = 0 to st.n - 1 do
-        ax := !ax +. (fn.(i) *. st.mtx.(i));
-        ay := !ay +. (fn.(i) *. st.mty.(i));
-        az := !az +. (fn.(i) *. st.mtz.(i));
-        so := !so +. st.uo.(i);
-        sn := !sn +. st.un.(i)
-      done;
-      ratio.(s) <- ratio.(s) *. exp (!so -. !sn);
-      gx.(s) <- gx.(s) +. !ax;
-      gy.(s) <- gy.(s) +. !ay;
-      gz.(s) <- gz.(s) +. !az
+      let r = sts.(s).res in
+      ratio.(s) <- ratio.(s) *. exp r.(0);
+      gx.(s) <- gx.(s) +. r.(1);
+      gy.(s) <- gy.(s) +. r.(2);
+      gz.(s) <- gz.(s) +. r.(3)
     done
 
   let grad_batch (sts : opt array) ~k ~m ~(gx : float array)
@@ -280,39 +214,33 @@ module Make (R : Precision.REAL) (D : Precision.REAL) = struct
     done
 
   let accept_batch (sts : opt array) ~k ~m ~(acc : bool array) =
-    for s = 0 to m - 1 do
-      if acc.(s) then accept_one sts.(s) k
-    done
+    check_stage sts ~k ~m;
+    if Array.length acc < m then invalid_arg "Jastrow_two: acc";
+    c_accept sts k m acc
 
   (* ---- the W.t component over an [opt] state ---- *)
 
   let opt_component (st : opt) : W.t =
     let n = st.n in
+    let one = [| st |] and yes = [| true |] in
     let evaluate_log _ps =
-      for k = 0 to n - 1 do
-        compute_one st k
-      done;
+      Dsoa.evaluate st.table st.ps;
+      c_evaluate st;
       -0.5 *. sum st st.uat
     in
     let ratio _ps k =
-      compute_rows st k;
-      exp (sum st st.uo -. sum st st.un)
+      check_stage one ~k ~m:1;
+      c_ratio one k 1;
+      exp st.res.(0)
     in
     let ratio_grad _ps k =
-      compute_rows st k;
-      let ax = ref 0. and ay = ref 0. and az = ref 0. in
-      let tx = Dsoa.temp_dx st.table and ty = Dsoa.temp_dy st.table in
-      let tz = Dsoa.temp_dz st.table in
-      let fn = st.fn_ in
-      for i = 0 to n - 1 do
-        ax := !ax +. (fn.(i) *. Ad.unsafe_get tx i);
-        ay := !ay +. (fn.(i) *. Ad.unsafe_get ty i);
-        az := !az +. (fn.(i) *. Ad.unsafe_get tz i)
-      done;
-      (exp (sum st st.uo -. sum st st.un), Vec3.make !ax !ay !az)
+      check_stage one ~k ~m:1;
+      c_ratio one k 1;
+      let r = st.res in
+      (exp r.(0), Vec3.make r.(1) r.(2) r.(3))
     in
     let grad _ps k = Vec3.make st.jgx.(k) st.jgy.(k) st.jgz.(k) in
-    let accept _ps k = accept_one st k in
+    let accept _ps k = accept_batch one ~k ~m:1 ~acc:yes in
     let reject _ps _k = () in
     let accumulate_gl _ps (g : W.gl) =
       for k = 0 to n - 1 do

@@ -17,7 +17,13 @@ open Oqmc_linalg
    closures and the crowd batch entry points ([grad_into],
    [ratio_grad_into], [accept_move]) share the same ratio/dot routines —
    batched crowd sweeps stay bit-identical to the scalar path by
-   construction.
+   construction.  Those routines are the C DetUpdate kernels
+   (det_kernels_stubs.c, through Sherman_morrison, Delayed_update and the
+   externals below): one call per stage takes all of a row's dots — the
+   value and three gradient dots of a stored row or of a proposal — and,
+   with a delayed queue pending, computes its correction once for them
+   all.  The OCaml loops they replaced are the bit-for-bit test oracles
+   ([test/det_oracle.ml]).
 
    Stored rows (QMCPACK's psiM/dpsiM/d2psiM): the state keeps φ, ∇φ and
    ∇²φ of its orbitals at every electron's current position, narrowed to
@@ -57,7 +63,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   module A = Aligned.Make (I)
   module M = Matrix.Make (I)
   module L = Lu.Make (I)
-  module B = Blas.Make (I)
   module Sm = Sherman_morrison.Make (I)
   module Du = Delayed_update.Make (I)
 
@@ -89,12 +94,11 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     batch : Spo.vgl_batch;
     mutable staged : Spo.vgl; (* SPO result of the pending proposal *)
     mutable staged_vgl : bool; (* false after a value-only [ratio] *)
-    dot_scratch : A.t;
-    pad : float array;
-        (* unboxed cells for the per-move floats: 0 = the last row dot,
-           1 = the gradient's denominator.  A float returned from a
-           call or passed to one is boxed; a float in a float array is
-           not. *)
+    dots : float array;
+        (* the last row's ratio-style dots: value, then ∂x, ∂y, ∂z.  A
+           float returned from a call or passed to one is boxed; a float
+           in a float array is not. *)
+    gl_dots : float array; (* the same and ∇², for [accumulate_gl] *)
   }
 
   (* Components of a stored row, in [Spo.vgl] order. *)
@@ -145,8 +149,8 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       batch;
       staged = vgl;
       staged_vgl = false;
-      dot_scratch = A.create n;
-      pad = [| 0.; 1. |];
+      dots = Array.make 4 0.;
+      gl_dots = Array.make 5 0.;
     }
 
   let in_group st k = k >= st.first && k < st.first + st.n
@@ -164,46 +168,40 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     | Some d -> st.last_ratio.(0) <- Du.ratio d kl st.psiv
     | None -> Sm.ratio_into st.binv kl st.psiv st.last_ratio 0
 
-  (* Row dot of B[kl] against one orbital component of a proposal into
-     [st.pad.(0)], with the delayed corrections when a queue is
-     pending. *)
-  let corrected_dot st kl (comp : float array) =
-    match st.du with
-    | Some d when Du.pending d > 0 ->
-        (* Route through the delayed ratio on a scratch copy: the
-           correction formula is identical for any replacement vector
-           ([Du.ratio] only reads it, so the scratch is reusable). *)
-        let tmp = st.dot_scratch in
-        A.write_from comp tmp ~pos:0 ~n:st.n;
-        st.pad.(0) <- Du.ratio d kl tmp
-    | _ ->
-        A.dot_arr_into (M.data st.binv)
-          ~pos:(kl * M.ld st.binv)
-          comp ~n:st.n st.pad 0
+  (* The ratio-style dots of B[kl] (the implicit inverse, with the
+     delayed correction while a queue is pending) against a proposal:
+     its values narrowed into [psiv] (the ratio), then its gradient
+     components, into [out.(0..3)].  The C reads [Spo.vgl] by field
+     index. *)
+  external c_sm_vgl_dots :
+    M.t -> int -> A.t -> Spo.vgl -> float array -> unit = "oqmc_sm_vgl_dots"
+  [@@noalloc]
 
-  (* The same dot against component [c] of stored row [kl]. *)
-  let row_dot st kl c =
-    let pos = row_at st kl c in
-    match st.du with
-    | Some d when Du.pending d > 0 ->
-        let tmp = st.dot_scratch in
-        A.copy_within ~src:st.rows ~spos:pos ~dst:tmp ~dpos:0 ~n:st.n;
-        st.pad.(0) <- Du.ratio d kl tmp
-    | _ ->
-        A.dot_into ~a:(M.data st.binv)
-          ~apos:(kl * M.ld st.binv)
-          ~b:st.rows ~bpos:pos ~n:st.n st.pad 0
+  external c_du_vgl_dots :
+    Du.t -> int -> A.t -> Spo.vgl -> float array -> unit = "oqmc_du_vgl_dots"
+  [@@noalloc]
 
-  (* [gx/gy/gz.(s) += (B[kl]·∂φ) / st.pad.(1)] for the gradient
-     components of [src]. *)
-  let add_grad st kl (src : Spo.vgl) ~s ~(gx : float array)
-      ~(gy : float array) ~(gz : float array) =
-    corrected_dot st kl src.Spo.gx;
-    gx.(s) <- gx.(s) +. (st.pad.(0) /. st.pad.(1));
-    corrected_dot st kl src.Spo.gy;
-    gy.(s) <- gy.(s) +. (st.pad.(0) /. st.pad.(1));
-    corrected_dot st kl src.Spo.gz;
-    gz.(s) <- gz.(s) +. (st.pad.(0) /. st.pad.(1))
+  (* The same dots against the first [Array.length out] components of
+     stored row [kl]. *)
+  let row_dots st kl (out : float array) =
+    let pos = row_at st kl c_v in
+    match st.du with
+    | Some d -> Du.dots d kl st.rows ~pos out
+    | None -> Sm.dots st.binv kl st.rows ~pos out
+
+  (* The proposal's ratio and gradient dots into [st.dots]; [psiv]
+     receives its values.  The gradient components narrow to [I] only
+     while a delayed queue is pending. *)
+  let vgl_dots st kl (vgl : Spo.vgl) =
+    if
+      Array.length vgl.Spo.v < st.n
+      || Array.length vgl.Spo.gx < st.n
+      || Array.length vgl.Spo.gy < st.n
+      || Array.length vgl.Spo.gz < st.n
+    then invalid_arg "Slater_det: SPO result shorter than the group";
+    match st.du with
+    | Some d -> c_du_vgl_dots d kl st.psiv vgl st.dots
+    | None -> c_sm_vgl_dots st.binv kl st.psiv vgl st.dots
 
   (* Narrow one SPO result into stored row [i]. *)
   let store_row st i (src : Spo.vgl) =
@@ -267,14 +265,11 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     if in_group st k then begin
       let kl = k - st.first in
       ensure_rows st;
-      row_dot st kl c_v;
-      st.pad.(1) <- st.pad.(0);
-      row_dot st kl c_gx;
-      gx.(s) <- gx.(s) +. (st.pad.(0) /. st.pad.(1));
-      row_dot st kl c_gy;
-      gy.(s) <- gy.(s) +. (st.pad.(0) /. st.pad.(1));
-      row_dot st kl c_gz;
-      gz.(s) <- gz.(s) +. (st.pad.(0) /. st.pad.(1))
+      row_dots st kl st.dots;
+      let d = st.dots in
+      gx.(s) <- gx.(s) +. (d.(1) /. d.(0));
+      gy.(s) <- gy.(s) +. (d.(2) /. d.(0));
+      gz.(s) <- gz.(s) +. (d.(3) /. d.(0))
     end
 
   (* Crowd ratio+gradient stage at the PROPOSED position: multiplies
@@ -289,14 +284,15 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       let kl = k - st.first in
       st.staged <- vgl;
       st.staged_vgl <- true;
-      Array.blit vgl.Spo.v 0 st.vbuf 0 st.n;
-      load_psiv st;
-      det_ratio st kl;
-      let r = st.last_ratio.(0) in
+      vgl_dots st kl vgl;
+      let d = st.dots in
+      let r = d.(0) in
+      st.last_ratio.(0) <- r;
       ratio.(s) <- ratio.(s) *. r;
       if abs_float r >= 1e-300 then begin
-        st.pad.(1) <- r;
-        add_grad st kl vgl ~s ~gx ~gy ~gz
+        gx.(s) <- gx.(s) +. (d.(1) /. r);
+        gy.(s) <- gy.(s) +. (d.(2) /. r);
+        gz.(s) <- gz.(s) +. (d.(3) /. r)
       end
     end
 
@@ -305,10 +301,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   let component (st : state) : W.t =
     let n = st.n and first = st.first in
     let spo = st.spo and timers = st.timers in
-    let dot kl comp =
-      corrected_dot st kl comp;
-      st.pad.(0)
-    in
     let evaluate_log _ps =
       flush st;
       build_rows st;
@@ -344,37 +336,25 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
             spo.Spo.eval_vgl (Ps.active_pos ps) vgl);
         st.staged <- vgl;
         st.staged_vgl <- true;
-        Array.blit vgl.Spo.v 0 st.vbuf 0 n;
-        load_psiv st;
-        Timers.time timers "DetUpdate" (fun () -> det_ratio st kl);
-        let r = st.last_ratio.(0) in
+        Timers.time timers "DetUpdate" (fun () -> vgl_dots st kl vgl);
+        let d = st.dots in
+        let r = d.(0) in
+        st.last_ratio.(0) <- r;
         if abs_float r < 1e-300 then (r, Vec3.zero)
-        else begin
-          let gx = dot kl vgl.Spo.gx /. r in
-          let gy = dot kl vgl.Spo.gy /. r in
-          let gz = dot kl vgl.Spo.gz /. r in
-          (r, Vec3.make gx gy gz)
-        end
+        else (r, Vec3.make (d.(1) /. r) (d.(2) /. r) (d.(3) /. r))
       end
     in
     let grad _ps k =
       if not (in_group st k) then Vec3.zero
       else begin
-        let kl = k - first in
-        ensure_rows st;
         (* The denominator is 1 in exact arithmetic (row kl of M is the
            orbital vector at r_k); dividing by it stabilizes the mixed
-           precision path.  With pending delayed updates every dot routes
-           through the corrected form. *)
-        let rdot c =
-          row_dot st kl c;
-          st.pad.(0)
-        in
-        let denom = rdot c_v in
-        Vec3.make
-          (rdot c_gx /. denom)
-          (rdot c_gy /. denom)
-          (rdot c_gz /. denom)
+           precision path.  With pending delayed updates every dot carries
+           the queue's correction. *)
+        ensure_rows st;
+        row_dots st (k - first) st.dots;
+        let d = st.dots in
+        Vec3.make (d.(1) /. d.(0)) (d.(2) /. d.(0)) (d.(3) /. d.(0))
       end
     in
     let accept _ps k =
@@ -387,15 +367,13 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       ensure_rows st;
       for i = 0 to n - 1 do
         let k = first + i in
-        let dot c =
-          row_dot st i c;
-          st.pad.(0)
-        in
-        let denom = dot c_v in
-        let gx = dot c_gx /. denom in
-        let gy = dot c_gy /. denom in
-        let gz = dot c_gz /. denom in
-        let lap = dot c_lap /. denom in
+        row_dots st i st.gl_dots;
+        let d = st.gl_dots in
+        let denom = d.(0) in
+        let gx = d.(1) /. denom in
+        let gy = d.(2) /. denom in
+        let gz = d.(3) /. denom in
+        let lap = d.(4) /. denom in
         g.W.ggx.(k) <- g.W.ggx.(k) +. gx;
         g.W.ggy.(k) <- g.W.ggy.(k) +. gy;
         g.W.ggz.(k) <- g.W.ggz.(k) +. gz;

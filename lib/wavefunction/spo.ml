@@ -15,6 +15,8 @@ open Oqmc_containers
    that have no native batched kernel fall back to a serial loop over the
    scalar evaluator — same results, no amortization. *)
 
+(* The determinant kernels (lib/linalg/det_kernels_stubs.c) read the
+   first four fields by index: keep their order. *)
 type vgl = {
   v : float array;
   gx : float array;

@@ -3,8 +3,9 @@ open Oqmc_particle
 
 (* The per-element OCaml distance rows the C kernels of [Dt_kernels]
    replaced, kept as the references the tests compare against bit for
-   bit: the SoA row ([soa_row]), the AoS row ([aos_row]) and the Store
-   tables' old rebuilds ([store_aa], [store_ab]).  They read and write
+   bit: the SoA row ([soa_row]), the AoS row ([aos_row]), the Store
+   tables' old rebuilds ([store_aa], [store_ab]) and the AA Store
+   table's old accept scatter ([store_update]).  They read and write
    through the precision functor one element at a time, which boxes a
    float per access without flambda; the arithmetic, minimum-image
    branches included, is the kernels'.  [store_aa] is the exception: it
@@ -173,6 +174,25 @@ module Aos (R : Precision.REAL) = struct
       done
     done;
     (d, dr)
+
+  (* The old [Dt_aa_ref.update]: electron k's temporary row (td, tdr)
+     scattered into the packed triangle (d, dr), negated for the pairs
+     (i, k) with i < k. *)
+  let store_update ~(d : A.t) ~(dr : A.t) ~(td : A.t) ~(tdr : A.t) ~n k =
+    for i = 0 to k - 1 do
+      let p = (k * (k - 1) / 2) + i in
+      A.unsafe_set d p (A.unsafe_get td i);
+      A.unsafe_set dr (3 * p) (-.A.unsafe_get tdr (3 * i));
+      A.unsafe_set dr ((3 * p) + 1) (-.A.unsafe_get tdr ((3 * i) + 1));
+      A.unsafe_set dr ((3 * p) + 2) (-.A.unsafe_get tdr ((3 * i) + 2))
+    done;
+    for j = k + 1 to n - 1 do
+      let p = (j * (j - 1) / 2) + k in
+      A.unsafe_set d p (A.unsafe_get td j);
+      A.unsafe_set dr (3 * p) (A.unsafe_get tdr (3 * j));
+      A.unsafe_set dr ((3 * p) + 1) (A.unsafe_get tdr ((3 * j) + 1));
+      A.unsafe_set dr ((3 * p) + 2) (A.unsafe_get tdr ((3 * j) + 2))
+    done
 
   (* The old [Dt_ab_ref.evaluate]: one [aos_row] per electron over the
      ions, into [A.sub] slices of the dense n × n_src block. *)

@@ -1086,6 +1086,46 @@ let test_failed_respawn_vacates () =
   check_int "back to full strength at the end" 3 r.Supervisor.live_ranks;
   assert_healthy "failed-respawn" r
 
+(* A rank that dies while draining loses no walker: killed right after
+   shipping its batch, the batch is delivered (a completed leave, walkers
+   conserved); killed before shipping anything, its newest checkpoint
+   shard is salvaged onto the survivors, every walker of it. *)
+let test_leave_dies_draining () =
+  let run point =
+    let path = Filename.concat (tmpdir ()) "run.chk" in
+    let p =
+      {
+        base_params with
+        Supervisor.elastic = true;
+        generations = 12;
+        checkpoint = Some path;
+        checkpoint_every = 1;
+        membership = [ (6, Supervisor.Leave 1) ];
+        faults = [ (1, 6, Fault.Rank_kill_draining point) ];
+      }
+    in
+    (Supervisor.run ~factory p, path)
+  in
+  let after, _ = run Fault.After_batch in
+  check_int "died after its batch: one crash" 1 after.Supervisor.crashes;
+  check_int "the batch completes the leave" 1 after.Supervisor.leaves;
+  check_int "nothing skipped" 0 after.Supervisor.membership_skipped;
+  check_bool "walkers conserved" true (conservation_ok after);
+  check_int "nothing salvaged" 0 after.Supervisor.walkers_salvaged;
+  check_int "two ranks left" 2 after.Supervisor.live_ranks;
+  assert_healthy "died-after-batch" after;
+  let before, path = run Fault.Before_batch in
+  check_int "died before its batch: one crash" 1 before.Supervisor.crashes;
+  check_int "no leave completed" 0 before.Supervisor.leaves;
+  check_int "the leave counts as skipped" 1
+    before.Supervisor.membership_skipped;
+  let _, (_, shard) = Checkpoint.load_latest_shard ~path ~rank:1 in
+  check_bool "the newest shard holds walkers" true (shard <> []);
+  check_int "every walker of the newest shard salvaged" (List.length shard)
+    before.Supervisor.walkers_salvaged;
+  check_int "two ranks left" 2 before.Supervisor.live_ranks;
+  assert_healthy "died-before-batch" before
+
 (* ---------- soft deadlines + stragglers ---------- *)
 
 let test_straggler_warn_counts () =
@@ -1246,6 +1286,8 @@ let () =
             test_drain_refill_degraded_reversible;
           Alcotest.test_case "failed respawn vacates its slot" `Quick
             test_failed_respawn_vacates;
+          Alcotest.test_case "a rank dying mid-drain loses no walker" `Quick
+            test_leave_dies_draining;
           Alcotest.test_case "straggler policy: warn" `Quick
             test_straggler_warn_counts;
           Alcotest.test_case "straggler policy: steal" `Quick

@@ -434,6 +434,222 @@ let prop_delayed_equals_direct =
       ignore (L.invert_transpose ~src:m_cur ~dst:fresh);
       M.max_abs_diff (Du.binv du) fresh < 1e-6)
 
+(* ---------- C kernels against the OCaml oracles ---------- *)
+
+(* The determinant kernels of det_kernels_stubs.c against the OCaml loops
+   they replaced (test/det_oracle.ml), bit for bit, at inverse precision
+   [R]: Sherman–Morrison ratios and updates, the delayed queue's ratios,
+   its multi-vector dots (correction computed once per call) and the
+   proposal dots (gradient components narrowed only while a queue is
+   pending) at every pending count, flushes when full and on a repeated
+   row, and the blocked flush kernels on their own. *)
+module Det_check (R : Precision.REAL) = struct
+  module A = Aligned.Make (R)
+  module M = Matrix.Make (R)
+  module L = Lu.Make (R)
+  module B = Blas.Make (R)
+  module Sm = Sherman_morrison.Make (R)
+  module Du = Delayed_update.Make (R)
+  module O = Det_oracle.Make (R)
+  module Spo = Oqmc_wavefunction.Spo
+
+  (* The proposal-dot entry points the determinant calls. *)
+  external sm_vgl_dots : M.t -> int -> A.t -> Spo.vgl -> float array -> unit
+    = "oqmc_sm_vgl_dots"
+  [@@noalloc]
+
+  external du_vgl_dots : Du.t -> int -> A.t -> Spo.vgl -> float array -> unit
+    = "oqmc_du_vgl_dots"
+  [@@noalloc]
+
+  let bits = Int64.bits_of_float
+  let same ok a b = if bits a <> bits b then ok := false
+
+  let same_matrix ok (a : M.t) (b : M.t) =
+    for i = 0 to M.rows a - 1 do
+      for j = 0 to M.cols a - 1 do
+        same ok (M.get a i j) (M.get b i j)
+      done
+    done
+
+  let uniform rng = Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.
+
+  (* Two copies of one inverse: row-padded, so ld > cols for most n. *)
+  let inverses rng n =
+    let m =
+      M.init n n (fun i j -> uniform rng +. if i = j then 4. else 0.)
+    in
+    let b = M.create ~padded:true n n in
+    ignore (L.invert_transpose ~src:m ~dst:b);
+    (b, M.copy b)
+
+  (* A replacement for row r that keeps the ratio near 1. *)
+  let row_vec rng n r =
+    let v = A.of_array (Array.init n (fun _ -> uniform rng)) in
+    A.set v r (A.get v r +. 4.);
+    v
+
+  let proposal rng n =
+    let a () = Array.init n (fun _ -> uniform rng) in
+    { Spo.v = a (); gx = a (); gy = a (); gz = a (); lap = a () }
+
+  let check_proposal ok ?du ?od (bc : M.t) (bo : M.t) r (p : Spo.vgl) =
+    let n = M.cols bc in
+    let out = Array.make 4 0. in
+    let psiv = A.create n and psiv_o = A.create n and tmp = A.create n in
+    (match du with
+    | Some d -> du_vgl_dots d r psiv p out
+    | None -> sm_vgl_dots bc r psiv p out);
+    let r0, r1, r2, r3 =
+      O.proposal_dots ?du:od bo r ~psiv:psiv_o ~tmp p.Spo.v
+        [| p.Spo.gx; p.Spo.gy; p.Spo.gz |]
+    in
+    List.iter2 (same ok) (Array.to_list out) [ r0; r1; r2; r3 ];
+    for b = 0 to n - 1 do
+      same ok (A.get psiv b) (A.get psiv_o b)
+    done
+
+  let sherman_morrison ~n ~seed =
+    let ok = ref true in
+    let rng = Xoshiro.create seed in
+    let bc, bo = inverses rng n in
+    let ws = Sm.make_workspace n and ows = O.make_workspace n in
+    for _ = 1 to min n 12 do
+      let r = Xoshiro.int rng n in
+      let v = row_vec rng n r in
+      let rc = Sm.ratio bc r v and ro = O.sm_ratio bo r v in
+      same ok rc ro;
+      let src = A.of_array (Array.init (3 * n) (fun _ -> uniform rng)) in
+      let out = Array.make 3 0. in
+      Sm.dots bc r src ~pos:0 out;
+      for c = 0 to 2 do
+        same ok out.(c) (O.sm_ratio bo r (A.sub src ~pos:(c * n) ~len:n))
+      done;
+      check_proposal ok bc bo r (proposal rng n);
+      if abs_float rc > 0.3 then begin
+        Sm.update_row bc r v ~ratio:rc ~ws;
+        O.sm_update bo r v ~ratio:ro ~ws:ows;
+        same_matrix ok bc bo
+      end
+    done;
+    !ok
+
+  (* Rows cycle so every pending count 0 .. delay − 1 is seen, and every
+     third accept repeats a pending row (the flush-on-repeat path). *)
+  let delayed ~n ~delay ~seed =
+    let ok = ref true in
+    let rng = Xoshiro.create seed in
+    let bc, bo = inverses rng n in
+    let du = Du.create ~delay bc and od = O.du_create ~delay bo in
+    let last = ref 0 in
+    for step = 0 to (3 * n) + 4 do
+      let r =
+        if step mod 3 = 2 && Du.pending du > 0 then !last
+        else Xoshiro.int rng n
+      in
+      let v = row_vec rng n r in
+      let rc = Du.ratio du r v and ro = O.du_ratio od r v in
+      same ok rc ro;
+      (* Three stored vectors in one call against one oracle call each. *)
+      let src = A.of_array (Array.init (3 * n) (fun _ -> uniform rng)) in
+      let out = Array.make 3 0. in
+      Du.dots du r src ~pos:0 out;
+      for c = 0 to 2 do
+        same ok out.(c) (O.du_ratio od r (A.sub src ~pos:(c * n) ~len:n))
+      done;
+      check_proposal ok ~du ~od bc bo r (proposal rng n);
+      if abs_float rc > 0.3 then begin
+        Du.accept du r v;
+        O.du_accept od r v;
+        last := r;
+        if Du.pending du <> O.pending od then ok := false;
+        same_matrix ok bc bo
+      end
+    done;
+    Du.flush du;
+    O.du_flush od;
+    same_matrix ok bc bo;
+    !ok
+
+  (* Y = B Vᵀ and B −= Y·T for k rows, zero coefficients included, flat
+     (C) against row arrays (oracle). *)
+  let flush_kernels ~n ~k ~seed =
+    let ok = ref true in
+    let rng = Xoshiro.create seed in
+    let bc, bo = inverses rng n in
+    let rows () = Array.init k (fun _ -> Array.init n (fun _ -> uniform rng)) in
+    let vs = rows () and tm = rows () in
+    let ystride = k + 1 in
+    let yc = Array.make (n * ystride) 0. and yo = Array.make (n * ystride) 0. in
+    B.mul_vt bc ~vs:(Array.concat (Array.to_list vs)) ~k ~y:yc ~ystride;
+    O.mul_vt bo ~vs ~k ~y:yo ~ystride ~scratch:(Array.make n 0.);
+    Array.iteri (fun i y -> same ok y yo.(i)) yc;
+    (* Knock out some coefficients so the skip path runs. *)
+    Array.iteri (fun i _ -> if i mod 3 = 1 then (yc.(i) <- 0.; yo.(i) <- 0.)) yc;
+    B.rank_update bc ~y:yc ~ystride ~tm:(Array.concat (Array.to_list tm)) ~k;
+    O.rank_update bo ~y:yo ~ystride ~tm ~k ~scratch:(Array.make n 0.);
+    same_matrix ok bc bo;
+    !ok
+end
+
+module Det64 = Det_check (Precision.F64)
+module Det32 = Det_check (Precision.F32)
+
+let oracle_sizes = QCheck.oneofl [ 1; 7; 24; 48; 65 ]
+
+let prop_sm_equals_oracle =
+  QCheck.Test.make ~name:"Sherman-Morrison C equals the oracle bit for bit"
+    ~count:20
+    QCheck.(triple bool oracle_sizes (int_range 1 10000))
+    (fun (f32, n, seed) ->
+      if f32 then Det32.sherman_morrison ~n ~seed
+      else Det64.sherman_morrison ~n ~seed)
+
+let prop_delayed_equals_oracle =
+  QCheck.Test.make ~name:"delayed update C equals the oracle bit for bit"
+    ~count:30
+    QCheck.(quad bool oracle_sizes (int_range 1 4) (int_range 1 10000))
+    (fun (f32, n, delay, seed) ->
+      if f32 then Det32.delayed ~n ~delay ~seed
+      else Det64.delayed ~n ~delay ~seed)
+
+let prop_flush_kernels_equal_oracle =
+  QCheck.Test.make ~name:"flush kernels C equal the oracle bit for bit"
+    ~count:20
+    QCheck.(quad bool oracle_sizes (int_range 1 9) (int_range 1 10000))
+    (fun (f32, n, k, seed) ->
+      if f32 then Det32.flush_kernels ~n ~k ~seed
+      else Det64.flush_kernels ~n ~k ~seed)
+
+(* The C flush against the independent unblocked reference above, at f64,
+   across sizes and delays. *)
+let prop_blocked_flush_equals_unblocked =
+  QCheck.Test.make ~name:"blocked C flush equals the unblocked apply"
+    ~count:20
+    QCheck.(triple oracle_sizes (int_range 1 4) (int_range 1 10000))
+    (fun (n, delay, seed) ->
+      let rng = Xoshiro.create seed in
+      let m = random_matrix rng n in
+      let binv = M.create n n in
+      ignore (L.invert_transpose ~src:m ~dst:binv);
+      let b_blk = M.copy binv and b_ref = M.copy binv in
+      let du = Du.create ~delay b_blk in
+      let du_ref = Du_ref.create ~delay b_ref in
+      let ok = ref true in
+      for step = 0 to 2 * n do
+        let k = step mod n in
+        let v = random_vec rng n in
+        A.set v k (A.get v k +. 4.);
+        if abs_float (Du.ratio du k v) > 0.3 then begin
+          Du.accept du k v;
+          Du_ref.accept du_ref k v;
+          if M.max_abs_diff (Du.binv du) b_ref <> 0. then ok := false
+        end
+      done;
+      Du.flush du;
+      Du_ref.flush du_ref;
+      !ok && M.max_abs_diff (Du.binv du) b_ref = 0.)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "linalg"
@@ -471,4 +687,12 @@ let () =
         ] );
       ( "properties",
         qt [ prop_det_product; prop_sm_sequence; prop_delayed_equals_direct ] );
+      ( "c_oracle",
+        qt
+          [
+            prop_sm_equals_oracle;
+            prop_delayed_equals_oracle;
+            prop_flush_kernels_equal_oracle;
+            prop_blocked_flush_equals_unblocked;
+          ] );
     ]

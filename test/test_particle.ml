@@ -854,7 +854,8 @@ let prop_soa_rows_equal_oracle =
 
 (* The Ref (AoS) tables against the per-element oracle, bit for bit, at
    positions and table precision [R]: [move] of both Store tables
-   against [aos_row], and both [evaluate] rebuilds against the old
+   against [aos_row], the AA table's [update] scatter against
+   [store_update], and both [evaluate] rebuilds against the old
    per-pair and per-row ones.  Random points only: [store_aa] rounds a
    half-box tie differently (see "Store evaluate equals Store move"). *)
 module Aos_check (R : Precision.REAL) = struct
@@ -908,6 +909,18 @@ module Aos_check (R : Precision.REAL) = struct
         same_vec ok (AB.displ ab k i) odr (3 * ((k * 5) + i))
       done
     done;
+    (* A shadow of the AA triangle the oracle's scatter keeps up. *)
+    let len = n * (n - 1) / 2 in
+    let sd = A.create len and sdr = A.create (3 * len) in
+    for j = 1 to n - 1 do
+      for i = 0 to j - 1 do
+        let p = (j * (j - 1) / 2) + i and v = AA.displ aa i j in
+        A.set sd p (AA.dist aa i j);
+        A.set sdr (3 * p) v.Vec3.x;
+        A.set sdr ((3 * p) + 1) v.Vec3.y;
+        A.set sdr ((3 * p) + 2) v.Vec3.z
+      done
+    done;
     for k = 0 to n - 1 do
       let np =
         Vec3.add (P.get ps k)
@@ -922,10 +935,19 @@ module Aos_check (R : Precision.REAL) = struct
           same_vec ok (tdispl i) dr (3 * i)
         done
       in
-      check_temp n (AA.temp_dist aa) (AA.temp_displ aa) (O.row ps np);
+      let row = O.row ps np in
+      check_temp n (AA.temp_dist aa) (AA.temp_displ aa) row;
       check_temp 5 (AB.temp_dist ab) (AB.temp_displ ab) (O.row ions np);
       AA.update aa k;
       AB.update ab k;
+      O.store_update ~d:sd ~dr:sdr ~td:(fst row) ~tdr:(snd row) ~n k;
+      for j = 1 to n - 1 do
+        for i = 0 to j - 1 do
+          let p = (j * (j - 1) / 2) + i in
+          same ok (AA.dist aa i j) (A.get sd p);
+          same_vec ok (AA.displ aa i j) sdr (3 * p)
+        done
+      done;
       P.propose ps k np;
       P.accept ps
     done;

@@ -975,6 +975,215 @@ let test_twf_product () =
   checkf 1e-10 "ratio is a product" product r;
   Ps.reject ps
 
+(* ---------- Jastrow C kernels against the OCaml oracle ---------- *)
+
+(* The J2 and J1 kernels of jastrow_kernels_stubs.c against the OCaml
+   loops they replaced (test/jastrow_oracle.ml), bit for bit, at walker
+   precision [R] and table precision [D]: the recompute behind
+   [evaluate_log], then moves whose old and proposed rows carry edge
+   distances (0, the cutoff, one ulp inside it, where the interval index
+   is clamped, and the last interval), each checked through the ratio,
+   the gradient sums and the accumulators after the accept.  Splines have
+   random coefficients (some narrowed to f32) and interval counts;
+   species runs include runs of length 1. *)
+module Jastrow_check (R : Precision.REAL) (D : Precision.REAL) = struct
+  module Ps = Particle_set.Make (R)
+  module Aa = Dt_aa_soa.Make (R) (D)
+  module Ab = Dt_ab_soa.Make (R) (D)
+  module J2 = Jastrow_two.Make (R) (D)
+  module J1 = Jastrow_one.Make (R) (D)
+  module W = Wfc.Make (R)
+  module O = Jastrow_oracle.Make (R) (D)
+  module Ad = Aa.A
+
+  let bits = Int64.bits_of_float
+  let same ok a b = if bits a <> bits b then ok := false
+  let cutoff = 2.9
+  let lattice = Lattice.orthorhombic 6.1 6.4 7.
+
+  let spline rng =
+    let nint = 1 + Xoshiro.int rng 9 in
+    let c =
+      Array.init (nint + 3) (fun _ -> Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
+    in
+    let sp = Oqmc_spline.Cubic_spline_1d.of_coefficients ~cutoff c in
+    if Xoshiro.int rng 2 = 0 then Oqmc_spline.Cubic_spline_1d.narrow sp else sp
+
+  (* The largest distance the table can store below the cutoff. *)
+  let below_cut =
+    if D.bytes = 4 then
+      let x = D.round cutoff in
+      if x < cutoff then x
+      else Int32.float_of_bits (Int32.pred (Int32.bits_of_float x))
+    else Float.pred cutoff
+
+  let edges = [| 0.; cutoff; below_cut; cutoff *. 0.999; 1e-3 |]
+
+  (* Overwrite a few entries of [a] from [o] with edge distances. *)
+  let inject rng (a : Ad.t) ~o ~n =
+    for e = 0 to Array.length edges - 1 do
+      if n > 0 then Ad.set a (o + Xoshiro.int rng n) edges.(e)
+    done
+
+  let counts rng n =
+    if n = 1 then [ 1 ]
+    else
+      match Xoshiro.int rng 3 with
+      | 0 -> [ 1; n - 1 ]
+      | 1 -> [ n - 1; 1 ]
+      | _ -> [ n / 2; n - (n / 2) ]
+
+  let set rng ~name counts =
+    let ps =
+      Ps.create ~lattice
+        (List.mapi
+           (fun i count ->
+             { Particle_set.name = Printf.sprintf "%s%d" name i; charge = -1.;
+               count })
+           counts)
+    in
+    Ps.randomize ps (fun () -> Xoshiro.uniform rng);
+    ps
+
+  let state (c : W.t) ps n =
+    let buf = Wbuffer.create () in
+    c.W.register buf;
+    Wbuffer.rewind buf;
+    c.W.update_buffer ps buf;
+    Array.sub (Wbuffer.contents buf) 0 (5 * n)
+
+  let same_state ok a b = Array.iteri (fun i x -> same ok x b.(i)) a
+
+  (* A proposal for electron k: prepare, propose, move the tables. *)
+  let propose rng ps ~k ~move =
+    let np =
+      Vec3.add (Ps.get ps k)
+        (Vec3.make (Xoshiro.gaussian rng) (Xoshiro.gaussian rng)
+           (Xoshiro.gaussian rng))
+    in
+    Ps.propose ps k np;
+    move (Ps.active_pos ps)
+
+  let check_ratio ok (lr, ax, ay, az) (r : float array) gx gy gz =
+    same ok r.(0) (exp lr);
+    same ok gx.(0) ax;
+    same ok gy.(0) ay;
+    same ok gz.(0) az
+
+  let j2 ~n ~seed =
+    let ok = ref true in
+    let rng = Xoshiro.create seed in
+    let counts = counts rng n in
+    let ns = List.length counts in
+    let functors =
+      let f = Array.make_matrix ns ns (spline rng) in
+      for a = 0 to ns - 1 do
+        for b = a to ns - 1 do
+          let sp = spline rng in
+          f.(a).(b) <- sp;
+          f.(b).(a) <- sp
+        done
+      done;
+      f
+    in
+    let ps = set rng ~name:"e" counts in
+    let table = Aa.create ps in
+    let st = J2.make_opt ~table ~functors ps in
+    let c = J2.opt_component st in
+    ignore (c.W.evaluate_log ps);
+    let o = O.make_j2 ~table ~functors ps in
+    O.j2_evaluate o;
+    same_state ok (state c ps n) (O.j2_state o);
+    let ratio = [| 1. |] and gx = [| 0. |] and gy = [| 0. |] in
+    let gz = [| 0. |] in
+    for _ = 1 to 6 do
+      let k = Xoshiro.int rng n in
+      Aa.prepare table ps k;
+      propose rng ps ~k ~move:(fun p -> Aa.move table ps k p);
+      inject rng (Aa.dist_data table) ~o:(k * Aa.row_stride table) ~n;
+      inject rng (Aa.temp_dist table) ~o:0 ~n;
+      ratio.(0) <- 1.;
+      gx.(0) <- 0.;
+      gy.(0) <- 0.;
+      gz.(0) <- 0.;
+      J2.ratio_grad_batch [| st |] ~k ~m:1 ~ratio ~gx ~gy ~gz;
+      let want = O.j2_ratio_grad o k in
+      check_ratio ok want ratio gx gy gz;
+      same ok (c.W.ratio ps k) ratio.(0);
+      J2.accept_batch [| st |] ~k ~m:1 ~acc:[| true |];
+      O.j2_accept o k;
+      same_state ok (state c ps n) (O.j2_state o);
+      Aa.accept table k;
+      Ps.accept ps
+    done;
+    !ok
+
+  let j1 ~n ~ni ~seed =
+    let ok = ref true in
+    let rng = Xoshiro.create seed in
+    let ion_counts = counts rng ni in
+    let ions = set rng ~name:"ion" ion_counts in
+    let functors = Array.of_list (List.map (fun _ -> spline rng) ion_counts) in
+    let ps = set rng ~name:"e" (counts rng n) in
+    let table = Ab.create ~sources:ions ps in
+    Ab.evaluate table ps;
+    for k = 0 to n - 1 do
+      inject rng (Ab.dist_data table) ~o:(k * Ab.row_stride table) ~n:ni
+    done;
+    let st = J1.make_opt ~table ~functors ~ions ps in
+    let c = J1.opt_component st in
+    ignore (c.W.evaluate_log ps);
+    let o = O.make_j1 ~table ~functors ~ions ps in
+    O.j1_evaluate o;
+    same_state ok (state c ps n) (O.j1_state o);
+    let ratio = [| 1. |] and gx = [| 0. |] and gy = [| 0. |] in
+    let gz = [| 0. |] in
+    for _ = 1 to 6 do
+      let k = Xoshiro.int rng n in
+      propose rng ps ~k ~move:(fun p -> Ab.move table p);
+      inject rng (Ab.temp_dist table) ~o:0 ~n:ni;
+      ratio.(0) <- 1.;
+      gx.(0) <- 0.;
+      gy.(0) <- 0.;
+      gz.(0) <- 0.;
+      J1.ratio_grad_batch [| st |] ~k ~m:1 ~ratio ~gx ~gy ~gz;
+      check_ratio ok (O.j1_ratio_grad o k) ratio gx gy gz;
+      same ok (c.W.ratio ps k) ratio.(0);
+      J1.accept_batch [| st |] ~k ~m:1 ~acc:[| true |];
+      O.j1_accept o k;
+      same_state ok (state c ps n) (O.j1_state o);
+      Ab.accept table k;
+      Ps.accept ps
+    done;
+    !ok
+end
+
+module Jc64 = Jastrow_check (Precision.F64) (Precision.F64)
+module Jc64_32 = Jastrow_check (Precision.F64) (Precision.F32)
+module Jc32 = Jastrow_check (Precision.F32) (Precision.F32)
+
+let jastrow_sizes = QCheck.oneofl [ 1; 7; 24; 48; 65 ]
+
+let jastrow_prop ~name run =
+  QCheck.Test.make ~name ~count:24
+    QCheck.(triple (int_range 0 2) jastrow_sizes (int_range 1 10000))
+    (fun (prec, n, seed) -> run prec n seed)
+
+let prop_j2_equals_oracle =
+  jastrow_prop ~name:"J2 C equals the oracle bit for bit" (fun prec n seed ->
+      match prec with
+      | 0 -> Jc64.j2 ~n ~seed
+      | 1 -> Jc64_32.j2 ~n ~seed
+      | _ -> Jc32.j2 ~n ~seed)
+
+let prop_j1_equals_oracle =
+  jastrow_prop ~name:"J1 C equals the oracle bit for bit" (fun prec n seed ->
+      let ni = 1 + (seed mod 9) in
+      match prec with
+      | 0 -> Jc64.j1 ~n ~ni ~seed
+      | 1 -> Jc64_32.j1 ~n ~ni ~seed
+      | _ -> Jc32.j1 ~n ~ni ~seed)
+
 let () =
   Alcotest.run "wavefunction"
     [
@@ -1030,4 +1239,7 @@ let () =
             test_det_f32_inverse_drift;
         ] );
       ("twf", [ Alcotest.test_case "product" `Quick test_twf_product ]);
+      ( "c_oracle",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_j2_equals_oracle; prop_j1_equals_oracle ] );
     ]
